@@ -14,8 +14,7 @@ rather than by an SMT solver.
 True
 """
 
-from .egraph import CapacityExceededError, EClass, EGraph, ENode, \
-    InvalidIdError
+from .egraph import CapacityExceededError, EGraph, ENode, InvalidIdError
 from .expansion import (ExpansionConfig, ExpansionReport, OutputTooLargeError,
                         StopReason, UnextractableError, expand, extract_max,
                         extract_min)
@@ -34,7 +33,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AggregateReport", "CapacityExceededError", "CheckResult", "Const",
-    "EClass", "EGraph", "ENode", "EmptyCorpusError", "ExpansionConfig",
+    "EGraph", "ENode", "EmptyCorpusError", "ExpansionConfig",
     "ExpansionReport", "Expression", "InvalidIdError", "Match",
     "MetricsReport", "Op", "Operator", "OutputTooLargeError", "ParseError",
     "PatVar", "Rule", "RuleSyntaxError", "StopReason", "TooManyCasesError",

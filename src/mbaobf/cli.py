@@ -2,8 +2,14 @@
 
 Exit codes: 0 success (including the no-op case where nothing matched),
 2 input error (bad expression, bad rule file, empty corpus), 3 resource
-error (output size cap).  A --selfcheck counterexample exits 1, since it
-can only mean an engine bug.
+error (output size cap, e-graph node cap).  A --selfcheck counterexample
+exits 1, since it can only mean an engine bug.
+
+``bench`` does not stop at a bad line: a line that does not parse, whose
+output would exceed the output size cap, whose growth hits the e-graph's
+hard node cap or that cannot be extracted is reported on stderr, counted
+as skipped and left out of both artifacts.  It exits 2 only when every
+line is skipped.
 """
 
 from __future__ import annotations
@@ -131,7 +137,6 @@ def _config_from_args(args) -> ExpansionConfig:
         target_ast_size=args.target_size,
         extraction_rounds=args.rounds,
         max_output_nodes=args.max_output_nodes,
-        seed=args.seed,
     )
 
 
@@ -217,7 +222,8 @@ def run_bench(args) -> int:
         try:
             expr = parse(text, args.bitwidth)
             report = expand(expr, rules, cfg, args.bitwidth)
-        except (ParseError, OutputTooLargeError, UnextractableError) as exc:
+        except (ParseError, OutputTooLargeError, CapacityExceededError,
+                UnextractableError) as exc:
             print(f"line {lineno}: skipped ({exc})", file=sys.stderr)
             failures += 1
             continue
@@ -232,7 +238,7 @@ def run_bench(args) -> int:
         rows.append(_report_json(text, report))
         pairs.append((report.metrics_in, report.metrics_out))
     if not pairs:
-        print("error: every corpus line failed to parse", file=sys.stderr)
+        print("error: every corpus line was skipped", file=sys.stderr)
         return EXIT_INPUT
 
     csv_text = aggregate_csv(aggregate(pairs))

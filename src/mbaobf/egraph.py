@@ -14,12 +14,25 @@ reading (``node_count``, matching, extraction).  Determinism matters here:
 class representatives are chosen as the smaller canonical id, node sets are
 insertion-ordered, and nothing iterates in hash order, so identical
 operation sequences produce identical graphs.
+
+Representation: an :class:`ENode` is a named tuple ``(label, payload,
+children)``, so hashing and equality run in C and a plain tuple of the same
+three fields is an equal hashcons key.  The matcher and the budget dry run
+build such keys from canonical ids and look them up with
+:meth:`EGraph.lookup_canonical` without constructing e-nodes.
+
+Rebuilding is deferred and dirty-only, as in egg: unions queue their
+representative, :meth:`EGraph.rebuild` re-canonicalizes the parents of the
+queued classes, restoring congruence, and then refreshes the node sets of
+just the classes those parents live in.  No other class can hold a stale
+node, because every e-node is recorded as a parent of each of its
+children's classes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .expr import Const, Expression, Op, OPERATORS, Var
 
@@ -41,10 +54,13 @@ _LABEL_RANK = {
 }
 
 
-@dataclass(frozen=True)
-class ENode:
+class ENode(NamedTuple):
     """label is an operator name, or "var"/"const" with the payload holding
-    the variable name or constant value."""
+    the variable name or constant value.
+
+    Order e-nodes with :meth:`sort_key`, not with ``<``: tuple order would
+    compare labels alphabetically and put ``add`` before the leaves.
+    """
 
     label: str
     payload: object  # str | int | None
@@ -103,17 +119,25 @@ class EGraph:
         self._hashcons: dict = {}  # canonical ENode -> EClassId
         self._classes: dict = {}  # canonical EClassId -> EClass
         self._worklist: list[int] = []
+        self._dirty: set = set()  # classes holding re-canonicalized parents
 
     # -- union-find ---------------------------------------------------------
 
     def find(self, cid: EClassId) -> EClassId:
         if not isinstance(cid, int) or cid < 0 or cid >= len(self._uf):
             raise InvalidIdError(cid)
-        root = cid
-        while self._uf[root] != root:
-            root = self._uf[root]
-        while self._uf[cid] != root:
-            self._uf[cid], cid = root, self._uf[cid]
+        return self._find(cid)
+
+    def _find(self, cid: EClassId) -> EClassId:
+        """:meth:`find` for ids the graph handed out itself."""
+        uf = self._uf
+        root = uf[cid]
+        if root == cid:
+            return cid
+        while uf[root] != root:
+            root = uf[root]
+        while uf[cid] != root:
+            uf[cid], cid = root, uf[cid]
         return root
 
     def _new_class(self) -> EClassId:
@@ -125,19 +149,34 @@ class EGraph:
     # -- insertion ----------------------------------------------------------
 
     def canonicalize(self, node: ENode) -> ENode:
-        if node.is_leaf():
+        """``node`` with canonical children; ``node`` itself if already so."""
+        for child in node.children:
+            self.find(child)  # rejects ids this graph never handed out
+        return self._canonicalize(node)
+
+    def _canonicalize(self, node: ENode) -> ENode:
+        children = node.children
+        if not children:
             return node
-        return ENode(node.label, node.payload,
-                     tuple(self.find(c) for c in node.children))
+        find = self._find
+        canon = tuple([find(c) for c in children])
+        if canon == children:
+            return node
+        return ENode(node.label, node.payload, canon)
 
     def add(self, node: ENode) -> EClassId:
         """Insert one e-node (children must be existing class ids)."""
-        node = self.canonicalize(node)
-        existing = self._hashcons.get(node)
+        return self.add_canonical(self.canonicalize(node))
+
+    def add_canonical(self, key: tuple) -> EClassId:
+        """Insert ``(label, payload, children)`` whose children are canonical
+        ids; returns the canonical class."""
+        existing = self._hashcons.get(key)
         if existing is not None:
-            return self.find(existing)
+            return self._find(existing)
         if self.max_nodes is not None and len(self._hashcons) >= self.max_nodes:
             raise CapacityExceededError(self.max_nodes)
+        node = key if type(key) is ENode else ENode._make(key)
         cid = self._new_class()
         self._classes[cid].nodes[node] = None
         self._hashcons[node] = cid
@@ -156,8 +195,13 @@ class EGraph:
 
     def contains(self, node: ENode) -> Optional[EClassId]:
         """Class of a canonical e-node, or None if absent (no insertion)."""
-        existing = self._hashcons.get(self.canonicalize(node))
-        return None if existing is None else self.find(existing)
+        return self.lookup_canonical(self.canonicalize(node))
+
+    def lookup_canonical(self, key: tuple) -> Optional[EClassId]:
+        """Class of ``(label, payload, children)`` with canonical children,
+        or None if absent (no insertion)."""
+        existing = self._hashcons.get(key)
+        return None if existing is None else self._find(existing)
 
     # -- merging ------------------------------------------------------------
 
@@ -189,39 +233,42 @@ class EGraph:
         """
         repairs = 0
         while self._worklist:
-            todo = list(dict.fromkeys(self.find(c) for c in self._worklist))
+            todo = list(dict.fromkeys(self._find(c) for c in self._worklist))
             self._worklist.clear()
             for cid in todo:
                 repairs += 1
                 self._repair(cid)
-        if repairs:
-            self._refresh_class_nodes()
+        # Only the classes of re-canonicalized parents can hold stale or
+        # duplicate nodes; canonicalizing in place keeps each class's order.
+        canonicalize = self._canonicalize
+        for cid in {self._find(c) for c in self._dirty}:
+            cls = self._classes[cid]
+            cls.nodes = dict.fromkeys(map(canonicalize, cls.nodes))
+        self._dirty.clear()
         return repairs
 
     def _repair(self, cid: EClassId) -> None:
-        cid = self.find(cid)
+        find = self._find
+        hashcons = self._hashcons
+        cid = find(cid)
         cls = self._classes[cid]
         old_parents = cls.parents
         cls.parents = []
         seen: dict = {}  # canonical parent node -> class id
         for pnode, pcls in old_parents:
-            self._hashcons.pop(pnode, None)
-            pn = self.canonicalize(pnode)
-            pc = self.find(pcls)
+            hashcons.pop(pnode, None)
+            pn = self._canonicalize(pnode)
+            pc = find(pcls)
             prev = seen.get(pn)
-            if prev is not None and self.find(prev) != pc:
+            if prev is not None and find(prev) != pc:
                 pc, _ = self.union(prev, pc)
             seen[pn] = pc
-            self._hashcons[pn] = self.find(pc)
+            hashcons[pn] = find(pc)
+        self._dirty.update(seen.values())
         # cid itself may have been merged away by a congruence union above.
-        home = self._classes[self.find(cid)]
+        home = self._classes[find(cid)]
         for pn, pc in seen.items():
-            home.parents.append((pn, self.find(pc)))
-
-    def _refresh_class_nodes(self) -> None:
-        for cls in self._classes.values():
-            fresh = dict.fromkeys(self.canonicalize(n) for n in cls.nodes)
-            cls.nodes = fresh
+            home.parents.append((pn, find(pc)))
 
     # -- queries ------------------------------------------------------------
 

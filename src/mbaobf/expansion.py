@@ -35,7 +35,8 @@ from typing import Optional
 from .egraph import EGraph, ENode
 from .expr import DEFAULT_BITWIDTH, Expression, expr_size
 from .metrics import MetricsReport, measure
-from .rules import _label_index, apply_match, count_new_nodes, ematch
+from .rules import (_label_index, apply_match, count_new_nodes, ematch,
+                    new_node_bound)
 
 
 class StopReason(Enum):
@@ -68,8 +69,7 @@ class ExpansionConfig:
     """Termination conditions and extraction knobs for one run.
 
     At least one of ``node_limit`` / ``iter_limit`` / ``time_limit`` must be
-    set.  ``seed`` is reserved for randomized tie-breaking policies; the
-    default policy is fully deterministic and ignores it.
+    set.
     """
 
     node_limit: Optional[int] = 3000
@@ -78,7 +78,6 @@ class ExpansionConfig:
     target_ast_size: Optional[int] = None
     extraction_rounds: int = 64
     max_output_nodes: int = 10_000
-    seed: int = 0
 
     def __post_init__(self):
         for name in ("node_limit", "iter_limit", "time_limit",
@@ -275,6 +274,7 @@ def expand(e: Expression, rules: list, cfg: Optional[ExpansionConfig] = None,
         return (cfg.time_limit is not None
                 and time.monotonic() - start >= cfg.time_limit)
 
+    bounds = [new_node_bound(rule.rhs) for rule in rules]
     stop: Optional[StopReason] = None
     output: Optional[Expression] = None
     iterations = 0
@@ -287,19 +287,22 @@ def expand(e: Expression, rules: list, cfg: Optional[ExpansionConfig] = None,
             break
         index = _label_index(g)
         matches = []
-        for rule in rules:
+        for rule, bound in zip(rules, bounds):
             for m in ematch(g, rule.lhs, rule.name, index):
-                matches.append((rule, m))
+                matches.append((rule, bound, m))
         changed = False
         skipped = False
         hit_time = False
-        for i, (rule, m) in enumerate(matches):
+        for i, (rule, bound, m) in enumerate(matches):
             if i % _TIME_CHECK_STRIDE == 0 and i and timed_out():
                 hit_time = True
                 break
             if cfg.node_limit is not None:
-                bound = count_new_nodes(g, rule.rhs, m.subst)
-                if g.node_count() + bound > cfg.node_limit:
+                # Skip when the match would add more than `room` nodes; the
+                # dry run is needed only when the RHS could.
+                room = cfg.node_limit - g.node_count()
+                if bound > room and count_new_nodes(
+                        g, rule.rhs, m.subst, limit=room) > room:
                     skipped = True
                     continue
             if apply_match(g, rule, m):

@@ -18,11 +18,12 @@ rule may not invent unbound terms.
 from __future__ import annotations
 
 import importlib.resources
+import weakref
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import NamedTuple, Optional
 
-from .egraph import EGraph, ENode
-from .expr import Const, Op, ParseError, Var, parse_pattern_text
+from .egraph import EGraph
+from .expr import Const, Op, ParseError, parse_pattern_text
 
 
 @dataclass(frozen=True)
@@ -79,17 +80,6 @@ def pattern_vars(p: Pattern) -> set:
     return out
 
 
-def pattern_size(p: Pattern) -> int:
-    count = 0
-    stack = [p]
-    while stack:
-        node = stack.pop()
-        count += 1
-        if isinstance(node, Op):
-            stack.extend(node.args)
-    return count
-
-
 def parse_rules(text: str) -> list[Rule]:
     """Parse a rule file; ``<=>`` lines expand into two directed rules."""
     rules: list[Rule] = []
@@ -142,6 +132,105 @@ def load_default_rules() -> list[Rule]:
 
 
 # ---------------------------------------------------------------------------
+# Compiled patterns
+# ---------------------------------------------------------------------------
+
+# Matcher instructions ``(kind, register, argument)``.  Register 0 holds the
+# class being matched; a BIND fills one register per child.
+_BIND = 0  # argument (label, slice): each node with label in the class
+_SAME = 1  # argument: another register; a repeated pattern variable
+_LEAF = 2  # argument: index into leaves; the class of a concrete leaf
+
+# Right-hand-side steps ``(kind, argument)`` in post-order.
+_STEP_VAR = 0  # argument: pattern variable name
+_STEP_LEAF = 1  # argument: (label, payload), the constant not yet masked
+_STEP_OP = 2  # argument: (label, arity)
+
+
+class _Program(NamedTuple):
+    names: tuple  # pattern variables, sorted
+    var_regs: tuple  # register bound to each of names
+    n_regs: int
+    root_label: Optional[str]  # held by the root class of every match
+    ops: tuple  # matcher instructions
+    leaves: tuple  # (label, payload) of each concrete leaf the matcher tests
+    steps: tuple  # builds the pattern bottom-up
+    bound: int  # non-variable nodes: most a dry run can count
+
+
+# id(pattern) -> _Program.  Keyed by identity because hashing a pattern
+# walks it; an entry leaves with its pattern, before the id can be reused.
+_PROGRAMS: dict = {}
+
+
+def _compiled(p: Pattern) -> _Program:
+    prog = _PROGRAMS.get(id(p))
+    if prog is None:
+        prog = _PROGRAMS[id(p)] = _compile(p)
+        weakref.finalize(p, _PROGRAMS.pop, id(p), None)
+    return prog
+
+
+def _leaf(p) -> tuple:
+    return ("const", p.value) if isinstance(p, Const) else ("var", p.name)
+
+
+def _compile(p: Pattern) -> _Program:
+    # Breadth-first, so each node's leaf and repeated-variable tests come
+    # right after the BIND of its parent and prune before deeper BINDs.
+    ops: list = []
+    leaves: list = []
+    first: dict = {}  # variable name -> register of its first occurrence
+    todo = [(p, 0)]
+    n_regs = 1
+    for q, reg in todo:
+        if isinstance(q, PatVar):
+            if q.name in first:
+                ops.append((_SAME, reg, first[q.name]))
+            else:
+                first[q.name] = reg
+        elif isinstance(q, Op):
+            children = range(n_regs, n_regs + len(q.args))
+            ops.append((_BIND, reg, (q.op.name,
+                                     slice(children.start, children.stop))))
+            todo.extend(zip(q.args, children))
+            n_regs = children.stop
+        else:
+            ops.append((_LEAF, reg, len(leaves)))
+            leaves.append(_leaf(q))
+
+    steps: list = []
+    _post_order(p, steps)
+    names = tuple(sorted(first))
+    return _Program(names, tuple(first[n] for n in names), n_regs,
+                    p.op.name if isinstance(p, Op) else None,
+                    tuple(ops), tuple(leaves), tuple(steps),
+                    sum(kind != _STEP_VAR for kind, _ in steps))
+
+
+def _post_order(q: Pattern, steps: list) -> None:
+    if isinstance(q, PatVar):
+        steps.append((_STEP_VAR, q.name))
+    elif isinstance(q, Op):
+        for a in q.args:
+            _post_order(a, steps)
+        steps.append((_STEP_OP, (q.op.name, len(q.args))))
+    else:
+        steps.append((_STEP_LEAF, _leaf(q)))
+
+
+def _leaf_key(leaf: tuple, mask: int) -> tuple:
+    label, payload = leaf
+    return (label, payload & mask if label == "const" else payload, ())
+
+
+def new_node_bound(p: Pattern) -> int:
+    """Most nodes :func:`count_new_nodes` can report for ``p``: its operator
+    and leaf nodes, counted with repetition."""
+    return _compiled(p).bound
+
+
+# ---------------------------------------------------------------------------
 # E-matching
 # ---------------------------------------------------------------------------
 
@@ -157,39 +246,20 @@ def _label_index(g: EGraph) -> dict:
     return index
 
 
-def _match_at(g: EGraph, index: dict, p: Pattern, cid: int,
-              subst: dict) -> Iterator[dict]:
-    if isinstance(p, PatVar):
-        bound = subst.get(p.name)
-        if bound is None:
-            new = dict(subst)
-            new[p.name] = cid
-            yield new
-        elif bound == cid:
-            yield subst
-        return
-    by_label = index[cid]
-    if isinstance(p, Const):
-        want = p.value & ((1 << g.bits) - 1)
-        for n in by_label.get("const", ()):
-            if n.payload == want:
-                yield subst
-                return
-        return
-    if isinstance(p, Var):
-        for n in by_label.get("var", ()):
-            if n.payload == p.name:
-                yield subst
-                return
-        return
-    for n in by_label.get(p.op.name, ()):
-        stack = [subst]
-        for arg, child in zip(p.args, n.children):
-            stack = [s2 for s in stack for s2 in _match_at(g, index, arg, child, s)]
-            if not stack:
-                break
-        for s in stack:
-            yield s
+def _run(ops: tuple, pc: int, regs: list, index: dict, leaf_ids: list,
+         var_regs: tuple, out: list) -> None:
+    """Execute ``ops[pc:]``, appending one binding tuple per embedding."""
+    for pc in range(pc, len(ops)):
+        kind, reg, arg = ops[pc]
+        if kind == _BIND:
+            label, children = arg
+            for node in index[regs[reg]].get(label, ()):
+                regs[children] = node.children
+                _run(ops, pc + 1, regs, index, leaf_ids, var_regs, out)
+            return
+        if regs[reg] != (regs[arg] if kind == _SAME else leaf_ids[arg]):
+            return
+    out.append(tuple([regs[r] for r in var_regs]))
 
 
 def ematch(g: EGraph, p: Pattern, rule_name: str = "",
@@ -202,18 +272,26 @@ def ematch(g: EGraph, p: Pattern, rule_name: str = "",
     """
     if index is None:
         index = _label_index(g)
+    prog = _compiled(p)
+    mask = (1 << g.bits) - 1
+    leaf_ids = [g.lookup_canonical(_leaf_key(leaf, mask))
+                for leaf in prog.leaves]
+    if None in leaf_ids:
+        return []  # a concrete leaf of the pattern is not in the graph
+    ops, names, var_regs = prog.ops, prog.names, prog.var_regs
+    root_label = prog.root_label
+    regs = [0] * prog.n_regs
     out: list[Match] = []
-    seen: set = set()
     for cid in g.class_ids():
-        found = []
-        for subst in _match_at(g, index, p, cid, {}):
-            key = (cid, tuple(sorted(subst.items())))
-            if key not in seen:
-                seen.add(key)
-                found.append(key)
-        found.sort(key=lambda k: k[1])
-        for _, items in found:
-            out.append(Match(rule_name, cid, dict(items)))
+        if root_label is not None and root_label not in index[cid]:
+            continue
+        regs[0] = cid
+        found: list = []
+        _run(ops, 0, regs, index, leaf_ids, var_regs, found)
+        if len(found) > 1:
+            found = sorted(set(found))
+        for values in found:
+            out.append(Match(rule_name, cid, dict(zip(names, values))))
     return out
 
 
@@ -223,17 +301,23 @@ def ematch(g: EGraph, p: Pattern, rule_name: str = "",
 
 
 def _instantiate(g: EGraph, p: Pattern, subst: dict) -> int:
-    if isinstance(p, PatVar):
-        return g.find(subst[p.name])
-    if isinstance(p, Const):
-        return g.add(ENode("const", p.value & ((1 << g.bits) - 1), ()))
-    if isinstance(p, Var):
-        return g.add(ENode("var", p.name, ()))
-    children = tuple(_instantiate(g, a, subst) for a in p.args)
-    return g.add(ENode(p.op.name, None, children))
+    mask = (1 << g.bits) - 1
+    stack: list = []
+    for kind, arg in _compiled(p).steps:
+        if kind == _STEP_VAR:
+            stack.append(g.find(subst[arg]))
+        elif kind == _STEP_LEAF:
+            stack.append(g.add_canonical(_leaf_key(arg, mask)))
+        else:
+            label, arity = arg
+            children = tuple(stack[-arity:])
+            del stack[-arity:]
+            stack.append(g.add_canonical((label, None, children)))
+    return stack[0]
 
 
-def count_new_nodes(g: EGraph, p: Pattern, subst: dict) -> int:
+def count_new_nodes(g: EGraph, p: Pattern, subst: dict,
+                    limit: Optional[int] = None) -> int:
     """Upper bound on nodes :func:`apply_match` would add for this match.
 
     A dry run against the hashcons: a node whose children all resolve to
@@ -241,33 +325,35 @@ def count_new_nodes(g: EGraph, p: Pattern, subst: dict) -> int:
     unresolved counts as new.  Exact unless the RHS repeats a missing
     subpattern, in which case it overcounts (safe direction for capacity
     checks).
+
+    With ``limit``, the walk stops as soon as the count exceeds it, so the
+    result exceeds ``limit`` exactly when the full count does; below a
+    limit of 0 that holds without looking anything up.
     """
-    cid, count = _count_new(g, p, subst)
+    if limit is not None and limit < 0:
+        return 0
+    mask = (1 << g.bits) - 1
+    lookup = g.lookup_canonical
+    stack: list = []
+    count = 0
+    for kind, arg in _compiled(p).steps:
+        if kind == _STEP_VAR:
+            stack.append(g.find(subst[arg]))
+            continue
+        if kind == _STEP_LEAF:
+            cid = lookup(_leaf_key(arg, mask))
+        else:
+            label, arity = arg
+            children = tuple(stack[-arity:])
+            del stack[-arity:]
+            cid = None if None in children else lookup((label, None,
+                                                        children))
+        if cid is None:
+            count += 1
+            if limit is not None and count > limit:
+                return count
+        stack.append(cid)
     return count
-
-
-def _count_new(g: EGraph, p: Pattern, subst: dict) -> tuple[Optional[int], int]:
-    if isinstance(p, PatVar):
-        return g.find(subst[p.name]), 0
-    if isinstance(p, Const):
-        node = ENode("const", p.value & ((1 << g.bits) - 1), ())
-        existing = g.contains(node)
-        return (existing, 0) if existing is not None else (None, 1)
-    if isinstance(p, Var):
-        existing = g.contains(ENode("var", p.name, ()))
-        return (existing, 0) if existing is not None else (None, 1)
-    total = 0
-    child_ids = []
-    for a in p.args:
-        cid, count = _count_new(g, a, subst)
-        total += count
-        child_ids.append(cid)
-    if any(c is None for c in child_ids):
-        return None, total + 1
-    existing = g.contains(ENode(p.op.name, None, tuple(child_ids)))
-    if existing is not None:
-        return existing, total
-    return None, total + 1
 
 
 def apply_match(g: EGraph, rule: Rule, m: Match) -> bool:

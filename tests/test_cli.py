@@ -1,13 +1,28 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
+import mbaobf.cli
 from mbaobf.cli import main
-from mbaobf.expr import expr_size, parse
+from mbaobf.egraph import CapacityExceededError
+from mbaobf.expr import expr_size, parse, to_text
 from mbaobf.metrics import measure
 from mbaobf.rules import default_rules_text
 
 FAST = ["--node-limit", "300", "--iter-limit", "3", "--time-limit-ms", "30000"]
+CORPUS = Path(__file__).resolve().parent.parent / "corpus" / "sample100.txt"
+# Acceptance criterion 7's flags.
+CRITERION_7 = ["--node-limit", "400", "--iter-limit", "30",
+               "--time-limit-ms", "60000", "--seed", "7"]
+# sha256 of BASE.jsonl and BASE.csv for the corpus's first 20 lines at
+# CRITERION_7, as the engine wrote them before its core was rewritten for
+# speed.  A change that alters them changes the program's output.
+GOLDEN_20 = (
+    "10dc86a422f9e4bfb8c02ac4ca881e5125b03513af0c9a94acd9c7c468a3a404",
+    "0c3178f673959f6be58a9189e86676b6a583f5963ba67d7f181da3d711acfa8d",
+)
 
 
 @pytest.fixture
@@ -201,3 +216,33 @@ class TestBench:
             outputs.append((open(base + ".jsonl", "rb").read(),
                             open(base + ".csv", "rb").read()))
         assert outputs[0] == outputs[1]
+
+    def test_capacity_exceeded_line_skipped(self, tmp_path, capsys,
+                                            monkeypatch):
+        real_expand = mbaobf.cli.expand
+
+        def expand(expr, *args):
+            if to_text(expr) == "(x * y)":
+                raise CapacityExceededError(12)
+            return real_expand(expr, *args)
+
+        monkeypatch.setattr(mbaobf.cli, "expand", expand)
+        corpus = self.write_corpus(tmp_path, ["x + y", "x * y", "x ^ y"])
+        base = str(tmp_path / "out")
+        assert main(["bench", "-f", corpus, "-o", base, *FAST]) == 0
+        captured = capsys.readouterr()
+        assert "line 2: skipped (e-graph node capacity exceeded (cap=12))" \
+            in captured.err
+        assert "2 expressions processed, 1 skipped" in captured.out
+        rows = [json.loads(ln) for ln in
+                open(base + ".jsonl", encoding="utf-8")]
+        assert [r["input"] for r in rows] == ["x + y", "x ^ y"]
+
+    def test_golden_digest_at_criterion_7_flags(self, tmp_path, capsys):
+        lines = CORPUS.read_text(encoding="utf-8").splitlines()[:20]
+        corpus = self.write_corpus(tmp_path, lines)
+        base = str(tmp_path / "out")
+        assert main(["bench", "-f", corpus, "-o", base, *CRITERION_7]) == 0
+        digests = tuple(hashlib.sha256(Path(base + ext).read_bytes())
+                        .hexdigest() for ext in (".jsonl", ".csv"))
+        assert digests == GOLDEN_20

@@ -6,7 +6,8 @@ from mbaobf.egraph import EGraph
 from mbaobf.expr import Const, Op, Var, parse
 from mbaobf.rules import (PatVar, Rule, RuleSyntaxError, UnboundRhsVarError,
                           apply_match, count_new_nodes, ematch,
-                          load_default_rules, parse_rules, pattern_vars)
+                          load_default_rules, new_node_bound, parse_rules,
+                          pattern_vars)
 
 from conftest import random_expr
 
@@ -161,12 +162,14 @@ class TestEmatch:
         assert roots == sorted(roots)
 
     def test_completeness_against_brute_force(self, rng):
+        # ematch's contract: every embedding once, ordered by root id, then
+        # by the bindings sorted by variable name
         patterns = [pat(t) for t in ("?a + ?b", "?a + ?a", "~?a",
                                      "(?a + ?b) * ?c", "?a * 1",
-                                     "(?a | ?b) + (?a & ?b)")]
+                                     "(?a | ?b) + (?a & ?b)", "?a", "0 - ?a")]
         for _ in range(15):
             g = EGraph(bits=8)
-            roots = []
+            roots = [g.add_expr(parse("0 - x", 8))]
             for _ in range(5):
                 roots.append(g.add_expr(
                     random_expr(rng, rng.randint(1, 9), bits=8, const_prob=0.3)))
@@ -177,9 +180,9 @@ class TestEmatch:
             if g.node_count() > 50:
                 continue
             for p in patterns:
-                got = {(m.root, tuple(sorted(m.subst.items())))
-                       for m in ematch(g, p)}
-                assert got == brute_force_matches(g, p)
+                got = [(m.root, tuple(sorted(m.subst.items())))
+                       for m in ematch(g, p)]
+                assert got == sorted(brute_force_matches(g, p))
 
 
 class TestApplyMatch:
@@ -224,3 +227,28 @@ class TestApplyMatch:
                     added = g.node_count() - before
                     assert added <= predicted
                 g.rebuild()
+
+    def test_limited_dry_run_decides_like_the_full_count(self, rng):
+        # count(limit=k) > k exactly when the full count > k, for every k
+        # from a negative room up to past the rule's bound
+        rules = load_default_rules()
+        for _ in range(8):
+            g = EGraph(bits=8)
+            g.add_expr(random_expr(rng, rng.randint(3, 9), bits=8,
+                                   const_prob=0.3))
+            g.rebuild()
+            # a partly grown graph, so that counts fall between 0 and bound
+            for rule in rules:
+                for m in ematch(g, rule.lhs, rule.name):
+                    if rng.random() < 0.3:
+                        apply_match(g, rule, m)
+            g.rebuild()
+            for rule in rules:
+                bound = new_node_bound(rule.rhs)
+                for m in ematch(g, rule.lhs, rule.name):
+                    full = count_new_nodes(g, rule.rhs, m.subst)
+                    assert full <= bound
+                    for k in range(-1, bound + 2):
+                        limited = count_new_nodes(g, rule.rhs, m.subst,
+                                                  limit=k)
+                        assert (limited > k) == (full > k)
