@@ -40,18 +40,8 @@ EClassId = int
 
 # Sort rank per label, used for deterministic tie-breaking: leaves first,
 # then operators alphabetically.
-_LABEL_RANK = {
-    "const": 0,
-    "var": 1,
-    "add": 2,
-    "and": 3,
-    "mul": 4,
-    "neg": 5,
-    "not": 6,
-    "or": 7,
-    "sub": 8,
-    "xor": 9,
-}
+_LABEL_RANK = {label: rank for rank, label
+               in enumerate(("const", "var", *sorted(OPERATORS)))}
 
 
 class ENode(NamedTuple):
@@ -192,10 +182,6 @@ class EGraph:
             return self.add(ENode("const", e.value & ((1 << self.bits) - 1), ()))
         children = tuple(self.add_expr(a) for a in e.args)
         return self.add(ENode(e.op.name, None, children))
-
-    def contains(self, node: ENode) -> Optional[EClassId]:
-        """Class of a canonical e-node, or None if absent (no insertion)."""
-        return self.lookup_canonical(self.canonicalize(node))
 
     def lookup_canonical(self, key: tuple) -> Optional[EClassId]:
         """Class of ``(label, payload, children)`` with canonical children,

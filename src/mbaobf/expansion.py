@@ -288,7 +288,7 @@ def expand(e: Expression, rules: list, cfg: Optional[ExpansionConfig] = None,
         index = _label_index(g)
         matches = []
         for rule, bound in zip(rules, bounds):
-            for m in ematch(g, rule.lhs, rule.name, index):
+            for m in ematch(g, rule.lhs, index):
                 matches.append((rule, bound, m))
         changed = False
         skipped = False

@@ -4,31 +4,43 @@ An expression is a finite tree of operators over variables and fixed-width
 unsigned constants.  All arithmetic is two's-complement modulo ``2**bits``;
 the supported widths are 4, 8, 16, 32 and 64 bits.
 
-Grammar accepted by :func:`parse` (lowest precedence first)::
+The operator table :data:`OPERATORS` is the one definition of the operator
+set: each entry's symbol, arity, binding strength and evaluation function
+drive the parser, the printer, both evaluators (this module's and the numpy
+one in :mod:`mbaobf.verify`) and the e-graph's label order.
 
-    expr   := xor ( "|" xor )*
-    xor    := and ( "^" and )*
-    and    := sum ( "&" sum )*
-    sum    := term ( ("+"|"-") term )*
-    term   := unary ( "*" unary )*
-    unary  := ("-"|"~") unary | atom
+Grammar accepted by :func:`parse`::
+
+    expr   := unary ( BINOP unary )*
+    unary  := PREFIX unary | atom
     atom   := IDENT | NUMBER | "(" expr ")"
     IDENT  := [a-zA-Z_][a-zA-Z0-9_]*
     NUMBER := [0-9]+ | "0x" [0-9a-fA-F]+
 
-Binary operators are left-associative.  Constants out of range are reduced
-modulo ``2**bits`` at parse time, so parsed trees always hold canonical
-constants in ``[0, 2**bits)``.
+``BINOP`` and ``PREFIX`` are the symbols of the table's binary and unary
+operators.  Binary operators are left-associative and bind by the table's
+precedence, loosest first: ``|``, ``^``, ``&``, ``+ -``, ``*``; prefix
+``-`` and ``~`` bind tightest.  A parsed tree has at most :data:`MAX_DEPTH`
+operators on any root-to-leaf path; deeper input raises :class:`ParseError`
+(parenthesis nesting alone costs nothing).  Constants out of range are
+reduced modulo ``2**bits`` at parse time, so parsed trees always hold
+canonical constants in ``[0, 2**bits)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Optional, Union
 
 VALID_BITWIDTHS = (4, 8, 16, 32, 64)
 DEFAULT_BITWIDTH = 64
+
+# Deepest tree parse accepts.  The recursive consumers of a tree (to_text,
+# evaluate, the numpy evaluator, EGraph.add_expr, extract_min) take at most
+# two levels of the interpreter's recursion limit (default 1000) per tree
+# level, and structural ``==`` of two trees four, so all fit at this depth.
+MAX_DEPTH = 200
 
 
 class Category(Enum):
@@ -42,23 +54,32 @@ class Operator:
 
     ``name`` is the unique internal identifier; ``symbol`` is the surface
     syntax.  Unary minus and binary minus share a symbol but are distinct
-    operators.
+    operators.  ``precedence`` is the binding strength (higher binds
+    tighter).  ``fn(*operands, mask)`` is the operator's value for operands
+    already reduced to ``[0, mask]``; it works on Python ints and on numpy
+    unsigned arrays alike.
     """
 
     name: str
     symbol: str
     arity: int
     category: Category
+    precedence: int
+    fn: Callable = field(repr=False, compare=False)
 
 
-ADD = Operator("add", "+", 2, Category.ARITHMETIC)
-SUB = Operator("sub", "-", 2, Category.ARITHMETIC)
-MUL = Operator("mul", "*", 2, Category.ARITHMETIC)
-NEG = Operator("neg", "-", 1, Category.ARITHMETIC)
-AND = Operator("and", "&", 2, Category.BOOLEAN)
-OR = Operator("or", "|", 2, Category.BOOLEAN)
-XOR = Operator("xor", "^", 2, Category.BOOLEAN)
-NOT = Operator("not", "~", 1, Category.BOOLEAN)
+ADD = Operator("add", "+", 2, Category.ARITHMETIC, 4,
+               lambda a, b, m: (a + b) & m)
+SUB = Operator("sub", "-", 2, Category.ARITHMETIC, 4,
+               lambda a, b, m: (a - b) & m)
+MUL = Operator("mul", "*", 2, Category.ARITHMETIC, 5,
+               lambda a, b, m: (a * b) & m)
+NEG = Operator("neg", "-", 1, Category.ARITHMETIC, 6,
+               lambda a, m: (0 - a) & m)
+AND = Operator("and", "&", 2, Category.BOOLEAN, 3, lambda a, b, m: a & b)
+OR = Operator("or", "|", 2, Category.BOOLEAN, 1, lambda a, b, m: a | b)
+XOR = Operator("xor", "^", 2, Category.BOOLEAN, 2, lambda a, b, m: a ^ b)
+NOT = Operator("not", "~", 1, Category.BOOLEAN, 6, lambda a, m: a ^ m)
 
 OPERATORS = {op.name: op for op in (ADD, SUB, MUL, NEG, AND, OR, XOR, NOT)}
 
@@ -111,7 +132,9 @@ def mask_of(bits: int) -> int:
 # Tokenizer / parser
 # ---------------------------------------------------------------------------
 
-_SYMBOLS = set("+-*&|^~()")
+_BINARY = {op.symbol: op for op in OPERATORS.values() if op.arity == 2}
+_PREFIX = {op.symbol: op for op in OPERATORS.values() if op.arity == 1}
+_SYMBOLS = {*_BINARY, *_PREFIX, "(", ")"}
 
 
 @dataclass(frozen=True)
@@ -168,102 +191,88 @@ def _tokenize(text: str, allow_pattern_vars: bool) -> list[_Token]:
     return tokens
 
 
-class _Parser:
-    """Recursive-descent parser over the token list.
+def _got(tok: _Token) -> str:
+    return repr(tok.text or "end of input")
 
-    ``bits=None`` leaves constants unreduced (used for rule patterns, whose
-    width is only known once a rule is instantiated in an engine).
+
+def _parse_tokens(tokens: list[_Token], bits: Optional[int],
+                  patvar_factory: Optional[Callable[[str], object]] = None):
+    """Operator-precedence parse over the table.
+
+    Operands and pending operators live on explicit stacks, so neither
+    nesting nor long operator chains cost Python recursion.  ``bits=None``
+    leaves constants unreduced (used for rule patterns, whose width is only
+    known once a rule is instantiated in an engine).
     """
+    operands: list = []  # (tree, depth)
+    pending: list = []  # (Operator, position), or (None, position) for "("
 
-    def __init__(self, tokens: list[_Token], bits: Optional[int],
-                 patvar_factory: Optional[Callable[[str], object]] = None):
-        self.tokens = tokens
-        self.i = 0
-        self.bits = bits
-        self.patvar_factory = patvar_factory
+    def reduce() -> None:
+        op, pos = pending.pop()
+        args = operands[-op.arity:]
+        del operands[-op.arity:]
+        depth = 1 + max(d for _, d in args)
+        if depth > MAX_DEPTH:
+            raise ParseError(pos, f"expression nested deeper than "
+                                  f"{MAX_DEPTH} operators")
+        operands.append((Op(op, tuple(e for e, _ in args)), depth))
 
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
+    tokens = iter(tokens)
+    while True:
+        # An operand: prefix operators and opening parentheses, then a leaf.
+        tok = next(tokens)
+        while tok.kind in _PREFIX or tok.kind == "(":
+            pending.append((_PREFIX.get(tok.kind), tok.pos))
+            tok = next(tokens)
+        operands.append((_atom(tok, bits, patvar_factory), 0))
+        # Closing parentheses, then a binary operator or the end.
+        tok = next(tokens)
+        while tok.kind == ")":
+            while pending and pending[-1][0] is not None:
+                reduce()
+            if not pending:
+                raise ParseError(tok.pos, "unexpected trailing input ')'")
+            pending.pop()
+            tok = next(tokens)
+        op = _BINARY.get(tok.kind)
+        if op is None:
+            break
+        while pending and pending[-1][0] is not None \
+                and pending[-1][0].precedence >= op.precedence:
+            reduce()
+        pending.append((op, tok.pos))
+    while pending:
+        if pending[-1][0] is None:
+            raise ParseError(tok.pos, f"expected ')', got {_got(tok)}")
+        reduce()
+    if tok.kind != "end":
+        raise ParseError(tok.pos, f"unexpected trailing input {tok.text!r}")
+    return operands[0][0]
 
-    def next(self) -> _Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
 
-    def expect(self, kind: str) -> _Token:
-        tok = self.next()
-        if tok.kind != kind:
-            got = tok.text or "end of input"
-            raise ParseError(tok.pos, f"expected {kind!r}, got {got!r}")
-        return tok
-
-    def parse(self):
-        e = self.expr()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ParseError(tok.pos, f"unexpected trailing input {tok.text!r}")
-        return e
-
-    def _binary_level(self, sub, ops: dict):
-        e = sub()
-        while self.peek().kind in ops:
-            tok = self.next()
-            rhs = sub()
-            e = Op(ops[tok.kind], (e, rhs))
-        return e
-
-    def expr(self):
-        return self._binary_level(self.xor, {"|": OR})
-
-    def xor(self):
-        return self._binary_level(self.and_, {"^": XOR})
-
-    def and_(self):
-        return self._binary_level(self.sum_, {"&": AND})
-
-    def sum_(self):
-        return self._binary_level(self.term, {"+": ADD, "-": SUB})
-
-    def term(self):
-        return self._binary_level(self.unary, {"*": MUL})
-
-    def unary(self):
-        tok = self.peek()
-        if tok.kind == "-":
-            self.next()
-            return Op(NEG, (self.unary(),))
-        if tok.kind == "~":
-            self.next()
-            return Op(NOT, (self.unary(),))
-        return self.atom()
-
-    def atom(self):
-        tok = self.next()
-        if tok.kind == "ident":
-            return Var(tok.text)
-        if tok.kind == "number":
-            value = int(tok.text, 0)
-            if self.bits is not None:
-                value &= mask_of(self.bits)
-            return Const(value)
-        if tok.kind == "patvar":
-            if self.patvar_factory is None:
-                raise ParseError(tok.pos, "pattern variables are not allowed here")
-            return self.patvar_factory(tok.text)
-        if tok.kind == "(":
-            e = self.expr()
-            self.expect(")")
-            return e
-        got = tok.text or "end of input"
-        raise ParseError(tok.pos, f"expected an operand, got {got!r}")
+def _atom(tok: _Token, bits: Optional[int], patvar_factory):
+    if tok.kind == "ident":
+        return Var(tok.text)
+    if tok.kind == "number":
+        value = int(tok.text, 0)
+        return Const(value if bits is None else value & mask_of(bits))
+    if tok.kind == "patvar":
+        if patvar_factory is None:
+            raise ParseError(tok.pos, "pattern variables are not allowed here")
+        return patvar_factory(tok.text)
+    raise ParseError(tok.pos, f"expected an operand, got {_got(tok)}")
 
 
 def parse(text: str, bits: int = DEFAULT_BITWIDTH) -> Expression:
-    """Parse ``text`` into an expression tree, reducing constants mod 2**bits."""
+    """Parse ``text`` into an expression tree, reducing constants mod 2**bits.
+
+    Raises :class:`ParseError` for malformed text and for a tree with more
+    than :data:`MAX_DEPTH` operators on one root-to-leaf path.
+    """
     check_bitwidth(bits)
     if not text.strip():
         raise ParseError(0, "empty expression")
-    return _Parser(_tokenize(text, allow_pattern_vars=False), bits).parse()
+    return _parse_tokens(_tokenize(text, allow_pattern_vars=False), bits)
 
 
 def parse_pattern_text(text: str, patvar_factory: Callable[[str], object]):
@@ -273,8 +282,8 @@ def parse_pattern_text(text: str, patvar_factory: Callable[[str], object]):
     """
     if not text.strip():
         raise ParseError(0, "empty pattern")
-    return _Parser(_tokenize(text, allow_pattern_vars=True), None,
-                   patvar_factory).parse()
+    return _parse_tokens(_tokenize(text, allow_pattern_vars=True), None,
+                         patvar_factory)
 
 
 # ---------------------------------------------------------------------------
@@ -300,34 +309,17 @@ def evaluate(e: Expression, env: dict, bits: int = DEFAULT_BITWIDTH) -> int:
     values always lie in ``[0, 2**bits)``.
     """
     m = mask_of(check_bitwidth(bits))
-    return _eval(e, env, m)
 
+    def value(node) -> int:
+        if isinstance(node, Op):
+            return node.op.fn(*map(value, node.args), m)
+        if isinstance(node, Const):
+            return node.value & m
+        if node.name not in env:
+            raise UnboundVariableError(node.name)
+        return env[node.name] & m
 
-def _eval(e: Expression, env: dict, m: int) -> int:
-    if isinstance(e, Const):
-        return e.value & m
-    if isinstance(e, Var):
-        if e.name not in env:
-            raise UnboundVariableError(e.name)
-        return env[e.name] & m
-    name = e.op.name
-    if name == "neg":
-        return (-_eval(e.args[0], env, m)) & m
-    if name == "not":
-        return _eval(e.args[0], env, m) ^ m
-    a = _eval(e.args[0], env, m)
-    b = _eval(e.args[1], env, m)
-    if name == "add":
-        return (a + b) & m
-    if name == "sub":
-        return (a - b) & m
-    if name == "mul":
-        return (a * b) & m
-    if name == "and":
-        return a & b
-    if name == "or":
-        return a | b
-    return a ^ b
+    return value(e)
 
 
 def free_vars(e: Expression) -> set:
@@ -353,13 +345,3 @@ def expr_size(e: Expression) -> int:
         if isinstance(node, Op):
             stack.extend(node.args)
     return count
-
-
-def walk(e: Expression) -> Iterator[Expression]:
-    """Iterate over all nodes of the tree (pre-order)."""
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, Op):
-            stack.extend(reversed(node.args))

@@ -48,7 +48,6 @@ class Match:
     """One way a rule's LHS embeds into the graph: the class it matched at
     plus the pattern-variable bindings (canonical at match time)."""
 
-    rule: str
     root: int
     subst: dict  # pattern var name -> EClassId
 
@@ -262,8 +261,7 @@ def _run(ops: tuple, pc: int, regs: list, index: dict, leaf_ids: list,
     out.append(tuple([regs[r] for r in var_regs]))
 
 
-def ematch(g: EGraph, p: Pattern, rule_name: str = "",
-           index: Optional[dict] = None) -> list[Match]:
+def ematch(g: EGraph, p: Pattern, index: Optional[dict] = None) -> list[Match]:
     """All matches of ``p`` anywhere in the rebuilt graph.
 
     Complete with respect to brute-force instantiation; duplicates are
@@ -291,7 +289,7 @@ def ematch(g: EGraph, p: Pattern, rule_name: str = "",
         if len(found) > 1:
             found = sorted(set(found))
         for values in found:
-            out.append(Match(rule_name, cid, dict(zip(names, values))))
+            out.append(Match(cid, dict(zip(names, values))))
     return out
 
 

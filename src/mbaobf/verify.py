@@ -6,9 +6,13 @@ assignment space is small enough (at most ``2**24`` cases), otherwise by
 seeded random sampling.  There is deliberately no SMT dependency; at these
 widths plain evaluation is decisive and fast.
 
-Evaluation here is vectorized with numpy over all assignments at once; the
-scalar evaluator in :mod:`mbaobf.expr` defines the semantics and the two are
-cross-checked in the test suite.
+Evaluation here is vectorized with numpy over all assignments at once.  It
+applies the same per-operator functions as the scalar
+:func:`mbaobf.expr.evaluate`, taken from the operator table
+:data:`mbaobf.expr.OPERATORS`, which alone defines the semantics.
+
+:func:`check_rules` is the one rule-admission check: ``check-rules``,
+``obfuscate`` and ``bench`` all render its results.
 """
 
 from __future__ import annotations
@@ -18,8 +22,8 @@ from typing import Optional
 
 import numpy as np
 
-from .expr import Const, Expression, Var, free_vars, mask_of
-from .rules import PatVar, Rule, pattern_vars
+from .expr import Const, Expression, Op, free_vars, mask_of
+from .rules import Rule, pattern_vars
 
 EXHAUSTIVE_CASE_LIMIT = 1 << 24
 
@@ -53,36 +57,17 @@ def _eval_vec(node, env: dict, bits: int) -> np.ndarray:
     """Evaluate an expression or pattern over per-variable value arrays."""
     dtype = _DTYPES[bits]
     m = dtype(mask_of(bits))
+    width = len(next(iter(env.values()))) if env else 1
+
+    def value(node) -> np.ndarray:
+        if isinstance(node, Op):
+            return node.op.fn(*map(value, node.args), m)
+        if isinstance(node, Const):
+            return np.full(width, node.value & int(m), dtype=dtype)
+        return env[node.name]  # a Var or a PatVar
+
     with np.errstate(over="ignore"):
-        return _eval_vec_inner(node, env, bits, dtype, m)
-
-
-def _eval_vec_inner(node, env, bits, dtype, m) -> np.ndarray:
-    if isinstance(node, Const):
-        width = len(next(iter(env.values()))) if env else 1
-        return np.full(width, node.value & int(m), dtype=dtype)
-    if isinstance(node, PatVar):
-        return env[node.name]
-    if isinstance(node, Var):
-        return env[node.name]
-    name = node.op.name
-    a = _eval_vec_inner(node.args[0], env, bits, dtype, m)
-    if name == "neg":
-        return (dtype(0) - a) & m
-    if name == "not":
-        return a ^ m
-    b = _eval_vec_inner(node.args[1], env, bits, dtype, m)
-    if name == "add":
-        return (a + b) & m
-    if name == "sub":
-        return (a - b) & m
-    if name == "mul":
-        return (a * b) & m
-    if name == "and":
-        return a & b
-    if name == "or":
-        return a | b
-    return a ^ b
+        return value(node)
 
 
 def _exhaustive_env(names: list, bits: int) -> dict:
@@ -164,20 +149,25 @@ def check_equivalence(a: Expression, b: Expression, bits: int,
     return _compare(a, b, names, env, bits)
 
 
-def check_rules(rules: list, widths: tuple = (4, 8),
-                random_bits: int = 64, random_trials: int = 10_000,
-                seed: int = 0) -> list:
-    """Admission check for a ruleset: exhaustive at each small width, then
-    randomized at the full width.  Returns ``[(rule, width_label, result)]``
-    for every check performed, in order."""
+def check_rules(rules: list, trials: int = 10_000, seed: int = 0) -> list:
+    """Admission check for a ruleset: each rule at 4 and 8 bits, then at 64.
+
+    A width is checked exhaustively where that is feasible and with
+    ``trials`` seeded random assignments otherwise; 64 bits always takes
+    the random check.  Returns ``[(rule, label, result)]`` for every check
+    performed, in order, where ``label`` names the check that ran:
+    ``exhaustive@8``, ``random@8`` or ``random@64``.
+    """
     results = []
     for rule in rules:
-        for w in widths:
+        for w in (4, 8):
             try:
                 res = check_rule(rule, w)
+                label = f"exhaustive@{w}"
             except TooManyCasesError:
-                res = check_rule_random(rule, w, random_trials, seed)
-            results.append((rule, f"exhaustive@{w}", res))
-        res = check_rule_random(rule, random_bits, random_trials, seed)
-        results.append((rule, f"random@{random_bits}", res))
+                res = check_rule_random(rule, w, trials, seed)
+                label = f"random@{w}"
+            results.append((rule, label, res))
+        results.append((rule, "random@64",
+                        check_rule_random(rule, 64, trials, seed)))
     return results

@@ -29,6 +29,11 @@ def random_expr(rng: random.Random, size: int, pool=("x", "y", "z"),
                random_expr(rng, size - 1 - left, pool, bits, const_prob)))
 
 
+def flat_sum(depth: int) -> str:
+    """``x + x + ... + x``: a left-deep tree with ``depth`` operators."""
+    return " + ".join(["x"] * (depth + 1))
+
+
 def random_env(rng: random.Random, names, bits: int):
     return {name: rng.randrange(1 << bits) for name in names}
 

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -7,9 +10,11 @@ import pytest
 import mbaobf.cli
 from mbaobf.cli import main
 from mbaobf.egraph import CapacityExceededError
-from mbaobf.expr import expr_size, parse, to_text
+from mbaobf.expr import MAX_DEPTH, expr_size, parse, to_text
 from mbaobf.metrics import measure
 from mbaobf.rules import default_rules_text
+
+from conftest import flat_sum
 
 FAST = ["--node-limit", "300", "--iter-limit", "3", "--time-limit-ms", "30000"]
 CORPUS = Path(__file__).resolve().parent.parent / "corpus" / "sample100.txt"
@@ -139,6 +144,28 @@ class TestCheckRules:
     def test_missing_file(self, capsys):
         assert main(["check-rules", "/nonexistent.rules"]) == 2
 
+    def test_random_fallback_is_labelled_random(self, tmp_path, capsys):
+        four = tmp_path / "four.rules"
+        four.write_text("four : ?a + ?b + ?c + ?d => ?d + ?c + ?b + ?a\n")
+        assert main(["check-rules", str(four), "--trials", "500"]) == 0
+        assert capsys.readouterr().out == \
+            "ok   four (exhaustive@4, 500 random@8, 500 random@64)\n"
+
+    def test_obfuscate_admits_by_the_same_verdict(self, tmp_path, capsys):
+        # `rare` is sound at 4 and 8 bits, where 1024 is 0, and fails at 64
+        # bits only when ?a has at least 11 trailing zero bits: about one
+        # assignment in 2048, so a few thousand trials can miss it.
+        rules = tmp_path / "rare.rules"
+        rules.write_text("add-zero : ?a => ?a + 0\n"
+                         "rare : ?a => ?a + (~(?a | -?a) & 1024)\n")
+        assert main(["check-rules", str(rules), "--seed", "1"]) == 2
+        (fail,) = [ln for ln in capsys.readouterr().out.splitlines()
+                   if ln.startswith("FAIL")]
+        assert fail.startswith("FAIL rare [random@64]: ")
+        assert main(["obfuscate", "-e", "x + y", "-r", str(rules),
+                     "--seed", "1", *FAST]) == 2
+        assert capsys.readouterr().err.strip() == fail.partition("]: ")[2]
+
 
 class TestBench:
     def write_corpus(self, tmp_path, lines):
@@ -246,3 +273,51 @@ class TestBench:
         digests = tuple(hashlib.sha256(Path(base + ext).read_bytes())
                         .hexdigest() for ext in (".jsonl", ".csv"))
         assert digests == GOLDEN_20
+
+
+def run_cli(*args: str) -> subprocess.CompletedProcess:
+    """``python -m mbaobf.cli`` in a fresh interpreter, as a user runs it."""
+    src = str(Path(mbaobf.cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "mbaobf.cli", *args],
+                          capture_output=True, text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
+class TestDepthBound:
+    # A deep input is extractable only when --rounds covers its depth; the
+    # flat sum also needs a small node limit.
+    AT_BOUND_FLAGS = ["--node-limit", "600", "--rounds", "256"]
+
+    @pytest.mark.parametrize("text", [flat_sum(MAX_DEPTH),
+                                      "-" * MAX_DEPTH + "x"],
+                             ids=["flat-sum", "neg-chain"])
+    def test_input_at_bound_runs(self, text):
+        proc = run_cli("obfuscate", f"--expr={text}", "--selfcheck",
+                       "--json", *self.AT_BOUND_FLAGS)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["input"] == text
+        assert "selfcheck ok" in proc.stderr
+
+    @pytest.mark.parametrize("text", [flat_sum(MAX_DEPTH + 1),
+                                      "-" * (MAX_DEPTH + 1) + "x",
+                                      "-" * 1000 + "x", flat_sum(500)],
+                             ids=["flat-sum", "neg-chain", "neg-chain-1000",
+                                  "flat-sum-500"])
+    def test_input_past_bound_exits_2(self, text):
+        proc = run_cli("obfuscate", f"--expr={text}", "--selfcheck",
+                       "--json", *self.AT_BOUND_FLAGS)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert f"nested deeper than {MAX_DEPTH} operators" in proc.stderr
+
+    def test_bench_skips_a_line_past_bound(self, tmp_path):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text(flat_sum(MAX_DEPTH + 1) + "\nx + y\n")
+        base = str(tmp_path / "out")
+        proc = run_cli("bench", "-f", str(corpus), "-o", base, *FAST)
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "line 1: skipped" in proc.stderr
+        assert f"nested deeper than {MAX_DEPTH} operators" in proc.stderr
+        assert "1 expressions processed, 1 skipped" in proc.stdout

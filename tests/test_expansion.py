@@ -23,7 +23,7 @@ def addor_graph():
     g = EGraph()
     root = g.add_expr(parse("x + y"))
     g.rebuild()
-    (m,) = ematch(g, ADDOR[0].lhs, "addor")
+    (m,) = ematch(g, ADDOR[0].lhs)
     apply_match(g, ADDOR[0], m)
     g.rebuild()
     return g, root
@@ -112,7 +112,7 @@ class TestExtractMin:
         g = EGraph()
         root = g.add_expr(parse("y * 1"))
         g.rebuild()
-        (m,) = ematch(g, mulid.lhs, "mulid")
+        (m,) = ematch(g, mulid.lhs)
         apply_match(g, mulid, m)
         g.rebuild()
         assert to_text(extract_min(g, root)) == "y"

@@ -2,11 +2,15 @@ import random
 
 import pytest
 
-from mbaobf.expr import (ADD, AND, Const, MUL, NEG, NOT, OR, Op, ParseError,
-                         UnboundVariableError, Var, evaluate, expr_size,
-                         free_vars, parse, to_text)
+from mbaobf.expr import (ADD, AND, Const, MAX_DEPTH, MUL, NEG, NOT, OR, Op,
+                         ParseError, UnboundVariableError, Var, evaluate,
+                         expr_size, free_vars, parse, to_text)
 
-from conftest import random_env, random_expr
+from mbaobf.egraph import EGraph
+from mbaobf.expansion import extract_min
+from mbaobf.verify import check_equivalence
+
+from conftest import flat_sum, random_env, random_expr
 
 
 class TestParse:
@@ -136,3 +140,42 @@ class TestStructure:
         assert expr_size(parse("x")) == 1
         assert expr_size(parse("x + y")) == 3
         assert expr_size(parse("(x | y) + (x & y)")) == 7
+
+
+def right_nested(depth: int) -> str:
+    return "(x * " * depth + "x" + ")" * depth
+
+
+def unary_chain(depth: int) -> str:
+    return "-~" * (depth // 2) + "-" * (depth % 2) + "x"
+
+
+DEEP_SHAPES = (flat_sum, right_nested, unary_chain)
+
+
+class TestDepthBound:
+    @pytest.mark.parametrize("shape", DEEP_SHAPES)
+    def test_recursive_consumers_safe_at_bound(self, shape):
+        text = to_text(parse(shape(MAX_DEPTH)))
+        e = parse(text)
+        assert to_text(e) == text
+        assert 0 <= evaluate(e, {"x": 3}) < 1 << 64
+        assert check_equivalence(e, e, 8).passed  # the numpy evaluator
+        g = EGraph()
+        root = g.add_expr(e)
+        g.rebuild()
+        assert to_text(extract_min(g, root)) == text
+
+    @pytest.mark.parametrize("shape", DEEP_SHAPES)
+    def test_rejected_one_past_bound(self, shape):
+        with pytest.raises(ParseError, match=f"deeper than {MAX_DEPTH}"):
+            parse(shape(MAX_DEPTH + 1))
+
+    def test_long_input_rejected_without_recursion(self):
+        for text in (flat_sum(10_000), "-" * 10_000 + "x",
+                     "(" * 10_000 + "x" + ")" * 10_000 + " + y" * 300):
+            with pytest.raises(ParseError):
+                parse(text)
+
+    def test_parenthesis_nesting_alone_is_free(self):
+        assert parse("(" * 10_000 + "x" + ")" * 10_000) == Var("x")

@@ -189,7 +189,7 @@ class TestApplyMatch:
     def test_addor_adds_second_representation(self):
         (rule,) = parse_rules("addor : ?a + ?b => (?a | ?b) + (?a & ?b)")
         g, (root,) = graph_of("x + y")
-        (m,) = ematch(g, rule.lhs, rule.name)
+        (m,) = ematch(g, rule.lhs)
         assert apply_match(g, rule, m) is True
         g.rebuild()
         labels = sorted(n.label for n in g.nodes_of(root))
@@ -200,7 +200,7 @@ class TestApplyMatch:
         (rule,) = parse_rules("mulid : ?y * 1 => ?y")
         g, (root,) = graph_of("y * 1")
         y = g.add_expr(parse("y"))
-        (m,) = ematch(g, rule.lhs, rule.name)
+        (m,) = ematch(g, rule.lhs)
         apply_match(g, rule, m)
         g.rebuild()
         assert g.find(root) == g.find(y)
@@ -208,7 +208,7 @@ class TestApplyMatch:
     def test_reapplying_is_noop(self):
         (rule,) = parse_rules("addor : ?a + ?b => (?a | ?b) + (?a & ?b)")
         g, _ = graph_of("x + y")
-        (m,) = ematch(g, rule.lhs, rule.name)
+        (m,) = ematch(g, rule.lhs)
         assert apply_match(g, rule, m) is True
         g.rebuild()
         assert apply_match(g, rule, m) is False
@@ -220,7 +220,7 @@ class TestApplyMatch:
             g.add_expr(random_expr(rng, rng.randint(3, 9), bits=8))
             g.rebuild()
             for rule in rules:
-                for m in ematch(g, rule.lhs, rule.name):
+                for m in ematch(g, rule.lhs):
                     predicted = count_new_nodes(g, rule.rhs, m.subst)
                     before = g.node_count()
                     apply_match(g, rule, m)
@@ -239,13 +239,13 @@ class TestApplyMatch:
             g.rebuild()
             # a partly grown graph, so that counts fall between 0 and bound
             for rule in rules:
-                for m in ematch(g, rule.lhs, rule.name):
+                for m in ematch(g, rule.lhs):
                     if rng.random() < 0.3:
                         apply_match(g, rule, m)
             g.rebuild()
             for rule in rules:
                 bound = new_node_bound(rule.rhs)
-                for m in ematch(g, rule.lhs, rule.name):
+                for m in ematch(g, rule.lhs):
                     full = count_new_nodes(g, rule.rhs, m.subst)
                     assert full <= bound
                     for k in range(-1, bound + 2):

@@ -123,3 +123,12 @@ class TestRulesetAdmission:
         assert all(res.passed for _, _, res in results)
         # one exhaustive result per width per rule plus one random pass
         assert len(results) == 14 * 3
+
+    def test_random_fallback_is_labelled_random(self):
+        # 2**32 assignments at 8 bits: too many to enumerate
+        four = rule("?a + ?b + ?c + ?d => ?d + ?c + ?b + ?a")
+        results = check_rules([four], trials=500)
+        assert [(label, res.passed, res.cases_checked)
+                for _, label, res in results] == [
+            ("exhaustive@4", True, 1 << 16), ("random@8", True, 500),
+            ("random@64", True, 500)]
