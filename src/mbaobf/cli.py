@@ -1,16 +1,21 @@
 """Command-line front end: obfuscate, bench, check-rules, metrics.
 
-Exit codes: 0 success (including the no-op case where nothing matched),
-2 input error (bad expression, including one nested deeper than
-``expr.MAX_DEPTH`` operators; bad or unsound rule file; empty corpus),
-3 resource error (output size cap, e-graph node cap).  A --selfcheck
-counterexample exits 1, since it can only mean an engine bug.
+The engine flags take their defaults and range checks from
+:class:`~mbaobf.expansion.ExpansionConfig`.  Exit codes, each with one
+line on stderr and no traceback: 0 success (including the no-op case
+where nothing matched), 2 input error (bad expression, including one
+nested deeper than ``expr.MAX_DEPTH`` operators; a flag value out of
+range, such as ``--rounds`` above ``MAX_DEPTH`` or ``--trials 0``; bad or
+unsound rule file; empty corpus; an output path that cannot be written),
+3 resource error (output size cap; an input whose own e-graph holds more
+nodes than ``--node-limit``).  A --selfcheck counterexample exits 1, since
+it can only mean an engine bug.
 
 ``bench`` does not stop at a bad line: a line that does not parse, whose
-output would exceed the output size cap, whose growth hits the e-graph's
-hard node cap or that cannot be extracted is reported on stderr, counted
-as skipped and left out of both artifacts.  It exits 2 only when every
-line is skipped.
+output would exceed the output size cap, whose e-graph alone exceeds the
+node budget or that cannot be extracted is reported on stderr, counted as
+skipped and left out of both artifacts.  It exits 2 only when every line
+is skipped.
 """
 
 from __future__ import annotations
@@ -35,18 +40,23 @@ EXIT_SELFCHECK = 1
 EXIT_INPUT = 2
 EXIT_RESOURCE = 3
 
+_DEFAULTS = ExpansionConfig()
+
 
 def _add_engine_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("-r", "--rules", metavar="PATH",
                    help="rule file (default: the shipped 14-rule set)")
-    p.add_argument("--node-limit", type=int, default=3000)
-    p.add_argument("--iter-limit", type=int, default=30)
-    p.add_argument("--time-limit-ms", type=int, default=2000)
-    p.add_argument("--target-size", type=int, default=None,
+    p.add_argument("--node-limit", type=int, default=_DEFAULTS.node_limit)
+    p.add_argument("--iter-limit", type=int, default=_DEFAULTS.iter_limit)
+    p.add_argument("--time-limit-ms", type=int,
+                   default=round(_DEFAULTS.time_limit * 1000))
+    p.add_argument("--target-size", type=int,
+                   default=_DEFAULTS.target_ast_size,
                    help="stop once the extracted size reaches this")
-    p.add_argument("--rounds", type=int, default=64,
+    p.add_argument("--rounds", type=int, default=_DEFAULTS.extraction_rounds,
                    help="depth cap for the maximizing extractor")
-    p.add_argument("--max-output-nodes", type=int, default=10_000,
+    p.add_argument("--max-output-nodes", type=int,
+                   default=_DEFAULTS.max_output_nodes,
                    help="AST size cap for the extracted output")
     p.add_argument("--bitwidth", type=int, default=64,
                    choices=(4, 8, 16, 32, 64))
@@ -101,20 +111,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_rules(path: Optional[str]):
+class _Fail(Exception):
+    """Ends a command: :func:`main` prints the message and returns
+    ``code``."""
+
+    def __init__(self, message: str, code: int = EXIT_INPUT):
+        super().__init__(message)
+        self.code = code
+
+
+def _load_rules(path: Optional[str]) -> list:
+    """The rules of every command: the file at ``path``, or the shipped set
+    when None."""
     if path is None:
         return parse_rules(default_rules_text())
     with open(path, encoding="utf-8") as fh:
         return parse_rules(fh.read())
-
-
-def _admission_check(rules, seed: int) -> Optional[str]:
-    """The ``check-rules`` verdict at its defaults: an error message for the
-    first failing check, or None."""
-    for rule, label, res in check_rules(rules, seed=seed):
-        if not res.passed:
-            return _failure_line(rule.name, label, res)
-    return None
 
 
 def _failure_line(name: str, label: str, res) -> str:
@@ -125,15 +137,56 @@ def _failure_line(name: str, label: str, res) -> str:
             f"{{{bindings}}} gives {lv} vs {rv}")
 
 
-def _config_from_args(args) -> ExpansionConfig:
-    return ExpansionConfig(
-        node_limit=args.node_limit,
-        iter_limit=args.iter_limit,
-        time_limit=args.time_limit_ms / 1000.0,
-        target_ast_size=args.target_size,
-        extraction_rounds=args.rounds,
-        max_output_nodes=args.max_output_nodes,
-    )
+def _setup(args) -> tuple:
+    """``(config, rules)`` for ``obfuscate`` and ``bench``, with the rules
+    admitted by the ``check-rules`` verdict at its defaults unless
+    ``--no-check``."""
+    try:
+        cfg = ExpansionConfig(
+            node_limit=args.node_limit,
+            iter_limit=args.iter_limit,
+            time_limit=args.time_limit_ms / 1000.0,
+            target_ast_size=args.target_size,
+            extraction_rounds=args.rounds,
+            max_output_nodes=args.max_output_nodes,
+        )
+    except ValueError as exc:
+        raise _Fail(f"error: {exc}") from exc
+    rules = _load_rules(args.rules)
+    if not args.no_check:
+        for rule, label, res in check_rules(rules, seed=args.seed):
+            if not res.passed:
+                raise _Fail(_failure_line(rule.name, label, res))
+    return cfg, rules
+
+
+# What one input line can end in, with the exit code `obfuscate` gives
+# each; `bench` skips the line on any of them.
+_LINE_ERRORS = {
+    ParseError: EXIT_INPUT,
+    UnextractableError: EXIT_INPUT,
+    OutputTooLargeError: EXIT_RESOURCE,
+    CapacityExceededError: EXIT_RESOURCE,
+}
+
+
+def _run_line(text: str, rules: list, cfg: ExpansionConfig, args) -> tuple:
+    """Parse, expand and, with ``--selfcheck``, verify one input line.
+
+    Returns ``(report, selfcheck result or None)``; raises one of
+    ``_LINE_ERRORS``.
+    """
+    expr = parse(text, args.bitwidth)
+    report = expand(expr, rules, cfg, args.bitwidth)
+    if not args.selfcheck:
+        return report, None
+    return report, check_equivalence(expr, report.output, args.bitwidth,
+                                      trials=1000, seed=args.seed)
+
+
+def _selfcheck_failure(res) -> str:
+    env, lv, rv = res.counterexample
+    return f"selfcheck FAILED: {env} gives {lv} vs {rv}"
 
 
 def _report_json(expr_text: str, report: ExpansionReport) -> dict:
@@ -147,25 +200,15 @@ def _report_json(expr_text: str, report: ExpansionReport) -> dict:
 
 
 def run_obfuscate(args) -> int:
+    cfg, rules = _setup(args)
     try:
-        rules = _load_rules(args.rules)
-        if not args.no_check:
-            failure = _admission_check(rules, args.seed)
-            if failure:
-                print(failure, file=sys.stderr)
-                return EXIT_INPUT
-        expr = parse(args.expr, args.bitwidth)
-    except (ParseError, RuleSyntaxError, UnboundRhsVarError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        report = expand(expr, rules, _config_from_args(args), args.bitwidth)
-    except (OutputTooLargeError, CapacityExceededError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except UnextractableError as exc:
-        print(f"error: {exc} (raise --rounds)", file=sys.stderr)
-        return EXIT_INPUT
+        report, check = _run_line(args.expr, rules, cfg, args)
+    except tuple(_LINE_ERRORS) as exc:
+        message = f"error: {exc}"
+        if isinstance(exc, UnextractableError):
+            message += (f" (depth <= --rounds {cfg.extraction_rounds}, "
+                        f"size <= --max-output-nodes {cfg.max_output_nodes})")
+        raise _Fail(message, _LINE_ERRORS[type(exc)]) from exc
     if args.json:
         payload = _report_json(args.expr, report)
         payload["iterations"] = report.iterations
@@ -179,63 +222,39 @@ def run_obfuscate(args) -> int:
             fh.write(text + "\n")
     else:
         print(text)
-    if args.selfcheck:
-        res = check_equivalence(expr, report.output, args.bitwidth,
-                                trials=1000, seed=args.seed)
-        if not res.passed:
-            env, lv, rv = res.counterexample
-            print(f"selfcheck FAILED: {env} gives {lv} vs {rv}",
-                  file=sys.stderr)
-            return EXIT_SELFCHECK
-        print(f"selfcheck ok ({res.cases_checked} environments)",
+    if check is not None:
+        if not check.passed:
+            raise _Fail(_selfcheck_failure(check), EXIT_SELFCHECK)
+        print(f"selfcheck ok ({check.cases_checked} environments)",
               file=sys.stderr)
     return EXIT_OK
 
 
 def run_bench(args) -> int:
-    try:
-        rules = _load_rules(args.rules)
-        if not args.no_check:
-            failure = _admission_check(rules, args.seed)
-            if failure:
-                print(failure, file=sys.stderr)
-                return EXIT_INPUT
-        with open(args.corpus, encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh]
-    except (RuleSyntaxError, UnboundRhsVarError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    cfg, rules = _setup(args)
+    with open(args.corpus, encoding="utf-8") as fh:
+        lines = [ln.strip() for ln in fh]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:
-        print("error: empty corpus", file=sys.stderr)
-        return EXIT_INPUT
+        raise _Fail("error: empty corpus")
 
-    cfg = _config_from_args(args)
     rows = []
     pairs = []
     failures = 0
     for lineno, text in enumerate(lines, start=1):
         try:
-            expr = parse(text, args.bitwidth)
-            report = expand(expr, rules, cfg, args.bitwidth)
-        except (ParseError, OutputTooLargeError, CapacityExceededError,
-                UnextractableError) as exc:
+            report, check = _run_line(text, rules, cfg, args)
+        except tuple(_LINE_ERRORS) as exc:
             print(f"line {lineno}: skipped ({exc})", file=sys.stderr)
             failures += 1
             continue
-        if args.selfcheck:
-            res = check_equivalence(expr, report.output, args.bitwidth,
-                                    trials=1000, seed=args.seed)
-            if not res.passed:
-                env, lv, rv = res.counterexample
-                print(f"line {lineno}: selfcheck FAILED: {env} gives "
-                      f"{lv} vs {rv}", file=sys.stderr)
-                return EXIT_SELFCHECK
+        if check is not None and not check.passed:
+            raise _Fail(f"line {lineno}: {_selfcheck_failure(check)}",
+                        EXIT_SELFCHECK)
         rows.append(_report_json(text, report))
         pairs.append((report.metrics_in, report.metrics_out))
     if not pairs:
-        print("error: every corpus line was skipped", file=sys.stderr)
-        return EXIT_INPUT
+        raise _Fail("error: every corpus line was skipped")
 
     csv_text = aggregate_csv(aggregate(pairs))
     jsonl_path = args.output + ".jsonl"
@@ -252,14 +271,12 @@ def run_bench(args) -> int:
 
 
 def run_check_rules(args) -> int:
+    rules = _load_rules(args.rulefile)
     try:
-        with open(args.rulefile, encoding="utf-8") as fh:
-            rules = parse_rules(fh.read())
-    except (RuleSyntaxError, UnboundRhsVarError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        results = check_rules(rules, args.trials, args.seed)
+    except ValueError as exc:
+        raise _Fail(f"error: {exc}") from exc
     failed = False
-    results = check_rules(rules, args.trials, args.seed)
     for name, checks in groupby(results, key=lambda c: c[0].name):
         checks = [(label, res) for _, label, res in checks]
         failures = [(label, res) for label, res in checks if not res.passed]
@@ -276,12 +293,7 @@ def run_check_rules(args) -> int:
 
 
 def run_metrics(args) -> int:
-    try:
-        expr = parse(args.expr, args.bitwidth)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    report = measure(expr)
+    report = measure(parse(args.expr, args.bitwidth))
     if args.json:
         print(json.dumps(report.as_dict(), indent=2))
     else:
@@ -298,7 +310,15 @@ def main(argv: Optional[list] = None) -> int:
         "check-rules": run_check_rules,
         "metrics": run_metrics,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except _Fail as exc:
+        print(exc, file=sys.stderr)
+        return exc.code
+    # Each of these comes from a path or text the user gave.
+    except (OSError, ParseError, RuleSyntaxError, UnboundRhsVarError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

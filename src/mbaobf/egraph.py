@@ -291,29 +291,6 @@ class EGraph:
             lines.append(f"class {cid}: {{{body}}}")
         return "\n".join(lines)
 
-    def to_dot(self) -> str:
-        """Graphviz description with e-nodes clustered per class."""
-        lines = ["digraph egraph {", "  compound=true;", "  node [shape=box];"]
-        node_names = {}
-        for cid in self.class_ids():
-            lines.append(f"  subgraph cluster_{cid} {{")
-            lines.append(f'    label="class {cid}"; style=dashed;')
-            for i, n in enumerate(sorted(self._classes[cid].nodes,
-                                         key=ENode.sort_key)):
-                name = f"n{cid}_{i}"
-                node_names[n] = name
-                label = n.payload if n.is_leaf() else n.label
-                lines.append(f'    {name} [label="{label}"];')
-            lines.append("  }")
-        for n, name in node_names.items():
-            for child in n.children:
-                target = next(iter(self._classes[child].nodes), None)
-                if target is not None:
-                    lines.append(f"  {name} -> {node_names[target]} "
-                                 f"[lhead=cluster_{child}];")
-        lines.append("}")
-        return "\n".join(lines)
-
 
 # -- invariant checks (used by the stress tests, full scans) ----------------
 

@@ -21,8 +21,14 @@ extractor therefore runs a round-indexed dynamic program:
 
 Reconstruction descends through the round at which each chosen node's cost
 was computed, so the output is a finite tree of depth at most ``rounds``
-whose size equals the root's cost.  Ties between equal-cost nodes break by
-the smallest node (label order, then child ids): runs are deterministic.
+whose size equals the root's cost.  ``rounds`` is at most
+:data:`mbaobf.expr.MAX_DEPTH`, the depth ``parse`` admits.  Each (class,
+round) is built once and shared wherever it recurs, like egg's ``RecExpr``.
+Ties between equal-cost nodes break by the smallest node (label order,
+then child ids): runs are deterministic.
+
+The node budget is the e-graph's hard cap; an input whose graph alone
+exceeds it raises :class:`~mbaobf.egraph.CapacityExceededError`.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from enum import Enum
 from typing import Optional
 
 from .egraph import EGraph, ENode
-from .expr import DEFAULT_BITWIDTH, Expression, expr_size
+from .expr import DEFAULT_BITWIDTH, MAX_DEPTH, Expression, expr_size
 from .metrics import MetricsReport, measure
 from .rules import (_label_index, apply_match, count_new_nodes, ematch,
                     new_node_bound)
@@ -66,13 +72,12 @@ class OutputTooLargeError(Exception):
 
 @dataclass(frozen=True)
 class ExpansionConfig:
-    """Termination conditions and extraction knobs for one run.
-
-    At least one of ``node_limit`` / ``iter_limit`` / ``time_limit`` must be
-    set.
+    """Termination conditions and extraction knobs for one run, each
+    defined and checked here.  ``node_limit`` (required) is the e-graph's
+    exact node cap; ``extraction_rounds`` lies in ``[1, MAX_DEPTH]``.
     """
 
-    node_limit: Optional[int] = 3000
+    node_limit: int = 3000
     iter_limit: Optional[int] = 30
     time_limit: Optional[float] = 2.0
     target_ast_size: Optional[int] = None
@@ -80,19 +85,21 @@ class ExpansionConfig:
     max_output_nodes: int = 10_000
 
     def __post_init__(self):
+        for name in ("node_limit", "max_output_nodes"):
+            if getattr(self, name) is None:
+                raise ValueError(f"{name} is required")
         for name in ("node_limit", "iter_limit", "time_limit",
-                     "target_ast_size"):
+                     "target_ast_size", "max_output_nodes"):
             value = getattr(self, name)
             if value is not None and value <= 0:
                 raise ValueError(f"{name} must be positive, got {value}")
-        if self.extraction_rounds < 1:
-            raise ValueError("extraction_rounds must be >= 1")
-        if self.max_output_nodes < 1:
-            raise ValueError("max_output_nodes must be >= 1")
-        if (self.node_limit is None and self.iter_limit is None
-                and self.time_limit is None):
-            raise ValueError("at least one of node_limit, iter_limit, "
-                             "time_limit must be set")
+        _check_rounds(self.extraction_rounds)
+
+
+def _check_rounds(rounds: int) -> None:
+    if not 1 <= rounds <= MAX_DEPTH:
+        raise ValueError(f"extraction rounds must be between 1 and "
+                         f"{MAX_DEPTH}, got {rounds}")
 
 
 @dataclass(frozen=True)
@@ -120,12 +127,12 @@ def extract_max(g: EGraph, root: int, rounds: int,
                 max_nodes: Optional[int] = None) -> Expression:
     """Largest term for ``root`` derivable with depth at most ``rounds``.
 
-    ``max_nodes`` bounds the result's AST size; None means unbounded, which
-    on cyclic graphs makes sizes grow exponentially with ``rounds``.  The
-    result's size is nondecreasing in ``rounds``.
+    ``rounds`` lies in ``[1, MAX_DEPTH]``.  ``max_nodes`` bounds the
+    result's AST size; None means unbounded, which on cyclic graphs makes
+    sizes grow exponentially with ``rounds``.  The result's size is
+    nondecreasing in ``rounds``; its subterms are shared.
     """
-    if rounds < 1:
-        raise ValueError("rounds must be >= 1")
+    _check_rounds(rounds)
     root = g.find(root)
     class_nodes = _sorted_class_nodes(g)
 
@@ -169,35 +176,25 @@ def extract_max(g: EGraph, root: int, rounds: int,
         if not any_change:
             break  # fixpoint; further rounds would be identical
 
-    last = len(tables) - 1
-    if root not in tables[min(rounds, last)]:
-        raise UnextractableError(root)
-    return _reconstruct(g, tables, root, rounds)
+    return _reconstruct(g, tables, root, rounds, {})
 
 
-def _reconstruct(g: EGraph, tables: list, root: int, rounds: int) -> Expression:
-    last = len(tables) - 1
-
-    def lookup(cid: int, r: int):
-        entry = tables[min(r, last)].get(cid)
-        if entry is None:
-            raise UnextractableError(cid)
-        return entry
-
-    _, node, rc = lookup(root, rounds)
-    stack = [[node, rc, []]]  # explicit stack: rounds may exceed recursion depth
-    while stack:
-        n, r, kids = stack[-1]
-        if len(kids) == len(n.children):
-            stack.pop()
-            built = g.expr_of_node(n, tuple(kids))
-            if not stack:
-                return built
-            stack[-1][2].append(built)
-        else:
-            _, child_node, child_rc = lookup(n.children[len(kids)], r - 1)
-            stack.append([child_node, child_rc, []])
-    raise AssertionError("reconstruction stack underflow")
+def _reconstruct(g: EGraph, tables: list, cid: int, r: int,
+                 built: dict) -> Expression:
+    """The term chosen for ``cid`` at round ``r``.  ``built`` maps (class,
+    round of its chosen entry) to the term built for it, so each subterm is
+    built once and shared."""
+    entry = tables[min(r, len(tables) - 1)].get(cid)
+    if entry is None:
+        raise UnextractableError(cid)
+    _, node, rc = entry
+    e = built.get((cid, rc))
+    if e is None:
+        e = g.expr_of_node(node, tuple([_reconstruct(g, tables, c, rc - 1,
+                                                     built)
+                                        for c in node.children]))
+        built[cid, rc] = e
+    return e
 
 
 def extract_min(g: EGraph, root: int) -> Expression:
@@ -253,20 +250,22 @@ def expand(e: Expression, rules: list, cfg: Optional[ExpansionConfig] = None,
     all matches (skipping any whose application would push the node count
     past ``node_limit``), then rebuilds.  The loop stops on whichever
     termination condition fires first; an input that no rule matches is
-    returned unchanged with ``Saturated`` (a no-op, not an error).
+    returned unchanged with ``Saturated`` (a no-op, not an error).  An
+    input larger than ``max_output_nodes`` raises
+    :class:`OutputTooLargeError`, and one whose graph alone holds more than
+    ``node_limit`` nodes raises
+    :class:`~mbaobf.egraph.CapacityExceededError`.
 
     The rules are trusted here: admit them through the soundness checker
     first and the output is equivalent to the input by construction.
     """
     if cfg is None:
         cfg = ExpansionConfig()
-    hard_cap = cfg.node_limit * 4 if cfg.node_limit is not None else None
-    g = EGraph(bits=bits, max_nodes=hard_cap)
-    root = g.add_expr(e)
-    g.rebuild()
-
     if expr_size(e) > cfg.max_output_nodes:
         raise OutputTooLargeError(expr_size(e), cfg.max_output_nodes)
+    g = EGraph(bits=bits, max_nodes=cfg.node_limit)
+    root = g.add_expr(e)
+    g.rebuild()
 
     start = time.monotonic()
 
@@ -297,14 +296,13 @@ def expand(e: Expression, rules: list, cfg: Optional[ExpansionConfig] = None,
             if i % _TIME_CHECK_STRIDE == 0 and i and timed_out():
                 hit_time = True
                 break
-            if cfg.node_limit is not None:
-                # Skip when the match would add more than `room` nodes; the
-                # dry run is needed only when the RHS could.
-                room = cfg.node_limit - g.node_count()
-                if bound > room and count_new_nodes(
-                        g, rule.rhs, m.subst, limit=room) > room:
-                    skipped = True
-                    continue
+            # Skip when the match would add more than `room` nodes; the dry
+            # run is needed only when the RHS could.
+            room = cfg.node_limit - g.node_count()
+            if bound > room and count_new_nodes(
+                    g, rule.rhs, m.subst, limit=room) > room:
+                skipped = True
+                continue
             if apply_match(g, rule, m):
                 changed = True
         g.rebuild()
@@ -313,7 +311,7 @@ def expand(e: Expression, rules: list, cfg: Optional[ExpansionConfig] = None,
             stop = StopReason.TIME_LIMIT
         elif not changed:
             stop = StopReason.NODE_LIMIT if skipped else StopReason.SATURATED
-        elif cfg.node_limit is not None and g.node_count() >= cfg.node_limit:
+        elif g.node_count() >= cfg.node_limit:
             stop = StopReason.NODE_LIMIT
         elif cfg.target_ast_size is not None:
             candidate = extract_max(g, root, cfg.extraction_rounds,

@@ -325,11 +325,8 @@ def count_new_nodes(g: EGraph, p: Pattern, subst: dict,
     checks).
 
     With ``limit``, the walk stops as soon as the count exceeds it, so the
-    result exceeds ``limit`` exactly when the full count does; below a
-    limit of 0 that holds without looking anything up.
+    result exceeds ``limit`` exactly when the full count does.
     """
-    if limit is not None and limit < 0:
-        return 0
     mask = (1 << g.bits) - 1
     lookup = g.lookup_canonical
     stack: list = []

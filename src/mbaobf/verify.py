@@ -156,8 +156,11 @@ def check_rules(rules: list, trials: int = 10_000, seed: int = 0) -> list:
     ``trials`` seeded random assignments otherwise; 64 bits always takes
     the random check.  Returns ``[(rule, label, result)]`` for every check
     performed, in order, where ``label`` names the check that ran:
-    ``exhaustive@8``, ``random@8`` or ``random@64``.
+    ``exhaustive@8``, ``random@8`` or ``random@64``.  ``trials`` must be at
+    least 1, or the random checks would pass without sampling anything.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     results = []
     for rule in rules:
         for w in (4, 8):

@@ -107,6 +107,20 @@ class TestObfuscate:
                      *FAST]) == 2
         assert "rounds" in capsys.readouterr().err
 
+    def test_unextractable_names_both_limits(self, capsys):
+        # a 20-term flat sum fits neither limit at the defaults
+        assert main(["obfuscate", "-e", flat_sum(19)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: no term extractable")
+        assert "(depth <= --rounds 64, size <= --max-output-nodes 10000)" \
+            in err
+
+    def test_input_over_node_limit_exit_3(self, capsys):
+        assert main(["obfuscate", "-e", "(x * y) + (y * z)",
+                     "--node-limit", "5"]) == 3
+        assert capsys.readouterr().err == \
+            "error: e-graph node capacity exceeded (cap=5)\n"
+
     def test_output_file(self, tmp_path, capsys):
         out = tmp_path / "result.txt"
         assert main(["obfuscate", "-e", "x + y", "-o", str(out), *FAST]) == 0
@@ -143,6 +157,14 @@ class TestCheckRules:
 
     def test_missing_file(self, capsys):
         assert main(["check-rules", "/nonexistent.rules"]) == 2
+
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_trials_below_one_exit_2(self, capsys, rules_file, trials):
+        assert main(["check-rules", rules_file, "--trials", trials]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            f"error: trials must be at least 1, got {trials}\n"
 
     def test_random_fallback_is_labelled_random(self, tmp_path, capsys):
         four = tmp_path / "four.rules"
@@ -265,6 +287,16 @@ class TestBench:
                 open(base + ".jsonl", encoding="utf-8")]
         assert [r["input"] for r in rows] == ["x + y", "x ^ y"]
 
+    def test_input_over_node_limit_skipped(self, tmp_path, capsys):
+        corpus = self.write_corpus(tmp_path, ["x + y", "(x * y) + (y * z)"])
+        base = str(tmp_path / "out")
+        assert main(["bench", "-f", corpus, "-o", base, "--node-limit", "5",
+                     "--iter-limit", "3"]) == 0
+        captured = capsys.readouterr()
+        assert "line 2: skipped (e-graph node capacity exceeded (cap=5))" \
+            in captured.err
+        assert "1 expressions processed, 1 skipped" in captured.out
+
     def test_golden_digest_at_criterion_7_flags(self, tmp_path, capsys):
         lines = CORPUS.read_text(encoding="utf-8").splitlines()[:20]
         corpus = self.write_corpus(tmp_path, lines)
@@ -287,7 +319,7 @@ def run_cli(*args: str) -> subprocess.CompletedProcess:
 class TestDepthBound:
     # A deep input is extractable only when --rounds covers its depth; the
     # flat sum also needs a small node limit.
-    AT_BOUND_FLAGS = ["--node-limit", "600", "--rounds", "256"]
+    AT_BOUND_FLAGS = ["--node-limit", "600", "--rounds", str(MAX_DEPTH)]
 
     @pytest.mark.parametrize("text", [flat_sum(MAX_DEPTH),
                                       "-" * MAX_DEPTH + "x"],
@@ -321,3 +353,33 @@ class TestDepthBound:
         assert "line 1: skipped" in proc.stderr
         assert f"nested deeper than {MAX_DEPTH} operators" in proc.stderr
         assert "1 expressions processed, 1 skipped" in proc.stdout
+
+
+class TestNoTraceback:
+    """Bad flag values and unwritable outputs end in exit 2 with one
+    ``error:`` line, run as a user runs them."""
+
+    @staticmethod
+    def assert_one_error_line(proc):
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
+        assert proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("flags", [
+        ["--rounds", "3000"], ["--rounds", "0"], ["--node-limit", "0"],
+        ["--node-limit", "-5"], ["--time-limit-ms", "0"]],
+        ids=lambda flags: " ".join(flags))
+    def test_flag_out_of_range(self, flags):
+        self.assert_one_error_line(
+            run_cli("obfuscate", "-e", "x", "--selfcheck", *flags))
+
+    @pytest.mark.parametrize("command", ["obfuscate", "bench"])
+    def test_unwritable_output(self, tmp_path, command):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("x + y\n")
+        source = (["-e", "x + y"] if command == "obfuscate"
+                  else ["-f", str(corpus)])
+        target = tmp_path / "missing" / "out"
+        self.assert_one_error_line(
+            run_cli(command, *source, "-o", str(target), *FAST))

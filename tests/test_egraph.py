@@ -189,8 +189,3 @@ class TestQueries:
             g.rebuild()
             out.append(g.dump())
         assert out[0] == out[1]
-
-    def test_dot_export_mentions_classes(self):
-        g, _ = graph_of("x + y")
-        dot = g.to_dot()
-        assert "cluster_0" in dot and "digraph" in dot

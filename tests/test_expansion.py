@@ -2,13 +2,15 @@ import itertools
 
 import pytest
 
-from mbaobf.egraph import EGraph
+from mbaobf.egraph import CapacityExceededError, EGraph
 from mbaobf.expansion import (ExpansionConfig, OutputTooLargeError,
                               StopReason, UnextractableError, expand,
                               extract_max, extract_min)
-from mbaobf.expr import evaluate, expr_size, parse, to_text
+from mbaobf.expr import MAX_DEPTH, evaluate, expr_size, parse, to_text
 from mbaobf.rules import apply_match, ematch, load_default_rules, parse_rules
 from mbaobf.verify import check_equivalence
+
+from conftest import random_expr
 
 ADDOR = parse_rules("addor : ?a + ?b => (?a | ?b) + (?a & ?b)")
 
@@ -99,6 +101,32 @@ class TestExtractMax:
             outs.add(to_text(extract_max(g, root, 6, max_nodes=200)))
         assert len(outs) == 1
 
+    def test_rounds_within_parse_depth_bound(self):
+        g, root = addor_graph()
+        for rounds in (0, MAX_DEPTH + 1):
+            with pytest.raises(ValueError):
+                extract_max(g, root, rounds)
+        assert expr_size(extract_max(g, root, MAX_DEPTH)) == 7
+
+    def test_output_shares_subterms(self):
+        g = EGraph()
+        root = g.add_expr(parse("x + y"))
+        g.rebuild()
+        for rule in load_default_rules():  # one round: ~330 nodes
+            for m in ematch(g, rule.lhs):
+                apply_match(g, rule, m)
+        g.rebuild()
+        out = extract_max(g, root, 16, max_nodes=5000)
+        distinct = set()  # ids stay unique: `out` keeps every node alive
+        stack = [out]
+        while stack:
+            e = stack.pop()
+            if id(e) not in distinct:
+                distinct.add(id(e))
+                stack.extend(getattr(e, "args", ()))
+        assert expr_size(out) > 1000
+        assert len(distinct) < expr_size(out) // 10
+
 
 class TestExtractMin:
     def test_addor_graph_minimizes_back(self):
@@ -174,12 +202,29 @@ class TestExpand:
         assert rep.final_node_count <= 200
 
     def test_hard_cap_headroom_never_hit(self):
-        # per-application skipping keeps the graph under the scheduler limit,
-        # far below the 4x hard cap
+        # per-application skipping keeps the graph within node_limit, the
+        # e-graph's hard cap, so growth never raises CapacityExceededError
         rep = expand(parse("x * y - z"), load_default_rules(),
                      ExpansionConfig(node_limit=150, iter_limit=20,
                                      time_limit=10.0))
         assert rep.final_node_count <= 150
+
+    def test_growth_stays_within_node_limit(self, rng):
+        rules = load_default_rules()
+        for node_limit in (12, 40, 90, 150):
+            for _ in range(4):
+                e = random_expr(rng, rng.randint(1, 7))
+                rep = expand(e, rules,
+                             ExpansionConfig(node_limit=node_limit,
+                                             iter_limit=10, time_limit=30.0,
+                                             max_output_nodes=500))
+                assert rep.final_node_count <= node_limit
+
+    def test_input_over_node_limit_raises(self):
+        e = parse("(x * y) + (y * z)")  # 6 distinct nodes: y is shared
+        expand(e, [], ExpansionConfig(node_limit=6))
+        with pytest.raises(CapacityExceededError):
+            expand(e, [], ExpansionConfig(node_limit=5))
 
     def test_time_limit_stop(self):
         rep = expand(parse("x + y"), load_default_rules(),
@@ -241,3 +286,10 @@ class TestExpand:
             ExpansionConfig(node_limit=None, iter_limit=None, time_limit=None)
         with pytest.raises(ValueError):
             ExpansionConfig(extraction_rounds=0)
+
+    def test_node_limit_required_and_rounds_within_depth_bound(self):
+        with pytest.raises(ValueError, match="node_limit is required"):
+            ExpansionConfig(node_limit=None)
+        with pytest.raises(ValueError, match=f"between 1 and {MAX_DEPTH}"):
+            ExpansionConfig(extraction_rounds=MAX_DEPTH + 1)
+        assert ExpansionConfig(extraction_rounds=MAX_DEPTH)

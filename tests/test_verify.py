@@ -124,6 +124,12 @@ class TestRulesetAdmission:
         # one exhaustive result per width per rule plus one random pass
         assert len(results) == 14 * 3
 
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_trials_below_one_rejected(self, trials):
+        # 0 trials would pass every random check without sampling
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            check_rules(load_default_rules(), trials=trials)
+
     def test_random_fallback_is_labelled_random(self):
         # 2**32 assignments at 8 bits: too many to enumerate
         four = rule("?a + ?b + ?c + ?d => ?d + ?c + ?b + ?a")
