@@ -6,10 +6,11 @@ line on stderr and no traceback: 0 success (including the no-op case
 where nothing matched), 2 input error (bad expression, including one
 nested deeper than ``expr.MAX_DEPTH`` operators; a flag value out of
 range, such as ``--rounds`` above ``MAX_DEPTH`` or ``--trials 0``; bad or
-unsound rule file; empty corpus; an output path that cannot be written),
-3 resource error (output size cap; an input whose own e-graph holds more
-nodes than ``--node-limit``).  A --selfcheck counterexample exits 1, since
-it can only mean an engine bug.
+unsound rule file; a rule file or corpus that is not UTF-8; empty corpus;
+an output path that cannot be written), 3 resource error (output size
+cap; an input whose own e-graph holds more nodes than ``--node-limit``).
+A --selfcheck counterexample exits 1, since it can only mean an engine
+bug.
 
 ``bench`` does not stop at a bad line: a line that does not parse, whose
 output would exceed the output size cap, whose e-graph alone exceeds the
@@ -29,7 +30,7 @@ from typing import Optional
 from .egraph import CapacityExceededError
 from .expansion import (ExpansionConfig, ExpansionReport, OutputTooLargeError,
                         UnextractableError, expand)
-from .expr import ParseError, parse, to_text
+from .expr import VALID_BITWIDTHS, ParseError, parse, to_text
 from .metrics import aggregate, aggregate_csv, measure
 from .rules import (RuleSyntaxError, UnboundRhsVarError, default_rules_text,
                     parse_rules)
@@ -59,7 +60,7 @@ def _add_engine_flags(p: argparse.ArgumentParser) -> None:
                    default=_DEFAULTS.max_output_nodes,
                    help="AST size cap for the extracted output")
     p.add_argument("--bitwidth", type=int, default=64,
-                   choices=(4, 8, 16, 32, 64))
+                   choices=VALID_BITWIDTHS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--no-check", action="store_true",
                    help="skip the rule soundness check before running")
@@ -105,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
                                     "expression")
     p_metrics.add_argument("-e", "--expr", required=True)
     p_metrics.add_argument("--bitwidth", type=int, default=64,
-                           choices=(4, 8, 16, 32, 64))
+                           choices=VALID_BITWIDTHS)
     p_metrics.add_argument("--json", action="store_true")
 
     return parser
@@ -316,7 +317,8 @@ def main(argv: Optional[list] = None) -> int:
         print(exc, file=sys.stderr)
         return exc.code
     # Each of these comes from a path or text the user gave.
-    except (OSError, ParseError, RuleSyntaxError, UnboundRhsVarError) as exc:
+    except (OSError, UnicodeDecodeError, ParseError, RuleSyntaxError,
+            UnboundRhsVarError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

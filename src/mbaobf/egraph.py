@@ -76,7 +76,6 @@ class ENode(NamedTuple):
 
 @dataclass
 class EClass:
-    id: EClassId
     nodes: dict = field(default_factory=dict)  # ordered set: ENode -> None
     parents: list = field(default_factory=list)  # [(ENode, EClassId)]
 
@@ -133,7 +132,7 @@ class EGraph:
     def _new_class(self) -> EClassId:
         cid = len(self._uf)
         self._uf.append(cid)
-        self._classes[cid] = EClass(cid)
+        self._classes[cid] = EClass()
         return cid
 
     # -- insertion ----------------------------------------------------------

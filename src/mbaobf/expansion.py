@@ -41,8 +41,7 @@ from typing import Optional
 from .egraph import EGraph, ENode
 from .expr import DEFAULT_BITWIDTH, MAX_DEPTH, Expression, expr_size
 from .metrics import MetricsReport, measure
-from .rules import (_label_index, apply_match, count_new_nodes, ematch,
-                    new_node_bound)
+from .rules import _label_index, apply_match, count_new_nodes, ematch
 
 
 class StopReason(Enum):
@@ -73,19 +72,21 @@ class OutputTooLargeError(Exception):
 @dataclass(frozen=True)
 class ExpansionConfig:
     """Termination conditions and extraction knobs for one run, each
-    defined and checked here.  ``node_limit`` (required) is the e-graph's
-    exact node cap; ``extraction_rounds`` lies in ``[1, MAX_DEPTH]``.
+    defined and checked here.  ``node_limit`` is the e-graph's exact node
+    cap; ``time_limit`` (seconds) and ``target_ast_size`` may be None, the
+    other limits are required.  ``extraction_rounds`` lies in
+    ``[1, MAX_DEPTH]``.
     """
 
     node_limit: int = 3000
-    iter_limit: Optional[int] = 30
+    iter_limit: int = 30
     time_limit: Optional[float] = 2.0
     target_ast_size: Optional[int] = None
     extraction_rounds: int = 64
     max_output_nodes: int = 10_000
 
     def __post_init__(self):
-        for name in ("node_limit", "max_output_nodes"):
+        for name in ("node_limit", "iter_limit", "max_output_nodes"):
             if getattr(self, name) is None:
                 raise ValueError(f"{name} is required")
         for name in ("node_limit", "iter_limit", "time_limit",
@@ -227,12 +228,15 @@ def extract_min(g: EGraph, root: int) -> Expression:
                     changed = True
     if root not in costs:
         raise UnextractableError(root)
+    return _build_min(g, costs, root)
 
-    def build(cid: int) -> Expression:
-        _, n = costs[cid]
-        return g.expr_of_node(n, tuple(build(c) for c in n.children))
 
-    return build(root)
+def _build_min(g: EGraph, costs: dict, cid: int) -> Expression:
+    """The term :func:`extract_min` chose for ``cid``; a plain function, as
+    :func:`_reconstruct` is, so no closure cycle keeps ``costs`` alive."""
+    _, n = costs[cid]
+    return g.expr_of_node(n, tuple(_build_min(g, costs, c)
+                                   for c in n.children))
 
 
 # ---------------------------------------------------------------------------
@@ -273,34 +277,33 @@ def expand(e: Expression, rules: list, cfg: Optional[ExpansionConfig] = None,
         return (cfg.time_limit is not None
                 and time.monotonic() - start >= cfg.time_limit)
 
-    bounds = [new_node_bound(rule.rhs) for rule in rules]
     stop: Optional[StopReason] = None
     output: Optional[Expression] = None
     iterations = 0
     while stop is None:
-        if cfg.iter_limit is not None and iterations >= cfg.iter_limit:
+        if iterations >= cfg.iter_limit:
             stop = StopReason.ITER_LIMIT
             break
         if timed_out():
             stop = StopReason.TIME_LIMIT
             break
         index = _label_index(g)
-        matches = []
-        for rule, bound in zip(rules, bounds):
+        matches = []  # frees the last round's matches before matching
+        for rule in rules:
             for m in ematch(g, rule.lhs, index):
-                matches.append((rule, bound, m))
+                matches.append((rule, m))
         changed = False
         skipped = False
         hit_time = False
-        for i, (rule, bound, m) in enumerate(matches):
+        for i, (rule, m) in enumerate(matches):
             if i % _TIME_CHECK_STRIDE == 0 and i and timed_out():
                 hit_time = True
                 break
             # Skip when the match would add more than `room` nodes; the dry
             # run is needed only when the RHS could.
             room = cfg.node_limit - g.node_count()
-            if bound > room and count_new_nodes(
-                    g, rule.rhs, m.subst, limit=room) > room:
+            if rule.bound > room and count_new_nodes(
+                    g, rule, m, limit=room) > room:
                 skipped = True
                 continue
             if apply_match(g, rule, m):

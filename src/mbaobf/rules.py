@@ -18,8 +18,7 @@ rule may not invent unbound terms.
 from __future__ import annotations
 
 import importlib.resources
-import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 from .egraph import EGraph
@@ -37,10 +36,24 @@ Pattern = object
 
 @dataclass(frozen=True)
 class Rule:
+    """A directed rewrite ``lhs => rhs``, its right-hand side compiled once,
+    when the rule is made: ``steps`` builds it bottom-up for the dry run and
+    for instantiation; ``bound``, its non-variable node count, is the most
+    a dry run can report."""
+
     name: str
     lhs: Pattern
     rhs: Pattern
     bidirectional: bool = False
+    steps: tuple = field(init=False, compare=False, repr=False)
+    bound: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        steps: list = []
+        _post_order(self.rhs, steps)
+        object.__setattr__(self, "steps", tuple(steps))
+        object.__setattr__(self, "bound",
+                           sum(kind != _STEP_VAR for kind, _ in steps))
 
 
 @dataclass
@@ -147,27 +160,14 @@ _STEP_OP = 2  # argument: (label, arity)
 
 
 class _Program(NamedTuple):
+    """A left-hand side compiled into a matcher."""
+
     names: tuple  # pattern variables, sorted
     var_regs: tuple  # register bound to each of names
     n_regs: int
     root_label: Optional[str]  # held by the root class of every match
     ops: tuple  # matcher instructions
     leaves: tuple  # (label, payload) of each concrete leaf the matcher tests
-    steps: tuple  # builds the pattern bottom-up
-    bound: int  # non-variable nodes: most a dry run can count
-
-
-# id(pattern) -> _Program.  Keyed by identity because hashing a pattern
-# walks it; an entry leaves with its pattern, before the id can be reused.
-_PROGRAMS: dict = {}
-
-
-def _compiled(p: Pattern) -> _Program:
-    prog = _PROGRAMS.get(id(p))
-    if prog is None:
-        prog = _PROGRAMS[id(p)] = _compile(p)
-        weakref.finalize(p, _PROGRAMS.pop, id(p), None)
-    return prog
 
 
 def _leaf(p) -> tuple:
@@ -197,14 +197,10 @@ def _compile(p: Pattern) -> _Program:
         else:
             ops.append((_LEAF, reg, len(leaves)))
             leaves.append(_leaf(q))
-
-    steps: list = []
-    _post_order(p, steps)
     names = tuple(sorted(first))
     return _Program(names, tuple(first[n] for n in names), n_regs,
                     p.op.name if isinstance(p, Op) else None,
-                    tuple(ops), tuple(leaves), tuple(steps),
-                    sum(kind != _STEP_VAR for kind, _ in steps))
+                    tuple(ops), tuple(leaves))
 
 
 def _post_order(q: Pattern, steps: list) -> None:
@@ -223,19 +219,14 @@ def _leaf_key(leaf: tuple, mask: int) -> tuple:
     return (label, payload & mask if label == "const" else payload, ())
 
 
-def new_node_bound(p: Pattern) -> int:
-    """Most nodes :func:`count_new_nodes` can report for ``p``: its operator
-    and leaf nodes, counted with repetition."""
-    return _compiled(p).bound
-
-
 # ---------------------------------------------------------------------------
 # E-matching
 # ---------------------------------------------------------------------------
 
 
 def _label_index(g: EGraph) -> dict:
-    """Per-class map label -> [nodes]; built once per matching round."""
+    """Per-class map label -> [nodes], in ascending class id order; built
+    once per matching round."""
     index: dict = {}
     for cid in g.class_ids():
         by_label: dict = {}
@@ -264,13 +255,14 @@ def _run(ops: tuple, pc: int, regs: list, index: dict, leaf_ids: list,
 def ematch(g: EGraph, p: Pattern, index: Optional[dict] = None) -> list[Match]:
     """All matches of ``p`` anywhere in the rebuilt graph.
 
+    ``index`` is the graph's :func:`_label_index`, built here when None.
     Complete with respect to brute-force instantiation; duplicates are
     collapsed and the result is ordered by root id, then by the bindings
     sorted by variable name, so match lists are deterministic.
     """
     if index is None:
         index = _label_index(g)
-    prog = _compiled(p)
+    prog = _compile(p)
     mask = (1 << g.bits) - 1
     leaf_ids = [g.lookup_canonical(_leaf_key(leaf, mask))
                 for leaf in prog.leaves]
@@ -280,8 +272,8 @@ def ematch(g: EGraph, p: Pattern, index: Optional[dict] = None) -> list[Match]:
     root_label = prog.root_label
     regs = [0] * prog.n_regs
     out: list[Match] = []
-    for cid in g.class_ids():
-        if root_label is not None and root_label not in index[cid]:
+    for cid, by_label in index.items():
+        if root_label is not None and root_label not in by_label:
             continue
         regs[0] = cid
         found: list = []
@@ -298,10 +290,10 @@ def ematch(g: EGraph, p: Pattern, index: Optional[dict] = None) -> list[Match]:
 # ---------------------------------------------------------------------------
 
 
-def _instantiate(g: EGraph, p: Pattern, subst: dict) -> int:
+def _instantiate(g: EGraph, rule: Rule, subst: dict) -> int:
     mask = (1 << g.bits) - 1
     stack: list = []
-    for kind, arg in _compiled(p).steps:
+    for kind, arg in rule.steps:
         if kind == _STEP_VAR:
             stack.append(g.find(subst[arg]))
         elif kind == _STEP_LEAF:
@@ -314,7 +306,7 @@ def _instantiate(g: EGraph, p: Pattern, subst: dict) -> int:
     return stack[0]
 
 
-def count_new_nodes(g: EGraph, p: Pattern, subst: dict,
+def count_new_nodes(g: EGraph, rule: Rule, m: Match,
                     limit: Optional[int] = None) -> int:
     """Upper bound on nodes :func:`apply_match` would add for this match.
 
@@ -331,9 +323,9 @@ def count_new_nodes(g: EGraph, p: Pattern, subst: dict,
     lookup = g.lookup_canonical
     stack: list = []
     count = 0
-    for kind, arg in _compiled(p).steps:
+    for kind, arg in rule.steps:
         if kind == _STEP_VAR:
-            stack.append(g.find(subst[arg]))
+            stack.append(g.find(m.subst[arg]))
             continue
         if kind == _STEP_LEAF:
             cid = lookup(_leaf_key(arg, mask))
@@ -358,6 +350,6 @@ def apply_match(g: EGraph, rule: Rule, m: Match) -> bool:
     must rebuild before the next matching round.
     """
     before = g.node_count()
-    rhs_id = _instantiate(g, rule.rhs, m.subst)
+    rhs_id = _instantiate(g, rule, m.subst)
     _, merged = g.union(g.find(m.root), rhs_id)
     return merged or g.node_count() != before

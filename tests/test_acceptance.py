@@ -201,8 +201,7 @@ def test_criterion_8_invariant_stress():
                 rule = rng.choice(rules)
                 matches = ematch(g, rule.lhs)
                 for m in matches[:3]:
-                    if g.node_count() + count_new_nodes(
-                            g, rule.rhs, m.subst) <= 200:
+                    if g.node_count() + count_new_nodes(g, rule, m) <= 200:
                         apply_match(g, rule, m)
         checked_rebuild()
         if g.node_count() > 190:

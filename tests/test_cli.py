@@ -356,8 +356,9 @@ class TestDepthBound:
 
 
 class TestNoTraceback:
-    """Bad flag values and unwritable outputs end in exit 2 with one
-    ``error:`` line, run as a user runs them."""
+    """Bad flag values, unwritable outputs and input files that are not
+    UTF-8 end in exit 2 with one ``error:`` line, run as a user runs
+    them."""
 
     @staticmethod
     def assert_one_error_line(proc):
@@ -383,3 +384,14 @@ class TestNoTraceback:
         target = tmp_path / "missing" / "out"
         self.assert_one_error_line(
             run_cli(command, *source, "-o", str(target), *FAST))
+
+    @pytest.mark.parametrize("command", [
+        ["check-rules", "{bad}"],
+        ["bench", "-f", "{bad}", "-o", "{out}"],
+        ["obfuscate", "-e", "x + y", "-r", "{bad}"]],
+        ids=lambda command: command[0])
+    def test_file_not_utf8(self, tmp_path, command):
+        bad = tmp_path / "not-utf8.txt"
+        bad.write_bytes(b"\xff\xfe\x00")
+        args = [a.format(bad=bad, out=tmp_path / "out") for a in command]
+        self.assert_one_error_line(run_cli(*args))

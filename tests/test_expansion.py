@@ -1,3 +1,4 @@
+import gc
 import itertools
 
 import pytest
@@ -145,6 +146,16 @@ class TestExtractMin:
         g.rebuild()
         assert to_text(extract_min(g, root)) == "y"
 
+    def test_leaves_no_reference_cycle(self):
+        g, root = addor_graph()
+        gc.collect()
+        gc.disable()
+        try:
+            extract_min(g, root)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_min_never_exceeds_max(self):
         g, root = addor_graph()
         for cid in g.class_ids():
@@ -228,7 +239,7 @@ class TestExpand:
 
     def test_time_limit_stop(self):
         rep = expand(parse("x + y"), load_default_rules(),
-                     ExpansionConfig(node_limit=10**6, iter_limit=None,
+                     ExpansionConfig(node_limit=10**6, iter_limit=10**6,
                                      time_limit=0.05))
         assert rep.stop is StopReason.TIME_LIMIT
         assert rep.elapsed < 2.0
@@ -286,6 +297,10 @@ class TestExpand:
             ExpansionConfig(node_limit=None, iter_limit=None, time_limit=None)
         with pytest.raises(ValueError):
             ExpansionConfig(extraction_rounds=0)
+
+    def test_iter_limit_required(self):
+        with pytest.raises(ValueError, match="iter_limit is required"):
+            ExpansionConfig(iter_limit=None)
 
     def test_node_limit_required_and_rounds_within_depth_bound(self):
         with pytest.raises(ValueError, match="node_limit is required"):

@@ -6,8 +6,7 @@ from mbaobf.egraph import EGraph
 from mbaobf.expr import Const, Op, Var, parse
 from mbaobf.rules import (PatVar, Rule, RuleSyntaxError, UnboundRhsVarError,
                           apply_match, count_new_nodes, ematch,
-                          load_default_rules, new_node_bound, parse_rules,
-                          pattern_vars)
+                          load_default_rules, parse_rules, pattern_vars)
 
 from conftest import random_expr
 
@@ -59,6 +58,19 @@ class TestParseRules:
     def test_constant_leaves_allowed(self):
         (r,) = parse_rules("negsub : 0 - ?a => (~?a) + 1")
         assert r.lhs.args[0] == Const(0)
+
+    def test_hand_built_rule_is_compiled(self):
+        add = parse("x + y").op
+        rhs = Op(add, (Op(add, (PatVar("a"), Const(1))), PatVar("a")))
+        rule = Rule("r", PatVar("a"), rhs)
+        assert rule.bound == 3  # two additions and the constant
+        twin = Rule("r", PatVar("a"), rhs)
+        assert rule == twin and hash(rule) == hash(twin)
+        assert rule == parse_rules("r : ?a => (?a + 1) + ?a")[0]
+        g, _ = graph_of("x")
+        (m,) = ematch(g, rule.lhs)
+        assert count_new_nodes(g, rule, m) == 3
+        assert apply_match(g, rule, m) and g.node_count() == 4
 
     def test_default_ruleset_ships_fourteen(self):
         rules = load_default_rules()
@@ -221,7 +233,7 @@ class TestApplyMatch:
             g.rebuild()
             for rule in rules:
                 for m in ematch(g, rule.lhs):
-                    predicted = count_new_nodes(g, rule.rhs, m.subst)
+                    predicted = count_new_nodes(g, rule, m)
                     before = g.node_count()
                     apply_match(g, rule, m)
                     added = g.node_count() - before
@@ -244,11 +256,10 @@ class TestApplyMatch:
                         apply_match(g, rule, m)
             g.rebuild()
             for rule in rules:
-                bound = new_node_bound(rule.rhs)
+                bound = rule.bound
                 for m in ematch(g, rule.lhs):
-                    full = count_new_nodes(g, rule.rhs, m.subst)
+                    full = count_new_nodes(g, rule, m)
                     assert full <= bound
                     for k in range(-1, bound + 2):
-                        limited = count_new_nodes(g, rule.rhs, m.subst,
-                                                  limit=k)
+                        limited = count_new_nodes(g, rule, m, limit=k)
                         assert (limited > k) == (full > k)
