@@ -121,13 +121,22 @@ class _Fail(Exception):
         self.code = code
 
 
+def _read_text(path: str) -> str:
+    """The UTF-8 text of a file the user named; text that is not UTF-8
+    fails with the path in the message."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise _Fail(f"error: {path}: {exc}") from exc
+
+
 def _load_rules(path: Optional[str]) -> list:
     """The rules of every command: the file at ``path``, or the shipped set
     when None."""
     if path is None:
         return parse_rules(default_rules_text())
-    with open(path, encoding="utf-8") as fh:
-        return parse_rules(fh.read())
+    return parse_rules(_read_text(path))
 
 
 def _failure_line(name: str, label: str, res) -> str:
@@ -233,8 +242,7 @@ def run_obfuscate(args) -> int:
 
 def run_bench(args) -> int:
     cfg, rules = _setup(args)
-    with open(args.corpus, encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh]
+    lines = [ln.strip() for ln in _read_text(args.corpus).split("\n")]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:
         raise _Fail("error: empty corpus")
@@ -317,8 +325,7 @@ def main(argv: Optional[list] = None) -> int:
         print(exc, file=sys.stderr)
         return exc.code
     # Each of these comes from a path or text the user gave.
-    except (OSError, UnicodeDecodeError, ParseError, RuleSyntaxError,
-            UnboundRhsVarError) as exc:
+    except (OSError, ParseError, RuleSyntaxError, UnboundRhsVarError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

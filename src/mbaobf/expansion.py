@@ -19,13 +19,20 @@ extractor therefore runs a round-indexed dynamic program:
   which keeps every defined cost (and hence the materialized output)
   within ``max_output_nodes`` even on cyclic graphs.
 
-Reconstruction descends through the round at which each chosen node's cost
-was computed, so the output is a finite tree of depth at most ``rounds``
-whose size equals the root's cost.  ``rounds`` is at most
-:data:`mbaobf.expr.MAX_DEPTH`, the depth ``parse`` admits.  Each (class,
-round) is built once and shared wherever it recurs, like egg's ``RecExpr``.
-Ties between equal-cost nodes break by the smallest node (label order,
-then child ids): runs are deterministic.
+Each class's history is stored as change points ``[(round, cost, node),
+...]``, one per round in which its cost rose.  Reconstruction descends
+through the round at which each chosen node's cost was computed, so the
+output is a finite tree of depth at most ``rounds`` whose size equals the
+root's cost.  ``rounds`` is at most :data:`mbaobf.expr.MAX_DEPTH`, the
+depth ``parse`` admits.  Each (class, round) is built once and shared
+wherever it recurs, like egg's ``RecExpr``.  Ties between equal-cost nodes
+break by the smallest node (label order, then child ids): runs are
+deterministic.
+
+The minimizing :func:`extract_min` is the same program with the cost
+``-size`` and ``MAX_DEPTH`` rounds: it finds the smallest term of depth at
+most ``MAX_DEPTH`` and raises :class:`UnextractableError` when a class has
+none, which only a hand-built graph can cause.
 
 The node budget is the e-graph's hard cap; an input whose graph alone
 exceeds it raises :class:`~mbaobf.egraph.CapacityExceededError`.
@@ -34,8 +41,10 @@ exceeds it raises :class:`~mbaobf.egraph.CapacityExceededError`.
 from __future__ import annotations
 
 import time
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 from typing import Optional
 
 from .egraph import EGraph, ENode
@@ -118,125 +127,91 @@ class ExpansionReport:
 # Extraction
 # ---------------------------------------------------------------------------
 
-
-def _sorted_class_nodes(g: EGraph) -> dict:
-    return {cid: sorted(g.nodes_of(cid), key=ENode.sort_key)
-            for cid in g.class_ids()}
+_UNDEFINED = float("-inf")  # the cost of a class no term reaches yet
+_ROUND = itemgetter(0)  # a change point's round
 
 
 def extract_max(g: EGraph, root: int, rounds: int,
-                max_nodes: Optional[int] = None) -> Expression:
-    """Largest term for ``root`` derivable with depth at most ``rounds``.
+                max_nodes: int) -> Expression:
+    """Largest term for ``root`` derivable with depth at most ``rounds``
+    and at most ``max_nodes`` nodes.
 
-    ``rounds`` lies in ``[1, MAX_DEPTH]``.  ``max_nodes`` bounds the
-    result's AST size; None means unbounded, which on cyclic graphs makes
-    sizes grow exponentially with ``rounds``.  The result's size is
+    ``rounds`` lies in ``[1, MAX_DEPTH]``.  The result's size is
     nondecreasing in ``rounds``; its subterms are shared.
     """
     _check_rounds(rounds)
-    root = g.find(root)
-    class_nodes = _sorted_class_nodes(g)
+    return _extract(g, root, rounds, 1, max_nodes)
 
-    base = {}
-    for cid, nodes in class_nodes.items():
-        for n in nodes:  # sorted, so the first leaf is the cheapest one
+
+def extract_min(g: EGraph, root: int) -> Expression:
+    """Smallest term for ``root`` of depth at most ``MAX_DEPTH``: the
+    classical minimizing extraction.  Every cost is negative, so no size
+    cap applies."""
+    return _extract(g, root, MAX_DEPTH, -1, 0)
+
+
+def _extract(g: EGraph, root: int, rounds: int, sign: int,
+             max_nodes: int) -> Expression:
+    """The round-indexed DP that maximizes ``sign * size``.
+
+    ``cost`` holds each class's cost as of the previous round, and
+    ``history`` its change points ``[(round, cost, node), ...]``: an entry
+    is appended only in a round where a node strictly beats the class's
+    last one, so on ties the earlier choice (the smaller node) is kept.
+    """
+    classes = [(cid, sorted(g.nodes_of(cid), key=ENode.sort_key))
+               for cid in g.class_ids()]
+    cost = {}
+    history = {}
+    for cid, nodes in classes:
+        for n in nodes:  # sorted, so the first leaf is the smallest one
             if n.is_leaf():
-                base[cid] = (1, n, 0)
+                cost[cid] = sign
+                history[cid] = [(0, sign, n)]
                 break
-    tables = [base]
-    prev = base
     for r in range(1, rounds + 1):
-        cur = {}
-        any_change = False
-        for cid, nodes in class_nodes.items():
+        updates = []
+        for cid, nodes in classes:
+            top = cost.get(cid, _UNDEFINED)
             best = None
             for n in nodes:
-                total = 1
-                defined = True
+                total = sign
                 for child in n.children:
-                    entry = prev.get(child)
-                    if entry is None:
-                        defined = False
+                    c = cost.get(child)
+                    if c is None:
                         break
-                    total += entry[0]
-                if not defined:
-                    continue
-                if max_nodes is not None and total > max_nodes:
-                    continue
-                if best is None or total > best[0]:
-                    best = (total, n, r)
-            carried = prev.get(cid)
-            if carried is not None and (best is None or best[0] <= carried[0]):
-                best = carried  # on ties the earlier choice is kept
+                    total += c
+                else:
+                    if top < total <= max_nodes:
+                        top = total
+                        best = n
             if best is not None:
-                cur[cid] = best
-                if best is not carried:
-                    any_change = True
-        tables.append(cur)
-        prev = cur
-        if not any_change:
+                updates.append((cid, top, best))
+        if not updates:
             break  # fixpoint; further rounds would be identical
+        for cid, top, best in updates:  # a round reads only the last one
+            cost[cid] = top
+            history.setdefault(cid, []).append((r, top, best))
+    return _reconstruct(g, history, g.find(root), rounds, {})
 
-    return _reconstruct(g, tables, root, rounds, {})
 
-
-def _reconstruct(g: EGraph, tables: list, cid: int, r: int,
+def _reconstruct(g: EGraph, history: dict, cid: int, r: int,
                  built: dict) -> Expression:
-    """The term chosen for ``cid`` at round ``r``.  ``built`` maps (class,
-    round of its chosen entry) to the term built for it, so each subterm is
-    built once and shared."""
-    entry = tables[min(r, len(tables) - 1)].get(cid)
-    if entry is None:
+    """The term chosen for ``cid`` at round ``r``: its last change point at
+    or before ``r``.  ``built`` maps (class, round of that change point) to
+    the term built for it, so each subterm is built once and shared."""
+    entries = history.get(cid, ())
+    i = bisect_right(entries, r, key=_ROUND)
+    if i == 0:
         raise UnextractableError(cid)
-    _, node, rc = entry
+    rc, _, node = entries[i - 1]
     e = built.get((cid, rc))
     if e is None:
-        e = g.expr_of_node(node, tuple([_reconstruct(g, tables, c, rc - 1,
+        e = g.expr_of_node(node, tuple([_reconstruct(g, history, c, rc - 1,
                                                      built)
                                         for c in node.children]))
         built[cid, rc] = e
     return e
-
-
-def extract_min(g: EGraph, root: int) -> Expression:
-    """Smallest term for ``root``: the classical minimizing extraction.
-
-    Fixpoint over min costs; cost strictly decreases toward the leaves, so
-    reconstruction cannot loop.
-    """
-    root = g.find(root)
-    class_nodes = _sorted_class_nodes(g)
-    costs: dict = {}  # cid -> (cost, node)
-    changed = True
-    while changed:
-        changed = False
-        for cid, nodes in class_nodes.items():
-            for n in nodes:
-                total = 1
-                defined = True
-                for child in n.children:
-                    entry = costs.get(child)
-                    if entry is None:
-                        defined = False
-                        break
-                    total += entry[0]
-                if not defined:
-                    continue
-                cur = costs.get(cid)
-                if cur is None or total < cur[0]:
-                    costs[cid] = (total, n)
-                    changed = True
-    if root not in costs:
-        raise UnextractableError(root)
-    return _build_min(g, costs, root)
-
-
-def _build_min(g: EGraph, costs: dict, cid: int) -> Expression:
-    """The term :func:`extract_min` chose for ``cid``; a plain function, as
-    :func:`_reconstruct` is, so no closure cycle keeps ``costs`` alive."""
-    _, n = costs[cid]
-    return g.expr_of_node(n, tuple(_build_min(g, costs, c)
-                                   for c in n.children))
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +267,7 @@ def expand(e: Expression, rules: list, cfg: Optional[ExpansionConfig] = None,
         for rule in rules:
             for m in ematch(g, rule.lhs, index):
                 matches.append((rule, m))
+        del index  # frees it before the graph grows and the next is built
         changed = False
         skipped = False
         hit_time = False

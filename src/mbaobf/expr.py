@@ -37,9 +37,10 @@ VALID_BITWIDTHS = (4, 8, 16, 32, 64)
 DEFAULT_BITWIDTH = 64
 
 # Deepest tree parse accepts.  The recursive consumers of a tree (to_text,
-# evaluate, the numpy evaluator, EGraph.add_expr, extract_min) take at most
-# two levels of the interpreter's recursion limit (default 1000) per tree
-# level, and structural ``==`` of two trees four, so all fit at this depth.
+# evaluate, the numpy evaluator, EGraph.add_expr) take at most two levels
+# of the interpreter's recursion limit (default 1000) per tree level, and
+# structural ``==`` of two trees four, so all fit at this depth.  Both
+# extractors build terms at most this deep, extract_min included.
 MAX_DEPTH = 200
 
 

@@ -94,26 +94,15 @@ def measure(e: Expression) -> MetricsReport:
 
 
 @dataclass(frozen=True)
-class MetricsMeans:
-    ast_size: float
-    var_count: float
-    const_count: float
-    op_count: float
-    mba_alternation: float
-    entropy_tokens: float
-    entropy_leaves: float
-
-
-@dataclass(frozen=True)
 class AggregateReport:
-    original: MetricsMeans
-    obfuscated: MetricsMeans
+    original: MetricsReport  # each field holds the mean over the corpus
+    obfuscated: MetricsReport
     count: int
 
 
-def _means(reports: list) -> MetricsMeans:
+def _means(reports: list) -> MetricsReport:
     n = len(reports)
-    return MetricsMeans(**{
+    return MetricsReport(**{
         f.name: sum(getattr(r, f.name) for r in reports) / n
         for f in fields(MetricsReport)
     })

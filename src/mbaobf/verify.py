@@ -126,8 +126,6 @@ def check_rule_random(rule: Rule, bits: int, trials: int,
                       seed: int = 0) -> CheckResult:
     """Randomized soundness check: ``trials`` seeded assignments."""
     names = sorted(pattern_vars(rule.lhs) | pattern_vars(rule.rhs))
-    if not names:
-        return _compare(rule.lhs, rule.rhs, names, {}, bits)
     env = _random_env(names, bits, trials, seed)
     return _compare(rule.lhs, rule.rhs, names, env, bits)
 

@@ -28,6 +28,14 @@ GOLDEN_20 = (
     "10dc86a422f9e4bfb8c02ac4ca881e5125b03513af0c9a94acd9c7c468a3a404",
     "0c3178f673959f6be58a9189e86676b6a583f5963ba67d7f181da3d711acfa8d",
 )
+# The same for the corpus's first 10 lines at the shipped defaults, with a
+# time limit no line comes near, as the engine wrote them before its two
+# extractor loops became one.  These outputs hit the 10,000-node cap.
+DEFAULTS_NO_CLOCK = ["--time-limit-ms", "60000"]
+GOLDEN_10_DEFAULTS = (
+    "a1349ac99b8f706027d7c80e6b5d6c660bf608553970c6838afe257e27b6800b",
+    "0e2d0e420783383109aa015a0cd07962910a4dadca117457a71f87efd681993c",
+)
 
 
 @pytest.fixture
@@ -297,14 +305,22 @@ class TestBench:
             in captured.err
         assert "1 expressions processed, 1 skipped" in captured.out
 
-    def test_golden_digest_at_criterion_7_flags(self, tmp_path, capsys):
-        lines = CORPUS.read_text(encoding="utf-8").splitlines()[:20]
+    def bench_digests(self, tmp_path, count, flags) -> tuple:
+        """sha256 of BASE.jsonl and BASE.csv for the corpus's first
+        ``count`` lines."""
+        lines = CORPUS.read_text(encoding="utf-8").splitlines()[:count]
         corpus = self.write_corpus(tmp_path, lines)
         base = str(tmp_path / "out")
-        assert main(["bench", "-f", corpus, "-o", base, *CRITERION_7]) == 0
-        digests = tuple(hashlib.sha256(Path(base + ext).read_bytes())
-                        .hexdigest() for ext in (".jsonl", ".csv"))
-        assert digests == GOLDEN_20
+        assert main(["bench", "-f", corpus, "-o", base, *flags]) == 0
+        return tuple(hashlib.sha256(Path(base + ext).read_bytes())
+                     .hexdigest() for ext in (".jsonl", ".csv"))
+
+    def test_golden_digest_at_criterion_7_flags(self, tmp_path, capsys):
+        assert self.bench_digests(tmp_path, 20, CRITERION_7) == GOLDEN_20
+
+    def test_golden_digest_at_defaults(self, tmp_path, capsys):
+        assert (self.bench_digests(tmp_path, 10, DEFAULTS_NO_CLOCK)
+                == GOLDEN_10_DEFAULTS)
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
@@ -388,10 +404,16 @@ class TestNoTraceback:
     @pytest.mark.parametrize("command", [
         ["check-rules", "{bad}"],
         ["bench", "-f", "{bad}", "-o", "{out}"],
+        ["bench", "-f", "{good}", "-r", "{bad}", "-o", "{out}"],
         ["obfuscate", "-e", "x + y", "-r", "{bad}"]],
-        ids=lambda command: command[0])
+        ids=["check-rules", "bench", "bench-rules", "obfuscate"])
     def test_file_not_utf8(self, tmp_path, command):
         bad = tmp_path / "not-utf8.txt"
         bad.write_bytes(b"\xff\xfe\x00")
-        args = [a.format(bad=bad, out=tmp_path / "out") for a in command]
-        self.assert_one_error_line(run_cli(*args))
+        good = tmp_path / "corpus.txt"
+        good.write_text("x + y\n")
+        args = [a.format(bad=bad, good=good, out=tmp_path / "out")
+                for a in command]
+        proc = run_cli(*args)
+        self.assert_one_error_line(proc)
+        assert proc.stderr.startswith(f"error: {bad}: ")

@@ -1,9 +1,10 @@
 import gc
 import itertools
+import random
 
 import pytest
 
-from mbaobf.egraph import CapacityExceededError, EGraph
+from mbaobf.egraph import CapacityExceededError, EGraph, ENode
 from mbaobf.expansion import (ExpansionConfig, OutputTooLargeError,
                               StopReason, UnextractableError, expand,
                               extract_max, extract_min)
@@ -54,17 +55,17 @@ class TestExtractMax:
         g = EGraph()
         root = g.add_expr(parse("x"))
         g.rebuild()
-        assert to_text(extract_max(g, root, 1)) == "x"
+        assert to_text(extract_max(g, root, 1, 10_000)) == "x"
 
     def test_addor_graph_round_two(self):
         g, root = addor_graph()
-        out = extract_max(g, root, 2)
+        out = extract_max(g, root, 2, 10_000)
         assert to_text(out) == "((x | y) + (x & y))"
         assert expr_size(out) == 7
 
     def test_round_one_only_reaches_original(self):
         g, root = addor_graph()
-        out = extract_max(g, root, 1)
+        out = extract_max(g, root, 1, 10_000)
         assert to_text(out) == "(x + y)"
         assert expr_size(out) == 3
 
@@ -73,7 +74,7 @@ class TestExtractMax:
         g, root = addor_graph()
         best = max(expr_size(t) for t in enumerate_terms(g, root, 2))
         assert best == 7
-        assert expr_size(extract_max(g, root, 2)) == best
+        assert expr_size(extract_max(g, root, 2, 10_000)) == best
 
     def test_monotone_in_rounds(self):
         g, root = addor_graph()
@@ -93,7 +94,7 @@ class TestExtractMax:
         root = g.add_expr(parse("(x + y) + z"))
         g.rebuild()
         with pytest.raises(UnextractableError):
-            extract_max(g, root, 1)
+            extract_max(g, root, 1, 10_000)
 
     def test_deterministic(self):
         outs = set()
@@ -106,8 +107,8 @@ class TestExtractMax:
         g, root = addor_graph()
         for rounds in (0, MAX_DEPTH + 1):
             with pytest.raises(ValueError):
-                extract_max(g, root, rounds)
-        assert expr_size(extract_max(g, root, MAX_DEPTH)) == 7
+                extract_max(g, root, rounds, 10_000)
+        assert expr_size(extract_max(g, root, MAX_DEPTH, 10_000)) == 7
 
     def test_output_shares_subterms(self):
         g = EGraph()
@@ -156,12 +157,170 @@ class TestExtractMin:
         finally:
             gc.enable()
 
+    def test_smallest_term_deeper_than_bound_unextractable(self):
+        g = EGraph()
+        root = g.add(ENode("var", "x", ()))
+        for _ in range(MAX_DEPTH + 1):
+            root = g.add(ENode("neg", None, (root,)))
+        g.rebuild()
+        with pytest.raises(UnextractableError):
+            extract_min(g, root)
+
     def test_min_never_exceeds_max(self):
         g, root = addor_graph()
         for cid in g.class_ids():
             mn = expr_size(extract_min(g, cid))
             mx = expr_size(extract_max(g, cid, 4, max_nodes=300))
             assert mn <= mx
+
+
+def reference_extract_max(g, root, rounds, max_nodes):
+    """The extractor as it was before its two loops became one: one full
+    table per round, each entry ``(cost, node, round)``."""
+    root = g.find(root)
+    class_nodes = {cid: sorted(g.nodes_of(cid), key=ENode.sort_key)
+                   for cid in g.class_ids()}
+    base = {}
+    for cid, nodes in class_nodes.items():
+        for n in nodes:
+            if n.is_leaf():
+                base[cid] = (1, n, 0)
+                break
+    tables = [base]
+    prev = base
+    for r in range(1, rounds + 1):
+        cur = {}
+        any_change = False
+        for cid, nodes in class_nodes.items():
+            best = None
+            for n in nodes:
+                total = 1
+                defined = True
+                for child in n.children:
+                    entry = prev.get(child)
+                    if entry is None:
+                        defined = False
+                        break
+                    total += entry[0]
+                if not defined or total > max_nodes:
+                    continue
+                if best is None or total > best[0]:
+                    best = (total, n, r)
+            carried = prev.get(cid)
+            if carried is not None and (best is None or best[0] <= carried[0]):
+                best = carried
+            if best is not None:
+                cur[cid] = best
+                if best is not carried:
+                    any_change = True
+        tables.append(cur)
+        prev = cur
+        if not any_change:
+            break
+
+    def build(cid, r):
+        entry = tables[min(r, len(tables) - 1)].get(cid)
+        if entry is None:
+            raise UnextractableError(cid)
+        _, node, rc = entry
+        return g.expr_of_node(node, tuple(build(c, rc - 1)
+                                          for c in node.children))
+
+    return build(root, rounds)
+
+
+def reference_extract_min(g, root):
+    """The minimizing extractor as it was before its two loops became one:
+    an in-place fixpoint over ``cid -> (cost, node)``."""
+    class_nodes = {cid: sorted(g.nodes_of(cid), key=ENode.sort_key)
+                   for cid in g.class_ids()}
+    costs = {}
+    changed = True
+    while changed:
+        changed = False
+        for cid, nodes in class_nodes.items():
+            for n in nodes:
+                if all(c in costs for c in n.children):
+                    total = 1 + sum(costs[c][0] for c in n.children)
+                    cur = costs.get(cid)
+                    if cur is None or total < cur[0]:
+                        costs[cid] = (total, n)
+                        changed = True
+    root = g.find(root)
+    if root not in costs:
+        raise UnextractableError(root)
+
+    def build(cid):
+        _, n = costs[cid]
+        return g.expr_of_node(n, tuple(build(c) for c in n.children))
+
+    return build(root)
+
+
+def grown_graph(e, node_limit):
+    """``e``'s e-graph grown by the shipped rules until it holds at least
+    ``node_limit`` nodes or saturates."""
+    rules = load_default_rules()
+    g = EGraph()
+    root = g.add_expr(e)
+    g.rebuild()
+    while g.node_count() < node_limit:
+        before = g.node_count()
+        for rule in rules:
+            for m in ematch(g, rule.lhs):
+                if g.node_count() >= node_limit:
+                    break
+                apply_match(g, rule, m)
+        g.rebuild()
+        if g.node_count() == before:
+            break
+    return g, root
+
+
+class TestAgainstReference:
+    ROUNDS = (1, 2, 6, 64, MAX_DEPTH)
+    CAPS = (50, 2000, 10_000)
+
+    @pytest.fixture(scope="class")
+    def graphs(self):
+        rng = random.Random(0x5EED)
+        out = []
+        for node_limit in (100, 400, 900, 1500):
+            e = random_expr(rng, rng.randint(1, 9))
+            out.append(grown_graph(e, node_limit))
+        return out
+
+    @staticmethod
+    def outcome(extract, *args):
+        try:
+            return to_text(extract(*args))
+        except UnextractableError as exc:
+            return ("unextractable", exc.cid)
+
+    def test_extract_max_matches_reference(self, graphs):
+        for g, root in graphs:
+            for rounds in self.ROUNDS:
+                for cap in self.CAPS:
+                    assert (self.outcome(extract_max, g, root, rounds, cap)
+                            == self.outcome(reference_extract_max, g, root,
+                                            rounds, cap))
+
+    def test_extract_max_unextractable_like_reference(self):
+        g = EGraph()
+        root = g.add_expr(parse("(x + y) + z"))
+        g.rebuild()
+        for rounds, cap in ((1, 10_000), (2, 4)):
+            assert (self.outcome(extract_max, g, root, rounds, cap)
+                    == self.outcome(reference_extract_max, g, root, rounds,
+                                    cap)
+                    == ("unextractable", g.find(root)))
+
+    def test_extract_min_sizes_match_reference(self, graphs):
+        # every class of the two smaller graphs; each call runs a whole DP
+        for g, _ in graphs[:2]:
+            for cid in g.class_ids():
+                assert (expr_size(extract_min(g, cid))
+                        == expr_size(reference_extract_min(g, cid)))
 
 
 class TestExpand:

@@ -4,7 +4,7 @@ import pytest
 
 from mbaobf.expr import evaluate, free_vars, parse
 from mbaobf.rules import load_default_rules, parse_rules
-from mbaobf.verify import (TooManyCasesError, check_equivalence,
+from mbaobf.verify import (CheckResult, TooManyCasesError, check_equivalence,
                            check_rule, check_rule_random, check_rules,
                            _eval_vec)
 
@@ -44,6 +44,10 @@ class TestCheckRule:
     def test_variable_free_rule(self):
         assert check_rule(rule("1 + 1 => 2"), 8).passed
         assert not check_rule(rule("1 + 1 => 3"), 8).passed
+        assert check_rule_random(rule("1 + 1 => 2"), 64, 100) \
+            == CheckResult(True, None, 1)
+        assert check_rule_random(rule("1 + 1 => 3"), 64, 100) \
+            == CheckResult(False, ({}, 2, 3), 1)
 
     def test_feasibility_guard(self):
         with pytest.raises(TooManyCasesError):
