@@ -36,11 +36,13 @@ from typing import Callable, Optional, Union
 VALID_BITWIDTHS = (4, 8, 16, 32, 64)
 DEFAULT_BITWIDTH = 64
 
-# Deepest tree parse accepts.  The recursive consumers of a tree (to_text,
-# evaluate, the numpy evaluator, EGraph.add_expr) take at most two levels
+# Deepest tree parse accepts.  The recursive consumers of a tree (evaluate,
+# EGraph.add_expr and the extractors' _reconstruct) take at most two levels
 # of the interpreter's recursion limit (default 1000) per tree level, and
 # structural ``==`` of two trees four, so all fit at this depth.  Both
-# extractors build terms at most this deep, extract_min included.
+# extractors build terms at most this deep, extract_min included.  Every
+# other walker (to_text, free_vars, expr_size, measure, the numpy
+# evaluator) is iterative and takes any depth.
 MAX_DEPTH = 200
 
 
@@ -292,15 +294,72 @@ def parse_pattern_text(text: str, patvar_factory: Callable[[str], object]):
 # ---------------------------------------------------------------------------
 
 
+def _subterms(e) -> tuple[list, dict]:
+    """The distinct subterms of ``e`` by identity, children before parents,
+    and how many parent references each has, keyed by ``id`` (the root
+    counts 1).
+
+    An iterative depth-first walk that expands each shared subterm once, so
+    its cost follows the distinct subterms of an extracted DAG, not its
+    tree size.  The count dict's keys come in the order in which a stack
+    walk of the tree (pre-order, rightmost child first) first meets each
+    subterm.  ``e`` may be a rule pattern: any leaf that is not an ``Op``
+    is a leaf here.
+    """
+    refs: dict = {}
+    order: list = []
+    stack: list = [e]
+    while stack:
+        node = stack.pop()
+        if type(node) is tuple:  # (op,): its children are all in order
+            order.append(node[0])
+            continue
+        key = id(node)
+        if key in refs:
+            refs[key] += 1
+            continue
+        refs[key] = 1
+        if isinstance(node, Op):
+            stack.append((node,))
+            stack.extend(node.args)
+        else:
+            order.append(node)
+    return order, refs
+
+
+def _fold(e, leaf: Callable, combine: Callable):
+    """Bottom-up value of ``e``: ``leaf(node)`` at a leaf and
+    ``combine(node, *child values)`` at an ``Op``, once per distinct
+    subterm.  A value is dropped as soon as its last parent has read it."""
+    order, refs = _subterms(e)
+    values: dict = {}
+
+    def take(child):
+        key = id(child)
+        refs[key] -= 1
+        return values[key] if refs[key] else values.pop(key)
+
+    for node in order:
+        if isinstance(node, Op):
+            values[id(node)] = combine(node, *[take(a) for a in node.args])
+        else:
+            values[id(node)] = leaf(node)
+    return values[id(e)]
+
+
+def _leaf_text(node) -> str:
+    return node.name if isinstance(node, Var) else str(node.value)
+
+
+def _op_text(node: Op, *args: str) -> str:
+    if len(args) == 1:
+        return f"({node.op.symbol} {args[0]})"
+    return f"({args[0]} {node.op.symbol} {args[1]})"
+
+
 def to_text(e: Expression) -> str:
     """Fully parenthesized canonical form; ``parse(to_text(e)) == e``."""
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Const):
-        return str(e.value)
-    if e.op.arity == 1:
-        return f"({e.op.symbol} {to_text(e.args[0])})"
-    return f"({to_text(e.args[0])} {e.op.symbol} {to_text(e.args[1])})"
+    return _fold(e, _leaf_text, _op_text)
 
 
 def evaluate(e: Expression, env: dict, bits: int = DEFAULT_BITWIDTH) -> int:
@@ -325,24 +384,9 @@ def evaluate(e: Expression, env: dict, bits: int = DEFAULT_BITWIDTH) -> int:
 
 def free_vars(e: Expression) -> set:
     """The set of distinct variable names occurring in ``e``."""
-    out: set = set()
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Var):
-            out.add(node.name)
-        elif isinstance(node, Op):
-            stack.extend(node.args)
-    return out
+    return {node.name for node in _subterms(e)[0] if isinstance(node, Var)}
 
 
 def expr_size(e: Expression) -> int:
-    """Total node count of the tree."""
-    count = 0
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        count += 1
-        if isinstance(node, Op):
-            stack.extend(node.args)
-    return count
+    """Total node count of the tree, shared subterms counted per occurrence."""
+    return _fold(e, lambda node: 1, lambda node, *sizes: 1 + sum(sizes))

@@ -14,7 +14,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, fields
 
-from .expr import Const, Expression, Op, Var
+from .expr import Const, Expression, Op, Var, _subterms
 
 
 @dataclass(frozen=True)
@@ -55,33 +55,42 @@ def _entropy(counter: Counter) -> float:
 
 
 def measure(e: Expression) -> MetricsReport:
-    """Compute all metrics in one traversal.
+    """Compute all metrics of the tree ``e`` in one pass over its distinct
+    subterms, each weighted by how often it occurs in the tree.
 
     Node labels for the entropy distributions: operator names (unary and
     binary minus are distinct), variable names, and constant values, with
-    equal constants sharing a label.
+    equal constants sharing a label.  Labels enter the distributions in the
+    order a stack walk of the tree first meets them, so the entropy sums
+    add the same terms in the same order as that walk would.
     """
+    order, refs = _subterms(e)
+    occurs = dict.fromkeys(refs, 0)  # in the tree walk's first-meeting order
+    occurs[id(e)] = 1
+    for node in reversed(order):  # parents before children
+        if isinstance(node, Op):
+            for child in node.args:
+                occurs[id(child)] += occurs[id(node)]
+    by_id = {id(node): node for node in order}
     var_count = const_count = op_count = alternation = 0
     tokens: Counter = Counter()
     leaves: Counter = Counter()
-    stack = [e]
-    while stack:
-        node = stack.pop()
+    for key, n in occurs.items():
+        node = by_id[key]
         if isinstance(node, Var):
-            var_count += 1
-            tokens[("var", node.name)] += 1
-            leaves[("var", node.name)] += 1
+            var_count += n
+            tokens[("var", node.name)] += n
+            leaves[("var", node.name)] += n
         elif isinstance(node, Const):
-            const_count += 1
-            tokens[("const", node.value)] += 1
-            leaves[("const", node.value)] += 1
+            const_count += n
+            tokens[("const", node.value)] += n
+            leaves[("const", node.value)] += n
         else:
-            op_count += 1
-            tokens[("op", node.op.name)] += 1
+            op_count += n
+            tokens[("op", node.op.name)] += n
             for child in node.args:
                 if isinstance(child, Op) and child.op.category != node.op.category:
-                    alternation += 1
-                stack.append(child)
+                    alternation += n
     return MetricsReport(
         ast_size=var_count + const_count + op_count,
         var_count=var_count,

@@ -9,7 +9,11 @@ widths plain evaluation is decisive and fast.
 Evaluation here is vectorized with numpy over all assignments at once.  It
 applies the same per-operator functions as the scalar
 :func:`mbaobf.expr.evaluate`, taken from the operator table
-:data:`mbaobf.expr.OPERATORS`, which alone defines the semantics.
+:data:`mbaobf.expr.OPERATORS`, which alone defines the semantics.  It
+evaluates each distinct subterm of a shared DAG once, by object identity,
+and frees each intermediate array after its last parent has read it, so an
+extracted output costs its distinct subterms (under a hundred), not its
+tree nodes (~8k).
 
 :func:`check_rules` is the one rule-admission check: ``check-rules``,
 ``obfuscate`` and ``bench`` all render its results.
@@ -22,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .expr import Const, Expression, Op, free_vars, mask_of
+from .expr import Const, Expression, _fold, free_vars, mask_of
 from .rules import Rule, pattern_vars
 
 EXHAUSTIVE_CASE_LIMIT = 1 << 24
@@ -54,20 +58,22 @@ class CheckResult:
 
 
 def _eval_vec(node, env: dict, bits: int) -> np.ndarray:
-    """Evaluate an expression or pattern over per-variable value arrays."""
+    """Evaluate an expression or pattern over per-variable value arrays.
+
+    Each distinct subterm is evaluated once, and its array is freed as soon
+    as its last parent has read it.
+    """
     dtype = _DTYPES[bits]
     m = dtype(mask_of(bits))
     width = len(next(iter(env.values()))) if env else 1
 
-    def value(node) -> np.ndarray:
-        if isinstance(node, Op):
-            return node.op.fn(*map(value, node.args), m)
+    def leaf(node) -> np.ndarray:
         if isinstance(node, Const):
             return np.full(width, node.value & int(m), dtype=dtype)
         return env[node.name]  # a Var or a PatVar
 
     with np.errstate(over="ignore"):
-        return value(node)
+        return _fold(node, leaf, lambda op, *args: op.op.fn(*args, m))
 
 
 def _exhaustive_env(names: list, bits: int) -> dict:

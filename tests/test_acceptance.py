@@ -58,18 +58,22 @@ def test_criterion_2_end_to_end_equivalence():
     cfg = ExpansionConfig(node_limit=3000, iter_limit=2, time_limit=2.0)
     rules = load_default_rules()
     failures = []
+    exhaustive = 0
     for line in corpus_lines():
         e = parse(line)
         report = expand(e, rules, cfg)
-        if len(free_vars(e)) <= 2:
-            res = check_equivalence(e, report.output, 8)
-        else:
-            res = check_equivalence(e, report.output, 64, trials=1000, seed=0)
-        if not res.passed:
-            failures.append((line, res.counterexample))
-    verdict(2, not failures,
-            f"100/100 corpus outputs equivalent (exhaustive@8 for <=2 vars, "
-            f"1e3 random@64 otherwise); failures={failures}")
+        checks = [check_equivalence(e, report.output, 8)]
+        if len(free_vars(e)) > 2:
+            checks.append(check_equivalence(e, report.output, 64,
+                                            trials=1000, seed=0))
+        for res in checks:
+            if not res.passed:
+                failures.append((line, res.counterexample))
+        exhaustive += checks[0].cases_checked == 1 << 8 * len(free_vars(e))
+    verdict(2, not failures and exhaustive == 100,
+            f"100/100 corpus outputs equivalent (exhaustive@8 on "
+            f"{exhaustive}/100 lines, plus 1e3 random@64 for 3 vars); "
+            f"failures={failures}")
 
 
 def test_criterion_3_complexity_growth():
