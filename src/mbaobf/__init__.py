@@ -23,7 +23,7 @@ from .expr import (Const, Expression, Op, Operator, ParseError,
                    parse, to_text)
 from .metrics import AggregateReport, EmptyCorpusError, MetricsReport, \
     aggregate, aggregate_csv, measure
-from .rules import (Match, PatVar, Rule, RuleSyntaxError, UnboundRhsVarError,
+from .rules import (PatVar, Rule, RuleSyntaxError, UnboundRhsVarError,
                     apply_match, default_rules_text, ematch,
                     load_default_rules, parse_rules)
 from .verify import (CheckResult, TooManyCasesError, check_equivalence,
@@ -34,7 +34,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AggregateReport", "CapacityExceededError", "CheckResult", "Const",
     "EGraph", "ENode", "EmptyCorpusError", "ExpansionConfig",
-    "ExpansionReport", "Expression", "InvalidIdError", "Match",
+    "ExpansionReport", "Expression", "InvalidIdError",
     "MetricsReport", "Op", "Operator", "OutputTooLargeError", "ParseError",
     "PatVar", "Rule", "RuleSyntaxError", "StopReason", "TooManyCasesError",
     "UnboundRhsVarError", "UnboundVariableError", "UnextractableError",

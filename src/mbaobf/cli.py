@@ -5,10 +5,11 @@ The engine flags take their defaults and range checks from
 line on stderr and no traceback: 0 success (including the no-op case
 where nothing matched), 2 input error (bad expression, including one
 nested deeper than ``expr.MAX_DEPTH`` operators; a flag value out of
-range, such as ``--rounds`` above ``MAX_DEPTH`` or ``--trials 0``; bad or
-unsound rule file; a rule file or corpus that is not UTF-8; empty corpus;
-an output path that cannot be written), 3 resource error (output size
-cap; an input whose own e-graph holds more nodes than ``--node-limit``).
+range, such as ``--rounds`` above ``MAX_DEPTH``, ``--trials 0`` or a
+negative ``--seed``; bad or unsound rule file; a rule file or corpus that
+is not UTF-8; empty corpus; an output path that cannot be written), 3
+resource error (output size cap; an input whose own e-graph holds more
+nodes than ``--node-limit``).
 A --selfcheck counterexample exits 1, since it can only mean an engine
 bug.
 
@@ -320,6 +321,9 @@ def main(argv: Optional[list] = None) -> int:
         "metrics": run_metrics,
     }
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise _Fail(f"error: --seed must be non-negative, got "
+                        f"{args.seed}")
         return handlers[args.command](args)
     except _Fail as exc:
         print(exc, file=sys.stderr)

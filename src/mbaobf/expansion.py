@@ -265,7 +265,7 @@ def expand(e: Expression, rules: list, cfg: Optional[ExpansionConfig] = None,
         index = _label_index(g)
         matches = []  # frees the last round's matches before matching
         for rule in rules:
-            for m in ematch(g, rule.lhs, index):
+            for m in ematch(g, rule, index):
                 matches.append((rule, m))
         del index  # frees it before the graph grows and the next is built
         changed = False

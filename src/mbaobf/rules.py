@@ -12,7 +12,8 @@ Rule file format, one rule per line::
     name : LHS <=> RHS     bidirectional (expands into two directed rules)
 
 Pattern variables on the right-hand side must also occur on the left; a
-rule may not invent unbound terms.
+rule may not invent unbound terms.  :class:`Rule` enforces this when it is
+made, so a hand-built rule is held to it as well as a parsed one.
 """
 
 from __future__ import annotations
@@ -36,33 +37,37 @@ Pattern = object
 
 @dataclass(frozen=True)
 class Rule:
-    """A directed rewrite ``lhs => rhs``, its right-hand side compiled once,
-    when the rule is made: ``steps`` builds it bottom-up for the dry run and
-    for instantiation; ``bound``, its non-variable node count, is the most
-    a dry run can report."""
+    """A directed rewrite ``lhs => rhs``, both sides compiled once, when the
+    rule is made: ``program`` matches the left side; ``steps`` builds the
+    right side bottom-up for the dry run and for instantiation, reading each
+    variable from its slot in ``program.names``; ``bound``, the right
+    side's non-variable node count, is the most a dry run can report.  A
+    right-side variable that is not on the left raises
+    :class:`UnboundRhsVarError`."""
 
     name: str
     lhs: Pattern
     rhs: Pattern
     bidirectional: bool = False
+    program: _Program = field(init=False, compare=False, repr=False)
     steps: tuple = field(init=False, compare=False, repr=False)
     bound: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        program = _compile(self.lhs)
+        slots = {name: i for i, name in enumerate(program.names)}
         steps: list = []
         _post_order(self.rhs, steps)
-        object.__setattr__(self, "steps", tuple(steps))
+        missing = ({arg for kind, arg in steps if kind == _STEP_VAR}
+                   - set(slots))
+        if missing:
+            raise UnboundRhsVarError(self.name, min(missing))
+        object.__setattr__(self, "program", program)
+        object.__setattr__(self, "steps", tuple(
+            (kind, slots[arg] if kind == _STEP_VAR else arg)
+            for kind, arg in steps))
         object.__setattr__(self, "bound",
                            sum(kind != _STEP_VAR for kind, _ in steps))
-
-
-@dataclass
-class Match:
-    """One way a rule's LHS embeds into the graph: the class it matched at
-    plus the pattern-variable bindings (canonical at match time)."""
-
-    root: int
-    subst: dict  # pattern var name -> EClassId
 
 
 class RuleSyntaxError(Exception):
@@ -78,18 +83,6 @@ class UnboundRhsVarError(Exception):
         self.var = var
         super().__init__(f"rule {rule!r}: right-hand side variable ?{var} "
                          f"does not occur on the left-hand side")
-
-
-def pattern_vars(p: Pattern) -> set:
-    out: set = set()
-    stack = [p]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, PatVar):
-            out.add(node.name)
-        elif isinstance(node, Op):
-            stack.extend(node.args)
-    return out
 
 
 def parse_rules(text: str) -> list[Rule]:
@@ -125,9 +118,6 @@ def parse_rules(text: str) -> list[Rule]:
         for rname, rl, rr in directed:
             if rname in names:
                 raise RuleSyntaxError(lineno, f"duplicate rule name {rname!r}")
-            missing = pattern_vars(rr) - pattern_vars(rl)
-            if missing:
-                raise UnboundRhsVarError(rname, sorted(missing)[0])
             names.add(rname)
             rules.append(Rule(rname, rl, rr, bidirectional))
     return rules
@@ -154,7 +144,7 @@ _SAME = 1  # argument: another register; a repeated pattern variable
 _LEAF = 2  # argument: index into leaves; the class of a concrete leaf
 
 # Right-hand-side steps ``(kind, argument)`` in post-order.
-_STEP_VAR = 0  # argument: pattern variable name
+_STEP_VAR = 0  # argument: the variable's slot in the LHS program's names
 _STEP_LEAF = 1  # argument: (label, payload), the constant not yet masked
 _STEP_OP = 2  # argument: (label, arity)
 
@@ -252,26 +242,27 @@ def _run(ops: tuple, pc: int, regs: list, index: dict, leaf_ids: list,
     out.append(tuple([regs[r] for r in var_regs]))
 
 
-def ematch(g: EGraph, p: Pattern, index: Optional[dict] = None) -> list[Match]:
-    """All matches of ``p`` anywhere in the rebuilt graph.
+def ematch(g: EGraph, rule: Rule, index: Optional[dict] = None) -> list:
+    """All matches of ``rule``'s left-hand side anywhere in the rebuilt
+    graph, each a ``(root, bindings)`` tuple: the class matched at and the
+    class bound to each of ``rule.program.names``, canonical at match time.
 
     ``index`` is the graph's :func:`_label_index`, built here when None.
     Complete with respect to brute-force instantiation; duplicates are
-    collapsed and the result is ordered by root id, then by the bindings
-    sorted by variable name, so match lists are deterministic.
+    collapsed and the result is ordered by root id, then by bindings, so
+    match lists are deterministic.
     """
     if index is None:
         index = _label_index(g)
-    prog = _compile(p)
+    prog = rule.program
     mask = (1 << g.bits) - 1
     leaf_ids = [g.lookup_canonical(_leaf_key(leaf, mask))
                 for leaf in prog.leaves]
     if None in leaf_ids:
         return []  # a concrete leaf of the pattern is not in the graph
-    ops, names, var_regs = prog.ops, prog.names, prog.var_regs
-    root_label = prog.root_label
+    ops, var_regs, root_label = prog.ops, prog.var_regs, prog.root_label
     regs = [0] * prog.n_regs
-    out: list[Match] = []
+    out: list = []
     for cid, by_label in index.items():
         if root_label is not None and root_label not in by_label:
             continue
@@ -280,8 +271,8 @@ def ematch(g: EGraph, p: Pattern, index: Optional[dict] = None) -> list[Match]:
         _run(ops, 0, regs, index, leaf_ids, var_regs, found)
         if len(found) > 1:
             found = sorted(set(found))
-        for values in found:
-            out.append(Match(cid, dict(zip(names, values))))
+        for bindings in found:
+            out.append((cid, bindings))
     return out
 
 
@@ -290,12 +281,12 @@ def ematch(g: EGraph, p: Pattern, index: Optional[dict] = None) -> list[Match]:
 # ---------------------------------------------------------------------------
 
 
-def _instantiate(g: EGraph, rule: Rule, subst: dict) -> int:
+def _instantiate(g: EGraph, rule: Rule, bindings: tuple) -> int:
     mask = (1 << g.bits) - 1
     stack: list = []
     for kind, arg in rule.steps:
         if kind == _STEP_VAR:
-            stack.append(g.find(subst[arg]))
+            stack.append(g.find(bindings[arg]))
         elif kind == _STEP_LEAF:
             stack.append(g.add_canonical(_leaf_key(arg, mask)))
         else:
@@ -306,9 +297,10 @@ def _instantiate(g: EGraph, rule: Rule, subst: dict) -> int:
     return stack[0]
 
 
-def count_new_nodes(g: EGraph, rule: Rule, m: Match,
+def count_new_nodes(g: EGraph, rule: Rule, m: tuple,
                     limit: Optional[int] = None) -> int:
-    """Upper bound on nodes :func:`apply_match` would add for this match.
+    """Upper bound on nodes :func:`apply_match` would add for the match
+    ``m``, a ``(root, bindings)`` tuple from :func:`ematch` for ``rule``.
 
     A dry run against the hashcons: a node whose children all resolve to
     existing classes and that is itself present costs nothing; anything
@@ -321,11 +313,12 @@ def count_new_nodes(g: EGraph, rule: Rule, m: Match,
     """
     mask = (1 << g.bits) - 1
     lookup = g.lookup_canonical
+    bindings = m[1]
     stack: list = []
     count = 0
     for kind, arg in rule.steps:
         if kind == _STEP_VAR:
-            stack.append(g.find(m.subst[arg]))
+            stack.append(g.find(bindings[arg]))
             continue
         if kind == _STEP_LEAF:
             cid = lookup(_leaf_key(arg, mask))
@@ -343,13 +336,15 @@ def count_new_nodes(g: EGraph, rule: Rule, m: Match,
     return count
 
 
-def apply_match(g: EGraph, rule: Rule, m: Match) -> bool:
-    """Union the instantiated RHS into the matched class.
+def apply_match(g: EGraph, rule: Rule, m: tuple) -> bool:
+    """Union the instantiated RHS into the matched class; ``m`` is a
+    ``(root, bindings)`` tuple from :func:`ematch` for ``rule``.
 
     Returns whether the graph changed (new nodes or a merge).  The caller
     must rebuild before the next matching round.
     """
+    root, bindings = m
     before = g.node_count()
-    rhs_id = _instantiate(g, rule, m.subst)
-    _, merged = g.union(g.find(m.root), rhs_id)
+    rhs_id = _instantiate(g, rule, bindings)
+    _, merged = g.union(g.find(root), rhs_id)
     return merged or g.node_count() != before

@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .expr import Const, Expression, _fold, free_vars, mask_of
-from .rules import Rule, pattern_vars
+from .rules import Rule
 
 EXHAUSTIVE_CASE_LIMIT = 1 << 24
 
@@ -98,15 +98,9 @@ def _random_env(names: list, bits: int, trials: int, seed: int) -> dict:
 def _compare(lhs, rhs, names: list, env: dict, bits: int) -> CheckResult:
     lv = _eval_vec(lhs, env, bits)
     rv = _eval_vec(rhs, env, bits)
-    if not env:
-        lv, rv = np.atleast_1d(lv), np.atleast_1d(rv)
-        if int(lv[0]) == int(rv[0]):
-            return CheckResult(True, None, 1)
-        return CheckResult(False, ({}, int(lv[0]), int(rv[0])), 1)
     neq = lv != rv
-    total = len(next(iter(env.values())))
     if not neq.any():
-        return CheckResult(True, None, total)
+        return CheckResult(True, None, len(lv))
     idx = int(np.argmax(neq))
     cex_env = {name: int(env[name][idx]) for name in names}
     return CheckResult(False, (cex_env, int(lv[idx]), int(rv[idx])), idx + 1)
@@ -120,7 +114,7 @@ def check_rule(rule: Rule, bits: int) -> CheckResult:
     space exceeds the feasibility limit (fall back to
     :func:`check_rule_random`).
     """
-    names = sorted(pattern_vars(rule.lhs) | pattern_vars(rule.rhs))
+    names = rule.program.names  # every RHS variable is on the left
     cases = (1 << bits) ** len(names)
     if cases > EXHAUSTIVE_CASE_LIMIT:
         raise TooManyCasesError(cases)
@@ -131,7 +125,7 @@ def check_rule(rule: Rule, bits: int) -> CheckResult:
 def check_rule_random(rule: Rule, bits: int, trials: int,
                       seed: int = 0) -> CheckResult:
     """Randomized soundness check: ``trials`` seeded assignments."""
-    names = sorted(pattern_vars(rule.lhs) | pattern_vars(rule.rhs))
+    names = rule.program.names  # every RHS variable is on the left
     env = _random_env(names, bits, trials, seed)
     return _compare(rule.lhs, rule.rhs, names, env, bits)
 

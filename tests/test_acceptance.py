@@ -119,7 +119,7 @@ def test_criterion_5_figure_shape():
     root = g2.add_expr(parse("y * 1"))
     g2.rebuild()
     (mulid,) = parse_rules("mulid : ?y * 1 => ?y")
-    (m,) = ematch(g2, mulid.lhs)
+    (m,) = ematch(g2, mulid)
     apply_match(g2, mulid, m)
     g2.rebuild()
     y = g2.add_expr(parse("y"))
@@ -203,7 +203,7 @@ def test_criterion_8_invariant_stress():
                 oracle.union(a, b)
             elif roots:
                 rule = rng.choice(rules)
-                matches = ematch(g, rule.lhs)
+                matches = ematch(g, rule)
                 for m in matches[:3]:
                     if g.node_count() + count_new_nodes(g, rule, m) <= 200:
                         apply_match(g, rule, m)

@@ -385,11 +385,28 @@ class TestNoTraceback:
 
     @pytest.mark.parametrize("flags", [
         ["--rounds", "3000"], ["--rounds", "0"], ["--node-limit", "0"],
-        ["--node-limit", "-5"], ["--time-limit-ms", "0"]],
+        ["--node-limit", "-5"], ["--time-limit-ms", "0"], ["--seed", "-1"]],
         ids=lambda flags: " ".join(flags))
     def test_flag_out_of_range(self, flags):
         self.assert_one_error_line(
             run_cli("obfuscate", "-e", "x", "--selfcheck", *flags))
+
+    @pytest.mark.parametrize("command", [
+        ["obfuscate", "-e", "x", "--no-check", "--selfcheck"],
+        ["bench", "-f", "{corpus}", "-o", "{out}"],
+        ["check-rules", "{rules}"]],
+        ids=["obfuscate-no-check", "bench", "check-rules"])
+    def test_negative_seed(self, tmp_path, command):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("x + y\n")
+        rules = tmp_path / "r.rules"
+        rules.write_text("addor : ?a + ?b => (?a | ?b) + (?a & ?b)\n")
+        args = [a.format(corpus=corpus, rules=rules, out=tmp_path / "out")
+                for a in command]
+        proc = run_cli(*args, "--seed", "-1")
+        self.assert_one_error_line(proc)
+        assert "--seed" in proc.stderr
+        assert not (tmp_path / "out.jsonl").exists()
 
     @pytest.mark.parametrize("command", ["obfuscate", "bench"])
     def test_unwritable_output(self, tmp_path, command):

@@ -27,7 +27,7 @@ def addor_graph():
     g = EGraph()
     root = g.add_expr(parse("x + y"))
     g.rebuild()
-    (m,) = ematch(g, ADDOR[0].lhs)
+    (m,) = ematch(g, ADDOR[0])
     apply_match(g, ADDOR[0], m)
     g.rebuild()
     return g, root
@@ -115,7 +115,7 @@ class TestExtractMax:
         root = g.add_expr(parse("x + y"))
         g.rebuild()
         for rule in load_default_rules():  # one round: ~330 nodes
-            for m in ematch(g, rule.lhs):
+            for m in ematch(g, rule):
                 apply_match(g, rule, m)
         g.rebuild()
         out = extract_max(g, root, 16, max_nodes=5000)
@@ -142,7 +142,7 @@ class TestExtractMin:
         g = EGraph()
         root = g.add_expr(parse("y * 1"))
         g.rebuild()
-        (m,) = ematch(g, mulid.lhs)
+        (m,) = ematch(g, mulid)
         apply_match(g, mulid, m)
         g.rebuild()
         assert to_text(extract_min(g, root)) == "y"
@@ -267,7 +267,7 @@ def grown_graph(e, node_limit):
     while g.node_count() < node_limit:
         before = g.node_count()
         for rule in rules:
-            for m in ematch(g, rule.lhs):
+            for m in ematch(g, rule):
                 if g.node_count() >= node_limit:
                     break
                 apply_match(g, rule, m)

@@ -6,7 +6,7 @@ from mbaobf.egraph import EGraph
 from mbaobf.expr import Const, Op, Var, parse
 from mbaobf.rules import (PatVar, Rule, RuleSyntaxError, UnboundRhsVarError,
                           apply_match, count_new_nodes, ematch,
-                          load_default_rules, parse_rules, pattern_vars)
+                          load_default_rules, parse_rules)
 
 from conftest import random_expr
 
@@ -24,7 +24,7 @@ class TestParseRules:
         assert len(rules) == 1
         r = rules[0]
         assert r.name == "addor" and not r.bidirectional
-        assert pattern_vars(r.lhs) == {"a", "b"}
+        assert r.program.names == ("a", "b")
         assert r.lhs == Op(parse("x + y").op, (PatVar("a"), PatVar("b")))
 
     def test_bidirectional_expands_to_two(self):
@@ -37,6 +37,18 @@ class TestParseRules:
     def test_unbound_rhs_var(self):
         with pytest.raises(UnboundRhsVarError):
             parse_rules("bad : ?a => ?a + ?b")
+
+    def test_unbound_rhs_var_in_reversed_rule_only(self):
+        # the forward rule drops ?b, which is legal; its reversal invents it
+        with pytest.raises(UnboundRhsVarError) as exc:
+            parse_rules("bad : ?a * (?b & 0) <=> ?a * 0")
+        assert exc.value.rule == "bad-rev" and exc.value.var == "b"
+        assert "'bad-rev'" in str(exc.value)
+
+    def test_unbound_rhs_var_in_hand_built_rule(self):
+        with pytest.raises(UnboundRhsVarError) as exc:
+            Rule("r", PatVar("a"), PatVar("b"))
+        assert exc.value.rule == "r" and exc.value.var == "b"
 
     def test_comments_and_blanks_skipped(self):
         text = "# heading\n\naddor : ?a + ?b => (?a | ?b) + (?a & ?b)\n"
@@ -68,7 +80,7 @@ class TestParseRules:
         assert rule == twin and hash(rule) == hash(twin)
         assert rule == parse_rules("r : ?a => (?a + 1) + ?a")[0]
         g, _ = graph_of("x")
-        (m,) = ematch(g, rule.lhs)
+        (m,) = ematch(g, rule)
         assert count_new_nodes(g, rule, m) == 3
         assert apply_match(g, rule, m) and g.node_count() == 4
 
@@ -83,9 +95,15 @@ class TestParseRules:
 # ---------------------------------------------------------------------------
 
 
-def pat(text: str):
+def pat(text: str) -> Rule:
+    """An ad-hoc pattern as the rule ``p : text => text``."""
     (rule,) = parse_rules(f"p : {text} => {text}")
-    return rule.lhs
+    return rule
+
+
+def subst_of(rule: Rule, m) -> dict:
+    """A match's bindings keyed by pattern variable name."""
+    return dict(zip(rule.program.names, m[1]))
 
 
 def embeds(g, p, cid, subst) -> bool:
@@ -107,9 +125,10 @@ def embeds(g, p, cid, subst) -> bool:
     return False
 
 
-def brute_force_matches(g, p):
-    """Enumerate every (root, subst) by trying all class assignments."""
-    names = sorted(pattern_vars(p))
+def brute_force_matches(g, rule):
+    """Enumerate every (root, subst) of ``rule``'s left-hand side by trying
+    all class assignments."""
+    p, names = rule.lhs, rule.program.names
     classes = g.class_ids()
     out = set()
 
@@ -132,33 +151,34 @@ class TestEmatch:
     def test_single_match_with_bindings(self):
         g, (root,) = graph_of("x + y")
         x, y = g.add_expr(parse("x")), g.add_expr(parse("y"))
-        matches = ematch(g, pat("?a + ?b"))
+        rule = pat("?a + ?b")
+        matches = ematch(g, rule)
         assert len(matches) == 1
         m = matches[0]
-        assert m.root == root
-        assert m.subst == {"a": x, "b": y}
+        assert m[0] == root
+        assert subst_of(rule, m) == {"a": x, "b": y}
 
     def test_nonlinear_pattern_requires_same_class(self):
         g, _ = graph_of("x + y")
         assert ematch(g, pat("?a + ?a")) == []
         g2, (root,) = graph_of("x + x")
         matches = ematch(g2, pat("?a + ?a"))
-        assert [m.root for m in matches] == [root]
+        assert [m[0] for m in matches] == [root]
 
     def test_constant_leaf_matches_equal_value_only(self):
         g, (root,) = graph_of("y * 1")
-        assert [m.root for m in ematch(g, pat("?y * 1"))] == [root]
+        assert [m[0] for m in ematch(g, pat("?y * 1"))] == [root]
         assert ematch(g, pat("?y * 2")) == []
 
     def test_constant_leaf_respects_width(self):
         g, (root,) = graph_of("y * 1", bits=8)
         # 257 reduces to 1 at 8 bits, so the pattern still matches
-        assert [m.root for m in ematch(g, pat("?y * 257"))] == [root]
+        assert [m[0] for m in ematch(g, pat("?y * 257"))] == [root]
 
     def test_concrete_var_leaf(self):
         g, (root,) = graph_of("x + y")
         matches = ematch(g, pat("x + ?b"))
-        assert len(matches) == 1 and matches[0].root == root
+        assert len(matches) == 1 and matches[0][0] == root
         assert ematch(g, pat("z + ?b")) == []
 
     def test_bare_patvar_matches_every_class(self):
@@ -167,10 +187,11 @@ class TestEmatch:
 
     def test_deterministic_order(self):
         g, _ = graph_of("(x + y) + (z + w)")
-        a = ematch(g, pat("?a + ?b"))
-        b = ematch(g, pat("?a + ?b"))
-        assert [(m.root, m.subst) for m in a] == [(m.root, m.subst) for m in b]
-        roots = [m.root for m in a]
+        rule = pat("?a + ?b")
+        a = ematch(g, rule)
+        b = ematch(g, rule)
+        assert a == b
+        roots = [m[0] for m in a]
         assert roots == sorted(roots)
 
     def test_completeness_against_brute_force(self, rng):
@@ -192,7 +213,7 @@ class TestEmatch:
             if g.node_count() > 50:
                 continue
             for p in patterns:
-                got = [(m.root, tuple(sorted(m.subst.items())))
+                got = [(m[0], tuple(sorted(subst_of(p, m).items())))
                        for m in ematch(g, p)]
                 assert got == sorted(brute_force_matches(g, p))
 
@@ -201,7 +222,7 @@ class TestApplyMatch:
     def test_addor_adds_second_representation(self):
         (rule,) = parse_rules("addor : ?a + ?b => (?a | ?b) + (?a & ?b)")
         g, (root,) = graph_of("x + y")
-        (m,) = ematch(g, rule.lhs)
+        (m,) = ematch(g, rule)
         assert apply_match(g, rule, m) is True
         g.rebuild()
         labels = sorted(n.label for n in g.nodes_of(root))
@@ -212,7 +233,7 @@ class TestApplyMatch:
         (rule,) = parse_rules("mulid : ?y * 1 => ?y")
         g, (root,) = graph_of("y * 1")
         y = g.add_expr(parse("y"))
-        (m,) = ematch(g, rule.lhs)
+        (m,) = ematch(g, rule)
         apply_match(g, rule, m)
         g.rebuild()
         assert g.find(root) == g.find(y)
@@ -220,7 +241,7 @@ class TestApplyMatch:
     def test_reapplying_is_noop(self):
         (rule,) = parse_rules("addor : ?a + ?b => (?a | ?b) + (?a & ?b)")
         g, _ = graph_of("x + y")
-        (m,) = ematch(g, rule.lhs)
+        (m,) = ematch(g, rule)
         assert apply_match(g, rule, m) is True
         g.rebuild()
         assert apply_match(g, rule, m) is False
@@ -232,7 +253,7 @@ class TestApplyMatch:
             g.add_expr(random_expr(rng, rng.randint(3, 9), bits=8))
             g.rebuild()
             for rule in rules:
-                for m in ematch(g, rule.lhs):
+                for m in ematch(g, rule):
                     predicted = count_new_nodes(g, rule, m)
                     before = g.node_count()
                     apply_match(g, rule, m)
@@ -251,13 +272,13 @@ class TestApplyMatch:
             g.rebuild()
             # a partly grown graph, so that counts fall between 0 and bound
             for rule in rules:
-                for m in ematch(g, rule.lhs):
+                for m in ematch(g, rule):
                     if rng.random() < 0.3:
                         apply_match(g, rule, m)
             g.rebuild()
             for rule in rules:
                 bound = rule.bound
-                for m in ematch(g, rule.lhs):
+                for m in ematch(g, rule):
                     full = count_new_nodes(g, rule, m)
                     assert full <= bound
                     for k in range(-1, bound + 2):

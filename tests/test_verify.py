@@ -48,6 +48,12 @@ class TestCheckRule:
             == CheckResult(True, None, 1)
         assert check_rule_random(rule("1 + 1 => 3"), 64, 100) \
             == CheckResult(False, ({}, 2, 3), 1)
+        for bits in (8, 64):
+            seven = parse("3 + 4", bits)
+            assert check_equivalence(seven, parse("7", bits), bits) \
+                == CheckResult(True, None, 1)
+            assert check_equivalence(seven, parse("8", bits), bits) \
+                == CheckResult(False, ({}, 7, 8), 1)
 
     def test_feasibility_guard(self):
         with pytest.raises(TooManyCasesError):
