@@ -19,15 +19,18 @@ extractor therefore runs a round-indexed dynamic program:
   which keeps every defined cost (and hence the materialized output)
   within ``max_output_nodes`` even on cyclic graphs.
 
-Each class's history is stored as change points ``[(round, cost, node),
-...]``, one per round in which its cost rose.  Reconstruction descends
-through the round at which each chosen node's cost was computed, so the
-output is a finite tree of depth at most ``rounds`` whose size equals the
-root's cost.  ``rounds`` is at most :data:`mbaobf.expr.MAX_DEPTH`, the
-depth ``parse`` admits.  Each (class, round) is built once and shared
-wherever it recurs, like egg's ``RecExpr``.  Ties between equal-cost nodes
-break by the smallest node (label order, then child ids): runs are
-deterministic.
+Each round is one numpy sweep over every e-node of the graph, laid out as
+flat arrays (each node's class and child classes), against a float table
+of the previous round's class costs.  A class's history is its change
+points, one per round in which its cost rose; each round's changes are
+kept as arrays and sorted by (class, round) once the rounds are done.
+Reconstruction descends through the round at which each chosen node's
+cost was computed, so the output is a finite tree of depth at most
+``rounds`` whose size equals the root's cost.  ``rounds`` is at most
+:data:`mbaobf.expr.MAX_DEPTH`, the depth ``parse`` admits.  Each (class,
+round) is built once and shared wherever it recurs, like egg's
+``RecExpr``.  Ties between equal-cost nodes break by the smallest node
+(label order, then child ids): runs are deterministic.
 
 The minimizing :func:`extract_min` is the same program with the cost
 ``-size`` and ``MAX_DEPTH`` rounds: it finds the smallest term of depth at
@@ -41,14 +44,16 @@ exceeds it raises :class:`~mbaobf.egraph.CapacityExceededError`.
 from __future__ import annotations
 
 import time
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from operator import itemgetter
 from typing import Optional
 
+import numpy as np
+
 from .egraph import EGraph, ENode
-from .expr import DEFAULT_BITWIDTH, MAX_DEPTH, Expression, expr_size
+from .expr import (DEFAULT_BITWIDTH, MAX_DEPTH, OPERATORS, Expression,
+                   expr_size)
 from .metrics import MetricsReport, measure
 from .rules import _label_index, apply_match, count_new_nodes, ematch
 
@@ -78,13 +83,20 @@ class OutputTooLargeError(Exception):
                          f"configured limit of {limit}")
 
 
+# The largest ``max_output_nodes``: at this cap ``x + y`` already renders
+# to ~50 MB, and every cost the maximizing extractor compares (at most
+# twice the cap plus one) stays exact in its float table.
+MAX_OUTPUT_NODES = 2**24
+
+
 @dataclass(frozen=True)
 class ExpansionConfig:
     """Termination conditions and extraction knobs for one run, each
     defined and checked here.  ``node_limit`` is the e-graph's exact node
     cap; ``time_limit`` (seconds) and ``target_ast_size`` may be None, the
     other limits are required.  ``extraction_rounds`` lies in
-    ``[1, MAX_DEPTH]``.
+    ``[1, MAX_DEPTH]`` and ``max_output_nodes`` in
+    ``[1, MAX_OUTPUT_NODES]``.
     """
 
     node_limit: int = 3000
@@ -103,6 +115,7 @@ class ExpansionConfig:
             value = getattr(self, name)
             if value is not None and value <= 0:
                 raise ValueError(f"{name} must be positive, got {value}")
+        _check_output_cap(self.max_output_nodes)
         _check_rounds(self.extraction_rounds)
 
 
@@ -110,6 +123,12 @@ def _check_rounds(rounds: int) -> None:
     if not 1 <= rounds <= MAX_DEPTH:
         raise ValueError(f"extraction rounds must be between 1 and "
                          f"{MAX_DEPTH}, got {rounds}")
+
+
+def _check_output_cap(max_nodes: int) -> None:
+    if max_nodes > MAX_OUTPUT_NODES:
+        raise ValueError(f"max_output_nodes must be at most "
+                         f"{MAX_OUTPUT_NODES}, got {max_nodes}")
 
 
 @dataclass(frozen=True)
@@ -128,7 +147,6 @@ class ExpansionReport:
 # ---------------------------------------------------------------------------
 
 _UNDEFINED = float("-inf")  # the cost of a class no term reaches yet
-_ROUND = itemgetter(0)  # a change point's round
 
 
 def extract_max(g: EGraph, root: int, rounds: int,
@@ -136,81 +154,112 @@ def extract_max(g: EGraph, root: int, rounds: int,
     """Largest term for ``root`` derivable with depth at most ``rounds``
     and at most ``max_nodes`` nodes.
 
-    ``rounds`` lies in ``[1, MAX_DEPTH]``.  The result's size is
-    nondecreasing in ``rounds``; its subterms are shared.
+    ``rounds`` lies in ``[1, MAX_DEPTH]`` and ``max_nodes`` is at most
+    :data:`MAX_OUTPUT_NODES`.  The result's size is nondecreasing in
+    ``rounds``; its subterms are shared.
     """
     _check_rounds(rounds)
+    _check_output_cap(max_nodes)
     return _extract(g, root, rounds, 1, max_nodes)
 
 
 def extract_min(g: EGraph, root: int) -> Expression:
     """Smallest term for ``root`` of depth at most ``MAX_DEPTH``: the
     classical minimizing extraction.  Every cost is negative, so no size
-    cap applies."""
+    cap applies; costs are exact for terms under 2^53 nodes."""
     return _extract(g, root, MAX_DEPTH, -1, 0)
 
 
 def _extract(g: EGraph, root: int, rounds: int, sign: int,
              max_nodes: int) -> Expression:
-    """The round-indexed DP that maximizes ``sign * size``.
+    """The round-indexed DP that maximizes ``sign * size``, one array
+    sweep over every e-node per round.
 
-    ``cost`` holds each class's cost as of the previous round, and
-    ``history`` its change points ``[(round, cost, node), ...]``: an entry
-    is appended only in a round where a node strictly beats the class's
-    last one, so on ties the earlier choice (the smaller node) is kept.
+    Class ``slot`` is the ``slot``-th canonical id; its nodes, sorted by
+    :meth:`ENode.sort_key`, are the flat run starting at ``starts[slot]``.
+    ``columns[k]`` holds each node's ``k``-th child slot, or the virtual
+    slot ``n`` of cost 0 where the node has fewer children.  ``cost``
+    holds the previous round's float costs, ``_UNDEFINED`` where no term
+    is known.  A class changes only when a node strictly beats its cost,
+    and then takes the first node in sort order reaching the new maximum,
+    so on ties the earlier choice (the smaller node) is kept.  Each
+    round's changes are kept as ``(round, slots, nodes)`` arrays.
     """
-    classes = [(cid, sorted(g.nodes_of(cid), key=ENode.sort_key))
-               for cid in g.class_ids()]
-    cost = {}
-    history = {}
-    for cid, nodes in classes:
-        for n in nodes:  # sorted, so the first leaf is the smallest one
-            if n.is_leaf():
-                cost[cid] = sign
-                history[cid] = [(0, sign, n)]
-                break
+    root = g.find(root)
+    cids = g.class_ids()
+    n = len(cids)
+    nodes = []
+    starts = []
+    for cid in cids:
+        starts.append(len(nodes))
+        nodes.extend(sorted(g.nodes_of(cid), key=ENode.sort_key))
+    starts = np.array(starts)
+    owner = np.repeat(np.arange(n), np.diff(starts, append=len(nodes)))
+    slot_of = np.full(cids[-1] + 2, n)  # index -1 is no class: virtual
+    slot_of[cids] = np.arange(n)
+    kids = [nd.children for nd in nodes]
+    columns = [slot_of[np.array([ch[k] if k < len(ch) else -1
+                                 for ch in kids])]
+               for k in range(max(op.arity for op in OPERATORS.values()))]
+    cost = np.full(n + 1, _UNDEFINED)
+    cost[n] = 0.0
+    # Round 0: leaves sort first, so a class with a leaf starts with one.
+    seeded = np.flatnonzero(columns[0][starts] == n)
+    cost[seeded] = sign
+    changes = [(np.zeros(len(seeded), np.intp), seeded, starts[seeded])]
     for r in range(1, rounds + 1):
-        updates = []
-        for cid, nodes in classes:
-            top = cost.get(cid, _UNDEFINED)
-            best = None
-            for n in nodes:
-                total = sign
-                for child in n.children:
-                    c = cost.get(child)
-                    if c is None:
-                        break
-                    total += c
-                else:
-                    if top < total <= max_nodes:
-                        top = total
-                        best = n
-            if best is not None:
-                updates.append((cid, top, best))
-        if not updates:
+        total = cost[columns[0]]
+        for column in columns[1:]:
+            total += cost[column]
+        total += sign
+        total[total > max_nodes] = _UNDEFINED
+        best = np.maximum.reduceat(total, starts)
+        slots = np.flatnonzero(best > cost[:n])
+        if not slots.size:
             break  # fixpoint; further rounds would be identical
-        for cid, top, best in updates:  # a round reads only the last one
-            cost[cid] = top
-            history.setdefault(cid, []).append((r, top, best))
-    return _reconstruct(g, history, g.find(root), rounds, {})
+        # Each changed class's first node reaching its maximum: nodes are
+        # grouped by class, so that is the first such node at or past the
+        # class's start.
+        hits = np.flatnonzero(total == best[owner])
+        firsts = hits[np.searchsorted(owner[hits], slots)]
+        cost[slots] = best[slots]  # a round reads only the last one
+        changes.append((np.full(len(slots), r), slots, firsts))
+    rounds_at, slots, picks = map(np.concatenate, zip(*changes))
+    order = np.argsort(slots, kind="stable")  # by slot, then by round
+    history = (cids, nodes, rounds_at[order], picks[order],
+               np.searchsorted(slots[order], np.arange(n + 1)), {})
+    return _reconstruct(g, history, bisect_left(cids, root), rounds, {})
 
 
-def _reconstruct(g: EGraph, history: dict, cid: int, r: int,
+def _reconstruct(g: EGraph, history: tuple, slot: int, r: int,
                  built: dict) -> Expression:
-    """The term chosen for ``cid`` at round ``r``: its last change point at
-    or before ``r``.  ``built`` maps (class, round of that change point) to
-    the term built for it, so each subterm is built once and shared."""
-    entries = history.get(cid, ())
-    i = bisect_right(entries, r, key=_ROUND)
+    """The term chosen for class ``slot`` at round ``r``: its last change
+    point at or before ``r``.
+
+    ``history`` is ``(cids, nodes, rounds, picks, bounds, reached)``: the
+    class's change points are entries ``bounds[slot]:bounds[slot + 1]``
+    of the ``rounds`` and ``picks`` (node index) arrays, turned into
+    lists in ``reached`` the first time the class is visited.  ``built``
+    maps (slot, round of that change point) to the term built for it, so
+    each subterm is built once and shared.
+    """
+    cids, nodes, rounds, picks, bounds, reached = history
+    points = reached.get(slot)
+    if points is None:
+        lo, hi = bounds[slot], bounds[slot + 1]
+        points = reached[slot] = (rounds[lo:hi].tolist(),
+                                  picks[lo:hi].tolist())
+    i = bisect_right(points[0], r)
     if i == 0:
-        raise UnextractableError(cid)
-    rc, _, node = entries[i - 1]
-    e = built.get((cid, rc))
+        raise UnextractableError(cids[slot])
+    rc = points[0][i - 1]
+    e = built.get((slot, rc))
     if e is None:
-        e = g.expr_of_node(node, tuple([_reconstruct(g, history, c, rc - 1,
-                                                     built)
-                                        for c in node.children]))
-        built[cid, rc] = e
+        node = nodes[points[1][i - 1]]
+        e = g.expr_of_node(node, tuple([
+            _reconstruct(g, history, bisect_left(cids, c), rc - 1, built)
+            for c in node.children]))
+        built[slot, rc] = e
     return e
 
 

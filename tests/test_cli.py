@@ -385,7 +385,8 @@ class TestNoTraceback:
 
     @pytest.mark.parametrize("flags", [
         ["--rounds", "3000"], ["--rounds", "0"], ["--node-limit", "0"],
-        ["--node-limit", "-5"], ["--time-limit-ms", "0"], ["--seed", "-1"]],
+        ["--node-limit", "-5"], ["--time-limit-ms", "0"], ["--seed", "-1"],
+        ["--max-output-nodes", str(2**24 + 1)]],
         ids=lambda flags: " ".join(flags))
     def test_flag_out_of_range(self, flags):
         self.assert_one_error_line(

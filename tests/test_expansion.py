@@ -1,3 +1,4 @@
+import functools
 import gc
 import itertools
 import random
@@ -5,9 +6,10 @@ import random
 import pytest
 
 from mbaobf.egraph import CapacityExceededError, EGraph, ENode
-from mbaobf.expansion import (ExpansionConfig, OutputTooLargeError,
-                              StopReason, UnextractableError, expand,
-                              extract_max, extract_min)
+from mbaobf.expansion import (MAX_OUTPUT_NODES, ExpansionConfig,
+                              OutputTooLargeError, StopReason,
+                              UnextractableError, expand, extract_max,
+                              extract_min)
 from mbaobf.expr import MAX_DEPTH, evaluate, expr_size, parse, to_text
 from mbaobf.rules import apply_match, ematch, load_default_rules, parse_rules
 from mbaobf.verify import check_equivalence
@@ -96,6 +98,13 @@ class TestExtractMax:
         with pytest.raises(UnextractableError):
             extract_max(g, root, 1, 10_000)
 
+    def test_cap_at_most_output_ceiling(self):
+        g, root = addor_graph()
+        assert expr_size(extract_max(g, root, 2, MAX_OUTPUT_NODES)) == 7
+        for cap in (MAX_OUTPUT_NODES + 1, 10**400):
+            with pytest.raises(ValueError, match="max_output_nodes"):
+                extract_max(g, root, 2, cap)
+
     def test_deterministic(self):
         outs = set()
         for _ in range(3):
@@ -176,7 +185,9 @@ class TestExtractMin:
 
 def reference_extract_max(g, root, rounds, max_nodes):
     """The extractor as it was before its two loops became one: one full
-    table per round, each entry ``(cost, node, round)``."""
+    table per round, each entry ``(cost, node, round)``.  ``build`` is
+    cached per (class, round), so a term of ``MAX_OUTPUT_NODES`` nodes is
+    built as a shared DAG rather than a tree of that many objects."""
     root = g.find(root)
     class_nodes = {cid: sorted(g.nodes_of(cid), key=ENode.sort_key)
                    for cid in g.class_ids()}
@@ -218,6 +229,7 @@ def reference_extract_max(g, root, rounds, max_nodes):
         if not any_change:
             break
 
+    @functools.cache
     def build(cid, r):
         entry = tables[min(r, len(tables) - 1)].get(cid)
         if entry is None:
@@ -279,7 +291,7 @@ def grown_graph(e, node_limit):
 
 class TestAgainstReference:
     ROUNDS = (1, 2, 6, 64, MAX_DEPTH)
-    CAPS = (50, 2000, 10_000)
+    CAPS = (50, 2000, 10_000, MAX_OUTPUT_NODES)
 
     @pytest.fixture(scope="class")
     def graphs(self):
@@ -314,6 +326,77 @@ class TestAgainstReference:
                     == self.outcome(reference_extract_max, g, root, rounds,
                                     cap)
                     == ("unextractable", g.find(root)))
+
+    def test_unextractable_names_canonical_class_not_array_slot(self):
+        # Merged classes leave gaps in the canonical ids, so the root's id
+        # differs from its position among the class ids.
+        g = EGraph()
+        x, w, y, v, z = (g.add(ENode("var", name, ()))
+                         for name in "xwyvz")
+        g.union(x, w)
+        g.union(y, v)
+        first = g.add(ENode("add", None,
+                            (g.add(ENode("add", None, (y, x))), z)))
+        root = g.add(ENode("add", None,
+                           (g.add(ENode("add", None, (x, y))), z)))
+        g.union(root, first)
+        g.rebuild()
+        cid = g.find(root)
+        assert g.class_ids().index(cid) != cid
+        for rounds, cap in ((1, 10_000), (MAX_DEPTH, 4)):
+            with pytest.raises(UnextractableError) as info:
+                extract_max(g, root, rounds, cap)
+            assert info.value.cid == cid
+            assert (self.outcome(reference_extract_max, g, root, rounds, cap)
+                    == ("unextractable", cid))
+
+    def test_doubling_chain_matches_reference(self):
+        # c_i = c_{i-1} + c_{i-1}: class c_i's size doubles per link, so the
+        # costs reach every cap, MAX_OUTPUT_NODES included.  The leaf's
+        # class also holds -c_1, a cycle, so every class keeps growing
+        # round after round until the cap stops it.  c_23 also holds
+        # c_22 + -(-c_22), one node over MAX_OUTPUT_NODES where c_22 + c_22
+        # is one under: a cost table that rounds would take it.
+        g = EGraph()
+        chain = [g.add(ENode("var", "x", ()))]
+        for _ in range(29):
+            chain.append(g.add(ENode("add", None, (chain[-1], chain[-1]))))
+        g.union(g.add(ENode("neg", None, (chain[1],))), chain[0])
+        twice = g.add(ENode("neg", None,
+                            (g.add(ENode("neg", None, (chain[22],))),)))
+        g.union(g.add(ENode("add", None, (chain[22], twice))), chain[23])
+        g.rebuild()
+        for cid in (chain[0], chain[8], chain[22], chain[23], chain[29]):
+            for rounds in (1, 8, 64, MAX_DEPTH):
+                for cap in (50, 10_000, MAX_OUTPUT_NODES):
+                    assert (self.outcome(extract_max, g, cid, rounds, cap)
+                            == self.outcome(reference_extract_max, g, cid,
+                                            rounds, cap))
+
+    def test_ties_break_like_reference(self):
+        # Four nodes of one class reach size 3 in round 1; the smallest
+        # node wins.  In round 2, -(-a) ties the size of c | a and sorts
+        # before it, but the choice made earlier is kept.
+        g = EGraph()
+        a, b, c = (g.add(ENode("var", name, ())) for name in "abc")
+        pair = g.add(ENode("xor", None, (a, b)))
+        for label, kids in (("or", (a, b)), ("add", (b, a)),
+                            ("add", (a, b))):
+            g.union(pair, g.add(ENode(label, None, kids)))
+        bar = g.add(ENode("or", None, (c, a)))
+        g.union(bar, g.add(ENode("neg", None,
+                                 (g.add(ENode("neg", None, (a,))),))))
+        top = g.add(ENode("sub", None, (pair, bar)))
+        g.union(top, g.add(ENode("add", None, (bar, pair))))
+        g.rebuild()
+        assert to_text(extract_max(g, pair, 1, 10_000)) == "(a + b)"
+        assert to_text(extract_max(g, bar, 2, 10_000)) == "(c | a)"
+        for cid in (pair, bar, top):
+            for rounds in (1, 2, 3, 6):
+                for cap in (3, 7, 10_000):
+                    assert (self.outcome(extract_max, g, cid, rounds, cap)
+                            == self.outcome(reference_extract_max, g, cid,
+                                            rounds, cap))
 
     def test_extract_min_sizes_match_reference(self, graphs):
         # every class of the two smaller graphs; each call runs a whole DP
@@ -456,6 +539,12 @@ class TestExpand:
             ExpansionConfig(node_limit=None, iter_limit=None, time_limit=None)
         with pytest.raises(ValueError):
             ExpansionConfig(extraction_rounds=0)
+
+    def test_max_output_nodes_ceiling(self):
+        assert ExpansionConfig(max_output_nodes=MAX_OUTPUT_NODES)
+        with pytest.raises(ValueError, match=f"max_output_nodes must be at "
+                                             f"most {MAX_OUTPUT_NODES}"):
+            ExpansionConfig(max_output_nodes=MAX_OUTPUT_NODES + 1)
 
     def test_iter_limit_required(self):
         with pytest.raises(ValueError, match="iter_limit is required"):
