@@ -5,12 +5,12 @@
         [--time-limit-ms MS] [--rounds R] [--max-output-nodes N]
 
 Every line of ``corpus/sample100.txt`` is grown with the shipped rules
-through the public API (``parse``, ``expand``, ``to_text``), as ``mbaobf
-bench --no-check`` does.  The file records the label, the commit and
-whether ``src/`` differs from it, the flags, the corpus sha256, the wall
-time of the whole loop, p50/p95/max of each line's ``report.elapsed``, a
-stop-reason histogram and the sha256 of the rows in ``bench``'s JSONL
-form (equal to ``sha256sum BASE.jsonl`` at the same flags).  A line that
+with ``parse`` and ``expand``, as ``mbaobf bench --no-check`` does.  The
+file records the label, the commit and whether ``src/`` differs from it,
+the flags, the corpus sha256, the wall time of the whole loop,
+p50/p95/max of each line's ``report.elapsed``, a stop-reason histogram
+and the sha256 of the rows, each built by ``bench``'s own row function
+(equal to ``sha256sum BASE.jsonl`` at the same flags).  A line that
 fails ends the run.  Compare two files only when both were taken on the
 same machine, back to back.  The per-phase split and the work counters
 wait for expansion statistics in the library report.
@@ -29,7 +29,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from mbaobf import ExpansionConfig, expand, load_default_rules, parse, to_text
+from mbaobf import ExpansionConfig, expand, load_default_rules, parse
+from mbaobf.cli import _report_json
 
 
 def git(*args: str) -> subprocess.CompletedProcess:
@@ -66,10 +67,7 @@ def main() -> None:
         if not text or text.startswith("#"):
             continue
         report = expand(parse(text), rules, cfg)
-        row = {"input": text, "output": to_text(report.output),
-               "stop": report.stop.value,
-               "metrics_in": report.metrics_in.as_dict(),
-               "metrics_out": report.metrics_out.as_dict()}
+        row = _report_json(text, report)
         rows.update((json.dumps(row, sort_keys=True) + "\n").encode())
         elapsed.append(report.elapsed)
         stops[report.stop.value] += 1

@@ -142,7 +142,9 @@ def _load_rules(path: Optional[str]) -> list:
 
 def _failure_line(name: str, label: str, res) -> str:
     env, lv, rv = res.counterexample
-    bindings = ", ".join(f"?{k}={v}" for k, v in sorted(env.items()))
+    # A pattern variable is keyed by its name, a concrete one by its Var.
+    bindings = ", ".join(f"?{k}={v}" if isinstance(k, str)
+                         else f"{k.name}={v}" for k, v in env.items())
     bits = label.partition("@")[2]
     return (f"rule {name!r} is unsound at {bits} bits: "
             f"{{{bindings}}} gives {lv} vs {rv}")

@@ -297,23 +297,18 @@ class EGraph:
 def check_invariants(g: EGraph) -> None:
     """Full-scan hashcons + congruence check; raises AssertionError on breach.
 
-    Quadratic in node count; intended for graphs of a few hundred nodes.
+    Linear in node count: every stored node is canonical, so congruence
+    is each node living in one class, the one the hashcons maps it to.
     """
-    all_nodes = []
+    seen: dict = {}
     for cid, cls in g._classes.items():
         assert g.find(cid) == cid, f"class map holds non-canonical id {cid}"
         assert cls.nodes, f"class {cid} is empty"
         for n in cls.nodes:
             assert g.canonicalize(n) == n, f"stale node {n} in class {cid}"
-            all_nodes.append((n, cid))
-    seen: dict = {}
-    for n, cid in all_nodes:
-        assert n not in seen or seen[n] == cid, \
-            f"hashcons violation: {n} in classes {seen[n]} and {cid}"
-        seen[n] = cid
-    for n1, c1 in all_nodes:
-        for n2, c2 in all_nodes:
-            if n1.label == n2.label and n1.payload == n2.payload \
-                    and n1.children == n2.children:
-                assert c1 == c2, f"congruence violation: {n1} vs {n2}"
+            assert n not in seen, \
+                f"hashcons violation: {n} in classes {seen[n]} and {cid}"
+            seen[n] = cid
+            assert n in g._hashcons and g.find(g._hashcons[n]) == cid, \
+                f"hashcons maps {n} away from its class {cid}"
     assert len(seen) == g.node_count(), "node_count out of sync"

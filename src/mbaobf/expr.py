@@ -15,8 +15,12 @@ Grammar accepted by :func:`parse`::
     unary  := PREFIX unary | atom
     atom   := IDENT | NUMBER | "(" expr ")"
     IDENT  := [a-zA-Z_][a-zA-Z0-9_]*
-    NUMBER := [0-9]+ | "0x" [0-9a-fA-F]+
+    NUMBER := [0-9]+ | ("0x" | "0X") [0-9a-fA-F]+
 
+Whitespace may separate tokens; identifiers and digits are ASCII only.
+Leading zeros are allowed (``08`` is 8); a decimal longer than
+``sys.get_int_max_str_digits()`` (4300 by default) is a syntax error.
+Rule patterns add the leaf ``"?" IDENT``, a pattern variable.
 ``BINOP`` and ``PREFIX`` are the symbols of the table's binary and unary
 operators.  Binary operators are left-associative and bind by the table's
 precedence, loosest first: ``|``, ``^``, ``&``, ``+ -``, ``*``; prefix
@@ -29,6 +33,8 @@ canonical constants in ``[0, 2**bits)``.
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional, Union
@@ -139,59 +145,35 @@ _BINARY = {op.symbol: op for op in OPERATORS.values() if op.arity == 2}
 _PREFIX = {op.symbol: op for op in OPERATORS.values() if op.arity == 1}
 _SYMBOLS = {*_BINARY, *_PREFIX, "(", ")"}
 
+# The grammar's tokens, tried in this order after optional whitespace.
+_TOKEN = re.compile(r"""\s*(?:
+      (?P<number> 0[xX][0-9a-fA-F]+ | (?!0[xX])[0-9]+ )
+    | (?P<ident>  [a-zA-Z_][a-zA-Z0-9_]* )
+    | (?P<patvar> \?[a-zA-Z_][a-zA-Z0-9_]* )
+    | (?P<symbol> %s )
+    | (?P<bad>    \S )
+)""" % "|".join(map(re.escape, sorted(_SYMBOLS, key=len, reverse=True))),
+                    re.VERBOSE)
+# What a character that starts no token means; a "0" starts only a bare "0x".
+_BAD = {"?": "expected identifier after '?'", "0": "malformed hex constant"}
+
 
 @dataclass(frozen=True)
 class _Token:
-    kind: str  # "ident" | "number" | "patvar" | one of the symbol chars | "end"
+    kind: str  # "ident" | "number" | "patvar" | one of _SYMBOLS | "end"
     text: str
     pos: int
 
 
-def _tokenize(text: str, allow_pattern_vars: bool) -> list[_Token]:
+def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in _SYMBOLS:
-            tokens.append(_Token(c, c, i))
-            i += 1
-            continue
-        if c == "?" and allow_pattern_vars:
-            j = i + 1
-            if j >= n or not (text[j].isalpha() or text[j] == "_"):
-                raise ParseError(i, "expected identifier after '?'")
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("patvar", text[i + 1 : j], i))
-            i = j
-            continue
-        if c.isdigit():
-            j = i
-            if text.startswith("0x", i) or text.startswith("0X", i):
-                j = i + 2
-                while j < n and text[j] in "0123456789abcdefABCDEF":
-                    j += 1
-                if j == i + 2:
-                    raise ParseError(i, "malformed hex constant")
-            else:
-                while j < n and text[j].isdigit():
-                    j += 1
-            tokens.append(_Token("number", text[i:j], i))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("ident", text[i:j], i))
-            i = j
-            continue
-        raise ParseError(i, f"unexpected character {c!r}")
-    tokens.append(_Token("end", "", n))
-    return tokens
+    for m in _TOKEN.finditer(text):  # contiguous, up to trailing whitespace
+        kind, pos = m.lastgroup, m.start(m.lastgroup)
+        if kind == "bad":
+            raise ParseError(pos, _BAD.get(m["bad"], f"unexpected character "
+                                                     f"{m['bad']!r}"))
+        tokens.append(_Token(m["symbol"] or kind, m[kind], pos))
+    return tokens + [_Token("end", "", len(text))]
 
 
 def _got(tok: _Token) -> str:
@@ -257,12 +239,17 @@ def _atom(tok: _Token, bits: Optional[int], patvar_factory):
     if tok.kind == "ident":
         return Var(tok.text)
     if tok.kind == "number":
-        value = int(tok.text, 0)
+        try:
+            value = int(tok.text, 16 if tok.text[1:2] in ("x", "X") else 10)
+        except ValueError:  # a decimal over the interpreter's digit limit
+            limit = sys.get_int_max_str_digits()
+            raise ParseError(tok.pos, f"decimal constant over the {limit}-"
+                                      f"digit limit") from None
         return Const(value if bits is None else value & mask_of(bits))
     if tok.kind == "patvar":
         if patvar_factory is None:
             raise ParseError(tok.pos, "pattern variables are not allowed here")
-        return patvar_factory(tok.text)
+        return patvar_factory(tok.text[1:])
     raise ParseError(tok.pos, f"expected an operand, got {_got(tok)}")
 
 
@@ -275,7 +262,7 @@ def parse(text: str, bits: int = DEFAULT_BITWIDTH) -> Expression:
     check_bitwidth(bits)
     if not text.strip():
         raise ParseError(0, "empty expression")
-    return _parse_tokens(_tokenize(text, allow_pattern_vars=False), bits)
+    return _parse_tokens(_tokenize(text), bits)
 
 
 def parse_pattern_text(text: str, patvar_factory: Callable[[str], object]):
@@ -285,8 +272,7 @@ def parse_pattern_text(text: str, patvar_factory: Callable[[str], object]):
     """
     if not text.strip():
         raise ParseError(0, "empty pattern")
-    return _parse_tokens(_tokenize(text, allow_pattern_vars=True), None,
-                         patvar_factory)
+    return _parse_tokens(_tokenize(text), None, patvar_factory)
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,6 @@ class Rule:
     name: str
     lhs: Pattern
     rhs: Pattern
-    bidirectional: bool = False
     program: _Program = field(init=False, compare=False, repr=False)
     steps: tuple = field(init=False, compare=False, repr=False)
     bound: int = field(init=False, compare=False, repr=False)
@@ -99,13 +98,9 @@ def parse_rules(text: str) -> list[Rule]:
         name = name.strip()
         if not name or not all(c.isalnum() or c in "_-" for c in name):
             raise RuleSyntaxError(lineno, f"bad rule name {name!r}")
-        if "<=>" in body:
-            lhs_text, _, rhs_text = body.partition("<=>")
-            bidirectional = True
-        elif "=>" in body:
-            lhs_text, _, rhs_text = body.partition("=>")
-            bidirectional = False
-        else:
+        arrow = "<=>" if "<=>" in body else "=>"
+        lhs_text, found, rhs_text = body.partition(arrow)
+        if not found:
             raise RuleSyntaxError(lineno, "expected '=>' or '<=>'")
         try:
             lhs = parse_pattern_text(lhs_text, PatVar)
@@ -113,13 +108,13 @@ def parse_rules(text: str) -> list[Rule]:
         except ParseError as exc:
             raise RuleSyntaxError(lineno, str(exc)) from exc
         directed = [(name, lhs, rhs)]
-        if bidirectional:
+        if arrow == "<=>":
             directed.append((name + "-rev", rhs, lhs))
         for rname, rl, rr in directed:
             if rname in names:
                 raise RuleSyntaxError(lineno, f"duplicate rule name {rname!r}")
             names.add(rname)
-            rules.append(Rule(rname, rl, rr, bidirectional))
+            rules.append(Rule(rname, rl, rr))
     return rules
 
 

@@ -26,8 +26,8 @@ from typing import Optional
 
 import numpy as np
 
-from .expr import Const, Expression, _fold, free_vars, mask_of
-from .rules import Rule
+from .expr import Const, Expression, Var, _fold, free_vars, mask_of
+from .rules import PatVar, Rule
 
 EXHAUSTIVE_CASE_LIMIT = 1 << 24
 
@@ -48,8 +48,11 @@ class CheckResult:
 
     ``counterexample`` is ``(env, lhs_value, rhs_value)`` for the first
     failing assignment in deterministic case order, or None when the check
-    passed.  ``cases_checked`` counts assignments evaluated up to and
-    including the counterexample.
+    passed.  ``env`` maps each variable's name to its value, except that a
+    rule's concrete variable (``x`` in ``?x + x => ...``) is keyed by its
+    :class:`~mbaobf.expr.Var`, apart from the pattern variable ``"x"``.
+    ``cases_checked`` counts assignments evaluated up to and including the
+    counterexample.
     """
 
     passed: bool
@@ -59,6 +62,9 @@ class CheckResult:
 
 def _eval_vec(node, env: dict, bits: int) -> np.ndarray:
     """Evaluate an expression or pattern over per-variable value arrays.
+
+    ``env`` keys each variable by its name, or by the ``Var`` or ``PatVar``
+    leaf itself where ``x`` and ``?x`` must stay distinct (rule checks).
 
     Each distinct subterm is evaluated once, and its array is freed as soon
     as its last parent has read it.
@@ -70,64 +76,73 @@ def _eval_vec(node, env: dict, bits: int) -> np.ndarray:
     def leaf(node) -> np.ndarray:
         if isinstance(node, Const):
             return np.full(width, node.value & int(m), dtype=dtype)
-        return env[node.name]  # a Var or a PatVar
+        return env[node] if node in env else env[node.name]
 
     with np.errstate(over="ignore"):
         return _fold(node, leaf, lambda op, *args: op.op.fn(*args, m))
 
 
-def _exhaustive_env(names: list, bits: int) -> dict:
-    """All assignments, lexicographic in the sorted variable names."""
+def _exhaustive_env(keys: list, bits: int) -> dict:
+    """All assignments to ``keys`` (variable names or leaves),
+    lexicographic in their order."""
     size = 1 << bits
-    total = size ** len(names)
+    total = size ** len(keys)
     env = {}
-    for i, name in enumerate(names):
-        reps = size ** (len(names) - 1 - i)
+    for i, key in enumerate(keys):
+        reps = size ** (len(keys) - 1 - i)
         block = np.repeat(np.arange(size, dtype=_DTYPES[bits]), reps)
-        env[name] = np.tile(block, total // (reps * size))
+        env[key] = np.tile(block, total // (reps * size))
     return env
 
 
-def _random_env(names: list, bits: int, trials: int, seed: int) -> dict:
+def _random_env(keys: list, bits: int, trials: int, seed: int) -> dict:
     rng = np.random.default_rng(seed)
-    return {name: rng.integers(0, 1 << bits, size=trials,
-                               dtype=np.uint64).astype(_DTYPES[bits])
-            for name in names}
+    return {key: rng.integers(0, 1 << bits, size=trials,
+                              dtype=np.uint64).astype(_DTYPES[bits])
+            for key in keys}
 
 
-def _compare(lhs, rhs, names: list, env: dict, bits: int) -> CheckResult:
+def _compare(lhs, rhs, env: dict, bits: int) -> CheckResult:
     lv = _eval_vec(lhs, env, bits)
     rv = _eval_vec(rhs, env, bits)
     neq = lv != rv
     if not neq.any():
         return CheckResult(True, None, len(lv))
     idx = int(np.argmax(neq))
-    cex_env = {name: int(env[name][idx]) for name in names}
+    cex_env = {key.name if isinstance(key, PatVar) else key: int(v[idx])
+               for key, v in env.items()}
     return CheckResult(False, (cex_env, int(lv[idx]), int(rv[idx])), idx + 1)
+
+
+def _rule_leaves(rule: Rule) -> list:
+    """A rule's variables: its pattern variables, then its concrete
+    variables, each group sorted by name."""
+    concrete = sorted(free_vars(rule.lhs) | free_vars(rule.rhs))
+    return ([PatVar(name) for name in rule.program.names]
+            + [Var(name) for name in concrete])
 
 
 def check_rule(rule: Rule, bits: int) -> CheckResult:
     """Exhaustive soundness check of a rule at the given width.
 
-    Treats pattern variables as free variables and compares both sides over
-    every assignment.  Raises :class:`TooManyCasesError` when the assignment
-    space exceeds the feasibility limit (fall back to
-    :func:`check_rule_random`).
+    Treats pattern variables and concrete variables as distinct free
+    variables and compares both sides over every assignment.  Raises
+    :class:`TooManyCasesError` when the assignment space exceeds the
+    feasibility limit (fall back to :func:`check_rule_random`).
     """
-    names = rule.program.names  # every RHS variable is on the left
-    cases = (1 << bits) ** len(names)
+    leaves = _rule_leaves(rule)
+    cases = (1 << bits) ** len(leaves)
     if cases > EXHAUSTIVE_CASE_LIMIT:
         raise TooManyCasesError(cases)
-    env = _exhaustive_env(names, bits)
-    return _compare(rule.lhs, rule.rhs, names, env, bits)
+    env = _exhaustive_env(leaves, bits)
+    return _compare(rule.lhs, rule.rhs, env, bits)
 
 
 def check_rule_random(rule: Rule, bits: int, trials: int,
                       seed: int = 0) -> CheckResult:
     """Randomized soundness check: ``trials`` seeded assignments."""
-    names = rule.program.names  # every RHS variable is on the left
-    env = _random_env(names, bits, trials, seed)
-    return _compare(rule.lhs, rule.rhs, names, env, bits)
+    env = _random_env(_rule_leaves(rule), bits, trials, seed)
+    return _compare(rule.lhs, rule.rhs, env, bits)
 
 
 def check_equivalence(a: Expression, b: Expression, bits: int,
@@ -144,7 +159,7 @@ def check_equivalence(a: Expression, b: Expression, bits: int,
         env = _exhaustive_env(names, bits)
     else:
         env = _random_env(names, bits, trials, seed)
-    return _compare(a, b, names, env, bits)
+    return _compare(a, b, env, bits)
 
 
 def check_rules(rules: list, trials: int = 10_000, seed: int = 0) -> list:

@@ -181,6 +181,33 @@ class TestCheckRules:
         assert capsys.readouterr().out == \
             "ok   four (exhaustive@4, 500 random@8, 500 random@64)\n"
 
+    def test_pattern_and_concrete_variable_are_distinct(self, tmp_path,
+                                                        capsys):
+        # ?x may stand for y, so ?x + x is not 2 * ?x
+        bad = tmp_path / "bad.rules"
+        bad.write_text("bad : ?x + x => (?x * 2) + 0\n")
+        assert main(["check-rules", str(bad)]) == 2
+        assert capsys.readouterr().out == (
+            "FAIL bad [exhaustive@4]: rule 'bad' is unsound at 4 bits: "
+            "{?x=0, x=1} gives 1 vs 0\n")
+        assert main(["obfuscate", "-e", "y + x", "-r", str(bad),
+                     "--selfcheck", "--node-limit", "20",
+                     "--bitwidth", "8"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            "rule 'bad' is unsound at 4 bits: {?x=0, x=1} gives 1 vs 0\n"
+
+    def test_concrete_variable_rule_admitted(self, tmp_path, capsys):
+        rules = tmp_path / "x.rules"
+        rules.write_text("r : x => x + 0\n")
+        assert main(["check-rules", str(rules)]) == 0
+        assert capsys.readouterr().out == \
+            "ok   r (exhaustive@4, exhaustive@8, 10000 random@64)\n"
+        assert main(["obfuscate", "-e", "y + x", "-r", str(rules),
+                     "--selfcheck", *FAST]) == 0
+        assert "selfcheck ok" in capsys.readouterr().err
+
     def test_obfuscate_admits_by_the_same_verdict(self, tmp_path, capsys):
         # `rare` is sound at 4 and 8 bits, where 1024 is 0, and fails at 64
         # bits only when ?a has at least 11 trailing zero bits: about one
@@ -435,3 +462,41 @@ class TestNoTraceback:
         proc = run_cli(*args)
         self.assert_one_error_line(proc)
         assert proc.stderr.startswith(f"error: {bad}: ")
+
+    @pytest.mark.parametrize("command", ["obfuscate", "metrics"])
+    def test_leading_zero_is_decimal(self, command):
+        proc = run_cli(command, "-e", "x + 08", "--json",
+                       *(FAST if command == "obfuscate" else []))
+        assert proc.returncode == 0, proc.stderr
+        if command == "metrics":
+            assert json.loads(proc.stdout) == \
+                measure(parse("x + 8")).as_dict()
+
+    @pytest.mark.parametrize("command", ["obfuscate", "metrics"])
+    @pytest.mark.parametrize("text", ["\u00b2", "\u00e9", "x + \u0661"],
+                             ids=["superscript-two", "e-acute",
+                                  "arabic-indic-one"])
+    def test_character_outside_the_grammar(self, command, text):
+        self.assert_one_error_line(run_cli(command, "-e", text))
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits",
+                                    lambda: 0)(),
+                        reason="no integer-conversion digit limit")
+    @pytest.mark.parametrize("command", ["obfuscate", "metrics"])
+    def test_decimal_over_the_digit_limit(self, command):
+        self.assert_one_error_line(run_cli(command, "-e", "1" * 5000))
+
+    def test_check_rules_on_a_character_outside_the_grammar(self, tmp_path):
+        rules = tmp_path / "r.rules"
+        rules.write_text("r : ?a + \u00b2 => ?a\n", encoding="utf-8")
+        self.assert_one_error_line(run_cli("check-rules", str(rules)))
+
+    def test_bench_skips_a_line_outside_the_grammar(self, tmp_path):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("x + y\nx + \u00b2\nx * y\n", encoding="utf-8")
+        proc = run_cli("bench", "-f", str(corpus), "-o",
+                       str(tmp_path / "out"), *FAST)
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "line 2: skipped" in proc.stderr
+        assert "2 expressions processed, 1 skipped" in proc.stdout

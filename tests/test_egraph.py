@@ -145,6 +145,14 @@ class TestRebuild:
         assert labels == ["mul", "var"]
         assert g.find(mul_root) == g.find(y)
 
+    def test_invariants_catch_a_corrupt_hashcons_entry(self):
+        g, (root,) = graph_of("x + y")
+        check_invariants(g)
+        (node,) = g.nodes_of(root)
+        g._hashcons[node] = g.find(g.add_expr(parse("x")))
+        with pytest.raises(AssertionError, match="hashcons maps"):
+            check_invariants(g)
+
     def test_random_stress_invariants(self, rng):
         for round_no in range(20):
             g = EGraph()

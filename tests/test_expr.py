@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -65,6 +66,38 @@ class TestParse:
     def test_rejects_malformed(self, bad):
         with pytest.raises(ParseError):
             parse(bad)
+
+    def test_whitespace_around_tokens(self):
+        assert parse(" x +\t1 \n", bits=8) == Op(ADD, (Var("x"), Const(1)))
+        with pytest.raises(ParseError) as exc:
+            parse("x +  ")
+        assert exc.value.position == 5
+
+    def test_leading_zeros_are_decimal(self):
+        assert parse("x + 08") == Op(ADD, (Var("x"), Const(8)))
+        assert parse("0010", bits=8) == Const(10)
+        assert parse("0X1f") == Const(31)
+
+    @pytest.mark.parametrize("text, column", [
+        ("\u00b2", 1), ("\u00e9", 1), ("x + \u0661", 5), ("\uff58", 1),
+        ("x\u00b2", 2), ("x $ y", 3), ("?a + 1", 1), ("x + ?", 5),
+        ("0x", 1), ("0xg", 1)])
+    def test_outside_the_grammar_is_an_error_at_its_column(self, text,
+                                                           column):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert exc.value.position == column - 1
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits",
+                                    lambda: 0)(),
+                        reason="no integer-conversion digit limit")
+    def test_decimal_over_the_digit_limit(self):
+        limit = sys.get_int_max_str_digits()
+        assert parse("9" * limit, bits=8) == Const(int("9" * limit) & 255)
+        with pytest.raises(ParseError) as exc:
+            parse("x + " + "9" * (limit + 1))
+        assert exc.value.position == 4
+        assert f"{limit}-digit limit" in str(exc.value)
 
     def test_rejects_bad_bitwidth(self):
         with pytest.raises(ValueError):

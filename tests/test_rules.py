@@ -23,14 +23,13 @@ class TestParseRules:
         rules = parse_rules("addor : ?a + ?b => (?a | ?b) + (?a & ?b)")
         assert len(rules) == 1
         r = rules[0]
-        assert r.name == "addor" and not r.bidirectional
+        assert r.name == "addor"
         assert r.program.names == ("a", "b")
         assert r.lhs == Op(parse("x + y").op, (PatVar("a"), PatVar("b")))
 
     def test_bidirectional_expands_to_two(self):
         rules = parse_rules("mulid : ?y * 1 <=> ?y")
         assert [r.name for r in rules] == ["mulid", "mulid-rev"]
-        assert all(r.bidirectional for r in rules)
         assert rules[0].rhs == PatVar("y")
         assert rules[1].lhs == PatVar("y")
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from mbaobf.expr import evaluate, free_vars, parse
+from mbaobf.expr import Var, evaluate, free_vars, parse
 from mbaobf.rules import load_default_rules, parse_rules
 from mbaobf.verify import (CheckResult, TooManyCasesError, check_equivalence,
                            check_rule, check_rule_random, check_rules,
@@ -40,6 +40,19 @@ class TestCheckRule:
         assert not res.passed
         assert res.counterexample[0] == {"a": 0}
         assert res.cases_checked == 1
+
+    def test_concrete_variable_is_not_the_pattern_variable(self):
+        res = check_rule(rule("?x + x => (?x * 2) + 0"), 4)
+        assert not res.passed
+        assert res.counterexample == ({"x": 0, Var("x"): 1}, 1, 0)
+        assert res.cases_checked == 2
+        assert not check_rule_random(rule("?x + x => ?x * 2"), 64, 100).passed
+
+    def test_concrete_variable_rule(self):
+        r = rule("x => x + 0")
+        assert check_rule(r, 8) == CheckResult(True, None, 256)
+        assert check_rule_random(r, 64, 100) == CheckResult(True, None, 100)
+        assert not check_rule(rule("x => x + 1"), 4).passed
 
     def test_variable_free_rule(self):
         assert check_rule(rule("1 + 1 => 2"), 8).passed
