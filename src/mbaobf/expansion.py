@@ -275,13 +275,14 @@ def expand(e: Expression, rules: list, cfg: Optional[ExpansionConfig] = None,
     """Grow an e-graph from ``e`` under ``rules`` and extract the result.
 
     Each iteration matches every rule against the rebuilt graph, applies
-    all matches (skipping any whose application would push the node count
-    past ``node_limit``), then rebuilds.  The loop stops on whichever
-    termination condition fires first; an input that no rule matches is
-    returned unchanged with ``Saturated`` (a no-op, not an error).  An
-    input larger than ``max_output_nodes`` raises
-    :class:`OutputTooLargeError`, and one whose graph alone holds more than
-    ``node_limit`` nodes raises
+    the matches in rule order, then rebuilds.  The first match that could
+    push the node count past ``node_limit`` is not applied: it ends growth
+    with ``NodeLimit``, and the matches after it lose their turn.
+    Otherwise the loop stops on whichever termination condition fires
+    first; an input that no rule matches is returned unchanged with
+    ``Saturated`` (a no-op, not an error).  An input larger than
+    ``max_output_nodes`` raises :class:`OutputTooLargeError`, and one whose
+    graph alone holds more than ``node_limit`` nodes raises
     :class:`~mbaobf.egraph.CapacityExceededError`.
 
     The rules are trusted here: admit them through the soundness checker
@@ -318,27 +319,24 @@ def expand(e: Expression, rules: list, cfg: Optional[ExpansionConfig] = None,
                 matches.append((rule, m))
         del index  # frees it before the graph grows and the next is built
         changed = False
-        skipped = False
-        hit_time = False
         for i, (rule, m) in enumerate(matches):
             if i % _TIME_CHECK_STRIDE == 0 and i and timed_out():
-                hit_time = True
+                stop = StopReason.TIME_LIMIT
                 break
-            # Skip when the match would add more than `room` nodes; the dry
-            # run is needed only when the RHS could.
+            # The first match that would add more than `room` nodes ends
+            # growth; the dry run is needed only when the RHS could.
             room = cfg.node_limit - g.node_count()
-            if rule.bound > room and count_new_nodes(
-                    g, rule, m, limit=room) > room:
-                skipped = True
-                continue
+            if rule.bound > room and count_new_nodes(g, rule, m) > room:
+                stop = StopReason.NODE_LIMIT
+                break
             if apply_match(g, rule, m):
                 changed = True
         g.rebuild()
         iterations += 1
-        if hit_time:
-            stop = StopReason.TIME_LIMIT
-        elif not changed:
-            stop = StopReason.NODE_LIMIT if skipped else StopReason.SATURATED
+        if stop is not None:
+            break
+        if not changed:
+            stop = StopReason.SATURATED
         elif g.node_count() >= cfg.node_limit:
             stop = StopReason.NODE_LIMIT
         elif cfg.target_ast_size is not None:

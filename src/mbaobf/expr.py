@@ -145,15 +145,17 @@ _BINARY = {op.symbol: op for op in OPERATORS.values() if op.arity == 2}
 _PREFIX = {op.symbol: op for op in OPERATORS.values() if op.arity == 1}
 _SYMBOLS = {*_BINARY, *_PREFIX, "(", ")"}
 
+# IDENT's character classes; rule names (mbaobf.rules) add "-" to the rest.
+IDENT_FIRST, IDENT_REST = "a-zA-Z_", "a-zA-Z0-9_"
 # The grammar's tokens, tried in this order after optional whitespace.
 _TOKEN = re.compile(r"""\s*(?:
       (?P<number> 0[xX][0-9a-fA-F]+ | (?!0[xX])[0-9]+ )
-    | (?P<ident>  [a-zA-Z_][a-zA-Z0-9_]* )
-    | (?P<patvar> \?[a-zA-Z_][a-zA-Z0-9_]* )
-    | (?P<symbol> %s )
+    | (?P<ident>  [%(first)s][%(rest)s]* )
+    | (?P<patvar> \?[%(first)s][%(rest)s]* )
+    | (?P<symbol> %(symbols)s )
     | (?P<bad>    \S )
-)""" % "|".join(map(re.escape, sorted(_SYMBOLS, key=len, reverse=True))),
-                    re.VERBOSE)
+)""" % {"first": IDENT_FIRST, "rest": IDENT_REST, "symbols": "|".join(
+    map(re.escape, sorted(_SYMBOLS, key=len, reverse=True)))}, re.VERBOSE)
 # What a character that starts no token means; a "0" starts only a bare "0x".
 _BAD = {"?": "expected identifier after '?'", "0": "malformed hex constant"}
 

@@ -5,7 +5,8 @@ A pattern is an expression tree whose leaves may also be pattern variables
 left-hand side by unioning in the instantiated right-hand side; it never
 removes anything, so the e-graph only ever gains representations.
 
-Rule file format, one rule per line::
+Rule file format, one rule per line; a name is an ASCII ``IDENT`` (see
+:mod:`mbaobf.expr`) that may also hold ``-`` after its first character::
 
     # comment
     name : LHS => RHS      directed
@@ -19,11 +20,13 @@ made, so a hand-built rule is held to it as well as a parsed one.
 from __future__ import annotations
 
 import importlib.resources
+import re
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 from .egraph import EGraph
-from .expr import Const, Op, ParseError, parse_pattern_text
+from .expr import (IDENT_FIRST, IDENT_REST, Const, Op, ParseError,
+                   parse_pattern_text)
 
 
 @dataclass(frozen=True)
@@ -96,7 +99,7 @@ def parse_rules(text: str) -> list[Rule]:
             raise RuleSyntaxError(lineno, "expected 'name : LHS => RHS'")
         name, _, body = line.partition(":")
         name = name.strip()
-        if not name or not all(c.isalnum() or c in "_-" for c in name):
+        if not re.fullmatch(f"[{IDENT_FIRST}][{IDENT_REST}-]*", name):
             raise RuleSyntaxError(lineno, f"bad rule name {name!r}")
         arrow = "<=>" if "<=>" in body else "=>"
         lhs_text, found, rhs_text = body.partition(arrow)
@@ -292,8 +295,7 @@ def _instantiate(g: EGraph, rule: Rule, bindings: tuple) -> int:
     return stack[0]
 
 
-def count_new_nodes(g: EGraph, rule: Rule, m: tuple,
-                    limit: Optional[int] = None) -> int:
+def count_new_nodes(g: EGraph, rule: Rule, m: tuple) -> int:
     """Upper bound on nodes :func:`apply_match` would add for the match
     ``m``, a ``(root, bindings)`` tuple from :func:`ematch` for ``rule``.
 
@@ -302,9 +304,6 @@ def count_new_nodes(g: EGraph, rule: Rule, m: tuple,
     unresolved counts as new.  Exact unless the RHS repeats a missing
     subpattern, in which case it overcounts (safe direction for capacity
     checks).
-
-    With ``limit``, the walk stops as soon as the count exceeds it, so the
-    result exceeds ``limit`` exactly when the full count does.
     """
     mask = (1 << g.bits) - 1
     lookup = g.lookup_canonical
@@ -325,8 +324,6 @@ def count_new_nodes(g: EGraph, rule: Rule, m: tuple,
                                                         children))
         if cid is None:
             count += 1
-            if limit is not None and count > limit:
-                return count
         stack.append(cid)
     return count
 

@@ -463,6 +463,17 @@ class TestNoTraceback:
         self.assert_one_error_line(proc)
         assert proc.stderr.startswith(f"error: {bad}: ")
 
+    @pytest.mark.parametrize("command", [
+        ["check-rules", "{rules}"],
+        ["obfuscate", "-e", "x + y", "-r", "{rules}"]],
+        ids=["check-rules", "obfuscate"])
+    def test_non_ascii_rule_name(self, tmp_path, command):
+        rules = tmp_path / "r.rules"
+        rules.write_text("é : ?a => ?a + 0\n", encoding="utf-8")
+        proc = run_cli(*[a.format(rules=rules) for a in command])
+        self.assert_one_error_line(proc)
+        assert "bad rule name 'é'" in proc.stderr
+
     @pytest.mark.parametrize("command", ["obfuscate", "metrics"])
     def test_leading_zero_is_decimal(self, command):
         proc = run_cli(command, "-e", "x + 08", "--json",

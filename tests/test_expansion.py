@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import mbaobf.expansion
 from mbaobf.egraph import CapacityExceededError, EGraph, ENode
 from mbaobf.expansion import (MAX_OUTPUT_NODES, ExpansionConfig,
                               OutputTooLargeError, StopReason,
@@ -454,9 +455,50 @@ class TestExpand:
         assert rep.stop is StopReason.NODE_LIMIT
         assert rep.final_node_count <= 200
 
+    def test_first_budget_skip_ends_growth(self, rng, monkeypatch):
+        # at most one dry run ends in a skip, it is the run's last, and the
+        # run then stops with NodeLimit inside the budget
+        original = mbaobf.expansion.count_new_nodes
+        skips = []  # per dry run: whether it ends in a skip
+
+        def counted(g, rule, m):
+            count = original(g, rule, m)
+            skips.append(count > g.max_nodes - g.node_count())
+            return count
+
+        monkeypatch.setattr(mbaobf.expansion, "count_new_nodes", counted)
+        rules = load_default_rules()
+        inputs = [parse("x + y"), parse("x * y - z")] + [
+            random_expr(rng, rng.randint(1, 7)) for _ in range(6)]
+        stopped = 0
+        for node_limit in (40, 150, 600):
+            for e in inputs:
+                skips.clear()
+                rep = expand(e, rules, ExpansionConfig(
+                    node_limit=node_limit, iter_limit=30, time_limit=30.0,
+                    max_output_nodes=500))
+                assert rep.final_node_count <= node_limit
+                assert skips.count(True) <= 1
+                if True in skips:
+                    assert skips[-1] and rep.stop is StopReason.NODE_LIMIT
+                    stopped += 1
+        assert stopped > 0
+
+    def test_later_rule_loses_its_turn_in_the_last_iteration(self):
+        # `big` does not fit the budget, so it ends the first iteration;
+        # `small` would fit, and is applied only when it comes first
+        big = "big : ?a => ((?a + 1) + 2) + 3"
+        small = "small : ?a => ?a + 0"
+        cfg = ExpansionConfig(node_limit=4, time_limit=10.0)
+        for text, nodes in ((f"{big}\n{small}", 1), (f"{small}\n{big}", 3)):
+            rep = expand(parse("x"), parse_rules(text), cfg)
+            assert rep.stop is StopReason.NODE_LIMIT
+            assert (rep.iterations, rep.final_node_count) == (1, nodes)
+
     def test_hard_cap_headroom_never_hit(self):
-        # per-application skipping keeps the graph within node_limit, the
-        # e-graph's hard cap, so growth never raises CapacityExceededError
+        # stopping before an application that would not fit keeps the graph
+        # within node_limit, the e-graph's hard cap, so growth never raises
+        # CapacityExceededError
         rep = expand(parse("x * y - z"), load_default_rules(),
                      ExpansionConfig(node_limit=150, iter_limit=20,
                                      time_limit=10.0))

@@ -62,6 +62,16 @@ class TestParseRules:
         with pytest.raises(RuleSyntaxError):
             parse_rules("r : ?a = ?a")
 
+    @pytest.mark.parametrize("name", ["é", "ｘ", "r²", "2x", "-r", "a.b",
+                                      "a b", ""])
+    def test_name_outside_the_grammar_rejected(self, name):
+        with pytest.raises(RuleSyntaxError, match="bad rule name"):
+            parse_rules(f"{name} : ?a => ?a + 0")
+
+    def test_name_may_hold_hyphens_after_its_first_character(self):
+        (r,) = parse_rules("_add-zero-2 : ?a => ?a + 0")
+        assert r.name == "_add-zero-2"
+
     def test_duplicate_names_rejected(self):
         with pytest.raises(RuleSyntaxError):
             parse_rules("r : ?a => ?a * 1\nr : ?a => ?a + 0")
@@ -260,9 +270,7 @@ class TestApplyMatch:
                     assert added <= predicted
                 g.rebuild()
 
-    def test_limited_dry_run_decides_like_the_full_count(self, rng):
-        # count(limit=k) > k exactly when the full count > k, for every k
-        # from a negative room up to past the rule's bound
+    def test_dry_run_count_stays_within_the_rule_bound(self, rng):
         rules = load_default_rules()
         for _ in range(8):
             g = EGraph(bits=8)
@@ -278,8 +286,4 @@ class TestApplyMatch:
             for rule in rules:
                 bound = rule.bound
                 for m in ematch(g, rule):
-                    full = count_new_nodes(g, rule, m)
-                    assert full <= bound
-                    for k in range(-1, bound + 2):
-                        limited = count_new_nodes(g, rule, m, limit=k)
-                        assert (limited > k) == (full > k)
+                    assert count_new_nodes(g, rule, m) <= bound
