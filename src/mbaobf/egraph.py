@@ -10,10 +10,10 @@ invariants, restored by :meth:`EGraph.rebuild` after a batch of unions:
   live in the same class.
 
 Mutation protocol: ``add_expr``/``union`` freely, then ``rebuild`` before
-reading (``node_count``, matching, extraction).  Determinism matters here:
-class representatives are chosen as the smaller canonical id, node sets are
-insertion-ordered, and nothing iterates in hash order, so identical
-operation sequences produce identical graphs.
+reading (``node_count``, ``classes``, matching, extraction).  Determinism
+matters here: class representatives are chosen as the smaller canonical id,
+classes are listed in ascending id order, and nothing iterates in hash
+order, so identical operation sequences produce identical graphs.
 
 Representation: an :class:`ENode` is a named tuple ``(label, payload,
 children)``, so hashing and equality run in C and a plain tuple of the same
@@ -21,18 +21,17 @@ three fields is an equal hashcons key.  The matcher and the budget dry run
 build such keys from canonical ids and look them up with
 :meth:`EGraph.lookup_canonical` without constructing e-nodes.
 
-Rebuilding is deferred and dirty-only, as in egg: unions queue their
-representative, :meth:`EGraph.rebuild` re-canonicalizes the parents of the
-queued classes, restoring congruence, and then refreshes the node sets of
-just the classes those parents live in.  No other class can hold a stale
-node, because every e-node is recorded as a parent of each of its
-children's classes.
+The hashcons is the one record of class membership; :meth:`EGraph.classes`
+groups it by class.  Each class keeps only its parent list: every e-node is
+recorded as a parent of each of its children's classes.  Rebuilding is
+deferred and dirty-only, as in egg: unions queue their representative, and
+:meth:`EGraph.rebuild` re-canonicalizes the parents of the queued classes
+in the hashcons, restoring congruence.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .expr import Const, Expression, Op, OPERATORS, Var
 
@@ -56,9 +55,6 @@ class ENode(NamedTuple):
     payload: object  # str | int | None
     children: tuple
 
-    def is_leaf(self) -> bool:
-        return not self.children
-
     def sort_key(self):
         if self.label == "const":
             return (_LABEL_RANK["const"], self.payload, "", self.children)
@@ -72,12 +68,6 @@ class ENode(NamedTuple):
         if self.label == "const":
             return f"const {self.payload}"
         return f"({self.label} {' '.join(str(c) for c in self.children)})"
-
-
-@dataclass
-class EClass:
-    nodes: dict = field(default_factory=dict)  # ordered set: ENode -> None
-    parents: list = field(default_factory=list)  # [(ENode, EClassId)]
 
 
 class InvalidIdError(Exception):
@@ -106,9 +96,10 @@ class EGraph:
         self.max_nodes = max_nodes
         self._uf: list[int] = []
         self._hashcons: dict = {}  # canonical ENode -> EClassId
-        self._classes: dict = {}  # canonical EClassId -> EClass
+        # canonical EClassId -> [(ENode, EClassId)], the nodes that have a
+        # child in the class; its keys are the live classes
+        self._parents: dict = {}
         self._worklist: list[int] = []
-        self._dirty: set = set()  # classes holding re-canonicalized parents
 
     # -- union-find ---------------------------------------------------------
 
@@ -132,7 +123,7 @@ class EGraph:
     def _new_class(self) -> EClassId:
         cid = len(self._uf)
         self._uf.append(cid)
-        self._classes[cid] = EClass()
+        self._parents[cid] = []
         return cid
 
     # -- insertion ----------------------------------------------------------
@@ -167,10 +158,9 @@ class EGraph:
             raise CapacityExceededError(self.max_nodes)
         node = key if type(key) is ENode else ENode._make(key)
         cid = self._new_class()
-        self._classes[cid].nodes[node] = None
         self._hashcons[node] = cid
         for child in node.children:
-            self._classes[child].parents.append((node, cid))
+            self._parents[child].append((node, cid))
         return cid
 
     def add_expr(self, e: Expression) -> EClassId:
@@ -201,10 +191,7 @@ class EGraph:
             return a, False
         winner, loser = (a, b) if a < b else (b, a)
         self._uf[loser] = winner
-        lost = self._classes.pop(loser)
-        kept = self._classes[winner]
-        kept.nodes.update(lost.nodes)
-        kept.parents.extend(lost.parents)
+        self._parents[winner].extend(self._parents.pop(loser))
         self._worklist.append(winner)
         return winner, True
 
@@ -223,22 +210,14 @@ class EGraph:
             for cid in todo:
                 repairs += 1
                 self._repair(cid)
-        # Only the classes of re-canonicalized parents can hold stale or
-        # duplicate nodes; canonicalizing in place keeps each class's order.
-        canonicalize = self._canonicalize
-        for cid in {self._find(c) for c in self._dirty}:
-            cls = self._classes[cid]
-            cls.nodes = dict.fromkeys(map(canonicalize, cls.nodes))
-        self._dirty.clear()
         return repairs
 
     def _repair(self, cid: EClassId) -> None:
         find = self._find
         hashcons = self._hashcons
         cid = find(cid)
-        cls = self._classes[cid]
-        old_parents = cls.parents
-        cls.parents = []
+        old_parents = self._parents[cid]
+        self._parents[cid] = []
         seen: dict = {}  # canonical parent node -> class id
         for pnode, pcls in old_parents:
             hashcons.pop(pnode, None)
@@ -249,11 +228,10 @@ class EGraph:
                 pc, _ = self.union(prev, pc)
             seen[pn] = pc
             hashcons[pn] = find(pc)
-        self._dirty.update(seen.values())
         # cid itself may have been merged away by a congruence union above.
-        home = self._classes[find(cid)]
+        home = self._parents[find(cid)]
         for pn, pc in seen.items():
-            home.parents.append((pn, find(pc)))
+            home.append((pn, find(pc)))
 
     # -- queries ------------------------------------------------------------
 
@@ -262,14 +240,21 @@ class EGraph:
         return len(self._hashcons)
 
     def class_count(self) -> int:
-        return len(self._classes)
+        return len(self._parents)
 
     def class_ids(self) -> list[int]:
         """Canonical class ids in ascending order."""
-        return sorted(self._classes)
+        return sorted(self._parents)
 
-    def nodes_of(self, cid: EClassId) -> Iterator[ENode]:
-        return iter(self._classes[self.find(cid)].nodes)
+    def classes(self) -> dict:
+        """``{canonical id: [nodes]}`` in ascending id order, grouped from
+        the hashcons in one pass (exact in rebuilt state).  The order of
+        the nodes within a class is unspecified."""
+        members: dict = {cid: [] for cid in self.class_ids()}
+        find = self._find
+        for node, cid in self._hashcons.items():
+            members[find(cid)].append(node)
+        return members
 
     def expr_of_node(self, node: ENode, arg_exprs: tuple) -> Expression:
         """Rebuild one expression node from an e-node and child expressions."""
@@ -284,8 +269,8 @@ class EGraph:
     def dump(self) -> str:
         """Snapshot as text lines ``class <id>: {node, node, ...}``."""
         lines = []
-        for cid in self.class_ids():
-            nodes = sorted(self._classes[cid].nodes, key=ENode.sort_key)
+        for cid, nodes in self.classes().items():
+            nodes = sorted(nodes, key=ENode.sort_key)
             body = ", ".join(n.render() for n in nodes)
             lines.append(f"class {cid}: {{{body}}}")
         return "\n".join(lines)
@@ -297,18 +282,24 @@ class EGraph:
 def check_invariants(g: EGraph) -> None:
     """Full-scan hashcons + congruence check; raises AssertionError on breach.
 
-    Linear in node count: every stored node is canonical, so congruence
-    is each node living in one class, the one the hashcons maps it to.
+    Linear in node count.  The hashcons holds each node once, so congruence
+    is every key being canonical.  Its one redundant record is the parent
+    lists, which rebuild reads: each non-leaf node must be listed, in
+    canonical form and with its class, among its children's parents.
     """
-    seen: dict = {}
-    for cid, cls in g._classes.items():
-        assert g.find(cid) == cid, f"class map holds non-canonical id {cid}"
-        assert cls.nodes, f"class {cid} is empty"
-        for n in cls.nodes:
-            assert g.canonicalize(n) == n, f"stale node {n} in class {cid}"
-            assert n not in seen, \
-                f"hashcons violation: {n} in classes {seen[n]} and {cid}"
-            seen[n] = cid
-            assert n in g._hashcons and g.find(g._hashcons[n]) == cid, \
-                f"hashcons maps {n} away from its class {cid}"
-    assert len(seen) == g.node_count(), "node_count out of sync"
+    find = g.find
+    records = {(g.canonicalize(pnode), find(pcls), cid)
+               for cid, parents in g._parents.items()
+               for pnode, pcls in parents}
+    live = set()
+    for n, cid in g._hashcons.items():
+        assert g.canonicalize(n) == n, f"stale node {n} in the hashcons"
+        cid = find(cid)
+        assert cid in g._parents, f"hashcons maps {n} to dead class {cid}"
+        live.add(cid)
+        for child in n.children:
+            assert (n, cid, child) in records, \
+                f"hashcons maps {n} to class {cid}, but the parent " \
+                f"records of class {child} do not list it there"
+    empty = set(g._parents) - live
+    assert not empty, f"classes {sorted(empty)} are empty"

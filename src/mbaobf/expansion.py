@@ -186,13 +186,14 @@ def _extract(g: EGraph, root: int, rounds: int, sign: int,
     round's changes are kept as ``(round, slots, nodes)`` arrays.
     """
     root = g.find(root)
-    cids = g.class_ids()
+    members = g.classes()
+    cids = list(members)
     n = len(cids)
     nodes = []
     starts = []
-    for cid in cids:
+    for class_nodes in members.values():
         starts.append(len(nodes))
-        nodes.extend(sorted(g.nodes_of(cid), key=ENode.sort_key))
+        nodes.extend(sorted(class_nodes, key=ENode.sort_key))
     starts = np.array(starts)
     owner = np.repeat(np.arange(n), np.diff(starts, append=len(nodes)))
     slot_of = np.full(cids[-1] + 2, n)  # index -1 is no class: virtual

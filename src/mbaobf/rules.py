@@ -216,9 +216,9 @@ def _label_index(g: EGraph) -> dict:
     """Per-class map label -> [nodes], in ascending class id order; built
     once per matching round."""
     index: dict = {}
-    for cid in g.class_ids():
+    for cid, nodes in g.classes().items():
         by_label: dict = {}
-        for n in g.nodes_of(cid):
+        for n in nodes:
             by_label.setdefault(n.label, []).append(n)
         index[cid] = by_label
     return index

@@ -96,6 +96,9 @@ def _exhaustive_env(keys: list, bits: int) -> dict:
 
 
 def _random_env(keys: list, bits: int, trials: int, seed: int) -> dict:
+    # Without a sample every random check would pass.
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     rng = np.random.default_rng(seed)
     return {key: rng.integers(0, 1 << bits, size=trials,
                               dtype=np.uint64).astype(_DTYPES[bits])
@@ -140,7 +143,8 @@ def check_rule(rule: Rule, bits: int) -> CheckResult:
 
 def check_rule_random(rule: Rule, bits: int, trials: int,
                       seed: int = 0) -> CheckResult:
-    """Randomized soundness check: ``trials`` seeded assignments."""
+    """Randomized soundness check: ``trials`` (at least 1) seeded
+    assignments."""
     env = _random_env(_rule_leaves(rule), bits, trials, seed)
     return _compare(rule.lhs, rule.rhs, env, bits)
 
@@ -150,8 +154,8 @@ def check_equivalence(a: Expression, b: Expression, bits: int,
     """Check two expressions for equal value on every environment.
 
     Exhaustive when the environment space fits the feasibility limit,
-    otherwise ``trials`` seeded random environments over the union of the
-    free variables.
+    otherwise ``trials`` (at least 1) seeded random environments over the
+    union of the free variables.
     """
     names = sorted(free_vars(a) | free_vars(b))
     cases = (1 << bits) ** len(names)
@@ -169,11 +173,9 @@ def check_rules(rules: list, trials: int = 10_000, seed: int = 0) -> list:
     ``trials`` seeded random assignments otherwise; 64 bits always takes
     the random check.  Returns ``[(rule, label, result)]`` for every check
     performed, in order, where ``label`` names the check that ran:
-    ``exhaustive@8``, ``random@8`` or ``random@64``.  ``trials`` must be at
-    least 1, or the random checks would pass without sampling anything.
+    ``exhaustive@8``, ``random@8`` or ``random@64``.  ``trials`` below 1
+    raises ValueError at the first random check.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
     results = []
     for rule in rules:
         for w in (4, 8):

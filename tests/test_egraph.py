@@ -141,16 +141,24 @@ class TestRebuild:
         g.union(mul_root, y)
         g.rebuild()
         check_invariants(g)
-        labels = sorted(n.label for n in g.nodes_of(y))
+        labels = sorted(n.label for n in g.classes()[g.find(y)])
         assert labels == ["mul", "var"]
         assert g.find(mul_root) == g.find(y)
 
     def test_invariants_catch_a_corrupt_hashcons_entry(self):
         g, (root,) = graph_of("x + y")
         check_invariants(g)
-        (node,) = g.nodes_of(root)
+        (node,) = g.classes()[g.find(root)]
         g._hashcons[node] = g.find(g.add_expr(parse("x")))
         with pytest.raises(AssertionError, match="hashcons maps"):
+            check_invariants(g)
+
+    def test_invariants_catch_a_deleted_parent_record(self):
+        g, _ = graph_of("x + y")
+        x = g.add_expr(parse("x"))
+        check_invariants(g)
+        g._parents[x].clear()
+        with pytest.raises(AssertionError, match="parent records of class"):
             check_invariants(g)
 
     def test_random_stress_invariants(self, rng):
@@ -177,8 +185,8 @@ class TestQueries:
             g.add_expr(random_expr(rng, rng.randint(1, 10), bits=8))
         g.rebuild()
         distinct = set()
-        for cid in g.class_ids():
-            distinct.update(g.nodes_of(cid))
+        for nodes in g.classes().values():
+            distinct.update(nodes)
         assert g.node_count() == len(distinct)
 
     def test_dump_golden(self):

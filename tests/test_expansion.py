@@ -2,11 +2,13 @@ import functools
 import gc
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
 import mbaobf.expansion
-from mbaobf.egraph import CapacityExceededError, EGraph, ENode
+from mbaobf.egraph import (CapacityExceededError, EGraph, ENode,
+                           check_invariants)
 from mbaobf.expansion import (MAX_OUTPUT_NODES, ExpansionConfig,
                               OutputTooLargeError, StopReason,
                               UnextractableError, expand, extract_max,
@@ -18,6 +20,7 @@ from mbaobf.verify import check_equivalence
 from conftest import random_expr
 
 ADDOR = parse_rules("addor : ?a + ?b => (?a | ?b) + (?a & ?b)")
+CORPUS = Path(__file__).resolve().parent.parent / "corpus" / "sample100.txt"
 
 def _operator_lhs_rules():
     """The shipped rules whose left-hand side requires an operator; a bare
@@ -39,18 +42,22 @@ def addor_graph():
 def enumerate_terms(g, cid, depth):
     """Brute-force oracle: all terms derivable from a class within the given
     edge depth (leaves sit at depth 0), by direct recursive enumeration."""
-    cid = g.find(cid)
-    out = []
-    for n in g.nodes_of(cid):
-        if n.is_leaf():
-            out.append(g.expr_of_node(n, ()))
-            continue
-        if depth == 0:
-            continue
-        child_terms = [enumerate_terms(g, c, depth - 1) for c in n.children]
-        for combo in itertools.product(*child_terms):
-            out.append(g.expr_of_node(n, combo))
-    return out
+    members = g.classes()
+
+    def terms(cid, depth):
+        out = []
+        for n in members[g.find(cid)]:
+            if not n.children:
+                out.append(g.expr_of_node(n, ()))
+                continue
+            if depth == 0:
+                continue
+            child_terms = [terms(c, depth - 1) for c in n.children]
+            for combo in itertools.product(*child_terms):
+                out.append(g.expr_of_node(n, combo))
+        return out
+
+    return terms(cid, depth)
 
 
 class TestExtractMax:
@@ -190,12 +197,12 @@ def reference_extract_max(g, root, rounds, max_nodes):
     cached per (class, round), so a term of ``MAX_OUTPUT_NODES`` nodes is
     built as a shared DAG rather than a tree of that many objects."""
     root = g.find(root)
-    class_nodes = {cid: sorted(g.nodes_of(cid), key=ENode.sort_key)
-                   for cid in g.class_ids()}
+    class_nodes = {cid: sorted(nodes, key=ENode.sort_key)
+                   for cid, nodes in g.classes().items()}
     base = {}
     for cid, nodes in class_nodes.items():
         for n in nodes:
-            if n.is_leaf():
+            if not n.children:
                 base[cid] = (1, n, 0)
                 break
     tables = [base]
@@ -245,8 +252,8 @@ def reference_extract_max(g, root, rounds, max_nodes):
 def reference_extract_min(g, root):
     """The minimizing extractor as it was before its two loops became one:
     an in-place fixpoint over ``cid -> (cost, node)``."""
-    class_nodes = {cid: sorted(g.nodes_of(cid), key=ENode.sort_key)
-                   for cid in g.class_ids()}
+    class_nodes = {cid: sorted(nodes, key=ENode.sort_key)
+                   for cid, nodes in g.classes().items()}
     costs = {}
     changed = True
     while changed:
@@ -514,6 +521,32 @@ class TestExpand:
                                              iter_limit=10, time_limit=30.0,
                                              max_output_nodes=500))
                 assert rep.final_node_count <= node_limit
+
+    def test_full_size_graphs_keep_their_invariants(self, monkeypatch):
+        # every rebuild of a corpus run at the default node limit is
+        # audited, up to the final graph of ~3000 nodes
+        rebuild = EGraph.rebuild
+        audited = []
+
+        def audited_rebuild(g):
+            repairs = rebuild(g)
+            check_invariants(g)
+            members = g.classes()
+            assert list(members) == sorted(members)
+            listed = [n for nodes in members.values() for n in nodes]
+            assert len(listed) == len(set(listed)) == g.node_count()
+            assert set(listed) == set(g._hashcons)
+            audited.append(g.node_count())
+            return repairs
+
+        monkeypatch.setattr(EGraph, "rebuild", audited_rebuild)
+        rules = load_default_rules()
+        for line in CORPUS.read_text().splitlines()[:3]:
+            audited.clear()
+            rep = expand(parse(line), rules, ExpansionConfig(time_limit=60.0))
+            assert rep.stop is StopReason.NODE_LIMIT
+            assert len(audited) == rep.iterations + 1
+            assert audited[-1] == rep.final_node_count
 
     def test_input_over_node_limit_raises(self):
         e = parse("(x * y) + (y * z)")  # 6 distinct nodes: y is shared

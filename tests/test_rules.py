@@ -115,13 +115,14 @@ def subst_of(rule: Rule, m) -> dict:
     return dict(zip(rule.program.names, m[1]))
 
 
-def embeds(g, p, cid, subst) -> bool:
+def embeds(g, members, p, cid, subst) -> bool:
     """Containment check used by the brute-force oracle: can ``p`` be
-    instantiated inside class ``cid`` under the full substitution?"""
+    instantiated inside class ``cid`` under the full substitution?
+    ``members`` is ``g.classes()``."""
     cid = g.find(cid)
     if isinstance(p, PatVar):
         return g.find(subst[p.name]) == cid
-    for n in g.nodes_of(cid):
+    for n in members[cid]:
         if isinstance(p, Const):
             if n.label == "const" and n.payload == p.value & ((1 << g.bits) - 1):
                 return True
@@ -129,7 +130,8 @@ def embeds(g, p, cid, subst) -> bool:
             if n.label == "var" and n.payload == p.name:
                 return True
         elif n.label == p.op.name and all(
-                embeds(g, a, c, subst) for a, c in zip(p.args, n.children)):
+                embeds(g, members, a, c, subst)
+                for a, c in zip(p.args, n.children)):
             return True
     return False
 
@@ -138,7 +140,8 @@ def brute_force_matches(g, rule):
     """Enumerate every (root, subst) of ``rule``'s left-hand side by trying
     all class assignments."""
     p, names = rule.lhs, rule.program.names
-    classes = g.class_ids()
+    members = g.classes()
+    classes = list(members)
     out = set()
 
     def assignments(i, subst):
@@ -151,7 +154,7 @@ def brute_force_matches(g, rule):
 
     for root in classes:
         for subst in assignments(0, {}):
-            if embeds(g, p, root, subst):
+            if embeds(g, members, p, root, subst):
                 out.add((root, tuple(sorted(subst.items()))))
     return out
 
@@ -234,7 +237,7 @@ class TestApplyMatch:
         (m,) = ematch(g, rule)
         assert apply_match(g, rule, m) is True
         g.rebuild()
-        labels = sorted(n.label for n in g.nodes_of(root))
+        labels = sorted(n.label for n in g.classes()[g.find(root)])
         assert labels == ["add", "add"]
         assert g.node_count() == 6  # x, y, add, or, and, new add
 

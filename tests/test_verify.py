@@ -93,6 +93,12 @@ class TestCheckRuleRandom:
         b = check_rule_random(rule("?a => ?a ^ 3"), 64, 50, seed=9)
         assert a == b
 
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_trials_below_one_rejected(self, trials):
+        # without a sample an unsound rule would pass with 0 cases checked
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            check_rule_random(rule("?a => ?a + 1"), 64, trials, 0)
+
 
 class TestCheckEquivalence:
     def test_masking_identity_exhaustive_8bit(self):
@@ -119,6 +125,12 @@ class TestCheckEquivalence:
         res = check_equivalence(parse("x ^ y ^ z"), parse("z ^ y ^ x"), 64,
                                 trials=250, seed=5)
         assert res.passed and res.cases_checked == 250
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_random_check_rejects_trials_below_one(self, trials):
+        # 2**64 environments take the random check, which needs a sample
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            check_equivalence(parse("x"), parse("x + 1"), 64, trials=trials)
 
 
 class TestVectorizedEvaluator:
