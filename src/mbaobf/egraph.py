@@ -22,11 +22,11 @@ build such keys from canonical ids and look them up with
 :meth:`EGraph.lookup_canonical` without constructing e-nodes.
 
 The hashcons is the one record of class membership; :meth:`EGraph.classes`
-groups it by class.  Each class keeps only its parent list: every e-node is
-recorded as a parent of each of its children's classes.  Rebuilding is
-deferred and dirty-only, as in egg: unions queue their representative, and
-:meth:`EGraph.rebuild` re-canonicalizes the parents of the queued classes
-in the hashcons, restoring congruence.
+groups it by class.  Each class keeps only its parent list; one record
+``[node, class]`` per node, shared by its children's lists, holds the
+node's hashcons key.  Rebuilding is deferred and dirty-only, as in egg:
+unions queue their representative, and :meth:`EGraph.rebuild` restores
+congruence by re-keying the queued classes' parents in the hashcons.
 """
 
 from __future__ import annotations
@@ -96,8 +96,8 @@ class EGraph:
         self.max_nodes = max_nodes
         self._uf: list[int] = []
         self._hashcons: dict = {}  # canonical ENode -> EClassId
-        # canonical EClassId -> [(ENode, EClassId)], the nodes that have a
-        # child in the class; its keys are the live classes
+        # canonical EClassId -> the records [ENode, EClassId] of the nodes
+        # that have a child in the class; its keys are the live classes
         self._parents: dict = {}
         self._worklist: list[int] = []
 
@@ -159,8 +159,9 @@ class EGraph:
         node = key if type(key) is ENode else ENode._make(key)
         cid = self._new_class()
         self._hashcons[node] = cid
+        record = [node, cid]
         for child in node.children:
-            self._parents[child].append((node, cid))
+            self._parents[child].append(record)
         return cid
 
     def add_expr(self, e: Expression) -> EClassId:
@@ -216,22 +217,23 @@ class EGraph:
         find = self._find
         hashcons = self._hashcons
         cid = find(cid)
-        old_parents = self._parents[cid]
+        records = self._parents[cid]
         self._parents[cid] = []
         seen: dict = {}  # canonical parent node -> class id
-        for pnode, pcls in old_parents:
-            hashcons.pop(pnode, None)
-            pn = self._canonicalize(pnode)
-            pc = find(pcls)
+        for record in records:
+            hashcons.pop(record[0], None)
+            pn = self._canonicalize(record[0])
+            pc = find(record[1])
             prev = seen.get(pn)
             if prev is not None and find(prev) != pc:
                 pc, _ = self.union(prev, pc)
             seen[pn] = pc
-            hashcons[pn] = find(pc)
+            hashcons[pn] = record[1] = find(pc)
+            record[0] = pn
         # cid itself may have been merged away by a congruence union above.
-        home = self._parents[find(cid)]
-        for pn, pc in seen.items():
-            home.append((pn, find(pc)))
+        # Congruent twins keep their records: each child's class must list
+        # every record, or a later repair would miss the one it retires.
+        self._parents[find(cid)].extend(records)
 
     # -- queries ------------------------------------------------------------
 
@@ -284,11 +286,11 @@ def check_invariants(g: EGraph) -> None:
 
     Linear in node count.  The hashcons holds each node once, so congruence
     is every key being canonical.  Its one redundant record is the parent
-    lists, which rebuild reads: each non-leaf node must be listed, in
-    canonical form and with its class, among its children's parents.
+    lists, which rebuild reads: each child's class must list its non-leaf
+    parents by their hashcons keys and classes, and list nothing else.
     """
     find = g.find
-    records = {(g.canonicalize(pnode), find(pcls), cid)
+    records = {(pnode, find(pcls), cid)
                for cid, parents in g._parents.items()
                for pnode, pcls in parents}
     live = set()
@@ -301,5 +303,8 @@ def check_invariants(g: EGraph) -> None:
             assert (n, cid, child) in records, \
                 f"hashcons maps {n} to class {cid}, but the parent " \
                 f"records of class {child} do not list it there"
+    for pnode, pcls, cid in records:
+        assert pnode in g._hashcons and find(g._hashcons[pnode]) == pcls, \
+            f"parent record {pnode} of class {cid} disagrees with the hashcons"
     empty = set(g._parents) - live
     assert not empty, f"classes {sorted(empty)} are empty"

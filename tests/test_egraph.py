@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from mbaobf.egraph import (CapacityExceededError, EGraph, InvalidIdError,
-                           check_invariants)
+from mbaobf.egraph import (CapacityExceededError, EGraph, ENode,
+                           InvalidIdError, check_invariants)
 from mbaobf.expr import parse
 
 from conftest import NaivePartition, random_expr
@@ -161,6 +161,30 @@ class TestRebuild:
         with pytest.raises(AssertionError, match="parent records of class"):
             check_invariants(g)
 
+    def test_children_merged_in_separate_rebuilds(self):
+        # each child of x + y loses to a smaller id, one rebuild apart; the
+        # second repair reaches the sum through y's parents and must retire
+        # the key the first repair left, (add 0 3), not the original form
+        g = EGraph()
+        c, d, x, y, s = (g.add_expr(parse(t))
+                         for t in ("c", "d", "x", "y", "x + y"))
+        g.rebuild()
+        g.union(c, x)
+        g.rebuild()
+        g.union(d, y)
+        g.rebuild()
+        check_invariants(g)
+        assert g.node_count() == 5
+        assert g.classes()[g.find(s)] == [ENode("add", None, (c, d))]
+
+    def test_invariants_catch_a_parent_record_the_hashcons_lacks(self):
+        g, (root,) = graph_of("x + y")
+        x = g.add_expr(parse("x"))
+        check_invariants(g)
+        g._parents[x].append([ENode("add", None, (x, x)), root])
+        with pytest.raises(AssertionError, match="disagrees with the hash"):
+            check_invariants(g)
+
     def test_random_stress_invariants(self, rng):
         for round_no in range(20):
             g = EGraph()
@@ -173,6 +197,26 @@ class TestRebuild:
                 g.union(rng.choice(roots), rng.choice(roots))
                 g.rebuild()
                 check_invariants(g)
+
+    def test_random_unions_of_any_classes_keep_invariants(self, rng):
+        # unions of inner classes too, not only roots, one or a few per
+        # rebuild, so a node's children are merged in separate rebuilds;
+        # 4-bit constants collide often, so congruent twins arise
+        for round_no in range(100):
+            g = EGraph()
+            for _ in range(6):
+                g.add_expr(random_expr(rng, rng.randint(1, 10), bits=4,
+                                       const_prob=0.3))
+            g.rebuild()
+            ids = list(range(g.class_count()))
+            for _ in range(12):
+                for _ in range(rng.randint(1, 3)):
+                    g.union(rng.choice(ids), rng.choice(ids))
+                g.rebuild()
+                check_invariants(g)
+                members = g.classes()
+                listed = [n for nodes in members.values() for n in nodes]
+                assert len(listed) == g.node_count()
 
 
 class TestQueries:
