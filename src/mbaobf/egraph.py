@@ -16,9 +16,12 @@ classes are listed in ascending id order, and nothing iterates in hash
 order, so identical operation sequences produce identical graphs.
 
 Representation: an :class:`ENode` is a named tuple ``(label, payload,
-children)``, so hashing and equality run in C and a plain tuple of the same
-three fields is an equal hashcons key.  The matcher and the budget dry run
-build such keys from canonical ids and look them up with
+children)``, so hashing, equality and ordering run in C and a plain tuple
+of the same three fields is an equal hashcons key.  E-nodes sort as plain
+tuples wherever an order is needed.  :meth:`EGraph.leaf_key` is the one
+map from a ``Var`` or ``Const`` leaf to its key.  The matcher, rule
+application and the budget dry run build keys from canonical ids and
+pass them to :meth:`EGraph.add_canonical` or
 :meth:`EGraph.lookup_canonical` without constructing e-nodes.
 
 The hashcons is the one record of class membership; :meth:`EGraph.classes`
@@ -37,30 +40,13 @@ from .expr import Const, Expression, Op, OPERATORS, Var
 
 EClassId = int
 
-# Sort rank per label, used for deterministic tie-breaking: leaves first,
-# then operators alphabetically.
-_LABEL_RANK = {label: rank for rank, label
-               in enumerate(("const", "var", *sorted(OPERATORS)))}
-
-
 class ENode(NamedTuple):
     """label is an operator name, or "var"/"const" with the payload holding
-    the variable name or constant value.
-
-    Order e-nodes with :meth:`sort_key`, not with ``<``: tuple order would
-    compare labels alphabetically and put ``add`` before the leaves.
-    """
+    the variable name or constant value."""
 
     label: str
     payload: object  # str | int | None
     children: tuple
-
-    def sort_key(self):
-        if self.label == "const":
-            return (_LABEL_RANK["const"], self.payload, "", self.children)
-        if self.label == "var":
-            return (_LABEL_RANK["var"], 0, self.payload, self.children)
-        return (_LABEL_RANK[self.label], 0, "", self.children)
 
     def render(self) -> str:
         if self.label == "var":
@@ -164,12 +150,17 @@ class EGraph:
             self._parents[child].append(record)
         return cid
 
+    def leaf_key(self, leaf: Var | Const) -> tuple:
+        """The hashcons key of a :class:`Var` or :class:`Const` leaf, its
+        constant reduced to the graph's width."""
+        if isinstance(leaf, Var):
+            return ("var", leaf.name, ())
+        return ("const", leaf.value & ((1 << self.bits) - 1), ())
+
     def add_expr(self, e: Expression) -> EClassId:
         """Insert a whole expression bottom-up; returns the root's class."""
-        if isinstance(e, Var):
-            return self.add(ENode("var", e.name, ()))
-        if isinstance(e, Const):
-            return self.add(ENode("const", e.value & ((1 << self.bits) - 1), ()))
+        if not isinstance(e, Op):
+            return self.add_canonical(self.leaf_key(e))
         children = tuple(self.add_expr(a) for a in e.args)
         return self.add(ENode(e.op.name, None, children))
 
@@ -272,8 +263,7 @@ class EGraph:
         """Snapshot as text lines ``class <id>: {node, node, ...}``."""
         lines = []
         for cid, nodes in self.classes().items():
-            nodes = sorted(nodes, key=ENode.sort_key)
-            body = ", ".join(n.render() for n in nodes)
+            body = ", ".join(n.render() for n in sorted(nodes))
             lines.append(f"class {cid}: {{{body}}}")
         return "\n".join(lines)
 

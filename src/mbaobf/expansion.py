@@ -29,8 +29,10 @@ cost was computed, so the output is a finite tree of depth at most
 ``rounds`` whose size equals the root's cost.  ``rounds`` is at most
 :data:`mbaobf.expr.MAX_DEPTH`, the depth ``parse`` admits.  Each (class,
 round) is built once and shared wherever it recurs, like egg's
-``RecExpr``.  Ties between equal-cost nodes break by the smallest node
-(label order, then child ids): runs are deterministic.
+``RecExpr``.  Ties between equal-cost nodes break by the smallest node in
+plain tuple order (label, payload, child ids): runs are deterministic.
+A leaf costs 1 and an operator node at least 2, so a leaf never ties an
+operator and round 0 takes each class's first leaf.
 
 The minimizing :func:`extract_min` is the same program with the cost
 ``-size`` and ``MAX_DEPTH`` rounds: it finds the smallest term of depth at
@@ -51,7 +53,7 @@ from typing import Optional
 
 import numpy as np
 
-from .egraph import EGraph, ENode
+from .egraph import EGraph
 from .expr import (DEFAULT_BITWIDTH, MAX_DEPTH, OPERATORS, Expression,
                    expr_size)
 from .metrics import MetricsReport, measure
@@ -107,13 +109,15 @@ class ExpansionConfig:
     max_output_nodes: int = 10_000
 
     def __post_init__(self):
-        for name in ("node_limit", "iter_limit", "max_output_nodes"):
+        for name in ("node_limit", "iter_limit", "max_output_nodes",
+                     "extraction_rounds"):
             if getattr(self, name) is None:
                 raise ValueError(f"{name} is required")
+        # Written so that NaN, which compares False, fails every check.
         for name in ("node_limit", "iter_limit", "time_limit",
-                     "target_ast_size", "max_output_nodes"):
+                     "target_ast_size"):
             value = getattr(self, name)
-            if value is not None and value <= 0:
+            if value is not None and not value > 0:
                 raise ValueError(f"{name} must be positive, got {value}")
         _check_output_cap(self.max_output_nodes)
         _check_rounds(self.extraction_rounds)
@@ -126,9 +130,9 @@ def _check_rounds(rounds: int) -> None:
 
 
 def _check_output_cap(max_nodes: int) -> None:
-    if max_nodes > MAX_OUTPUT_NODES:
+    if not 1 <= max_nodes <= MAX_OUTPUT_NODES:
         raise ValueError(f"max_output_nodes must be at most "
-                         f"{MAX_OUTPUT_NODES}, got {max_nodes}")
+                         f"{MAX_OUTPUT_NODES} and at least 1, got {max_nodes}")
 
 
 @dataclass(frozen=True)
@@ -154,8 +158,8 @@ def extract_max(g: EGraph, root: int, rounds: int,
     """Largest term for ``root`` derivable with depth at most ``rounds``
     and at most ``max_nodes`` nodes.
 
-    ``rounds`` lies in ``[1, MAX_DEPTH]`` and ``max_nodes`` is at most
-    :data:`MAX_OUTPUT_NODES`.  The result's size is nondecreasing in
+    ``rounds`` lies in ``[1, MAX_DEPTH]`` and ``max_nodes`` in
+    ``[1, MAX_OUTPUT_NODES]``.  The result's size is nondecreasing in
     ``rounds``; its subterms are shared.
     """
     _check_rounds(rounds)
@@ -175,8 +179,10 @@ def _extract(g: EGraph, root: int, rounds: int, sign: int,
     """The round-indexed DP that maximizes ``sign * size``, one array
     sweep over every e-node per round.
 
-    Class ``slot`` is the ``slot``-th canonical id; its nodes, sorted by
-    :meth:`ENode.sort_key`, are the flat run starting at ``starts[slot]``.
+    Class ``slot`` is the ``slot``-th canonical id; its nodes, sorted as
+    tuples, are the flat run starting at ``starts[slot]``.  Round 0 gives
+    each class holding a leaf its first leaf, which need not be its first
+    node.
     ``columns[k]`` holds each node's ``k``-th child slot, or the virtual
     slot ``n`` of cost 0 where the node has fewer children.  ``cost``
     holds the previous round's float costs, ``_UNDEFINED`` where no term
@@ -193,7 +199,7 @@ def _extract(g: EGraph, root: int, rounds: int, sign: int,
     starts = []
     for class_nodes in members.values():
         starts.append(len(nodes))
-        nodes.extend(sorted(class_nodes, key=ENode.sort_key))
+        nodes.extend(sorted(class_nodes))
     starts = np.array(starts)
     owner = np.repeat(np.arange(n), np.diff(starts, append=len(nodes)))
     slot_of = np.full(cids[-1] + 2, n)  # index -1 is no class: virtual
@@ -204,10 +210,11 @@ def _extract(g: EGraph, root: int, rounds: int, sign: int,
                for k in range(max(op.arity for op in OPERATORS.values()))]
     cost = np.full(n + 1, _UNDEFINED)
     cost[n] = 0.0
-    # Round 0: leaves sort first, so a class with a leaf starts with one.
-    seeded = np.flatnonzero(columns[0][starts] == n)
+    # Round 0: each class with a leaf takes its first leaf.
+    leaves = np.flatnonzero(columns[0] == n)
+    seeded, first = np.unique(owner[leaves], return_index=True)
     cost[seeded] = sign
-    changes = [(np.zeros(len(seeded), np.intp), seeded, starts[seeded])]
+    changes = [(np.zeros(len(seeded), np.intp), seeded, leaves[first])]
     for r in range(1, rounds + 1):
         total = cost[columns[0]]
         for column in columns[1:]:

@@ -7,7 +7,7 @@ the supported widths are 4, 8, 16, 32 and 64 bits.
 The operator table :data:`OPERATORS` is the one definition of the operator
 set: each entry's symbol, arity, binding strength and evaluation function
 drive the parser, the printer, both evaluators (this module's and the numpy
-one in :mod:`mbaobf.verify`) and the e-graph's label order.
+one in :mod:`mbaobf.verify`) and the e-graph's operator labels.
 
 Grammar accepted by :func:`parse`::
 

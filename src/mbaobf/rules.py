@@ -22,11 +22,10 @@ from __future__ import annotations
 import importlib.resources
 import re
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .egraph import EGraph
-from .expr import (IDENT_FIRST, IDENT_REST, Const, Op, ParseError,
-                   parse_pattern_text)
+from .expr import IDENT_FIRST, IDENT_REST, Op, ParseError, parse_pattern_text
 
 
 @dataclass(frozen=True)
@@ -143,7 +142,7 @@ _LEAF = 2  # argument: index into leaves; the class of a concrete leaf
 
 # Right-hand-side steps ``(kind, argument)`` in post-order.
 _STEP_VAR = 0  # argument: the variable's slot in the LHS program's names
-_STEP_LEAF = 1  # argument: (label, payload), the constant not yet masked
+_STEP_LEAF = 1  # argument: the Var or Const leaf
 _STEP_OP = 2  # argument: (label, arity)
 
 
@@ -155,11 +154,7 @@ class _Program(NamedTuple):
     n_regs: int
     root_label: Optional[str]  # held by the root class of every match
     ops: tuple  # matcher instructions
-    leaves: tuple  # (label, payload) of each concrete leaf the matcher tests
-
-
-def _leaf(p) -> tuple:
-    return ("const", p.value) if isinstance(p, Const) else ("var", p.name)
+    leaves: tuple  # each concrete Var or Const leaf the matcher tests
 
 
 def _compile(p: Pattern) -> _Program:
@@ -184,7 +179,7 @@ def _compile(p: Pattern) -> _Program:
             n_regs = children.stop
         else:
             ops.append((_LEAF, reg, len(leaves)))
-            leaves.append(_leaf(q))
+            leaves.append(q)
     names = tuple(sorted(first))
     return _Program(names, tuple(first[n] for n in names), n_regs,
                     p.op.name if isinstance(p, Op) else None,
@@ -199,12 +194,7 @@ def _post_order(q: Pattern, steps: list) -> None:
             _post_order(a, steps)
         steps.append((_STEP_OP, (q.op.name, len(q.args))))
     else:
-        steps.append((_STEP_LEAF, _leaf(q)))
-
-
-def _leaf_key(leaf: tuple, mask: int) -> tuple:
-    label, payload = leaf
-    return (label, payload & mask if label == "const" else payload, ())
+        steps.append((_STEP_LEAF, q))
 
 
 # ---------------------------------------------------------------------------
@@ -253,9 +243,7 @@ def ematch(g: EGraph, rule: Rule, index: Optional[dict] = None) -> list:
     if index is None:
         index = _label_index(g)
     prog = rule.program
-    mask = (1 << g.bits) - 1
-    leaf_ids = [g.lookup_canonical(_leaf_key(leaf, mask))
-                for leaf in prog.leaves]
+    leaf_ids = [g.lookup_canonical(g.leaf_key(leaf)) for leaf in prog.leaves]
     if None in leaf_ids:
         return []  # a concrete leaf of the pattern is not in the graph
     ops, var_regs, root_label = prog.ops, prog.var_regs, prog.root_label
@@ -279,19 +267,22 @@ def ematch(g: EGraph, rule: Rule, index: Optional[dict] = None) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _instantiate(g: EGraph, rule: Rule, bindings: tuple) -> int:
-    mask = (1 << g.bits) - 1
+def _build_rhs(g: EGraph, rule: Rule, bindings: tuple,
+               node: Callable[[tuple], Optional[int]]) -> Optional[int]:
+    """Walk ``rule.steps`` bottom-up, passing each right-side node's key
+    ``(label, payload, children)`` to ``node``, which returns its class or
+    None; returns the root's class."""
     stack: list = []
     for kind, arg in rule.steps:
         if kind == _STEP_VAR:
             stack.append(g.find(bindings[arg]))
         elif kind == _STEP_LEAF:
-            stack.append(g.add_canonical(_leaf_key(arg, mask)))
+            stack.append(node(g.leaf_key(arg)))
         else:
             label, arity = arg
             children = tuple(stack[-arity:])
             del stack[-arity:]
-            stack.append(g.add_canonical((label, None, children)))
+            stack.append(node((label, None, children)))
     return stack[0]
 
 
@@ -299,33 +290,22 @@ def count_new_nodes(g: EGraph, rule: Rule, m: tuple) -> int:
     """Upper bound on nodes :func:`apply_match` would add for the match
     ``m``, a ``(root, bindings)`` tuple from :func:`ematch` for ``rule``.
 
-    A dry run against the hashcons: a node whose children all resolve to
-    existing classes and that is itself present costs nothing; anything
-    unresolved counts as new.  Exact unless the RHS repeats a missing
-    subpattern, in which case it overcounts (safe direction for capacity
-    checks).
+    A dry run of :func:`apply_match`'s walk that looks each node up in the
+    hashcons instead of adding it and counts the misses; a node with a
+    missing child is itself missing.  Exact unless the RHS repeats a
+    missing subpattern, in which case it overcounts (safe direction for
+    capacity checks).
     """
-    mask = (1 << g.bits) - 1
-    lookup = g.lookup_canonical
-    bindings = m[1]
-    stack: list = []
-    count = 0
-    for kind, arg in rule.steps:
-        if kind == _STEP_VAR:
-            stack.append(g.find(bindings[arg]))
-            continue
-        if kind == _STEP_LEAF:
-            cid = lookup(_leaf_key(arg, mask))
-        else:
-            label, arity = arg
-            children = tuple(stack[-arity:])
-            del stack[-arity:]
-            cid = None if None in children else lookup((label, None,
-                                                        children))
-        if cid is None:
-            count += 1
-        stack.append(cid)
-    return count
+    misses = 0
+
+    def lookup(key: tuple) -> Optional[int]:
+        nonlocal misses
+        cid = g.lookup_canonical(key)
+        misses += cid is None
+        return cid
+
+    _build_rhs(g, rule, m[1], lookup)
+    return misses
 
 
 def apply_match(g: EGraph, rule: Rule, m: tuple) -> bool:
@@ -337,6 +317,6 @@ def apply_match(g: EGraph, rule: Rule, m: tuple) -> bool:
     """
     root, bindings = m
     before = g.node_count()
-    rhs_id = _instantiate(g, rule, bindings)
+    rhs_id = _build_rhs(g, rule, bindings, g.add_canonical)
     _, merged = g.union(g.find(root), rhs_id)
     return merged or g.node_count() != before

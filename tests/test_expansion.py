@@ -13,7 +13,8 @@ from mbaobf.expansion import (MAX_OUTPUT_NODES, ExpansionConfig,
                               OutputTooLargeError, StopReason,
                               UnextractableError, expand, extract_max,
                               extract_min)
-from mbaobf.expr import MAX_DEPTH, evaluate, expr_size, parse, to_text
+from mbaobf.expr import (MAX_DEPTH, OPERATORS, evaluate, expr_size, parse,
+                         to_text)
 from mbaobf.rules import apply_match, ematch, load_default_rules, parse_rules
 from mbaobf.verify import check_equivalence
 
@@ -106,10 +107,25 @@ class TestExtractMax:
         with pytest.raises(UnextractableError):
             extract_max(g, root, 1, 10_000)
 
+    def test_round_zero_seeds_a_leaf_that_sorts_after_an_operator(self):
+        # Class r holds x and y + z, and (add ...) sorts before (var x) as
+        # a tuple.  Round 0 must still give r the term x: round 1 recomputes
+        # r from all its nodes, but -r at round 1 reads r at round 0.
+        g = EGraph()
+        r = g.add(ENode("var", "x", ()))
+        g.union(r, g.add_expr(parse("y + z")))
+        top = g.add(ENode("neg", None, (r,)))
+        g.rebuild()
+        r = g.find(r)
+        assert [n.label for n in sorted(g.classes()[r])] == ["add", "var"]
+        assert to_text(extract_min(g, r)) == "x"
+        assert to_text(extract_max(g, r, 1, 2)) == "x"
+        assert to_text(extract_max(g, top, 1, 10_000)) == "(- x)"
+
     def test_cap_at_most_output_ceiling(self):
         g, root = addor_graph()
         assert expr_size(extract_max(g, root, 2, MAX_OUTPUT_NODES)) == 7
-        for cap in (MAX_OUTPUT_NODES + 1, 10**400):
+        for cap in (MAX_OUTPUT_NODES + 1, 10**400, 0, -1):
             with pytest.raises(ValueError, match="max_output_nodes"):
                 extract_max(g, root, 2, cap)
 
@@ -191,13 +207,29 @@ class TestExtractMin:
             assert mn <= mx
 
 
+# The node order the extractor used before e-nodes sorted as plain tuples:
+# leaves first, then operators alphabetically.  The references keep it, so
+# their agreement with the extractor shows that tuple order picks the same
+# nodes.
+_LABEL_RANK = {label: rank for rank, label
+               in enumerate(("const", "var", *sorted(OPERATORS)))}
+
+
+def rank_key(n):
+    if n.label == "const":
+        return (_LABEL_RANK["const"], n.payload, "", n.children)
+    if n.label == "var":
+        return (_LABEL_RANK["var"], 0, n.payload, n.children)
+    return (_LABEL_RANK[n.label], 0, "", n.children)
+
+
 def reference_extract_max(g, root, rounds, max_nodes):
     """The extractor as it was before its two loops became one: one full
     table per round, each entry ``(cost, node, round)``.  ``build`` is
     cached per (class, round), so a term of ``MAX_OUTPUT_NODES`` nodes is
     built as a shared DAG rather than a tree of that many objects."""
     root = g.find(root)
-    class_nodes = {cid: sorted(nodes, key=ENode.sort_key)
+    class_nodes = {cid: sorted(nodes, key=rank_key)
                    for cid, nodes in g.classes().items()}
     base = {}
     for cid, nodes in class_nodes.items():
@@ -252,7 +284,7 @@ def reference_extract_max(g, root, rounds, max_nodes):
 def reference_extract_min(g, root):
     """The minimizing extractor as it was before its two loops became one:
     an in-place fixpoint over ``cid -> (cost, node)``."""
-    class_nodes = {cid: sorted(nodes, key=ENode.sort_key)
+    class_nodes = {cid: sorted(nodes, key=rank_key)
                    for cid, nodes in g.classes().items()}
     costs = {}
     changed = True
@@ -624,6 +656,16 @@ class TestExpand:
     def test_iter_limit_required(self):
         with pytest.raises(ValueError, match="iter_limit is required"):
             ExpansionConfig(iter_limit=None)
+        with pytest.raises(ValueError, match="extraction_rounds is required"):
+            ExpansionConfig(extraction_rounds=None)
+
+    @pytest.mark.parametrize("field", ["node_limit", "iter_limit",
+                                       "time_limit", "target_ast_size",
+                                       "extraction_rounds",
+                                       "max_output_nodes"])
+    def test_nan_limit_rejected(self, field):
+        with pytest.raises(ValueError, match="nan"):
+            ExpansionConfig(**{field: float("nan")})
 
     def test_node_limit_required_and_rounds_within_depth_bound(self):
         with pytest.raises(ValueError, match="node_limit is required"):

@@ -4,7 +4,6 @@
 import numpy as np
 import pytest
 
-from mbaobf.egraph import ENode
 from mbaobf.expr import OPERATORS, Op, Var, evaluate, mask_of, parse, to_text
 from mbaobf.verify import _DTYPES, _eval_vec
 
@@ -59,11 +58,3 @@ class TestEachOperator:
         got = _eval_vec(e, env, bits)
         for i, (x, y) in enumerate(pairs):
             assert int(got[i]) == evaluate(e, {"a": x, "b": y}, bits)
-
-
-def test_sort_key_ranks_labels():
-    labels = ["const", "var", *OPERATORS]
-    nodes = [ENode(label, None, ()) for label in labels]
-    ranked = [n.label for n in sorted(nodes, key=ENode.sort_key)]
-    assert ranked == ["const", "var", "add", "and", "mul", "neg", "not",
-                      "or", "sub", "xor"]

@@ -266,11 +266,18 @@ class TestApplyMatch:
             g.rebuild()
             for rule in rules:
                 for m in ematch(g, rule):
+                    # with ?a and ?b in one class, ~?a occurs twice on the
+                    # right side and the dry run counts it twice if absent
+                    repeats = (rule.name == "mul-split-masks"
+                               and len({g.find(c) for c in m[1]}) == 1)
                     predicted = count_new_nodes(g, rule, m)
                     before = g.node_count()
                     apply_match(g, rule, m)
                     added = g.node_count() - before
-                    assert added <= predicted
+                    if repeats:
+                        assert added <= predicted
+                    else:
+                        assert added == predicted
                 g.rebuild()
 
     def test_dry_run_count_stays_within_the_rule_bound(self, rng):
