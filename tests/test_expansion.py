@@ -667,6 +667,23 @@ class TestExpand:
         with pytest.raises(ValueError, match="nan"):
             ExpansionConfig(**{field: float("nan")})
 
+    @pytest.mark.parametrize("field", ["node_limit", "iter_limit",
+                                       "extraction_rounds",
+                                       "max_output_nodes",
+                                       "target_ast_size"])
+    def test_integer_limit_must_be_an_int(self, field):
+        for value in (2.5, 2.0, True):
+            with pytest.raises(ValueError, match="must be an integer"):
+                ExpansionConfig(**{field: value})
+        if field in ("extraction_rounds", "max_output_nodes"):
+            g = EGraph()
+            root = g.add_expr(parse("x"))
+            limits = {"extraction_rounds": 2, "max_output_nodes": 10,
+                      field: 2.0}
+            with pytest.raises(ValueError, match="must be an integer"):
+                extract_max(g, root, limits["extraction_rounds"],
+                            limits["max_output_nodes"])
+
     def test_node_limit_required_and_rounds_within_depth_bound(self):
         with pytest.raises(ValueError, match="node_limit is required"):
             ExpansionConfig(node_limit=None)

@@ -10,12 +10,29 @@ from mbaobf.verify import (CheckResult, TooManyCasesError, check_equivalence,
 
 import numpy as np
 
+from mbaobf.egraph import EGraph
+from mbaobf.expansion import expand
+
 from conftest import random_env, random_expr
 
 
 def rule(text: str):
     (r,) = parse_rules(f"r : {text}")
     return r
+
+
+@pytest.mark.parametrize("bits", [7, 8.0])
+@pytest.mark.parametrize("check", [
+    lambda bits: check_rule(rule("?a => ?a"), bits),
+    lambda bits: check_rule_random(rule("?a => ?a"), bits, 10),
+    lambda bits: check_equivalence(parse("x"), parse("x"), bits),
+    lambda bits: EGraph(bits=bits),
+    lambda bits: expand(parse("x + y"), load_default_rules(), bits=bits),
+], ids=["check_rule", "check_rule_random", "check_equivalence", "EGraph",
+        "expand"])
+def test_unsupported_width_rejected(check, bits):
+    with pytest.raises(ValueError, match=f"unsupported bitwidth {bits}"):
+        check(bits)
 
 
 class TestCheckRule:
