@@ -293,15 +293,21 @@ def expand(e: Expression, rules: list, cfg: Optional[ExpansionConfig] = None,
            bits: int = DEFAULT_BITWIDTH) -> ExpansionReport:
     """Grow an e-graph from ``e`` under ``rules`` and extract the result.
 
-    Each iteration matches every rule against the rebuilt graph, applies
-    the matches in rule order, then rebuilds.  The first match that could
-    push the node count past ``node_limit`` is not applied: it ends growth
-    with ``NodeLimit``, and the matches after it lose their turn.
-    Otherwise the loop stops on whichever termination condition fires
-    first; an input that no rule matches is returned unchanged with
-    ``Saturated`` (a no-op, not an error).  An input larger than
-    ``max_output_nodes`` raises :class:`OutputTooLargeError`, and one whose
-    graph alone holds more than ``node_limit`` nodes raises
+    Each iteration indexes the rebuilt graph once, then takes the rules in
+    order: it matches one rule against the index and applies its matches
+    before it matches the next, and it rebuilds at the end.  So every rule
+    sees the graph as it stood when the iteration began, as if all were
+    matched up front, but a rule is matched only if growth reaches it.
+    The first match that could push the node count past ``node_limit`` is
+    not applied: it ends growth with ``NodeLimit``, and the matches and
+    rules after it lose their turn.  Otherwise the loop stops on whichever
+    termination condition fires first.  The wall clock is read between
+    iterations, before each rule is matched and every
+    ``_TIME_CHECK_STRIDE`` applications.  An input that no rule matches is
+    returned unchanged with ``Saturated`` (a no-op, not an error).  An
+    input larger than ``max_output_nodes`` raises
+    :class:`OutputTooLargeError`, and one whose graph alone holds more than
+    ``node_limit`` nodes raises
     :class:`~mbaobf.egraph.CapacityExceededError`.
 
     The rules are trusted here: admit them through the soundness checker
@@ -332,24 +338,30 @@ def expand(e: Expression, rules: list, cfg: Optional[ExpansionConfig] = None,
             stop = StopReason.TIME_LIMIT
             break
         index = _label_index(g)
-        matches = []  # frees the last round's matches before matching
-        for rule in rules:
-            for m in ematch(g, rule, index):
-                matches.append((rule, m))
-        del index  # frees it before the graph grows and the next is built
         changed = False
-        for i, (rule, m) in enumerate(matches):
-            if i % _TIME_CHECK_STRIDE == 0 and i and timed_out():
+        applied = 0  # this iteration's applications, across rules
+        for rule in rules:
+            if timed_out():
                 stop = StopReason.TIME_LIMIT
                 break
-            # The first match that would add more than `room` nodes ends
-            # growth; the dry run is needed only when the RHS could.
-            room = cfg.node_limit - g.node_count()
-            if rule.bound > room and count_new_nodes(g, rule, m) > room:
-                stop = StopReason.NODE_LIMIT
+            for m in ematch(g, rule, index):
+                if (applied % _TIME_CHECK_STRIDE == 0 and applied
+                        and timed_out()):
+                    stop = StopReason.TIME_LIMIT
+                    break
+                # The first match that would add more than `room` nodes
+                # ends growth; the dry run is needed only when the RHS
+                # could.
+                room = cfg.node_limit - g.node_count()
+                if rule.bound > room and count_new_nodes(g, rule, m) > room:
+                    stop = StopReason.NODE_LIMIT
+                    break
+                if apply_match(g, rule, m):
+                    changed = True
+                applied += 1
+            if stop is not None:
                 break
-            if apply_match(g, rule, m):
-                changed = True
+        del index  # frees it before the graph is rebuilt and re-indexed
         g.rebuild()
         iterations += 1
         if stop is not None:

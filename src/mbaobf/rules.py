@@ -202,59 +202,74 @@ def _post_order(q: Pattern, steps: list) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _label_index(g: EGraph) -> dict:
-    """Per-class map label -> [nodes], in ascending class id order; built
-    once per matching round."""
-    index: dict = {}
+class _Snapshot(NamedTuple):
+    """The graph as it stood when :func:`_label_index` ran, canonical then:
+    what :func:`ematch` reads, so later unions do not change its matches."""
+
+    classes: dict  # class id -> {label: [nodes]}, ascending id order
+    leaves: dict  # leaf key (see EGraph.leaf_key) -> class id
+
+
+def _label_index(g: EGraph) -> _Snapshot:
+    """Each class's nodes grouped by label, and each leaf's class, in one
+    pass; built once per iteration and read by every rule's match."""
+    classes: dict = {}
+    leaves: dict = {}
     for cid, nodes in g.classes().items():
         by_label: dict = {}
         for n in nodes:
             by_label.setdefault(n.label, []).append(n)
-        index[cid] = by_label
-    return index
+            if not n.children:
+                leaves[n] = cid
+        classes[cid] = by_label
+    return _Snapshot(classes, leaves)
 
 
-def _run(ops: tuple, pc: int, regs: list, index: dict, leaf_ids: list,
+def _run(ops: tuple, pc: int, regs: list, classes: dict, leaf_ids: list,
          var_regs: tuple, out: list) -> None:
     """Execute ``ops[pc:]``, appending one binding tuple per embedding."""
     for pc in range(pc, len(ops)):
         kind, reg, arg = ops[pc]
         if kind == _BIND:
             label, children = arg
-            for node in index[regs[reg]].get(label, ()):
+            for node in classes[regs[reg]].get(label, ()):
                 regs[children] = node.children
-                _run(ops, pc + 1, regs, index, leaf_ids, var_regs, out)
+                _run(ops, pc + 1, regs, classes, leaf_ids, var_regs, out)
             return
         if regs[reg] != (regs[arg] if kind == _SAME else leaf_ids[arg]):
             return
     out.append(tuple([regs[r] for r in var_regs]))
 
 
-def ematch(g: EGraph, rule: Rule, index: Optional[dict] = None) -> list:
-    """All matches of ``rule``'s left-hand side anywhere in the rebuilt
-    graph, each a ``(root, bindings)`` tuple: the class matched at and the
-    class bound to each of ``rule.program.names``, canonical at match time.
+def ematch(g: EGraph, rule: Rule, index: Optional[_Snapshot] = None) -> list:
+    """All matches of ``rule``'s left-hand side anywhere in ``index``, each
+    a ``(root, bindings)`` tuple: the class matched at and the class bound
+    to each of ``rule.program.names``.
 
-    ``index`` is the graph's :func:`_label_index`, built here when None.
-    Complete with respect to brute-force instantiation; duplicates are
-    collapsed and the result is ordered by root id, then by bindings, so
-    match lists are deterministic.
+    ``index`` is a :func:`_label_index` of ``g``, built here from the
+    rebuilt graph when None.  Matching reads only the index, leaf classes
+    included, so ids are canonical as of the index, not at match time: a
+    rule matched after earlier rules' unions finds what it would have
+    found before them.  Complete with respect to brute-force
+    instantiation; duplicates are collapsed and the result is ordered by
+    root id, then by bindings, so match lists are deterministic.
     """
     if index is None:
         index = _label_index(g)
     prog = rule.program
-    leaf_ids = [g.lookup_canonical(g.leaf_key(leaf)) for leaf in prog.leaves]
+    leaf_ids = [index.leaves.get(g.leaf_key(leaf)) for leaf in prog.leaves]
     if None in leaf_ids:
         return []  # a concrete leaf of the pattern is not in the graph
+    classes = index.classes
     ops, var_regs, root_label = prog.ops, prog.var_regs, prog.root_label
     regs = [0] * prog.n_regs
     out: list = []
-    for cid, by_label in index.items():
+    for cid, by_label in classes.items():
         if root_label is not None and root_label not in by_label:
             continue
         regs[0] = cid
         found: list = []
-        _run(ops, 0, regs, index, leaf_ids, var_regs, found)
+        _run(ops, 0, regs, classes, leaf_ids, var_regs, found)
         if len(found) > 1:
             found = sorted(set(found))
         for bindings in found:

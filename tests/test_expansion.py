@@ -1,7 +1,9 @@
+import dataclasses
 import functools
 import gc
 import itertools
 import random
+import types
 from pathlib import Path
 
 import pytest
@@ -10,12 +12,14 @@ import mbaobf.expansion
 from mbaobf.egraph import (CapacityExceededError, EGraph, ENode,
                            check_invariants)
 from mbaobf.expansion import (MAX_OUTPUT_NODES, ExpansionConfig,
-                              OutputTooLargeError, StopReason,
+                              ExpansionReport, OutputTooLargeError, StopReason,
                               UnextractableError, expand, extract_max,
                               extract_min)
 from mbaobf.expr import (MAX_DEPTH, OPERATORS, evaluate, expr_size, parse,
                          to_text)
-from mbaobf.rules import apply_match, ematch, load_default_rules, parse_rules
+from mbaobf.metrics import measure
+from mbaobf.rules import (_label_index, apply_match, count_new_nodes, ematch,
+                          load_default_rules, parse_rules)
 from mbaobf.verify import check_equivalence
 
 from conftest import random_expr
@@ -690,3 +694,129 @@ class TestExpand:
         with pytest.raises(ValueError, match=f"between 1 and {MAX_DEPTH}"):
             ExpansionConfig(extraction_rounds=MAX_DEPTH + 1)
         assert ExpansionConfig(extraction_rounds=MAX_DEPTH)
+
+
+# ---------------------------------------------------------------------------
+# Lazy matching
+# ---------------------------------------------------------------------------
+
+
+def eager_expand(e, rules, cfg, applied):
+    """The eager reference schedule for ``expand``'s growth loop: each
+    iteration matches every rule against its index before applying any.
+    It reads no clock and takes no target size.  Appends each application
+    ``(rule name, match)`` to ``applied``; returns the report with
+    ``elapsed`` 0."""
+    g = EGraph(max_nodes=cfg.node_limit)
+    root = g.add_expr(e)
+    g.rebuild()
+    stop = None
+    iterations = 0
+    while stop is None:
+        if iterations == cfg.iter_limit:
+            stop = StopReason.ITER_LIMIT
+            break
+        index = _label_index(g)
+        matches = [(rule, m) for rule in rules for m in ematch(g, rule, index)]
+        changed = False
+        for rule, m in matches:
+            room = cfg.node_limit - g.node_count()
+            if rule.bound > room and count_new_nodes(g, rule, m) > room:
+                stop = StopReason.NODE_LIMIT
+                break
+            applied.append((rule.name, m))
+            changed |= apply_match(g, rule, m)
+        g.rebuild()
+        iterations += 1
+        if stop is None and not changed:
+            stop = StopReason.SATURATED
+        elif stop is None and g.node_count() >= cfg.node_limit:
+            stop = StopReason.NODE_LIMIT
+    output = extract_max(g, root, cfg.extraction_rounds, cfg.max_output_nodes)
+    return ExpansionReport(output, stop, iterations, g.node_count(), 0.0,
+                           measure(e), measure(output))
+
+
+# Rules that merge classes, some of them with the leaf 0's class; put
+# ahead of the shipped rules, they change a leaf's class before a later
+# rule whose left side holds that leaf is matched.
+COLLAPSING = parse_rules("""
+sub-self : ?a - ?a => 0
+xor-self : ?a ^ ?a => 0
+and-self : ?a & ?a => ?a
+mul-zero : ?a * 0 => 0
+neg-neg  : 0 - (0 - ?a) => ?a
+""")
+
+
+class TestLazyMatching:
+    def test_applies_what_the_eager_loop_applied(self, rng, monkeypatch):
+        original = mbaobf.expansion.apply_match
+        applied = []
+
+        def recorded(g, rule, m):
+            applied.append((rule.name, m))
+            return original(g, rule, m)
+
+        monkeypatch.setattr(mbaobf.expansion, "apply_match", recorded)
+        rulesets = (load_default_rules(),
+                    COLLAPSING + load_default_rules())
+        # In the first two, a collapsing rule merges the class of the leaf
+        # 0 before `negsub-to-not`, whose left side holds 0, is matched.
+        # The random ones have constants 0 and 1 and repeat subterms.
+        inputs = [parse("(x - x) - y"), parse("(x ^ x) + (0 - y)")] + [
+            random_expr(rng, rng.randint(1, 9), pool=("x", "y"), bits=1,
+                        const_prob=0.4) for _ in range(12)]
+        for e in inputs:
+            for node_limit in (40, 150, 600):
+                for rules in rulesets:
+                    cfg = ExpansionConfig(node_limit=node_limit,
+                                          iter_limit=8, time_limit=60.0,
+                                          max_output_nodes=500)
+                    applied.clear()
+                    rep = expand(e, rules, cfg)
+                    eager = []
+                    assert (dataclasses.replace(rep, elapsed=0.0)
+                            == eager_expand(e, rules, cfg, eager))
+                    assert applied == eager
+
+    def test_later_rules_unmatched_once_growth_ends(self, monkeypatch):
+        original = mbaobf.expansion.ematch
+        calls = []
+
+        def counted(g, rule, index=None):
+            calls.append(rule.name)
+            return original(g, rule, index)
+
+        monkeypatch.setattr(mbaobf.expansion, "ematch", counted)
+        rules = load_default_rules()
+        e = parse(CORPUS.read_text().splitlines()[0])
+        cfg = ExpansionConfig(time_limit=60.0)  # the defaults, unclocked
+        rep = expand(e, rules, cfg)
+        assert rep.stop is StopReason.NODE_LIMIT
+        assert len(calls) < rep.iterations * len(rules)
+        assert (dataclasses.replace(rep, elapsed=0.0)
+                == eager_expand(e, rules, cfg, []))
+
+    def test_clock_read_before_each_rule_is_matched(self, monkeypatch):
+        # each match takes one second on a fake clock; no rule may be
+        # matched once the limit has passed
+        clock = [0.0]
+        monkeypatch.setattr(mbaobf.expansion, "time",
+                            types.SimpleNamespace(monotonic=lambda: clock[0]))
+        original = mbaobf.expansion.ematch
+
+        def slow(g, rule, index=None):
+            assert clock[0] < limit
+            clock[0] += 1.0
+            return original(g, rule, index)
+
+        monkeypatch.setattr(mbaobf.expansion, "ematch", slow)
+        rules = load_default_rules()
+        for limit in (0.5, 5.5, 20.5):  # the last one in the 2nd iteration
+            clock[0] = 0.0
+            rep = expand(parse("x + y"), rules,
+                         ExpansionConfig(time_limit=limit))
+            assert rep.stop is StopReason.TIME_LIMIT
+            assert clock[0] == int(limit) + 1
+            assert rep.iterations == 1 + int(limit) // len(rules)

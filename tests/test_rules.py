@@ -5,7 +5,7 @@ import pytest
 from mbaobf.egraph import EGraph
 from mbaobf.expr import Const, Op, Var, parse
 from mbaobf.rules import (PatVar, Rule, RuleSyntaxError, UnboundRhsVarError,
-                          apply_match, count_new_nodes, ematch,
+                          _label_index, apply_match, count_new_nodes, ematch,
                           load_default_rules, parse_rules)
 
 from conftest import random_expr
@@ -205,6 +205,18 @@ class TestEmatch:
         assert a == b
         roots = [m[0] for m in a]
         assert roots == sorted(roots)
+
+    def test_leaf_classes_read_from_the_index(self):
+        # r1 merges x's class 1 into y's class 0; r2, matched against the
+        # index taken before, must still find x in class 1, not in the
+        # live graph's class 0
+        r1, r2 = parse_rules("r1 : y => x\nr2 : x * ?b => ?b * x")
+        g, _ = graph_of("y", "x * z")
+        index = _label_index(g)
+        for m in ematch(g, r1, index):
+            apply_match(g, r1, m)
+        assert g.find(1) == 0
+        assert ematch(g, r2, index) == [(3, (2,))]
 
     def test_completeness_against_brute_force(self, rng):
         # ematch's contract: every embedding once, ordered by root id, then
