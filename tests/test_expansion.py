@@ -791,7 +791,7 @@ class TestLazyMatching:
         monkeypatch.setattr(mbaobf.expansion, "ematch", counted)
         rules = load_default_rules()
         e = parse(CORPUS.read_text().splitlines()[0])
-        cfg = ExpansionConfig(time_limit=60.0)  # the defaults, unclocked
+        cfg = ExpansionConfig(time_limit=60.0)  # the defaults, more time
         rep = expand(e, rules, cfg)
         assert rep.stop is StopReason.NODE_LIMIT
         assert len(calls) < rep.iterations * len(rules)
