@@ -16,6 +16,22 @@ def graph_of(*texts, bits=64):
     return g, roots
 
 
+def reference_rebuild(g):
+    """The rebuild as it was before it re-keyed only stale keys: re-key the
+    whole hashcons into a fresh dict, each node under its canonical form
+    and mapped to its canonical class, until a pass merges nothing."""
+    while g._merged:
+        g._merged.clear()
+        rekeyed = {}
+        for node, cid in g._hashcons.items():
+            node = g.canonicalize(node)
+            cid = g.find(cid)
+            prev = rekeyed.setdefault(node, cid)
+            if prev != cid:
+                rekeyed[node], _ = g.union(prev, cid)
+        g._hashcons = rekeyed
+
+
 class TestAdd:
     def test_three_nodes_for_x_plus_y(self):
         g, _ = graph_of("x + y")
@@ -153,6 +169,15 @@ class TestRebuild:
         with pytest.raises(AssertionError, match="are empty"):
             check_invariants(g)
 
+    def test_invariants_catch_a_pending_merge(self):
+        # no node has x or y as a child, so no key goes stale
+        g, (x, y) = graph_of("x", "y")
+        g.union(x, y)
+        with pytest.raises(AssertionError, match="pending"):
+            check_invariants(g)
+        g.rebuild()
+        check_invariants(g)
+
     def test_invariants_catch_a_stale_key(self):
         g, (root,) = graph_of("x + y")
         x, y = g.add_expr(parse("x")), g.add_expr(parse("y"))
@@ -163,8 +188,8 @@ class TestRebuild:
 
     def test_children_merged_in_separate_rebuilds(self):
         # each child of x + y loses to a smaller id, one rebuild apart; the
-        # second repair reaches the sum through y's parents and must retire
-        # the key the first repair left, (add 0 3), not the original form
+        # second rebuild must re-key the key the first one left, (add 0 3),
+        # not the original form
         g = EGraph()
         c, d, x, y, s = (g.add_expr(parse(t))
                          for t in ("c", "d", "x", "y", "x + y"))
@@ -178,8 +203,9 @@ class TestRebuild:
         assert g.classes()[g.find(s)] == [ENode("add", None, (c, d))]
 
     def test_merge_found_late_in_a_pass_takes_a_second_pass(self):
-        # the first pass re-keys -z as (neg 3) before ~x and ~y meet and
-        # merge z's class into 0, so only a second pass retires that key
+        # the first pass merges ~y's class, and so z's, into 0 (that of x
+        # and ~x); only then does -z's key (neg 3) go stale, so a second
+        # pass retires it
         g = EGraph()
         x, y, nx, z, negz, ny = (g.add_expr(parse(t))
                                  for t in ("x", "y", "~x", "z", "-z", "~y"))
@@ -191,6 +217,47 @@ class TestRebuild:
         assert g.rebuild() == 2
         check_invariants(g)
         assert g.classes()[g.find(negz)] == [ENode("neg", None, (0,))]
+
+    def test_cascade_closes_in_one_rebuild(self):
+        # merging x and y makes ~x and ~y congruent, which makes ~~x and
+        # ~~y congruent, and so on up six levels
+        g = EGraph()
+        x, y = g.add_expr(parse("x")), g.add_expr(parse("y"))
+        levels = [(g.add_expr(parse("~" * k + "x")),
+                   g.add_expr(parse("~" * k + "y"))) for k in range(1, 7)]
+        g.rebuild()
+        g.union(x, y)
+        assert g.rebuild() > 0
+        assert all(g.find(a) == g.find(b) for a, b in levels)
+        check_invariants(g)
+        assert g.node_count() == 8  # var x, var y and six ~ nodes
+        assert g.rebuild() == 0
+
+    def test_rebuild_agrees_with_full_rekeying(self, rng):
+        # two identical 4-bit graphs take the same unions of any classes;
+        # one is rebuilt by the stale-key scan, the other by full passes
+        for round_no in range(100):
+            g, ref = EGraph(bits=4), EGraph(bits=4)
+            for _ in range(6):
+                e = random_expr(rng, rng.randint(1, 10), bits=4,
+                                const_prob=0.3)
+                g.add_expr(e)
+                ref.add_expr(e)
+            g.rebuild()
+            reference_rebuild(ref)
+            ids = range(len(g._uf))
+            for _ in range(12):
+                for _ in range(rng.randint(1, 3)):
+                    a, b = rng.choice(ids), rng.choice(ids)
+                    g.union(a, b)
+                    ref.union(a, b)
+                g.rebuild()
+                reference_rebuild(ref)
+                check_invariants(g)
+                check_invariants(ref)
+                assert [g.find(c) for c in ids] == [ref.find(c) for c in ids]
+                assert set(g._hashcons) == set(ref._hashcons)
+                assert g.node_count() == ref.node_count()
 
     def test_random_stress_invariants(self, rng):
         for round_no in range(20):
