@@ -34,8 +34,9 @@ egg repairs only the parents of merged classes too, but through a
 parent list per class; finding the stale keys instead costs one C-level
 set test per key.  Few keys go stale: over 20 lines of the benchmark's
 workloads, 0.28% (corpus defaults) and 0.33% (node limit 8000) of the
-keys that full re-key passes visited had a merged child.  Hashcons values may be
-merged-away ids; every reader maps them through :meth:`EGraph.find`.
+keys that full re-key passes visited had a merged child.  Hashcons
+values may be merged-away ids; every reader maps them through
+:meth:`EGraph.find`.
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ class EGraph:
         self.max_nodes = max_nodes
         self._uf: list[int] = []
         self._hashcons: dict = {}  # canonical ENode -> EClassId
-        self._merged: set = set()  # classes merged away since the rebuild
+        self._merged: set = set()  # classes merged away since last pass
 
     # -- union-find ---------------------------------------------------------
 
