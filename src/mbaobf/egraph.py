@@ -19,10 +19,9 @@ Representation: an :class:`ENode` is a named tuple ``(label, payload,
 children)``, so hashing, equality and ordering run in C and a plain tuple
 of the same three fields is an equal hashcons key.  E-nodes sort as plain
 tuples wherever an order is needed.  :meth:`EGraph.leaf_key` is the one
-map from a ``Var`` or ``Const`` leaf to its key.  The matcher, rule
-application and the budget dry run build keys from canonical ids and
-pass them to :meth:`EGraph.add_canonical` or
-:meth:`EGraph.lookup_canonical` without constructing e-nodes.
+map from a ``Var`` or ``Const`` leaf to its key.  The matcher and rule
+application build keys from canonical ids and pass them to
+:meth:`EGraph.add_canonical` without constructing e-nodes.
 
 The hashcons, the union-find and the set of classes merged away since
 the last rebuild are the graph's whole state.  The hashcons is the one
@@ -70,7 +69,8 @@ class InvalidIdError(Exception):
 
 
 class CapacityExceededError(Exception):
-    """The hard node cap was hit while adding; the graph is still usable."""
+    """The hard node cap refused a node; the graph is still usable.  Rule
+    application rolls its right side back and growth ends there."""
 
     def __init__(self, cap: int):
         self.cap = cap
@@ -81,9 +81,9 @@ class EGraph:
     """Congruence-closed union of e-classes over hashconsed e-nodes.
 
     ``bits``, one of ``VALID_BITWIDTHS``, fixes the width constants are
-    reduced to; ``max_nodes`` is a hard cap enforced inside :meth:`add` so
-    no rule application can exhaust memory regardless of what the
-    scheduler does.
+    reduced to; ``max_nodes`` is a hard cap enforced inside
+    :meth:`add_canonical`, the one check of the node budget, so no rule
+    application can exhaust memory regardless of what the scheduler does.
     """
 
     def __init__(self, bits: int = 64, max_nodes: Optional[int] = None):
@@ -166,11 +166,13 @@ class EGraph:
         children = tuple(self.add_expr(a) for a in e.args)
         return self.add(ENode(e.op.name, None, children))
 
-    def lookup_canonical(self, key: tuple) -> Optional[EClassId]:
-        """Class of ``(label, payload, children)`` with canonical children,
-        or None if absent (no insertion)."""
-        existing = self._hashcons.get(key)
-        return None if existing is None else self._find(existing)
+    def rollback(self, nodes: int) -> None:
+        """Remove what was added since the graph held ``nodes`` nodes, with
+        no union or rebuild since: each insertion added one hashcons entry
+        and one class id, so both are popped, newest first."""
+        while len(self._hashcons) > nodes:
+            self._hashcons.popitem()
+            self._uf.pop()
 
     # -- merging ------------------------------------------------------------
 
@@ -264,7 +266,8 @@ def check_invariants(g: EGraph) -> None:
 
     Linear in node count.  The hashcons holds each node once, so congruence
     is every key being canonical; every key must map to a class the graph
-    handed out, no live class may be empty, and no merge may be pending.
+    handed out, no live class may be empty, no merge may be pending, and a
+    capped graph must hold at most ``max_nodes`` nodes.
     """
     ids = range(len(g._uf))
     live = set()
@@ -275,3 +278,5 @@ def check_invariants(g: EGraph) -> None:
     empty = set(g.class_ids()) - live
     assert not empty, f"classes {sorted(empty)} are empty"
     assert not g._merged, f"merges of {sorted(g._merged)} are pending"
+    assert g.max_nodes is None or g.node_count() <= g.max_nodes, \
+        f"{g.node_count()} nodes over the cap of {g.max_nodes}"

@@ -39,8 +39,9 @@ The minimizing :func:`extract_min` is the same program with the cost
 most ``MAX_DEPTH`` and raises :class:`UnextractableError` when a class has
 none, which only a hand-built graph can cause.
 
-The node budget is the e-graph's hard cap; an input whose graph alone
-exceeds it raises :class:`~mbaobf.egraph.CapacityExceededError`.
+The node budget is the e-graph's cap, checked nowhere else: the first
+application it refuses is rolled back and ends growth with ``NodeLimit``;
+an input over it raises :class:`~mbaobf.egraph.CapacityExceededError`.
 """
 
 from __future__ import annotations
@@ -53,11 +54,13 @@ from typing import Optional
 
 import numpy as np
 
-from .egraph import EGraph
+from .egraph import CapacityExceededError, EGraph
 from .expr import (DEFAULT_BITWIDTH, MAX_DEPTH, OPERATORS, Expression,
                    expr_size)
 from .metrics import MetricsReport, measure
-from .rules import _label_index, apply_match, count_new_nodes, ematch
+from .rules import _label_index, apply_match, ematch
+# Unused here; perfbench's tracer still looks it up in this module.
+from .rules import count_new_nodes  # noqa: F401
 
 
 class StopReason(Enum):
@@ -96,9 +99,9 @@ class ExpansionConfig:
     """Termination conditions and extraction knobs for one run, each
     defined and checked here.  ``node_limit`` is the e-graph's exact node
     cap; ``time_limit`` (seconds) and ``target_ast_size`` may be None, the
-    other limits are required.  Every limit but ``time_limit`` is an
-    ``int`` (not a ``bool``).  ``extraction_rounds`` lies in
-    ``[1, MAX_DEPTH]`` and ``max_output_nodes`` in
+    other limits are required.  ``time_limit`` is an ``int`` or ``float``,
+    every other limit an ``int``, and none a ``bool``.  ``extraction_rounds``
+    lies in ``[1, MAX_DEPTH]`` and ``max_output_nodes`` in
     ``[1, MAX_OUTPUT_NODES]``.
     """
 
@@ -117,6 +120,10 @@ class ExpansionConfig:
         for name in ("node_limit", "iter_limit", "target_ast_size"):
             if getattr(self, name) is not None:
                 _check_int(name, getattr(self, name))
+        t = self.time_limit
+        if t is not None and (type(t) is bool
+                              or not isinstance(t, (int, float))):
+            raise ValueError(f"time_limit must be a number, got {t!r}")
         # Written so that NaN, which compares False, fails every check.
         for name in ("node_limit", "iter_limit", "time_limit",
                      "target_ast_size"):
@@ -298,8 +305,8 @@ def expand(e: Expression, rules: list, cfg: Optional[ExpansionConfig] = None,
     before it matches the next, and it rebuilds at the end.  So every rule
     sees the graph as it stood when the iteration began, as if all were
     matched up front, but a rule is matched only if growth reaches it.
-    The first match that could push the node count past ``node_limit`` is
-    not applied: it ends growth with ``NodeLimit``, and the matches and
+    The first application that would pass ``node_limit``, the e-graph's
+    cap, is rolled back and ends growth with ``NodeLimit``; the matches and
     rules after it lose their turn.  Otherwise the loop stops on whichever
     termination condition fires first.  The wall clock is read between
     iterations, before each rule is matched and every
@@ -349,15 +356,11 @@ def expand(e: Expression, rules: list, cfg: Optional[ExpansionConfig] = None,
                         and timed_out()):
                     stop = StopReason.TIME_LIMIT
                     break
-                # The first match that would add more than `room` nodes
-                # ends growth; the dry run is needed only when the RHS
-                # could.
-                room = cfg.node_limit - g.node_count()
-                if rule.bound > room and count_new_nodes(g, rule, m) > room:
+                try:
+                    changed |= apply_match(g, rule, m)
+                except CapacityExceededError:
                     stop = StopReason.NODE_LIMIT
                     break
-                if apply_match(g, rule, m):
-                    changed = True
                 applied += 1
             if stop is not None:
                 break

@@ -15,6 +15,8 @@ Rule file format, one rule per line; a name is an ASCII ``IDENT`` (see
 Pattern variables on the right-hand side must also occur on the left; a
 rule may not invent unbound terms.  :class:`Rule` enforces this when it is
 made, so a hand-built rule is held to it as well as a parsed one.
+Application is atomic: a right side the e-graph's node cap refuses partway
+is rolled back before the error propagates.
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ from __future__ import annotations
 import importlib.resources
 import re
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
-from .egraph import EGraph
+from .egraph import CapacityExceededError, EGraph
 from .expr import IDENT_FIRST, IDENT_REST, Op, ParseError, parse_pattern_text
 
 
@@ -41,18 +43,15 @@ Pattern = object
 class Rule:
     """A directed rewrite ``lhs => rhs``, both sides compiled once, when the
     rule is made: ``program`` matches the left side; ``steps`` builds the
-    right side bottom-up for the dry run and for instantiation, reading each
-    variable from its slot in ``program.names``; ``bound``, the right
-    side's non-variable node count, is the most a dry run can report.  A
-    right-side variable that is not on the left raises
-    :class:`UnboundRhsVarError`."""
+    right side bottom-up, reading each variable from its slot in
+    ``program.names``.  A right-side variable that is not on the left
+    raises :class:`UnboundRhsVarError`."""
 
     name: str
     lhs: Pattern
     rhs: Pattern
     program: _Program = field(init=False, compare=False, repr=False)
     steps: tuple = field(init=False, compare=False, repr=False)
-    bound: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         program = _compile(self.lhs)
@@ -67,8 +66,6 @@ class Rule:
         object.__setattr__(self, "steps", tuple(
             (kind, slots[arg] if kind == _STEP_VAR else arg)
             for kind, arg in steps))
-        object.__setattr__(self, "bound",
-                           sum(kind != _STEP_VAR for kind, _ in steps))
 
 
 class RuleSyntaxError(Exception):
@@ -282,56 +279,50 @@ def ematch(g: EGraph, rule: Rule, index: Optional[_Snapshot] = None) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _build_rhs(g: EGraph, rule: Rule, bindings: tuple,
-               node: Callable[[tuple], Optional[int]]) -> Optional[int]:
-    """Walk ``rule.steps`` bottom-up, passing each right-side node's key
-    ``(label, payload, children)`` to ``node``, which returns its class or
-    None; returns the root's class."""
+def _build_rhs(g: EGraph, rule: Rule, bindings: tuple) -> int:
+    """Walk ``rule.steps`` bottom-up, adding each right-side node with
+    :meth:`EGraph.add_canonical`; returns the root's class."""
+    add = g.add_canonical
     stack: list = []
     for kind, arg in rule.steps:
         if kind == _STEP_VAR:
             stack.append(g.find(bindings[arg]))
         elif kind == _STEP_LEAF:
-            stack.append(node(g.leaf_key(arg)))
+            stack.append(add(g.leaf_key(arg)))
         else:
             label, arity = arg
             children = tuple(stack[-arity:])
             del stack[-arity:]
-            stack.append(node((label, None, children)))
+            stack.append(add((label, None, children)))
     return stack[0]
 
 
 def count_new_nodes(g: EGraph, rule: Rule, m: tuple) -> int:
-    """Upper bound on nodes :func:`apply_match` would add for the match
-    ``m``, a ``(root, bindings)`` tuple from :func:`ematch` for ``rule``.
-
-    A dry run of :func:`apply_match`'s walk that looks each node up in the
-    hashcons instead of adding it and counts the misses; a node with a
-    missing child is itself missing.  Exact unless the RHS repeats a
-    missing subpattern, in which case it overcounts (safe direction for
-    capacity checks).
-    """
-    misses = 0
-
-    def lookup(key: tuple) -> Optional[int]:
-        nonlocal misses
-        cid = g.lookup_canonical(key)
-        misses += cid is None
-        return cid
-
-    _build_rhs(g, rule, m[1], lookup)
-    return misses
+    """Nodes :func:`apply_match` would add for the match ``m``, exactly: a
+    trial run of its walk, always rolled back, that raises where it would
+    raise :class:`~mbaobf.egraph.CapacityExceededError`."""
+    before = g.node_count()
+    try:
+        _build_rhs(g, rule, m[1])
+        return g.node_count() - before
+    finally:
+        g.rollback(before)
 
 
 def apply_match(g: EGraph, rule: Rule, m: tuple) -> bool:
     """Union the instantiated RHS into the matched class; ``m`` is a
     ``(root, bindings)`` tuple from :func:`ematch` for ``rule``.
 
-    Returns whether the graph changed (new nodes or a merge).  The caller
-    must rebuild before the next matching round.
+    Returns whether the graph changed (new nodes or a merge).  A right
+    side the node cap refuses is rolled back, so the graph is as it was
+    when the :class:`~mbaobf.egraph.CapacityExceededError` propagates.
+    The caller must rebuild before the next matching round.
     """
-    root, bindings = m
     before = g.node_count()
-    rhs_id = _build_rhs(g, rule, bindings, g.add_canonical)
-    _, merged = g.union(g.find(root), rhs_id)
+    try:
+        rhs_id = _build_rhs(g, rule, m[1])
+    except CapacityExceededError:
+        g.rollback(before)
+        raise
+    _, merged = g.union(g.find(m[0]), rhs_id)
     return merged or g.node_count() != before

@@ -60,6 +60,16 @@ class TestAdd:
         with pytest.raises(CapacityExceededError):
             g.add_expr(parse("x + y"))
 
+    def test_rollback_pops_the_newest_insertions(self):
+        g, _ = graph_of("x + y")
+        before = list(g._hashcons.items()), list(g._uf)
+        g.add_expr(parse("(x + y) * z"))  # adds z and the product
+        g.rollback(3)
+        assert (list(g._hashcons.items()), list(g._uf)) == before
+        g.rollback(3)  # nothing newer: a no-op
+        assert (list(g._hashcons.items()), list(g._uf)) == before
+        assert g.add_expr(parse("z")) == 3  # ids are handed out again
+
 
 class TestUnionFind:
     def test_fresh_class_is_own_root(self):
@@ -177,6 +187,14 @@ class TestRebuild:
             check_invariants(g)
         g.rebuild()
         check_invariants(g)
+
+    def test_invariants_catch_a_graph_over_its_cap(self):
+        g, _ = graph_of("x + y")
+        g.max_nodes = 3
+        check_invariants(g)
+        g.max_nodes = 2
+        with pytest.raises(AssertionError, match="over the cap"):
+            check_invariants(g)
 
     def test_invariants_catch_a_stale_key(self):
         g, (root,) = graph_of("x + y")

@@ -18,7 +18,7 @@ from mbaobf.expansion import (MAX_OUTPUT_NODES, ExpansionConfig,
 from mbaobf.expr import (MAX_DEPTH, OPERATORS, evaluate, expr_size, parse,
                          to_text)
 from mbaobf.metrics import measure
-from mbaobf.rules import (_label_index, apply_match, count_new_nodes, ematch,
+from mbaobf.rules import (_label_index, apply_match, ematch,
                           load_default_rules, parse_rules)
 from mbaobf.verify import check_equivalence
 
@@ -499,17 +499,21 @@ class TestExpand:
         assert rep.final_node_count <= 200
 
     def test_first_budget_skip_ends_growth(self, rng, monkeypatch):
-        # at most one dry run ends in a skip, it is the run's last, and the
+        # the cap refuses at most one application, the run's last, and the
         # run then stops with NodeLimit inside the budget
-        original = mbaobf.expansion.count_new_nodes
-        skips = []  # per dry run: whether it ends in a skip
+        original = mbaobf.expansion.apply_match
+        skips = []  # per application: whether the cap refused it
 
         def counted(g, rule, m):
-            count = original(g, rule, m)
-            skips.append(count > g.max_nodes - g.node_count())
-            return count
+            try:
+                changed = original(g, rule, m)
+            except CapacityExceededError:
+                skips.append(True)
+                raise
+            skips.append(False)
+            return changed
 
-        monkeypatch.setattr(mbaobf.expansion, "count_new_nodes", counted)
+        monkeypatch.setattr(mbaobf.expansion, "apply_match", counted)
         rules = load_default_rules()
         inputs = [parse("x + y"), parse("x * y - z")] + [
             random_expr(rng, rng.randint(1, 7)) for _ in range(6)]
@@ -538,14 +542,25 @@ class TestExpand:
             assert rep.stop is StopReason.NODE_LIMIT
             assert (rep.iterations, rep.final_node_count) == (1, nodes)
 
-    def test_hard_cap_headroom_never_hit(self):
-        # stopping before an application that would not fit keeps the graph
-        # within node_limit, the e-graph's hard cap, so growth never raises
-        # CapacityExceededError
+    def test_hard_cap_ends_growth_and_never_escapes(self):
+        # node_limit is the e-graph's hard cap: the application it refuses
+        # is rolled back and ends growth with NodeLimit, so growth never
+        # raises CapacityExceededError
         rep = expand(parse("x * y - z"), load_default_rules(),
                      ExpansionConfig(node_limit=150, iter_limit=20,
                                      time_limit=10.0))
+        assert rep.stop is StopReason.NODE_LIMIT
         assert rep.final_node_count <= 150
+
+    def test_a_right_side_repeating_a_new_subterm_fits_exactly(self):
+        # mul-split-masks builds ~x twice for `x * x` but adds it once: its
+        # 8 new nodes fill a budget of 10 exactly
+        rules = [r for r in load_default_rules()
+                 if r.name == "mul-split-masks"]
+        rep = expand(parse("x * x"), rules, ExpansionConfig(
+            node_limit=10, iter_limit=1, time_limit=10.0))
+        assert rep.stop is StopReason.NODE_LIMIT
+        assert rep.final_node_count == 10
 
     def test_growth_stays_within_node_limit(self, rng):
         rules = load_default_rules()
@@ -688,6 +703,14 @@ class TestExpand:
                 extract_max(g, root, limits["extraction_rounds"],
                             limits["max_output_nodes"])
 
+    def test_time_limit_must_be_a_number(self):
+        for value in (True, False, "2", [1]):
+            with pytest.raises(ValueError,
+                               match="time_limit must be a number"):
+                ExpansionConfig(time_limit=value)
+        for value in (2, 0.5, None):
+            assert ExpansionConfig(time_limit=value).time_limit == value
+
     def test_node_limit_required_and_rounds_within_depth_bound(self):
         with pytest.raises(ValueError, match="node_limit is required"):
             ExpansionConfig(node_limit=None)
@@ -705,8 +728,8 @@ def eager_expand(e, rules, cfg, applied):
     """The eager reference schedule for ``expand``'s growth loop: each
     iteration matches every rule against its index before applying any.
     It reads no clock and takes no target size.  Appends each application
-    ``(rule name, match)`` to ``applied``; returns the report with
-    ``elapsed`` 0."""
+    the node cap did not refuse, ``(rule name, match)``, to ``applied``;
+    returns the report with ``elapsed`` 0."""
     g = EGraph(max_nodes=cfg.node_limit)
     root = g.add_expr(e)
     g.rebuild()
@@ -720,12 +743,12 @@ def eager_expand(e, rules, cfg, applied):
         matches = [(rule, m) for rule in rules for m in ematch(g, rule, index)]
         changed = False
         for rule, m in matches:
-            room = cfg.node_limit - g.node_count()
-            if rule.bound > room and count_new_nodes(g, rule, m) > room:
+            try:
+                changed |= apply_match(g, rule, m)
+            except CapacityExceededError:
                 stop = StopReason.NODE_LIMIT
                 break
             applied.append((rule.name, m))
-            changed |= apply_match(g, rule, m)
         g.rebuild()
         iterations += 1
         if stop is None and not changed:
@@ -755,8 +778,9 @@ class TestLazyMatching:
         applied = []
 
         def recorded(g, rule, m):
-            applied.append((rule.name, m))
-            return original(g, rule, m)
+            changed = original(g, rule, m)
+            applied.append((rule.name, m))  # only applications that returned
+            return changed
 
         monkeypatch.setattr(mbaobf.expansion, "apply_match", recorded)
         rulesets = (load_default_rules(),

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from mbaobf.egraph import EGraph
+from mbaobf.egraph import CapacityExceededError, EGraph
 from mbaobf.expr import Const, Op, Var, parse
 from mbaobf.rules import (PatVar, Rule, RuleSyntaxError, UnboundRhsVarError,
                           _label_index, apply_match, count_new_nodes, ematch,
@@ -16,6 +16,12 @@ def graph_of(*texts, bits=64):
     roots = [g.add_expr(parse(t, bits)) for t in texts]
     g.rebuild()
     return g, roots
+
+
+def state_of(g):
+    """Everything an application may change: the hashcons in insertion
+    order, the union-find and the classes."""
+    return list(g._hashcons.items()), list(g._uf), g.classes()
 
 
 class TestParseRules:
@@ -84,7 +90,6 @@ class TestParseRules:
         add = parse("x + y").op
         rhs = Op(add, (Op(add, (PatVar("a"), Const(1))), PatVar("a")))
         rule = Rule("r", PatVar("a"), rhs)
-        assert rule.bound == 3  # two additions and the constant
         twin = Rule("r", PatVar("a"), rhs)
         assert rule == twin and hash(rule) == hash(twin)
         assert rule == parse_rules("r : ?a => (?a + 1) + ?a")[0]
@@ -271,41 +276,53 @@ class TestApplyMatch:
         assert apply_match(g, rule, m) is False
 
     def test_count_new_nodes_bounds_reality(self, rng):
+        # the trial run adds what the application adds, then rolls it back
+        # (test_application_refused_by_the_cap_leaves_no_trace checks a
+        # right side that repeats a new subterm)
         rules = load_default_rules()
-        for _ in range(10):
-            g = EGraph(bits=8)
-            g.add_expr(random_expr(rng, rng.randint(3, 9), bits=8))
-            g.rebuild()
-            for rule in rules:
-                for m in ematch(g, rule):
-                    # with ?a and ?b in one class, ~?a occurs twice on the
-                    # right side and the dry run counts it twice if absent
-                    repeats = (rule.name == "mul-split-masks"
-                               and len({g.find(c) for c in m[1]}) == 1)
-                    predicted = count_new_nodes(g, rule, m)
-                    before = g.node_count()
-                    apply_match(g, rule, m)
-                    added = g.node_count() - before
-                    if repeats:
-                        assert added <= predicted
-                    else:
-                        assert added == predicted
-                g.rebuild()
-
-    def test_dry_run_count_stays_within_the_rule_bound(self, rng):
-        rules = load_default_rules()
-        for _ in range(8):
+        for trial in range(18):
             g = EGraph(bits=8)
             g.add_expr(random_expr(rng, rng.randint(3, 9), bits=8,
-                                   const_prob=0.3))
+                                   const_prob=0.3 if trial >= 10 else 0.2))
             g.rebuild()
-            # a partly grown graph, so that counts fall between 0 and bound
+            if trial >= 10:
+                # a partly grown graph, so that counts fall between 0 and
+                # the right side's size
+                for rule in rules:
+                    for m in ematch(g, rule):
+                        if rng.random() < 0.3:
+                            apply_match(g, rule, m)
+                g.rebuild()
             for rule in rules:
                 for m in ematch(g, rule):
-                    if rng.random() < 0.3:
-                        apply_match(g, rule, m)
+                    for cid in range(len(g._uf)):
+                        g.find(cid)  # so that only a change shows below
+                    before = state_of(g)
+                    predicted = count_new_nodes(g, rule, m)
+                    assert state_of(g) == before
+                    apply_match(g, rule, m)
+                    assert g.node_count() - len(before[0]) == predicted
+                g.rebuild()
+
+    def test_application_refused_by_the_cap_leaves_no_trace(self):
+        # mul-split-masks adds 8 nodes to `x * x`, whose ~x it builds twice;
+        # caps of 2 to 9 refuse it after 0 to 7 of them
+        (rule,) = [r for r in load_default_rules()
+                   if r.name == "mul-split-masks"]
+        for cap in range(2, 11):
+            g = EGraph(max_nodes=cap)
+            g.add_expr(parse("x * x"))
             g.rebuild()
-            for rule in rules:
-                bound = rule.bound
-                for m in ematch(g, rule):
-                    assert count_new_nodes(g, rule, m) <= bound
+            (m,) = ematch(g, rule)
+            before = state_of(g)
+            if cap < 10:
+                with pytest.raises(CapacityExceededError):
+                    count_new_nodes(g, rule, m)
+                assert state_of(g) == before
+                with pytest.raises(CapacityExceededError):
+                    apply_match(g, rule, m)
+                assert state_of(g) == before
+            else:
+                assert count_new_nodes(g, rule, m) == 8
+                assert state_of(g) == before
+                assert apply_match(g, rule, m) and g.node_count() == 10
