@@ -10,10 +10,12 @@ invariants, restored by :meth:`EGraph.rebuild` after a batch of unions:
   live in the same class.
 
 Mutation protocol: ``add_expr``/``union`` freely, then ``rebuild`` before
-reading (``node_count``, ``classes``, matching, extraction).  Determinism
-matters here: class representatives are chosen as the smaller canonical id,
-classes are listed in ascending id order, and nothing iterates in hash
-order, so identical operation sequences produce identical graphs.
+reading (``node_count``, ``classes``, matching, extraction).
+:meth:`EGraph.nodes`, which extraction reads, refuses a graph with merges
+pending.  Determinism matters here: class representatives are chosen as
+the smaller canonical id, classes are listed in ascending id order, and
+nothing iterates in hash order, so identical operation sequences produce
+identical graphs.
 
 Representation: an :class:`ENode` is a named tuple ``(label, payload,
 children)``, so hashing, equality and ordering run in C and a plain tuple
@@ -238,6 +240,16 @@ class EGraph:
         for node, cid in self._hashcons.items():
             members[find(cid)].append(node)
         return members
+
+    def nodes(self) -> tuple[list, list]:
+        """``(nodes, classes)``: every e-node in hashcons order and the
+        canonical class of each, from one walk of the hashcons.  Raises
+        ``ValueError`` while merges are pending, since keys and classes
+        may then be stale."""
+        if self._merged:
+            raise ValueError("the e-graph has pending merges: rebuild first")
+        hashcons = self._hashcons
+        return list(hashcons), list(map(self._find, hashcons.values()))
 
     def expr_of_node(self, node: ENode, arg_exprs: tuple) -> Expression:
         """Rebuild one expression node from an e-node and child expressions."""

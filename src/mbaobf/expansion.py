@@ -19,11 +19,15 @@ extractor therefore runs a round-indexed dynamic program:
   which keeps every defined cost (and hence the materialized output)
   within ``max_output_nodes`` even on cyclic graphs.
 
-Each round is one numpy sweep over every e-node of the graph, laid out as
-flat arrays (each node's class and child classes), against a float table
-of the previous round's class costs.  A class's history is its change
-points, one per round in which its cost rose; each round's changes are
-kept as arrays and sorted by (class, round) once the rounds are done.
+Each call lays the graph out as flat arrays (each node's class and child
+classes) from one walk of the hashcons, and each round is one numpy sweep
+against a float table of the previous round's class costs.  The sweep
+holds only the nodes that can still change their class: no leaf can after
+round 0, and, since child costs only rise, no node whose total has passed
+the output cap.  On the corpus at the defaults that is about a tenth of
+the nodes from round 13 on.  A class's history is its change points, one
+per round in which its cost rose; each round's changes are kept as arrays
+and sorted by (class, round) once the rounds are done.
 Reconstruction descends through the round at which each chosen node's
 cost was computed, so the output is a finite tree of depth at most
 ``rounds`` whose size equals the root's cost.  ``rounds`` is at most
@@ -50,13 +54,13 @@ import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from typing import Optional
 
 import numpy as np
 
 from .egraph import CapacityExceededError, EGraph
-from .expr import (DEFAULT_BITWIDTH, MAX_DEPTH, OPERATORS, Expression,
-                   expr_size)
+from .expr import DEFAULT_BITWIDTH, MAX_DEPTH, Expression, expr_size
 from .metrics import MetricsReport, measure
 from .rules import _label_index, apply_match, ematch
 # Unused here; perfbench's tracer still looks it up in this module.
@@ -89,8 +93,9 @@ class OutputTooLargeError(Exception):
 
 
 # The largest ``max_output_nodes``: at this cap ``x + y`` already renders
-# to ~50 MB, and every cost the maximizing extractor compares (at most
-# twice the cap plus one) stays exact in its float table.
+# to ~50 MB, and every value the maximizing extractor compares stays exact
+# in its float table: its costs are shifted by one, so a node's value is
+# at most twice the cap plus two.
 MAX_OUTPUT_NODES = 2**24
 
 
@@ -195,66 +200,105 @@ def extract_min(g: EGraph, root: int) -> Expression:
 def _extract(g: EGraph, root: int, rounds: int, sign: int,
              max_nodes: int) -> Expression:
     """The round-indexed DP that maximizes ``sign * size``, one array
-    sweep over every e-node per round.
+    sweep per round over the nodes that can still change their class.
 
-    Class ``slot`` is the ``slot``-th canonical id; its nodes, sorted as
-    tuples, are the flat run starting at ``starts[slot]``.  Round 0 gives
-    each class holding a leaf its first leaf, which need not be its first
-    node.
-    ``columns[k]`` holds each node's ``k``-th child slot, or the virtual
-    slot ``n`` of cost 0 where the node has fewer children.  ``cost``
-    holds the previous round's float costs, ``_UNDEFINED`` where no term
-    is known.  A class changes only when a node strictly beats its cost,
-    and then takes the first node in sort order reaching the new maximum,
-    so on ties the earlier choice (the smaller node) is kept.  Each
-    round's changes are kept as ``(round, slots, nodes)`` arrays.
+    The layout comes from one walk of :meth:`EGraph.nodes`, and one
+    ``np.lexsort`` puts each class's nodes in plain tuple order: class
+    id, label, then a leaf's payload rank or an operator's children.
+    Class ``slot`` is the ``slot``-th canonical id.  ``first`` and
+    ``second`` hold each node's child slots, or the virtual slot ``n``
+    where a node has fewer children; no operator has more than two.
+    ``cost`` holds the previous round's costs shifted by ``sign``, with
+    ``_UNDEFINED`` where no term is known and ``sign`` in the virtual
+    slot, so a node's shifted total is the sum of its two children's
+    entries and the cap test is ``> max_nodes + sign``.
+
+    Round 0 gives each class holding a leaf its first leaf, which need
+    not be its first node.  No leaf can change its class after that, and
+    child costs only rise, so neither can a node once its total is over
+    the cap: the sweep starts from the operator nodes and drops those
+    over the cap in each round in which any crosses it.  A class changes
+    only when a node strictly beats its cost, and then takes the first
+    node in sort order reaching the new maximum, so on ties the earlier
+    choice (the smaller node) is kept.  Each round's changes are kept as
+    ``(round, slots, nodes)``, nodes as indices into the walk.
     """
     root = g.find(root)
-    members = g.classes()
-    cids = list(members)
+    keys, classes = g.nodes()
+    size = len(keys)
+    labels = [k[0] for k in keys]
+    kids = [k[2] for k in keys]
+    arity = np.fromiter(map(len, kids), np.intp, size)
+    flat = np.fromiter(chain(chain.from_iterable(kids), (-1, -1)), np.intp)
+    at = np.cumsum(arity) - arity
+    first = np.where(arity > 0, flat[at], -1)
+    second = np.where(arity > 1, flat[at + 1], -1)
+    owner = np.fromiter(classes, np.intp, size)
+    m = owner.max() + 2  # above every id; index -1 of slot_of below
+    label_rank = {label: i for i, label in enumerate(sorted(set(labels)))}
+    head = owner * len(label_rank) + np.fromiter(
+        map(label_rank.__getitem__, labels), np.intp, size)
+    # A leaf has no children, so its tail key is its rank among the
+    # leaves, and a label has leaves or operators, never both.  Both
+    # keys stay below 2^62 while class ids stay below 2^31.
+    tail = (first + 1) * m + second + 1
+    leaves = sorted(np.flatnonzero(arity == 0).tolist(), key=keys.__getitem__)
+    tail[leaves] = np.arange(len(leaves))
+    order = np.lexsort((tail, head))
+    owner = owner[order]
+    _, cids, _ = _runs(owner)
     n = len(cids)
-    nodes = []
-    starts = []
-    for class_nodes in members.values():
-        starts.append(len(nodes))
-        nodes.extend(sorted(class_nodes))
-    starts = np.array(starts)
-    owner = np.repeat(np.arange(n), np.diff(starts, append=len(nodes)))
-    slot_of = np.full(cids[-1] + 2, n)  # index -1 is no class: virtual
+    slot_of = np.full(m, n)  # m - 1 is no class: the virtual slot
     slot_of[cids] = np.arange(n)
-    kids = [nd.children for nd in nodes]
-    columns = [slot_of[np.array([ch[k] if k < len(ch) else -1
-                                 for ch in kids])]
-               for k in range(max(op.arity for op in OPERATORS.values()))]
+    owner = slot_of[owner]
+    first, second = slot_of[first[order]], slot_of[second[order]]
     cost = np.full(n + 1, _UNDEFINED)
-    cost[n] = 0.0
+    cost[n] = sign
     # Round 0: each class with a leaf takes its first leaf.
-    leaves = np.flatnonzero(columns[0] == n)
-    seeded, first = np.unique(owner[leaves], return_index=True)
-    cost[seeded] = sign
-    changes = [(np.zeros(len(seeded), np.intp), seeded, leaves[first])]
+    leaf = first == n
+    seeded, picked = np.unique(owner[leaf], return_index=True)
+    cost[seeded] = 2 * sign
+    changes = [(0, seeded, order[leaf][picked])]
+    sweep = ~leaf
+    node, owner = order[sweep], owner[sweep]
+    first, second = first[sweep], second[sweep]
+    starts, heads, group = _runs(owner)
+    cap = max_nodes + sign
     for r in range(1, rounds + 1):
-        total = cost[columns[0]]
-        for column in columns[1:]:
-            total += cost[column]
-        total += sign
-        total[total > max_nodes] = _UNDEFINED
+        total = cost[first] + cost[second]
+        over = total > cap
+        if over.any():
+            keep = ~over
+            node, owner, total = node[keep], owner[keep], total[keep]
+            first, second = first[keep], second[keep]
+            starts, heads, group = _runs(owner)
         best = np.maximum.reduceat(total, starts)
-        slots = np.flatnonzero(best > cost[:n])
-        if not slots.size:
+        changed = (best > cost[heads]).nonzero()[0]
+        if not changed.size:
             break  # fixpoint; further rounds would be identical
         # Each changed class's first node reaching its maximum: nodes are
-        # grouped by class, so that is the first such node at or past the
-        # class's start.
-        hits = np.flatnonzero(total == best[owner])
-        firsts = hits[np.searchsorted(owner[hits], slots)]
-        cost[slots] = best[slots]  # a round reads only the last one
-        changes.append((np.full(len(slots), r), slots, firsts))
-    rounds_at, slots, picks = map(np.concatenate, zip(*changes))
+        # grouped by class, so that is the first such node in its run.
+        hits = (total == best[group]).nonzero()[0]
+        firsts = hits[np.searchsorted(group[hits], changed)]
+        slots = heads[changed]
+        cost[slots] = best[changed]  # a round reads only the last one
+        changes.append((r, slots, node[firsts]))
+    done, slots, picks = zip(*changes)
+    rounds_at = np.repeat(done, [len(s) for s in slots])
+    slots, picks = np.concatenate(slots), np.concatenate(picks)
     order = np.argsort(slots, kind="stable")  # by slot, then by round
-    history = (cids, nodes, rounds_at[order], picks[order],
+    cids = cids.tolist()
+    history = (cids, keys, rounds_at[order], picks[order],
                np.searchsorted(slots[order], np.arange(n + 1)), {})
     return _reconstruct(g, history, bisect_left(cids, root), rounds, {})
+
+
+def _runs(owner: np.ndarray) -> tuple:
+    """``(starts, heads, group)`` of a slot array grouped in runs: where
+    each run starts, its slot, and each element's run number."""
+    head = np.diff(owner, prepend=-1) != 0
+    starts = head.nonzero()[0]
+    return starts, owner[starts], np.cumsum(head) - 1
 
 
 def _reconstruct(g: EGraph, history: tuple, slot: int, r: int,

@@ -126,6 +126,25 @@ class TestExtractMax:
         assert to_text(extract_max(g, r, 1, 2)) == "x"
         assert to_text(extract_max(g, top, 1, 10_000)) == "(- x)"
 
+    def test_unrebuilt_graph_is_refused(self):
+        # Read with the merge pending, the hashcons held x - x and
+        # (y & 0) * 5 as one class but not yet their parents: extract_max
+        # returned (7 + 7), which is 14, and extract_min raised
+        # UnextractableError.
+        g = EGraph()
+        a = g.add_expr(parse("x - x"))
+        b = g.add_expr(parse("(y & 0) * 5"))
+        top = g.add_expr(parse("((y & 0) * 5) + 7"))
+        g.rebuild()
+        g.union(a, b)
+        with pytest.raises(ValueError, match="rebuild first"):
+            extract_max(g, top, 8, 1000)
+        with pytest.raises(ValueError, match="rebuild first"):
+            extract_min(g, top)
+        g.rebuild()
+        assert to_text(extract_max(g, top, 8, 1000)) == "(((y & 0) * 5) + 7)"
+        assert to_text(extract_min(g, top)) == "((x - x) + 7)"
+
     def test_cap_at_most_output_ceiling(self):
         g, root = addor_graph()
         assert expr_size(extract_max(g, root, 2, MAX_OUTPUT_NODES)) == 7
@@ -441,6 +460,85 @@ class TestAgainstReference:
                     assert (self.outcome(extract_max, g, cid, rounds, cap)
                             == self.outcome(reference_extract_max, g, cid,
                                             rounds, cap))
+
+    def test_corpus_sized_graph_matches_reference(self):
+        # A corpus line grown to the default node limit: from about round
+        # 13 most nodes are over the cap and leave the sweep.
+        g, root = grown_graph(parse(CORPUS.read_text().splitlines()[0]),
+                              3000)
+        assert g.node_count() >= 3000
+        for rounds in (64, MAX_DEPTH):
+            for cap in (2000, 10_000):
+                assert (self.outcome(extract_max, g, root, rounds, cap)
+                        == self.outcome(reference_extract_max, g, root,
+                                        rounds, cap))
+
+    def test_sweep_emptied_by_the_cap_matches_reference(self):
+        # x's class holds x and its own double, y's class y and -y, and
+        # z = (x * y) ^ x: every operator node's total passes the cap
+        # within a few rounds, and then none is left to sweep.
+        g = EGraph()
+        x, y = (g.add(ENode("var", name, ())) for name in "xy")
+        g.union(g.add(ENode("add", None, (x, x))), x)
+        g.union(g.add(ENode("neg", None, (y,))), y)
+        z = g.add(ENode("xor", None, (g.add(ENode("mul", None, (x, y))), x)))
+        g.rebuild()
+        for cid in (x, y, z):
+            for rounds in (1, 3, 6, 64, MAX_DEPTH):
+                for cap in (2, 5, 20, 50):
+                    assert (self.outcome(extract_max, g, cid, rounds, cap)
+                            == self.outcome(reference_extract_max, g, cid,
+                                            rounds, cap))
+
+    def test_best_node_over_the_cap_as_a_sibling_ties_matches_reference(self):
+        # X holds x and X + X (size 2^(r+1) - 1 at round r), Y holds y and
+        # -Y (size r + 1).  K holds A = X + c, which sorts first, and
+        # B = Y ^ c.  At cap 8, in round 3, A reaches 9, over the cap,
+        # while B reaches 5 and ties K's cost from round 2: K keeps A's
+        # term until B beats it in round 4.
+        g = EGraph()
+        x, y, c = (g.add(ENode("var", name, ())) for name in "xyc")
+        g.union(g.add(ENode("add", None, (x, x))), x)
+        g.union(g.add(ENode("neg", None, (y,))), y)
+        k = g.add(ENode("add", None, (x, c)))
+        g.union(k, g.add(ENode("xor", None, (y, c))))
+        g.rebuild()
+        assert to_text(extract_max(g, k, 2, 8)) == "((x + x) + c)"
+        assert to_text(extract_max(g, k, 3, 8)) == "((x + x) + c)"
+        assert to_text(extract_max(g, k, 4, 8)) == "((- (- (- y))) ^ c)"
+        for rounds in range(1, 9):
+            for cap in range(3, 13):
+                assert (self.outcome(extract_max, g, k, rounds, cap)
+                        == self.outcome(reference_extract_max, g, k, rounds,
+                                        cap))
+
+    def test_nodes_group_like_classes(self, rng):
+        # Unions of random graphs leave hashcons values that are
+        # merged-away ids; nodes() maps each to its canonical class.
+        stale = 0
+        for _ in range(30):
+            g = EGraph()
+            for _ in range(6):
+                g.add_expr(random_expr(rng, rng.randint(1, 10), bits=4,
+                                       const_prob=0.3))
+            g.rebuild()
+            ids = list(range(g.class_count()))
+            for _ in range(6):
+                for _ in range(rng.randint(1, 3)):
+                    g.union(rng.choice(ids), rng.choice(ids))
+                g.rebuild()
+                keys, classes = g.nodes()
+                assert list(g._hashcons) == keys
+                stale += sum(g._hashcons[k] != c
+                             for k, c in zip(keys, classes))
+                grouped = {cid: [] for cid in g.class_ids()}
+                for node, cid in zip(keys, classes):
+                    grouped[cid].append(node)
+                assert grouped == g.classes()
+            if g.union(ids[0], ids[-1])[1]:
+                with pytest.raises(ValueError, match="rebuild first"):
+                    g.nodes()
+        assert stale > 0
 
     def test_extract_min_sizes_match_reference(self, graphs):
         # every class of the two smaller graphs; each call runs a whole DP
