@@ -236,15 +236,15 @@ def _extract(g: EGraph, root: int, rounds: int, sign: int,
     owner = np.fromiter(classes, np.intp, size)
     m = owner.max() + 2  # above every id; index -1 of slot_of below
     label_rank = {label: i for i, label in enumerate(sorted(set(labels)))}
-    head = owner * len(label_rank) + np.fromiter(
+    class_label = owner * len(label_rank) + np.fromiter(
         map(label_rank.__getitem__, labels), np.intp, size)
-    # A leaf has no children, so its tail key is its rank among the
-    # leaves, and a label has leaves or operators, never both.  Both
-    # keys stay below 2^62 while class ids stay below 2^31.
-    tail = (first + 1) * m + second + 1
+    # A leaf has no children, so the rest of its key is its rank among
+    # the leaves; a label has leaves or operators, never both.  Both keys
+    # stay below 2^62 while class ids stay below 2^31.
+    rest = (first + 1) * m + second + 1
     leaves = sorted(np.flatnonzero(arity == 0).tolist(), key=keys.__getitem__)
-    tail[leaves] = np.arange(len(leaves))
-    order = np.lexsort((tail, head))
+    rest[leaves] = np.arange(len(leaves))
+    order = np.lexsort((rest, class_label))
     owner = owner[order]
     _, cids, _ = _runs(owner)
     n = len(cids)
