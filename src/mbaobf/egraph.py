@@ -21,9 +21,12 @@ Representation: an :class:`ENode` is a named tuple ``(label, payload,
 children)``, so hashing, equality and ordering run in C and a plain tuple
 of the same three fields is an equal hashcons key.  E-nodes sort as plain
 tuples wherever an order is needed.  :meth:`EGraph.leaf_key` is the one
-map from a ``Var`` or ``Const`` leaf to its key.  The matcher and rule
-application build keys from canonical ids and pass them to
-:meth:`EGraph.add_canonical` without constructing e-nodes.
+map from a ``Var`` or ``Const`` leaf to its key; the Python that each rule
+generates for its application masks its constants the same way.  That
+code builds keys from canonical ids without constructing e-nodes, looks
+them up in the hashcons, adds a miss with :meth:`EGraph._insert` and joins
+the matched class with :meth:`EGraph._merge`, the halves of
+:meth:`EGraph.add_canonical` and :meth:`EGraph.union` that trust their ids.
 
 The hashcons, the union-find and the set of classes merged away since
 the last rebuild are the graph's whole state.  The hashcons is the one
@@ -84,7 +87,7 @@ class EGraph:
 
     ``bits``, one of ``VALID_BITWIDTHS``, fixes the width constants are
     reduced to; ``max_nodes`` is a hard cap enforced inside
-    :meth:`add_canonical`, the one check of the node budget, so no rule
+    :meth:`_insert`, the one check of the node budget, so no rule
     application can exhaust memory regardless of what the scheduler does.
     """
 
@@ -147,6 +150,11 @@ class EGraph:
         existing = self._hashcons.get(key)
         if existing is not None:
             return self._find(existing)
+        return self._insert(key)
+
+    def _insert(self, key: tuple) -> EClassId:
+        """:meth:`add_canonical` after a hashcons miss on ``key``: check the
+        cap, then add ``key`` as a new class."""
         if self.max_nodes is not None and len(self._hashcons) >= self.max_nodes:
             raise CapacityExceededError(self.max_nodes)
         node = key if type(key) is ENode else ENode._make(key)
@@ -185,12 +193,18 @@ class EGraph:
         ids were already equivalent.
         """
         a, b = self.find(a), self.find(b)
+        return min(a, b), self._merge(a, b)
+
+    def _merge(self, a: EClassId, b: EClassId) -> bool:
+        """:meth:`union` of two canonical ids the caller holds; returns
+        whether they were distinct."""
         if a == b:
-            return a, False
-        winner, loser = (a, b) if a < b else (b, a)
-        self._uf[loser] = winner
-        self._merged.add(loser)
-        return winner, True
+            return False
+        if b < a:
+            a, b = b, a
+        self._uf[b] = a
+        self._merged.add(b)
+        return True
 
     # -- congruence maintenance ---------------------------------------------
 

@@ -389,13 +389,17 @@ def expand(e: Expression, rules: list, cfg: Optional[ExpansionConfig] = None,
             stop = StopReason.TIME_LIMIT
             break
         index = _label_index(g)
+        shared: dict = {}  # left side -> its matches against this index
         changed = False
         applied = 0  # this iteration's applications, across rules
         for rule in rules:
             if timed_out():
                 stop = StopReason.TIME_LIMIT
                 break
-            for m in ematch(g, rule, index):
+            matches = shared.get(rule.lhs)
+            if matches is None:
+                matches = shared[rule.lhs] = ematch(g, rule, index)
+            for m in matches:
                 if (applied % _TIME_CHECK_STRIDE == 0 and applied
                         and timed_out()):
                     stop = StopReason.TIME_LIMIT
@@ -408,7 +412,7 @@ def expand(e: Expression, rules: list, cfg: Optional[ExpansionConfig] = None,
                 applied += 1
             if stop is not None:
                 break
-        del index  # frees it before the graph is rebuilt and re-indexed
+        del index, shared  # freed before the graph is rebuilt and re-indexed
         g.rebuild()
         iterations += 1
         if stop is not None:

@@ -15,6 +15,12 @@ Rule file format, one rule per line; a name is an ASCII ``IDENT`` (see
 Pattern variables on the right-hand side must also occur on the left; a
 rule may not invent unbound terms.  :class:`Rule` enforces this when it is
 made, so a hand-built rule is held to it as well as a parsed one.
+
+Each rule is compiled once, when it is made, as egg does: its left side
+into matcher instructions that :func:`ematch` runs, and its whole
+application (build the right side, union it into the matched class, tell
+whether the graph changed) into one straight-line Python function,
+generated from the right side with no text of the rule file in it.
 Application is atomic: a right side the e-graph's node cap refuses partway
 is rolled back before the error propagates.
 """
@@ -24,10 +30,11 @@ from __future__ import annotations
 import importlib.resources
 import re
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .egraph import CapacityExceededError, EGraph
-from .expr import IDENT_FIRST, IDENT_REST, Op, ParseError, parse_pattern_text
+from .expr import (IDENT_FIRST, IDENT_REST, OPERATORS, Op, ParseError, Var,
+                   parse_pattern_text)
 
 
 @dataclass(frozen=True)
@@ -42,8 +49,10 @@ Pattern = object
 @dataclass(frozen=True)
 class Rule:
     """A directed rewrite ``lhs => rhs``, both sides compiled once, when the
-    rule is made: ``program`` matches the left side; ``steps`` builds the
-    right side bottom-up, reading each variable from its slot in
+    rule is made: ``program`` matches the left side, and ``apply`` is the
+    whole application as straight-line Python generated for this rule
+    (see :func:`_compile_application`), which :func:`apply_match` and
+    :func:`count_new_nodes` call.  It reads each variable from its slot in
     ``program.names``.  A right-side variable that is not on the left
     raises :class:`UnboundRhsVarError`."""
 
@@ -51,21 +60,13 @@ class Rule:
     lhs: Pattern
     rhs: Pattern
     program: _Program = field(init=False, compare=False, repr=False)
-    steps: tuple = field(init=False, compare=False, repr=False)
+    apply: Callable = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         program = _compile(self.lhs)
-        slots = {name: i for i, name in enumerate(program.names)}
-        steps: list = []
-        _post_order(self.rhs, steps)
-        missing = ({arg for kind, arg in steps if kind == _STEP_VAR}
-                   - set(slots))
-        if missing:
-            raise UnboundRhsVarError(self.name, min(missing))
         object.__setattr__(self, "program", program)
-        object.__setattr__(self, "steps", tuple(
-            (kind, slots[arg] if kind == _STEP_VAR else arg)
-            for kind, arg in steps))
+        object.__setattr__(self, "apply", _compile_application(
+            self.name, self.rhs, program.names))
 
 
 class RuleSyntaxError(Exception):
@@ -118,7 +119,7 @@ def parse_rules(text: str) -> list[Rule]:
 
 
 def default_rules_text() -> str:
-    return importlib.resources.files("mbaobf").joinpath(
+    return importlib.resources.files(__package__).joinpath(
         "data/default.rules").read_text(encoding="utf-8")
 
 
@@ -136,11 +137,6 @@ def load_default_rules() -> list[Rule]:
 _BIND = 0  # argument (label, slice): each node with label in the class
 _SAME = 1  # argument: another register; a repeated pattern variable
 _LEAF = 2  # argument: index into leaves; the class of a concrete leaf
-
-# Right-hand-side steps ``(kind, argument)`` in post-order.
-_STEP_VAR = 0  # argument: the variable's slot in the LHS program's names
-_STEP_LEAF = 1  # argument: the Var or Const leaf
-_STEP_OP = 2  # argument: (label, arity)
 
 
 class _Program(NamedTuple):
@@ -183,15 +179,87 @@ def _compile(p: Pattern) -> _Program:
                     tuple(ops), tuple(leaves))
 
 
-def _post_order(q: Pattern, steps: list) -> None:
-    if isinstance(q, PatVar):
-        steps.append((_STEP_VAR, q.name))
-    elif isinstance(q, Op):
-        for a in q.args:
-            _post_order(a, steps)
-        steps.append((_STEP_OP, (q.op.name, len(q.args))))
-    else:
-        steps.append((_STEP_LEAF, q))
+def _compile_application(name: str, rhs: Pattern, names: tuple) -> Callable:
+    """Generate ``apply(g, root, bindings, trial)``: the right side built
+    bottom-up in post-order, one flat statement per node, then unioned into
+    the matched class ``root``; returns whether the graph changed.
+
+    ``bindings`` are aligned with ``names``.  Each right-side variable is
+    read from its slot once and passed through the validated
+    :meth:`EGraph.find`, as is ``root`` unless ``trial`` is set, all before
+    anything is added; the ids the graph hands out within the call are
+    trusted.  Each node is looked up in the hashcons, and a
+    miss is added with :meth:`EGraph._insert`, which enforces the node
+    cap: a refused right side is rolled back before the error propagates.
+    A right side that adds any node has a new class at its top, which
+    cannot be the matched class, so the union alone tells whether the
+    graph changed.  With ``trial`` set, nothing is unioned and the call
+    returns the number of nodes added, after rolling them back.
+
+    The source holds only slot numbers, labels of :data:`OPERATORS` and
+    names bound in its namespace: each ``Var`` leaf's key and each
+    constant are passed as objects, the constant masked to the graph's
+    width at run time as :meth:`EGraph.leaf_key` does.
+    """
+    slots = {n: i for i, n in enumerate(names)}
+    leaves: dict = {}  # namespace name -> Var key or constant
+    used: set = set()  # slots the right side reads
+    missing: set = set()
+    build: list = []
+
+    def emit(q: Pattern) -> str:
+        """Append the statement building ``q``; the local holding its
+        class."""
+        if isinstance(q, PatVar):
+            if q.name not in slots:
+                missing.add(q.name)
+                return "None"
+            used.add(slots[q.name])
+            return f"v{slots[q.name]}"
+        if isinstance(q, Op):
+            if OPERATORS.get(q.op.name) != q.op:
+                raise ValueError(f"rule {name!r}: operator {q.op.name!r} "
+                                 f"is not in the operator table")
+            children = ", ".join([emit(a) for a in q.args])
+            key = f"({q.op.name!r}, None, ({children},))"
+        elif isinstance(q, Var):
+            key = f"K{len(leaves)}"
+            leaves[key] = ("var", q.name, ())
+        else:
+            const = f"C{len(leaves)}"
+            leaves[const] = q.value
+            key = f"('const', {const} & mask, ())"
+        out = f"n{len(build)}"
+        build.append(f"{out} = insert(k) if ({out} := get(k := {key})) "
+                     f"is None else canon({out})")
+        return out
+
+    top = emit(rhs)
+    if missing:
+        raise UnboundRhsVarError(name, min(missing))
+    src = ["def apply(g, root, b, trial):",
+           "    find = g.find",
+           *[f"    v{i} = find(b[{i}])" for i in sorted(used)],
+           "    if not trial:",
+           "        root = find(root)",
+           "    hashcons = g._hashcons",
+           "    get, canon, insert = hashcons.get, g._find, g._insert",
+           *(["    mask = (1 << g.bits) - 1"]
+             if any(k[0] == "C" for k in leaves) else []),
+           "    before = len(hashcons)",
+           "    try:",
+           *[f"        {line}" for line in build or ["pass"]],
+           "    except CapacityExceededError:",
+           "        g.rollback(before)",
+           "        raise",
+           "    if trial:",
+           "        added = len(hashcons) - before",
+           "        g.rollback(before)",
+           "        return added",
+           f"    return g._merge(root, {top})"]
+    env = {"CapacityExceededError": CapacityExceededError, **leaves}
+    exec(compile("\n".join(src), f"<rule {name}>", "exec"), env)
+    return env["apply"]
 
 
 # ---------------------------------------------------------------------------
@@ -279,34 +347,11 @@ def ematch(g: EGraph, rule: Rule, index: Optional[_Snapshot] = None) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _build_rhs(g: EGraph, rule: Rule, bindings: tuple) -> int:
-    """Walk ``rule.steps`` bottom-up, adding each right-side node with
-    :meth:`EGraph.add_canonical`; returns the root's class."""
-    add = g.add_canonical
-    stack: list = []
-    for kind, arg in rule.steps:
-        if kind == _STEP_VAR:
-            stack.append(g.find(bindings[arg]))
-        elif kind == _STEP_LEAF:
-            stack.append(add(g.leaf_key(arg)))
-        else:
-            label, arity = arg
-            children = tuple(stack[-arity:])
-            del stack[-arity:]
-            stack.append(add((label, None, children)))
-    return stack[0]
-
-
 def count_new_nodes(g: EGraph, rule: Rule, m: tuple) -> int:
     """Nodes :func:`apply_match` would add for the match ``m``, exactly: a
-    trial run of its walk, always rolled back, that raises where it would
-    raise :class:`~mbaobf.egraph.CapacityExceededError`."""
-    before = g.node_count()
-    try:
-        _build_rhs(g, rule, m[1])
-        return g.node_count() - before
-    finally:
-        g.rollback(before)
+    trial run of the rule's application, always rolled back, that raises
+    where it would raise :class:`~mbaobf.egraph.CapacityExceededError`."""
+    return rule.apply(g, m[0], m[1], True)
 
 
 def apply_match(g: EGraph, rule: Rule, m: tuple) -> bool:
@@ -318,11 +363,4 @@ def apply_match(g: EGraph, rule: Rule, m: tuple) -> bool:
     when the :class:`~mbaobf.egraph.CapacityExceededError` propagates.
     The caller must rebuild before the next matching round.
     """
-    before = g.node_count()
-    try:
-        rhs_id = _build_rhs(g, rule, m[1])
-    except CapacityExceededError:
-        g.rollback(before)
-        raise
-    _, merged = g.union(g.find(m[0]), rhs_id)
-    return merged or g.node_count() != before
+    return rule.apply(g, m[0], m[1], False)

@@ -1,9 +1,10 @@
+import dataclasses
 import random
 
 import pytest
 
-from mbaobf.egraph import CapacityExceededError, EGraph
-from mbaobf.expr import Const, Op, Var, parse
+from mbaobf.egraph import CapacityExceededError, EGraph, InvalidIdError
+from mbaobf.expr import ADD, MAX_DEPTH, NOT, Const, Op, Var, parse
 from mbaobf.rules import (PatVar, Rule, RuleSyntaxError, UnboundRhsVarError,
                           _label_index, apply_match, count_new_nodes, ematch,
                           load_default_rules, parse_rules)
@@ -20,8 +21,16 @@ def graph_of(*texts, bits=64):
 
 def state_of(g):
     """Everything an application may change: the hashcons in insertion
-    order, the union-find and the classes."""
-    return list(g._hashcons.items()), list(g._uf), g.classes()
+    order, the union-find, the classes and the pending merges."""
+    return (list(g._hashcons.items()), list(g._uf), g.classes(),
+            set(g._merged))
+
+
+def compress(g):
+    """Shorten every union-find path, so that a read-only ``find`` leaves
+    ``state_of(g)`` as it was."""
+    for cid in range(len(g._uf)):
+        g.find(cid)
 
 
 class TestParseRules:
@@ -295,8 +304,7 @@ class TestApplyMatch:
                 g.rebuild()
             for rule in rules:
                 for m in ematch(g, rule):
-                    for cid in range(len(g._uf)):
-                        g.find(cid)  # so that only a change shows below
+                    compress(g)  # so that only a change shows below
                     before = state_of(g)
                     predicted = count_new_nodes(g, rule, m)
                     assert state_of(g) == before
@@ -326,3 +334,221 @@ class TestApplyMatch:
                 assert count_new_nodes(g, rule, m) == 8
                 assert state_of(g) == before
                 assert apply_match(g, rule, m) and g.node_count() == 10
+
+
+# ---------------------------------------------------------------------------
+# The generated application against the step walk it replaced
+# ---------------------------------------------------------------------------
+
+
+def reference_apply(g, rule, m):
+    """Application as it was before each rule generated its own: a
+    post-order step list of the right side, walked with a stack, each node
+    added with ``add_canonical``, then a validated union."""
+    slots = {name: i for i, name in enumerate(rule.program.names)}
+    steps = []
+
+    def post_order(q):
+        if isinstance(q, PatVar):
+            steps.append(("var", slots[q.name]))
+        elif isinstance(q, Op):
+            for a in q.args:
+                post_order(a)
+            steps.append(("op", (q.op.name, len(q.args))))
+        else:
+            steps.append(("leaf", q))
+
+    post_order(rule.rhs)
+    before = g.node_count()
+    stack = []
+    try:
+        for kind, arg in steps:
+            if kind == "var":
+                stack.append(g.find(m[1][arg]))
+            elif kind == "leaf":
+                stack.append(g.add_canonical(g.leaf_key(arg)))
+            else:
+                label, arity = arg
+                children = tuple(stack[-arity:])
+                del stack[-arity:]
+                stack.append(g.add_canonical((label, None, children)))
+    except CapacityExceededError:
+        g.rollback(before)
+        raise
+    _, merged = g.union(g.find(m[0]), stack[0])
+    return merged or g.node_count() != before
+
+
+def assert_twins(g, ref):
+    """The hashcons (keys, their types, values and insertion order), the
+    union-find and the pending merges are equal."""
+    assert list(g._hashcons.items()) == list(ref._hashcons.items())
+    assert ([type(k) for k in g._hashcons]
+            == [type(k) for k in ref._hashcons])
+    assert g._uf == ref._uf
+    assert g._merged == ref._merged
+
+
+def rhs_nodes(p) -> int:
+    """Nodes of a right side, variables not counted."""
+    if isinstance(p, PatVar):
+        return 0
+    if isinstance(p, Op):
+        return 1 + sum(rhs_nodes(a) for a in p.args)
+    return 1
+
+
+def deep_rhs():
+    """``?a`` under ``MAX_DEPTH`` operators, alternately ``~`` and ``+ i``
+    with constants that pass 4 and 8 bits."""
+    q = PatVar("a")
+    for i in range(MAX_DEPTH):
+        q = Op(ADD, (q, Const(i * 37))) if i % 2 else Op(NOT, (q,))
+    return q
+
+
+HOSTILE = "') or __import__('os') or ('"
+EDGE_RULES = parse_rules("""
+bare-var : ?a + ?b => ?b
+swapped-vars : ?b - ?a => (0 - ?a) + ?b
+leaf-only : ?a - ?a => 0
+unary-chain : ?a => ~(-(~(-?a)))
+repeated-var : ?a + ?a => (?a * ?a) + (?a & (~?a))
+var-leaf : x + ?b => (?b + x) - (y ^ x)
+wide-const : ?a => ?a + 255
+""") + [Rule("deep", PatVar("a"), deep_rhs()),
+        Rule("hostile-var", PatVar("a"), Op(ADD, (PatVar("a"), Var(HOSTILE))))]
+
+
+def twin_graphs(rng, bits, grown):
+    """Two equal graphs from the same random expressions; ``grown`` unions
+    some classes and applies ~30% of the default rules' matches first, to
+    both through the reference."""
+    seed = rng.random()
+    twins = []
+    for _ in range(2):
+        r = random.Random(seed)
+        g = EGraph(bits=bits)
+        roots = [g.add_expr(random_expr(r, r.randint(2, 8), bits=bits,
+                                        const_prob=0.3)) for _ in range(3)]
+        roots.append(g.add_expr(parse("(x + x) - (x - x)", bits)))
+        g.rebuild()
+        if grown:
+            g.union(r.choice(roots), r.choice(roots))
+            g.rebuild()
+            for rule in load_default_rules():
+                for m in ematch(g, rule):
+                    if r.random() < 0.3:
+                        reference_apply(g, rule, m)
+            g.rebuild()
+        twins.append(g)
+    return twins
+
+
+class TestGeneratedApplication:
+    """Each rule's generated application against ``reference_apply``."""
+
+    def check_all_matches(self, g, ref, rules):
+        # every match of every rule, each against the index taken when the
+        # iteration began, as ``expand`` applies them; a trial run first
+        index = _label_index(g)
+        ref_index = _label_index(ref)
+        for rule in rules:
+            matches = ematch(g, rule, index)
+            assert matches == ematch(ref, rule, ref_index)
+            for m in matches:
+                before = ref.node_count()
+                added = count_new_nodes(g, rule, m)
+                changed = reference_apply(ref, rule, m)
+                assert added == ref.node_count() - before
+                assert apply_match(g, rule, m) is changed
+                assert_twins(g, ref)
+        g.rebuild()
+        ref.rebuild()
+        assert_twins(g, ref)
+
+    @pytest.mark.parametrize("bits", [4, 8])
+    @pytest.mark.parametrize("grown", [False, True])
+    def test_default_rules_match_the_reference(self, rng, bits, grown):
+        for _ in range(4):
+            g, ref = twin_graphs(rng, bits, grown)
+            self.check_all_matches(g, ref, load_default_rules())
+
+    @pytest.mark.parametrize("bits", [4, 8])
+    @pytest.mark.parametrize("grown", [False, True])
+    def test_edge_rules_match_the_reference(self, rng, bits, grown):
+        for _ in range(2):
+            g, ref = twin_graphs(rng, bits, grown)
+            self.check_all_matches(g, ref, EDGE_RULES)
+
+    def test_constant_masked_to_the_width(self):
+        (rule,) = [r for r in EDGE_RULES if r.name == "wide-const"]
+        g, (root,) = graph_of("x + 15", bits=4)
+        (m,) = [m for m in ematch(g, rule) if m[0] == root]
+        assert count_new_nodes(g, rule, m) == 1  # only the new add: 255 is 15
+        assert apply_match(g, rule, m)
+        assert g.node_count() == 4
+
+    def test_operator_outside_the_table_rejected(self):
+        fake = dataclasses.replace(ADD, name="') or ('")
+        with pytest.raises(ValueError, match="operator table"):
+            Rule("r", PatVar("a"), Op(fake, (PatVar("a"), PatVar("a"))))
+
+    def test_hostile_var_name_is_data(self):
+        (rule,) = [r for r in EDGE_RULES if r.name == "hostile-var"]
+        g, _ = graph_of("y")
+        (m,) = ematch(g, rule)
+        assert apply_match(g, rule, m)
+        assert ("var", HOSTILE, ()) in g._hashcons
+
+    @pytest.mark.parametrize("rule", load_default_rules() + EDGE_RULES,
+                             ids=lambda r: r.name)
+    def test_refused_at_every_cap_leaves_no_trace(self, rule):
+        # from no room at all to room for the whole right side; a trial
+        # run or an application the cap refuses changes nothing
+        def make():
+            g, _ = graph_of("(x + x) - (x - x)",
+                            "((y | 3) * ~y) ^ (y & (0 - x))", bits=8)
+            # x with y, so that bindings need a find
+            g.union(g.add_expr(parse("x")), g.add_expr(parse("y")))
+            g.rebuild()
+            return g
+
+        matches = ematch(make(), rule)
+        assert matches
+        for m in matches[:2]:
+            ref = make()
+            before = ref.node_count()
+            changed = reference_apply(ref, rule, m)
+            added = ref.node_count() - before
+            for room in range(rhs_nodes(rule.rhs) + 1):
+                g = make()
+                g.max_nodes = g.node_count() + room
+                compress(g)
+                snapshot = state_of(g)
+                if room < added:
+                    with pytest.raises(CapacityExceededError):
+                        count_new_nodes(g, rule, m)
+                    assert state_of(g) == snapshot
+                    with pytest.raises(CapacityExceededError):
+                        apply_match(g, rule, m)
+                    assert state_of(g) == snapshot
+                else:
+                    assert count_new_nodes(g, rule, m) == added
+                    assert state_of(g) == snapshot
+                    assert apply_match(g, rule, m) is changed
+                    assert_twins(g, ref)
+
+    @pytest.mark.parametrize("bad", [-1, 99, "1", None, 1.0])
+    def test_invalid_ids_rejected_before_any_change(self, bad):
+        rule = load_default_rules()[0]
+        g, _ = graph_of("x + y")
+        (root, bindings) = ematch(g, rule)[0]
+        snapshot = state_of(g)
+        for m in ((bad, bindings), (root, (bindings[0], bad))):
+            with pytest.raises(InvalidIdError):
+                apply_match(g, rule, m)
+            assert state_of(g) == snapshot
+        with pytest.raises(InvalidIdError):
+            count_new_nodes(g, rule, (root, (bad, bindings[1])))
+        assert state_of(g) == snapshot
