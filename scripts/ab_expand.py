@@ -12,9 +12,12 @@ rules, parses the lines of one perfbench workload (``--seed`` feeds its
 generator, ``--lines`` defaults to the workload's count for a 30 s run)
 and is timed over all of them, round after round, the side that goes
 first alternating.  Both sides must give byte-identical output texts; the
-script exits 1 if they do not.  It prints each side's min and median
-round time, the ratio of the medians and in how many rounds the working
-tree was the faster side.
+script exits 1 if they do not.  It prints each side's min, median and
+quartiles of the round times, the ratio of the medians, in how many
+rounds the working tree was the faster side, and whether that is a gain
+by the rule of the ``choosing-metrics`` guide: faster in at least nine
+tenths of the rounds, by a median gap larger than the ref's
+interquartile range.
 
 Across processes, identical runs on a small shared machine can spread
 ~15%; interleaving the two sides in one process cancels most of that
@@ -95,13 +98,25 @@ def main() -> int:
     print(f"{args.workload}, {len(lines)} lines, seed {args.seed}, "
           f"{args.rounds} rounds, outputs identical")
     for side in sides:
+        q1, _, q3 = quartiles(side.times)
         print(f"  {side.name:>14}: min {min(side.times):.3f} s, "
-              f"median {statistics.median(side.times):.3f} s")
+              f"median {statistics.median(side.times):.3f} s, "
+              f"quartiles {q1:.3f}-{q3:.3f} s")
     ref, work = (statistics.median(s.times) for s in sides)
     wins = sum(w < r for r, w in zip(sides[0].times, sides[1].times))
+    q1, _, q3 = quartiles(sides[0].times)
+    gain = wins * 10 >= args.rounds * 9 and ref - work > q3 - q1
     print(f"  median ratio (working tree / ref): {work / ref:.3f}; "
           f"working tree faster in {wins} of {args.rounds} rounds")
+    print(f"  ref IQR {q3 - q1:.3f} s, median gap {ref - work:.3f} s: "
+          f"{'a gain' if gain else 'no gain'} (faster in >= 9/10 of the "
+          f"rounds by more than the ref's IQR)")
     return 0
+
+
+def quartiles(times: list) -> list:
+    """``[q1, median, q3]``; with one round all three are that round."""
+    return statistics.quantiles(times, n=4) if len(times) > 1 else times * 3
 
 
 if __name__ == "__main__":

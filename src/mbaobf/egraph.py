@@ -24,9 +24,13 @@ tuples wherever an order is needed.  :meth:`EGraph.leaf_key` is the one
 map from a ``Var`` or ``Const`` leaf to its key; the Python that each rule
 generates for its application masks its constants the same way.  That
 code builds keys from canonical ids without constructing e-nodes, looks
-them up in the hashcons, adds a miss with :meth:`EGraph._insert` and joins
-the matched class with :meth:`EGraph._merge`, the halves of
-:meth:`EGraph.add_canonical` and :meth:`EGraph.union` that trust their ids.
+them up in the hashcons, and does inline what :meth:`EGraph._insert` and
+:meth:`EGraph._merge` do, the halves of :meth:`EGraph.add_canonical` and
+:meth:`EGraph.union` that trust their ids: it checks the node cap before
+it adds a miss, and joins the new class to the matched one.  A merge
+always makes the smaller id the parent, so each union-find entry is at
+most its id; :meth:`EGraph.nodes` and :meth:`EGraph.classes` resolve
+every class in one ascending pass over it.
 
 The hashcons, the union-find and the set of classes merged away since
 the last rebuild are the graph's whole state.  The hashcons is the one
@@ -86,9 +90,10 @@ class EGraph:
     """Congruence-closed union of e-classes over hashconsed e-nodes.
 
     ``bits``, one of ``VALID_BITWIDTHS``, fixes the width constants are
-    reduced to; ``max_nodes`` is a hard cap enforced inside
-    :meth:`_insert`, the one check of the node budget, so no rule
-    application can exhaust memory regardless of what the scheduler does.
+    reduced to; ``max_nodes`` is a hard cap, checked before each node is
+    added, by :meth:`_insert` and by the insertions each rule's generated
+    application makes inline, so no rule application can exhaust memory
+    regardless of what the scheduler does.
     """
 
     def __init__(self, bits: int = 64, max_nodes: Optional[int] = None):
@@ -101,7 +106,9 @@ class EGraph:
     # -- union-find ---------------------------------------------------------
 
     def find(self, cid: EClassId) -> EClassId:
-        if not isinstance(cid, int) or cid < 0 or cid >= len(self._uf):
+        """The canonical id of ``cid``, which must be a plain ``int`` this
+        graph handed out: a ``bool``, say, raises :class:`InvalidIdError`."""
+        if type(cid) is not int or not 0 <= cid < len(self._uf):
             raise InvalidIdError(cid)
         return self._find(cid)
 
@@ -117,10 +124,14 @@ class EGraph:
             uf[cid], cid = root, uf[cid]
         return root
 
-    def _new_class(self) -> EClassId:
-        cid = len(self._uf)
-        self._uf.append(cid)
-        return cid
+    def _roots(self) -> list:
+        """The union-find with every path compressed, so that each entry
+        is its id's class.  ``_merge`` makes the smaller id the parent, so
+        each entry is at most its id, and one ascending pass suffices."""
+        uf = self._uf
+        for cid, parent in enumerate(uf):
+            uf[cid] = uf[parent]
+        return uf
 
     # -- insertion ----------------------------------------------------------
 
@@ -157,9 +168,9 @@ class EGraph:
         cap, then add ``key`` as a new class."""
         if self.max_nodes is not None and len(self._hashcons) >= self.max_nodes:
             raise CapacityExceededError(self.max_nodes)
-        node = key if type(key) is ENode else ENode._make(key)
-        cid = self._new_class()
-        self._hashcons[node] = cid
+        cid = len(self._uf)
+        self._uf.append(cid)
+        self._hashcons[key if type(key) is ENode else ENode._make(key)] = cid
         return cid
 
     def leaf_key(self, leaf: Var | Const) -> tuple:
@@ -250,9 +261,9 @@ class EGraph:
         the hashcons in one pass (exact in rebuilt state).  The order of
         the nodes within a class is unspecified."""
         members: dict = {cid: [] for cid in self.class_ids()}
-        find = self._find
+        uf = self._roots()
         for node, cid in self._hashcons.items():
-            members[find(cid)].append(node)
+            members[uf[cid]].append(node)
         return members
 
     def nodes(self) -> tuple[list, list]:
@@ -263,7 +274,8 @@ class EGraph:
         if self._merged:
             raise ValueError("the e-graph has pending merges: rebuild first")
         hashcons = self._hashcons
-        return list(hashcons), list(map(self._find, hashcons.values()))
+        return list(hashcons), list(map(self._roots().__getitem__,
+                                        hashcons.values()))
 
     def expr_of_node(self, node: ENode, arg_exprs: tuple) -> Expression:
         """Rebuild one expression node from an e-node and child expressions."""
@@ -293,9 +305,12 @@ def check_invariants(g: EGraph) -> None:
     Linear in node count.  The hashcons holds each node once, so congruence
     is every key being canonical; every key must map to a class the graph
     handed out, no live class may be empty, no merge may be pending, and a
-    capped graph must hold at most ``max_nodes`` nodes.
+    capped graph must hold at most ``max_nodes`` nodes.  Each union-find
+    parent must be at most its id, as :meth:`EGraph.nodes` assumes.
     """
     ids = range(len(g._uf))
+    for cid in ids:
+        assert g._uf[cid] <= cid, f"class {cid} has the larger parent"
     live = set()
     for n, cid in g._hashcons.items():
         assert g.canonicalize(n) == n, f"stale node {n} in the hashcons"

@@ -26,8 +26,10 @@ holds only the nodes that can still change their class: no leaf can after
 round 0, and, since child costs only rise, no node whose total has passed
 the output cap.  On the corpus at the defaults that is about a tenth of
 the nodes from round 13 on.  A class's history is its change points, one
-per round in which its cost rose; each round's changes are kept as arrays
-and sorted by (class, round) once the rounds are done.
+per round in which its cost rose.  Each round's changes are kept as
+arrays, concatenated in round order and never sorted: reconstruction
+looks a class's points up by binary search when it first visits the
+class, and it visits only a few.
 Reconstruction descends through the round at which each chosen node's
 cost was computed, so the output is a finite tree of depth at most
 ``rounds`` whose size equals the root's cost.  ``rounds`` is at most
@@ -221,7 +223,8 @@ def _extract(g: EGraph, root: int, rounds: int, sign: int,
     only when a node strictly beats its cost, and then takes the first
     node in sort order reaching the new maximum, so on ties the earlier
     choice (the smaller node) is kept.  Each round's changes are kept as
-    ``(round, slots, nodes)``, nodes as indices into the walk.
+    ``(round, slots, nodes)``, slots ascending and nodes as indices into
+    the walk.
     """
     root = g.find(root)
     keys, classes = g.nodes()
@@ -283,13 +286,14 @@ def _extract(g: EGraph, root: int, rounds: int, sign: int,
         slots = heads[changed]
         cost[slots] = best[changed]  # a round reads only the last one
         changes.append((r, slots, node[firsts]))
-    done, slots, picks = zip(*changes)
-    rounds_at = np.repeat(done, [len(s) for s in slots])
-    slots, picks = np.concatenate(slots), np.concatenate(picks)
-    order = np.argsort(slots, kind="stable")  # by slot, then by round
+    # Each round's slots ascend, so (round, slot) stamps ascend across the
+    # concatenation; the last stamp is above every (round, slot) pair.
+    stamps = np.concatenate([r * (n + 1) + s for r, s, _ in changes]
+                            + [[len(changes) * (n + 1)]])
+    picks = np.concatenate([p for _, _, p in changes])
     cids = cids.tolist()
-    history = (cids, keys, rounds_at[order], picks[order],
-               np.searchsorted(slots[order], np.arange(n + 1)), {})
+    history = (cids, keys, stamps, np.arange(len(changes)) * (n + 1), picks,
+               {})
     return _reconstruct(g, history, bisect_left(cids, root), rounds, {})
 
 
@@ -306,19 +310,23 @@ def _reconstruct(g: EGraph, history: tuple, slot: int, r: int,
     """The term chosen for class ``slot`` at round ``r``: its last change
     point at or before ``r``.
 
-    ``history`` is ``(cids, nodes, rounds, picks, bounds, reached)``: the
-    class's change points are entries ``bounds[slot]:bounds[slot + 1]``
-    of the ``rounds`` and ``picks`` (node index) arrays, turned into
-    lists in ``reached`` the first time the class is visited.  ``built``
-    maps (slot, round of that change point) to the term built for it, so
-    each subterm is built once and shared.
+    ``history`` is ``(cids, nodes, stamps, starts, picks, reached)``: a
+    change point of class ``slot`` in round ``r`` is the entry of the
+    ascending ``stamps`` equal to ``starts[r] + slot``, and the same entry
+    of ``picks`` is its node's index in ``nodes``.  The first visit of a
+    class looks up one stamp per round and keeps the class's points as
+    lists in ``reached``.  ``built`` maps (slot, round of that change
+    point) to the term built for it, so each subterm is built once and
+    shared.
     """
-    cids, nodes, rounds, picks, bounds, reached = history
+    cids, nodes, stamps, starts, picks, reached = history
     points = reached.get(slot)
     if points is None:
-        lo, hi = bounds[slot], bounds[slot + 1]
-        points = reached[slot] = (rounds[lo:hi].tolist(),
-                                  picks[lo:hi].tolist())
+        want = starts + slot
+        at = np.searchsorted(stamps, want)
+        hit = stamps[at] == want
+        points = reached[slot] = (hit.nonzero()[0].tolist(),
+                                  picks[at[hit]].tolist())
     i = bisect_right(points[0], r)
     if i == 0:
         raise UnextractableError(cids[slot])

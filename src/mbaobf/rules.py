@@ -16,23 +16,25 @@ Pattern variables on the right-hand side must also occur on the left; a
 rule may not invent unbound terms.  :class:`Rule` enforces this when it is
 made, so a hand-built rule is held to it as well as a parsed one.
 
-Each rule is compiled once, when it is made, as egg does: its left side
-into matcher instructions that :func:`ematch` runs, and its whole
-application (build the right side, union it into the matched class, tell
-whether the graph changed) into one straight-line Python function,
-generated from the right side with no text of the rule file in it.
-Application is atomic: a right side the e-graph's node cap refuses partway
-is rolled back before the error propagates.
+Each rule is compiled once, when it is made, as egg does, into two
+straight-line Python functions generated with no text of the rule file in
+them: its left side into a matcher, one nested loop per operator node,
+that :func:`ematch` runs, and its whole application (build the right side,
+union it into the matched class, tell whether the graph changed), which
+does the e-graph's insertions and union inline.  Application is atomic: a
+right side the e-graph's node cap refuses partway is rolled back before
+the error propagates.
 """
 
 from __future__ import annotations
 
 import importlib.resources
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
-from .egraph import CapacityExceededError, EGraph
+from .egraph import CapacityExceededError, EGraph, ENode
 from .expr import (IDENT_FIRST, IDENT_REST, OPERATORS, Op, ParseError, Var,
                    parse_pattern_text)
 
@@ -49,9 +51,10 @@ Pattern = object
 @dataclass(frozen=True)
 class Rule:
     """A directed rewrite ``lhs => rhs``, both sides compiled once, when the
-    rule is made: ``program`` matches the left side, and ``apply`` is the
-    whole application as straight-line Python generated for this rule
-    (see :func:`_compile_application`), which :func:`apply_match` and
+    rule is made, into straight-line Python: ``program`` holds the left
+    side's matcher (see :func:`_compile_matcher`), which :func:`ematch`
+    runs, and ``apply`` is the whole application (see
+    :func:`_compile_application`), which :func:`apply_match` and
     :func:`count_new_nodes` call.  It reads each variable from its slot in
     ``program.names``.  A right-side variable that is not on the left
     raises :class:`UnboundRhsVarError`."""
@@ -63,7 +66,7 @@ class Rule:
     apply: Callable = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        program = _compile(self.lhs)
+        program = _compile_matcher(self.name, self.lhs)
         object.__setattr__(self, "program", program)
         object.__setattr__(self, "apply", _compile_application(
             self.name, self.rhs, program.names))
@@ -132,51 +135,129 @@ def load_default_rules() -> list[Rule]:
 # Compiled patterns
 # ---------------------------------------------------------------------------
 
-# Matcher instructions ``(kind, register, argument)``.  Register 0 holds the
-# class being matched; a BIND fills one register per child.
-_BIND = 0  # argument (label, slice): each node with label in the class
-_SAME = 1  # argument: another register; a repeated pattern variable
-_LEAF = 2  # argument: index into leaves; the class of a concrete leaf
-
 
 class _Program(NamedTuple):
     """A left-hand side compiled into a matcher."""
 
     names: tuple  # pattern variables, sorted
-    var_regs: tuple  # register bound to each of names
-    n_regs: int
-    root_label: Optional[str]  # held by the root class of every match
-    ops: tuple  # matcher instructions
     leaves: tuple  # each concrete Var or Const leaf the matcher tests
+    match: Callable  # see _compile_matcher
 
 
-def _compile(p: Pattern) -> _Program:
-    # Breadth-first, so each node's leaf and repeated-variable tests come
-    # right after the BIND of its parent and prune before deeper BINDs.
-    ops: list = []
+# CPython compiles at most 20 statically nested blocks in one function, and
+# each loop is one: a matcher hands the loops past this many to a helper.
+_MAX_LOOPS = 16
+
+
+def _compile_matcher(name: str, lhs: Pattern) -> _Program:
+    """Generate ``match(classes, *leaf_ids)``, the left side as straight-line
+    Python: every match in a :class:`_Snapshot`'s ``classes``, given the
+    class of each of ``leaves``, as :func:`ematch` returns them.
+
+    Registers are numbered breadth-first, as in de Moura and Bjørner's
+    e-matching machine: ``r0`` is the class matched at, and each operator
+    node of the pattern is a loop over the nodes with its label in its
+    register's class, binding one register per child.  A repeated
+    variable or a concrete leaf is an ``if … continue`` right after the
+    loop that binds it.  Loops nest in breadth-first order; past
+    ``_MAX_LOOPS`` of them the rest runs in a generated helper, called
+    with the registers and leaf classes it reads.  Each root's bindings,
+    one tuple per embedding, are deduplicated and sorted.
+    """
+    binds: list = []  # (register, label, child registers), breadth-first
+    tests: dict = {}  # register -> ("r", register) or ("L", leaf) to equal
     leaves: list = []
     first: dict = {}  # variable name -> register of its first occurrence
-    todo = [(p, 0)]
+    todo = [(lhs, 0)]
     n_regs = 1
     for q, reg in todo:
         if isinstance(q, PatVar):
             if q.name in first:
-                ops.append((_SAME, reg, first[q.name]))
+                tests[reg] = ("r", first[q.name])
             else:
                 first[q.name] = reg
         elif isinstance(q, Op):
-            children = range(n_regs, n_regs + len(q.args))
-            ops.append((_BIND, reg, (q.op.name,
-                                     slice(children.start, children.stop))))
-            todo.extend(zip(q.args, children))
-            n_regs = children.stop
+            kids = range(n_regs, n_regs + len(q.args))
+            binds.append((reg, q.op.name, kids))
+            todo.extend(zip(q.args, kids))
+            n_regs = kids.stop
         else:
-            ops.append((_LEAF, reg, len(leaves)))
+            tests[reg] = ("L", len(leaves))
             leaves.append(q)
     names = tuple(sorted(first))
-    return _Program(names, tuple(first[n] for n in names), n_regs,
-                    p.op.name if isinstance(p, Op) else None,
-                    tuple(ops), tuple(leaves))
+    found = "".join(f"r{first[n]}, " for n in names)
+    helpers: list = []
+
+    def enter(j: int, pad: str, out: list) -> None:
+        """The loop over bind ``j``'s nodes, its children bound and
+        tested; its body is indented one step past ``pad``."""
+        kids = binds[j][2]
+        out.append(f"{pad}for n{j} in ns{j}:")
+        pad += "    "
+        out.append(f"{pad}{''.join(f'r{k}, ' for k in kids)}= n{j}[2]")
+        for k in kids:
+            if k in tests:
+                out += [f"{pad}if r{k} != {''.join(map(str, tests[k]))}:",
+                        f"{pad}    continue"]
+
+    def rest(j: int, pad: str, depth: int, miss: str, out: list) -> None:
+        """The binds from ``j`` on, then the match, with ``depth`` loops
+        open; ``miss`` leaves a class that lacks bind ``j``'s label."""
+        for j in range(j, len(binds)):
+            if depth == _MAX_LOOPS:
+                later = [tests[k] for b in binds[j:] for k in b[2]
+                         if k in tests]
+                reads = ({0, *first.values()} | {b[0] for b in binds[j:]}
+                         | {k for kind, k in later if kind == "r"})
+                bound = {0, *(k for b in binds[:j] for k in b[2])}
+                params = ", ".join(
+                    ["classes", "append",
+                     *[f"r{k}" for k in sorted(bound & reads)],
+                     *[f"L{i}" for i in sorted({i for kind, i in later
+                                                 if kind == "L"})]])
+                helper = f"m{len(helpers) + 1}"
+                out.append(f"{pad}{helper}({params})")
+                body = [f"def {helper}({params}):"]
+                helpers.append(body)
+                rest(j, "    ", 0, "return", body)
+                return
+            reg, label = binds[j][:2]
+            out += [f"{pad}ns{j} = classes[r{reg}].get({label!r})",
+                    f"{pad}if ns{j} is None:",
+                    f"{pad}    {miss}"]
+            enter(j, pad, out)
+            pad, depth, miss = pad + "    ", depth + 1, "continue"
+        out.append(f"{pad}append((r0, ({found})))")
+
+    params = "".join(f", L{i}" for i in range(len(leaves)))
+    src = [f"def match(classes{params}):",
+           "    out = []",
+           "    append = out.append"]
+    if binds:
+        src += ["    for r0, by in classes.items():",
+                f"        ns0 = by.get({binds[0][1]!r})",
+                "        if ns0 is None:",
+                "            continue",
+                "        start = len(out)"]
+        enter(0, "        ", src)
+        rest(1, " " * 12, 2, "continue", src)
+        src += ["        if len(out) - start > 1:",
+                "            out[start:] = sorted(set(out[start:]))"]
+    else:
+        src.append("    for r0 in classes:")
+        if 0 in tests:
+            src += ["        if r0 != L0:", "            continue"]
+        src.append(f"        append((r0, ({found})))")
+    src.append("    return out")
+    for body in helpers:
+        src += body
+    return _Program(names, tuple(leaves), _exec(name, src, {})["match"])
+
+
+def _exec(name: str, src: list, env: dict) -> dict:
+    """Compile and run generated lines of rule ``name`` in ``env``."""
+    exec(compile("\n".join(src), f"<rule {name}>", "exec"), env)
+    return env
 
 
 def _compile_application(name: str, rhs: Pattern, names: tuple) -> Callable:
@@ -188,13 +269,16 @@ def _compile_application(name: str, rhs: Pattern, names: tuple) -> Callable:
     read from its slot once and passed through the validated
     :meth:`EGraph.find`, as is ``root`` unless ``trial`` is set, all before
     anything is added; the ids the graph hands out within the call are
-    trusted.  Each node is looked up in the hashcons, and a
-    miss is added with :meth:`EGraph._insert`, which enforces the node
-    cap: a refused right side is rolled back before the error propagates.
-    A right side that adds any node has a new class at its top, which
-    cannot be the matched class, so the union alone tells whether the
-    graph changed.  With ``trial`` set, nothing is unioned and the call
-    returns the number of nodes added, after rolling them back.
+    trusted.  Each node is looked up in the hashcons.  A hit is
+    canonicalized only when its id is not its own root.  A miss is added
+    inline, as :meth:`EGraph._insert` would add it: the node cap is
+    checked, a class id appended to the union-find and the key stored as
+    an :class:`ENode`.  A refused right side is rolled back before the
+    error propagates.  A right side that adds any node has a new class at
+    its top, which cannot be the matched class, so the union, written out
+    as :meth:`EGraph._merge` does it, alone tells whether the graph
+    changed.  With ``trial`` set, nothing is unioned and the call returns
+    the number of nodes added, after rolling them back.
 
     The source holds only slot numbers, labels of :data:`OPERATORS` and
     names bound in its namespace: each ``Var`` leaf's key and each
@@ -208,7 +292,7 @@ def _compile_application(name: str, rhs: Pattern, names: tuple) -> Callable:
     build: list = []
 
     def emit(q: Pattern) -> str:
-        """Append the statement building ``q``; the local holding its
+        """Append the statements building ``q``; the local holding its
         class."""
         if isinstance(q, PatVar):
             if q.name not in slots:
@@ -230,8 +314,13 @@ def _compile_application(name: str, rhs: Pattern, names: tuple) -> Callable:
             leaves[const] = q.value
             key = f"('const', {const} & mask, ())"
         out = f"n{len(build)}"
-        build.append(f"{out} = insert(k) if ({out} := get(k := {key})) "
-                     f"is None else canon({out})")
+        build.append([f"if ({out} := get(k := {key})) is None:",
+                      "    if len(hashcons) >= cap:",
+                      "        raise CapacityExceededError(cap)",
+                      f"    hashcons[new(ENode, k)] = {out} = len(uf)",
+                      f"    uf.append({out})",
+                      f"elif uf[{out}] != {out}:",
+                      f"    {out} = canon({out})"])
         return out
 
     top = emit(rhs)
@@ -242,13 +331,16 @@ def _compile_application(name: str, rhs: Pattern, names: tuple) -> Callable:
            *[f"    v{i} = find(b[{i}])" for i in sorted(used)],
            "    if not trial:",
            "        root = find(root)",
-           "    hashcons = g._hashcons",
-           "    get, canon, insert = hashcons.get, g._find, g._insert",
+           "    hashcons, uf, cap = g._hashcons, g._uf, g.max_nodes",
+           "    if cap is None:",
+           "        cap = inf",
+           "    get, canon = hashcons.get, g._find",
            *(["    mask = (1 << g.bits) - 1"]
              if any(k[0] == "C" for k in leaves) else []),
            "    before = len(hashcons)",
            "    try:",
-           *[f"        {line}" for line in build or ["pass"]],
+           *([f"        {line}" for node in build for line in node]
+             or ["        pass"]),
            "    except CapacityExceededError:",
            "        g.rollback(before)",
            "        raise",
@@ -256,10 +348,18 @@ def _compile_application(name: str, rhs: Pattern, names: tuple) -> Callable:
            "        added = len(hashcons) - before",
            "        g.rollback(before)",
            "        return added",
-           f"    return g._merge(root, {top})"]
-    env = {"CapacityExceededError": CapacityExceededError, **leaves}
-    exec(compile("\n".join(src), f"<rule {name}>", "exec"), env)
-    return env["apply"]
+           f"    if root == {top}:",
+           "        return False",
+           f"    if {top} < root:",
+           f"        uf[root] = {top}",
+           "        g._merged.add(root)",
+           "    else:",
+           f"        uf[{top}] = root",
+           f"        g._merged.add({top})",
+           "    return True"]
+    env = {"CapacityExceededError": CapacityExceededError, "ENode": ENode,
+           "inf": math.inf, "new": tuple.__new__, **leaves}
+    return _exec(name, src, env)["apply"]
 
 
 # ---------------------------------------------------------------------------
@@ -290,22 +390,6 @@ def _label_index(g: EGraph) -> _Snapshot:
     return _Snapshot(classes, leaves)
 
 
-def _run(ops: tuple, pc: int, regs: list, classes: dict, leaf_ids: list,
-         var_regs: tuple, out: list) -> None:
-    """Execute ``ops[pc:]``, appending one binding tuple per embedding."""
-    for pc in range(pc, len(ops)):
-        kind, reg, arg = ops[pc]
-        if kind == _BIND:
-            label, children = arg
-            for node in classes[regs[reg]].get(label, ()):
-                regs[children] = node.children
-                _run(ops, pc + 1, regs, classes, leaf_ids, var_regs, out)
-            return
-        if regs[reg] != (regs[arg] if kind == _SAME else leaf_ids[arg]):
-            return
-    out.append(tuple([regs[r] for r in var_regs]))
-
-
 def ematch(g: EGraph, rule: Rule, index: Optional[_Snapshot] = None) -> list:
     """All matches of ``rule``'s left-hand side anywhere in ``index``, each
     a ``(root, bindings)`` tuple: the class matched at and the class bound
@@ -325,21 +409,7 @@ def ematch(g: EGraph, rule: Rule, index: Optional[_Snapshot] = None) -> list:
     leaf_ids = [index.leaves.get(g.leaf_key(leaf)) for leaf in prog.leaves]
     if None in leaf_ids:
         return []  # a concrete leaf of the pattern is not in the graph
-    classes = index.classes
-    ops, var_regs, root_label = prog.ops, prog.var_regs, prog.root_label
-    regs = [0] * prog.n_regs
-    out: list = []
-    for cid, by_label in classes.items():
-        if root_label is not None and root_label not in by_label:
-            continue
-        regs[0] = cid
-        found: list = []
-        _run(ops, 0, regs, classes, leaf_ids, var_regs, found)
-        if len(found) > 1:
-            found = sorted(set(found))
-        for bindings in found:
-            out.append((cid, bindings))
-    return out
+    return prog.match(index.classes, *leaf_ids)
 
 
 # ---------------------------------------------------------------------------

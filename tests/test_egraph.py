@@ -105,6 +105,15 @@ class TestUnionFind:
         with pytest.raises(InvalidIdError):
             g.union(0, -1)
 
+    def test_bool_id_rejected(self):
+        # bools are ints to isinstance, but no id the graph hands out
+        g, _ = graph_of("x + y")
+        for bad in (True, False):
+            with pytest.raises(InvalidIdError):
+                g.find(bad)
+            with pytest.raises(InvalidIdError):
+                g.union(0, bad)
+
     def test_laws_against_partition_oracle(self, rng):
         # transitivity etc. over random union sequences
         for _ in range(50):
@@ -177,6 +186,17 @@ class TestRebuild:
         (node,) = g.classes()[g.find(root)]
         g._hashcons[node] = g.find(g.add_expr(parse("x")))
         with pytest.raises(AssertionError, match="are empty"):
+            check_invariants(g)
+
+    def test_invariants_catch_a_larger_parent(self):
+        # the union-find's parents are smaller ids, which EGraph.nodes and
+        # EGraph.classes rely on to resolve every class in one pass
+        g, (x, y) = graph_of("x", "y")
+        g.union(x, y)
+        g.rebuild()
+        check_invariants(g)
+        g._uf[x], g._uf[y] = y, y
+        with pytest.raises(AssertionError, match="larger parent"):
             check_invariants(g)
 
     def test_invariants_catch_a_pending_merge(self):

@@ -529,6 +529,7 @@ class TestAgainstReference:
                 g.rebuild()
                 keys, classes = g.nodes()
                 assert list(g._hashcons) == keys
+                assert classes == [g.find(c) for c in g._hashcons.values()]
                 stale += sum(g._hashcons[k] != c
                              for k, c in zip(keys, classes))
                 grouped = {cid: [] for cid in g.class_ids()}

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from mbaobf.egraph import CapacityExceededError, EGraph, InvalidIdError
-from mbaobf.expr import ADD, MAX_DEPTH, NOT, Const, Op, Var, parse
+from mbaobf.expr import ADD, MAX_DEPTH, MUL, NOT, Const, Op, Var, parse
 from mbaobf.rules import (PatVar, Rule, RuleSyntaxError, UnboundRhsVarError,
                           _label_index, apply_match, count_new_nodes, ematch,
                           load_default_rules, parse_rules)
@@ -256,6 +256,172 @@ class TestEmatch:
                 assert got == sorted(brute_force_matches(g, p))
 
 
+# ---------------------------------------------------------------------------
+# The generated matcher against the interpreter it replaced
+# ---------------------------------------------------------------------------
+
+# Instructions ``(kind, register, argument)``.  Register 0 holds the class
+# being matched; a BIND fills one register per child.
+BIND = 0  # argument (label, slice): each node with label in the class
+SAME = 1  # argument: another register; a repeated pattern variable
+LEAF = 2  # argument: index into leaves; the class of a concrete leaf
+
+
+def compile_instructions(p):
+    """A left side as de Moura and Bjørner's bind/compare instructions:
+    ``(ops, leaves, var_regs, n_regs, root_label)``, breadth-first, so each
+    node's tests come right after the BIND of its parent."""
+    ops, leaves, first = [], [], {}
+    todo = [(p, 0)]
+    n_regs = 1
+    for q, reg in todo:
+        if isinstance(q, PatVar):
+            if q.name in first:
+                ops.append((SAME, reg, first[q.name]))
+            else:
+                first[q.name] = reg
+        elif isinstance(q, Op):
+            children = range(n_regs, n_regs + len(q.args))
+            ops.append((BIND, reg, (q.op.name,
+                                    slice(children.start, children.stop))))
+            todo.extend(zip(q.args, children))
+            n_regs = children.stop
+        else:
+            ops.append((LEAF, reg, len(leaves)))
+            leaves.append(q)
+    var_regs = tuple(first[n] for n in sorted(first))
+    return (tuple(ops), tuple(leaves), var_regs, n_regs,
+            p.op.name if isinstance(p, Op) else None)
+
+
+def run(ops, pc, regs, classes, leaf_ids, var_regs, out):
+    """Execute ``ops[pc:]``, appending one binding tuple per embedding."""
+    for pc in range(pc, len(ops)):
+        kind, reg, arg = ops[pc]
+        if kind == BIND:
+            label, children = arg
+            for node in classes[regs[reg]].get(label, ()):
+                regs[children] = node.children
+                run(ops, pc + 1, regs, classes, leaf_ids, var_regs, out)
+            return
+        if regs[reg] != (regs[arg] if kind == SAME else leaf_ids[arg]):
+            return
+    out.append(tuple([regs[r] for r in var_regs]))
+
+
+def reference_ematch(g, rule, index):
+    """Matching as it was before each rule generated its own matcher: the
+    instructions interpreted one node at a time, each root's bindings
+    deduplicated and sorted."""
+    ops, leaves, var_regs, n_regs, root_label = compile_instructions(rule.lhs)
+    leaf_ids = [index.leaves.get(g.leaf_key(leaf)) for leaf in leaves]
+    if None in leaf_ids:
+        return []
+    regs = [0] * n_regs
+    out = []
+    for cid, by_label in index.classes.items():
+        if root_label is not None and root_label not in by_label:
+            continue
+        regs[0] = cid
+        found = []
+        run(ops, 0, regs, index.classes, leaf_ids, var_regs, found)
+        if len(found) > 1:
+            found = sorted(set(found))
+        out += [(cid, bindings) for bindings in found]
+    return out
+
+
+def chain(n, inner):
+    """``inner`` under ``n`` unary ``~``."""
+    for _ in range(n):
+        inner = Op(NOT, (inner,))
+    return inner
+
+
+def deep_lhs():
+    """A ``MAX_DEPTH``-deep left side, alternately ``~`` and ``+ i``, over
+    ``?a``, repeated at the top: ``?a`` and a constant are tested in the
+    helpers that the innermost loops run in."""
+    q = PatVar("a")
+    for i in range(MAX_DEPTH - 1):
+        q = Op(ADD, (q, Const(i % 3))) if i % 2 else Op(NOT, (q,))
+    return Op(MUL, (PatVar("a"), q))
+
+
+def instantiate(p, leaf):
+    """``p`` with every pattern variable replaced by ``leaf``."""
+    if isinstance(p, PatVar):
+        return leaf
+    if isinstance(p, Op):
+        return Op(p.op, tuple(instantiate(a, leaf) for a in p.args))
+    return p
+
+
+# A 60-operator chain whose repeated ?a and constant sit 60 loops apart.
+CHAIN_LHS = Op(MUL, (PatVar("a"), chain(58, Op(ADD, (PatVar("a"),
+                                                     Const(1))))))
+MATCHER_RULES = load_default_rules() + [
+    pat(t) for t in ("?a", "?a + ?a", "x", "3", "0 - ?a", "(?a + 1) * y",
+                     "(?a + ?b) * ?a")] + [
+    Rule("chain", CHAIN_LHS, PatVar("a")),
+    Rule("deep", deep_lhs(), PatVar("a"))]
+
+
+def matcher_graphs(rng, bits, grown):
+    """Random graphs that also hold each of ``MATCHER_RULES``' left sides
+    over ``x``; ``grown`` unions x with ``~~x`` and ``x + 1``'s class with
+    ``x``'s, so that the long left sides match along cycles, then applies
+    ~30% of the default rules' matches."""
+    x = Var("x")
+    for _ in range(3):
+        g = EGraph(bits=bits)
+        roots = [g.add_expr(random_expr(rng, rng.randint(2, 9), bits=bits,
+                                        const_prob=0.3)) for _ in range(3)]
+        roots += [g.add_expr(instantiate(rule.lhs, x))
+                  for rule in MATCHER_RULES]
+        g.rebuild()
+        if grown:
+            g.union(g.add_expr(x), g.add_expr(chain(2, x)))
+            g.union(g.add_expr(parse("x + 1", bits)), g.add_expr(x))
+            g.union(rng.choice(roots), rng.choice(roots))
+            g.rebuild()
+            for rule in load_default_rules():
+                for m in ematch(g, rule):
+                    if rng.random() < 0.3:
+                        apply_match(g, rule, m)
+            g.rebuild()
+        yield g
+
+
+class TestGeneratedMatcher:
+    """Each rule's generated matcher against ``reference_ematch``: the
+    same matches in the same order."""
+
+    @pytest.mark.parametrize("bits", [4, 8, 64])
+    @pytest.mark.parametrize("grown", [False, True])
+    def test_matches_the_reference(self, rng, bits, grown):
+        unmatched = set(range(len(MATCHER_RULES)))
+        for g in matcher_graphs(rng, bits, grown):
+            index = _label_index(g)
+            for i, rule in enumerate(MATCHER_RULES):
+                got = ematch(g, rule, index)
+                assert got == reference_ematch(g, rule, index), rule.lhs
+                if got:
+                    unmatched.discard(i)
+        assert not unmatched, [MATCHER_RULES[i].lhs for i in unmatched]
+
+    def test_long_left_sides_match(self):
+        # 60 and MAX_DEPTH nested loops, past CPython's 20 static blocks
+        g = EGraph()
+        x = Var("x")
+        roots = [g.add_expr(instantiate(p, x))
+                 for p in (CHAIN_LHS, deep_lhs())]
+        g.rebuild()
+        xc = g.add_expr(x)
+        for rule, root in zip(MATCHER_RULES[-2:], roots):
+            assert ematch(g, rule) == [(root, (xc,))]
+
+
 class TestApplyMatch:
     def test_addor_adds_second_representation(self):
         (rule,) = parse_rules("addor : ?a + ?b => (?a | ?b) + (?a & ?b)")
@@ -311,6 +477,20 @@ class TestApplyMatch:
                     apply_match(g, rule, m)
                     assert g.node_count() - len(before[0]) == predicted
                 g.rebuild()
+
+    def test_bool_ids_rejected_before_any_change(self):
+        # True and False are ints to isinstance, but no class ids
+        rule = load_default_rules()[0]
+        g, _ = graph_of("x + y")
+        (root, bindings) = ematch(g, rule)[0]
+        snapshot = state_of(g)
+        for m in ((True, bindings), (root, (False, True))):
+            with pytest.raises(InvalidIdError):
+                apply_match(g, rule, m)
+            assert state_of(g) == snapshot
+        with pytest.raises(InvalidIdError):  # a trial run reads no root
+            count_new_nodes(g, rule, (root, (bindings[0], True)))
+        assert state_of(g) == snapshot
 
     def test_application_refused_by_the_cap_leaves_no_trace(self):
         # mul-split-masks adds 8 nodes to `x * x`, whose ~x it builds twice;
