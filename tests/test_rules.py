@@ -357,7 +357,8 @@ def instantiate(p, leaf):
     return p
 
 
-# A 60-operator chain whose repeated ?a and constant sit 60 loops apart.
+# A 60-operator chain whose repeated ?a and constant are tested 59 loops
+# below the root's, in a helper.
 CHAIN_LHS = Op(MUL, (PatVar("a"), chain(58, Op(ADD, (PatVar("a"),
                                                      Const(1))))))
 MATCHER_RULES = load_default_rules() + [
