@@ -5,15 +5,20 @@
         [--time-limit-ms MS] [--rounds R] [--max-output-nodes N]
 
 Every line of ``corpus/sample100.txt`` is grown with the shipped rules
-with ``parse`` and ``expand``, as ``mbaobf bench --no-check`` does.  The
-file records the label, the commit and whether ``src/`` differs from it,
-the flags, the corpus sha256, the wall time of the whole loop,
-p50/p95/max of each line's ``report.elapsed``, a stop-reason histogram
-and the sha256 of the rows, each built by ``bench``'s own row function
-(equal to ``sha256sum BASE.jsonl`` at the same flags).  A line that
-fails ends the run.  Compare two files only when both were taken on the
-same machine, back to back.  The per-phase split and the work counters
-wait for expansion statistics in the library report.
+with ``parse`` and ``expand``, as ``mbaobf bench --no-check`` does, in
+``PASSES`` passes over the whole corpus.  The file records the label, the
+commit and whether ``src/`` differs from it, the flags, the corpus
+sha256, ``passes_s`` (the wall time of each pass's loop), ``wall_s``
+(their median), p50/p95/max of each line's ``report.elapsed`` pooled
+over all passes, a stop-reason histogram of one pass and the sha256 of
+the rows, each built by ``bench``'s own row function (equal to
+``sha256sum BASE.jsonl`` at the same flags).  A line that fails ends the
+run, and so, with exit 1, does a pass whose rows hash differs from the
+first pass's.  One pass can spread by tens of percent on a small shared
+machine: compare two files by the ranges of their ``passes_s``, and only
+when both were taken on the same machine, back to back.  The per-phase
+split and the work counters wait for expansion statistics in the library
+report.
 """
 
 import argparse
@@ -31,6 +36,8 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from mbaobf import ExpansionConfig, expand, load_default_rules, parse
 from mbaobf.cli import _report_json
+
+PASSES = 5
 
 
 def git(*args: str) -> subprocess.CompletedProcess:
@@ -58,20 +65,26 @@ def main() -> None:
                           max_output_nodes=args.max_output_nodes)
     corpus = (ROOT / "corpus" / "sample100.txt").read_bytes()
     lines = [ln.strip() for ln in corpus.decode("utf-8").split("\n")]
+    lines = [ln for ln in lines if ln and not ln.startswith("#")]
     rules = load_default_rules()
-    rows = hashlib.sha256()
+    passes = []
+    digests = []
     elapsed = []
-    stops = Counter()
-    start = time.perf_counter()
-    for text in lines:
-        if not text or text.startswith("#"):
-            continue
-        report = expand(parse(text), rules, cfg)
-        row = _report_json(text, report)
-        rows.update((json.dumps(row, sort_keys=True) + "\n").encode())
-        elapsed.append(report.elapsed)
-        stops[report.stop.value] += 1
-    wall = time.perf_counter() - start
+    for _ in range(PASSES):
+        rows = hashlib.sha256()
+        stops = Counter()
+        start = time.perf_counter()
+        for text in lines:
+            report = expand(parse(text), rules, cfg)
+            row = _report_json(text, report)
+            rows.update((json.dumps(row, sort_keys=True) + "\n").encode())
+            elapsed.append(report.elapsed)
+            stops[report.stop.value] += 1
+        passes.append(time.perf_counter() - start)
+        digests.append(rows.hexdigest())
+    if len(set(digests)) > 1:
+        sys.exit(f"rows differ between passes: {digests}")
+    wall = statistics.median(passes)
     result = {
         "label": args.label,
         "commit": git("rev-parse", "HEAD").stdout.strip(),
@@ -79,7 +92,8 @@ def main() -> None:
                                   "src").returncode == 0,
         "flags": flags,
         "corpus_sha256": hashlib.sha256(corpus).hexdigest(),
-        "lines": len(elapsed),
+        "lines": len(lines),
+        "passes_s": [round(t, 3) for t in passes],
         "wall_s": round(wall, 3),
         "elapsed_s": {
             "p50": round(statistics.median(elapsed), 4),
@@ -87,11 +101,12 @@ def main() -> None:
                                               method="inclusive")[18], 4),
             "max": round(max(elapsed), 4)},
         "stops": dict(sorted(stops.items())),
-        "rows_sha256": rows.hexdigest(),
+        "rows_sha256": digests[0],
     }
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(result, indent=2) + "\n")
-    print(f"wrote {out}: {wall:.1f} s, rows {result['rows_sha256'][:12]}")
+    print(f"wrote {out}: {min(passes):.1f}-{max(passes):.1f} s over "
+          f"{PASSES} passes, rows {result['rows_sha256'][:12]}")
 
 
 if __name__ == "__main__":

@@ -22,12 +22,13 @@ children)``, so hashing, equality and ordering run in C and a plain tuple
 of the same three fields is an equal hashcons key.  E-nodes sort as plain
 tuples wherever an order is needed.  :meth:`EGraph.leaf_key` is the one
 map from a ``Var`` or ``Const`` leaf to its key; the Python that each rule
-generates for its application masks its constants the same way.  That
+generates for its right side masks its constants the same way.  That
 code builds keys from canonical ids without constructing e-nodes, looks
-them up in the hashcons, and does inline what :meth:`EGraph._insert` and
-:meth:`EGraph._merge` do, the halves of :meth:`EGraph.add_canonical` and
-:meth:`EGraph.union` that trust their ids: it checks the node cap before
-it adds a miss, and joins the new class to the matched one.  A merge
+them up in the hashcons, and adds a miss inline as
+:meth:`EGraph.add_canonical` does, the node cap checked first; rule
+application then unions the right side's class into the matched one
+through :meth:`EGraph._merge`, the half of :meth:`EGraph.union` that
+trusts its ids and the only code that records a merged class.  A merge
 always makes the smaller id the parent, so each union-find entry is at
 most its id; :meth:`EGraph.nodes` and :meth:`EGraph.classes` resolve
 every class in one ascending pass over it.
@@ -49,6 +50,7 @@ values may be merged-away ids; every reader maps them through
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple, Optional
 
 from .expr import (Const, Expression, Op, OPERATORS, Var,
@@ -90,15 +92,16 @@ class EGraph:
     """Congruence-closed union of e-classes over hashconsed e-nodes.
 
     ``bits``, one of ``VALID_BITWIDTHS``, fixes the width constants are
-    reduced to; ``max_nodes`` is a hard cap, checked before each node is
-    added, by :meth:`_insert` and by the insertions each rule's generated
-    application makes inline, so no rule application can exhaust memory
-    regardless of what the scheduler does.
+    reduced to; ``max_nodes`` is a hard cap, stored as ``math.inf`` when
+    None, checked before each node is added, by :meth:`add_canonical` and
+    by the insertions each rule's generated builder makes inline, so no
+    rule application can exhaust memory regardless of what the scheduler
+    does.
     """
 
     def __init__(self, bits: int = 64, max_nodes: Optional[int] = None):
         self.bits = check_bitwidth(bits)
-        self.max_nodes = max_nodes
+        self.max_nodes = math.inf if max_nodes is None else max_nodes
         self._uf: list[int] = []
         self._hashcons: dict = {}  # canonical ENode -> EClassId
         self._merged: set = set()  # classes merged away since last pass
@@ -157,16 +160,12 @@ class EGraph:
 
     def add_canonical(self, key: tuple) -> EClassId:
         """Insert ``(label, payload, children)`` whose children are canonical
-        ids; returns the canonical class."""
+        ids; returns the canonical class.  A miss is checked against the
+        cap, then added as a new class."""
         existing = self._hashcons.get(key)
         if existing is not None:
             return self._find(existing)
-        return self._insert(key)
-
-    def _insert(self, key: tuple) -> EClassId:
-        """:meth:`add_canonical` after a hashcons miss on ``key``: check the
-        cap, then add ``key`` as a new class."""
-        if self.max_nodes is not None and len(self._hashcons) >= self.max_nodes:
+        if len(self._hashcons) >= self.max_nodes:
             raise CapacityExceededError(self.max_nodes)
         cid = len(self._uf)
         self._uf.append(cid)
@@ -184,8 +183,9 @@ class EGraph:
         """Insert a whole expression bottom-up; returns the root's class."""
         if not isinstance(e, Op):
             return self.add_canonical(self.leaf_key(e))
+        # the children's classes are canonical: nothing merges in between
         children = tuple(self.add_expr(a) for a in e.args)
-        return self.add(ENode(e.op.name, None, children))
+        return self.add_canonical((e.op.name, None, children))
 
     def rollback(self, nodes: int) -> None:
         """Remove what was added since the graph held ``nodes`` nodes, with
@@ -304,8 +304,8 @@ def check_invariants(g: EGraph) -> None:
 
     Linear in node count.  The hashcons holds each node once, so congruence
     is every key being canonical; every key must map to a class the graph
-    handed out, no live class may be empty, no merge may be pending, and a
-    capped graph must hold at most ``max_nodes`` nodes.  Each union-find
+    handed out, no live class may be empty, no merge may be pending, and the
+    graph must hold at most ``max_nodes`` nodes.  Each union-find
     parent must be at most its id, as :meth:`EGraph.nodes` assumes.
     """
     ids = range(len(g._uf))
@@ -319,5 +319,5 @@ def check_invariants(g: EGraph) -> None:
     empty = set(g.class_ids()) - live
     assert not empty, f"classes {sorted(empty)} are empty"
     assert not g._merged, f"merges of {sorted(g._merged)} are pending"
-    assert g.max_nodes is None or g.node_count() <= g.max_nodes, \
+    assert g.node_count() <= g.max_nodes, \
         f"{g.node_count()} nodes over the cap of {g.max_nodes}"

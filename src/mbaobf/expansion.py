@@ -21,11 +21,12 @@ extractor therefore runs a round-indexed dynamic program:
 
 Each call lays the graph out as flat arrays (each node's class and child
 classes) from one walk of the hashcons, and each round is one numpy sweep
-against a float table of the previous round's class costs.  The sweep
-holds only the nodes that can still change their class: no leaf can after
-round 0, and, since child costs only rise, no node whose total has passed
-the output cap.  On the corpus at the defaults that is about a tenth of
-the nodes from round 13 on.  A class's history is its change points, one
+against a float table of the previous round's class costs, round 0
+included: it starts from a table that knows no term, so only leaves
+reach a cost in it.  Since child costs only rise, a node whose total has
+passed the output cap can never change its class again, and the sweep
+drops it.  On the corpus at the defaults about a tenth of the nodes are
+left from round 13 on.  A class's history is its change points, one
 per round in which its cost rose.  Each round's changes are kept as
 arrays, concatenated in round order and never sorted: reconstruction
 looks a class's points up by binary search when it first visits the
@@ -215,16 +216,17 @@ def _extract(g: EGraph, root: int, rounds: int, sign: int,
     slot, so a node's shifted total is the sum of its two children's
     entries and the cap test is ``> max_nodes + sign``.
 
-    Round 0 gives each class holding a leaf its first leaf, which need
-    not be its first node.  No leaf can change its class after that, and
-    child costs only rise, so neither can a node once its total is over
-    the cap: the sweep starts from the operator nodes and drops those
-    over the cap in each round in which any crosses it.  A class changes
-    only when a node strictly beats its cost, and then takes the first
-    node in sort order reaching the new maximum, so on ties the earlier
-    choice (the smaller node) is kept.  Each round's changes are kept as
-    ``(round, slots, nodes)``, slots ascending and nodes as indices into
-    the walk.
+    The sweeps run for rounds 0 to ``rounds``, from a table in which no
+    class has a term, so in round 0 only leaves reach a cost and each
+    class holding one takes its first leaf.  After that a class's cost
+    only rises above every leaf's total, so no leaf wins again.  Child
+    costs only rise, so a node can no longer change its class once its
+    total is over the cap: the sweep drops those in each round in which
+    any crosses it.  A class changes only when a node strictly beats its
+    cost, and then takes the first node in sort order reaching the new
+    maximum, so on ties the earlier choice (the smaller node) is kept.
+    Each round's changes are kept as ``(round, slots, nodes)``, slots
+    ascending and nodes as indices into the walk.
     """
     root = g.find(root)
     keys, classes = g.nodes()
@@ -255,19 +257,13 @@ def _extract(g: EGraph, root: int, rounds: int, sign: int,
     slot_of[cids] = np.arange(n)
     owner = slot_of[owner]
     first, second = slot_of[first[order]], slot_of[second[order]]
+    node = order
     cost = np.full(n + 1, _UNDEFINED)
     cost[n] = sign
-    # Round 0: each class with a leaf takes its first leaf.
-    leaf = first == n
-    seeded, picked = np.unique(owner[leaf], return_index=True)
-    cost[seeded] = 2 * sign
-    changes = [(0, seeded, order[leaf][picked])]
-    sweep = ~leaf
-    node, owner = order[sweep], owner[sweep]
-    first, second = first[sweep], second[sweep]
     starts, heads, group = _runs(owner)
     cap = max_nodes + sign
-    for r in range(1, rounds + 1):
+    changes = []
+    for r in range(rounds + 1):
         total = cost[first] + cost[second]
         over = total > cap
         if over.any():

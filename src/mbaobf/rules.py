@@ -19,17 +19,17 @@ made, so a hand-built rule is held to it as well as a parsed one.
 Each rule is compiled once, when it is made, as egg does, into two
 straight-line Python functions generated with no text of the rule file in
 them: its left side into a matcher, one nested loop per operator node,
-that :func:`ematch` runs, and its whole application (build the right side,
-union it into the matched class, tell whether the graph changed), which
-does the e-graph's insertions and union inline.  Application is atomic: a
-right side the e-graph's node cap refuses partway is rolled back before
-the error propagates.
+that :func:`ematch` runs, and its right side into a builder that does the
+e-graph's insertions inline and returns the right side's class.
+:func:`apply_match` unions that class into the matched one through
+:meth:`EGraph._merge`, the graph's one definition of a union.
+Application is atomic: a right side the e-graph's node cap refuses
+partway is rolled back before the error propagates.
 """
 
 from __future__ import annotations
 
 import importlib.resources
-import math
 import re
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
@@ -53,9 +53,9 @@ class Rule:
     """A directed rewrite ``lhs => rhs``, both sides compiled once, when the
     rule is made, into straight-line Python: ``program`` holds the left
     side's matcher (see :func:`_compile_matcher`), which :func:`ematch`
-    runs, and ``apply`` is the whole application (see
-    :func:`_compile_application`), which :func:`apply_match` and
-    :func:`count_new_nodes` call.  It reads each variable from its slot in
+    runs, and ``build`` builds the right side (see
+    :func:`_compile_application`) for :func:`apply_match` and
+    :func:`count_new_nodes`.  It reads each variable from its slot in
     ``program.names``.  A right-side variable that is not on the left
     raises :class:`UnboundRhsVarError`."""
 
@@ -63,12 +63,12 @@ class Rule:
     lhs: Pattern
     rhs: Pattern
     program: _Program = field(init=False, compare=False, repr=False)
-    apply: Callable = field(init=False, compare=False, repr=False)
+    build: Callable = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         program = _compile_matcher(self.name, self.lhs)
         object.__setattr__(self, "program", program)
-        object.__setattr__(self, "apply", _compile_application(
+        object.__setattr__(self, "build", _compile_application(
             self.name, self.rhs, program.names))
 
 
@@ -261,24 +261,18 @@ def _exec(name: str, src: list, env: dict) -> dict:
 
 
 def _compile_application(name: str, rhs: Pattern, names: tuple) -> Callable:
-    """Generate ``apply(g, root, bindings, trial)``: the right side built
-    bottom-up in post-order, one flat statement per node, then unioned into
-    the matched class ``root``; returns whether the graph changed.
+    """Generate ``build(g, bindings)``: the right side built bottom-up in
+    post-order, one flat statement per node; returns its class.
 
     ``bindings`` are aligned with ``names``.  Each right-side variable is
     read from its slot once and passed through the validated
-    :meth:`EGraph.find`, as is ``root`` unless ``trial`` is set, all before
-    anything is added; the ids the graph hands out within the call are
-    trusted.  Each node is looked up in the hashcons.  A hit is
-    canonicalized only when its id is not its own root.  A miss is added
-    inline, as :meth:`EGraph._insert` would add it: the node cap is
-    checked, a class id appended to the union-find and the key stored as
-    an :class:`ENode`.  A refused right side is rolled back before the
-    error propagates.  A right side that adds any node has a new class at
-    its top, which cannot be the matched class, so the union, written out
-    as :meth:`EGraph._merge` does it, alone tells whether the graph
-    changed.  With ``trial`` set, nothing is unioned and the call returns
-    the number of nodes added, after rolling them back.
+    :meth:`EGraph.find` before anything is added; the ids the graph hands
+    out within the call are trusted.  Each node is looked up in the
+    hashcons.  A hit is canonicalized only when its id is not its own
+    root.  A miss is added inline, as :meth:`EGraph.add_canonical` would
+    add it: the node cap is checked, a class id appended to the union-find
+    and the key stored as an :class:`ENode`.  A right side refused partway
+    is rolled back before the error propagates.
 
     The source holds only slot numbers, labels of :data:`OPERATORS` and
     names bound in its namespace: each ``Var`` leaf's key and each
@@ -326,14 +320,10 @@ def _compile_application(name: str, rhs: Pattern, names: tuple) -> Callable:
     top = emit(rhs)
     if missing:
         raise UnboundRhsVarError(name, min(missing))
-    src = ["def apply(g, root, b, trial):",
+    src = ["def build(g, b):",
            "    find = g.find",
            *[f"    v{i} = find(b[{i}])" for i in sorted(used)],
-           "    if not trial:",
-           "        root = find(root)",
            "    hashcons, uf, cap = g._hashcons, g._uf, g.max_nodes",
-           "    if cap is None:",
-           "        cap = inf",
            "    get, canon = hashcons.get, g._find",
            *(["    mask = (1 << g.bits) - 1"]
              if any(k[0] == "C" for k in leaves) else []),
@@ -344,22 +334,10 @@ def _compile_application(name: str, rhs: Pattern, names: tuple) -> Callable:
            "    except CapacityExceededError:",
            "        g.rollback(before)",
            "        raise",
-           "    if trial:",
-           "        added = len(hashcons) - before",
-           "        g.rollback(before)",
-           "        return added",
-           f"    if root == {top}:",
-           "        return False",
-           f"    if {top} < root:",
-           f"        uf[root] = {top}",
-           "        g._merged.add(root)",
-           "    else:",
-           f"        uf[{top}] = root",
-           f"        g._merged.add({top})",
-           "    return True"]
+           f"    return {top}"]
     env = {"CapacityExceededError": CapacityExceededError, "ENode": ENode,
-           "inf": math.inf, "new": tuple.__new__, **leaves}
-    return _exec(name, src, env)["apply"]
+           "new": tuple.__new__, **leaves}
+    return _exec(name, src, env)["build"]
 
 
 # ---------------------------------------------------------------------------
@@ -418,19 +396,28 @@ def ematch(g: EGraph, rule: Rule, index: Optional[_Snapshot] = None) -> list:
 
 
 def count_new_nodes(g: EGraph, rule: Rule, m: tuple) -> int:
-    """Nodes :func:`apply_match` would add for the match ``m``, exactly: a
-    trial run of the rule's application, always rolled back, that raises
-    where it would raise :class:`~mbaobf.egraph.CapacityExceededError`."""
-    return rule.apply(g, m[0], m[1], True)
+    """Nodes :func:`apply_match` would add for the match ``m``, exactly:
+    the rule's right side built, then rolled back.  Reads no root; raises
+    where :func:`apply_match` would raise
+    :class:`~mbaobf.egraph.CapacityExceededError`."""
+    before = g.node_count()
+    rule.build(g, m[1])
+    added = g.node_count() - before
+    g.rollback(before)
+    return added
 
 
 def apply_match(g: EGraph, rule: Rule, m: tuple) -> bool:
     """Union the instantiated RHS into the matched class; ``m`` is a
     ``(root, bindings)`` tuple from :func:`ematch` for ``rule``.
 
-    Returns whether the graph changed (new nodes or a merge).  A right
-    side the node cap refuses is rolled back, so the graph is as it was
-    when the :class:`~mbaobf.egraph.CapacityExceededError` propagates.
-    The caller must rebuild before the next matching round.
+    The root is validated first, then the bindings, before any node is
+    added.  Returns whether the graph changed (new nodes or a merge): a
+    right side that adds any node has a new class at its top, which
+    cannot be the matched class, so the union alone tells.  A right side
+    the node cap refuses is rolled back, so the graph is as it was when
+    the :class:`~mbaobf.egraph.CapacityExceededError` propagates.  The
+    caller must rebuild before the next matching round.
     """
-    return rule.apply(g, m[0], m[1], False)
+    root = g.find(m[0])
+    return g._merge(root, rule.build(g, m[1]))

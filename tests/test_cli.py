@@ -234,8 +234,8 @@ class TestBench:
         corpus = self.write_corpus(tmp_path, ["x + y", "x ^ (y | 3)", "x * y"])
         base = str(tmp_path / "out")
         assert main(["bench", "-f", corpus, "-o", base, *FAST]) == 0
-        rows = [json.loads(ln) for ln in
-                open(base + ".jsonl", encoding="utf-8")]
+        rows = [json.loads(ln) for ln in Path(base + ".jsonl").read_text(
+            encoding="utf-8").splitlines()]
         assert [r["input"] for r in rows] == ["x + y", "x ^ (y | 3)", "x * y"]
         for row in rows:
             assert set(row) == {"input", "output", "stop", "metrics_in",
@@ -243,7 +243,8 @@ class TestBench:
             # every emitted output re-parses under the tool's own grammar
             reparsed = parse(row["output"])
             assert expr_size(reparsed) == row["metrics_out"]["ast_size"]
-        csv_lines = open(base + ".csv", encoding="utf-8").read().splitlines()
+        csv_lines = Path(base + ".csv").read_text(
+            encoding="utf-8").splitlines()
         assert csv_lines[0].startswith("variant,ast_size")
         assert len(csv_lines) == 3
 
@@ -252,10 +253,11 @@ class TestBench:
         corpus = self.write_corpus(tmp_path, ["x + y", "x & y"])
         base = str(tmp_path / "out")
         assert main(["bench", "-f", corpus, "-o", base, *FAST]) == 0
-        rows = [json.loads(ln) for ln in
-                open(base + ".jsonl", encoding="utf-8")]
+        rows = [json.loads(ln) for ln in Path(base + ".jsonl").read_text(
+            encoding="utf-8").splitlines()]
         mean_out = sum(r["metrics_out"]["ast_size"] for r in rows) / len(rows)
-        csv_lines = open(base + ".csv", encoding="utf-8").read().splitlines()
+        csv_lines = Path(base + ".csv").read_text(
+            encoding="utf-8").splitlines()
         obf = csv_lines[2].split(",")
         assert obf[0] == "obfuscated"
         assert float(obf[1]) == pytest.approx(mean_out, abs=0.005)
@@ -270,7 +272,8 @@ class TestBench:
                      "--iter-limit", "1", "--rounds", "2",
                      "--node-limit", "3000", "--time-limit-ms", "30000",
                      "-o", base]) == 0
-        csv_lines = open(base + ".csv", encoding="utf-8").read().splitlines()
+        csv_lines = Path(base + ".csv").read_text(
+            encoding="utf-8").splitlines()
         assert csv_lines[2].split(",")[1] == "7.00"
 
     def test_empty_corpus(self, tmp_path, capsys):
@@ -283,7 +286,8 @@ class TestBench:
         assert main(["bench", "-f", corpus, "-o", base, *FAST]) == 0
         captured = capsys.readouterr()
         assert "skipped" in captured.err or "skipped" in captured.out
-        rows = open(base + ".jsonl", encoding="utf-8").read().splitlines()
+        rows = Path(base + ".jsonl").read_text(
+            encoding="utf-8").splitlines()
         assert len(rows) == 2
 
     def test_all_lines_bad(self, tmp_path, capsys):
@@ -297,8 +301,8 @@ class TestBench:
             base = str(tmp_path / name)
             assert main(["bench", "-f", corpus, "-o", base, "--seed", "7",
                          *FAST]) == 0
-            outputs.append((open(base + ".jsonl", "rb").read(),
-                            open(base + ".csv", "rb").read()))
+            outputs.append((Path(base + ".jsonl").read_bytes(),
+                            Path(base + ".csv").read_bytes()))
         assert outputs[0] == outputs[1]
 
     def test_capacity_exceeded_line_skipped(self, tmp_path, capsys,
@@ -318,8 +322,8 @@ class TestBench:
         assert "line 2: skipped (e-graph node capacity exceeded (cap=12))" \
             in captured.err
         assert "2 expressions processed, 1 skipped" in captured.out
-        rows = [json.loads(ln) for ln in
-                open(base + ".jsonl", encoding="utf-8")]
+        rows = [json.loads(ln) for ln in Path(base + ".jsonl").read_text(
+            encoding="utf-8").splitlines()]
         assert [r["input"] for r in rows] == ["x + y", "x ^ y"]
 
     def test_input_over_node_limit_skipped(self, tmp_path, capsys):
