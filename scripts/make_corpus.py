@@ -1,64 +1,31 @@
 #!/usr/bin/env python3
-"""Generate the sample benchmark corpus (corpus/sample100.txt).
+"""Write the sample benchmark corpus, corpus/sample100.txt.
 
-100 random expressions over 2-3 variables with AST sizes in [3, 15],
-tuned to a mean size of ~7.4, ~2.1 distinct variables on average, and an
-occasional small constant.  The generator is fully seeded so the shipped
-file is reproducible: rerunning this script leaves the corpus unchanged.
+The corpus is the first 100 expressions that perfbench's seeded generator,
+``expressions(CORPUS_SEED)`` in ``perfbench/workloads.py``, draws: random
+trees over 2 or 3 variables with odd AST sizes from 3 to 13 (mean 7.46),
+2.06 distinct variables on average, and a small constant in 3 lines.
+The generator is seeded, so rerunning this script leaves the corpus
+unchanged.
 """
 
-from __future__ import annotations
-
-import random
 import sys
+from itertools import islice
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
 
-from mbaobf.expr import ADD, AND, Const, MUL, NEG, NOT, OR, SUB, Var, XOR, \
-    Op, expr_size, free_vars, to_text
+from workloads import CORPUS_SEED, expressions  # noqa: E402
 
-SEED = 20240221
 COUNT = 100
-SIZE_CHOICES = (3, 3, 5, 5, 5, 7, 7, 7, 7, 9, 9, 11, 13)
-BINARY_OPS = (ADD, SUB, MUL, AND, OR, XOR)
-UNARY_OPS = (NEG, NOT)
-CONST_LEAF_PROB = 0.03
-UNARY_PROB = 0.12
-
-
-def gen_tree(rng: random.Random, size: int, pool: list):
-    if size == 1:
-        if rng.random() < CONST_LEAF_PROB:
-            return Const(rng.randint(1, 9))
-        return Var(rng.choice(pool))
-    if size == 2 or (size >= 2 and rng.random() < UNARY_PROB):
-        return Op(rng.choice(UNARY_OPS), (gen_tree(rng, size - 1, pool),))
-    left = rng.randint(1, size - 2)
-    return Op(rng.choice(BINARY_OPS),
-              (gen_tree(rng, left, pool), gen_tree(rng, size - 1 - left, pool)))
 
 
 def main() -> None:
-    rng = random.Random(SEED)
-    lines = []
-    sizes = []
-    var_counts = []
-    while len(lines) < COUNT:
-        n_vars = 3 if rng.random() < 0.14 else 2
-        pool = ["x", "y", "z"][:n_vars]
-        size = rng.choice(SIZE_CHOICES)
-        tree = gen_tree(rng, size, pool)
-        if len(free_vars(tree)) != n_vars or expr_size(tree) != size:
-            continue
-        lines.append(to_text(tree))
-        sizes.append(size)
-        var_counts.append(n_vars)
-    out = Path(__file__).resolve().parent.parent / "corpus" / "sample100.txt"
+    lines = list(islice(expressions(CORPUS_SEED), COUNT))
+    out = ROOT / "corpus" / "sample100.txt"
     out.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print(f"wrote {out} ({COUNT} expressions, mean size "
-          f"{sum(sizes) / COUNT:.2f}, mean distinct vars "
-          f"{sum(var_counts) / COUNT:.2f})")
+    print(f"wrote {out} ({COUNT} expressions)")
 
 
 if __name__ == "__main__":

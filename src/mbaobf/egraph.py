@@ -155,7 +155,32 @@ class EGraph:
         return ENode(node.label, node.payload, canon)
 
     def add(self, node: ENode) -> EClassId:
-        """Insert one e-node (children must be existing class ids)."""
+        """Insert one hand-built e-node; returns its canonical class.
+
+        The checked way in: the node is validated before anything changes.
+        An operator label from :data:`~mbaobf.expr.OPERATORS` needs payload
+        None and a tuple of exactly its arity of children; ``var`` needs a
+        ``str`` payload and ``const`` a plain ``int`` in ``[0, 2**bits)``,
+        each with no children.  Anything else raises ``ValueError``, and a
+        child that is no class id of this graph raises
+        :class:`InvalidIdError`.  :meth:`add_canonical` is the unchecked
+        path that ``add_expr`` and the rules' generated code take.
+        """
+        label, payload, children = node
+        op = OPERATORS.get(label) if type(label) is str else None
+        if type(children) is not tuple:
+            ok = False
+        elif op is not None:
+            ok = payload is None and len(children) == op.arity
+        elif label == "var":
+            ok = type(payload) is str and not children
+        elif label == "const":
+            ok = (type(payload) is int and 0 <= payload < 1 << self.bits
+                  and not children)
+        else:
+            ok = False
+        if not ok:
+            raise ValueError(f"malformed e-node: {node!r}")
         return self.add_canonical(self.canonicalize(node))
 
     def add_canonical(self, key: tuple) -> EClassId:

@@ -21,16 +21,16 @@ extractor therefore runs a round-indexed dynamic program:
 
 Each call lays the graph out as flat arrays (each node's class and child
 classes) from one walk of the hashcons, and each round is one numpy sweep
-against a float table of the previous round's class costs, round 0
-included: it starts from a table that knows no term, so only leaves
-reach a cost in it.  Since child costs only rise, a node whose total has
-passed the output cap can never change its class again, and the sweep
-drops it.  On the corpus at the defaults about a tenth of the nodes are
-left from round 13 on.  A class's history is its change points, one
-per round in which its cost rose.  Each round's changes are kept as
-arrays, concatenated in round order and never sorted: reconstruction
-looks a class's points up by binary search when it first visits the
-class, and it visits only a few.
+against a float table of the previous round's class costs, indexed by
+canonical class id, round 0 included: it starts from a table that knows
+no term, so only leaves reach a cost in it.  Since child costs only
+rise, a node whose total has passed the output cap can never change its
+class again, and the sweep drops it.  On the corpus at the defaults
+about a tenth of the nodes are left from round 13 on.  A class's history
+is its change points, one per round in which its cost rose.  Each
+round's changes are kept as arrays, concatenated in round order and
+never sorted: reconstruction looks a class's points up by binary search
+when it first visits the class, and it visits only a few.
 Reconstruction descends through the round at which each chosen node's
 cost was computed, so the output is a finite tree of depth at most
 ``rounds`` whose size equals the root's cost.  ``rounds`` is at most
@@ -54,7 +54,7 @@ an input over it raises :class:`~mbaobf.egraph.CapacityExceededError`.
 from __future__ import annotations
 
 import time
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
@@ -208,13 +208,14 @@ def _extract(g: EGraph, root: int, rounds: int, sign: int,
     The layout comes from one walk of :meth:`EGraph.nodes`, and one
     ``np.lexsort`` puts each class's nodes in plain tuple order: class
     id, label, then a leaf's payload rank or an operator's children.
-    Class ``slot`` is the ``slot``-th canonical id.  ``first`` and
-    ``second`` hold each node's child slots, or the virtual slot ``n``
+    ``first`` and ``second`` hold each node's child class ids, or -1
     where a node has fewer children; no operator has more than two.
-    ``cost`` holds the previous round's costs shifted by ``sign``, with
-    ``_UNDEFINED`` where no term is known and ``sign`` in the virtual
-    slot, so a node's shifted total is the sum of its two children's
-    entries and the cap test is ``> max_nodes + sign``.
+    ``cost`` has ``m`` entries: one per id up to the largest class id,
+    then the virtual class that -1 indexes.  It holds the previous
+    round's costs shifted by ``sign``, with ``_UNDEFINED`` where no term
+    is known (ids that name no class included) and ``sign`` in the
+    virtual class, so a node's shifted total is the sum of its two
+    children's entries and the cap test is ``> max_nodes + sign``.
 
     The sweeps run for rounds 0 to ``rounds``, from a table in which no
     class has a term, so in round 0 only leaves reach a cost and each
@@ -225,8 +226,8 @@ def _extract(g: EGraph, root: int, rounds: int, sign: int,
     any crosses it.  A class changes only when a node strictly beats its
     cost, and then takes the first node in sort order reaching the new
     maximum, so on ties the earlier choice (the smaller node) is kept.
-    Each round's changes are kept as ``(round, slots, nodes)``, slots
-    ascending and nodes as indices into the walk.
+    Each round's changes are kept as ``(round, classes, nodes)``, class
+    ids ascending and nodes as indices into the walk.
     """
     root = g.find(root)
     keys, classes = g.nodes()
@@ -239,7 +240,7 @@ def _extract(g: EGraph, root: int, rounds: int, sign: int,
     first = np.where(arity > 0, flat[at], -1)
     second = np.where(arity > 1, flat[at + 1], -1)
     owner = np.fromiter(classes, np.intp, size)
-    m = owner.max() + 2  # above every id; index -1 of slot_of below
+    m = owner.max() + 2  # above every id; m - 1 is the virtual class
     label_rank = {label: i for i, label in enumerate(sorted(set(labels)))}
     class_label = owner * len(label_rank) + np.fromiter(
         map(label_rank.__getitem__, labels), np.intp, size)
@@ -250,16 +251,10 @@ def _extract(g: EGraph, root: int, rounds: int, sign: int,
     leaves = sorted(np.flatnonzero(arity == 0).tolist(), key=keys.__getitem__)
     rest[leaves] = np.arange(len(leaves))
     order = np.lexsort((rest, class_label))
-    owner = owner[order]
-    _, cids, _ = _runs(owner)
-    n = len(cids)
-    slot_of = np.full(m, n)  # m - 1 is no class: the virtual slot
-    slot_of[cids] = np.arange(n)
-    owner = slot_of[owner]
-    first, second = slot_of[first[order]], slot_of[second[order]]
-    node = order
-    cost = np.full(n + 1, _UNDEFINED)
-    cost[n] = sign
+    node, owner = order, owner[order]
+    first, second = first[order], second[order]
+    cost = np.full(m, _UNDEFINED)
+    cost[-1] = sign
     starts, heads, group = _runs(owner)
     cap = max_nodes + sign
     changes = []
@@ -279,61 +274,59 @@ def _extract(g: EGraph, root: int, rounds: int, sign: int,
         # grouped by class, so that is the first such node in its run.
         hits = (total == best[group]).nonzero()[0]
         firsts = hits[np.searchsorted(group[hits], changed)]
-        slots = heads[changed]
-        cost[slots] = best[changed]  # a round reads only the last one
-        changes.append((r, slots, node[firsts]))
-    # Each round's slots ascend, so (round, slot) stamps ascend across the
-    # concatenation; the last stamp is above every (round, slot) pair.
-    stamps = np.concatenate([r * (n + 1) + s for r, s, _ in changes]
-                            + [[len(changes) * (n + 1)]])
+        cids = heads[changed]
+        cost[cids] = best[changed]  # a round reads only the last one
+        changes.append((r, cids, node[firsts]))
+    # Each round's ids ascend, so (round, id) stamps ascend across the
+    # concatenation; the last stamp is above every (round, id) pair.
+    stamps = np.concatenate([r * m + c for r, c, _ in changes]
+                            + [[len(changes) * m]])
     picks = np.concatenate([p for _, _, p in changes])
-    cids = cids.tolist()
-    history = (cids, keys, stamps, np.arange(len(changes)) * (n + 1), picks,
-               {})
-    return _reconstruct(g, history, bisect_left(cids, root), rounds, {})
+    history = (keys, stamps, np.arange(len(changes)) * m, picks, {})
+    return _reconstruct(g, history, root, rounds, {})
 
 
 def _runs(owner: np.ndarray) -> tuple:
-    """``(starts, heads, group)`` of a slot array grouped in runs: where
-    each run starts, its slot, and each element's run number."""
+    """``(starts, heads, group)`` of a class id array grouped in runs:
+    where each run starts, its class, and each element's run number."""
     head = np.diff(owner, prepend=-1) != 0
     starts = head.nonzero()[0]
     return starts, owner[starts], np.cumsum(head) - 1
 
 
-def _reconstruct(g: EGraph, history: tuple, slot: int, r: int,
+def _reconstruct(g: EGraph, history: tuple, cid: int, r: int,
                  built: dict) -> Expression:
-    """The term chosen for class ``slot`` at round ``r``: its last change
+    """The term chosen for class ``cid`` at round ``r``: its last change
     point at or before ``r``.
 
-    ``history`` is ``(cids, nodes, stamps, starts, picks, reached)``: a
-    change point of class ``slot`` in round ``r`` is the entry of the
-    ascending ``stamps`` equal to ``starts[r] + slot``, and the same entry
-    of ``picks`` is its node's index in ``nodes``.  The first visit of a
+    ``history`` is ``(nodes, stamps, starts, picks, reached)``: a change
+    point of class ``cid`` in round ``r`` is the entry of the ascending
+    ``stamps`` equal to ``starts[r] + cid``, and the same entry of
+    ``picks`` is its node's index in ``nodes``.  The first visit of a
     class looks up one stamp per round and keeps the class's points as
-    lists in ``reached``.  ``built`` maps (slot, round of that change
+    lists in ``reached``.  ``built`` maps (class, round of that change
     point) to the term built for it, so each subterm is built once and
     shared.
     """
-    cids, nodes, stamps, starts, picks, reached = history
-    points = reached.get(slot)
+    nodes, stamps, starts, picks, reached = history
+    points = reached.get(cid)
     if points is None:
-        want = starts + slot
+        want = starts + cid
         at = np.searchsorted(stamps, want)
         hit = stamps[at] == want
-        points = reached[slot] = (hit.nonzero()[0].tolist(),
-                                  picks[at[hit]].tolist())
+        points = reached[cid] = (hit.nonzero()[0].tolist(),
+                                 picks[at[hit]].tolist())
     i = bisect_right(points[0], r)
     if i == 0:
-        raise UnextractableError(cids[slot])
+        raise UnextractableError(cid)
     rc = points[0][i - 1]
-    e = built.get((slot, rc))
+    e = built.get((cid, rc))
     if e is None:
         node = nodes[points[1][i - 1]]
         e = g.expr_of_node(node, tuple([
-            _reconstruct(g, history, bisect_left(cids, c), rc - 1, built)
+            _reconstruct(g, history, c, rc - 1, built)
             for c in node.children]))
-        built[slot, rc] = e
+        built[cid, rc] = e
     return e
 
 

@@ -60,6 +60,29 @@ class TestAdd:
         with pytest.raises(CapacityExceededError):
             g.add_expr(parse("x + y"))
 
+    @pytest.mark.parametrize("label, payload, kids", [
+        ("foo", None, (0,)),  # no such label
+        ("add", None, (0,)),  # a child short
+        ("add", None, (0, 1, 0)),  # a child too many
+        ("neg", None, ()),
+        ("add", 5, (0, 1)),  # an operator with a payload
+        ("add", None, [0, 1]),  # children not a tuple
+        ("var", 3, ()),
+        ("var", "z", (0,)),
+        ("const", 300, ()),  # 44 at 8 bits, as parse reduces it
+        ("const", -1, ()),
+        ("const", True, ()),
+        ("const", 3, (0,)),
+    ])
+    def test_malformed_node_is_refused_before_anything_changes(
+            self, label, payload, kids):
+        g = EGraph(bits=8)
+        g.add_expr(parse("x + y", 8))
+        before = g.node_count(), g.class_ids()
+        with pytest.raises(ValueError):
+            g.add(ENode(label, payload, kids))
+        assert (g.node_count(), g.class_ids()) == before
+
     def test_rollback_pops_the_newest_insertions(self):
         g, _ = graph_of("x + y")
         before = list(g._hashcons.items()), list(g._uf)
@@ -104,6 +127,8 @@ class TestUnionFind:
             g.find(99)
         with pytest.raises(InvalidIdError):
             g.union(0, -1)
+        with pytest.raises(InvalidIdError):
+            g.add(ENode("neg", None, (99,)))
 
     def test_bool_id_rejected(self):
         # bools are ints to isinstance, but no id the graph hands out
