@@ -41,6 +41,22 @@ plain tuple order (label, payload, child ids): runs are deterministic.
 A leaf costs 1 and an operator node at least 2, so a leaf never ties an
 operator and round 0 takes each class's first leaf.
 
+After the last drop the rounds settle into a periodic tail: every p
+rounds the same classes change, to the same nodes, by the same gains
+(p is 2 on most corpus graphs and 1 on the rest).  Two whole matching
+periods make the costs linear in the number of periods: each class's
+cost, and the total of the node it chose, rise by the same amount every
+period.  They stay linear while no chosen node passes the cap, no other
+node of a class that changes reaches the chosen one, and no node of a
+class that does not change beats its cost; each of these is a linear
+inequality in the number of periods.  So the sweep solves them for the
+number of whole periods, adds that many periods' gains to the costs at
+once, and records the change points those rounds would have recorded.
+Plain rounds then resume, and the first of them meets the event that
+ended the jump: a chosen node reaching the cap, or a node overtaking a
+chosen one.  On the corpus at the defaults one jump skips ~46 of the 65
+rounds.
+
 The minimizing :func:`extract_min` is the same program with the cost
 ``-size`` and ``MAX_DEPTH`` rounds: it finds the smallest term of depth at
 most ``MAX_DEPTH`` and raises :class:`UnextractableError` when a class has
@@ -55,6 +71,7 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
@@ -177,6 +194,7 @@ class ExpansionReport:
 # ---------------------------------------------------------------------------
 
 _UNDEFINED = float("-inf")  # the cost of a class no term reaches yet
+_MAX_PERIOD = 4  # the longest period of repeating rounds that extraction skips
 
 
 def extract_max(g: EGraph, root: int, rounds: int,
@@ -226,8 +244,27 @@ def _extract(g: EGraph, root: int, rounds: int, sign: int,
     any crosses it.  A class changes only when a node strictly beats its
     cost, and then takes the first node in sort order reaching the new
     maximum, so on ties the earlier choice (the smaller node) is kept.
-    Each round's changes are kept as ``(round, classes, nodes)``, class
-    ids ascending and nodes as indices into the walk.
+    Each round's changes are kept as stamps ``round * m + class`` and
+    picks, class ids ascending and picks as indices into the walk.
+
+    A round that changes the same classes, to the nodes at the same
+    positions in the swept arrays, by the same gains as the round ``p``
+    before it repeats that round.  A hash of the three arrays stands for
+    each round, and only the hashes of the last ``2 * _MAX_PERIOD``
+    rounds since the last drop or jump are kept, so no round's arrays
+    are held for this.  Once the last ``2 p`` hashes are two matching
+    periods, for the smallest such ``p``, the last ``p`` rounds' classes
+    and picks, read back from their change points, are the period.  Two
+    matching periods make each pick's total and its class's cost rise by
+    the same sum of gains every period, and :func:`_horizon` checks this
+    on the next period before it finds how many whole periods repeat
+    exactly, so a hash that matched by chance cannot change the output.
+    The table then gains that many periods' gains, and the period's
+    change points are recorded that many times, shifted by whole
+    periods, as the plain rounds would record them.  Plain rounds then
+    resume: the next one meets the event that ended the jump (a pick
+    over the cap, or a node reaching a pick or beating a class's cost)
+    or the last round.
     """
     root = g.find(root)
     keys, classes = g.nodes()
@@ -257,8 +294,10 @@ def _extract(g: EGraph, root: int, rounds: int, sign: int,
     cost[-1] = sign
     starts, heads, group = _runs(owner)
     cap = max_nodes + sign
-    changes = []
-    for r in range(rounds + 1):
+    stamps, picks = [], []
+    log = deque(maxlen=2 * _MAX_PERIOD)  # hashes of the last rounds' changes
+    r = 0
+    while r <= rounds:
         total = cost[first] + cost[second]
         over = total > cap
         if over.any():
@@ -266,6 +305,7 @@ def _extract(g: EGraph, root: int, rounds: int, sign: int,
             node, owner, total = node[keep], owner[keep], total[keep]
             first, second = first[keep], second[keep]
             starts, heads, group = _runs(owner)
+            log.clear()  # positions now index the smaller arrays
         best = np.maximum.reduceat(total, starts)
         changed = (best > cost[heads]).nonzero()[0]
         if not changed.size:
@@ -275,15 +315,107 @@ def _extract(g: EGraph, root: int, rounds: int, sign: int,
         hits = (total == best[group]).nonzero()[0]
         firsts = hits[np.searchsorted(group[hits], changed)]
         cids = heads[changed]
-        cost[cids] = best[changed]  # a round reads only the last one
-        changes.append((r, cids, node[firsts]))
+        new = best[changed]
+        log.append(hash((cids.tobytes(), firsts.tobytes(),
+                         (new - cost[cids]).tobytes())))
+        cost[cids] = new  # a round reads only the last one
+        stamps.append(r * m + cids)
+        picks.append(node[firsts])
+        r += 1
+        p = _period(log)
+        if not p or rounds + 1 - r < p:
+            continue
+        position = np.empty(size, np.intp)
+        position[node] = np.arange(len(node))
+        period = [(stamps[i - p] - (r + i - p) * m, position[picks[i - p]])
+                  for i in range(p)]
+        k, gain = _horizon(cost, period, first, second, heads, group, cap,
+                           (rounds + 1 - r) // p)
+        if k:
+            cost += k * gain
+            # The period's change points, shifted by 1 to k whole periods,
+            # one array a period: one (k, period) array would be the
+            # largest allocation of the call and raises peak RSS.
+            once = np.concatenate(stamps[-p:])
+            again = np.concatenate(picks[-p:])
+            stamps.extend(once + j * (p * m) for j in range(1, k + 1))
+            picks.extend([again] * k)
+            r += k * p
+        log.clear()
     # Each round's ids ascend, so (round, id) stamps ascend across the
     # concatenation; the last stamp is above every (round, id) pair.
-    stamps = np.concatenate([r * m + c for r, c, _ in changes]
-                            + [[len(changes) * m]])
-    picks = np.concatenate([p for _, _, p in changes])
-    history = (keys, stamps, np.arange(len(changes)) * m, picks, {})
+    stamps = np.concatenate(stamps + [[r * m]])
+    history = (keys, stamps, np.arange(r) * m, np.concatenate(picks), {})
     return _reconstruct(g, history, root, rounds, {})
+
+
+def _period(log: deque) -> int:
+    """The smallest ``p`` for which the last ``2 p`` hashes in ``log`` are
+    two matching periods, or 0 if there is none."""
+    hashes = list(log)
+    for p in range(1, len(hashes) // 2 + 1):
+        if hashes[-p:] == hashes[-2 * p:-p]:
+            return p
+    return 0
+
+
+def _horizon(cost: np.ndarray, period: list, first: np.ndarray,
+             second: np.ndarray, heads: np.ndarray, group: np.ndarray,
+             cap: float, limit: int) -> tuple:
+    """``(k, gain)``: how many more whole periods, at most ``limit``,
+    repeat ``period``, the last rounds' ``(classes, positions of the
+    picks)`` oldest first, and each class's rise over one period.
+
+    The next period, ``k = 0``, is played from ``cost`` with the same
+    classes and picks: phase i reads ``before``, ``cost`` raised by the
+    rises of phases 0 to i - 1.  While every phase before it repeats,
+    phase i of period ``k`` reads ``before + k * gain``, so each swept
+    node's total rises by ``rate``, the sum of its children's ``gain``,
+    every period.  Each pick must rise, and at its class's rate, which
+    two matching periods guarantee; otherwise ``k`` is 0.  Then each
+    class gains the same in every period, and the phase repeats exactly
+    while three things hold, each an inequality ``a * k <= b`` in
+    integers: no pick passes the cap; no other node of a class that
+    changes in the phase reaches its pick (strictly below it for a node
+    before it in sort order, at most equal for one after it); and no
+    node of a class that does not change beats the class's cost.  A node
+    with no term is left out: every class that changes already has a
+    term, so it gains none.  ``k`` is the first period in which some
+    inequality fails, or ``limit``.
+    """
+    before = cost.copy()
+    gain = np.zeros(len(cost))
+    phases = []
+    for cids, firsts in period:
+        total = before[first] + before[second]
+        rise = total[firsts] - before[cids]
+        if not (rise > 0).all():
+            return 0, gain
+        phases.append((total, before[heads], cids, firsts))
+        before[cids] = total[firsts]
+        gain[cids] += rise
+    rate = gain[first] + gain[second]
+    climb = gain[heads]
+    for total, bound, cids, firsts in phases:
+        if (rate[firsts] != gain[cids]).any():
+            return 0, gain
+        # what a node may reach: its class's cost, or its pick's total
+        runs = group[firsts]
+        bound[runs] = total[firsts]
+        pick = np.full(len(heads), -1)
+        pick[runs] = firsts
+        live = (total > _UNDEFINED).nonzero()[0]
+        run = group[live]
+        b = np.concatenate((bound[run] - total[live] - (live < pick[run]),
+                            cap - total[firsts]))
+        if (b < 0).any():
+            return 0, gain
+        a = np.concatenate((rate[live] - climb[run], rate[firsts]))
+        a, b = a.astype(np.int64), b.astype(np.int64)
+        rising = a > 0
+        if rising.any():
+            limit = min(limit, int((b[rising] // a[rising]).min()) + 1)
+    return limit, gain
 
 
 def _runs(owner: np.ndarray) -> tuple:

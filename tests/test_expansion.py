@@ -6,6 +6,7 @@ import random
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mbaobf.expansion
@@ -13,9 +14,9 @@ from mbaobf.egraph import (CapacityExceededError, EGraph, ENode,
                            check_invariants)
 from mbaobf.expansion import (MAX_OUTPUT_NODES, ExpansionConfig,
                               ExpansionReport, OutputTooLargeError, StopReason,
-                              UnextractableError, expand, extract_max,
-                              extract_min)
-from mbaobf.expr import (MAX_DEPTH, OPERATORS, evaluate, expr_size, parse,
+                              UnextractableError, _reconstruct, _runs, expand,
+                              extract_max, extract_min)
+from mbaobf.expr import (MAX_DEPTH, OPERATORS, Op, evaluate, expr_size, parse,
                          to_text)
 from mbaobf.metrics import measure
 from mbaobf.rules import (_label_index, apply_match, ematch,
@@ -547,6 +548,296 @@ class TestAgainstReference:
             for cid in g.class_ids():
                 assert (expr_size(extract_min(g, cid))
                         == expr_size(reference_extract_min(g, cid)))
+
+
+def sweep_history(g, rounds, sign, max_nodes):
+    """The change points of ``_extract`` as it was before it jumped over
+    periodic tails: one sweep per round, every round, until a fixpoint
+    or ``rounds``."""
+    keys, classes = g.nodes()
+    size = len(keys)
+    labels = [k[0] for k in keys]
+    kids = [k[2] for k in keys]
+    arity = np.fromiter(map(len, kids), np.intp, size)
+    flat = np.fromiter(itertools.chain(itertools.chain.from_iterable(kids),
+                                       (-1, -1)), np.intp)
+    at = np.cumsum(arity) - arity
+    first = np.where(arity > 0, flat[at], -1)
+    second = np.where(arity > 1, flat[at + 1], -1)
+    owner = np.fromiter(classes, np.intp, size)
+    m = owner.max() + 2
+    label_rank = {label: i for i, label in enumerate(sorted(set(labels)))}
+    class_label = owner * len(label_rank) + np.fromiter(
+        map(label_rank.__getitem__, labels), np.intp, size)
+    rest = (first + 1) * m + second + 1
+    leaves = sorted(np.flatnonzero(arity == 0).tolist(), key=keys.__getitem__)
+    rest[leaves] = np.arange(len(leaves))
+    order = np.lexsort((rest, class_label))
+    node, owner = order, owner[order]
+    first, second = first[order], second[order]
+    cost = np.full(m, float("-inf"))
+    cost[-1] = sign
+    starts, heads, group = _runs(owner)
+    cap = max_nodes + sign
+    changes = []
+    for r in range(rounds + 1):
+        total = cost[first] + cost[second]
+        over = total > cap
+        if over.any():
+            keep = ~over
+            node, owner, total = node[keep], owner[keep], total[keep]
+            first, second = first[keep], second[keep]
+            starts, heads, group = _runs(owner)
+        best = np.maximum.reduceat(total, starts)
+        changed = (best > cost[heads]).nonzero()[0]
+        if not changed.size:
+            break
+        hits = (total == best[group]).nonzero()[0]
+        firsts = hits[np.searchsorted(group[hits], changed)]
+        cids = heads[changed]
+        cost[cids] = best[changed]
+        changes.append((r, cids, node[firsts]))
+    stamps = np.concatenate([r * m + c for r, c, _ in changes]
+                            + [[len(changes) * m]])
+    picks = np.concatenate([p for _, _, p in changes])
+    return keys, stamps, np.arange(len(changes)) * m, picks, {}
+
+
+def sweep_extract(g, root, rounds, sign, max_nodes):
+    return _reconstruct(g, sweep_history(g, rounds, sign, max_nodes),
+                        g.find(root), rounds, {})
+
+
+def sweep_extract_max(g, root, rounds, max_nodes):
+    return sweep_extract(g, root, rounds, 1, max_nodes)
+
+
+def sweep_extract_min(g, root):
+    return sweep_extract(g, root, MAX_DEPTH, -1, 0)
+
+
+def term_number(e, table, memo):
+    """``e``'s number in the hash-consing ``table``: two terms numbered in
+    one table get one number exactly when they are equal trees, so when
+    their ``to_text`` is equal.  Each distinct subterm object is visited
+    once, where ``to_text`` of a 2^24-node output would build ~50 MB."""
+    n = memo.get(id(e))
+    if n is None:
+        if isinstance(e, Op):
+            key = (e.op.name,
+                   tuple(term_number(a, table, memo) for a in e.args))
+        else:
+            key = e
+        n = memo[id(e)] = table.setdefault(key, len(table))
+    return n
+
+
+@pytest.fixture
+def jumps(monkeypatch):
+    """Each horizon the extractor computes, as ``(periods, period length)``."""
+    seen = []
+    horizon = mbaobf.expansion._horizon
+
+    def recorded(*args):
+        k, gain = horizon(*args)
+        seen.append((k, len(args[1])))
+        return k, gain
+
+    monkeypatch.setattr(mbaobf.expansion, "_horizon", recorded)
+    return seen
+
+
+def skipped(jumps):
+    return sum(k * p for k, p in jumps)
+
+
+def cycle(g, name, length):
+    """A class holding ``name`` and ``length`` negations of itself: its
+    size rises by ``length`` every ``length`` rounds, one class of the
+    cycle changing per round."""
+    a = g.add(ENode("var", name, ()))
+    c = a
+    for _ in range(length):
+        c = g.add(ENode("neg", None, (c,)))
+    g.union(c, a)
+    return a
+
+
+class TestPeriodicTail:
+    """The extractor against :func:`sweep_extract`, which sweeps every
+    round: jumping over a periodic tail must change no output."""
+
+    ROUNDS = (1, 3, 7, 20, 64, MAX_DEPTH)
+    CAPS = (5, 60, 500, 3000, 10_000, MAX_OUTPUT_NODES)
+
+    @staticmethod
+    def outcome(extract, table, *args):
+        try:
+            return term_number(extract(*args), table, {})
+        except UnextractableError as exc:
+            return ("unextractable", exc.cid)
+
+    def assert_like_sweep(self, g, cid, rounds, caps):
+        table = {}
+        for r in rounds:
+            for cap in caps:
+                assert (self.outcome(extract_max, table, g, cid, r, cap)
+                        == self.outcome(sweep_extract_max, table, g, cid, r,
+                                        cap)), (cid, r, cap)
+
+    @pytest.fixture(scope="class")
+    def grown(self):
+        rng = random.Random(0x7A11)
+        out = []
+        for _ in range(30):
+            e = random_expr(rng, rng.randint(1, 9))
+            for node_limit in (40, 150, 400, 1200):
+                out.append(grown_graph(e, node_limit))
+        return out
+
+    def test_grown_graphs_match_the_sweep(self, grown, jumps):
+        for g, root in grown:
+            self.assert_like_sweep(g, root, self.ROUNDS, self.CAPS)
+            table = {}
+            assert (self.outcome(extract_min, table, g, root)
+                    == self.outcome(sweep_extract_min, table, g, root))
+        assert sum(k > 0 for k, _ in jumps) >= len(grown)
+
+    def test_a_false_period_is_refused(self, grown, jumps, monkeypatch):
+        # Propose a period of 1 to 3 rounds after nearly every round, most
+        # of them not periods at all: the horizon plays the next period
+        # itself and refuses one whose picks do not rise as they did, so
+        # the change points stay those of the sweep.  X doubles every
+        # round, so a period proposed there rises by a different amount
+        # each time.
+        monkeypatch.setattr(mbaobf.expansion, "_period",
+                            lambda log: min(len(log) // 2, 1 + len(log) % 3))
+        histories = []
+
+        def reconstruct(g, history, *args):
+            if not histories or histories[-1] is not history:
+                histories.append(history)
+            return _reconstruct(g, history, *args)
+
+        monkeypatch.setattr(mbaobf.expansion, "_reconstruct", reconstruct)
+        g = EGraph()
+        x = g.add(ENode("var", "x", ()))
+        g.union(x, g.add(ENode("add", None, (x, x))))
+        y = cycle(g, "y", 2)
+        root = g.add(ENode("xor", None, (x, y)))
+        g.rebuild()
+        for g, root in [(g, root), *grown[::6]]:
+            for rounds in (7, 64):
+                for cap in (60, 10_000):
+                    extract_max(g, root, rounds, cap)
+                    _, stamps, starts, picks, _ = sweep_history(g, rounds, 1,
+                                                                cap)
+                    assert np.array_equal(histories[-1][1], stamps)
+                    assert np.array_equal(histories[-1][2], starts)
+                    assert np.array_equal(histories[-1][3], picks)
+        refused = sum(k == 0 for k, _ in jumps)
+        assert refused > len(jumps) // 2 and refused < len(jumps)
+
+    @pytest.mark.parametrize("cost, changed, periods", (
+        ((10, 5, 10, 6), [0, 2], 50),  # A and J rise by 1 until J passes 60
+        ((10, 5, 4, 6), [0, 2], 0),  # J's pick rises by 1 but J, lagging, by 7
+        ((10, 5, 10, 6), [0, 2, 3], 0),  # K's pick only reaches K's cost
+    ))
+    def test_horizon_plays_the_next_period(self, cost, changed, periods):
+        # Classes 0-3 hold one node each: A holds -A, L a leaf, J -A and K
+        # -L; the table's last entry is the virtual class.  The proposed
+        # period is one round in which the classes ``changed`` change.
+        first, second = np.array([0, -1, 0, 1]), np.full(4, -1)
+        runs, changed = np.arange(4), np.array(changed)
+        k, _ = mbaobf.expansion._horizon(
+            np.array([*cost, 1.0]), [(changed, changed)], first, second,
+            runs, runs, 60, 100)
+        assert k == periods
+
+    @pytest.mark.parametrize("length", (1, 2, 3))
+    def test_short_cycles_are_jumped_like_the_sweep(self, length, jumps):
+        g = EGraph()
+        a = cycle(g, "a", length)
+        root = g.add(ENode("add", None, (a, g.add(ENode("var", "c", ())))))
+        g.rebuild()
+        extract_max(g, root, 64, 10_000)
+        assert skipped(jumps) >= 40 and {p for _, p in jumps} == {length}
+        self.assert_like_sweep(g, root, range(1, 70), self.CAPS)
+        self.assert_like_sweep(g, root, (MAX_DEPTH,), self.CAPS)
+
+    def test_cycle_longer_than_any_period_sweeps_every_round(self, jumps):
+        g = EGraph()
+        a = cycle(g, "a", 5)
+        g.rebuild()
+        # the class changes in rounds 0, 5, ..., 60
+        assert expr_size(extract_max(g, a, 64, 10_000)) == 61
+        assert not jumps
+        self.assert_like_sweep(g, a, range(1, 70), self.CAPS)
+
+    def test_pick_crossing_the_cap_ends_a_jump(self, jumps):
+        # P's pick Y + Q rises by 2 a round, Y and Q by 1: at cap 60 the
+        # pick passes the cap in round 30, and Y and Q in round 60.
+        g = EGraph()
+        y, q = cycle(g, "y", 1), cycle(g, "q", 1)
+        p = g.add(ENode("var", "p", ()))
+        g.union(p, g.add(ENode("add", None, (y, q))))
+        g.rebuild()
+        extract_max(g, p, 64, 60)
+        assert len([k for k, _ in jumps if k]) == 2
+        for cid in (p, y):
+            self.assert_like_sweep(g, cid, range(1, 70), (20, 59, 60, 61))
+
+    @pytest.mark.parametrize("label", ("add", "xor"))
+    def test_node_overtaking_the_pick_ends_a_jump(self, label, jumps):
+        # K holds -H and Y op Z.  H holds a 31-node term from round 4 and
+        # rises by 1 a round, Y and Z by 1 each, so Y op Z starts lower but
+        # rises by 2: both reach 53 in round 26.  add sorts before neg, so
+        # Y + Z takes K there; xor sorts after it and takes K a round
+        # later.
+        g = EGraph()
+        h = cycle(g, "h", 1)
+        x = g.add(ENode("var", "x", ()))
+        for _ in range(4):
+            x = g.add(ENode("add", None, (x, x)))
+        g.union(h, x)
+        y, z = cycle(g, "y", 1), cycle(g, "z", 1)
+        top = g.add(ENode("neg", None, (h,)))
+        g.union(top, g.add(ENode(label, None, (y, z))))
+        g.rebuild()
+        overtaken = 26 if label == "add" else 27
+        before = extract_max(g, top, overtaken - 1, 10_000)
+        after = extract_max(g, top, overtaken, 10_000)
+        assert before.op.name == "neg" and after.op.name == label
+        jumps.clear()
+        extract_max(g, top, 64, 10_000)
+        assert len([k for k, _ in jumps if k]) == 2
+        self.assert_like_sweep(g, top, range(1, 70), (60, 10_000))
+
+    def test_one_repeated_round_is_not_a_period(self, jumps):
+        # A and N alternate with period 2: A rises to 2i + 1 in round 2i,
+        # N to 2i + 2 in round 2i + 1.  J holds x + x from round 1 and ~A,
+        # which passes it in round 3 by 1 and then rises by 2 every other
+        # round.  Round 4 repeats round 2, but round 3, with J's first
+        # rise, repeats nothing, so rounds 3-4 are not a period.
+        g = EGraph()
+        a = g.add(ENode("var", "a", ()))
+        n = g.add(ENode("neg", None, (a,)))
+        g.union(a, g.add(ENode("neg", None, (n,))))
+        x = g.add(ENode("var", "x", ()))
+        j = g.add(ENode("add", None, (x, x)))
+        g.union(j, g.add(ENode("not", None, (a,))))
+        g.rebuild()
+        assert to_text(extract_max(g, j, 2, 10_000)) == "(x + x)"
+        assert [expr_size(extract_max(g, j, r, 10_000))
+                for r in (3, 4, 5, 6, 7)] == [4, 4, 6, 6, 8]
+        jumps.clear()
+        extract_max(g, j, 64, 10_000)
+        assert len([k for k, _ in jumps if k]) == 1
+        self.assert_like_sweep(g, j, range(1, 70), (60, 10_000))
+
+    def test_x_plus_y_skips_most_rounds_at_the_defaults(self, jumps):
+        expand(parse("x + y"), load_default_rules())
+        assert 65 - skipped(jumps) <= 20
 
 
 class TestExpand:
