@@ -15,9 +15,9 @@ True
 """
 
 from .egraph import CapacityExceededError, EGraph, ENode, InvalidIdError
-from .expansion import (ExpansionConfig, ExpansionReport, OutputTooLargeError,
-                        StopReason, UnextractableError, expand, extract_max,
-                        extract_min)
+from .expansion import (ExpansionConfig, ExpansionReport, Grown,
+                        OutputTooLargeError, StopReason, UnextractableError,
+                        expand, extract_max, extract_min, grow)
 from .expr import (Const, Expression, Op, Operator, ParseError,
                    UnboundVariableError, Var, evaluate, expr_size, free_vars,
                    parse, to_text)
@@ -34,13 +34,13 @@ __version__ = "0.1.0"
 __all__ = [
     "AggregateReport", "CapacityExceededError", "CheckResult", "Const",
     "EGraph", "ENode", "EmptyCorpusError", "ExpansionConfig",
-    "ExpansionReport", "Expression", "InvalidIdError",
+    "ExpansionReport", "Expression", "Grown", "InvalidIdError",
     "MetricsReport", "Op", "Operator", "OutputTooLargeError", "ParseError",
     "PatVar", "Rule", "RuleSyntaxError", "StopReason", "TooManyCasesError",
     "UnboundRhsVarError", "UnboundVariableError", "UnextractableError",
     "Var", "aggregate", "aggregate_csv", "apply_match", "check_equivalence",
     "check_rule", "check_rule_random", "check_rules", "default_rules_text",
     "ematch", "evaluate", "expand", "expr_size", "extract_max", "extract_min",
-    "free_vars", "load_default_rules", "measure", "parse", "parse_rules",
-    "to_text",
+    "free_vars", "grow", "load_default_rules", "measure", "parse",
+    "parse_rules", "to_text",
 ]

@@ -11,7 +11,9 @@ is not UTF-8; empty corpus; an output path that cannot be written), 3
 resource error (output size cap; an input whose own e-graph holds more
 nodes than ``--node-limit``).
 A --selfcheck counterexample exits 1, since it can only mean an engine
-bug.
+bug.  A stdout whose reader has gone (``mbaobf obfuscate ... | head``)
+exits 141, the code of a process killed by SIGPIPE, with nothing on
+stderr.
 
 ``bench`` does not stop at a bad line: a line that does not parse, whose
 output would exceed the output size cap, whose e-graph alone exceeds the
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from itertools import groupby
 from typing import Optional
@@ -41,6 +44,7 @@ EXIT_OK = 0
 EXIT_SELFCHECK = 1
 EXIT_INPUT = 2
 EXIT_RESOURCE = 3
+EXIT_PIPE = 128 + 13  # as if killed by SIGPIPE
 
 _DEFAULTS = ExpansionConfig()
 
@@ -165,6 +169,8 @@ def _setup(args) -> tuple:
         )
     except ValueError as exc:
         raise _Fail(f"error: {exc}") from exc
+    except OverflowError as exc:  # only the division above can overflow
+        raise _Fail(f"error: --time-limit-ms is out of range: {exc}") from exc
     rules = _load_rules(args.rules)
     if not args.no_check:
         for rule, label, res in check_rules(rules, seed=args.seed):
@@ -326,7 +332,14 @@ def main(argv: Optional[list] = None) -> int:
         if getattr(args, "seed", 0) < 0:
             raise _Fail(f"error: --seed must be non-negative, got "
                         f"{args.seed}")
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()  # a reader that has gone fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # Point stdout at devnull, as the signal module's docs advise, so
+        # that the flush at exit has nowhere to fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except _Fail as exc:
         print(exc, file=sys.stderr)
         return exc.code

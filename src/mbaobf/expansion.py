@@ -1,10 +1,12 @@
 """Expression growth: saturate-in-reverse scheduling and extraction.
 
 The classic e-graph workflow runs rewrite rules to a fixpoint and extracts
-the *cheapest* equivalent term.  This module inverts the second half: the
-graph is grown under resource-bounded termination conditions (node budget,
-iteration budget, wall-clock budget, optional target output size) and the
-*most complex* term is extracted.
+the *cheapest* equivalent term.  This module inverts the second half:
+:func:`grow` grows the graph under resource-bounded termination conditions
+(node budget, iteration budget, wall-clock budget, optional target output
+size) and returns why it stopped, and :func:`extract_max` extracts the
+*most complex* term.  :func:`expand` is the two in turn, plus
+:func:`~mbaobf.metrics.measure` of the input and the output.
 
 Maximizing extraction needs care because a grown e-graph is cyclic (a class
 can contain a node that refers back to the class, e.g. ``x`` alongside
@@ -61,21 +63,18 @@ The minimizing :func:`extract_min` is the same program with the cost
 ``-size`` and ``MAX_DEPTH`` rounds: it finds the smallest term of depth at
 most ``MAX_DEPTH`` and raises :class:`UnextractableError` when a class has
 none, which only a hand-built graph can cause.
-
-The node budget is the e-graph's cap, checked nowhere else: the first
-application it refuses is rolled back and ends growth with ``NodeLimit``;
-an input over it raises :class:`~mbaobf.egraph.CapacityExceededError`.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -469,9 +468,20 @@ def _reconstruct(g: EGraph, history: tuple, cid: int, r: int,
 _TIME_CHECK_STRIDE = 256  # applications between wall-clock checks
 
 
-def expand(e: Expression, rules: list, cfg: Optional[ExpansionConfig] = None,
-           bits: int = DEFAULT_BITWIDTH) -> ExpansionReport:
-    """Grow an e-graph from ``e`` under ``rules`` and extract the result.
+class Grown(NamedTuple):
+    """A grown e-graph, the class of the input in it, why growth stopped
+    and how many iterations ran."""
+
+    graph: EGraph
+    root: int
+    stop: StopReason
+    iterations: int
+
+
+def grow(e: Expression, rules: list, cfg: ExpansionConfig,
+         bits: int = DEFAULT_BITWIDTH) -> Grown:
+    """Grow an e-graph from ``e`` under ``rules`` until a termination
+    condition of ``cfg`` fires.
 
     Each iteration indexes the rebuilt graph once, then takes the rules in
     order: it matches one rule against the index and applies its matches
@@ -479,16 +489,86 @@ def expand(e: Expression, rules: list, cfg: Optional[ExpansionConfig] = None,
     sees the graph as it stood when the iteration began, as if all were
     matched up front, but a rule is matched only if growth reaches it.
     The first application that would pass ``node_limit``, the e-graph's
-    cap, is rolled back and ends growth with ``NodeLimit``; the matches and
-    rules after it lose their turn.  Otherwise the loop stops on whichever
-    termination condition fires first.  The wall clock is read between
-    iterations, before each rule is matched and every
-    ``_TIME_CHECK_STRIDE`` applications.  An input that no rule matches is
-    returned unchanged with ``Saturated`` (a no-op, not an error).  An
-    input larger than ``max_output_nodes`` raises
-    :class:`OutputTooLargeError`, and one whose graph alone holds more than
-    ``node_limit`` nodes raises
+    cap and the one place the node budget is checked, is rolled back and
+    ends growth with ``NodeLimit``; the matches and rules after it lose
+    their turn.  Otherwise growth stops on whichever termination condition
+    fires first.  The wall clock starts once the input's graph is built,
+    and is read between iterations, before each rule is matched and every
+    ``_TIME_CHECK_STRIDE`` applications.  With ``target_ast_size`` set,
+    each iteration that no other condition stops ends with one
+    :func:`extract_max` call at ``cfg``'s extraction settings, and growth
+    stops with ``TargetSizeReached`` once that term has the target size.  An
+    input that no rule matches stops with ``Saturated``.  An input whose
+    graph alone holds more than ``node_limit`` nodes raises
     :class:`~mbaobf.egraph.CapacityExceededError`.
+    """
+    g = EGraph(bits=bits, max_nodes=cfg.node_limit)
+    root = g.add_expr(e)
+    g.rebuild()
+    deadline = time.monotonic() + (math.inf if cfg.time_limit is None
+                                   else cfg.time_limit)
+    stop, iterations = None, 0
+    while stop is None:
+        if time.monotonic() >= deadline:
+            stop = StopReason.TIME_LIMIT
+        elif iterations >= cfg.iter_limit:
+            stop = StopReason.ITER_LIMIT
+        else:
+            stop, changed = _iterate(g, rules, deadline)
+            g.rebuild()
+            iterations += 1
+            if stop is None and not changed:
+                stop = StopReason.SATURATED
+            elif stop is None and g.node_count() >= cfg.node_limit:
+                stop = StopReason.NODE_LIMIT
+            elif stop is None and cfg.target_ast_size is not None:
+                term = extract_max(g, root, cfg.extraction_rounds,
+                                   cfg.max_output_nodes)
+                if expr_size(term) >= cfg.target_ast_size:
+                    stop = StopReason.TARGET_SIZE
+    return Grown(g, root, stop, iterations)
+
+
+def _iterate(g: EGraph, rules: list, deadline: float) -> tuple:
+    """One iteration's matching and application, without the rebuild:
+    ``(stop, changed)``, with ``stop`` the reason that ended it early
+    (``TimeLimit`` or ``NodeLimit``) or None, and ``changed`` whether any
+    application changed the graph.  The index and the match lists are
+    freed on return, before the caller rebuilds."""
+    index = _label_index(g)
+    shared: dict = {}  # left side -> its matches against this index
+    changed = False
+    applied = 0  # this iteration's applications, across rules
+    for rule in rules:
+        if time.monotonic() >= deadline:
+            return StopReason.TIME_LIMIT, changed
+        matches = shared.get(rule.lhs)
+        if matches is None:
+            matches = shared[rule.lhs] = ematch(g, rule, index)
+        for m in matches:
+            if (applied % _TIME_CHECK_STRIDE == 0 and applied
+                    and time.monotonic() >= deadline):
+                return StopReason.TIME_LIMIT, changed
+            try:
+                changed |= apply_match(g, rule, m)
+            except CapacityExceededError:
+                return StopReason.NODE_LIMIT, changed
+            applied += 1
+    return None, changed
+
+
+def expand(e: Expression, rules: list, cfg: Optional[ExpansionConfig] = None,
+           bits: int = DEFAULT_BITWIDTH) -> ExpansionReport:
+    """:func:`grow` an e-graph from ``e`` under ``rules``, extract its
+    largest term with :func:`extract_max`, and measure the input and that
+    term.
+
+    An input that no rule matches is returned unchanged with ``Saturated``
+    (a no-op, not an error).  An input larger than ``max_output_nodes``
+    raises :class:`OutputTooLargeError`, and one whose graph alone holds
+    more than ``node_limit`` nodes raises
+    :class:`~mbaobf.egraph.CapacityExceededError`.  ``elapsed`` covers
+    growth and extraction.
 
     The rules are trusted here: admit them through the soundness checker
     first and the output is equivalent to the input by construction.
@@ -497,78 +577,16 @@ def expand(e: Expression, rules: list, cfg: Optional[ExpansionConfig] = None,
         cfg = ExpansionConfig()
     if expr_size(e) > cfg.max_output_nodes:
         raise OutputTooLargeError(expr_size(e), cfg.max_output_nodes)
-    g = EGraph(bits=bits, max_nodes=cfg.node_limit)
-    root = g.add_expr(e)
-    g.rebuild()
-
     start = time.monotonic()
-
-    def timed_out() -> bool:
-        return (cfg.time_limit is not None
-                and time.monotonic() - start >= cfg.time_limit)
-
-    stop: Optional[StopReason] = None
-    output: Optional[Expression] = None
-    iterations = 0
-    while stop is None:
-        if iterations >= cfg.iter_limit:
-            stop = StopReason.ITER_LIMIT
-            break
-        if timed_out():
-            stop = StopReason.TIME_LIMIT
-            break
-        index = _label_index(g)
-        shared: dict = {}  # left side -> its matches against this index
-        changed = False
-        applied = 0  # this iteration's applications, across rules
-        for rule in rules:
-            if timed_out():
-                stop = StopReason.TIME_LIMIT
-                break
-            matches = shared.get(rule.lhs)
-            if matches is None:
-                matches = shared[rule.lhs] = ematch(g, rule, index)
-            for m in matches:
-                if (applied % _TIME_CHECK_STRIDE == 0 and applied
-                        and timed_out()):
-                    stop = StopReason.TIME_LIMIT
-                    break
-                try:
-                    changed |= apply_match(g, rule, m)
-                except CapacityExceededError:
-                    stop = StopReason.NODE_LIMIT
-                    break
-                applied += 1
-            if stop is not None:
-                break
-        del index, shared  # freed before the graph is rebuilt and re-indexed
-        g.rebuild()
-        iterations += 1
-        if stop is not None:
-            break
-        if not changed:
-            stop = StopReason.SATURATED
-        elif g.node_count() >= cfg.node_limit:
-            stop = StopReason.NODE_LIMIT
-        elif cfg.target_ast_size is not None:
-            candidate = extract_max(g, root, cfg.extraction_rounds,
-                                    cfg.max_output_nodes)
-            if expr_size(candidate) >= cfg.target_ast_size:
-                stop = StopReason.TARGET_SIZE
-                output = candidate
-        if stop is None and timed_out():
-            stop = StopReason.TIME_LIMIT
-
-    if output is None:
-        output = extract_max(g, root, cfg.extraction_rounds,
-                             cfg.max_output_nodes)
-    elapsed = time.monotonic() - start
+    grown = grow(e, rules, cfg, bits)
+    output = extract_max(grown.graph, grown.root, cfg.extraction_rounds,
+                         cfg.max_output_nodes)
     return ExpansionReport(
         output=output,
-        stop=stop,
-        iterations=iterations,
-        final_node_count=g.node_count(),
-        elapsed=elapsed,
+        stop=grown.stop,
+        iterations=grown.iterations,
+        final_node_count=grown.graph.node_count(),
+        elapsed=time.monotonic() - start,
         metrics_in=measure(e),
         metrics_out=measure(output),
     )

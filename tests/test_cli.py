@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import Optional
 
 import pytest
 
@@ -354,13 +355,17 @@ class TestBench:
                 == GOLDEN_10_DEFAULTS)
 
 
-def run_cli(*args: str) -> subprocess.CompletedProcess:
-    """``python -m mbaobf.cli`` in a fresh interpreter, as a user runs it."""
+def run_cli(*args: str, stdout=subprocess.PIPE,
+            env: Optional[dict] = None) -> subprocess.CompletedProcess:
+    """``python -m mbaobf.cli`` in a fresh interpreter, as a user runs it,
+    with ``env`` added to its environment."""
     src = str(Path(mbaobf.cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "mbaobf.cli", *args],
-                          capture_output=True, text=True, timeout=300,
-                          env={**os.environ, "PYTHONPATH": path})
+                          stdout=stdout, stderr=subprocess.PIPE, text=True,
+                          timeout=300,
+                          env={**os.environ, "PYTHONPATH": path,
+                               **(env or {})})
 
 
 class TestDepthBound:
@@ -422,6 +427,16 @@ class TestNoTraceback:
     def test_flag_out_of_range(self, flags):
         self.assert_one_error_line(
             run_cli("obfuscate", "-e", "x", "--selfcheck", *flags))
+
+    @pytest.mark.parametrize("command", ["obfuscate", "bench"])
+    def test_time_limit_out_of_float_range(self, tmp_path, command):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("x + y\n")
+        source = (["-e", "x + y"] if command == "obfuscate"
+                  else ["-f", str(corpus), "-o", str(tmp_path / "out")])
+        proc = run_cli(command, *source, "--time-limit-ms", "1" + "0" * 400)
+        self.assert_one_error_line(proc)
+        assert "--time-limit-ms" in proc.stderr
 
     @pytest.mark.parametrize("command", [
         ["obfuscate", "-e", "x", "--no-check", "--selfcheck"],
@@ -515,3 +530,33 @@ class TestNoTraceback:
         assert "Traceback" not in proc.stderr
         assert "line 2: skipped" in proc.stderr
         assert "2 expressions processed, 1 skipped" in proc.stdout
+
+
+class TestClosedStdout:
+    """A stdout whose reader has gone ends the run quietly with 141, as
+    SIGPIPE would, whether the first failing write is the one at the end
+    (buffered) or an earlier one (unbuffered)."""
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"],
+                             ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("command", [
+        ["obfuscate", "-e", "x + y", "--json", *FAST],
+        ["metrics", "-e", "x + y"],
+        ["bench", "-f", "{corpus}", "-o", "{out}", *FAST]],
+        ids=["obfuscate", "metrics", "bench"])
+    def test_exits_141_with_nothing_on_stderr(self, tmp_path, command,
+                                              unbuffered):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("x + y\nx * y\n")
+        args = [a.format(corpus=corpus, out=tmp_path / "out")
+                for a in command]
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = run_cli(*args, stdout=write,
+                           env={"PYTHONUNBUFFERED": unbuffered})
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (141, "")
+        if command[0] == "bench":
+            assert (tmp_path / "out.csv").exists()

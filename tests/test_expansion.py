@@ -15,7 +15,7 @@ from mbaobf.egraph import (CapacityExceededError, EGraph, ENode,
 from mbaobf.expansion import (MAX_OUTPUT_NODES, ExpansionConfig,
                               ExpansionReport, OutputTooLargeError, StopReason,
                               UnextractableError, _reconstruct, _runs, expand,
-                              extract_max, extract_min)
+                              extract_max, extract_min, grow)
 from mbaobf.expr import (MAX_DEPTH, OPERATORS, Op, evaluate, expr_size, parse,
                          to_text)
 from mbaobf.metrics import measure
@@ -991,9 +991,10 @@ class TestExpand:
 
     def test_input_over_node_limit_raises(self):
         e = parse("(x * y) + (y * z)")  # 6 distinct nodes: y is shared
-        expand(e, [], ExpansionConfig(node_limit=6))
-        with pytest.raises(CapacityExceededError):
-            expand(e, [], ExpansionConfig(node_limit=5))
+        for run in (expand, grow):
+            run(e, [], ExpansionConfig(node_limit=6))
+            with pytest.raises(CapacityExceededError):
+                run(e, [], ExpansionConfig(node_limit=5))
 
     def test_time_limit_stop(self):
         rep = expand(parse("x + y"), load_default_rules(),
@@ -1107,6 +1108,49 @@ class TestExpand:
         with pytest.raises(ValueError, match=f"between 1 and {MAX_DEPTH}"):
             ExpansionConfig(extraction_rounds=MAX_DEPTH + 1)
         assert ExpansionConfig(extraction_rounds=MAX_DEPTH)
+
+
+class TestGrow:
+    # the defaults with more time, and a target size every line reaches
+    CONFIGS = (ExpansionConfig(time_limit=60.0),
+               ExpansionConfig(time_limit=60.0, target_ast_size=1000))
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=["defaults", "target"])
+    def test_expand_is_grow_then_extract_max(self, cfg):
+        rules = load_default_rules()
+        for line in CORPUS.read_text().splitlines()[:10]:
+            e = parse(line)
+            grown = grow(e, rules, cfg)
+            rep = expand(e, rules, cfg)
+            assert (rep.stop, rep.iterations, rep.final_node_count) == (
+                grown.stop, grown.iterations, grown.graph.node_count())
+            assert to_text(rep.output) == to_text(extract_max(
+                grown.graph, grown.root, cfg.extraction_rounds,
+                cfg.max_output_nodes))
+            if cfg.target_ast_size is not None:
+                assert rep.stop is StopReason.TARGET_SIZE
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=["defaults", "target"])
+    def test_extractions_per_expand(self, cfg, monkeypatch):
+        # one at the end, which perfbench's extract_calls counts on; with
+        # a target size, one more per iteration
+        original = mbaobf.expansion.extract_max
+        calls = [0]
+
+        def counted(*args):
+            calls[0] += 1
+            return original(*args)
+
+        monkeypatch.setattr(mbaobf.expansion, "extract_max", counted)
+        rules = load_default_rules()
+        for line in CORPUS.read_text().splitlines()[:10]:
+            calls[0] = 0
+            rep = expand(parse(line), rules, cfg)
+            if cfg.target_ast_size is None:
+                assert calls[0] == 1
+            else:
+                assert rep.stop is StopReason.TARGET_SIZE
+                assert calls[0] == rep.iterations + 1
 
 
 # ---------------------------------------------------------------------------
