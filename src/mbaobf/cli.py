@@ -5,11 +5,13 @@ The engine flags take their defaults and range checks from
 line on stderr and no traceback: 0 success (including the no-op case
 where nothing matched), 2 input error (bad expression, including one
 nested deeper than ``expr.MAX_DEPTH`` operators; a flag value out of
-range, such as ``--rounds`` above ``MAX_DEPTH``, ``--trials 0`` or a
-negative ``--seed``; bad or unsound rule file; a rule file or corpus that
+range, such as ``--rounds`` above ``MAX_DEPTH``, ``--trials`` below 1
+or above 2^24 (``verify.EXHAUSTIVE_CASE_LIMIT``) or a negative
+``--seed``; bad or unsound rule file; a rule file or corpus that
 is not UTF-8; empty corpus; an output path that cannot be written), 3
 resource error (output size cap; an input whose own e-graph holds more
-nodes than ``--node-limit``).
+nodes than ``--node-limit``).  A UTF-8 byte-order mark at the start of a
+rule file or corpus is ignored.
 A --selfcheck counterexample exits 1, since it can only mean an engine
 bug.  A stdout whose reader has gone (``mbaobf obfuscate ... | head``)
 exits 141, the code of a process killed by SIGPIPE, with nothing on
@@ -103,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--trials", type=int, default=10_000,
                          help="random trials per randomized check: at 64 "
                               "bits, and at 8 bits where exhaustive is "
-                              "infeasible")
+                              "infeasible; 1 to 2^24")
     p_check.add_argument("--seed", type=int, default=0)
 
     p_metrics = sub.add_parser("metrics",
@@ -127,9 +129,10 @@ class _Fail(Exception):
 
 
 def _read_text(path: str) -> str:
-    """The UTF-8 text of a file the user named; text that is not UTF-8
-    fails with the path in the message."""
-    with open(path, encoding="utf-8") as fh:
+    """The UTF-8 text of a file the user named, without a leading
+    byte-order mark; text that is not UTF-8 fails with the path in the
+    message."""
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             return fh.read()
         except UnicodeDecodeError as exc:

@@ -150,22 +150,24 @@ _MAX_LOOPS = 16
 
 
 def _compile_matcher(name: str, lhs: Pattern) -> _Program:
-    """Generate ``match(classes, *leaf_ids)``, the left side as straight-line
-    Python: every match in a :class:`_Snapshot`'s ``classes``, given the
-    class of each of ``leaves``, as :func:`ematch` returns them.
+    """Generate ``match(classes, *leaf_keys)``, the left side as
+    straight-line Python: every match in a :func:`_label_index`, given
+    the key (see :meth:`EGraph.leaf_key`) of each of ``leaves``, as
+    :func:`ematch` returns them.
 
     Registers are numbered breadth-first, as in de Moura and Bjørner's
     e-matching machine: ``r0`` is the class matched at, and each operator
     node of the pattern is a loop over the nodes with its label in its
     register's class, binding one register per child.  A repeated
-    variable or a concrete leaf is an ``if … continue`` right after the
-    loop that binds it.  Loops nest in breadth-first order; past
+    variable is an ``if … continue`` right after the loop that binds it,
+    and so is a concrete leaf, whose key must be among the bound class's
+    nodes with its label.  Loops nest in breadth-first order; past
     ``_MAX_LOOPS`` of them the rest runs in a generated helper, called
-    with the registers and leaf classes it reads.  Each root's bindings,
-    one tuple per embedding, are deduplicated and sorted.
+    with every register bound so far and every leaf key.  Each root's
+    bindings, one tuple per embedding, are deduplicated and sorted.
     """
     binds: list = []  # (register, label, child registers), breadth-first
-    tests: dict = {}  # register -> ("r", register) or ("L", leaf) to equal
+    tests: dict = {}  # register -> the condition that rejects its class
     leaves: list = []
     first: dict = {}  # variable name -> register of its first occurrence
     todo = [(lhs, 0)]
@@ -173,7 +175,7 @@ def _compile_matcher(name: str, lhs: Pattern) -> _Program:
     for q, reg in todo:
         if isinstance(q, PatVar):
             if q.name in first:
-                tests[reg] = ("r", first[q.name])
+                tests[reg] = f"r{reg} != r{first[q.name]}"
             else:
                 first[q.name] = reg
         elif isinstance(q, Op):
@@ -182,10 +184,13 @@ def _compile_matcher(name: str, lhs: Pattern) -> _Program:
             todo.extend(zip(q.args, kids))
             n_regs = kids.stop
         else:
-            tests[reg] = ("L", len(leaves))
+            label = "var" if isinstance(q, Var) else "const"
+            tests[reg] = (f"L{len(leaves)} not in "
+                          f"classes[r{reg}].get({label!r}, ())")
             leaves.append(q)
     names = tuple(sorted(first))
     found = "".join(f"r{first[n]}, " for n in names)
+    keys = [f"L{i}" for i in range(len(leaves))]
     helpers: list = []
 
     def enter(j: int, pad: str, out: list) -> None:
@@ -197,24 +202,16 @@ def _compile_matcher(name: str, lhs: Pattern) -> _Program:
         out.append(f"{pad}{''.join(f'r{k}, ' for k in kids)}= n{j}[2]")
         for k in kids:
             if k in tests:
-                out += [f"{pad}if r{k} != {''.join(map(str, tests[k]))}:",
-                        f"{pad}    continue"]
+                out += [f"{pad}if {tests[k]}:", f"{pad}    continue"]
 
     def rest(j: int, pad: str, depth: int, miss: str, out: list) -> None:
         """The binds from ``j`` on, then the match, with ``depth`` loops
         open; ``miss`` leaves a class that lacks bind ``j``'s label."""
         for j in range(j, len(binds)):
             if depth == _MAX_LOOPS:
-                later = [tests[k] for b in binds[j:] for k in b[2]
-                         if k in tests]
-                reads = ({0, *first.values()} | {b[0] for b in binds[j:]}
-                         | {k for kind, k in later if kind == "r"})
-                bound = {0, *(k for b in binds[:j] for k in b[2])}
                 params = ", ".join(
                     ["classes", "append",
-                     *[f"r{k}" for k in sorted(bound & reads)],
-                     *[f"L{i}" for i in sorted({i for kind, i in later
-                                                 if kind == "L"})]])
+                     *[f"r{k}" for k in range(binds[j - 1][2].stop)], *keys])
                 helper = f"m{len(helpers) + 1}"
                 out.append(f"{pad}{helper}({params})")
                 body = [f"def {helper}({params}):"]
@@ -229,8 +226,7 @@ def _compile_matcher(name: str, lhs: Pattern) -> _Program:
             pad, depth, miss = pad + "    ", depth + 1, "continue"
         out.append(f"{pad}append((r0, ({found})))")
 
-    params = "".join(f", L{i}" for i in range(len(leaves)))
-    src = [f"def match(classes{params}):",
+    src = [f"def match({', '.join(['classes', *keys])}):",
            "    out = []",
            "    append = out.append"]
     if binds:
@@ -246,7 +242,7 @@ def _compile_matcher(name: str, lhs: Pattern) -> _Program:
     else:
         src.append("    for r0 in classes:")
         if 0 in tests:
-            src += ["        if r0 != L0:", "            continue"]
+            src += [f"        if {tests[0]}:", "            continue"]
         src.append(f"        append((r0, ({found})))")
     src.append("    return out")
     for body in helpers:
@@ -345,49 +341,39 @@ def _compile_application(name: str, rhs: Pattern, names: tuple) -> Callable:
 # ---------------------------------------------------------------------------
 
 
-class _Snapshot(NamedTuple):
-    """The graph as it stood when :func:`_label_index` ran, canonical then:
-    what :func:`ematch` reads, so later unions do not change its matches."""
-
-    classes: dict  # class id -> {label: [nodes]}, ascending id order
-    leaves: dict  # leaf key (see EGraph.leaf_key) -> class id
-
-
-def _label_index(g: EGraph) -> _Snapshot:
-    """Each class's nodes grouped by label, and each leaf's class, in one
-    pass; built once per iteration and read by every rule's match."""
-    classes: dict = {}
-    leaves: dict = {}
+def _label_index(g: EGraph) -> dict:
+    """``{class id: {label: [nodes]}}``, ascending id order: each class's
+    nodes grouped by label, as :meth:`EGraph.classes` gives them; built
+    once per iteration and read by every rule's match."""
+    index: dict = {}
     for cid, nodes in g.classes().items():
         by_label: dict = {}
         for n in nodes:
             by_label.setdefault(n.label, []).append(n)
-            if not n.children:
-                leaves[n] = cid
-        classes[cid] = by_label
-    return _Snapshot(classes, leaves)
+        index[cid] = by_label
+    return index
 
 
-def ematch(g: EGraph, rule: Rule, index: Optional[_Snapshot] = None) -> list:
+def ematch(g: EGraph, rule: Rule, index: Optional[dict] = None) -> list:
     """All matches of ``rule``'s left-hand side anywhere in ``index``, each
     a ``(root, bindings)`` tuple: the class matched at and the class bound
     to each of ``rule.program.names``.
 
-    ``index`` is a :func:`_label_index` of ``g``, built here from the
-    rebuilt graph when None.  Matching reads only the index, leaf classes
-    included, so ids are canonical as of the index, not at match time: a
-    rule matched after earlier rules' unions finds what it would have
-    found before them.  Complete with respect to brute-force
-    instantiation; duplicates are collapsed and the result is ordered by
-    root id, then by bindings, so match lists are deterministic.
+    ``index`` is a :func:`_label_index` of ``g`` taken with no merges
+    pending, built here when None; a child id that is not one of its
+    classes raises ``KeyError``.  Matching reads only the index, so ids
+    are canonical as of the index, not at match time: a rule matched
+    after earlier rules' unions finds what it would have found before
+    them.  A concrete leaf matches the class whose nodes in the index
+    hold its :meth:`EGraph.leaf_key`; a leaf in no class matches nowhere.
+    Complete with respect to brute-force instantiation; duplicates are
+    collapsed and the result is ordered by root id, then by bindings, so
+    match lists are deterministic.
     """
     if index is None:
         index = _label_index(g)
     prog = rule.program
-    leaf_ids = [index.leaves.get(g.leaf_key(leaf)) for leaf in prog.leaves]
-    if None in leaf_ids:
-        return []  # a concrete leaf of the pattern is not in the graph
-    return prog.match(index.classes, *leaf_ids)
+    return prog.match(index, *[g.leaf_key(leaf) for leaf in prog.leaves])
 
 
 # ---------------------------------------------------------------------------

@@ -97,9 +97,14 @@ def _exhaustive_env(keys: list, bits: int) -> dict:
 
 
 def _random_env(keys: list, bits: int, trials: int, seed: int) -> dict:
-    # Without a sample every random check would pass.
+    # Without a sample every random check would pass; past the exhaustive
+    # limit a random check would draw more cases than any exhaustive one
+    # enumerates, and at some size more than memory holds.
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    if trials > EXHAUSTIVE_CASE_LIMIT:
+        raise ValueError(f"trials must be at most {EXHAUSTIVE_CASE_LIMIT}, "
+                         f"got {trials}")
     rng = np.random.default_rng(seed)
     return {key: rng.integers(0, 1 << bits, size=trials,
                               dtype=np.uint64).astype(_DTYPES[bits])
@@ -145,8 +150,8 @@ def check_rule(rule: Rule, bits: int) -> CheckResult:
 
 def check_rule_random(rule: Rule, bits: int, trials: int,
                       seed: int = 0) -> CheckResult:
-    """Randomized soundness check: ``trials`` (at least 1) seeded
-    assignments."""
+    """Randomized soundness check: ``trials`` (1 to
+    :data:`EXHAUSTIVE_CASE_LIMIT`) seeded assignments."""
     check_bitwidth(bits)
     env = _random_env(_rule_leaves(rule), bits, trials, seed)
     return _compare(rule.lhs, rule.rhs, env, bits)
@@ -157,8 +162,8 @@ def check_equivalence(a: Expression, b: Expression, bits: int,
     """Check two expressions for equal value on every environment.
 
     Exhaustive when the environment space fits the feasibility limit,
-    otherwise ``trials`` (at least 1) seeded random environments over the
-    union of the free variables.
+    otherwise ``trials`` (1 to :data:`EXHAUSTIVE_CASE_LIMIT`) seeded
+    random environments over the union of the free variables.
     """
     check_bitwidth(bits)
     names = sorted(free_vars(a) | free_vars(b))
@@ -178,7 +183,8 @@ def check_rules(rules: list, trials: int = 10_000, seed: int = 0) -> list:
     the random check.  Returns ``[(rule, label, result)]`` for every check
     performed, in order, where ``label`` names the check that ran:
     ``exhaustive@8``, ``random@8`` or ``random@64``.  ``trials`` below 1
-    raises ValueError at the first random check.
+    or above :data:`EXHAUSTIVE_CASE_LIMIT` raises ValueError at the first
+    random check.
     """
     results = []
     for rule in rules:

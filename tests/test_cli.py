@@ -175,6 +175,25 @@ class TestCheckRules:
         assert captured.err == \
             f"error: trials must be at least 1, got {trials}\n"
 
+    @pytest.mark.parametrize("trials", ["16777217", "10000000000000"])
+    def test_trials_past_the_case_limit_exit_2(self, capsys, rules_file,
+                                               trials):
+        # more random cases than the largest exhaustive check enumerates;
+        # 10^13 of them would ask numpy for 72.8 TiB
+        assert main(["check-rules", rules_file, "--trials", trials]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            f"error: trials must be at most 16777216, got {trials}\n"
+
+    def test_leading_bom_is_ignored(self, tmp_path, capsys):
+        rules = tmp_path / "bom.rules"
+        rules.write_bytes(b"\xef\xbb\xbf"
+                          b"addor : ?a + ?b => (?a | ?b) + (?a & ?b)\n")
+        assert main(["check-rules", str(rules), "--trials", "500"]) == 0
+        assert capsys.readouterr().out == \
+            "ok   addor (exhaustive@4, exhaustive@8, 500 random@64)\n"
+
     def test_random_fallback_is_labelled_random(self, tmp_path, capsys):
         four = tmp_path / "four.rules"
         four.write_text("four : ?a + ?b + ?c + ?d => ?d + ?c + ?b + ?a\n")
@@ -290,6 +309,18 @@ class TestBench:
         rows = Path(base + ".jsonl").read_text(
             encoding="utf-8").splitlines()
         assert len(rows) == 2
+
+    def test_leading_bom_is_ignored(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_bytes(b"\xef\xbb\xbfx + y\nx * y\n")
+        base = str(tmp_path / "out")
+        assert main(["bench", "-f", str(corpus), "-o", base, *FAST]) == 0
+        captured = capsys.readouterr()
+        assert "skipped" not in captured.err
+        assert "2 expressions processed, 0 skipped" in captured.out
+        rows = [json.loads(ln) for ln in Path(base + ".jsonl").read_text(
+            encoding="utf-8").splitlines()]
+        assert [r["input"] for r in rows] == ["x + y", "x * y"]
 
     def test_all_lines_bad(self, tmp_path, capsys):
         corpus = self.write_corpus(tmp_path, ["x +", "* y"])

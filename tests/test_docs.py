@@ -47,3 +47,12 @@ def test_readme_shared_flag_defaults_match_the_config():
     defaults = vars(build_parser().parse_args(["obfuscate", "-e", "x"]))
     assert {flag: defaults[flag[2:].replace("-", "_")]
             for flag in documented} == documented
+
+
+def test_readme_library_example_runs(capsys):
+    block = README[README.index("```python\n") + len("```python\n"):]
+    exec(block[:block.index("```")], {})
+    # expand's stop reason and output size, the output's start, then
+    # grow's stop reason, iteration count and node count for the same run
+    first, _, last = capsys.readouterr().out.splitlines()
+    assert first.split()[0] == last.split()[0]

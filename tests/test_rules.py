@@ -312,19 +312,23 @@ def run(ops, pc, regs, classes, leaf_ids, var_regs, out):
 def reference_ematch(g, rule, index):
     """Matching as it was before each rule generated its own matcher: the
     instructions interpreted one node at a time, each root's bindings
-    deduplicated and sorted."""
+    deduplicated and sorted.  A concrete leaf is compared by class id,
+    read from a leaf -> class map of ``index``."""
     ops, leaves, var_regs, n_regs, root_label = compile_instructions(rule.lhs)
-    leaf_ids = [index.leaves.get(g.leaf_key(leaf)) for leaf in leaves]
+    leaf_class = {n: cid for cid, by_label in index.items()
+                  for nodes in by_label.values() for n in nodes
+                  if not n.children}
+    leaf_ids = [leaf_class.get(g.leaf_key(leaf)) for leaf in leaves]
     if None in leaf_ids:
         return []
     regs = [0] * n_regs
     out = []
-    for cid, by_label in index.classes.items():
+    for cid, by_label in index.items():
         if root_label is not None and root_label not in by_label:
             continue
         regs[0] = cid
         found = []
-        run(ops, 0, regs, index.classes, leaf_ids, var_regs, found)
+        run(ops, 0, regs, index, leaf_ids, var_regs, found)
         if len(found) > 1:
             found = sorted(set(found))
         out += [(cid, bindings) for bindings in found]
@@ -357,13 +361,16 @@ def instantiate(p, leaf):
     return p
 
 
-# A 60-operator chain whose repeated ?a and constant are tested 59 loops
-# below the root's, in a helper.
+# 60-operator chains whose repeated ?a and constant, or concrete variable,
+# are tested 59 loops below the root's, in a helper.
 CHAIN_LHS = Op(MUL, (PatVar("a"), chain(58, Op(ADD, (PatVar("a"),
                                                      Const(1))))))
+CHAIN_VAR_LHS = Op(MUL, (PatVar("a"), chain(58, Op(ADD, (PatVar("a"),
+                                                         Var("x"))))))
 MATCHER_RULES = load_default_rules() + [
     pat(t) for t in ("?a", "?a + ?a", "x", "3", "0 - ?a", "(?a + 1) * y",
                      "(?a + ?b) * ?a")] + [
+    Rule("chain-var", CHAIN_VAR_LHS, PatVar("a")),
     Rule("chain", CHAIN_LHS, PatVar("a")),
     Rule("deep", deep_lhs(), PatVar("a"))]
 
@@ -421,6 +428,22 @@ class TestGeneratedMatcher:
         xc = g.add_expr(x)
         for rule, root in zip(MATCHER_RULES[-2:], roots):
             assert ematch(g, rule) == [(root, (xc,))]
+
+    def test_chain_constant_tested_where_it_sits(self):
+        # CHAIN_LHS's 1 is tested in a helper: a graph with no 1, or with
+        # 1 in a class other than the one bound there, holds no match
+        chain_rule = MATCHER_RULES[-2]
+        x = Var("x")
+        g = EGraph()
+        root = g.add_expr(Op(MUL, (x, chain(58, Op(ADD, (x, Const(2)))))))
+        g.rebuild()
+        assert ematch(g, chain_rule) == []
+        one = g.add_expr(Const(1))
+        g.rebuild()
+        assert ematch(g, chain_rule) == []
+        g.union(one, g.add_expr(Const(2)))
+        g.rebuild()
+        assert ematch(g, chain_rule) == [(g.find(root), (g.add_expr(x),))]
 
 
 class TestApplyMatch:

@@ -4,9 +4,9 @@ import pytest
 
 from mbaobf.expr import Var, evaluate, free_vars, parse
 from mbaobf.rules import load_default_rules, parse_rules
-from mbaobf.verify import (CheckResult, TooManyCasesError, check_equivalence,
-                           check_rule, check_rule_random, check_rules,
-                           _eval_vec)
+from mbaobf.verify import (EXHAUSTIVE_CASE_LIMIT, CheckResult,
+                           TooManyCasesError, check_equivalence, check_rule,
+                           check_rule_random, check_rules, _eval_vec)
 
 import numpy as np
 
@@ -115,6 +115,12 @@ class TestCheckRuleRandom:
         # without a sample an unsound rule would pass with 0 cases checked
         with pytest.raises(ValueError, match="trials must be at least 1"):
             check_rule_random(rule("?a => ?a + 1"), 64, trials, 0)
+
+    def test_trials_past_the_case_limit_rejected(self):
+        # no more random cases than the largest exhaustive check enumerates
+        with pytest.raises(ValueError, match="must be at most 16777216"):
+            check_rule_random(rule("?a => ?a + 1"), 64,
+                              EXHAUSTIVE_CASE_LIMIT + 1, 0)
 
 
 class TestCheckEquivalence:
