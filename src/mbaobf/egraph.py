@@ -296,11 +296,15 @@ class EGraph:
         canonical class of each, from one walk of the hashcons.  Raises
         ``ValueError`` while merges are pending, since keys and classes
         may then be stale."""
-        if self._merged:
-            raise ValueError("the e-graph has pending merges: rebuild first")
+        self._check_rebuilt()
         hashcons = self._hashcons
         return list(hashcons), list(map(self._roots().__getitem__,
                                         hashcons.values()))
+
+    def _check_rebuilt(self) -> None:
+        """Raise ``ValueError`` while merges are pending."""
+        if self._merged:
+            raise ValueError("the e-graph has pending merges: rebuild first")
 
     def expr_of_node(self, node: ENode, arg_exprs: tuple) -> Expression:
         """Rebuild one expression node from an e-node and child expressions."""

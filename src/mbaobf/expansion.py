@@ -81,7 +81,8 @@ import numpy as np
 from .egraph import CapacityExceededError, EGraph
 from .expr import DEFAULT_BITWIDTH, MAX_DEPTH, Expression, expr_size
 from .metrics import MetricsReport, measure
-from .rules import _label_index, apply_match, ematch
+from .rules import (DeadlineExceededError, _label_index, apply_match,
+                    ematch)
 # Unused here; perfbench's tracer still looks it up in this module.
 from .rules import count_new_nodes  # noqa: F401
 
@@ -465,9 +466,6 @@ def _reconstruct(g: EGraph, history: tuple, cid: int, r: int,
 # The growth loop
 # ---------------------------------------------------------------------------
 
-_TIME_CHECK_STRIDE = 256  # applications between wall-clock checks
-
-
 class Grown(NamedTuple):
     """A grown e-graph, the class of the input in it, why growth stopped
     and how many iterations ran."""
@@ -494,12 +492,13 @@ def grow(e: Expression, rules: list, cfg: ExpansionConfig,
     their turn.  Otherwise growth stops on whichever termination condition
     fires first.  The wall clock starts once the input's graph is built,
     and is read between iterations, before each rule is matched and every
-    ``_TIME_CHECK_STRIDE`` applications.  With ``target_ast_size`` set,
-    each iteration that no other condition stops ends with one
-    :func:`extract_max` call at ``cfg``'s extraction settings, and growth
-    stops with ``TargetSizeReached`` once that term has the target size.  An
-    input that no rule matches stops with ``Saturated``.  An input whose
-    graph alone holds more than ``node_limit`` nodes raises
+    ``_TIME_CHECK_STRIDE`` applications of one rule's matches.  With
+    ``target_ast_size`` set, each iteration that no other condition stops
+    ends with one :func:`extract_max` call at ``cfg``'s extraction
+    settings, and growth stops with ``TargetSizeReached`` once that term
+    has the target size.  An input that no rule matches stops with
+    ``Saturated``.  An input whose graph alone holds more than
+    ``node_limit`` nodes raises
     :class:`~mbaobf.egraph.CapacityExceededError`.
     """
     g = EGraph(bits=bits, max_nodes=cfg.node_limit)
@@ -533,27 +532,24 @@ def _iterate(g: EGraph, rules: list, deadline: float) -> tuple:
     """One iteration's matching and application, without the rebuild:
     ``(stop, changed)``, with ``stop`` the reason that ended it early
     (``TimeLimit`` or ``NodeLimit``) or None, and ``changed`` whether any
-    application changed the graph.  The index and the match lists are
-    freed on return, before the caller rebuilds."""
+    application changed the graph.  Each rule's matches are applied in
+    one :func:`~mbaobf.rules.apply_match` call.  The index and the match
+    lists are freed on return, before the caller rebuilds."""
     index = _label_index(g)
     shared: dict = {}  # left side -> its matches against this index
     changed = False
-    applied = 0  # this iteration's applications, across rules
     for rule in rules:
         if time.monotonic() >= deadline:
             return StopReason.TIME_LIMIT, changed
         matches = shared.get(rule.lhs)
         if matches is None:
             matches = shared[rule.lhs] = ematch(g, rule, index)
-        for m in matches:
-            if (applied % _TIME_CHECK_STRIDE == 0 and applied
-                    and time.monotonic() >= deadline):
-                return StopReason.TIME_LIMIT, changed
-            try:
-                changed |= apply_match(g, rule, m)
-            except CapacityExceededError:
-                return StopReason.NODE_LIMIT, changed
-            applied += 1
+        try:
+            changed |= apply_match(g, rule, matches, deadline)
+        except CapacityExceededError:
+            return StopReason.NODE_LIMIT, changed
+        except DeadlineExceededError:
+            return StopReason.TIME_LIMIT, changed
     return None, changed
 
 

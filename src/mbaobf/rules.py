@@ -19,22 +19,27 @@ made, so a hand-built rule is held to it as well as a parsed one.
 Each rule is compiled once, when it is made, as egg does, into two
 straight-line Python functions generated with no text of the rule file in
 them: its left side into a matcher, one nested loop per operator node,
-that :func:`ematch` runs, and its right side into a builder that does the
-e-graph's insertions inline and returns the right side's class.
-:func:`apply_match` unions that class into the matched one through
-:meth:`EGraph._merge`, the graph's one definition of a union.
-Application is atomic: a right side the e-graph's node cap refuses
-partway is rolled back before the error propagates.
+that :func:`ematch` runs, and its right side into an application that
+takes a whole list of matches.  For each match in turn it validates the
+ids, does the e-graph's insertions inline and unions the right side's
+class into the matched one through :meth:`EGraph._merge`, the graph's one
+definition of a union.  :func:`apply_match` runs it once per rule and
+iteration, as egg applies each rule's matches as one batch, so growth
+pays no Python call per match.  Each match is applied whole or not at
+all: a right side the e-graph's node cap refuses partway is rolled back
+before the error propagates, and the matches before it stay applied.
 """
 
 from __future__ import annotations
 
 import importlib.resources
+import math
 import re
+import time
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
-from .egraph import CapacityExceededError, EGraph, ENode
+from .egraph import CapacityExceededError, EGraph, ENode, InvalidIdError
 from .expr import (IDENT_FIRST, IDENT_REST, OPERATORS, Op, ParseError, Var,
                    parse_pattern_text)
 
@@ -53,7 +58,7 @@ class Rule:
     """A directed rewrite ``lhs => rhs``, both sides compiled once, when the
     rule is made, into straight-line Python: ``program`` holds the left
     side's matcher (see :func:`_compile_matcher`), which :func:`ematch`
-    runs, and ``build`` builds the right side (see
+    runs, and ``apply`` applies the right side to a list of matches (see
     :func:`_compile_application`) for :func:`apply_match` and
     :func:`count_new_nodes`.  It reads each variable from its slot in
     ``program.names``.  A right-side variable that is not on the left
@@ -63,12 +68,12 @@ class Rule:
     lhs: Pattern
     rhs: Pattern
     program: _Program = field(init=False, compare=False, repr=False)
-    build: Callable = field(init=False, compare=False, repr=False)
+    apply: Callable = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         program = _compile_matcher(self.name, self.lhs)
         object.__setattr__(self, "program", program)
-        object.__setattr__(self, "build", _compile_application(
+        object.__setattr__(self, "apply", _compile_application(
             self.name, self.rhs, program.names))
 
 
@@ -77,6 +82,15 @@ class RuleSyntaxError(Exception):
         self.line = line
         self.message = message
         super().__init__(f"line {line}: {message}")
+
+
+class DeadlineExceededError(Exception):
+    """A batch of applications read the clock at or past its deadline; the
+    matches before that read are applied."""
+
+    def __init__(self, deadline: float):
+        self.deadline = deadline
+        super().__init__(f"deadline {deadline} passed during application")
 
 
 class UnboundRhsVarError(Exception):
@@ -250,6 +264,10 @@ def _compile_matcher(name: str, lhs: Pattern) -> _Program:
     return _Program(names, tuple(leaves), _exec(name, src, {})["match"])
 
 
+_TIME_CHECK_STRIDE = 256  # applications between wall-clock reads
+_NO_ROOT = object()  # a match root whose right side is built, not unioned
+
+
 def _exec(name: str, src: list, env: dict) -> dict:
     """Compile and run generated lines of rule ``name`` in ``env``."""
     exec(compile("\n".join(src), f"<rule {name}>", "exec"), env)
@@ -257,26 +275,34 @@ def _exec(name: str, src: list, env: dict) -> dict:
 
 
 def _compile_application(name: str, rhs: Pattern, names: tuple) -> Callable:
-    """Generate ``build(g, bindings)``: the right side built bottom-up in
-    post-order, one flat statement per node; returns its class.
+    """Generate ``apply(g, matches, deadline)``: the right side built and
+    unioned into the matched class for each ``(root, bindings)`` of
+    ``matches`` in order; returns whether the graph changed.
 
-    ``bindings`` are aligned with ``names``.  Each right-side variable is
-    read from its slot once and passed through the validated
-    :meth:`EGraph.find` before anything is added; the ids the graph hands
-    out within the call are trusted.  Each node is looked up in the
-    hashcons.  A hit is canonicalized only when its id is not its own
-    root.  A miss is added inline, as :meth:`EGraph.add_canonical` would
-    add it: the node cap is checked, a class id appended to the union-find
-    and the key stored as an :class:`ENode`.  A right side refused partway
-    is rolled back before the error propagates.
+    ``bindings`` are aligned with ``names``.  Before a match adds
+    anything, its root and each right-side variable's binding, in slot
+    order, are validated as :meth:`EGraph.find` validates an id, then
+    canonicalized, through :meth:`EGraph._find`, only when the id is not
+    its own root.  The right side is built bottom-up in post-order, one
+    flat block per node.  Each node is looked up in the hashcons; a hit
+    is canonicalized as the ids are, and a miss is added inline, as
+    :meth:`EGraph.add_canonical` would add it: the node cap is checked, a
+    class id appended to the union-find and the key stored as an
+    :class:`ENode`.  The right side's class is then unioned into the root
+    through :meth:`EGraph._merge`; a root of ``_NO_ROOT`` is built but not
+    unioned.  A right side refused partway is rolled back before the
+    error propagates, and the matches before it are kept.  The clock is
+    read every ``_TIME_CHECK_STRIDE`` matches, and once it reaches
+    ``deadline`` the call raises :class:`DeadlineExceededError`.
 
     The source holds only slot numbers, labels of :data:`OPERATORS` and
     names bound in its namespace: each ``Var`` leaf's key and each
     constant are passed as objects, the constant masked to the graph's
-    width at run time as :meth:`EGraph.leaf_key` does.
+    width once per call, as :meth:`EGraph.leaf_key` does.
     """
     slots = {n: i for i, n in enumerate(names)}
     leaves: dict = {}  # namespace name -> Var key or constant
+    consts: list = []  # the constants' key lines, run once per call
     used: set = set()  # slots the right side reads
     missing: set = set()
     build: list = []
@@ -300,9 +326,10 @@ def _compile_application(name: str, rhs: Pattern, names: tuple) -> Callable:
             key = f"K{len(leaves)}"
             leaves[key] = ("var", q.name, ())
         else:
-            const = f"C{len(leaves)}"
-            leaves[const] = q.value
-            key = f"('const', {const} & mask, ())"
+            i = len(leaves)
+            leaves[f"C{i}"] = q.value
+            key = f"K{i}"
+            consts.append(f"    {key} = ('const', C{i} & mask, ())")
         out = f"n{len(build)}"
         build.append([f"if ({out} := get(k := {key})) is None:",
                       "    if len(hashcons) >= cap:",
@@ -316,24 +343,47 @@ def _compile_application(name: str, rhs: Pattern, names: tuple) -> Callable:
     top = emit(rhs)
     if missing:
         raise UnboundRhsVarError(name, min(missing))
-    src = ["def build(g, b):",
-           "    find = g.find",
-           *[f"    v{i} = find(b[{i}])" for i in sorted(used)],
+    targets = "".join(f"v{i}, " if i in used else "_, "
+                      for i in range(len(names))).rstrip()
+    match = ["n = len(uf)",
+             "if type(r) is not int or not 0 <= r < n:",
+             "    if r is not NO_ROOT:",
+             "        raise InvalidIdError(r)",
+             "elif uf[r] != r:",
+             "    r = canon(r)"]
+    for i in sorted(used):
+        match += [f"if type(v{i}) is not int or not 0 <= v{i} < n:",
+                  f"    raise InvalidIdError(v{i})",
+                  f"if uf[v{i}] != v{i}:",
+                  f"    v{i} = canon(v{i})"]
+    match += [line for node in build for line in node]
+    match += ["if r is NO_ROOT:",
+              "    continue",
+              f"if merge(r, {top}):",
+              "    changed = True"]
+    src = ["def apply(g, matches, deadline):",
            "    hashcons, uf, cap = g._hashcons, g._uf, g.max_nodes",
-           "    get, canon = hashcons.get, g._find",
-           *(["    mask = (1 << g.bits) - 1"]
-             if any(k[0] == "C" for k in leaves) else []),
-           "    before = len(hashcons)",
+           "    get, canon, merge = hashcons.get, g._find, g._merge",
+           *(["    mask = (1 << g.bits) - 1", *consts] if consts else []),
+           "    changed = False",
            "    try:",
-           *([f"        {line}" for node in build for line in node]
-             or ["        pass"]),
+           "        for start in range(0, len(matches), STRIDE):",
+           "            if start and monotonic() >= deadline:",
+           "                raise DeadlineExceededError(deadline)",
+           f"            for r, ({targets}) in "
+           "matches[start:start + STRIDE]:",
+           *[f"                {line}" for line in match],
            "    except CapacityExceededError:",
-           "        g.rollback(before)",
+           "        # the refused match's insertions: one key and one id each",
+           "        g.rollback(len(hashcons) - (len(uf) - n))",
            "        raise",
-           f"    return {top}"]
-    env = {"CapacityExceededError": CapacityExceededError, "ENode": ENode,
+           "    return changed"]
+    env = {"CapacityExceededError": CapacityExceededError,
+           "DeadlineExceededError": DeadlineExceededError, "ENode": ENode,
+           "InvalidIdError": InvalidIdError, "NO_ROOT": _NO_ROOT,
+           "STRIDE": _TIME_CHECK_STRIDE, "monotonic": time.monotonic,
            "new": tuple.__new__, **leaves}
-    return _exec(name, src, env)["build"]
+    return _exec(name, src, env)["apply"]
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +394,10 @@ def _compile_application(name: str, rhs: Pattern, names: tuple) -> Callable:
 def _label_index(g: EGraph) -> dict:
     """``{class id: {label: [nodes]}}``, ascending id order: each class's
     nodes grouped by label, as :meth:`EGraph.classes` gives them; built
-    once per iteration and read by every rule's match."""
+    once per iteration and read by every rule's match.  Raises
+    ``ValueError`` while merges are pending, as :meth:`EGraph.nodes`
+    does, since keys and classes may then be stale."""
+    g._check_rebuilt()
     index: dict = {}
     for cid, nodes in g.classes().items():
         by_label: dict = {}
@@ -359,13 +412,13 @@ def ematch(g: EGraph, rule: Rule, index: Optional[dict] = None) -> list:
     a ``(root, bindings)`` tuple: the class matched at and the class bound
     to each of ``rule.program.names``.
 
-    ``index`` is a :func:`_label_index` of ``g`` taken with no merges
-    pending, built here when None; a child id that is not one of its
-    classes raises ``KeyError``.  Matching reads only the index, so ids
-    are canonical as of the index, not at match time: a rule matched
-    after earlier rules' unions finds what it would have found before
-    them.  A concrete leaf matches the class whose nodes in the index
-    hold its :meth:`EGraph.leaf_key`; a leaf in no class matches nowhere.
+    ``index`` is a :func:`_label_index` of ``g``, built here when None;
+    it refuses a graph with merges pending.  Matching reads only the
+    index, so ids are canonical as of the index, not at match time: a
+    rule matched after earlier rules' unions finds what it would have
+    found before them.  A concrete leaf matches the class whose nodes in
+    the index hold its :meth:`EGraph.leaf_key`; a leaf in no class
+    matches nowhere.
     Complete with respect to brute-force instantiation; duplicates are
     collapsed and the result is ordered by root id, then by bindings, so
     match lists are deterministic.
@@ -387,23 +440,29 @@ def count_new_nodes(g: EGraph, rule: Rule, m: tuple) -> int:
     where :func:`apply_match` would raise
     :class:`~mbaobf.egraph.CapacityExceededError`."""
     before = g.node_count()
-    rule.build(g, m[1])
+    rule.apply(g, [(_NO_ROOT, m[1])], math.inf)
     added = g.node_count() - before
     g.rollback(before)
     return added
 
 
-def apply_match(g: EGraph, rule: Rule, m: tuple) -> bool:
-    """Union the instantiated RHS into the matched class; ``m`` is a
+def apply_match(g: EGraph, rule: Rule, matches: list,
+                deadline: float = math.inf) -> bool:
+    """Apply ``rule`` to each of ``matches`` in order: union the
+    instantiated right side into the matched class.  Each match is a
     ``(root, bindings)`` tuple from :func:`ematch` for ``rule``.
 
-    The root is validated first, then the bindings, before any node is
-    added.  Returns whether the graph changed (new nodes or a merge): a
-    right side that adds any node has a new class at its top, which
-    cannot be the matched class, so the union alone tells.  A right side
-    the node cap refuses is rolled back, so the graph is as it was when
-    the :class:`~mbaobf.egraph.CapacityExceededError` propagates.  The
-    caller must rebuild before the next matching round.
+    Returns whether the graph changed (new nodes or a merge): a right
+    side that adds any node has a new class at its top, which cannot be
+    the matched class, so the unions alone tell.  A match's root and
+    bindings are validated before it adds anything: an id this graph did
+    not hand out raises :class:`~mbaobf.egraph.InvalidIdError`.  A right
+    side the node cap refuses is rolled back, so the graph holds the
+    earlier matches' work when the
+    :class:`~mbaobf.egraph.CapacityExceededError` propagates.  The clock
+    is read every ``_TIME_CHECK_STRIDE`` matches; once it reaches
+    ``deadline``, :class:`DeadlineExceededError` propagates with the
+    matches before that read applied.  The caller must rebuild before the
+    next matching round.
     """
-    root = g.find(m[0])
-    return g._merge(root, rule.build(g, m[1]))
+    return rule.apply(g, matches, deadline)

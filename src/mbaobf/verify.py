@@ -96,7 +96,7 @@ def _exhaustive_env(keys: list, bits: int) -> dict:
     return env
 
 
-def _random_env(keys: list, bits: int, trials: int, seed: int) -> dict:
+def _check_trials(trials: int) -> None:
     # Without a sample every random check would pass; past the exhaustive
     # limit a random check would draw more cases than any exhaustive one
     # enumerates, and at some size more than memory holds.
@@ -105,6 +105,10 @@ def _random_env(keys: list, bits: int, trials: int, seed: int) -> dict:
     if trials > EXHAUSTIVE_CASE_LIMIT:
         raise ValueError(f"trials must be at most {EXHAUSTIVE_CASE_LIMIT}, "
                          f"got {trials}")
+
+
+def _random_env(keys: list, bits: int, trials: int, seed: int) -> dict:
+    _check_trials(trials)
     rng = np.random.default_rng(seed)
     return {key: rng.integers(0, 1 << bits, size=trials,
                               dtype=np.uint64).astype(_DTYPES[bits])
@@ -183,9 +187,10 @@ def check_rules(rules: list, trials: int = 10_000, seed: int = 0) -> list:
     the random check.  Returns ``[(rule, label, result)]`` for every check
     performed, in order, where ``label`` names the check that ran:
     ``exhaustive@8``, ``random@8`` or ``random@64``.  ``trials`` below 1
-    or above :data:`EXHAUSTIVE_CASE_LIMIT` raises ValueError at the first
-    random check.
+    or above :data:`EXHAUSTIVE_CASE_LIMIT` raises ValueError before any
+    check, even for an empty ruleset.
     """
+    _check_trials(trials)
     results = []
     for rule in rules:
         for w in (4, 8):

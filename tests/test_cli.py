@@ -46,6 +46,12 @@ def rules_file(tmp_path):
     return str(p)
 
 
+def empty_rules_file(tmp_path) -> str:
+    p = tmp_path / "empty.rules"
+    p.write_text("# nothing\n")
+    return str(p)
+
+
 @pytest.fixture
 def operator_rules_file(tmp_path):
     # shipped rules minus the ones whose LHS is a bare pattern variable
@@ -168,23 +174,27 @@ class TestCheckRules:
         assert main(["check-rules", "/nonexistent.rules"]) == 2
 
     @pytest.mark.parametrize("trials", ["0", "-1"])
-    def test_trials_below_one_exit_2(self, capsys, rules_file, trials):
-        assert main(["check-rules", rules_file, "--trials", trials]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == \
-            f"error: trials must be at least 1, got {trials}\n"
+    def test_trials_below_one_exit_2(self, capsys, rules_file, tmp_path,
+                                     trials):
+        # the range is checked before any rule, so a file with none fails too
+        for path in (rules_file, empty_rules_file(tmp_path)):
+            assert main(["check-rules", path, "--trials", trials]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == \
+                f"error: trials must be at least 1, got {trials}\n"
 
     @pytest.mark.parametrize("trials", ["16777217", "10000000000000"])
     def test_trials_past_the_case_limit_exit_2(self, capsys, rules_file,
-                                               trials):
+                                               tmp_path, trials):
         # more random cases than the largest exhaustive check enumerates;
         # 10^13 of them would ask numpy for 72.8 TiB
-        assert main(["check-rules", rules_file, "--trials", trials]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == \
-            f"error: trials must be at most 16777216, got {trials}\n"
+        for path in (rules_file, empty_rules_file(tmp_path)):
+            assert main(["check-rules", path, "--trials", trials]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == \
+                f"error: trials must be at most 16777216, got {trials}\n"
 
     def test_leading_bom_is_ignored(self, tmp_path, capsys):
         rules = tmp_path / "bom.rules"

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import gc
 import itertools
+import math
 import random
 import types
 from pathlib import Path
@@ -40,7 +41,7 @@ def addor_graph():
     root = g.add_expr(parse("x + y"))
     g.rebuild()
     (m,) = ematch(g, ADDOR[0])
-    apply_match(g, ADDOR[0], m)
+    apply_match(g, ADDOR[0], [m])
     g.rebuild()
     return g, root
 
@@ -170,10 +171,10 @@ class TestExtractMax:
     def test_output_shares_subterms(self):
         g = EGraph()
         root = g.add_expr(parse("x + y"))
-        g.rebuild()
         for rule in load_default_rules():  # one round: ~330 nodes
+            g.rebuild()  # each rule matches what the earlier ones added
             for m in ematch(g, rule):
-                apply_match(g, rule, m)
+                apply_match(g, rule, [m])
         g.rebuild()
         out = extract_max(g, root, 16, max_nodes=5000)
         distinct = set()  # ids stay unique: `out` keeps every node alive
@@ -200,7 +201,7 @@ class TestExtractMin:
         root = g.add_expr(parse("y * 1"))
         g.rebuild()
         (m,) = ematch(g, mulid)
-        apply_match(g, mulid, m)
+        apply_match(g, mulid, [m])
         g.rebuild()
         assert to_text(extract_min(g, root)) == "y"
 
@@ -342,11 +343,12 @@ def grown_graph(e, node_limit):
     g.rebuild()
     while g.node_count() < node_limit:
         before = g.node_count()
+        index = _label_index(g)
         for rule in rules:
-            for m in ematch(g, rule):
+            for m in ematch(g, rule, index):
                 if g.node_count() >= node_limit:
                     break
-                apply_match(g, rule, m)
+                apply_match(g, rule, [m])
         g.rebuild()
         if g.node_count() == before:
             break
@@ -889,14 +891,14 @@ class TestExpand:
         assert rep.final_node_count <= 200
 
     def test_first_budget_skip_ends_growth(self, rng, monkeypatch):
-        # the cap refuses at most one application, the run's last, and the
-        # run then stops with NodeLimit inside the budget
+        # the cap refuses at most one rule's batch of applications, the
+        # run's last, and the run then stops with NodeLimit inside the budget
         original = mbaobf.expansion.apply_match
-        skips = []  # per application: whether the cap refused it
+        skips = []  # per batch: whether the cap refused one of its matches
 
-        def counted(g, rule, m):
+        def counted(g, rule, matches, deadline=math.inf):
             try:
-                changed = original(g, rule, m)
+                changed = original(g, rule, matches, deadline)
             except CapacityExceededError:
                 skips.append(True)
                 raise
@@ -1178,7 +1180,7 @@ def eager_expand(e, rules, cfg, applied):
         changed = False
         for rule, m in matches:
             try:
-                changed |= apply_match(g, rule, m)
+                changed |= apply_match(g, rule, [m])
             except CapacityExceededError:
                 stop = StopReason.NODE_LIMIT
                 break
@@ -1209,11 +1211,17 @@ neg-neg  : 0 - (0 - ?a) => ?a
 class TestLazyMatching:
     def test_applies_what_the_eager_loop_applied(self, rng, monkeypatch):
         original = mbaobf.expansion.apply_match
-        applied = []
+        applied = []  # the matches of every batch that returned
+        refused = []  # the matches of the batch the cap refused, if any
 
-        def recorded(g, rule, m):
-            changed = original(g, rule, m)
-            applied.append((rule.name, m))  # only applications that returned
+        def recorded(g, rule, matches, deadline=math.inf):
+            batch = [(rule.name, m) for m in matches]
+            try:
+                changed = original(g, rule, matches, deadline)
+            except CapacityExceededError:
+                refused.extend(batch)
+                raise
+            applied.extend(batch)
             return changed
 
         monkeypatch.setattr(mbaobf.expansion, "apply_match", recorded)
@@ -1232,11 +1240,17 @@ class TestLazyMatching:
                                           iter_limit=8, time_limit=60.0,
                                           max_output_nodes=500)
                     applied.clear()
+                    refused.clear()
                     rep = expand(e, rules, cfg)
                     eager = []
                     assert (dataclasses.replace(rep, elapsed=0.0)
                             == eager_expand(e, rules, cfg, eager))
-                    assert applied == eager
+                    # a refused batch applied the matches before the
+                    # refused one, and the eager loop applied those too
+                    head, rest = eager[:len(applied)], eager[len(applied):]
+                    assert head == applied
+                    assert rest == refused[:len(rest)]
+                    assert len(rest) < len(refused) or not refused
 
     def test_later_rules_unmatched_once_growth_ends(self, monkeypatch):
         original = mbaobf.expansion.ematch

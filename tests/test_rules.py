@@ -1,11 +1,13 @@
 import dataclasses
 import random
+import time
 
 import pytest
 
 from mbaobf.egraph import CapacityExceededError, EGraph, InvalidIdError
 from mbaobf.expr import ADD, MAX_DEPTH, MUL, NOT, Const, Op, Var, parse
-from mbaobf.rules import (PatVar, Rule, RuleSyntaxError, UnboundRhsVarError,
+from mbaobf.rules import (_TIME_CHECK_STRIDE, DeadlineExceededError, PatVar,
+                          Rule, RuleSyntaxError, UnboundRhsVarError,
                           _label_index, apply_match, count_new_nodes, ematch,
                           load_default_rules, parse_rules)
 
@@ -105,7 +107,7 @@ class TestParseRules:
         g, _ = graph_of("x")
         (m,) = ematch(g, rule)
         assert count_new_nodes(g, rule, m) == 3
-        assert apply_match(g, rule, m) and g.node_count() == 4
+        assert apply_match(g, rule, [m]) and g.node_count() == 4
 
     def test_default_ruleset_ships_fourteen(self):
         rules = load_default_rules()
@@ -228,9 +230,21 @@ class TestEmatch:
         g, _ = graph_of("y", "x * z")
         index = _label_index(g)
         for m in ematch(g, r1, index):
-            apply_match(g, r1, m)
+            apply_match(g, r1, [m])
         assert g.find(1) == 0
         assert ematch(g, r2, index) == [(3, (2,))]
+
+    def test_graph_with_merges_pending_refused(self):
+        # y's class merged into the class of 0, which `0 - x` holds as a
+        # leaf: matching it before a rebuild once raised KeyError
+        (rule,) = [r for r in load_default_rules()
+                   if r.name == "negsub-to-not"]
+        g, (y, _) = graph_of("y", "0 - x")
+        g.union(y, g.add_expr(Const(0)))
+        with pytest.raises(ValueError, match="pending merges"):
+            ematch(g, rule)
+        g.rebuild()
+        assert ematch(g, rule) == [(3, (2,))]
 
     def test_completeness_against_brute_force(self, rng):
         # ematch's contract: every embedding once, ordered by root id, then
@@ -393,10 +407,11 @@ def matcher_graphs(rng, bits, grown):
             g.union(g.add_expr(parse("x + 1", bits)), g.add_expr(x))
             g.union(rng.choice(roots), rng.choice(roots))
             g.rebuild()
+            index = _label_index(g)
             for rule in load_default_rules():
-                for m in ematch(g, rule):
+                for m in ematch(g, rule, index):
                     if rng.random() < 0.3:
-                        apply_match(g, rule, m)
+                        apply_match(g, rule, [m])
             g.rebuild()
         yield g
 
@@ -451,7 +466,7 @@ class TestApplyMatch:
         (rule,) = parse_rules("addor : ?a + ?b => (?a | ?b) + (?a & ?b)")
         g, (root,) = graph_of("x + y")
         (m,) = ematch(g, rule)
-        assert apply_match(g, rule, m) is True
+        assert apply_match(g, rule, [m]) is True
         g.rebuild()
         labels = sorted(n.label for n in g.classes()[g.find(root)])
         assert labels == ["add", "add"]
@@ -462,7 +477,7 @@ class TestApplyMatch:
         g, (root,) = graph_of("y * 1")
         y = g.add_expr(parse("y"))
         (m,) = ematch(g, rule)
-        apply_match(g, rule, m)
+        apply_match(g, rule, [m])
         g.rebuild()
         assert g.find(root) == g.find(y)
 
@@ -470,9 +485,9 @@ class TestApplyMatch:
         (rule,) = parse_rules("addor : ?a + ?b => (?a | ?b) + (?a & ?b)")
         g, _ = graph_of("x + y")
         (m,) = ematch(g, rule)
-        assert apply_match(g, rule, m) is True
+        assert apply_match(g, rule, [m]) is True
         g.rebuild()
-        assert apply_match(g, rule, m) is False
+        assert apply_match(g, rule, [m]) is False
 
     def test_count_new_nodes_bounds_reality(self, rng):
         # the trial run adds what the application adds, then rolls it back
@@ -487,10 +502,11 @@ class TestApplyMatch:
             if trial >= 10:
                 # a partly grown graph, so that counts fall between 0 and
                 # the right side's size
+                index = _label_index(g)
                 for rule in rules:
-                    for m in ematch(g, rule):
+                    for m in ematch(g, rule, index):
                         if rng.random() < 0.3:
-                            apply_match(g, rule, m)
+                            apply_match(g, rule, [m])
                 g.rebuild()
             for rule in rules:
                 for m in ematch(g, rule):
@@ -498,7 +514,7 @@ class TestApplyMatch:
                     before = state_of(g)
                     predicted = count_new_nodes(g, rule, m)
                     assert state_of(g) == before
-                    apply_match(g, rule, m)
+                    apply_match(g, rule, [m])
                     assert g.node_count() - len(before[0]) == predicted
                 g.rebuild()
 
@@ -510,7 +526,7 @@ class TestApplyMatch:
         snapshot = state_of(g)
         for m in ((True, bindings), (root, (False, True))):
             with pytest.raises(InvalidIdError):
-                apply_match(g, rule, m)
+                apply_match(g, rule, [m])
             assert state_of(g) == snapshot
         with pytest.raises(InvalidIdError):  # a trial run reads no root
             count_new_nodes(g, rule, (root, (bindings[0], True)))
@@ -532,12 +548,12 @@ class TestApplyMatch:
                     count_new_nodes(g, rule, m)
                 assert state_of(g) == before
                 with pytest.raises(CapacityExceededError):
-                    apply_match(g, rule, m)
+                    apply_match(g, rule, [m])
                 assert state_of(g) == before
             else:
                 assert count_new_nodes(g, rule, m) == 8
                 assert state_of(g) == before
-                assert apply_match(g, rule, m) and g.node_count() == 10
+                assert apply_match(g, rule, [m]) and g.node_count() == 10
 
 
 # ---------------------------------------------------------------------------
@@ -640,8 +656,9 @@ def twin_graphs(rng, bits, grown):
         if grown:
             g.union(r.choice(roots), r.choice(roots))
             g.rebuild()
+            index = _label_index(g)
             for rule in load_default_rules():
-                for m in ematch(g, rule):
+                for m in ematch(g, rule, index):
                     if r.random() < 0.3:
                         reference_apply(g, rule, m)
             g.rebuild()
@@ -665,7 +682,7 @@ class TestGeneratedApplication:
                 added = count_new_nodes(g, rule, m)
                 changed = reference_apply(ref, rule, m)
                 assert added == ref.node_count() - before
-                assert apply_match(g, rule, m) is changed
+                assert apply_match(g, rule, [m]) is changed
                 assert_twins(g, ref)
         g.rebuild()
         ref.rebuild()
@@ -690,7 +707,7 @@ class TestGeneratedApplication:
         g, (root,) = graph_of("x + 15", bits=4)
         (m,) = [m for m in ematch(g, rule) if m[0] == root]
         assert count_new_nodes(g, rule, m) == 1  # only the new add: 255 is 15
-        assert apply_match(g, rule, m)
+        assert apply_match(g, rule, [m])
         assert g.node_count() == 4
 
     def test_operator_outside_the_table_rejected(self):
@@ -702,7 +719,7 @@ class TestGeneratedApplication:
         (rule,) = [r for r in EDGE_RULES if r.name == "hostile-var"]
         g, _ = graph_of("y")
         (m,) = ematch(g, rule)
-        assert apply_match(g, rule, m)
+        assert apply_match(g, rule, [m])
         assert ("var", HOSTILE, ()) in g._hashcons
 
     @pytest.mark.parametrize("rule", load_default_rules() + EDGE_RULES,
@@ -735,12 +752,12 @@ class TestGeneratedApplication:
                         count_new_nodes(g, rule, m)
                     assert state_of(g) == snapshot
                     with pytest.raises(CapacityExceededError):
-                        apply_match(g, rule, m)
+                        apply_match(g, rule, [m])
                     assert state_of(g) == snapshot
                 else:
                     assert count_new_nodes(g, rule, m) == added
                     assert state_of(g) == snapshot
-                    assert apply_match(g, rule, m) is changed
+                    assert apply_match(g, rule, [m]) is changed
                     assert_twins(g, ref)
 
     @pytest.mark.parametrize("bad", [-1, 99, "1", None, 1.0])
@@ -751,8 +768,110 @@ class TestGeneratedApplication:
         snapshot = state_of(g)
         for m in ((bad, bindings), (root, (bindings[0], bad))):
             with pytest.raises(InvalidIdError):
-                apply_match(g, rule, m)
+                apply_match(g, rule, [m])
             assert state_of(g) == snapshot
         with pytest.raises(InvalidIdError):
             count_new_nodes(g, rule, (root, (bad, bindings[1])))
         assert state_of(g) == snapshot
+
+
+# ---------------------------------------------------------------------------
+# A rule's matches applied in one call
+# ---------------------------------------------------------------------------
+
+
+def reference_batch(g, rule, matches):
+    """Each match applied on its own by ``reference_apply``, in order, as
+    far as the cap allows: ``(changed, kept)``, ``kept`` the number of
+    matches applied before the cap refused one, which ends the batch."""
+    changed = False
+    for kept, m in enumerate(matches):
+        try:
+            changed |= reference_apply(g, rule, m)
+        except CapacityExceededError:
+            return changed, kept
+    return changed, len(matches)
+
+
+class TestBatchApplication:
+    @pytest.mark.parametrize("bits", [4, 8])
+    @pytest.mark.parametrize("grown", [False, True])
+    def test_batch_leaves_the_graph_per_match_application_leaves(
+            self, rng, bits, grown):
+        # every rule's matches against the index taken when the iteration
+        # began, in one call each, as ``expand`` applies them
+        for _ in range(4):
+            g, ref = twin_graphs(rng, bits, grown)
+            index = _label_index(g)
+            for rule in load_default_rules():
+                matches = ematch(g, rule, index)
+                assert apply_match(g, rule, matches) \
+                    == reference_batch(ref, rule, matches)[0]
+                assert_twins(g, ref)
+            g.rebuild()
+            ref.rebuild()
+            assert_twins(g, ref)
+
+    def test_cap_keeps_the_prefix_and_rolls_back_the_refused_match(self):
+        # add-split-xor adds 4 or 5 nodes to each sum; at every cap the
+        # batch stops where the per-match loop is refused
+        (rule,) = [r for r in load_default_rules()
+                   if r.name == "add-split-xor"]
+        texts = ("x + y", "x + z", "y + z", "(x + y) + z")
+
+        def make(cap):
+            g, _ = graph_of(*texts, bits=8)
+            g.max_nodes = cap
+            return g
+
+        matches = ematch(make(None), rule)
+        assert len(matches) == 4
+        fresh = make(None).node_count()
+        cuts = set()  # (matches kept, nodes the refused one had added)
+        for cap in range(fresh, fresh + 5 * len(matches) + 2):
+            g, ref = make(cap), make(cap)
+            changed, kept = reference_batch(ref, rule, matches)
+            if kept < len(matches):
+                with pytest.raises(CapacityExceededError):
+                    apply_match(g, rule, matches)
+                cuts.add((kept, cap - ref.node_count()))
+            else:
+                assert apply_match(g, rule, matches) is changed
+            assert_twins(g, ref)
+        # refusals after 0 to 3 kept matches, some partway into the right
+        # side, whose nodes were then rolled back
+        assert {kept for kept, _ in cuts} == {0, 1, 2, 3}
+        assert {partial for _, partial in cuts} == {0, 1, 2, 3, 4}
+
+    @pytest.mark.parametrize("bad", [True, False, -1, 99])
+    def test_invalid_id_in_a_later_match_adds_nothing(self, bad):
+        rule = load_default_rules()[0]  # add-split-or
+        texts = ("x + y", "x + z", "y + z", "(x + y) + z")
+        matches = ematch(graph_of(*texts)[0], rule)
+        assert len(matches) == 4
+        for k in range(len(matches)):
+            root, (a, b) = matches[k]
+            for m in ((bad, (a, b)), (root, (a, bad)), (root, (bad, b))):
+                (g, _), (ref, _) = graph_of(*texts), graph_of(*texts)
+                reference_batch(ref, rule, matches[:k])
+                with pytest.raises(InvalidIdError):
+                    apply_match(g, rule, matches[:k] + [m] + matches[k + 1:])
+                assert_twins(g, ref)
+
+    def test_past_deadline_stops_at_the_first_clock_read(self):
+        # mul-one matches every class; the clock is first read after
+        # _TIME_CHECK_STRIDE matches, so a smaller batch runs to its end
+        (rule,) = [r for r in load_default_rules() if r.name == "mul-one"]
+        texts = [f"v{i}" for i in range(_TIME_CHECK_STRIDE + 10)]
+        past = time.monotonic() - 1.0
+        matches = ematch(graph_of(*texts)[0], rule)
+        assert len(matches) > _TIME_CHECK_STRIDE
+        for batch in (matches[:_TIME_CHECK_STRIDE], matches):
+            (g, _), (ref, _) = graph_of(*texts), graph_of(*texts)
+            reference_batch(ref, rule, batch[:_TIME_CHECK_STRIDE])
+            if len(batch) > _TIME_CHECK_STRIDE:
+                with pytest.raises(DeadlineExceededError):
+                    apply_match(g, rule, batch, past)
+            else:
+                assert apply_match(g, rule, batch, past)
+            assert_twins(g, ref)
