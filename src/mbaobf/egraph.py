@@ -10,12 +10,11 @@ invariants, restored by :meth:`EGraph.rebuild` after a batch of unions:
   live in the same class.
 
 Mutation protocol: ``add_expr``/``union`` freely, then ``rebuild`` before
-reading (``node_count``, ``classes``, matching, extraction).
-:meth:`EGraph.nodes`, which extraction reads, refuses a graph with merges
-pending.  Determinism matters here: class representatives are chosen as
-the smaller canonical id, classes are listed in ascending id order, and
-nothing iterates in hash order, so identical operation sequences produce
-identical graphs.
+reading (``node_count``, ``classes``, matching, extraction).  Matching
+and extraction refuse a graph with merges pending.  Determinism matters
+here: class representatives are chosen as the smaller canonical id,
+classes are listed in ascending id order, and nothing iterates in hash
+order, so identical operation sequences produce identical graphs.
 
 Representation: an :class:`ENode` is a named tuple ``(label, payload,
 children)``, so hashing, equality and ordering run in C and a plain tuple
@@ -25,38 +24,61 @@ map from a ``Var`` or ``Const`` leaf to its key; the Python that each rule
 generates for its right side masks its constants the same way.  That
 code builds keys from canonical ids without constructing e-nodes, looks
 them up in the hashcons, and adds a miss inline as
-:meth:`EGraph.add_canonical` does, the node cap checked first; rule
-application then unions the right side's class into the matched one
-through :meth:`EGraph._merge`, the half of :meth:`EGraph.union` that
-trusts its ids and the only code that records a merged class.  A merge
-always makes the smaller id the parent, so each union-find entry is at
-most its id; :meth:`EGraph.nodes` and :meth:`EGraph.classes` resolve
-every class in one ascending pass over it.
+:meth:`EGraph.add_canonical` does, the node cap checked first and the
+node's row staged; rule application then unions the right side's class
+into the matched one through :meth:`EGraph._merge`, the half of
+:meth:`EGraph.union` that trusts its ids and the only code that records
+a merged class.  A merge always makes the smaller id the parent, so each
+union-find entry is at most its id.  :meth:`EGraph.classes` and
+extraction resolve every id's class at once, by numpy pointer jumping
+over the union-find.
 
-The hashcons, the union-find and the set of classes merged away since
-the last rebuild are the graph's whole state.  The hashcons is the one
-record of class membership; :meth:`EGraph.classes` groups it by class.
-Rebuilding is deferred: a union only records the losing class, and
-:meth:`EGraph.rebuild` re-keys, in place, the keys with a child in that
-set, each under its canonical form, until a pass merges no classes.
-egg repairs only the parents of merged classes too, but through a
-parent list per class; finding the stale keys instead costs one C-level
-set test per key.  Few keys go stale: over 20 lines of the benchmark's
-workloads, 0.28% (corpus defaults) and 0.33% (node limit 8000) of the
-keys that full re-key passes visited had a merged child.  Hashcons
-values may be merged-away ids; every reader maps them through
-:meth:`EGraph.find`.
+Each insertion also records its e-node as one row of an integer node
+table, indexed by the id of the class it was inserted with, which is
+the id the hashcons maps the node to: a label code (the label's rank in
+plain label order) and two child columns, -1 where a child is missing.
+A leaf's variable name or constant, which may be as large as 2^64 - 1,
+stays out of the table, in a dict keyed by row.  Rows are staged in a
+flat list as they are added and moved into an ``array('q')`` when the
+table is next read, so each row is converted once and a read is a
+zero-copy numpy view.  Rebuild and extraction read the table instead of
+walking the hashcons.
+
+The hashcons, the node table, the union-find and the set of classes
+merged away since the last rebuild are the graph's whole state.  The
+hashcons is the one record of class membership; :meth:`EGraph.classes`
+groups it by class.  Each hashcons value is a live row whose columns
+equal its key; a row whose key went to another row in a rebuild is dead,
+its cells all -1.  Rebuilding is deferred: a union only records the
+losing class, and :meth:`EGraph.rebuild` re-keys, in place, the keys
+with a child in that set, each under its canonical form, until a pass
+merges no classes.  egg repairs only the parents of merged classes too,
+but through a parent list per class; finding the stale keys instead is
+one numpy test of the table's two child columns against the set.  Few
+keys go stale: over 20 lines of the benchmark's workloads, 0.28% (corpus
+defaults) and 0.33% (node limit 8000) of the keys that full re-key
+passes visited had a merged child.  Hashcons values may be merged-away
+ids; every reader maps them through :meth:`EGraph.find`.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from typing import NamedTuple, Optional
+
+import numpy as np
 
 from .expr import (Const, Expression, Op, OPERATORS, Var,
                    check_bitwidth)
 
 EClassId = int
+
+# A row's label code indexes this; codes follow plain label order, so rows
+# sort by label as their keys do.
+_LABELS = tuple(sorted(["const", "var", *OPERATORS]))
+_CODES = {label: code for code, label in enumerate(_LABELS)}
+_DEAD = array("q", (-1, -1, -1))  # the cells of a dead row
 
 class ENode(NamedTuple):
     """label is an operator name, or "var"/"const" with the payload holding
@@ -105,6 +127,9 @@ class EGraph:
         self._uf: list[int] = []
         self._hashcons: dict = {}  # canonical ENode -> EClassId
         self._merged: set = set()  # classes merged away since last pass
+        self._table = array("q")  # rows: label code, first, second child
+        self._staged: list = []  # rows added since the last read, flat
+        self._payloads: dict = {}  # leaf row -> its variable or constant
 
     # -- union-find ---------------------------------------------------------
 
@@ -129,12 +154,19 @@ class EGraph:
 
     def _roots(self) -> list:
         """The union-find with every path compressed, so that each entry
-        is its id's class.  ``_merge`` makes the smaller id the parent, so
-        each entry is at most its id, and one ascending pass suffices."""
-        uf = self._uf
-        for cid, parent in enumerate(uf):
-            uf[cid] = uf[parent]
-        return uf
+        is its id's class."""
+        self._uf[:] = self._class_ids().tolist()
+        return self._uf
+
+    def _class_ids(self) -> np.ndarray:
+        """Every id's class, as an array, by pointer jumping: each step
+        maps every id to its parent's parent, so ``k`` steps resolve
+        paths of up to ``2^k`` links.  The union-find is left as it is."""
+        up = np.fromiter(self._uf, np.intp, len(self._uf))
+        top = up[up]
+        while (top != up).any():
+            up, top = top, top[top]
+        return up
 
     # -- insertion ----------------------------------------------------------
 
@@ -186,15 +218,20 @@ class EGraph:
     def add_canonical(self, key: tuple) -> EClassId:
         """Insert ``(label, payload, children)`` whose children are canonical
         ids; returns the canonical class.  A miss is checked against the
-        cap, then added as a new class."""
+        cap, then added as a new class with its row staged."""
         existing = self._hashcons.get(key)
         if existing is not None:
             return self._find(existing)
         if len(self._hashcons) >= self.max_nodes:
             raise CapacityExceededError(self.max_nodes)
+        label, payload, children = key
+        row = (_CODES[label], *children, -1, -1)[:3]
         cid = len(self._uf)
         self._uf.append(cid)
         self._hashcons[key if type(key) is ENode else ENode._make(key)] = cid
+        self._staged += row
+        if not children:
+            self._payloads[cid] = payload
         return cid
 
     def leaf_key(self, leaf: Var | Const) -> tuple:
@@ -214,11 +251,16 @@ class EGraph:
 
     def rollback(self, nodes: int) -> None:
         """Remove what was added since the graph held ``nodes`` nodes, with
-        no union or rebuild since: each insertion added one hashcons entry
-        and one class id, so both are popped, newest first."""
-        while len(self._hashcons) > nodes:
-            self._hashcons.popitem()
-            self._uf.pop()
+        no union or rebuild since: each insertion added one hashcons entry,
+        one class id and one row, so the first two are popped, newest
+        first, and the table is cut to the ids left."""
+        hashcons, uf = self._hashcons, self._uf
+        while len(hashcons) > nodes:
+            hashcons.popitem()
+            uf.pop()
+            self._payloads.pop(len(uf), None)
+        self._flush()
+        del self._table[3 * len(uf):]
 
     # -- merging ------------------------------------------------------------
 
@@ -248,24 +290,36 @@ class EGraph:
         """Process pending merges until the invariants hold again.
 
         Each pass takes the classes merged away since the previous one and
-        re-keys, in place, only the keys with such a child: each is popped,
-        put back under its canonical form, and merged with the class that
-        already holds that form.  Such a merge calls for another pass.
-        Returns the number of passes; a second call with no intervening
-        mutation returns 0.
+        re-keys, in place, only the keys with such a child, found as the
+        rows whose child columns hold one: each key is popped and put back
+        under its canonical form, and its row takes the canonical children.
+        Where another row already holds that form, the row dies and its
+        class is merged with that row's; such a merge calls for another
+        pass.  Returns the number of passes; a second call with no
+        intervening mutation returns 0.
         """
-        hashcons = self._hashcons
+        hashcons, table = self._hashcons, self._table
         canonicalize = self._canonicalize
         passes = 0
         while self._merged:
             merged, self._merged = self._merged, set()
             passes += 1
-            stale = [n for n in hashcons if not merged.isdisjoint(n.children)]
-            for node in stale:
-                cid = hashcons.pop(node)
-                prev = hashcons.setdefault(canonicalize(node), cid)
-                if prev != cid:
-                    self.union(prev, cid)
+            hit = np.zeros(len(self._uf) + 1, bool)  # -1, no child: False
+            hit[list(merged)] = True
+            rows = self._columns()
+            stale = (hit[rows[:, 1]] | hit[rows[:, 2]]).nonzero()[0].tolist()
+            del rows  # the table cannot change size while a view lives
+            for row in stale:
+                node = self._node(row)
+                del hashcons[node]
+                node = canonicalize(node)
+                prev = hashcons.setdefault(node, row)
+                if prev == row:
+                    for i, child in enumerate(node.children, 3 * row + 1):
+                        table[i] = child
+                else:
+                    table[3 * row:3 * row + 3] = _DEAD
+                    self.union(prev, row)
         return passes
 
     # -- queries ------------------------------------------------------------
@@ -291,15 +345,31 @@ class EGraph:
             members[uf[cid]].append(node)
         return members
 
-    def nodes(self) -> tuple[list, list]:
-        """``(nodes, classes)``: every e-node in hashcons order and the
-        canonical class of each, from one walk of the hashcons.  Raises
-        ``ValueError`` while merges are pending, since keys and classes
-        may then be stale."""
-        self._check_rebuilt()
-        hashcons = self._hashcons
-        return list(hashcons), list(map(self._roots().__getitem__,
-                                        hashcons.values()))
+    # -- the node table -----------------------------------------------------
+
+    def _flush(self) -> None:
+        """Move the staged rows into the table."""
+        self._table.fromlist(self._staged)
+        self._staged.clear()
+
+    def _columns(self) -> np.ndarray:
+        """Every row as a ``(rows, 3)`` int64 view of the table: label
+        code, first child, second child.  The table cannot change size
+        while the view lives, so drop it before the graph next grows."""
+        self._flush()
+        return np.frombuffer(self._table, np.int64).reshape(-1, 3)
+
+    def _node(self, row: int) -> Optional[ENode]:
+        """The e-node row ``row`` records, or None for a dead row."""
+        if self._staged:
+            self._flush()
+        code, first, second = self._table[3 * row:3 * row + 3]
+        if code < 0:
+            return None
+        if first < 0:
+            return ENode(_LABELS[code], self._payloads[row], ())
+        return ENode(_LABELS[code], None,
+                     (first,) if second < 0 else (first, second))
 
     def _check_rebuilt(self) -> None:
         """Raise ``ValueError`` while merges are pending."""
@@ -335,7 +405,10 @@ def check_invariants(g: EGraph) -> None:
     is every key being canonical; every key must map to a class the graph
     handed out, no live class may be empty, no merge may be pending, and the
     graph must hold at most ``max_nodes`` nodes.  Each union-find
-    parent must be at most its id, as :meth:`EGraph.nodes` assumes.
+    parent must be at most its id, since a merge keeps the smaller id.  The
+    table holds one row per id; each hashcons value is a live row whose
+    columns equal its key, so no dead row is left in the hashcons, and
+    every other row is dead.
     """
     ids = range(len(g._uf))
     for cid in ids:
@@ -350,3 +423,12 @@ def check_invariants(g: EGraph) -> None:
     assert not g._merged, f"merges of {sorted(g._merged)} are pending"
     assert g.node_count() <= g.max_nodes, \
         f"{g.node_count()} nodes over the cap of {g.max_nodes}"
+    g._flush()
+    assert len(g._table) == 3 * len(ids), \
+        f"{len(g._table) // 3} rows for {len(ids)} ids"
+    for n, cid in g._hashcons.items():
+        row = g._node(cid)
+        assert row == n, f"row {cid} holds {row}, not its key {n}"
+    dead = g._table[::3].count(-1)
+    assert len(ids) - dead == g.node_count(), \
+        f"{len(ids) - dead} live rows for {g.node_count()} keys"

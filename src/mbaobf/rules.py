@@ -39,7 +39,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
-from .egraph import CapacityExceededError, EGraph, ENode, InvalidIdError
+from .egraph import (_CODES, CapacityExceededError, EGraph, ENode,
+                     InvalidIdError)
 from .expr import (IDENT_FIRST, IDENT_REST, OPERATORS, Op, ParseError, Var,
                    parse_pattern_text)
 
@@ -287,9 +288,10 @@ def _compile_application(name: str, rhs: Pattern, names: tuple) -> Callable:
     flat block per node.  Each node is looked up in the hashcons; a hit
     is canonicalized as the ids are, and a miss is added inline, as
     :meth:`EGraph.add_canonical` would add it: the node cap is checked, a
-    class id appended to the union-find and the key stored as an
-    :class:`ENode`.  The right side's class is then unioned into the root
-    through :meth:`EGraph._merge`; a root of ``_NO_ROOT`` is built but not
+    class id appended to the union-find, the key stored as an
+    :class:`ENode` and its row staged, a leaf's payload kept apart.  The
+    right side's class is then unioned into the root through
+    :meth:`EGraph._merge`; a root of ``_NO_ROOT`` is built but not
     unioned.  A right side refused partway is rolled back before the
     error propagates, and the matches before it are kept.  The clock is
     read every ``_TIME_CHECK_STRIDE`` matches, and once it reaches
@@ -320,22 +322,29 @@ def _compile_application(name: str, rhs: Pattern, names: tuple) -> Callable:
             if OPERATORS.get(q.op.name) != q.op:
                 raise ValueError(f"rule {name!r}: operator {q.op.name!r} "
                                  f"is not in the operator table")
-            children = ", ".join([emit(a) for a in q.args])
-            key = f"({q.op.name!r}, None, ({children},))"
+            children = [emit(a) for a in q.args]
+            key = f"({q.op.name!r}, None, ({', '.join(children)},))"
+            cells = [q.op.name, *children, "-1"][:3]
         elif isinstance(q, Var):
             key = f"K{len(leaves)}"
             leaves[key] = ("var", q.name, ())
+            cells = ["var", "-1", "-1"]
         else:
             i = len(leaves)
             leaves[f"C{i}"] = q.value
             key = f"K{i}"
             consts.append(f"    {key} = ('const', C{i} & mask, ())")
+            cells = ["const", "-1", "-1"]
         out = f"n{len(build)}"
+        row = [f"    staged += ({_CODES[cells[0]]}, {cells[1]}, {cells[2]})"]
+        if not isinstance(q, Op):
+            row.append(f"    payloads[{out}] = k[1]")
         build.append([f"if ({out} := get(k := {key})) is None:",
                       "    if len(hashcons) >= cap:",
                       "        raise CapacityExceededError(cap)",
                       f"    hashcons[new(ENode, k)] = {out} = len(uf)",
                       f"    uf.append({out})",
+                      *row,
                       f"elif uf[{out}] != {out}:",
                       f"    {out} = canon({out})"])
         return out
@@ -363,6 +372,7 @@ def _compile_application(name: str, rhs: Pattern, names: tuple) -> Callable:
               "    changed = True"]
     src = ["def apply(g, matches, deadline):",
            "    hashcons, uf, cap = g._hashcons, g._uf, g.max_nodes",
+           "    staged, payloads = g._staged, g._payloads",
            "    get, canon, merge = hashcons.get, g._find, g._merge",
            *(["    mask = (1 << g.bits) - 1", *consts] if consts else []),
            "    changed = False",
@@ -374,7 +384,7 @@ def _compile_application(name: str, rhs: Pattern, names: tuple) -> Callable:
            "matches[start:start + STRIDE]:",
            *[f"                {line}" for line in match],
            "    except CapacityExceededError:",
-           "        # the refused match's insertions: one key and one id each",
+           "        # the refused match's insertions: a key, id and row each",
            "        g.rollback(len(hashcons) - (len(uf) - n))",
            "        raise",
            "    return changed"]
@@ -395,8 +405,8 @@ def _label_index(g: EGraph) -> dict:
     """``{class id: {label: [nodes]}}``, ascending id order: each class's
     nodes grouped by label, as :meth:`EGraph.classes` gives them; built
     once per iteration and read by every rule's match.  Raises
-    ``ValueError`` while merges are pending, as :meth:`EGraph.nodes`
-    does, since keys and classes may then be stale."""
+    ``ValueError`` while merges are pending, as extraction does, since
+    keys and classes may then be stale."""
     g._check_rebuilt()
     index: dict = {}
     for cid, nodes in g.classes().items():

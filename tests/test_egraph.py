@@ -1,8 +1,9 @@
 import random
+from array import array
 
 import pytest
 
-from mbaobf.egraph import (CapacityExceededError, EGraph, ENode,
+from mbaobf.egraph import (_CODES, CapacityExceededError, EGraph, ENode,
                            InvalidIdError, check_invariants)
 from mbaobf.expr import parse
 
@@ -18,18 +19,24 @@ def graph_of(*texts, bits=64):
 
 def reference_rebuild(g):
     """The rebuild as it was before it re-keyed only stale keys: re-key the
-    whole hashcons into a fresh dict, each node under its canonical form
-    and mapped to its canonical class, until a pass merges nothing."""
+    whole hashcons into a fresh dict, each node under its canonical form,
+    until a pass merges nothing.  Each key keeps its row, and a key whose
+    canonical form another row already holds is merged into that row's
+    class.  The node table is then written afresh from the hashcons,
+    every row that no key maps to dead."""
     while g._merged:
         g._merged.clear()
         rekeyed = {}
-        for node, cid in g._hashcons.items():
-            node = g.canonicalize(node)
-            cid = g.find(cid)
-            prev = rekeyed.setdefault(node, cid)
-            if prev != cid:
-                rekeyed[node], _ = g.union(prev, cid)
+        for node, row in g._hashcons.items():
+            prev = rekeyed.setdefault(g.canonicalize(node), row)
+            if prev != row:
+                g.union(prev, row)
         g._hashcons = rekeyed
+    g._flush()
+    g._table[:] = array("q", [-1] * len(g._table))
+    for node, row in g._hashcons.items():
+        g._table[3 * row:3 * row + 3] = array(
+            "q", (_CODES[node.label], *node.children, -1, -1)[:3])
 
 
 class TestAdd:
@@ -85,13 +92,23 @@ class TestAdd:
 
     def test_rollback_pops_the_newest_insertions(self):
         g, _ = graph_of("x + y")
-        before = list(g._hashcons.items()), list(g._uf)
+
+        def state():
+            return (list(g._hashcons.items()), list(g._uf),
+                    list(g._table) + g._staged, dict(g._payloads))
+
+        before = state()
         g.add_expr(parse("(x + y) * z"))  # adds z and the product
         g.rollback(3)
-        assert (list(g._hashcons.items()), list(g._uf)) == before
+        assert state() == before
         g.rollback(3)  # nothing newer: a no-op
-        assert (list(g._hashcons.items()), list(g._uf)) == before
+        assert state() == before
+        g.add_expr(parse("(x + y) * z"))
+        g._flush()  # rows read since they were added are cut too
+        g.rollback(3)
+        assert state() == before
         assert g.add_expr(parse("z")) == 3  # ids are handed out again
+        assert g._node(3) == ENode("var", "z", ())
 
 
 class TestUnionFind:
@@ -213,9 +230,39 @@ class TestRebuild:
         with pytest.raises(AssertionError, match="are empty"):
             check_invariants(g)
 
+    def test_invariants_catch_a_row_a_rekey_left_stale(self):
+        # the re-key moves the sum's key from (add 1 2) to (add 1 1); a
+        # row left as it was, or dead while its key lives, fails the audit
+        g, (x, y, root) = graph_of("x", "y", "x + y")
+        g.union(x, y)
+        g.rebuild()
+        check_invariants(g)
+        assert g._node(root) == ENode("add", None, (0, 0))
+        g._table[3 * root + 2] = y
+        with pytest.raises(AssertionError, match="not its key"):
+            check_invariants(g)
+        g._table[3 * root:3 * root + 3] = array("q", (-1, -1, -1))
+        with pytest.raises(AssertionError, match="holds None"):
+            check_invariants(g)
+
+    def test_invariants_catch_a_dead_row_left_live(self):
+        # x * 2 and x * (1 + 1) meet once 2 and 1 + 1 merge: one key
+        # survives, and the other's row dies
+        g, (two, one_one, a, b) = graph_of("2", "1 + 1", "x * 2",
+                                           "x * (1 + 1)")
+        g.union(two, one_one)
+        g.rebuild()
+        check_invariants(g)
+        assert g.find(a) == g.find(b)
+        dead, live = (a, b) if g._node(a) is None else (b, a)
+        assert g._node(dead) is None and g._node(live) is not None
+        g._table[3 * dead:3 * dead + 3] = g._table[3 * live:3 * live + 3]
+        with pytest.raises(AssertionError, match="live rows for"):
+            check_invariants(g)
+
     def test_invariants_catch_a_larger_parent(self):
-        # the union-find's parents are smaller ids, which EGraph.nodes and
-        # EGraph.classes rely on to resolve every class in one pass
+        # the union-find's parents are smaller ids: a merge keeps the
+        # smaller id as the class's representative
         g, (x, y) = graph_of("x", "y")
         g.union(x, y)
         g.rebuild()
@@ -341,6 +388,37 @@ class TestRebuild:
 
 
 class TestQueries:
+    def test_table_rows_group_like_classes(self, rng):
+        # Unions of random graphs leave hashcons values that are
+        # merged-away ids and rows that died in a rebuild; the hashcons
+        # values are exactly the live rows, each row's node is the key
+        # that maps to it, and grouping those nodes by the row's class
+        # gives classes().
+        merged_away = dead = 0
+        for _ in range(30):
+            g = EGraph()
+            for _ in range(6):
+                g.add_expr(random_expr(rng, rng.randint(1, 10), bits=4,
+                                       const_prob=0.3))
+            g.rebuild()
+            ids = list(range(g.class_count()))
+            for _ in range(6):
+                for _ in range(rng.randint(1, 3)):
+                    g.union(rng.choice(ids), rng.choice(ids))
+                g.rebuild()
+                nodes = [g._node(row) for row in range(len(g._uf))]
+                live = [row for row, n in enumerate(nodes) if n is not None]
+                assert sorted(g._hashcons.values()) == live
+                assert all(g._hashcons[nodes[row]] == row for row in live)
+                merged_away += sum(g.find(row) != row for row in live)
+                dead += len(nodes) - len(live)
+                grouped = {cid: [] for cid in g.class_ids()}
+                for row in live:  # ascending, so each list is sorted
+                    grouped[g.find(row)].append(nodes[row])
+                assert grouped == {cid: sorted(members, key=g._hashcons.get)
+                                   for cid, members in g.classes().items()}
+        assert merged_away > 0 and dead > 0
+
     def test_node_count_empty(self):
         assert EGraph().node_count() == 0
 

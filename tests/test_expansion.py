@@ -12,7 +12,7 @@ import pytest
 
 import mbaobf.expansion
 from mbaobf.egraph import (CapacityExceededError, EGraph, ENode,
-                           check_invariants)
+                           InvalidIdError, check_invariants)
 from mbaobf.expansion import (MAX_OUTPUT_NODES, ExpansionConfig,
                               ExpansionReport, OutputTooLargeError, StopReason,
                               UnextractableError, _reconstruct, _runs, expand,
@@ -515,35 +515,6 @@ class TestAgainstReference:
                         == self.outcome(reference_extract_max, g, k, rounds,
                                         cap))
 
-    def test_nodes_group_like_classes(self, rng):
-        # Unions of random graphs leave hashcons values that are
-        # merged-away ids; nodes() maps each to its canonical class.
-        stale = 0
-        for _ in range(30):
-            g = EGraph()
-            for _ in range(6):
-                g.add_expr(random_expr(rng, rng.randint(1, 10), bits=4,
-                                       const_prob=0.3))
-            g.rebuild()
-            ids = list(range(g.class_count()))
-            for _ in range(6):
-                for _ in range(rng.randint(1, 3)):
-                    g.union(rng.choice(ids), rng.choice(ids))
-                g.rebuild()
-                keys, classes = g.nodes()
-                assert list(g._hashcons) == keys
-                assert classes == [g.find(c) for c in g._hashcons.values()]
-                stale += sum(g._hashcons[k] != c
-                             for k, c in zip(keys, classes))
-                grouped = {cid: [] for cid in g.class_ids()}
-                for node, cid in zip(keys, classes):
-                    grouped[cid].append(node)
-                assert grouped == g.classes()
-            if g.union(ids[0], ids[-1])[1]:
-                with pytest.raises(ValueError, match="rebuild first"):
-                    g.nodes()
-        assert stale > 0
-
     def test_extract_min_sizes_match_reference(self, graphs):
         # every class of the two smaller graphs; each call runs a whole DP
         for g, _ in graphs[:2]:
@@ -554,9 +525,12 @@ class TestAgainstReference:
 
 def sweep_history(g, rounds, sign, max_nodes):
     """The change points of ``_extract`` as it was before it jumped over
-    periodic tails: one sweep per round, every round, until a fixpoint
-    or ``rounds``."""
-    keys, classes = g.nodes()
+    periodic tails and read the node table: one sweep per round, every
+    round, until a fixpoint or ``rounds``, over a layout from one walk of
+    the hashcons.  Returns ``(stamps, starts, picks)``, each pick the
+    e-node chosen."""
+    keys = list(g._hashcons)
+    classes = [g.find(cid) for cid in g._hashcons.values()]
     size = len(keys)
     labels = [k[0] for k in keys]
     kids = [k[2] for k in keys]
@@ -602,12 +576,15 @@ def sweep_history(g, rounds, sign, max_nodes):
     stamps = np.concatenate([r * m + c for r, c, _ in changes]
                             + [[len(changes) * m]])
     picks = np.concatenate([p for _, _, p in changes])
-    return keys, stamps, np.arange(len(changes)) * m, picks, {}
+    return (stamps, np.arange(len(changes)) * m,
+            [keys[i] for i in picks.tolist()])
 
 
 def sweep_extract(g, root, rounds, sign, max_nodes):
-    return _reconstruct(g, sweep_history(g, rounds, sign, max_nodes),
-                        g.find(root), rounds, {})
+    stamps, starts, picks = sweep_history(g, rounds, sign, max_nodes)
+    rows = np.array([g._hashcons[node] for node in picks], np.intp)
+    return _reconstruct(g, (stamps, starts, rows, {}), g.find(root), rounds,
+                        {})
 
 
 def sweep_extract_max(g, root, rounds, max_nodes):
@@ -732,11 +709,11 @@ class TestPeriodicTail:
             for rounds in (7, 64):
                 for cap in (60, 10_000):
                     extract_max(g, root, rounds, cap)
-                    _, stamps, starts, picks, _ = sweep_history(g, rounds, 1,
-                                                                cap)
-                    assert np.array_equal(histories[-1][1], stamps)
-                    assert np.array_equal(histories[-1][2], starts)
-                    assert np.array_equal(histories[-1][3], picks)
+                    stamps, starts, picks = sweep_history(g, rounds, 1, cap)
+                    assert np.array_equal(histories[-1][0], stamps)
+                    assert np.array_equal(histories[-1][1], starts)
+                    assert [g._node(row) for row
+                            in histories[-1][2].tolist()] == picks
         refused = sum(k == 0 for k, _ in jumps)
         assert refused > len(jumps) // 2 and refused < len(jumps)
 
@@ -1294,3 +1271,69 @@ class TestLazyMatching:
             assert rep.stop is StopReason.TIME_LIMIT
             assert clock[0] == int(limit) + 1
             assert rep.iterations == 1 + int(limit) // sides
+
+
+class TestCollectorPause:
+    """Growth and extraction pause Python's cyclic collector and leave it
+    as they found it, whether they return or raise."""
+
+    @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+    def collector(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    def test_state_kept_on_return(self, collector):
+        rules = load_default_rules()
+        e = parse("(x ^ y) + 2 * (x & y)")
+        cfg = ExpansionConfig(node_limit=300, time_limit=60.0)
+        grown = grow(e, rules, cfg)
+        assert gc.isenabled() is collector
+        extract_max(grown.graph, grown.root, 8, 1000)
+        assert gc.isenabled() is collector
+        extract_min(grown.graph, grown.root)
+        assert gc.isenabled() is collector
+        expand(e, rules, cfg)
+        assert gc.isenabled() is collector
+
+    def test_state_kept_on_raise(self, collector):
+        e = parse("(x * y) + (y * z)")  # 6 distinct nodes
+        for run in (grow, expand):
+            with pytest.raises(CapacityExceededError):
+                run(e, [], ExpansionConfig(node_limit=5))
+            assert gc.isenabled() is collector
+        g = EGraph()
+        root = g.add(ENode("var", "x", ()))
+        for _ in range(MAX_DEPTH + 1):
+            root = g.add(ENode("neg", None, (root,)))
+        g.rebuild()
+        for extract in (lambda cid: extract_max(g, cid, 1, 10_000),
+                        lambda cid: extract_min(g, cid)):
+            with pytest.raises(UnextractableError):
+                extract(root)
+            assert gc.isenabled() is collector
+            with pytest.raises(InvalidIdError):
+                extract(root + 1)
+            assert gc.isenabled() is collector
+
+    @pytest.mark.parametrize("cfg", [
+        ExpansionConfig(time_limit=60.0),
+        ExpansionConfig(node_limit=8000, max_output_nodes=2000,
+                        time_limit=600.0),
+    ], ids=["defaults", "grow-large"])
+    def test_growth_and_extraction_make_no_cycles(self, cfg):
+        # what makes the pause safe: with the collector off, a full
+        # collection after 20 corpus lines finds nothing to free
+        rules = load_default_rules()
+        lines = CORPUS.read_text().splitlines()[:20]
+        was = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            for line in lines:
+                expand(parse(line), rules, cfg)
+            assert gc.collect() == 0
+        finally:
+            if was:
+                gc.enable()

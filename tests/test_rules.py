@@ -23,9 +23,16 @@ def graph_of(*texts, bits=64):
 
 def state_of(g):
     """Everything an application may change: the hashcons in insertion
-    order, the union-find, the classes and the pending merges."""
+    order, the union-find, the classes, the pending merges and the node
+    table with its leaf payloads."""
     return (list(g._hashcons.items()), list(g._uf), g.classes(),
-            set(g._merged))
+            set(g._merged), table_of(g))
+
+
+def table_of(g):
+    """The node table's rows, flat, staged ones included, and the leaf
+    payloads by row."""
+    return list(g._table) + g._staged, sorted(g._payloads.items())
 
 
 def compress(g):
@@ -601,12 +608,13 @@ def reference_apply(g, rule, m):
 
 def assert_twins(g, ref):
     """The hashcons (keys, their types, values and insertion order), the
-    union-find and the pending merges are equal."""
+    union-find, the pending merges and the node table are equal."""
     assert list(g._hashcons.items()) == list(ref._hashcons.items())
     assert ([type(k) for k in g._hashcons]
             == [type(k) for k in ref._hashcons])
     assert g._uf == ref._uf
     assert g._merged == ref._merged
+    assert table_of(g) == table_of(ref)
 
 
 def rhs_nodes(p) -> int:
