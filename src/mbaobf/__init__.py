@@ -23,9 +23,9 @@ from .expr import (Const, Expression, Op, Operator, ParseError,
                    parse, to_text)
 from .metrics import AggregateReport, EmptyCorpusError, MetricsReport, \
     aggregate, aggregate_csv, measure
-from .rules import (DeadlineExceededError, PatVar, Rule, RuleSyntaxError,
-                    UnboundRhsVarError, apply_match, default_rules_text,
-                    ematch, load_default_rules, parse_rules)
+from .rules import (PatVar, Rule, RuleSyntaxError, UnboundRhsVarError,
+                    apply_match, default_rules_text, ematch,
+                    load_default_rules, parse_rules)
 from .verify import (CheckResult, TooManyCasesError, check_equivalence,
                      check_rule, check_rule_random, check_rules)
 
@@ -33,7 +33,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AggregateReport", "CapacityExceededError", "CheckResult", "Const",
-    "DeadlineExceededError", "EGraph", "ENode", "EmptyCorpusError",
+    "EGraph", "ENode", "EmptyCorpusError",
     "ExpansionConfig", "ExpansionReport", "Expression", "Grown",
     "InvalidIdError", "MetricsReport", "Op", "Operator",
     "OutputTooLargeError", "ParseError", "PatVar", "Rule", "RuleSyntaxError",

@@ -29,8 +29,8 @@ node's row staged; rule application then unions the right side's class
 into the matched one through :meth:`EGraph._merge`, the half of
 :meth:`EGraph.union` that trusts its ids and the only code that records
 a merged class.  A merge always makes the smaller id the parent, so each
-union-find entry is at most its id.  :meth:`EGraph.classes` and
-extraction resolve every id's class at once, by numpy pointer jumping
+union-find entry is at most its id.  :meth:`EGraph.classes_by_label`
+and extraction resolve every id's class at once, by numpy pointer jumping
 over the union-find.
 
 Each insertion also records its e-node as one row of an integer node
@@ -46,19 +46,20 @@ walking the hashcons.
 
 The hashcons, the node table, the union-find and the set of classes
 merged away since the last rebuild are the graph's whole state.  The
-hashcons is the one record of class membership; :meth:`EGraph.classes`
-groups it by class.  Each hashcons value is a live row whose columns
-equal its key; a row whose key went to another row in a rebuild is dead,
-its cells all -1.  Rebuilding is deferred: a union only records the
-losing class, and :meth:`EGraph.rebuild` re-keys, in place, the keys
-with a child in that set, each under its canonical form, until a pass
-merges no classes.  egg repairs only the parents of merged classes too,
-but through a parent list per class; finding the stale keys instead is
-one numpy test of the table's two child columns against the set.  Few
-keys go stale: over 20 lines of the benchmark's workloads, 0.28% (corpus
-defaults) and 0.33% (node limit 8000) of the keys that full re-key
-passes visited had a merged child.  Hashcons values may be merged-away
-ids; every reader maps them through :meth:`EGraph.find`.
+hashcons is the one record of class membership; one walk of it,
+:meth:`EGraph.classes_by_label`, groups it by class and label, and
+:meth:`EGraph.classes` reads that.  Each hashcons value is a live row
+whose columns equal its key; a row whose key went to another row in a
+rebuild is dead, its cells all -1.  Rebuilding is deferred: a union
+only records the losing class, and :meth:`EGraph.rebuild` re-keys, in
+place, the keys with a child in that set, each under its canonical form,
+until a pass merges no classes.  egg repairs only the parents of merged
+classes too, but through a parent list per class; finding the stale keys
+instead is one numpy test of the table's two child columns against the
+set.  Few keys go stale: over 20 lines of the benchmark's workloads,
+0.28% (corpus defaults) and 0.33% (node limit 8000) of the keys that
+full re-key passes visited had a merged child.  Hashcons values may be
+merged-away ids; every reader maps them through :meth:`EGraph.find`.
 """
 
 from __future__ import annotations
@@ -336,14 +337,21 @@ class EGraph:
         return [cid for cid, root in enumerate(self._uf) if cid == root]
 
     def classes(self) -> dict:
-        """``{canonical id: [nodes]}`` in ascending id order, grouped from
-        the hashcons in one pass (exact in rebuilt state).  The order of
+        """``{canonical id: [nodes]}`` in ascending id order, read from
+        :meth:`classes_by_label` (exact in rebuilt state).  The order of
         the nodes within a class is unspecified."""
-        members: dict = {cid: [] for cid in self.class_ids()}
+        return {cid: [n for nodes in by_label.values() for n in nodes]
+                for cid, by_label in self.classes_by_label().items()}
+
+    def classes_by_label(self) -> dict:
+        """``{canonical id: {label: [nodes]}}`` in ascending id order, each
+        class's nodes grouped by label in hashcons order, from one walk of
+        the hashcons (exact in rebuilt state)."""
         uf = self._roots()
+        index: dict = {cid: {} for cid, root in enumerate(uf) if cid == root}
         for node, cid in self._hashcons.items():
-            members[uf[cid]].append(node)
-        return members
+            index[uf[cid]].setdefault(node[0], []).append(node)
+        return index
 
     # -- the node table -----------------------------------------------------
 

@@ -83,8 +83,7 @@ import numpy as np
 from .egraph import _LABELS, CapacityExceededError, EGraph
 from .expr import DEFAULT_BITWIDTH, MAX_DEPTH, Expression, expr_size
 from .metrics import MetricsReport, measure
-from .rules import (DeadlineExceededError, _label_index, apply_match,
-                    ematch)
+from .rules import _label_index, apply_match, ematch
 # Unused here; perfbench's tracer still looks it up in this module.
 from .rules import count_new_nodes  # noqa: F401
 
@@ -487,6 +486,9 @@ def _reconstruct(g: EGraph, history: tuple, cid: int, r: int,
 # The growth loop
 # ---------------------------------------------------------------------------
 
+_TIME_CHECK_STRIDE = 256  # applications between wall-clock reads
+
+
 class Grown(NamedTuple):
     """A grown e-graph, the class of the input in it, why growth stopped
     and how many iterations ran."""
@@ -513,9 +515,10 @@ def grow(e: Expression, rules: list, cfg: ExpansionConfig,
     ends growth with ``NodeLimit``; the matches and rules after it lose
     their turn.  Otherwise growth stops on whichever termination condition
     fires first.  The wall clock starts once the input's graph is built,
-    and is read between iterations, before each rule is matched and every
-    ``_TIME_CHECK_STRIDE`` applications of one rule's matches.  With
-    ``target_ast_size`` set, each iteration that no other condition stops
+    and is read between iterations, before each rule is matched and before
+    each slice of ``_TIME_CHECK_STRIDE`` of its matches after the first,
+    never inside a rule's generated code.  With ``target_ast_size`` set,
+    each iteration that no other condition stops
     ends with one :func:`extract_max` call at ``cfg``'s extraction
     settings, and growth stops with ``TargetSizeReached`` once that term
     has the target size.  An input that no rule matches stops with
@@ -556,8 +559,11 @@ def _iterate(g: EGraph, rules: list, deadline: float) -> tuple:
     ``(stop, changed)``, with ``stop`` the reason that ended it early
     (``TimeLimit`` or ``NodeLimit``) or None, and ``changed`` whether any
     application changed the graph.  Each rule's matches are applied in
-    one :func:`~mbaobf.rules.apply_match` call.  The index and the match
-    lists are freed on return, before the caller rebuilds."""
+    :func:`~mbaobf.rules.apply_match` calls of up to
+    ``_TIME_CHECK_STRIDE`` matches, and the clock is read before each
+    rule is matched and before each of its slices after the first.  The
+    index and the match lists are freed on return, before the caller
+    rebuilds."""
     index = _label_index(g)
     shared: dict = {}  # left side -> its matches against this index
     changed = False
@@ -567,12 +573,14 @@ def _iterate(g: EGraph, rules: list, deadline: float) -> tuple:
         matches = shared.get(rule.lhs)
         if matches is None:
             matches = shared[rule.lhs] = ematch(g, rule, index)
-        try:
-            changed |= apply_match(g, rule, matches, deadline)
-        except CapacityExceededError:
-            return StopReason.NODE_LIMIT, changed
-        except DeadlineExceededError:
-            return StopReason.TIME_LIMIT, changed
+        for start in range(0, len(matches), _TIME_CHECK_STRIDE):
+            if start and time.monotonic() >= deadline:
+                return StopReason.TIME_LIMIT, changed
+            try:
+                changed |= apply_match(
+                    g, rule, matches[start:start + _TIME_CHECK_STRIDE])
+            except CapacityExceededError:
+                return StopReason.NODE_LIMIT, changed
     return None, changed
 
 

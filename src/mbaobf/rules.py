@@ -23,19 +23,19 @@ that :func:`ematch` runs, and its right side into an application that
 takes a whole list of matches.  For each match in turn it validates the
 ids, does the e-graph's insertions inline and unions the right side's
 class into the matched one through :meth:`EGraph._merge`, the graph's one
-definition of a union.  :func:`apply_match` runs it once per rule and
-iteration, as egg applies each rule's matches as one batch, so growth
-pays no Python call per match.  Each match is applied whole or not at
-all: a right side the e-graph's node cap refuses partway is rolled back
-before the error propagates, and the matches before it stay applied.
+definition of a union.  :func:`apply_match` runs it on a whole slice of
+a rule's matches, as egg applies each rule's matches as one batch, so
+growth pays no Python call per match.  Each match is applied whole or
+not at all: a right side the e-graph's node cap refuses partway is
+rolled back before the error propagates, and the matches before it stay
+applied.  The code only applies: the growth loop owns the time budget
+and reads the clock between slices, as egg's ``Runner`` does.
 """
 
 from __future__ import annotations
 
 import importlib.resources
-import math
 import re
-import time
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
@@ -83,15 +83,6 @@ class RuleSyntaxError(Exception):
         self.line = line
         self.message = message
         super().__init__(f"line {line}: {message}")
-
-
-class DeadlineExceededError(Exception):
-    """A batch of applications read the clock at or past its deadline; the
-    matches before that read are applied."""
-
-    def __init__(self, deadline: float):
-        self.deadline = deadline
-        super().__init__(f"deadline {deadline} passed during application")
 
 
 class UnboundRhsVarError(Exception):
@@ -265,7 +256,6 @@ def _compile_matcher(name: str, lhs: Pattern) -> _Program:
     return _Program(names, tuple(leaves), _exec(name, src, {})["match"])
 
 
-_TIME_CHECK_STRIDE = 256  # applications between wall-clock reads
 _NO_ROOT = object()  # a match root whose right side is built, not unioned
 
 
@@ -276,7 +266,7 @@ def _exec(name: str, src: list, env: dict) -> dict:
 
 
 def _compile_application(name: str, rhs: Pattern, names: tuple) -> Callable:
-    """Generate ``apply(g, matches, deadline)``: the right side built and
+    """Generate ``apply(g, matches)``: the right side built and
     unioned into the matched class for each ``(root, bindings)`` of
     ``matches`` in order; returns whether the graph changed.
 
@@ -293,9 +283,7 @@ def _compile_application(name: str, rhs: Pattern, names: tuple) -> Callable:
     right side's class is then unioned into the root through
     :meth:`EGraph._merge`; a root of ``_NO_ROOT`` is built but not
     unioned.  A right side refused partway is rolled back before the
-    error propagates, and the matches before it are kept.  The clock is
-    read every ``_TIME_CHECK_STRIDE`` matches, and once it reaches
-    ``deadline`` the call raises :class:`DeadlineExceededError`.
+    error propagates, and the matches before it are kept.
 
     The source holds only slot numbers, labels of :data:`OPERATORS` and
     names bound in its namespace: each ``Var`` leaf's key and each
@@ -370,28 +358,22 @@ def _compile_application(name: str, rhs: Pattern, names: tuple) -> Callable:
               "    continue",
               f"if merge(r, {top}):",
               "    changed = True"]
-    src = ["def apply(g, matches, deadline):",
+    src = ["def apply(g, matches):",
            "    hashcons, uf, cap = g._hashcons, g._uf, g.max_nodes",
            "    staged, payloads = g._staged, g._payloads",
            "    get, canon, merge = hashcons.get, g._find, g._merge",
            *(["    mask = (1 << g.bits) - 1", *consts] if consts else []),
            "    changed = False",
            "    try:",
-           "        for start in range(0, len(matches), STRIDE):",
-           "            if start and monotonic() >= deadline:",
-           "                raise DeadlineExceededError(deadline)",
-           f"            for r, ({targets}) in "
-           "matches[start:start + STRIDE]:",
-           *[f"                {line}" for line in match],
+           f"        for r, ({targets}) in matches:",
+           *[f"            {line}" for line in match],
            "    except CapacityExceededError:",
            "        # the refused match's insertions: a key, id and row each",
            "        g.rollback(len(hashcons) - (len(uf) - n))",
            "        raise",
            "    return changed"]
-    env = {"CapacityExceededError": CapacityExceededError,
-           "DeadlineExceededError": DeadlineExceededError, "ENode": ENode,
+    env = {"CapacityExceededError": CapacityExceededError, "ENode": ENode,
            "InvalidIdError": InvalidIdError, "NO_ROOT": _NO_ROOT,
-           "STRIDE": _TIME_CHECK_STRIDE, "monotonic": time.monotonic,
            "new": tuple.__new__, **leaves}
     return _exec(name, src, env)["apply"]
 
@@ -402,19 +384,12 @@ def _compile_application(name: str, rhs: Pattern, names: tuple) -> Callable:
 
 
 def _label_index(g: EGraph) -> dict:
-    """``{class id: {label: [nodes]}}``, ascending id order: each class's
-    nodes grouped by label, as :meth:`EGraph.classes` gives them; built
-    once per iteration and read by every rule's match.  Raises
-    ``ValueError`` while merges are pending, as extraction does, since
-    keys and classes may then be stale."""
+    """``{class id: {label: [nodes]}}``, ascending id order, from
+    :meth:`EGraph.classes_by_label`; built once per iteration and read by
+    every rule's match.  Raises ``ValueError`` while merges are pending,
+    as extraction does, since keys and classes may then be stale."""
     g._check_rebuilt()
-    index: dict = {}
-    for cid, nodes in g.classes().items():
-        by_label: dict = {}
-        for n in nodes:
-            by_label.setdefault(n.label, []).append(n)
-        index[cid] = by_label
-    return index
+    return g.classes_by_label()
 
 
 def ematch(g: EGraph, rule: Rule, index: Optional[dict] = None) -> list:
@@ -450,14 +425,13 @@ def count_new_nodes(g: EGraph, rule: Rule, m: tuple) -> int:
     where :func:`apply_match` would raise
     :class:`~mbaobf.egraph.CapacityExceededError`."""
     before = g.node_count()
-    rule.apply(g, [(_NO_ROOT, m[1])], math.inf)
+    rule.apply(g, [(_NO_ROOT, m[1])])
     added = g.node_count() - before
     g.rollback(before)
     return added
 
 
-def apply_match(g: EGraph, rule: Rule, matches: list,
-                deadline: float = math.inf) -> bool:
+def apply_match(g: EGraph, rule: Rule, matches: list) -> bool:
     """Apply ``rule`` to each of ``matches`` in order: union the
     instantiated right side into the matched class.  Each match is a
     ``(root, bindings)`` tuple from :func:`ematch` for ``rule``.
@@ -470,9 +444,8 @@ def apply_match(g: EGraph, rule: Rule, matches: list,
     side the node cap refuses is rolled back, so the graph holds the
     earlier matches' work when the
     :class:`~mbaobf.egraph.CapacityExceededError` propagates.  The clock
-    is read every ``_TIME_CHECK_STRIDE`` matches; once it reaches
-    ``deadline``, :class:`DeadlineExceededError` propagates with the
-    matches before that read applied.  The caller must rebuild before the
-    next matching round.
+    is not read here: growth passes a rule's matches in slices and reads
+    it between them.  The caller must rebuild before the next matching
+    round.
     """
-    return rule.apply(g, matches, deadline)
+    return rule.apply(g, matches)

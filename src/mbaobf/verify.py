@@ -108,7 +108,6 @@ def _check_trials(trials: int) -> None:
 
 
 def _random_env(keys: list, bits: int, trials: int, seed: int) -> dict:
-    _check_trials(trials)
     rng = np.random.default_rng(seed)
     return {key: rng.integers(0, 1 << bits, size=trials,
                               dtype=np.uint64).astype(_DTYPES[bits])
@@ -157,6 +156,7 @@ def check_rule_random(rule: Rule, bits: int, trials: int,
     """Randomized soundness check: ``trials`` (1 to
     :data:`EXHAUSTIVE_CASE_LIMIT`) seeded assignments."""
     check_bitwidth(bits)
+    _check_trials(trials)
     env = _random_env(_rule_leaves(rule), bits, trials, seed)
     return _compare(rule.lhs, rule.rhs, env, bits)
 
@@ -166,10 +166,12 @@ def check_equivalence(a: Expression, b: Expression, bits: int,
     """Check two expressions for equal value on every environment.
 
     Exhaustive when the environment space fits the feasibility limit,
-    otherwise ``trials`` (1 to :data:`EXHAUSTIVE_CASE_LIMIT`) seeded
-    random environments over the union of the free variables.
+    otherwise ``trials`` seeded random environments over the union of the
+    free variables.  ``trials`` below 1 or above
+    :data:`EXHAUSTIVE_CASE_LIMIT` raises ValueError, whichever check runs.
     """
     check_bitwidth(bits)
+    _check_trials(trials)
     names = sorted(free_vars(a) | free_vars(b))
     cases = (1 << bits) ** len(names)
     if cases <= EXHAUSTIVE_CASE_LIMIT:

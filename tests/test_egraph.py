@@ -5,7 +5,9 @@ import pytest
 
 from mbaobf.egraph import (_CODES, CapacityExceededError, EGraph, ENode,
                            InvalidIdError, check_invariants)
+from mbaobf.expansion import ExpansionConfig, grow
 from mbaobf.expr import parse
+from mbaobf.rules import load_default_rules
 
 from conftest import NaivePartition, random_expr
 
@@ -418,6 +420,34 @@ class TestQueries:
                 assert grouped == {cid: sorted(members, key=g._hashcons.get)
                                    for cid, members in g.classes().items()}
         assert merged_away > 0 and dead > 0
+
+    def test_classes_by_label_groups_the_hashcons(self, rng):
+        # Graphs grown by the shipped rules, then with random unions, so
+        # hashcons values are merged-away ids: the one-walk index is the
+        # hashcons grouped by ``find`` and label, classes ascending and
+        # nodes in hashcons order, and ``classes()`` is that, flattened.
+        rules = load_default_rules()
+        for _ in range(12):
+            e = random_expr(rng, rng.randint(1, 8), bits=8, const_prob=0.3)
+            g = grow(e, rules, ExpansionConfig(
+                node_limit=rng.choice((40, 150, 400)), iter_limit=4,
+                time_limit=60.0)).graph
+            for _ in range(rng.randint(0, 3)):
+                ids = range(len(g._uf))
+                g.union(rng.choice(ids), rng.choice(ids))
+                g.rebuild()
+            expected = {}
+            for cid in sorted({g.find(c) for c in g._hashcons.values()}):
+                expected[cid] = {}
+            for node, cid in g._hashcons.items():
+                expected[g.find(cid)].setdefault(node.label, []).append(node)
+            index = g.classes_by_label()
+            assert list(index) == list(expected)
+            assert all(list(index[c]) == list(expected[c]) for c in index)
+            assert index == expected
+            assert g.classes() == {
+                cid: [n for nodes in by.values() for n in nodes]
+                for cid, by in expected.items()}
 
     def test_node_count_empty(self):
         assert EGraph().node_count() == 0

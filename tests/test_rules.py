@@ -1,13 +1,14 @@
 import dataclasses
 import random
-import time
+import types
 
 import pytest
 
+import mbaobf.expansion
 from mbaobf.egraph import CapacityExceededError, EGraph, InvalidIdError
+from mbaobf.expansion import _TIME_CHECK_STRIDE, StopReason, _iterate
 from mbaobf.expr import ADD, MAX_DEPTH, MUL, NOT, Const, Op, Var, parse
-from mbaobf.rules import (_TIME_CHECK_STRIDE, DeadlineExceededError, PatVar,
-                          Rule, RuleSyntaxError, UnboundRhsVarError,
+from mbaobf.rules import (PatVar, Rule, RuleSyntaxError, UnboundRhsVarError,
                           _label_index, apply_match, count_new_nodes, ematch,
                           load_default_rules, parse_rules)
 
@@ -866,20 +867,28 @@ class TestBatchApplication:
                     apply_match(g, rule, matches[:k] + [m] + matches[k + 1:])
                 assert_twins(g, ref)
 
-    def test_past_deadline_stops_at_the_first_clock_read(self):
-        # mul-one matches every class; the clock is first read after
-        # _TIME_CHECK_STRIDE matches, so a smaller batch runs to its end
+    def test_iterate_reads_the_clock_between_slices(self, monkeypatch):
+        # mul-one matches every class.  On a fake clock the limit passes
+        # right after the read before the rule is matched: the first
+        # _TIME_CHECK_STRIDE matches are applied, and the read before the
+        # next slice stops the iteration, so a smaller batch runs to its end
+        reads = []
+
+        def monotonic():
+            reads.append(None)
+            return 0.0 if len(reads) == 1 else 2.0
+
+        monkeypatch.setattr(mbaobf.expansion, "time",
+                            types.SimpleNamespace(monotonic=monotonic))
         (rule,) = [r for r in load_default_rules() if r.name == "mul-one"]
-        texts = [f"v{i}" for i in range(_TIME_CHECK_STRIDE + 10)]
-        past = time.monotonic() - 1.0
-        matches = ematch(graph_of(*texts)[0], rule)
-        assert len(matches) > _TIME_CHECK_STRIDE
-        for batch in (matches[:_TIME_CHECK_STRIDE], matches):
+        for n in (_TIME_CHECK_STRIDE, _TIME_CHECK_STRIDE + 10):
+            texts = [f"v{i}" for i in range(n)]
             (g, _), (ref, _) = graph_of(*texts), graph_of(*texts)
-            reference_batch(ref, rule, batch[:_TIME_CHECK_STRIDE])
-            if len(batch) > _TIME_CHECK_STRIDE:
-                with pytest.raises(DeadlineExceededError):
-                    apply_match(g, rule, batch, past)
-            else:
-                assert apply_match(g, rule, batch, past)
+            matches = ematch(ref, rule)
+            assert len(matches) == n
+            reference_batch(ref, rule, matches[:_TIME_CHECK_STRIDE])
+            reads.clear()
+            stop = StopReason.TIME_LIMIT if n > _TIME_CHECK_STRIDE else None
+            assert _iterate(g, [rule], 1.0) == (stop, True)
+            assert len(reads) == 1 + (stop is not None)
             assert_twins(g, ref)

@@ -149,11 +149,20 @@ class TestCheckEquivalence:
                                 trials=250, seed=5)
         assert res.passed and res.cases_checked == 250
 
-    @pytest.mark.parametrize("trials", [0, -1])
-    def test_random_check_rejects_trials_below_one(self, trials):
-        # 2**64 environments take the random check, which needs a sample
-        with pytest.raises(ValueError, match="trials must be at least 1"):
-            check_equivalence(parse("x"), parse("x + 1"), 64, trials=trials)
+    @pytest.mark.parametrize("bits, trials, message", [
+        pytest.param(64, 0, "at least 1", id="0"),
+        pytest.param(64, -1, "at least 1", id="-1"),
+        pytest.param(8, 0, "at least 1", id="8-bit-0"),
+        pytest.param(8, -1, "at least 1", id="8-bit--1"),
+        pytest.param(8, EXHAUSTIVE_CASE_LIMIT + 1, "at most",
+                     id="8-bit-above-the-limit")])
+    def test_random_check_rejects_trials_below_one(self, bits, trials,
+                                                    message):
+        # 2**64 environments take the random check, which needs a sample;
+        # 2**8 take the exhaustive one, and ``trials`` is checked anyway
+        with pytest.raises(ValueError, match=f"trials must be {message}"):
+            check_equivalence(parse("x"), parse("x + 1"), bits,
+                              trials=trials)
 
 
 class TestVectorizedEvaluator:
