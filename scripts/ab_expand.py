@@ -51,7 +51,7 @@ def extract_ref(ref: str, dest: Path) -> None:
     with tarfile.open(fileobj=io.BytesIO(tar.stdout)) as archive:
         for member in archive.getmembers():
             member.name = member.name.replace("src/mbaobf", "mbaobf_ref", 1)
-            archive.extract(member, dest)
+            archive.extract(member, dest, filter="data")
 
 
 class Side:

@@ -35,7 +35,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from mbaobf import ExpansionConfig, expand, load_default_rules, parse
-from mbaobf.cli import _report_json
+from mbaobf.cli import _read_corpus, _report_json
 
 PASSES = 5
 
@@ -63,9 +63,8 @@ def main() -> None:
                           time_limit=args.time_limit_ms / 1000.0,
                           extraction_rounds=args.rounds,
                           max_output_nodes=args.max_output_nodes)
-    corpus = (ROOT / "corpus" / "sample100.txt").read_bytes()
-    lines = [ln.strip() for ln in corpus.decode("utf-8").split("\n")]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    corpus = ROOT / "corpus" / "sample100.txt"
+    lines = [text for _, text in _read_corpus(corpus)]
     rules = load_default_rules()
     passes = []
     digests = []
@@ -91,7 +90,7 @@ def main() -> None:
         "src_matches_commit": git("diff", "--quiet", "HEAD", "--",
                                   "src").returncode == 0,
         "flags": flags,
-        "corpus_sha256": hashlib.sha256(corpus).hexdigest(),
+        "corpus_sha256": hashlib.sha256(corpus.read_bytes()).hexdigest(),
         "lines": len(lines),
         "passes_s": [round(t, 3) for t in passes],
         "wall_s": round(wall, 3),

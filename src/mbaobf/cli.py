@@ -19,8 +19,9 @@ stderr.
 
 ``bench`` does not stop at a bad line: a line that does not parse, whose
 output would exceed the output size cap, whose e-graph alone exceeds the
-node budget or that cannot be extracted is reported on stderr, counted as
-skipped and left out of both artifacts.  It exits 2 only when every line
+node budget or that cannot be extracted is reported on stderr by its
+line number in the file, counted as skipped and left out of both
+artifacts.  It exits 2 only when every line
 is skipped.
 """
 
@@ -139,6 +140,15 @@ def _read_text(path: str) -> str:
             raise _Fail(f"error: {path}: {exc}") from exc
 
 
+def _read_corpus(path) -> list:
+    """The expressions of the corpus at ``path``, each as ``(line number
+    in the file, stripped text)``; blank lines and ``#`` lines are
+    dropped after numbering."""
+    lines = _read_text(path).split("\n")
+    return [(lineno, text) for lineno, raw in enumerate(lines, start=1)
+            if (text := raw.strip()) and not text.startswith("#")]
+
+
 def _load_rules(path: Optional[str]) -> list:
     """The rules of every command: the file at ``path``, or the shipped set
     when None."""
@@ -254,15 +264,14 @@ def run_obfuscate(args) -> int:
 
 def run_bench(args) -> int:
     cfg, rules = _setup(args)
-    lines = [ln.strip() for ln in _read_text(args.corpus).split("\n")]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    lines = _read_corpus(args.corpus)
     if not lines:
         raise _Fail("error: empty corpus")
 
     rows = []
     pairs = []
     failures = 0
-    for lineno, text in enumerate(lines, start=1):
+    for lineno, text in lines:
         try:
             report, check = _run_line(text, rules, cfg, args)
         except tuple(_LINE_ERRORS) as exc:

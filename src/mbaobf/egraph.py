@@ -20,10 +20,10 @@ Representation: an :class:`ENode` is a named tuple ``(label, payload,
 children)``, so hashing, equality and ordering run in C and a plain tuple
 of the same three fields is an equal hashcons key.  E-nodes sort as plain
 tuples wherever an order is needed.  :meth:`EGraph.leaf_key` is the one
-map from a ``Var`` or ``Const`` leaf to its key; the Python that each rule
-generates for its right side masks its constants the same way.  That
-code builds keys from canonical ids without constructing e-nodes, looks
-them up in the hashcons, and adds a miss inline as
+map from a ``Var`` or ``Const`` leaf to its key, for ``add_expr``, the
+matchers and the Python that each rule generates for its right side.
+That code builds keys from canonical ids without constructing e-nodes,
+looks them up in the hashcons, and adds a miss inline as
 :meth:`EGraph.add_canonical` does, the node cap checked first and the
 node's row staged; rule application then unions the right side's class
 into the matched one through :meth:`EGraph._merge`, the half of
@@ -197,7 +197,8 @@ class EGraph:
         each with no children.  Anything else raises ``ValueError``, and a
         child that is no class id of this graph raises
         :class:`InvalidIdError`.  :meth:`add_canonical` is the unchecked
-        path that ``add_expr`` and the rules' generated code take.
+        path, which ``add_expr`` takes; each rule's generated code makes
+        the same insertion inline.
         """
         label, payload, children = node
         op = OPERATORS.get(label) if type(label) is str else None

@@ -20,10 +20,12 @@ Each rule is compiled once, when it is made, as egg does, into two
 straight-line Python functions generated with no text of the rule file in
 them: its left side into a matcher, one nested loop per operator node,
 that :func:`ematch` runs, and its right side into an application that
-takes a whole list of matches.  For each match in turn it validates the
-ids, does the e-graph's insertions inline and unions the right side's
-class into the matched one through :meth:`EGraph._merge`, the graph's one
-definition of a union.  :func:`apply_match` runs it on a whole slice of
+takes a whole list of matches.  It keys the right side's leaves with
+:meth:`EGraph.leaf_key` once per call, as :func:`ematch` keys the
+matcher's; then for each match in turn it validates the ids, does the
+e-graph's insertions inline and unions the right side's class into the
+matched one through :meth:`EGraph._merge`, the graph's one definition
+of a union.  :func:`apply_match` runs it on a whole slice of
 a rule's matches, as egg applies each rule's matches as one batch, so
 growth pays no Python call per match.  Each match is applied whole or
 not at all: a right side the e-graph's node cap refuses partway is
@@ -256,9 +258,6 @@ def _compile_matcher(name: str, lhs: Pattern) -> _Program:
     return _Program(names, tuple(leaves), _exec(name, src, {})["match"])
 
 
-_NO_ROOT = object()  # a match root whose right side is built, not unioned
-
-
 def _exec(name: str, src: list, env: dict) -> dict:
     """Compile and run generated lines of rule ``name`` in ``env``."""
     exec(compile("\n".join(src), f"<rule {name}>", "exec"), env)
@@ -281,18 +280,16 @@ def _compile_application(name: str, rhs: Pattern, names: tuple) -> Callable:
     class id appended to the union-find, the key stored as an
     :class:`ENode` and its row staged, a leaf's payload kept apart.  The
     right side's class is then unioned into the root through
-    :meth:`EGraph._merge`; a root of ``_NO_ROOT`` is built but not
-    unioned.  A right side refused partway is rolled back before the
-    error propagates, and the matches before it are kept.
+    :meth:`EGraph._merge`.  A right side refused partway is rolled back
+    before the error propagates, and the matches before it are kept.
 
     The source holds only slot numbers, labels of :data:`OPERATORS` and
-    names bound in its namespace: each ``Var`` leaf's key and each
-    constant are passed as objects, the constant masked to the graph's
-    width once per call, as :meth:`EGraph.leaf_key` does.
+    names bound in its namespace: each ``Var`` or ``Const`` leaf is
+    passed as an object and keyed by :meth:`EGraph.leaf_key` once per
+    call.
     """
     slots = {n: i for i, n in enumerate(names)}
-    leaves: dict = {}  # namespace name -> Var key or constant
-    consts: list = []  # the constants' key lines, run once per call
+    leaves: dict = {}  # namespace name -> Var or Const leaf
     used: set = set()  # slots the right side reads
     missing: set = set()
     build: list = []
@@ -313,16 +310,10 @@ def _compile_application(name: str, rhs: Pattern, names: tuple) -> Callable:
             children = [emit(a) for a in q.args]
             key = f"({q.op.name!r}, None, ({', '.join(children)},))"
             cells = [q.op.name, *children, "-1"][:3]
-        elif isinstance(q, Var):
-            key = f"K{len(leaves)}"
-            leaves[key] = ("var", q.name, ())
-            cells = ["var", "-1", "-1"]
         else:
-            i = len(leaves)
-            leaves[f"C{i}"] = q.value
-            key = f"K{i}"
-            consts.append(f"    {key} = ('const', C{i} & mask, ())")
-            cells = ["const", "-1", "-1"]
+            key = f"K{len(leaves)}"
+            leaves[f"L{len(leaves)}"] = q
+            cells = ["var" if isinstance(q, Var) else "const", "-1", "-1"]
         out = f"n{len(build)}"
         row = [f"    staged += ({_CODES[cells[0]]}, {cells[1]}, {cells[2]})"]
         if not isinstance(q, Op):
@@ -342,27 +333,20 @@ def _compile_application(name: str, rhs: Pattern, names: tuple) -> Callable:
         raise UnboundRhsVarError(name, min(missing))
     targets = "".join(f"v{i}, " if i in used else "_, "
                       for i in range(len(names))).rstrip()
-    match = ["n = len(uf)",
-             "if type(r) is not int or not 0 <= r < n:",
-             "    if r is not NO_ROOT:",
-             "        raise InvalidIdError(r)",
-             "elif uf[r] != r:",
-             "    r = canon(r)"]
-    for i in sorted(used):
-        match += [f"if type(v{i}) is not int or not 0 <= v{i} < n:",
-                  f"    raise InvalidIdError(v{i})",
-                  f"if uf[v{i}] != v{i}:",
-                  f"    v{i} = canon(v{i})"]
+    match = ["n = len(uf)"]
+    for v in ["r", *[f"v{i}" for i in sorted(used)]]:
+        match += [f"if type({v}) is not int or not 0 <= {v} < n:",
+                  f"    raise InvalidIdError({v})",
+                  f"if uf[{v}] != {v}:",
+                  f"    {v} = canon({v})"]
     match += [line for node in build for line in node]
-    match += ["if r is NO_ROOT:",
-              "    continue",
-              f"if merge(r, {top}):",
+    match += [f"if merge(r, {top}):",
               "    changed = True"]
     src = ["def apply(g, matches):",
            "    hashcons, uf, cap = g._hashcons, g._uf, g.max_nodes",
            "    staged, payloads = g._staged, g._payloads",
            "    get, canon, merge = hashcons.get, g._find, g._merge",
-           *(["    mask = (1 << g.bits) - 1", *consts] if consts else []),
+           *[f"    K{i} = g.leaf_key(L{i})" for i in range(len(leaves))],
            "    changed = False",
            "    try:",
            f"        for r, ({targets}) in matches:",
@@ -373,8 +357,7 @@ def _compile_application(name: str, rhs: Pattern, names: tuple) -> Callable:
            "        raise",
            "    return changed"]
     env = {"CapacityExceededError": CapacityExceededError, "ENode": ENode,
-           "InvalidIdError": InvalidIdError, "NO_ROOT": _NO_ROOT,
-           "new": tuple.__new__, **leaves}
+           "InvalidIdError": InvalidIdError, "new": tuple.__new__, **leaves}
     return _exec(name, src, env)["apply"]
 
 
@@ -420,15 +403,17 @@ def ematch(g: EGraph, rule: Rule, index: Optional[dict] = None) -> list:
 
 
 def count_new_nodes(g: EGraph, rule: Rule, m: tuple) -> int:
-    """Nodes :func:`apply_match` would add for the match ``m``, exactly:
-    the rule's right side built, then rolled back.  Reads no root; raises
-    where :func:`apply_match` would raise
-    :class:`~mbaobf.egraph.CapacityExceededError`."""
-    before = g.node_count()
-    rule.apply(g, [(_NO_ROOT, m[1])])
-    added = g.node_count() - before
-    g.rollback(before)
-    return added
+    """Nodes :func:`apply_match` would add for the match ``m``, exactly,
+    with the graph left as it was: ``m`` is applied, then undone, the
+    nodes rolled back and the union-find and pending merges copied first
+    put back.  Raises wherever :func:`apply_match` raises."""
+    before, uf, merged = g.node_count(), g._uf[:], set(g._merged)
+    try:
+        rule.apply(g, [m])
+        return g.node_count() - before
+    finally:
+        g.rollback(before)
+        g._uf[:], g._merged = uf, merged
 
 
 def apply_match(g: EGraph, rule: Rule, matches: list) -> bool:

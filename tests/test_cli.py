@@ -311,11 +311,16 @@ class TestBench:
         assert main(["bench", "-f", corpus, *FAST]) == 2
 
     def test_bad_lines_skipped_with_summary(self, tmp_path, capsys):
-        corpus = self.write_corpus(tmp_path, ["x + y", "x +", "x * y"])
+        # a skipped line is reported by its line number in the file,
+        # comment and blank lines counted
+        corpus = self.write_corpus(tmp_path, ["# header", "", "x + y", "",
+                                              "x +", "x * y"])
         base = str(tmp_path / "out")
         assert main(["bench", "-f", corpus, "-o", base, *FAST]) == 0
         captured = capsys.readouterr()
-        assert "skipped" in captured.err or "skipped" in captured.out
+        assert "line 5: skipped (" in captured.err
+        assert "line 2:" not in captured.err
+        assert "2 expressions processed, 1 skipped" in captured.out
         rows = Path(base + ".jsonl").read_text(
             encoding="utf-8").splitlines()
         assert len(rows) == 2

@@ -645,6 +645,7 @@ unary-chain : ?a => ~(-(~(-?a)))
 repeated-var : ?a + ?a => (?a * ?a) + (?a & (~?a))
 var-leaf : x + ?b => (?b + x) - (y ^ x)
 wide-const : ?a => ?a + 255
+wider-than-64-bits : ?a => ?a + 18446744073709551617
 """) + [Rule("deep", PatVar("a"), deep_rhs()),
         Rule("hostile-var", PatVar("a"), Op(ADD, (PatVar("a"), Var(HOSTILE))))]
 
@@ -704,7 +705,7 @@ class TestGeneratedApplication:
             g, ref = twin_graphs(rng, bits, grown)
             self.check_all_matches(g, ref, load_default_rules())
 
-    @pytest.mark.parametrize("bits", [4, 8])
+    @pytest.mark.parametrize("bits", [4, 8, 64])
     @pytest.mark.parametrize("grown", [False, True])
     def test_edge_rules_match_the_reference(self, rng, bits, grown):
         for _ in range(2):
