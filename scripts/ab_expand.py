@@ -11,12 +11,14 @@ directory and imported as the package ``mbaobf_ref``; the working tree's
 rules, parses the lines of one perfbench workload (``--seed`` feeds its
 generator, ``--lines`` defaults to the workload's count for a 30 s run)
 and is timed over all of them, round after round, the side that goes
-first alternating.  Both sides must give byte-identical output texts; the
-script exits 1 if they do not.  It prints each side's min, median and
-quartiles of the round times, the ratio of the medians, in how many
-rounds the working tree was the faster side, and whether that is a gain
-by the rule of the ``choosing-metrics`` guide: faster in at least nine
-tenths of the rounds, by a median gap larger than the ref's
+first alternating.  For each line both sides must give the same output
+text, stop reason, iteration count and final node count, so that growth
+stopping elsewhere shows even where the output cap hides it in the
+text; the script exits 1 if they do not.  It prints each side's min,
+median and quartiles of the round times, the ratio of the medians, in
+how many rounds the working tree was the faster side, and whether that
+is a gain by the rule of the ``choosing-metrics`` guide: faster in at
+least nine tenths of the rounds, by a median gap larger than the ref's
 interquartile range.
 
 Across processes, identical runs on a small shared machine can spread
@@ -65,10 +67,15 @@ class Side:
         self.times: list = []
 
     def run(self) -> list:
+        """Each line's output text, stop reason, iterations and final
+        node count."""
         expand, to_text = self.pkg.expand, self.pkg.to_text
+        out = []
         start = time.perf_counter()
-        out = [to_text(expand(e, self.rules, self.cfg, self.bits).output)
-               for e in self.exprs]
+        for e in self.exprs:
+            r = expand(e, self.rules, self.cfg, self.bits)
+            out.append((to_text(r.output), r.stop.value, r.iterations,
+                        r.final_node_count))
         self.times.append(time.perf_counter() - start)
         return out
 
@@ -93,10 +100,11 @@ def main() -> int:
         for r in range(args.rounds):
             first, second = sides if r % 2 == 0 else sides[::-1]
             if first.run() != second.run():
-                print(f"round {r}: outputs differ", file=sys.stderr)
+                print(f"round {r}: outputs or stop points differ",
+                      file=sys.stderr)
                 return 1
     print(f"{args.workload}, {len(lines)} lines, seed {args.seed}, "
-          f"{args.rounds} rounds, outputs identical")
+          f"{args.rounds} rounds, outputs and stop points identical")
     for side in sides:
         q1, _, q3 = quartiles(side.times)
         print(f"  {side.name:>14}: min {min(side.times):.3f} s, "

@@ -25,7 +25,7 @@ matchers and the Python that each rule generates for its right side.
 That code builds keys from canonical ids without constructing e-nodes,
 looks them up in the hashcons, and adds a miss inline as
 :meth:`EGraph.add_canonical` does, the node cap checked first and the
-node's row staged; rule application then unions the right side's class
+node's row written; rule application then unions the right side's class
 into the matched one through :meth:`EGraph._merge`, the half of
 :meth:`EGraph.union` that trusts its ids and the only code that records
 a merged class.  A merge always makes the smaller id the parent, so each
@@ -33,33 +33,33 @@ union-find entry is at most its id.  :meth:`EGraph.classes_by_label`
 and extraction resolve every id's class at once, by numpy pointer jumping
 over the union-find.
 
-Each insertion also records its e-node as one row of an integer node
-table, indexed by the id of the class it was inserted with, which is
-the id the hashcons maps the node to: a label code (the label's rank in
-plain label order) and two child columns, -1 where a child is missing.
-A leaf's variable name or constant, which may be as large as 2^64 - 1,
-stays out of the table, in a dict keyed by row.  Rows are staged in a
-flat list as they are added and moved into an ``array('q')`` when the
-table is next read, so each row is converted once and a read is a
-zero-copy numpy view.  Rebuild and extraction read the table instead of
-walking the hashcons.
+Each insertion adds one hashcons entry, one union-find entry and one
+row of an integer node table, an ``array('q')`` written at once: the
+three grow in lockstep, and the row's index is the id of the class the
+node was inserted with, which is the id the hashcons maps the node to.
+A row holds a label code (the label's rank in plain label order) and
+two child columns, -1 where a child is missing.  A leaf's variable name
+or constant, which may be as large as 2^64 - 1, stays out of the table,
+in a dict keyed by row.  A read of the table is a zero-copy numpy view;
+rebuild and extraction read it instead of walking the hashcons.
 
-The hashcons, the node table, the union-find and the set of classes
-merged away since the last rebuild are the graph's whole state.  The
-hashcons is the one record of class membership; one walk of it,
-:meth:`EGraph.classes_by_label`, groups it by class and label, and
-:meth:`EGraph.classes` reads that.  Each hashcons value is a live row
-whose columns equal its key; a row whose key went to another row in a
-rebuild is dead, its cells all -1.  Rebuilding is deferred: a union
-only records the losing class, and :meth:`EGraph.rebuild` re-keys, in
-place, the keys with a child in that set, each under its canonical form,
-until a pass merges no classes.  egg repairs only the parents of merged
-classes too, but through a parent list per class; finding the stale keys
-instead is one numpy test of the table's two child columns against the
-set.  Few keys go stale: over 20 lines of the benchmark's workloads,
-0.28% (corpus defaults) and 0.33% (node limit 8000) of the keys that
-full re-key passes visited had a merged child.  Hashcons values may be
-merged-away ids; every reader maps them through :meth:`EGraph.find`.
+The hashcons, the union-find, the node table with its leaf payloads and
+the set of classes merged away since the last rebuild are the graph's
+whole state.  The hashcons is the one record of class membership; one
+walk of it, :meth:`EGraph.classes_by_label`, groups it by class and
+label, and :meth:`EGraph.classes` reads that.  Each hashcons value is a
+live row whose columns equal its key; a row whose key went to another
+row in a rebuild is dead, its cells all -1.  Rebuilding is deferred: a
+union only records the losing class, and :meth:`EGraph.rebuild`
+re-keys, in place, the keys with a child in that set, each under its
+canonical form, until a pass merges no classes.  egg repairs only the
+parents of merged classes too, but through a parent list per class;
+finding the stale keys instead is one numpy test of the table's two
+child columns against the set.  Few keys go stale: over 20 lines of the
+benchmark's workloads, 0.28% (corpus defaults) and 0.33% (node limit
+8000) of the keys that full re-key passes visited had a merged child.
+Hashcons values may be merged-away ids; every reader maps them through
+:meth:`EGraph.find`.
 """
 
 from __future__ import annotations
@@ -129,7 +129,6 @@ class EGraph:
         self._hashcons: dict = {}  # canonical ENode -> EClassId
         self._merged: set = set()  # classes merged away since last pass
         self._table = array("q")  # rows: label code, first, second child
-        self._staged: list = []  # rows added since the last read, flat
         self._payloads: dict = {}  # leaf row -> its variable or constant
 
     # -- union-find ---------------------------------------------------------
@@ -220,18 +219,17 @@ class EGraph:
     def add_canonical(self, key: tuple) -> EClassId:
         """Insert ``(label, payload, children)`` whose children are canonical
         ids; returns the canonical class.  A miss is checked against the
-        cap, then added as a new class with its row staged."""
+        cap, then added as a new class with its row written."""
         existing = self._hashcons.get(key)
         if existing is not None:
             return self._find(existing)
         if len(self._hashcons) >= self.max_nodes:
             raise CapacityExceededError(self.max_nodes)
         label, payload, children = key
-        row = (_CODES[label], *children, -1, -1)[:3]
         cid = len(self._uf)
         self._uf.append(cid)
         self._hashcons[key if type(key) is ENode else ENode._make(key)] = cid
-        self._staged += row
+        self._table.fromlist([_CODES[label], *children, -1, -1][:3])
         if not children:
             self._payloads[cid] = payload
         return cid
@@ -251,18 +249,18 @@ class EGraph:
         children = tuple(self.add_expr(a) for a in e.args)
         return self.add_canonical((e.op.name, None, children))
 
-    def rollback(self, nodes: int) -> None:
-        """Remove what was added since the graph held ``nodes`` nodes, with
-        no union or rebuild since: each insertion added one hashcons entry,
+    def rollback(self, ids: int) -> None:
+        """Remove every node inserted with an id from ``ids`` on, with no
+        union or rebuild since: each insertion added one hashcons entry,
         one class id and one row, so the first two are popped, newest
-        first, and the table is cut to the ids left."""
+        first, with any leaf payload, and the table is cut to ``ids``
+        rows."""
         hashcons, uf = self._hashcons, self._uf
-        while len(hashcons) > nodes:
+        while len(uf) > ids:
             hashcons.popitem()
             uf.pop()
             self._payloads.pop(len(uf), None)
-        self._flush()
-        del self._table[3 * len(uf):]
+        del self._table[3 * ids:]
 
     # -- merging ------------------------------------------------------------
 
@@ -321,7 +319,7 @@ class EGraph:
                         table[i] = child
                 else:
                     table[3 * row:3 * row + 3] = _DEAD
-                    self.union(prev, row)
+                    self._merge(self._find(prev), self._find(row))
         return passes
 
     # -- queries ------------------------------------------------------------
@@ -356,22 +354,15 @@ class EGraph:
 
     # -- the node table -----------------------------------------------------
 
-    def _flush(self) -> None:
-        """Move the staged rows into the table."""
-        self._table.fromlist(self._staged)
-        self._staged.clear()
-
     def _columns(self) -> np.ndarray:
-        """Every row as a ``(rows, 3)`` int64 view of the table: label
-        code, first child, second child.  The table cannot change size
-        while the view lives, so drop it before the graph next grows."""
-        self._flush()
+        """Every row as a zero-copy ``(rows, 3)`` int64 view of the
+        table, which holds each row from its insertion on: label code,
+        first child, second child.  The table cannot change size while
+        the view lives, so drop it before the graph next grows."""
         return np.frombuffer(self._table, np.int64).reshape(-1, 3)
 
     def _node(self, row: int) -> Optional[ENode]:
         """The e-node row ``row`` records, or None for a dead row."""
-        if self._staged:
-            self._flush()
         code, first, second = self._table[3 * row:3 * row + 3]
         if code < 0:
             return None
@@ -432,7 +423,6 @@ def check_invariants(g: EGraph) -> None:
     assert not g._merged, f"merges of {sorted(g._merged)} are pending"
     assert g.node_count() <= g.max_nodes, \
         f"{g.node_count()} nodes over the cap of {g.max_nodes}"
-    g._flush()
     assert len(g._table) == 3 * len(ids), \
         f"{len(g._table) // 3} rows for {len(ids)} ids"
     for n, cid in g._hashcons.items():

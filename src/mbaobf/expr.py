@@ -42,13 +42,13 @@ from typing import Callable, Optional, Union
 VALID_BITWIDTHS = (4, 8, 16, 32, 64)
 DEFAULT_BITWIDTH = 64
 
-# Deepest tree parse accepts.  The recursive consumers of a tree (evaluate,
-# EGraph.add_expr and the extractors' _reconstruct) take at most two levels
-# of the interpreter's recursion limit (default 1000) per tree level, and
-# structural ``==`` of two trees four, so all fit at this depth.  Both
-# extractors build terms at most this deep, extract_min included.  Every
-# other walker (to_text, free_vars, expr_size, measure, the numpy
-# evaluator) is iterative and takes any depth.
+# Deepest tree parse accepts.  The recursive consumers of a tree
+# (EGraph.add_expr and the extractors' _reconstruct) take at most two
+# levels of the interpreter's recursion limit (default 1000) per tree
+# level, and structural ``==`` of two trees four, so all fit at this
+# depth.  Both extractors build terms at most this deep, extract_min
+# included.  Every other walker (to_text, free_vars, expr_size, measure,
+# evaluate, the numpy evaluator) is iterative and takes any depth.
 MAX_DEPTH = 200
 
 
@@ -354,20 +354,19 @@ def evaluate(e: Expression, env: dict, bits: int = DEFAULT_BITWIDTH) -> int:
     """Evaluate under fixed-width two's-complement semantics.
 
     ``env`` must bind every free variable of ``e``; results and intermediate
-    values always lie in ``[0, 2**bits)``.
+    values always lie in ``[0, 2**bits)``.  Each distinct subterm of a
+    shared DAG is evaluated once.
     """
     m = mask_of(check_bitwidth(bits))
 
-    def value(node) -> int:
-        if isinstance(node, Op):
-            return node.op.fn(*map(value, node.args), m)
+    def leaf(node) -> int:
         if isinstance(node, Const):
             return node.value & m
         if node.name not in env:
             raise UnboundVariableError(node.name)
         return env[node.name] & m
 
-    return value(e)
+    return _fold(e, leaf, lambda node, *args: node.op.fn(*args, m))
 
 
 def free_vars(e: Expression) -> set:

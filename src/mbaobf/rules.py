@@ -278,10 +278,11 @@ def _compile_application(name: str, rhs: Pattern, names: tuple) -> Callable:
     is canonicalized as the ids are, and a miss is added inline, as
     :meth:`EGraph.add_canonical` would add it: the node cap is checked, a
     class id appended to the union-find, the key stored as an
-    :class:`ENode` and its row staged, a leaf's payload kept apart.  The
-    right side's class is then unioned into the root through
-    :meth:`EGraph._merge`.  A right side refused partway is rolled back
-    before the error propagates, and the matches before it are kept.
+    :class:`ENode` and its row written to the node table, a leaf's
+    payload kept apart.  The right side's class is then unioned into the
+    root through :meth:`EGraph._merge`.  A right side refused partway is
+    rolled back, by id, before the error propagates, and the matches
+    before it are kept.
 
     The source holds only slot numbers, labels of :data:`OPERATORS` and
     names bound in its namespace: each ``Var`` or ``Const`` leaf is
@@ -315,7 +316,7 @@ def _compile_application(name: str, rhs: Pattern, names: tuple) -> Callable:
             leaves[f"L{len(leaves)}"] = q
             cells = ["var" if isinstance(q, Var) else "const", "-1", "-1"]
         out = f"n{len(build)}"
-        row = [f"    staged += ({_CODES[cells[0]]}, {cells[1]}, {cells[2]})"]
+        row = [f"    put([{_CODES[cells[0]]}, {cells[1]}, {cells[2]}])"]
         if not isinstance(q, Op):
             row.append(f"    payloads[{out}] = k[1]")
         build.append([f"if ({out} := get(k := {key})) is None:",
@@ -344,7 +345,7 @@ def _compile_application(name: str, rhs: Pattern, names: tuple) -> Callable:
               "    changed = True"]
     src = ["def apply(g, matches):",
            "    hashcons, uf, cap = g._hashcons, g._uf, g.max_nodes",
-           "    staged, payloads = g._staged, g._payloads",
+           "    put, payloads = g._table.fromlist, g._payloads",
            "    get, canon, merge = hashcons.get, g._find, g._merge",
            *[f"    K{i} = g.leaf_key(L{i})" for i in range(len(leaves))],
            "    changed = False",
@@ -352,8 +353,7 @@ def _compile_application(name: str, rhs: Pattern, names: tuple) -> Callable:
            f"        for r, ({targets}) in matches:",
            *[f"            {line}" for line in match],
            "    except CapacityExceededError:",
-           "        # the refused match's insertions: a key, id and row each",
-           "        g.rollback(len(hashcons) - (len(uf) - n))",
+           "        g.rollback(n)",
            "        raise",
            "    return changed"]
     env = {"CapacityExceededError": CapacityExceededError, "ENode": ENode,
@@ -404,13 +404,13 @@ def ematch(g: EGraph, rule: Rule, index: Optional[dict] = None) -> list:
 
 def count_new_nodes(g: EGraph, rule: Rule, m: tuple) -> int:
     """Nodes :func:`apply_match` would add for the match ``m``, exactly,
-    with the graph left as it was: ``m`` is applied, then undone, the
-    nodes rolled back and the union-find and pending merges copied first
-    put back.  Raises wherever :func:`apply_match` raises."""
-    before, uf, merged = g.node_count(), g._uf[:], set(g._merged)
+    with the graph left as it was: ``m`` is applied, then undone, the ids
+    it added rolled back and the union-find and pending merges copied
+    first put back.  Raises wherever :func:`apply_match` raises."""
+    before, uf, merged = len(g._uf), g._uf[:], set(g._merged)
     try:
         rule.apply(g, [m])
-        return g.node_count() - before
+        return len(g._uf) - before
     finally:
         g.rollback(before)
         g._uf[:], g._merged = uf, merged

@@ -26,6 +26,7 @@ from typing import Optional
 
 import numpy as np
 
+from .expansion import _check_int
 from .expr import (Const, Expression, Var, _fold, check_bitwidth, free_vars,
                    mask_of)
 from .rules import PatVar, Rule
@@ -100,6 +101,7 @@ def _check_trials(trials: int) -> None:
     # Without a sample every random check would pass; past the exhaustive
     # limit a random check would draw more cases than any exhaustive one
     # enumerates, and at some size more than memory holds.
+    _check_int("trials", trials)
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     if trials > EXHAUSTIVE_CASE_LIMIT:
@@ -167,8 +169,9 @@ def check_equivalence(a: Expression, b: Expression, bits: int,
 
     Exhaustive when the environment space fits the feasibility limit,
     otherwise ``trials`` seeded random environments over the union of the
-    free variables.  ``trials`` below 1 or above
-    :data:`EXHAUSTIVE_CASE_LIMIT` raises ValueError, whichever check runs.
+    free variables.  ``trials`` that is not an ``int`` (a ``bool`` is
+    not), or is below 1 or above :data:`EXHAUSTIVE_CASE_LIMIT`, raises
+    ValueError, whichever check runs.
     """
     check_bitwidth(bits)
     _check_trials(trials)
@@ -188,9 +191,10 @@ def check_rules(rules: list, trials: int = 10_000, seed: int = 0) -> list:
     ``trials`` seeded random assignments otherwise; 64 bits always takes
     the random check.  Returns ``[(rule, label, result)]`` for every check
     performed, in order, where ``label`` names the check that ran:
-    ``exhaustive@8``, ``random@8`` or ``random@64``.  ``trials`` below 1
-    or above :data:`EXHAUSTIVE_CASE_LIMIT` raises ValueError before any
-    check, even for an empty ruleset.
+    ``exhaustive@8``, ``random@8`` or ``random@64``.  ``trials`` that is
+    not an ``int`` (a ``bool`` is not), or is below 1 or above
+    :data:`EXHAUSTIVE_CASE_LIMIT`, raises ValueError before any check,
+    even for an empty ruleset.
     """
     _check_trials(trials)
     results = []

@@ -1,6 +1,9 @@
 import hashlib
+import itertools
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +14,8 @@ import pytest
 import mbaobf.cli
 from mbaobf.cli import main
 from mbaobf.egraph import CapacityExceededError
-from mbaobf.expr import MAX_DEPTH, expr_size, parse, to_text
+from mbaobf.expr import (MAX_DEPTH, VALID_BITWIDTHS, expr_size, parse,
+                         to_text)
 from mbaobf.metrics import measure
 from mbaobf.rules import default_rules_text
 
@@ -576,6 +580,129 @@ class TestNoTraceback:
         assert "Traceback" not in proc.stderr
         assert "line 2: skipped" in proc.stderr
         assert "2 expressions processed, 1 skipped" in proc.stdout
+
+    def test_fuzzed_calls_end_in_a_documented_exit(self, tmp_path, capsys):
+        # ~200 seeded in-process calls of every command on mutated corpus
+        # lines and rule files, with flag values in and out of range:
+        # each must end in exit 0, 2 or 3 with no traceback.  Selfchecks
+        # run only on the shipped rules, whose outputs cannot fail one.
+        rng = random.Random(31)
+        lines = CORPUS.read_text().split("\n")[:40]
+        shipped = [line for line in default_rules_text().split("\n")
+                   if " : " in line]
+        serial = itertools.count()
+
+        def value(good, bad) -> str:
+            return str(rng.choice(bad if rng.random() < 0.03 else good))
+
+        def write(text: str) -> str:
+            data = text.encode("utf-8")
+            pick = rng.random()
+            if pick < 0.08:  # not UTF-8
+                at = rng.randint(0, len(data))
+                data = data[:at] + b"\xff\xfe" + data[at:]
+            elif pick < 0.16:
+                data = b"\xef\xbb\xbf" + data  # a byte-order mark
+            path = tmp_path / f"in{next(serial)}"
+            path.write_bytes(data)
+            return str(path)
+
+        def line() -> str:
+            pick = rng.random()
+            if pick < 0.05:  # nested past MAX_DEPTH
+                return "-" * (MAX_DEPTH + rng.randint(1, 50)) + "x"
+            if pick < 0.1:
+                return " + ".join(["x"] * (MAX_DEPTH + rng.choice([0, 1])))
+            if pick < 0.15:  # huge constants
+                return f"x + {rng.choice(['9' * 5000, '0x' + 'f' * 3000])}"
+            text = rng.choice(lines)
+            return mutate(rng, text, ["x", "y"]) if pick < 0.4 else text
+
+        def rule_file() -> str:
+            rules = [mutate(rng, r, ["?a", "?b"]) if rng.random() < 0.4 else r
+                     for r in rng.sample(shipped, rng.randint(1, 3))]
+            if rng.random() < 0.15:
+                rules[0] += " + ?z"  # a right side variable left unbound
+            return write("\n".join(rules) + "\n")
+
+        def engine_flags(selfcheck: bool) -> list:
+            flags = ["--no-check",
+                     "--node-limit", value(range(1, 401), [0, -5])]
+            for flag, good, bad in [
+                    ("--iter-limit", range(1, 8), [0, -1]),
+                    ("--time-limit-ms", [1, 20, 60000], [0, "1" + "0" * 400]),
+                    ("--rounds", range(1, MAX_DEPTH + 1), [0, MAX_DEPTH + 1]),
+                    ("--max-output-nodes", [1, 7, 40, 3000], [0, 2**24 + 1]),
+                    ("--target-size", [1, 50, 5000], [0, -3]),
+                    ("--seed", range(100), [-1])]:
+                if rng.random() < 0.5:
+                    flags += [flag, value(good, bad)]
+            # an 8-bit selfcheck of three variables is 2^24 environments
+            bits = [32, 64] if selfcheck else VALID_BITWIDTHS
+            flags += ["--bitwidth", str(rng.choice(bits))]
+            return flags + ["--selfcheck"] * selfcheck
+
+        def call() -> list:
+            command = rng.choices(["obfuscate", "metrics", "check-rules",
+                                   "bench"], [9, 4, 3, 4])[0]
+            if command == "metrics":
+                return ["metrics", f"--expr={line()}", "--bitwidth",
+                        str(rng.choice(VALID_BITWIDTHS)),
+                        *["--json"] * (rng.random() < 0.5)]
+            if command == "check-rules":
+                return ["check-rules", rule_file(),
+                        "--trials", value([1, 5, 50], [0, 2**24 + 1]),
+                        "--seed", value([0, 3], [-1])]
+            rules = ["-r", rule_file()] if rng.random() < 0.5 else []
+            flags = rules + engine_flags(not rules and rng.random() < 0.3)
+            if command == "obfuscate":
+                return ["obfuscate", f"--expr={line()}", *flags,
+                        *["--json"] * (rng.random() < 0.3)]
+            corpus = "\n".join(line() for _ in range(rng.randint(1, 4)))
+            return ["bench", "-f", write(corpus), "-o",
+                    str(tmp_path / "out"), *flags]
+
+        codes = []
+        for _ in range(200):
+            argv = call()
+            try:
+                code = main(argv)
+            except (Exception, SystemExit) as exc:
+                pytest.fail(f"main({argv!r}) raised {exc!r}")
+            err = capsys.readouterr().err
+            assert code in (0, 2, 3), (argv, code, err)
+            assert "Traceback" not in err, (argv, err)
+            codes.append(code)
+        # most calls get past their arguments and into the engine
+        assert codes.count(0) >= 40 and {2, 3} <= set(codes)
+
+
+# Hostile text a mutation may insert: an unknown character, a bare "?",
+# a lone hex prefix, a NUL byte, a long constant.
+_HOSTILE = ["\u00e9", "\u2212", "\u00b2", "?", "0x", "\x00", "1" * 30,
+            "0x" + "f" * 40, "#", ":", "=>", "<=>"]
+
+
+def mutate(rng, text: str, names: list) -> str:
+    """``text`` with one or two tokens deleted, replaced, inserted or
+    doubled.  Inserted tokens are operators, parentheses, constants and
+    the variables ``names``, one time in five a piece of ``_HOSTILE``;
+    tokens such as ``?a`` stay whole."""
+    pieces = [*"+-*&|^~()", " ", "3", "255", *names]
+    tokens = re.findall(r"\?\w*|[\w-]+|<=>|=>|\s+|.", text)
+    for _ in range(rng.randint(1, 2)):
+        at = rng.randrange(len(tokens) + 1)
+        piece = rng.choice(pieces if rng.random() < 0.8 else _HOSTILE)
+        edit = rng.random()
+        if edit < 0.3 and at < len(tokens):
+            del tokens[at]
+        elif edit < 0.6 and at < len(tokens):
+            tokens[at] = piece
+        elif edit < 0.9 or not tokens:
+            tokens.insert(at, piece)
+        else:
+            tokens.insert(at, tokens[at - 1])
+    return "".join(tokens)
 
 
 class TestClosedStdout:

@@ -34,7 +34,6 @@ def reference_rebuild(g):
             if prev != row:
                 g.union(prev, row)
         g._hashcons = rekeyed
-    g._flush()
     g._table[:] = array("q", [-1] * len(g._table))
     for node, row in g._hashcons.items():
         g._table[3 * row:3 * row + 3] = array(
@@ -97,7 +96,7 @@ class TestAdd:
 
         def state():
             return (list(g._hashcons.items()), list(g._uf),
-                    list(g._table) + g._staged, dict(g._payloads))
+                    list(g._table), dict(g._payloads))
 
         before = state()
         g.add_expr(parse("(x + y) * z"))  # adds z and the product
@@ -105,12 +104,31 @@ class TestAdd:
         assert state() == before
         g.rollback(3)  # nothing newer: a no-op
         assert state() == before
-        g.add_expr(parse("(x + y) * z"))
-        g._flush()  # rows read since they were added are cut too
-        g.rollback(3)
-        assert state() == before
         assert g.add_expr(parse("z")) == 3  # ids are handed out again
         assert g._node(3) == ENode("var", "z", ())
+
+        # x - a and x - b become one node once a = b: the rebuild kills
+        # one of their rows, so the graph holds fewer nodes than ids, and
+        # rollback counts ids
+        g, (a, b, _, _) = graph_of("a", "b", "x - a", "x - b")
+        g.union(a, b)
+        g.rebuild()
+        assert g.node_count() == len(g._uf) - 1 == 4
+        before = state()
+        g.add_expr(parse("(x - a) * 7"))  # adds 7 and the product
+        g.rollback(5)
+        assert state() == before
+        check_invariants(g)
+
+    def test_every_row_is_written_at_insertion(self):
+        g = EGraph()
+        g.add_expr(parse("(x + 3) * ~x"))
+        assert list(g._table) == [
+            _CODES["var"], -1, -1,
+            _CODES["const"], -1, -1,
+            _CODES["add"], 0, 1,
+            _CODES["not"], 0, -1,
+            _CODES["mul"], 2, 3]
 
 
 class TestUnionFind:

@@ -4,8 +4,8 @@ import sys
 import pytest
 
 from mbaobf.expr import (ADD, AND, Const, MAX_DEPTH, MUL, NEG, NOT, OR, Op,
-                         ParseError, UnboundVariableError, Var, evaluate,
-                         expr_size, free_vars, parse, to_text)
+                         Operator, ParseError, UnboundVariableError, Var,
+                         evaluate, expr_size, free_vars, parse, to_text)
 
 from mbaobf.egraph import EGraph
 from mbaobf.expansion import extract_min
@@ -143,6 +143,21 @@ class TestEvaluate:
     def test_unbound_variable(self):
         with pytest.raises(UnboundVariableError):
             evaluate(parse("x + y"), {"x": 1}, 64)
+
+    def test_shared_subterm_evaluated_once(self):
+        # a 20-level doubling DAG: 2^20 leaves in the tree, 21 subterms
+        calls = []
+
+        def add(a, b, m):
+            calls.append(None)
+            return (a + b) & m
+
+        counting = Operator("add", "+", 2, ADD.category, ADD.precedence, add)
+        e = Var("x")
+        for _ in range(20):
+            e = Op(counting, (e, e))
+        assert evaluate(e, {"x": 1}, 64) == 1 << 20
+        assert len(calls) == 20
 
     def test_totality_and_range(self, rng):
         for _ in range(500):

@@ -155,7 +155,10 @@ class TestCheckEquivalence:
         pytest.param(8, 0, "at least 1", id="8-bit-0"),
         pytest.param(8, -1, "at least 1", id="8-bit--1"),
         pytest.param(8, EXHAUSTIVE_CASE_LIMIT + 1, "at most",
-                     id="8-bit-above-the-limit")])
+                     id="8-bit-above-the-limit"),
+        pytest.param(64, True, "an integer", id="True"),
+        pytest.param(64, 2.5, "an integer", id="2.5"),
+        pytest.param(8, True, "an integer", id="8-bit-True")])
     def test_random_check_rejects_trials_below_one(self, bits, trials,
                                                     message):
         # 2**64 environments take the random check, which needs a sample;
@@ -191,11 +194,17 @@ class TestRulesetAdmission:
         # one exhaustive result per width per rule plus one random pass
         assert len(results) == 14 * 3
 
-    @pytest.mark.parametrize("trials", [0, -1])
-    def test_trials_below_one_rejected(self, trials):
-        # 0 trials would pass every random check without sampling
-        with pytest.raises(ValueError, match="trials must be at least 1"):
-            check_rules(load_default_rules(), trials=trials)
+    @pytest.mark.parametrize("trials, message", [
+        pytest.param(0, "at least 1", id="0"),
+        pytest.param(-1, "at least 1", id="-1"),
+        pytest.param(True, "an integer", id="True"),
+        pytest.param(2.5, "an integer", id="2.5")])
+    def test_trials_below_one_rejected(self, trials, message):
+        # 0 trials would pass every random check without sampling; a bad
+        # value is refused before any check, even with no rules to check
+        for rules in ([], load_default_rules()):
+            with pytest.raises(ValueError, match=f"trials must be {message}"):
+                check_rules(rules, trials=trials)
 
     def test_random_fallback_is_labelled_random(self):
         # 2**32 assignments at 8 bits: too many to enumerate
