@@ -16,13 +16,20 @@ here: class representatives are chosen as the smaller canonical id,
 classes are listed in ascending id order, and nothing iterates in hash
 order, so identical operation sequences produce identical graphs.
 
-Representation: an :class:`ENode` is a named tuple ``(label, payload,
-children)``, so hashing, equality and ordering run in C and a plain tuple
-of the same three fields is an equal hashcons key.  E-nodes sort as plain
-tuples wherever an order is needed.  :meth:`EGraph.leaf_key` is the one
-map from a ``Var`` or ``Const`` leaf to its key, for ``add_expr``, the
-matchers and the Python that each rule generates for its right side.
-That code builds keys from canonical ids without constructing e-nodes,
+Representation: a hashcons key is a flat tuple of the node's label code
+(the label's rank in plain label order) and its canonical children: an
+operator's key is its node-table row ``(code, first, second)``, with -1
+for a unary operator's missing second child, and a leaf's key is ``(code,
+payload)``, the payload its variable name or constant.  Hashing and
+equality of such a tuple run in C, as egglog keys each e-node by its
+label and canonical child ids, and no key is converted on its way
+between the hashcons, the table and the generated code.  An
+:class:`ENode`, a named tuple ``(label, payload, children)``, is only the
+read view: :meth:`EGraph.add` takes one, and :meth:`EGraph._node`,
+:meth:`EGraph.classes` and :meth:`EGraph.dump` hand one out.
+:meth:`EGraph.leaf_key` is the one map from a ``Var`` or ``Const`` leaf
+to its key, for ``add_expr``, the matchers and the Python that each rule
+generates for its right side.  That code builds keys from canonical ids,
 looks them up in the hashcons, and adds a miss inline as
 :meth:`EGraph.add_canonical` does, the node cap checked first and the
 node's row written; rule application then unions the right side's class
@@ -37,18 +44,18 @@ Each insertion adds one hashcons entry, one union-find entry and one
 row of an integer node table, an ``array('q')`` written at once: the
 three grow in lockstep, and the row's index is the id of the class the
 node was inserted with, which is the id the hashcons maps the node to.
-A row holds a label code (the label's rank in plain label order) and
-two child columns, -1 where a child is missing.  A leaf's variable name
-or constant, which may be as large as 2^64 - 1, stays out of the table,
-in a dict keyed by row.  A read of the table is a zero-copy numpy view;
-rebuild and extraction read it instead of walking the hashcons.
+A row holds a label code and two child columns, -1 where a child is
+missing.  A leaf's variable name or constant, which may be as large as
+2^64 - 1, stays out of the table, in a dict keyed by row.  A read of the
+table is a zero-copy numpy view; rebuild and extraction read it instead
+of walking the hashcons.
 
 The hashcons, the union-find, the node table with its leaf payloads and
 the set of classes merged away since the last rebuild are the graph's
 whole state.  The hashcons is the one record of class membership; one
 walk of it, :meth:`EGraph.classes_by_label`, groups it by class and
-label, and :meth:`EGraph.classes` reads that.  Each hashcons value is a
-live row whose columns equal its key; a row whose key went to another
+label code, and :meth:`EGraph.classes` reads that.  Each hashcons value
+is a live row that records its key; a row whose key went to another
 row in a rebuild is dead, its cells all -1.  Rebuilding is deferred: a
 union only records the losing class, and :meth:`EGraph.rebuild`
 re-keys, in place, the keys with a child in that set, each under its
@@ -75,8 +82,8 @@ from .expr import (Const, Expression, Op, OPERATORS, Var,
 
 EClassId = int
 
-# A row's label code indexes this; codes follow plain label order, so rows
-# sort by label as their keys do.
+# A key's and a row's label code indexes this; codes follow plain label
+# order, so keys sort by label as e-nodes do.
 _LABELS = tuple(sorted(["const", "var", *OPERATORS]))
 _CODES = {label: code for code, label in enumerate(_LABELS)}
 _DEAD = array("q", (-1, -1, -1))  # the cells of a dead row
@@ -112,7 +119,8 @@ class CapacityExceededError(Exception):
 
 
 class EGraph:
-    """Congruence-closed union of e-classes over hashconsed e-nodes.
+    """Congruence-closed union of e-classes over hashconsed e-nodes, each
+    keyed by its flat label-code tuple (see the module docstring).
 
     ``bits``, one of ``VALID_BITWIDTHS``, fixes the width constants are
     reduced to; ``max_nodes`` is a hard cap, stored as ``math.inf`` when
@@ -126,7 +134,7 @@ class EGraph:
         self.bits = check_bitwidth(bits)
         self.max_nodes = math.inf if max_nodes is None else max_nodes
         self._uf: list[int] = []
-        self._hashcons: dict = {}  # canonical ENode -> EClassId
+        self._hashcons: dict = {}  # canonical key -> EClassId
         self._merged: set = set()  # classes merged away since last pass
         self._table = array("q")  # rows: label code, first, second child
         self._payloads: dict = {}  # leaf row -> its variable or constant
@@ -170,22 +178,6 @@ class EGraph:
 
     # -- insertion ----------------------------------------------------------
 
-    def canonicalize(self, node: ENode) -> ENode:
-        """``node`` with canonical children; ``node`` itself if already so."""
-        for child in node.children:
-            self.find(child)  # rejects ids this graph never handed out
-        return self._canonicalize(node)
-
-    def _canonicalize(self, node: ENode) -> ENode:
-        children = node.children
-        if not children:
-            return node
-        find = self._find
-        canon = tuple([find(c) for c in children])
-        if canon == children:
-            return node
-        return ENode(node.label, node.payload, canon)
-
     def add(self, node: ENode) -> EClassId:
         """Insert one hand-built e-node; returns its canonical class.
 
@@ -195,9 +187,10 @@ class EGraph:
         ``str`` payload and ``const`` a plain ``int`` in ``[0, 2**bits)``,
         each with no children.  Anything else raises ``ValueError``, and a
         child that is no class id of this graph raises
-        :class:`InvalidIdError`.  :meth:`add_canonical` is the unchecked
-        path, which ``add_expr`` takes; each rule's generated code makes
-        the same insertion inline.
+        :class:`InvalidIdError`.  The node is then inserted under its flat
+        key, its children canonical.  :meth:`add_canonical` is the
+        unchecked path, which ``add_expr`` takes; each rule's generated
+        code makes the same insertion inline.
         """
         label, payload, children = node
         op = OPERATORS.get(label) if type(label) is str else None
@@ -214,40 +207,48 @@ class EGraph:
             ok = False
         if not ok:
             raise ValueError(f"malformed e-node: {node!r}")
-        return self.add_canonical(self.canonicalize(node))
+        if op is None:
+            return self.add_canonical((_CODES[label], payload))
+        # find rejects ids this graph never handed out
+        children = [self.find(child) for child in children]
+        return self.add_canonical((_CODES[label], *children, -1)[:3])
 
     def add_canonical(self, key: tuple) -> EClassId:
-        """Insert ``(label, payload, children)`` whose children are canonical
-        ids; returns the canonical class.  A miss is checked against the
-        cap, then added as a new class with its row written."""
+        """Insert the hashcons key ``key``, whose children are canonical
+        ids: an operator's row ``(code, first, second)``, ``second`` -1
+        for a unary operator, or a leaf's ``(code, payload)``.  Returns the
+        canonical class.  A miss is checked against the cap, then added as
+        a new class with its row written: an operator's row is its key,
+        and a leaf's is ``(code, -1, -1)``, its payload kept apart."""
         existing = self._hashcons.get(key)
         if existing is not None:
             return self._find(existing)
         if len(self._hashcons) >= self.max_nodes:
             raise CapacityExceededError(self.max_nodes)
-        label, payload, children = key
         cid = len(self._uf)
         self._uf.append(cid)
-        self._hashcons[key if type(key) is ENode else ENode._make(key)] = cid
-        self._table.fromlist([_CODES[label], *children, -1, -1][:3])
-        if not children:
-            self._payloads[cid] = payload
+        self._hashcons[key] = cid
+        if len(key) == 3:
+            self._table.fromlist([*key])
+        else:
+            self._table.fromlist([key[0], -1, -1])
+            self._payloads[cid] = key[1]
         return cid
 
     def leaf_key(self, leaf: Var | Const) -> tuple:
-        """The hashcons key of a :class:`Var` or :class:`Const` leaf, its
-        constant reduced to the graph's width."""
+        """The hashcons key ``(code, payload)`` of a :class:`Var` or
+        :class:`Const` leaf, its constant reduced to the graph's width."""
         if isinstance(leaf, Var):
-            return ("var", leaf.name, ())
-        return ("const", leaf.value & ((1 << self.bits) - 1), ())
+            return (_CODES["var"], leaf.name)
+        return (_CODES["const"], leaf.value & ((1 << self.bits) - 1))
 
     def add_expr(self, e: Expression) -> EClassId:
         """Insert a whole expression bottom-up; returns the root's class."""
         if not isinstance(e, Op):
             return self.add_canonical(self.leaf_key(e))
         # the children's classes are canonical: nothing merges in between
-        children = tuple(self.add_expr(a) for a in e.args)
-        return self.add_canonical((e.op.name, None, children))
+        children = [self.add_expr(a) for a in e.args]
+        return self.add_canonical((_CODES[e.op.name], *children, -1)[:3])
 
     def rollback(self, ids: int) -> None:
         """Remove every node inserted with an id from ``ids`` on, with no
@@ -291,15 +292,15 @@ class EGraph:
 
         Each pass takes the classes merged away since the previous one and
         re-keys, in place, only the keys with such a child, found as the
-        rows whose child columns hold one: each key is popped and put back
-        under its canonical form, and its row takes the canonical children.
+        rows whose child columns hold one: each stale key is read from its
+        row's three cells and popped, its children are canonicalized, and
+        the canonical key is put back and its children written to the row.
         Where another row already holds that form, the row dies and its
         class is merged with that row's; such a merge calls for another
         pass.  Returns the number of passes; a second call with no
         intervening mutation returns 0.
         """
-        hashcons, table = self._hashcons, self._table
-        canonicalize = self._canonicalize
+        hashcons, table, find = self._hashcons, self._table, self._find
         passes = 0
         while self._merged:
             merged, self._merged = self._merged, set()
@@ -310,16 +311,18 @@ class EGraph:
             stale = (hit[rows[:, 1]] | hit[rows[:, 2]]).nonzero()[0].tolist()
             del rows  # the table cannot change size while a view lives
             for row in stale:
-                node = self._node(row)
-                del hashcons[node]
-                node = canonicalize(node)
-                prev = hashcons.setdefault(node, row)
+                code, first, second = table[3 * row:3 * row + 3]
+                del hashcons[code, first, second]
+                first = find(first)
+                if second >= 0:
+                    second = find(second)
+                prev = hashcons.setdefault((code, first, second), row)
                 if prev == row:
-                    for i, child in enumerate(node.children, 3 * row + 1):
-                        table[i] = child
+                    table[3 * row + 1] = first
+                    table[3 * row + 2] = second
                 else:
                     table[3 * row:3 * row + 3] = _DEAD
-                    self._merge(self._find(prev), self._find(row))
+                    self._merge(find(prev), find(row))
         return passes
 
     # -- queries ------------------------------------------------------------
@@ -336,20 +339,23 @@ class EGraph:
         return [cid for cid, root in enumerate(self._uf) if cid == root]
 
     def classes(self) -> dict:
-        """``{canonical id: [nodes]}`` in ascending id order, read from
+        """``{canonical id: [nodes]}`` in ascending id order, each node an
+        :class:`ENode` read from its row, in the order of
         :meth:`classes_by_label` (exact in rebuilt state).  The order of
         the nodes within a class is unspecified."""
-        return {cid: [n for nodes in by_label.values() for n in nodes]
+        hashcons, node = self._hashcons, self._node
+        return {cid: [node(hashcons[k]) for keys in by_label.values()
+                      for k in keys]
                 for cid, by_label in self.classes_by_label().items()}
 
     def classes_by_label(self) -> dict:
-        """``{canonical id: {label: [nodes]}}`` in ascending id order, each
-        class's nodes grouped by label in hashcons order, from one walk of
-        the hashcons (exact in rebuilt state)."""
+        """``{canonical id: {label code: [keys]}}`` in ascending id order,
+        each class's hashcons keys grouped by their label code in hashcons
+        order, from one walk of the hashcons (exact in rebuilt state)."""
         uf = self._roots()
         index: dict = {cid: {} for cid, root in enumerate(uf) if cid == root}
-        for node, cid in self._hashcons.items():
-            index[uf[cid]].setdefault(node[0], []).append(node)
+        for key, cid in self._hashcons.items():
+            index[uf[cid]].setdefault(key[0], []).append(key)
         return index
 
     # -- the node table -----------------------------------------------------
@@ -406,17 +412,20 @@ def check_invariants(g: EGraph) -> None:
     handed out, no live class may be empty, no merge may be pending, and the
     graph must hold at most ``max_nodes`` nodes.  Each union-find
     parent must be at most its id, since a merge keeps the smaller id.  The
-    table holds one row per id; each hashcons value is a live row whose
-    columns equal its key, so no dead row is left in the hashcons, and
-    every other row is dead.
+    table holds one row per id, and each hashcons value is a live row that
+    records its key: an operator's key equals the row's three cells, and a
+    leaf's key is ``(code, payload)`` with that payload stored for the row.
+    So no dead row is left in the hashcons, and every other row is dead.
     """
     ids = range(len(g._uf))
     for cid in ids:
         assert g._uf[cid] <= cid, f"class {cid} has the larger parent"
     live = set()
-    for n, cid in g._hashcons.items():
-        assert g.canonicalize(n) == n, f"stale node {n} in the hashcons"
-        assert cid in ids, f"hashcons maps {n} to unknown class {cid}"
+    for key, cid in g._hashcons.items():
+        children = key[1:] if len(key) == 3 else ()
+        assert all(c < 0 or g.find(c) == c for c in children), \
+            f"stale node {key} in the hashcons"
+        assert cid in ids, f"hashcons maps {key} to unknown class {cid}"
         live.add(g.find(cid))
     empty = set(g.class_ids()) - live
     assert not empty, f"classes {sorted(empty)} are empty"
@@ -425,9 +434,15 @@ def check_invariants(g: EGraph) -> None:
         f"{g.node_count()} nodes over the cap of {g.max_nodes}"
     assert len(g._table) == 3 * len(ids), \
         f"{len(g._table) // 3} rows for {len(ids)} ids"
-    for n, cid in g._hashcons.items():
-        row = g._node(cid)
-        assert row == n, f"row {cid} holds {row}, not its key {n}"
+    for key, cid in g._hashcons.items():
+        code, first, second = g._table[3 * cid:3 * cid + 3]
+        if code < 0:
+            row = None
+        elif first < 0:
+            row = (code, g._payloads.get(cid))
+        else:
+            row = (code, first, second)
+        assert row == key, f"row {cid} holds {row}, not its key {key}"
     dead = g._table[::3].count(-1)
     assert len(ids) - dead == g.node_count(), \
         f"{len(ids) - dead} live rows for {g.node_count()} keys"

@@ -17,21 +17,24 @@ rule may not invent unbound terms.  :class:`Rule` enforces this when it is
 made, so a hand-built rule is held to it as well as a parsed one.
 
 Each rule is compiled once, when it is made, as egg does, into two
-straight-line Python functions generated with no text of the rule file in
-them: its left side into a matcher, one nested loop per operator node,
-that :func:`ematch` runs, and its right side into an application that
-takes a whole list of matches.  It keys the right side's leaves with
-:meth:`EGraph.leaf_key` once per call, as :func:`ematch` keys the
-matcher's; then for each match in turn it validates the ids, does the
-e-graph's insertions inline and unions the right side's class into the
-matched one through :meth:`EGraph._merge`, the graph's one definition
-of a union.  :func:`apply_match` runs it on a whole slice of
-a rule's matches, as egg applies each rule's matches as one batch, so
-growth pays no Python call per match.  Each match is applied whole or
-not at all: a right side the e-graph's node cap refuses partway is
-rolled back before the error propagates, and the matches before it stay
-applied.  The code only applies: the growth loop owns the time budget
-and reads the clock between slices, as egg's ``Runner`` does.
+straight-line Python functions generated with no text of the rule file
+in them: its left side into a matcher, one nested loop per operator
+node, that :func:`ematch` runs, and its right side into an application
+that takes a whole list of matches.  Both read and build the e-graph's
+own hashcons keys, flat tuples of a label code and canonical child ids,
+so no e-node object is made per match or per insertion.  The application
+keys the right side's leaves with :meth:`EGraph.leaf_key` once per call,
+as :func:`ematch` keys the matcher's; then for each match in turn it
+validates the ids, does the e-graph's insertions inline and unions the
+right side's class into the matched one through :meth:`EGraph._merge`,
+the graph's one definition of a union.  :func:`apply_match` runs it on a
+whole slice of a rule's matches, as egg applies each rule's matches as
+one batch, so growth pays no Python call per match.  Each match is
+applied whole or not at all: a right side the e-graph's node cap refuses
+partway is rolled back before the error propagates, and the matches
+before it stay applied.  The code only applies: the growth loop owns the
+time budget and reads the clock between slices, as egg's ``Runner``
+does.
 """
 
 from __future__ import annotations
@@ -41,8 +44,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
-from .egraph import (_CODES, CapacityExceededError, EGraph, ENode,
-                     InvalidIdError)
+from .egraph import _CODES, CapacityExceededError, EGraph, InvalidIdError
 from .expr import (IDENT_FIRST, IDENT_REST, OPERATORS, Op, ParseError, Var,
                    parse_pattern_text)
 
@@ -165,16 +167,17 @@ def _compile_matcher(name: str, lhs: Pattern) -> _Program:
 
     Registers are numbered breadth-first, as in de Moura and Bjørner's
     e-matching machine: ``r0`` is the class matched at, and each operator
-    node of the pattern is a loop over the nodes with its label in its
-    register's class, binding one register per child.  A repeated
+    node of the pattern is a loop over the keys with its label code in
+    its register's class, binding one register per child from the key's
+    cells.  A repeated
     variable is an ``if … continue`` right after the loop that binds it,
     and so is a concrete leaf, whose key must be among the bound class's
-    nodes with its label.  Loops nest in breadth-first order; past
+    keys with its label code.  Loops nest in breadth-first order; past
     ``_MAX_LOOPS`` of them the rest runs in a generated helper, called
     with every register bound so far and every leaf key.  Each root's
     bindings, one tuple per embedding, are deduplicated and sorted.
     """
-    binds: list = []  # (register, label, child registers), breadth-first
+    binds: list = []  # (register, label code, child registers), in BFS order
     tests: dict = {}  # register -> the condition that rejects its class
     leaves: list = []
     first: dict = {}  # variable name -> register of its first occurrence
@@ -188,13 +191,13 @@ def _compile_matcher(name: str, lhs: Pattern) -> _Program:
                 first[q.name] = reg
         elif isinstance(q, Op):
             kids = range(n_regs, n_regs + len(q.args))
-            binds.append((reg, q.op.name, kids))
+            binds.append((reg, _CODES[q.op.name], kids))
             todo.extend(zip(q.args, kids))
             n_regs = kids.stop
         else:
-            label = "var" if isinstance(q, Var) else "const"
+            code = _CODES["var" if isinstance(q, Var) else "const"]
             tests[reg] = (f"L{len(leaves)} not in "
-                          f"classes[r{reg}].get({label!r}, ())")
+                          f"classes[r{reg}].get({code}, ())")
             leaves.append(q)
     names = tuple(sorted(first))
     found = "".join(f"r{first[n]}, " for n in names)
@@ -207,7 +210,8 @@ def _compile_matcher(name: str, lhs: Pattern) -> _Program:
         kids = binds[j][2]
         out.append(f"{pad}for n{j} in ns{j}:")
         pad += "    "
-        out.append(f"{pad}{''.join(f'r{k}, ' for k in kids)}= n{j}[2]")
+        regs = [f"r{k}" for k in kids]
+        out.append(f"{pad}_, {', '.join([*regs, '_'][:2])} = n{j}")
         for k in kids:
             if k in tests:
                 out += [f"{pad}if {tests[k]}:", f"{pad}    continue"]
@@ -226,8 +230,8 @@ def _compile_matcher(name: str, lhs: Pattern) -> _Program:
                 helpers.append(body)
                 rest(j, "    ", 0, "return", body)
                 return
-            reg, label = binds[j][:2]
-            out += [f"{pad}ns{j} = classes[r{reg}].get({label!r})",
+            reg, code = binds[j][:2]
+            out += [f"{pad}ns{j} = classes[r{reg}].get({code})",
                     f"{pad}if ns{j} is None:",
                     f"{pad}    {miss}"]
             enter(j, pad, out)
@@ -239,7 +243,7 @@ def _compile_matcher(name: str, lhs: Pattern) -> _Program:
            "    append = out.append"]
     if binds:
         src += ["    for r0, by in classes.items():",
-                f"        ns0 = by.get({binds[0][1]!r})",
+                f"        ns0 = by.get({binds[0][1]})",
                 "        if ns0 is None:",
                 "            continue",
                 "        start = len(out)"]
@@ -274,18 +278,19 @@ def _compile_application(name: str, rhs: Pattern, names: tuple) -> Callable:
     order, are validated as :meth:`EGraph.find` validates an id, then
     canonicalized, through :meth:`EGraph._find`, only when the id is not
     its own root.  The right side is built bottom-up in post-order, one
-    flat block per node.  Each node is looked up in the hashcons; a hit
-    is canonicalized as the ids are, and a miss is added inline, as
-    :meth:`EGraph.add_canonical` would add it: the node cap is checked, a
-    class id appended to the union-find, the key stored as an
-    :class:`ENode` and its row written to the node table, a leaf's
-    payload kept apart.  The right side's class is then unioned into the
-    root through :meth:`EGraph._merge`.  A right side refused partway is
-    rolled back, by id, before the error propagates, and the matches
-    before it are kept.
+    flat block per node.  Each node's key, ``(code, first, second)`` for
+    an operator, is looked up in the hashcons; a hit is canonicalized as
+    the ids are, and a miss is added inline, as
+    :meth:`EGraph.add_canonical` would add it: the node cap is checked,
+    a class id appended to the union-find, the key itself stored and its
+    row written to the node table, a leaf's payload kept apart.  The
+    right side's class is then unioned into the root through
+    :meth:`EGraph._merge`.  A right side refused partway is rolled back,
+    by id, before the error propagates, and the matches before it are
+    kept.
 
-    The source holds only slot numbers, labels of :data:`OPERATORS` and
-    names bound in its namespace: each ``Var`` or ``Const`` leaf is
+    The source holds only slot numbers, label codes of :data:`OPERATORS`
+    and names bound in its namespace: each ``Var`` or ``Const`` leaf is
     passed as an object and keyed by :meth:`EGraph.leaf_key` once per
     call.
     """
@@ -308,21 +313,22 @@ def _compile_application(name: str, rhs: Pattern, names: tuple) -> Callable:
             if OPERATORS.get(q.op.name) != q.op:
                 raise ValueError(f"rule {name!r}: operator {q.op.name!r} "
                                  f"is not in the operator table")
-            children = [emit(a) for a in q.args]
-            key = f"({q.op.name!r}, None, ({', '.join(children)},))"
-            cells = [q.op.name, *children, "-1"][:3]
+            cells = ", ".join([str(_CODES[q.op.name]),
+                               *[emit(a) for a in q.args], "-1"][:3])
+            key = f"({cells})"
+            row = [f"    put([{cells}])"]
         else:
             key = f"K{len(leaves)}"
             leaves[f"L{len(leaves)}"] = q
-            cells = ["var" if isinstance(q, Var) else "const", "-1", "-1"]
+            code = _CODES["var" if isinstance(q, Var) else "const"]
+            row = [f"    put([{code}, -1, -1])"]
         out = f"n{len(build)}"
-        row = [f"    put([{_CODES[cells[0]]}, {cells[1]}, {cells[2]}])"]
         if not isinstance(q, Op):
             row.append(f"    payloads[{out}] = k[1]")
         build.append([f"if ({out} := get(k := {key})) is None:",
                       "    if len(hashcons) >= cap:",
                       "        raise CapacityExceededError(cap)",
-                      f"    hashcons[new(ENode, k)] = {out} = len(uf)",
+                      f"    hashcons[k] = {out} = len(uf)",
                       f"    uf.append({out})",
                       *row,
                       f"elif uf[{out}] != {out}:",
@@ -356,8 +362,8 @@ def _compile_application(name: str, rhs: Pattern, names: tuple) -> Callable:
            "        g.rollback(n)",
            "        raise",
            "    return changed"]
-    env = {"CapacityExceededError": CapacityExceededError, "ENode": ENode,
-           "InvalidIdError": InvalidIdError, "new": tuple.__new__, **leaves}
+    env = {"CapacityExceededError": CapacityExceededError,
+           "InvalidIdError": InvalidIdError, **leaves}
     return _exec(name, src, env)["apply"]
 
 
@@ -367,7 +373,7 @@ def _compile_application(name: str, rhs: Pattern, names: tuple) -> Callable:
 
 
 def _label_index(g: EGraph) -> dict:
-    """``{class id: {label: [nodes]}}``, ascending id order, from
+    """``{class id: {label code: [keys]}}``, ascending id order, from
     :meth:`EGraph.classes_by_label`; built once per iteration and read by
     every rule's match.  Raises ``ValueError`` while merges are pending,
     as extraction does, since keys and classes may then be stale."""

@@ -6,7 +6,9 @@ assignment space is small enough (at most ``2**24`` cases), otherwise by
 seeded random sampling.  There is deliberately no SMT dependency; at these
 widths plain evaluation is decisive and fast.
 
-Evaluation here is vectorized with numpy over all assignments at once.  It
+Evaluation here is vectorized with numpy, over all assignments at once up
+to ``_CHUNK`` (2^20) of them and in chunks of that many past it, so an
+exhaustive check's arrays stay a few MiB each whatever its size.  It
 applies the same per-operator functions as the scalar
 :func:`mbaobf.expr.evaluate`, taken from the operator table
 :data:`mbaobf.expr.OPERATORS`, which alone defines the semantics.  It
@@ -32,6 +34,7 @@ from .expr import (Const, Expression, Var, _fold, check_bitwidth, free_vars,
 from .rules import PatVar, Rule
 
 EXHAUSTIVE_CASE_LIMIT = 1 << 24
+_CHUNK = 1 << 20  # exhaustive cases evaluated at once
 
 _DTYPES = {4: np.uint8, 8: np.uint8, 16: np.uint16, 32: np.uint32, 64: np.uint64}
 
@@ -128,6 +131,42 @@ def _compare(lhs, rhs, env: dict, bits: int) -> CheckResult:
     return CheckResult(False, (cex_env, int(lv[idx]), int(rv[idx])), idx + 1)
 
 
+def _compare_exhaustive(lhs, rhs, keys: list, bits: int) -> CheckResult:
+    """:func:`_compare` over every assignment to ``keys``, lexicographic
+    in their order, ``_CHUNK`` assignments at a time.
+
+    The trailing variables whose assignments fit in a chunk repeat the
+    same table in every chunk, built once; each chunk fills only the
+    leading variables, with ``np.repeat``.  The check stops at the first
+    chunk holding a counterexample, and the result is the one a single
+    evaluation of every assignment gives."""
+    size = 1 << bits
+    total = size ** len(keys)
+    if total <= _CHUNK:
+        return _compare(lhs, rhs, _exhaustive_env(keys, bits), bits)
+    lead = len(keys)
+    while lead and size ** (len(keys) - lead + 1) <= _CHUNK:
+        lead -= 1
+    tail = _exhaustive_env(keys[lead:], bits)
+    reps = _CHUNK // size ** (len(keys) - lead)
+    tail = {key: np.tile(v, reps) for key, v in tail.items()}
+    for start in range(0, total, _CHUNK):
+        env = {}
+        for i, key in enumerate(keys[:lead]):
+            stride = size ** (len(keys) - 1 - i)  # cases per value
+            values = max(_CHUNK // stride, 1)  # values in this chunk
+            first = start // stride
+            env[key] = np.repeat(
+                (np.arange(first, first + values) % size).astype(
+                    _DTYPES[bits]), _CHUNK // values)
+        env.update(tail)
+        res = _compare(lhs, rhs, env, bits)
+        if not res.passed:
+            return CheckResult(False, res.counterexample,
+                               start + res.cases_checked)
+    return CheckResult(True, None, total)
+
+
 def _rule_leaves(rule: Rule) -> list:
     """A rule's variables: its pattern variables, then its concrete
     variables, each group sorted by name."""
@@ -149,8 +188,7 @@ def check_rule(rule: Rule, bits: int) -> CheckResult:
     cases = (1 << bits) ** len(leaves)
     if cases > EXHAUSTIVE_CASE_LIMIT:
         raise TooManyCasesError(cases)
-    env = _exhaustive_env(leaves, bits)
-    return _compare(rule.lhs, rule.rhs, env, bits)
+    return _compare_exhaustive(rule.lhs, rule.rhs, leaves, bits)
 
 
 def check_rule_random(rule: Rule, bits: int, trials: int,
@@ -178,10 +216,8 @@ def check_equivalence(a: Expression, b: Expression, bits: int,
     names = sorted(free_vars(a) | free_vars(b))
     cases = (1 << bits) ** len(names)
     if cases <= EXHAUSTIVE_CASE_LIMIT:
-        env = _exhaustive_env(names, bits)
-    else:
-        env = _random_env(names, bits, trials, seed)
-    return _compare(a, b, env, bits)
+        return _compare_exhaustive(a, b, names, bits)
+    return _compare(a, b, _random_env(names, bits, trials, seed), bits)
 
 
 def check_rules(rules: list, trials: int = 10_000, seed: int = 0) -> list:

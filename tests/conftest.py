@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from mbaobf.egraph import _CODES
 from mbaobf.expr import (ADD, AND, Const, MUL, NEG, NOT, OR, SUB, Var, XOR,
                          Op, mask_of)
 
@@ -32,6 +33,15 @@ def random_expr(rng: random.Random, size: int, pool=("x", "y", "z"),
 def flat_sum(depth: int) -> str:
     """``x + x + ... + x``: a left-deep tree with ``depth`` operators."""
     return " + ".join(["x"] * (depth + 1))
+
+
+def flat_key(node) -> tuple:
+    """The hashcons key of the e-node ``node``: ``(code, payload)`` for a
+    leaf, ``(code, first, second)`` for an operator, with -1 for a missing
+    second child."""
+    if not node.children:
+        return (_CODES[node.label], node.payload)
+    return (_CODES[node.label], *node.children, -1)[:3]
 
 
 def random_env(rng: random.Random, names, bits: int):

@@ -9,7 +9,7 @@ from mbaobf.expansion import ExpansionConfig, grow
 from mbaobf.expr import parse
 from mbaobf.rules import load_default_rules
 
-from conftest import NaivePartition, random_expr
+from conftest import NaivePartition, flat_key, random_expr
 
 
 def graph_of(*texts, bits=64):
@@ -29,15 +29,17 @@ def reference_rebuild(g):
     while g._merged:
         g._merged.clear()
         rekeyed = {}
-        for node, row in g._hashcons.items():
-            prev = rekeyed.setdefault(g.canonicalize(node), row)
+        for key, row in g._hashcons.items():
+            if len(key) == 3:  # an operator's children, -1 kept as it is
+                key = (key[0], *[c if c < 0 else g.find(c) for c in key[1:]])
+            prev = rekeyed.setdefault(key, row)
             if prev != row:
                 g.union(prev, row)
         g._hashcons = rekeyed
     g._table[:] = array("q", [-1] * len(g._table))
-    for node, row in g._hashcons.items():
+    for key, row in g._hashcons.items():
         g._table[3 * row:3 * row + 3] = array(
-            "q", (_CODES[node.label], *node.children, -1, -1)[:3])
+            "q", key if len(key) == 3 else (key[0], -1, -1))
 
 
 class TestAdd:
@@ -245,8 +247,8 @@ class TestRebuild:
     def test_invariants_catch_a_corrupt_hashcons_entry(self):
         g, (root,) = graph_of("x + y")
         check_invariants(g)
-        (node,) = g.classes()[g.find(root)]
-        g._hashcons[node] = g.find(g.add_expr(parse("x")))
+        ((key,),) = g.classes_by_label()[g.find(root)].values()
+        g._hashcons[key] = g.find(g.add_expr(parse("x")))
         with pytest.raises(AssertionError, match="are empty"):
             check_invariants(g)
 
@@ -429,14 +431,17 @@ class TestQueries:
                 nodes = [g._node(row) for row in range(len(g._uf))]
                 live = [row for row, n in enumerate(nodes) if n is not None]
                 assert sorted(g._hashcons.values()) == live
-                assert all(g._hashcons[nodes[row]] == row for row in live)
+                assert all(g._hashcons[flat_key(nodes[row])] == row
+                           for row in live)
                 merged_away += sum(g.find(row) != row for row in live)
                 dead += len(nodes) - len(live)
                 grouped = {cid: [] for cid in g.class_ids()}
                 for row in live:  # ascending, so each list is sorted
                     grouped[g.find(row)].append(nodes[row])
-                assert grouped == {cid: sorted(members, key=g._hashcons.get)
-                                   for cid, members in g.classes().items()}
+                assert grouped == {
+                    cid: sorted(members,
+                                key=lambda n: g._hashcons[flat_key(n)])
+                    for cid, members in g.classes().items()}
         assert merged_away > 0 and dead > 0
 
     def test_classes_by_label_groups_the_hashcons(self, rng):
@@ -457,14 +462,15 @@ class TestQueries:
             expected = {}
             for cid in sorted({g.find(c) for c in g._hashcons.values()}):
                 expected[cid] = {}
-            for node, cid in g._hashcons.items():
-                expected[g.find(cid)].setdefault(node.label, []).append(node)
+            for key, cid in g._hashcons.items():
+                expected[g.find(cid)].setdefault(key[0], []).append(key)
             index = g.classes_by_label()
             assert list(index) == list(expected)
             assert all(list(index[c]) == list(expected[c]) for c in index)
             assert index == expected
             assert g.classes() == {
-                cid: [n for nodes in by.values() for n in nodes]
+                cid: [g._node(g._hashcons[k]) for keys in by.values()
+                      for k in keys]
                 for cid, by in expected.items()}
 
     def test_node_count_empty(self):

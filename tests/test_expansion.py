@@ -23,7 +23,7 @@ from mbaobf.rules import (_label_index, apply_match, ematch,
                           load_default_rules, parse_rules)
 from mbaobf.verify import check_equivalence
 
-from conftest import random_expr
+from conftest import flat_key, random_expr
 
 ADDOR = parse_rules("addor : ?a + ?b => (?a | ?b) + (?a & ?b)")
 CORPUS = Path(__file__).resolve().parent.parent / "corpus" / "sample100.txt"
@@ -529,7 +529,7 @@ def sweep_history(g, rounds, sign, max_nodes):
     round, until a fixpoint or ``rounds``, over a layout from one walk of
     the hashcons.  Returns ``(stamps, starts, picks)``, each pick the
     e-node chosen."""
-    keys = list(g._hashcons)
+    keys = [g._node(row) for row in g._hashcons.values()]
     classes = [g.find(cid) for cid in g._hashcons.values()]
     size = len(keys)
     labels = [k[0] for k in keys]
@@ -582,7 +582,7 @@ def sweep_history(g, rounds, sign, max_nodes):
 
 def sweep_extract(g, root, rounds, sign, max_nodes):
     stamps, starts, picks = sweep_history(g, rounds, sign, max_nodes)
-    rows = np.array([g._hashcons[node] for node in picks], np.intp)
+    rows = np.array([g._hashcons[flat_key(node)] for node in picks], np.intp)
     return _reconstruct(g, (stamps, starts, rows, {}), g.find(root), rounds,
                         {})
 
@@ -955,7 +955,7 @@ class TestExpand:
             assert list(members) == sorted(members)
             listed = [n for nodes in members.values() for n in nodes]
             assert len(listed) == len(set(listed)) == g.node_count()
-            assert set(listed) == set(g._hashcons)
+            assert set(map(flat_key, listed)) == set(g._hashcons)
             audited.append(g.node_count())
             return repairs
 

@@ -5,7 +5,8 @@ import types
 import pytest
 
 import mbaobf.expansion
-from mbaobf.egraph import CapacityExceededError, EGraph, InvalidIdError
+from mbaobf.egraph import (_CODES, CapacityExceededError, EGraph,
+                           InvalidIdError)
 from mbaobf.expansion import _TIME_CHECK_STRIDE, StopReason, _iterate
 from mbaobf.expr import ADD, MAX_DEPTH, MUL, NOT, Const, Op, Var, parse
 from mbaobf.rules import (PatVar, Rule, RuleSyntaxError, UnboundRhsVarError,
@@ -283,14 +284,14 @@ class TestEmatch:
 
 # Instructions ``(kind, register, argument)``.  Register 0 holds the class
 # being matched; a BIND fills one register per child.
-BIND = 0  # argument (label, slice): each node with label in the class
+BIND = 0  # argument (code, slice): each node with label code in the class
 SAME = 1  # argument: another register; a repeated pattern variable
 LEAF = 2  # argument: index into leaves; the class of a concrete leaf
 
 
 def compile_instructions(p):
     """A left side as de Moura and Bjørner's bind/compare instructions:
-    ``(ops, leaves, var_regs, n_regs, root_label)``, breadth-first, so each
+    ``(ops, leaves, var_regs, n_regs, root_code)``, breadth-first, so each
     node's tests come right after the BIND of its parent."""
     ops, leaves, first = [], [], {}
     todo = [(p, 0)]
@@ -303,7 +304,7 @@ def compile_instructions(p):
                 first[q.name] = reg
         elif isinstance(q, Op):
             children = range(n_regs, n_regs + len(q.args))
-            ops.append((BIND, reg, (q.op.name,
+            ops.append((BIND, reg, (_CODES[q.op.name],
                                     slice(children.start, children.stop))))
             todo.extend(zip(q.args, children))
             n_regs = children.stop
@@ -312,7 +313,7 @@ def compile_instructions(p):
             leaves.append(q)
     var_regs = tuple(first[n] for n in sorted(first))
     return (tuple(ops), tuple(leaves), var_regs, n_regs,
-            p.op.name if isinstance(p, Op) else None)
+            _CODES[p.op.name] if isinstance(p, Op) else None)
 
 
 def run(ops, pc, regs, classes, leaf_ids, var_regs, out):
@@ -320,9 +321,10 @@ def run(ops, pc, regs, classes, leaf_ids, var_regs, out):
     for pc in range(pc, len(ops)):
         kind, reg, arg = ops[pc]
         if kind == BIND:
-            label, children = arg
-            for node in classes[regs[reg]].get(label, ()):
-                regs[children] = node.children
+            code, children = arg
+            arity = children.stop - children.start
+            for key in classes[regs[reg]].get(code, ()):
+                regs[children] = key[1:1 + arity]
                 run(ops, pc + 1, regs, classes, leaf_ids, var_regs, out)
             return
         if regs[reg] != (regs[arg] if kind == SAME else leaf_ids[arg]):
@@ -335,17 +337,17 @@ def reference_ematch(g, rule, index):
     instructions interpreted one node at a time, each root's bindings
     deduplicated and sorted.  A concrete leaf is compared by class id,
     read from a leaf -> class map of ``index``."""
-    ops, leaves, var_regs, n_regs, root_label = compile_instructions(rule.lhs)
+    ops, leaves, var_regs, n_regs, root_code = compile_instructions(rule.lhs)
     leaf_class = {n: cid for cid, by_label in index.items()
                   for nodes in by_label.values() for n in nodes
-                  if not n.children}
+                  if len(n) == 2}
     leaf_ids = [leaf_class.get(g.leaf_key(leaf)) for leaf in leaves]
     if None in leaf_ids:
         return []
     regs = [0] * n_regs
     out = []
     for cid, by_label in index.items():
-        if root_label is not None and root_label not in by_label:
+        if root_code is not None and root_code not in by_label:
             continue
         regs[0] = cid
         found = []
@@ -596,9 +598,10 @@ def reference_apply(g, rule, m):
                 stack.append(g.add_canonical(g.leaf_key(arg)))
             else:
                 label, arity = arg
-                children = tuple(stack[-arity:])
+                children = stack[-arity:]
                 del stack[-arity:]
-                stack.append(g.add_canonical((label, None, children)))
+                stack.append(g.add_canonical(
+                    (_CODES[label], *children, -1)[:3]))
     except CapacityExceededError:
         g.rollback(before)
         raise
@@ -615,6 +618,37 @@ def assert_twins(g, ref):
     assert g._uf == ref._uf
     assert g._merged == ref._merged
     assert table_of(g) == table_of(ref)
+
+
+def assert_refusals_leave_no_trace(make, rule):
+    """For the first two matches of ``rule`` on a fresh ``make()``, at
+    every cap from no room to room for the whole right side: a trial run
+    or an application the cap refuses leaves the graph as it was, and
+    one with room does what :func:`reference_apply` does."""
+    matches = ematch(make(), rule)
+    assert matches
+    for m in matches[:2]:
+        ref = make()
+        before = ref.node_count()
+        changed = reference_apply(ref, rule, m)
+        added = ref.node_count() - before
+        for room in range(rhs_nodes(rule.rhs) + 1):
+            g = make()
+            g.max_nodes = g.node_count() + room
+            compress(g)
+            snapshot = state_of(g)
+            if room < added:
+                with pytest.raises(CapacityExceededError):
+                    count_new_nodes(g, rule, m)
+                assert state_of(g) == snapshot
+                with pytest.raises(CapacityExceededError):
+                    apply_match(g, rule, [m])
+                assert state_of(g) == snapshot
+            else:
+                assert count_new_nodes(g, rule, m) == added
+                assert state_of(g) == snapshot
+                assert apply_match(g, rule, [m]) is changed
+                assert_twins(g, ref)
 
 
 def rhs_nodes(p) -> int:
@@ -729,7 +763,7 @@ class TestGeneratedApplication:
         g, _ = graph_of("y")
         (m,) = ematch(g, rule)
         assert apply_match(g, rule, [m])
-        assert ("var", HOSTILE, ()) in g._hashcons
+        assert (_CODES["var"], HOSTILE) in g._hashcons
 
     @pytest.mark.parametrize("rule", load_default_rules() + EDGE_RULES,
                              ids=lambda r: r.name)
@@ -744,30 +778,25 @@ class TestGeneratedApplication:
             g.rebuild()
             return g
 
-        matches = ematch(make(), rule)
-        assert matches
-        for m in matches[:2]:
-            ref = make()
-            before = ref.node_count()
-            changed = reference_apply(ref, rule, m)
-            added = ref.node_count() - before
-            for room in range(rhs_nodes(rule.rhs) + 1):
-                g = make()
-                g.max_nodes = g.node_count() + room
-                compress(g)
-                snapshot = state_of(g)
-                if room < added:
-                    with pytest.raises(CapacityExceededError):
-                        count_new_nodes(g, rule, m)
-                    assert state_of(g) == snapshot
-                    with pytest.raises(CapacityExceededError):
-                        apply_match(g, rule, [m])
-                    assert state_of(g) == snapshot
-                else:
-                    assert count_new_nodes(g, rule, m) == added
-                    assert state_of(g) == snapshot
-                    assert apply_match(g, rule, [m]) is changed
-                    assert_twins(g, ref)
+        assert_refusals_leave_no_trace(make, rule)
+
+    @pytest.mark.parametrize("rule", load_default_rules() + EDGE_RULES,
+                             ids=lambda r: r.name)
+    def test_refused_after_a_row_died_leaves_no_trace(self, rule):
+        # x with y makes x - x and y - y one node, and then (x - x) * 3
+        # and (y - y) * 3: two rows die, so ids outnumber nodes, and a
+        # refused right side must be rolled back by id, not by node count
+        def make():
+            g, _ = graph_of("(x + x) - (x - x)",
+                            "((y | 3) * ~y) ^ (y & (0 - x))",
+                            "(x - x) * 3", "(y - y) * 3", bits=8)
+            g.union(g.add_expr(parse("x")), g.add_expr(parse("y")))
+            g.rebuild()
+            assert len(g._uf) == g.node_count() + 2
+            return g
+
+        assert_refusals_leave_no_trace(make, rule)
+
 
     @pytest.mark.parametrize("bad", [-1, 99, "1", None, 1.0])
     def test_invalid_ids_rejected_before_any_change(self, bad):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -10,6 +11,7 @@ from mbaobf.verify import (EXHAUSTIVE_CASE_LIMIT, CheckResult,
 
 import numpy as np
 
+from mbaobf import verify
 from mbaobf.egraph import EGraph
 from mbaobf.expansion import expand
 
@@ -214,3 +216,89 @@ class TestRulesetAdmission:
                 for _, label, res in results] == [
             ("exhaustive@4", True, 1 << 16), ("random@8", True, 500),
             ("random@64", True, 500)]
+
+
+# ---------------------------------------------------------------------------
+# Exhaustive checks past one chunk
+# ---------------------------------------------------------------------------
+
+
+def unchunked(lhs, rhs, keys, bits):
+    """The exhaustive check as it was before it ran in chunks: every
+    assignment to ``keys`` in one array, lexicographic in their order."""
+    size = 1 << bits
+    env = {}
+    for i, key in enumerate(keys):
+        block = np.repeat(np.arange(size, dtype=np.uint8),
+                          size ** (len(keys) - 1 - i))
+        env[key] = np.tile(block, size ** i)
+    return verify._compare(lhs, rhs, env, bits)
+
+
+def equivalence_and_reference(a, b, bits):
+    a, b = parse(a, bits), parse(b, bits)
+    names = sorted(free_vars(a) | free_vars(b))
+    return (check_equivalence(a, b, bits),
+            unchunked(a, b, names, bits))
+
+
+V = "(((x & y) & z) + 1)"  # 0 only where x, y and z are all 255
+
+
+class TestChunkedExhaustive:
+    @pytest.mark.parametrize("a, b, bits, cases", [
+        ("(x + y) - z", "(x - z) + y", 8, 1 << 24),
+        ("(x + y) + z", "(x | y) + z", 8, (1 << 16) + (1 << 8) + 1),
+        ("x & 16", "(y ^ y) + (z - z)", 8, (1 << 20) + 1),
+        ("(x & y) & 16", "z - z", 8, 16 * (1 << 16) + 16 * (1 << 8) + 1),
+        (V, f"{V} | ((~ ({V} | (- {V}))) & 128)", 8, 1 << 24),
+        ("a + b + c + d + e + f", "f + e + d + c + b + a", 4, 1 << 24),
+        ("a & 8", "(b - b) + (c - c) + (d - d) + (e - e) + (f - f)", 4,
+         8 * (1 << 20) + 1),
+    ], ids=["pass", "chunk-0", "chunk-first-case", "chunk-middle",
+            "last-case", "4-bit-pass", "4-bit-chunk-first-case"])
+    def test_equivalence_matches_one_array(self, a, b, bits, cases):
+        got, want = equivalence_and_reference(a, b, bits)
+        assert got == want
+        assert got.cases_checked == cases
+        if not got.passed:
+            assert list(got.counterexample[0]) == list(want.counterexample[0])
+
+    @pytest.mark.parametrize("text, cases", [
+        ("?a + (?b + ?c) => ?c + (?b + ?a)", 1 << 24),
+        ("((?a & ?b) & 16) + (?c - ?c) => ?c - ?c",
+         16 * (1 << 16) + 16 * (1 << 8) + 1),
+    ], ids=["pass", "fail"])
+    def test_rule_matches_one_array(self, text, cases):
+        r = rule(text)
+        got = check_rule(r, 8)
+        assert got == unchunked(r.lhs, r.rhs, verify._rule_leaves(r), 8)
+        assert got.cases_checked == cases
+
+    def test_stops_at_the_first_failing_chunk(self, monkeypatch):
+        chunks = []
+        compare = verify._compare
+
+        def counted(lhs, rhs, env, bits):
+            chunks.append(len(next(iter(env.values()))))
+            return compare(lhs, rhs, env, bits)
+
+        monkeypatch.setattr(verify, "_compare", counted)
+        res = check_equivalence(parse("x & 16"), parse("(y ^ y) + (z - z)"),
+                                8)
+        assert not res.passed and chunks == [1 << 20, 1 << 20]
+        chunks.clear()
+        assert check_equivalence(parse("x + y"), parse("y + x"), 8).passed
+        assert chunks == [1 << 16]  # one chunk holds every case
+
+    def test_memory_is_bounded_by_the_chunk(self):
+        # one array of 2^24 cases is 16 MiB for each variable alone
+        tracemalloc.start()
+        try:
+            res = check_equivalence(parse("(x + y) - z"),
+                                    parse("(x - z) + y"), 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.passed and res.cases_checked == 1 << 24
+        assert peak < 12 << 20
