@@ -81,7 +81,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .egraph import _LABELS, CapacityExceededError, EGraph
-from .expr import DEFAULT_BITWIDTH, MAX_DEPTH, Expression, expr_size
+from .expr import (DEFAULT_BITWIDTH, MAX_DEPTH, Expression, _check_int,
+                   expr_size)
 from .metrics import MetricsReport, measure
 from .rules import _label_index, apply_match, ematch
 # Unused here; perfbench's tracer still looks it up in this module.
@@ -158,11 +159,6 @@ class ExpansionConfig:
                 raise ValueError(f"{name} must be positive, got {value}")
         _check_output_cap(self.max_output_nodes)
         _check_rounds(self.extraction_rounds)
-
-
-def _check_int(name: str, value) -> None:
-    if type(value) is bool or not isinstance(value, int):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _check_rounds(rounds: int) -> None:

@@ -127,6 +127,11 @@ class UnboundVariableError(Exception):
         super().__init__(f"unbound variable: {name}")
 
 
+def _check_int(name: str, value) -> None:
+    if type(value) is bool or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def check_bitwidth(bits: int) -> int:
     if type(bits) is not int or bits not in VALID_BITWIDTHS:
         raise ValueError(f"unsupported bitwidth {bits}; choose one of {VALID_BITWIDTHS}")

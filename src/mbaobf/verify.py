@@ -28,9 +28,8 @@ from typing import Optional
 
 import numpy as np
 
-from .expansion import _check_int
-from .expr import (Const, Expression, Var, _fold, check_bitwidth, free_vars,
-                   mask_of)
+from .expr import (Const, Expression, Var, _check_int, _fold, check_bitwidth,
+                   free_vars, mask_of)
 from .rules import PatVar, Rule
 
 EXHAUSTIVE_CASE_LIMIT = 1 << 24
@@ -133,7 +132,8 @@ def _compare(lhs, rhs, env: dict, bits: int) -> CheckResult:
 
 def _compare_exhaustive(lhs, rhs, keys: list, bits: int) -> CheckResult:
     """:func:`_compare` over every assignment to ``keys``, lexicographic
-    in their order, ``_CHUNK`` assignments at a time.
+    in their order, ``_CHUNK`` assignments at a time (one chunk of them
+    all when there are fewer).
 
     The trailing variables whose assignments fit in a chunk repeat the
     same table in every chunk, built once; each chunk fills only the
@@ -142,23 +142,22 @@ def _compare_exhaustive(lhs, rhs, keys: list, bits: int) -> CheckResult:
     evaluation of every assignment gives."""
     size = 1 << bits
     total = size ** len(keys)
-    if total <= _CHUNK:
-        return _compare(lhs, rhs, _exhaustive_env(keys, bits), bits)
+    chunk = min(total, _CHUNK)
     lead = len(keys)
-    while lead and size ** (len(keys) - lead + 1) <= _CHUNK:
+    while lead and size ** (len(keys) - lead + 1) <= chunk:
         lead -= 1
     tail = _exhaustive_env(keys[lead:], bits)
-    reps = _CHUNK // size ** (len(keys) - lead)
+    reps = chunk // size ** (len(keys) - lead)
     tail = {key: np.tile(v, reps) for key, v in tail.items()}
-    for start in range(0, total, _CHUNK):
+    for start in range(0, total, chunk):
         env = {}
         for i, key in enumerate(keys[:lead]):
             stride = size ** (len(keys) - 1 - i)  # cases per value
-            values = max(_CHUNK // stride, 1)  # values in this chunk
+            values = max(chunk // stride, 1)  # values in this chunk
             first = start // stride
             env[key] = np.repeat(
                 (np.arange(first, first + values) % size).astype(
-                    _DTYPES[bits]), _CHUNK // values)
+                    _DTYPES[bits]), chunk // values)
         env.update(tail)
         res = _compare(lhs, rhs, env, bits)
         if not res.passed:

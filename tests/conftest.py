@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
-from mbaobf.egraph import _CODES
-from mbaobf.expr import (ADD, AND, Const, MUL, NEG, NOT, OR, SUB, Var, XOR,
-                         Op, mask_of)
+from mbaobf.egraph import _CODES, _LABELS
+from mbaobf.expr import (ADD, AND, Const, MUL, NEG, NOT, OPERATORS, OR, SUB,
+                         Var, XOR, Op, mask_of)
 
 BINARY_OPS = (ADD, SUB, MUL, AND, OR, XOR)
 UNARY_OPS = (NEG, NOT)
@@ -42,6 +43,50 @@ def flat_key(node) -> tuple:
     if not node.children:
         return (_CODES[node.label], node.payload)
     return (_CODES[node.label], *node.children, -1)[:3]
+
+
+def check_class_values(g, envs: int = 64, seed: int = 0) -> None:
+    """Assert that every live row of ``g``'s node table has its class's
+    value on ``envs`` seeded random environments.
+
+    A leaf row takes its payload's value, an operator row its operator's
+    ``fn`` of its children's class values, each child's class read from
+    ``g._class_ids()``.  Rows are swept until no class gains a value: the
+    first row of a class to be evaluated gives the class its value, and
+    every other row must equal it.  A row left unevaluated means a class
+    with no finite term, which fails too."""
+    rng = np.random.default_rng(seed)
+    m = np.uint64(mask_of(g.bits))
+    table = g._columns().tolist()
+    cls = g._class_ids().tolist()
+    var = _CODES["var"]
+    names = sorted({g._payloads[row] for row in g._payloads
+                    if table[row][0] == var})
+    env = {name: rng.integers(0, 1 << g.bits, envs, np.uint64)
+           for name in names}
+    value = {}
+    pending = [row for row, (code, _, _) in enumerate(table) if code >= 0]
+    while pending:
+        left = []
+        for row in pending:
+            code, first, second = table[row]
+            if first < 0:
+                payload = g._payloads[row]
+                v = (env[payload] if code == var
+                     else np.full(envs, payload, np.uint64))
+            else:
+                kids = [cls[first]] + ([cls[second]] if second >= 0 else [])
+                if any(k not in value for k in kids):
+                    left.append(row)
+                    continue
+                with np.errstate(over="ignore"):
+                    v = OPERATORS[_LABELS[code]].fn(
+                        *(value[k] for k in kids), m)
+            known = value.setdefault(cls[row], v)
+            assert (known == v).all(), \
+                f"row {row} ({g._node(row)}) differs from class {cls[row]}"
+        assert len(left) < len(pending), f"rows {left} are never evaluated"
+        pending = left
 
 
 def random_env(rng: random.Random, names, bits: int):

@@ -23,7 +23,7 @@ from mbaobf.rules import (_label_index, apply_match, ematch,
                           load_default_rules, parse_rules)
 from mbaobf.verify import check_equivalence
 
-from conftest import flat_key, random_expr
+from conftest import check_class_values, flat_key, random_expr
 
 ADDOR = parse_rules("addor : ?a + ?b => (?a | ?b) + (?a & ?b)")
 CORPUS = Path(__file__).resolve().parent.parent / "corpus" / "sample100.txt"
@@ -967,6 +967,22 @@ class TestExpand:
             assert rep.stop is StopReason.NODE_LIMIT
             assert len(audited) == rep.iterations + 1
             assert audited[-1] == rep.final_node_count
+
+    def test_grown_classes_agree_semantically(self):
+        # every node of a class must have the class's value: the invariant
+        # checks see structure only
+        rules = load_default_rules()
+        for line in CORPUS.read_text().splitlines()[:10]:
+            check_class_values(grow(parse(line), rules,
+                                    ExpansionConfig()).graph)
+
+    def test_class_values_catch_an_unsound_union(self):
+        g = EGraph()
+        g.union(g.add_expr(parse("x")), g.add_expr(parse("x + 1")))
+        g.rebuild()
+        check_invariants(g)
+        with pytest.raises(AssertionError, match="differs from class"):
+            check_class_values(g)
 
     def test_input_over_node_limit_raises(self):
         e = parse("(x * y) + (y * z)")  # 6 distinct nodes: y is shared
