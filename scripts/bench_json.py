@@ -4,14 +4,15 @@ optionally against a git ref in the same process.
 
     python3 scripts/bench_json.py LABEL [REF] [--node-limit N]
         [--iter-limit N] [--time-limit-ms MS] [--rounds R]
-        [--max-output-nodes N] [--bitwidth B]
+        [--max-output-nodes N]
 
 Each of ``PASSES`` passes grows every line of ``corpus/sample100.txt``
-with the shipped rules, as ``mbaobf bench --no-check`` does.  The
-perfbench workloads on this corpus: corpus-default is the defaults,
-grow-large ``--node-limit 8000 --max-output-nodes 2000 --time-limit-ms
-600000``, output-selfcheck ``--bitwidth 8 --node-limit 400
---time-limit-ms 600000`` (without its selfcheck).
+at 64 bits with the shipped rules, as ``mbaobf bench --no-check`` does.
+Two perfbench workloads have a flag set on this corpus: corpus-default
+is the defaults, grow-large ``--node-limit 8000 --max-output-nodes 2000
+--time-limit-ms 600000``.  The output-selfcheck workload (2-variable
+lines, 8 bits, an exhaustive selfcheck) has none; time it with
+perfbench.
 
 The file records the commit, the flags, ``passes_s`` (each pass's wall
 time), ``wall_s`` (their median), percentiles of each line's
@@ -53,7 +54,6 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from mbaobf import ExpansionConfig  # noqa: E402
 from mbaobf.cli import _read_corpus  # noqa: E402
-from mbaobf.expr import DEFAULT_BITWIDTH, VALID_BITWIDTHS  # noqa: E402
 
 PASSES = 10
 
@@ -76,13 +76,13 @@ def extract_ref(ref: str, dest: Path) -> None:
 class Side:
     """The timed corpus loop of one package, ``mbaobf`` or ``mbaobf_ref``."""
 
-    def __init__(self, package: str, config: dict, bits: int, lines: list):
+    def __init__(self, package: str, config: dict, lines: list):
         pkg = importlib.import_module(package)
         self.parse, self.expand = pkg.parse, pkg.expand
         self.row = importlib.import_module(package + ".cli")._report_json
         self.rules = pkg.load_default_rules()
         self.cfg = pkg.ExpansionConfig(**config)
-        self.bits, self.lines = bits, lines
+        self.lines = lines
         self.passes, self.elapsed = [], []
 
     def run(self) -> tuple:
@@ -91,8 +91,7 @@ class Side:
         stops = Counter()
         start = time.perf_counter()
         for text in self.lines:
-            report = self.expand(self.parse(text, self.bits), self.rules,
-                                 self.cfg, self.bits)
+            report = self.expand(self.parse(text), self.rules, self.cfg)
             row = json.dumps(self.row(text, report), sort_keys=True)
             rows.update((row + "\n").encode())
             trajectory.update(f"{report.stop.value} {report.iterations} "
@@ -123,8 +122,6 @@ def main() -> None:
     ap.add_argument("--rounds", type=int, default=defaults.extraction_rounds)
     ap.add_argument("--max-output-nodes", type=int,
                     default=defaults.max_output_nodes)
-    ap.add_argument("--bitwidth", type=int, default=DEFAULT_BITWIDTH,
-                    choices=VALID_BITWIDTHS)
     args = ap.parse_args()
     config = dict(node_limit=args.node_limit, iter_limit=args.iter_limit,
                   time_limit=args.time_limit_ms / 1000.0,
@@ -132,7 +129,7 @@ def main() -> None:
                   max_output_nodes=args.max_output_nodes)
     corpus = ROOT / "corpus" / "sample100.txt"
     lines = [text for _, text in _read_corpus(corpus)]
-    sides = [Side("mbaobf", config, args.bitwidth, lines)]
+    sides = [Side("mbaobf", config, lines)]
     with tempfile.TemporaryDirectory() as tmp:
         if args.ref:
             ref_commit = git("rev-parse", "--verify", args.ref + "^{commit}")
@@ -140,7 +137,7 @@ def main() -> None:
                 sys.exit(f"not a commit: {args.ref}")
             extract_ref(args.ref, Path(tmp))
             sys.path.insert(0, tmp)
-            sides.append(Side("mbaobf_ref", config, args.bitwidth, lines))
+            sides.append(Side("mbaobf_ref", config, lines))
         results = [side.run() for p in range(PASSES)
                    for side in (sides if p % 2 == 0 else sides[::-1])]
     if any(r != results[0] for r in results):
