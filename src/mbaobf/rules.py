@@ -67,7 +67,8 @@ class Rule:
     :func:`_compile_application`) for :func:`apply_match` and
     :func:`count_new_nodes`.  It reads each variable from its slot in
     ``program.names``.  A right-side variable that is not on the left
-    raises :class:`UnboundRhsVarError`."""
+    raises :class:`UnboundRhsVarError`, and an operator on either side
+    that is not the operator table's own entry ``ValueError``."""
 
     name: str
     lhs: Pattern
@@ -76,6 +77,7 @@ class Rule:
     apply: Callable = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        _check_operators(self.name, self.lhs, self.rhs)
         program = _compile_matcher(self.name, self.lhs)
         object.__setattr__(self, "program", program)
         object.__setattr__(self, "apply", _compile_application(
@@ -139,6 +141,21 @@ def default_rules_text() -> str:
 def load_default_rules() -> list[Rule]:
     """The 14 rules shipped with the engine."""
     return parse_rules(default_rules_text())
+
+
+def _check_operators(name: str, *patterns: Pattern) -> None:
+    """Raise ``ValueError`` unless every operator of ``patterns`` is the
+    operator table's own entry.  Operators compare without their ``fn``,
+    so the test is by identity: a lookalike named ``add`` would be matched
+    and built as the table's ``add`` while the soundness check evaluated
+    its own ``fn``."""
+    todo = list(patterns)
+    for q in todo:
+        if isinstance(q, Op):
+            if OPERATORS.get(q.op.name) is not q.op:
+                raise ValueError(f"rule {name!r}: operator {q.op.name!r} "
+                                 f"is not in the operator table")
+            todo.extend(q.args)
 
 
 # ---------------------------------------------------------------------------
@@ -310,9 +327,6 @@ def _compile_application(name: str, rhs: Pattern, names: tuple) -> Callable:
             used.add(slots[q.name])
             return f"v{slots[q.name]}"
         if isinstance(q, Op):
-            if OPERATORS.get(q.op.name) != q.op:
-                raise ValueError(f"rule {name!r}: operator {q.op.name!r} "
-                                 f"is not in the operator table")
             cells = ", ".join([str(_CODES[q.op.name]),
                                *[emit(a) for a in q.args], "-1"][:3])
             key = f"({cells})"

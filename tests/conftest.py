@@ -1,8 +1,10 @@
-"""Shared helpers: random tree generation and naive oracles."""
+"""Shared helpers: the sample corpus, random tree generation and naive
+oracles."""
 
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,11 @@ import pytest
 from mbaobf.egraph import _CODES, _LABELS
 from mbaobf.expr import (ADD, AND, Const, MUL, NEG, NOT, OPERATORS, OR, SUB,
                          Var, XOR, Op, mask_of)
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus" / "sample100.txt"
+# Acceptance criterion 7's bench flags.
+CRITERION_7 = ["--node-limit", "400", "--iter-limit", "30",
+               "--time-limit-ms", "60000", "--seed", "7"]
 
 BINARY_OPS = (ADD, SUB, MUL, AND, OR, XOR)
 UNARY_OPS = (NEG, NOT)

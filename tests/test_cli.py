@@ -1,4 +1,3 @@
-import hashlib
 import itertools
 import json
 import os
@@ -19,28 +18,9 @@ from mbaobf.expr import (MAX_DEPTH, VALID_BITWIDTHS, expr_size, parse,
 from mbaobf.metrics import measure
 from mbaobf.rules import default_rules_text
 
-from conftest import flat_sum
+from conftest import CORPUS, flat_sum
 
 FAST = ["--node-limit", "300", "--iter-limit", "3", "--time-limit-ms", "30000"]
-CORPUS = Path(__file__).resolve().parent.parent / "corpus" / "sample100.txt"
-# Acceptance criterion 7's flags.
-CRITERION_7 = ["--node-limit", "400", "--iter-limit", "30",
-               "--time-limit-ms", "60000", "--seed", "7"]
-# sha256 of BASE.jsonl and BASE.csv for the corpus's first 20 lines at
-# CRITERION_7, as the engine wrote them before its core was rewritten for
-# speed.  A change that alters them changes the program's output.
-GOLDEN_20 = (
-    "10dc86a422f9e4bfb8c02ac4ca881e5125b03513af0c9a94acd9c7c468a3a404",
-    "0c3178f673959f6be58a9189e86676b6a583f5963ba67d7f181da3d711acfa8d",
-)
-# The same for the corpus's first 10 lines at the shipped defaults, with a
-# time limit no line comes near, as the engine wrote them before its two
-# extractor loops became one.  These outputs hit the 10,000-node cap.
-DEFAULTS_NO_CLOCK = ["--time-limit-ms", "60000"]
-GOLDEN_10_DEFAULTS = (
-    "a1349ac99b8f706027d7c80e6b5d6c660bf608553970c6838afe257e27b6800b",
-    "0e2d0e420783383109aa015a0cd07962910a4dadca117457a71f87efd681993c",
-)
 
 
 @pytest.fixture
@@ -386,23 +366,6 @@ class TestBench:
         assert "line 2: skipped (e-graph node capacity exceeded (cap=5))" \
             in captured.err
         assert "1 expressions processed, 1 skipped" in captured.out
-
-    def bench_digests(self, tmp_path, count, flags) -> tuple:
-        """sha256 of BASE.jsonl and BASE.csv for the corpus's first
-        ``count`` lines."""
-        lines = CORPUS.read_text(encoding="utf-8").splitlines()[:count]
-        corpus = self.write_corpus(tmp_path, lines)
-        base = str(tmp_path / "out")
-        assert main(["bench", "-f", corpus, "-o", base, *flags]) == 0
-        return tuple(hashlib.sha256(Path(base + ext).read_bytes())
-                     .hexdigest() for ext in (".jsonl", ".csv"))
-
-    def test_golden_digest_at_criterion_7_flags(self, tmp_path, capsys):
-        assert self.bench_digests(tmp_path, 20, CRITERION_7) == GOLDEN_20
-
-    def test_golden_digest_at_defaults(self, tmp_path, capsys):
-        assert (self.bench_digests(tmp_path, 10, DEFAULTS_NO_CLOCK)
-                == GOLDEN_10_DEFAULTS)
 
 
 def run_cli(*args: str, stdout=subprocess.PIPE,

@@ -4,7 +4,6 @@ import gc
 import itertools
 import random
 import types
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,10 +22,9 @@ from mbaobf.rules import (_label_index, apply_match, ematch,
                           load_default_rules, parse_rules)
 from mbaobf.verify import check_equivalence
 
-from conftest import check_class_values, flat_key, random_expr
+from conftest import CORPUS, check_class_values, flat_key, random_expr
 
 ADDOR = parse_rules("addor : ?a + ?b => (?a | ?b) + (?a & ?b)")
-CORPUS = Path(__file__).resolve().parent.parent / "corpus" / "sample100.txt"
 
 def _operator_lhs_rules():
     """The shipped rules whose left-hand side requires an operator; a bare

@@ -753,10 +753,18 @@ class TestGeneratedApplication:
         assert apply_match(g, rule, [m])
         assert g.node_count() == 4
 
-    def test_operator_outside_the_table_rejected(self):
-        fake = dataclasses.replace(ADD, name="') or ('")
+    @pytest.mark.parametrize("side", ["lhs", "rhs"])
+    @pytest.mark.parametrize("fake", [
+        dataclasses.replace(ADD, name="') or ('"),
+        # compares equal to ADD, since an operator's fn is not compared
+        dataclasses.replace(ADD, fn=lambda a, b, m: (a - b) & m),
+    ], ids=["unknown-name", "other-fn"])
+    def test_operator_outside_the_table_rejected(self, fake, side):
+        a, b = PatVar("a"), PatVar("b")
+        bad = Op(fake, (a, b))
+        lhs, rhs = (bad, a) if side == "lhs" else (Op(ADD, (a, b)), bad)
         with pytest.raises(ValueError, match="operator table"):
-            Rule("r", PatVar("a"), Op(fake, (PatVar("a"), PatVar("a"))))
+            Rule("r", lhs, rhs)
 
     def test_hostile_var_name_is_data(self):
         (rule,) = [r for r in EDGE_RULES if r.name == "hostile-var"]

@@ -12,7 +12,6 @@ import math
 import random
 import tracemalloc
 from collections import Counter
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,9 +24,7 @@ from mbaobf.rules import PatVar, load_default_rules
 from mbaobf.verify import (_DTYPES, _eval_vec, _exhaustive_env, _random_env,
                            check_equivalence)
 
-from conftest import BINARY_OPS, UNARY_OPS
-
-CORPUS = Path(__file__).resolve().parent.parent / "corpus" / "sample100.txt"
+from conftest import BINARY_OPS, CORPUS, UNARY_OPS
 
 
 # ---------------------------------------------------------------------------
