@@ -1,41 +1,41 @@
 #!/usr/bin/env python3
-"""Time the sample corpus in process and write one ``BENCH_<label>.json``,
-optionally against a git ref in the same process.
+"""Time ``mbaobf bench --no-check`` over the sample corpus in process and
+write one ``BENCH_<label>.json``, optionally against a git ref.
 
-    python3 scripts/bench_json.py LABEL [REF] [--node-limit N]
-        [--iter-limit N] [--time-limit-ms MS] [--rounds R]
-        [--max-output-nodes N]
+    python3 scripts/bench_json.py LABEL [REF] [bench flags]
 
-Each of ``PASSES`` passes grows every line of ``corpus/sample100.txt``
-at 64 bits with the shipped rules, as ``mbaobf bench --no-check`` does.
-Two perfbench workloads have a flag set on this corpus: corpus-default
-is the defaults, grow-large ``--node-limit 8000 --max-output-nodes 2000
---time-limit-ms 600000``.  The output-selfcheck workload (2-variable
-lines, 8 bits, an exhaustive selfcheck) has none; time it with
-perfbench.
+Each of ``PASSES`` passes is one call of ``cli.main(["bench", "-f",
+corpus/sample100.txt, "-o", TMP, "--no-check", *flags])``: rule
+admission is not timed, but compiling the rules and writing the JSONL
+and CSV are.  Two perfbench workloads have a flag set on this corpus:
+corpus-default is the defaults, grow-large ``--node-limit 8000
+--max-output-nodes 2000 --time-limit-ms 600000``.  The output-selfcheck
+workload (2-variable lines, 8 bits, an exhaustive selfcheck) has none;
+time it with perfbench.
 
-The file records the commit, the flags, ``passes_s`` (each pass's wall
-time), ``wall_s`` (their median), percentiles of each line's
-``report.elapsed`` over all passes, ``rows_sha256`` (of the rows
-``bench`` writes, as ``sha256sum BASE.jsonl``) and ``trajectory_sha256``
-(of each line's ``"{stop} {iterations} {final_node_count}\\n"``, where
-growth stopped even when the output cap hides it).
+During a pass ``cli.expand`` is wrapped: it asserts each line's final
+node count is within ``node_limit``, records ``report.elapsed`` and
+hashes ``"{stop} {iterations} {final_node_count}\\n"``, where growth
+stopped even when the output cap hides it.  The file records the commit,
+the flags, ``passes_s``, ``wall_s`` (their median), percentiles of
+``report.elapsed`` over all passes, ``rows_sha256`` (``sha256sum
+BASE.jsonl`` of what bench wrote), ``trajectory_sha256`` and the stops.
 
 With ``REF``, ``REF:src/mbaobf`` is imported from ``git archive`` as
-``mbaobf_ref``; its passes alternate with the working tree's, the side
-going first alternating too, and each side builds rows with its own
-package.  ``against`` holds the ref's commit and timings, ``ratio`` the
-median wall time of the working tree over the ref's, ``faster_in`` the
-passes the working tree won, and ``gain`` whether it won at least 9/10
-of them by a median gap above the ref's interquartile range.  In
-separate processes identical runs spread ~15% on a small shared machine;
-alternating in one process cancels most of that drift.  A ref older than
-``default_rules_text`` loads the working tree's rule file.  The script
-exits 1, writing nothing, if a line fails or if any pass of either side
-gives other rows or another trajectory than the first.
+``mbaobf_ref`` and runs its own bench; the sides alternate pass for pass,
+the side going first alternating too.  ``against`` holds the ref's commit
+and timings, ``ratio`` the median wall time of the working tree over the
+ref's, ``faster_in`` the passes the working tree won, and ``gain`` whether
+it won at least 9/10 of them by a median gap above the ref's
+interquartile range.  In separate processes identical runs spread ~15% on
+a small shared machine; alternating in one process cancels most of that
+drift.  The script exits 1, writing nothing, if bench exits non-zero or
+skips a line (it reports either on stderr), or if any pass of either side
+writes other rows or another CSV, or stops elsewhere, than the first.
 """
 
 import argparse
+import contextlib
 import hashlib
 import importlib
 import io
@@ -50,10 +50,8 @@ from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+CORPUS = ROOT / "corpus" / "sample100.txt"
 sys.path.insert(0, str(ROOT / "src"))
-
-from mbaobf import ExpansionConfig  # noqa: E402
-from mbaobf.cli import _read_corpus  # noqa: E402
 
 PASSES = 10
 
@@ -74,32 +72,49 @@ def extract_ref(ref: str, dest: Path) -> None:
 
 
 class Side:
-    """The timed corpus loop of one package, ``mbaobf`` or ``mbaobf_ref``."""
+    """``bench`` of one package, ``mbaobf`` or ``mbaobf_ref``, at ``flags``."""
 
-    def __init__(self, package: str, config: dict, lines: list):
-        pkg = importlib.import_module(package)
-        self.parse, self.expand = pkg.parse, pkg.expand
-        self.row = importlib.import_module(package + ".cli")._report_json
-        self.rules = pkg.load_default_rules()
-        self.cfg = pkg.ExpansionConfig(**config)
-        self.lines = lines
+    def __init__(self, package: str, flags: list):
+        self.cli = importlib.import_module(package + ".cli")
+        self.flags = flags
         self.passes, self.elapsed = [], []
 
     def run(self) -> tuple:
-        """One pass: its rows and trajectory sha256s and stop reasons."""
-        rows, trajectory = hashlib.sha256(), hashlib.sha256()
+        """One pass: the sha256 of the JSONL, the CSV and the trajectory,
+        and the stop reasons with their counts."""
+        expand, trajectory = self.cli.expand, hashlib.sha256()
         stops = Counter()
-        start = time.perf_counter()
-        for text in self.lines:
-            report = self.expand(self.parse(text), self.rules, self.cfg)
-            row = json.dumps(self.row(text, report), sort_keys=True)
-            rows.update((row + "\n").encode())
+
+        def tracked(expr, rules, cfg, *rest):
+            report = expand(expr, rules, cfg, *rest)
+            assert report.final_node_count <= cfg.node_limit, expr
             trajectory.update(f"{report.stop.value} {report.iterations} "
                               f"{report.final_node_count}\n".encode())
             self.elapsed.append(report.elapsed)
             stops[report.stop.value] += 1
-        self.passes.append(time.perf_counter() - start)
-        return rows.hexdigest(), trajectory.hexdigest(), sorted(stops.items())
+            return report
+
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            base = str(Path(tmp) / "out")
+            argv = ["bench", "-f", str(CORPUS), "-o", base, *self.flags]
+            self.cli.expand = tracked
+            try:
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(err):
+                    start = time.perf_counter()
+                    try:
+                        code = self.cli.main(argv)
+                    except SystemExit as exc:  # bench's parser refused a flag
+                        code = exc.code
+                    self.passes.append(time.perf_counter() - start)
+            finally:
+                self.cli.expand = expand
+            if code or err.getvalue():
+                sys.exit(f"bench exited {code}: {err.getvalue()}")
+            jsonl, csv = (hashlib.sha256(Path(base + ext).read_bytes())
+                          .hexdigest() for ext in (".jsonl", ".csv"))
+        return jsonl, csv, trajectory.hexdigest(), sorted(stops.items())
 
     def timings(self) -> dict:
         p95 = statistics.quantiles(self.elapsed, n=20, method="inclusive")[18]
@@ -111,25 +126,18 @@ class Side:
 
 
 def main() -> None:
-    defaults = ExpansionConfig()
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap = argparse.ArgumentParser(
+        description=__doc__.split("\n\n")[0],
+        epilog="Every argument from the first one that starts with '-' on "
+               "is passed to mbaobf bench, after --no-check.")
     ap.add_argument("label")
     ap.add_argument("ref", nargs="?")
-    ap.add_argument("--node-limit", type=int, default=defaults.node_limit)
-    ap.add_argument("--iter-limit", type=int, default=defaults.iter_limit)
-    ap.add_argument("--time-limit-ms", type=int,
-                    default=round(defaults.time_limit * 1000))
-    ap.add_argument("--rounds", type=int, default=defaults.extraction_rounds)
-    ap.add_argument("--max-output-nodes", type=int,
-                    default=defaults.max_output_nodes)
-    args = ap.parse_args()
-    config = dict(node_limit=args.node_limit, iter_limit=args.iter_limit,
-                  time_limit=args.time_limit_ms / 1000.0,
-                  extraction_rounds=args.rounds,
-                  max_output_nodes=args.max_output_nodes)
-    corpus = ROOT / "corpus" / "sample100.txt"
-    lines = [text for _, text in _read_corpus(corpus)]
-    sides = [Side("mbaobf", config, lines)]
+    # Split by hand: argparse cannot tell a bench flag's value from REF.
+    argv = sys.argv[1:]
+    n = next((i for i, a in enumerate(argv) if a.startswith("-")), len(argv))
+    args = ap.parse_args(argv[:n] or argv)
+    flags = ["--no-check", *argv[n:]]
+    sides = [Side("mbaobf", flags)]
     with tempfile.TemporaryDirectory() as tmp:
         if args.ref:
             ref_commit = git("rev-parse", "--verify", args.ref + "^{commit}")
@@ -137,22 +145,21 @@ def main() -> None:
                 sys.exit(f"not a commit: {args.ref}")
             extract_ref(args.ref, Path(tmp))
             sys.path.insert(0, tmp)
-            sides.append(Side("mbaobf_ref", config, lines))
+            sides.append(Side("mbaobf_ref", flags))
         results = [side.run() for p in range(PASSES)
                    for side in (sides if p % 2 == 0 else sides[::-1])]
     if any(r != results[0] for r in results):
-        sys.exit("rows or stop points differ between passes or sides")
-    rows, trajectory, stops = results[0]
+        sys.exit("rows, CSV or stop points differ between passes or sides")
+    rows, _, trajectory, stops = results[0]
     work = sides[0]
     result = {
         "label": args.label,
         "commit": git("rev-parse", "HEAD").stdout.strip(),
         "src_matches_commit": git("diff", "--quiet", "HEAD", "--",
                                   "src").returncode == 0,
-        "flags": {k: v for k, v in vars(args).items()
-                  if k not in ("label", "ref")},
-        "corpus_sha256": hashlib.sha256(corpus.read_bytes()).hexdigest(),
-        "lines": len(lines),
+        "flags": flags,
+        "corpus_sha256": hashlib.sha256(CORPUS.read_bytes()).hexdigest(),
+        "lines": sum(count for _, count in stops),
         **work.timings(),
         "stops": dict(stops),
         "rows_sha256": rows,

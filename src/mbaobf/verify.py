@@ -226,10 +226,10 @@ def check_rules(rules: list, trials: int = 10_000, seed: int = 0) -> list:
     ``trials`` seeded random assignments otherwise; 64 bits always takes
     the random check.  Returns ``[(rule, label, result)]`` for every check
     performed, in order, where ``label`` names the check that ran:
-    ``exhaustive@8``, ``random@8`` or ``random@64``.  ``trials`` that is
-    not an ``int`` (a ``bool`` is not), or is below 1 or above
-    :data:`EXHAUSTIVE_CASE_LIMIT`, raises ValueError before any check,
-    even for an empty ruleset.
+    ``exhaustive@4`` or ``random@4``, ``exhaustive@8`` or ``random@8``,
+    then ``random@64``.  ``trials`` that is not an ``int`` (a ``bool`` is
+    not), or is below 1 or above :data:`EXHAUSTIVE_CASE_LIMIT`, raises
+    ValueError before any check, even for an empty ruleset.
     """
     _check_trials(trials)
     results = []

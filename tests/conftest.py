@@ -9,9 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mbaobf.egraph import _CODES, _LABELS
+from mbaobf.egraph import _CODES, _LABELS, EGraph
 from mbaobf.expr import (ADD, AND, Const, MUL, NEG, NOT, OPERATORS, OR, SUB,
-                         Var, XOR, Op, mask_of)
+                         Var, XOR, Op, mask_of, parse)
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus" / "sample100.txt"
 # Acceptance criterion 7's bench flags.
@@ -36,6 +36,14 @@ def random_expr(rng: random.Random, size: int, pool=("x", "y", "z"),
     return Op(rng.choice(BINARY_OPS),
               (random_expr(rng, left, pool, bits, const_prob),
                random_expr(rng, size - 1 - left, pool, bits, const_prob)))
+
+
+def graph_of(*texts, bits=64):
+    """An e-graph of ``texts`` parsed at ``bits``, rebuilt, and their roots."""
+    g = EGraph(bits=bits)
+    roots = [g.add_expr(parse(t, bits)) for t in texts]
+    g.rebuild()
+    return g, roots
 
 
 def flat_sum(depth: int) -> str:

@@ -19,7 +19,7 @@ from mbaobf.expr import free_vars, parse, to_text
 from mbaobf.metrics import measure
 from mbaobf.rules import (PatVar, apply_match, count_new_nodes, ematch,
                           load_default_rules, parse_rules)
-from mbaobf.verify import check_equivalence, check_rule, check_rule_random
+from mbaobf.verify import check_equivalence, check_rules
 
 from conftest import CORPUS, CRITERION_7, NaivePartition, random_expr
 
@@ -36,19 +36,21 @@ def verdict(criterion: int, ok: bool, detail: str) -> None:
 def test_criterion_1_rule_soundness():
     rules = load_default_rules()
     start = time.monotonic()
-    failures = []
-    for rule in rules:
-        for width in (4, 8):
-            res = check_rule(rule, width)
-            if not res.passed:
-                failures.append((rule.name, width, res.counterexample))
-        res = check_rule_random(rule, 64, 10_000, seed=0)
-        if not res.passed:
-            failures.append((rule.name, 64, res.counterexample))
+    results = check_rules(rules)
     elapsed = time.monotonic() - start
-    ok = not failures and len(rules) == 14 and elapsed < 10.0
-    verdict(1, ok, f"14 rules exhaustive@4+8 plus 1e4 random@64, "
-                   f"failures={failures}, {elapsed:.2f}s")
+    labels = {rule.name: [] for rule in rules}
+    for rule, label, _ in results:
+        labels[rule.name].append(label)
+    checks = {tuple(names) for names in labels.values()}
+    random_cases = {res.cases_checked for _, label, res in results
+                    if label == "random@64"}
+    failures = [(rule.name, label, res.counterexample)
+                for rule, label, res in results if not res.passed]
+    ok = (len(rules) == 14
+          and checks == {("exhaustive@4", "exhaustive@8", "random@64")}
+          and random_cases == {10_000} and not failures and elapsed < 10.0)
+    verdict(1, ok, f"{len(rules)} rules, checks {checks}, random@64 cases "
+                   f"{random_cases}, failures={failures}, {elapsed:.2f}s")
 
 
 def test_criterion_2_end_to_end_equivalence():

@@ -9,14 +9,7 @@ from mbaobf.expansion import ExpansionConfig, grow
 from mbaobf.expr import parse
 from mbaobf.rules import load_default_rules
 
-from conftest import NaivePartition, flat_key, random_expr
-
-
-def graph_of(*texts, bits=64):
-    g = EGraph(bits=bits)
-    roots = [g.add_expr(parse(t, bits)) for t in texts]
-    g.rebuild()
-    return g, roots
+from conftest import NaivePartition, flat_key, graph_of, random_expr
 
 
 def reference_rebuild(g):

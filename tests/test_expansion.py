@@ -22,7 +22,8 @@ from mbaobf.rules import (_label_index, apply_match, ematch,
                           load_default_rules, parse_rules)
 from mbaobf.verify import check_equivalence
 
-from conftest import CORPUS, check_class_values, flat_key, random_expr
+from conftest import (CORPUS, check_class_values, flat_key, flat_sum,
+                      random_expr)
 
 ADDOR = parse_rules("addor : ?a + ?b => (?a | ?b) + (?a & ?b)")
 
@@ -857,6 +858,21 @@ class TestExpand:
                                      time_limit=10.0))
         res = check_equivalence(e, rep.output, 64, trials=1000, seed=3)
         assert res.passed
+
+    # A 27-node chain 13 operator levels deep and a 14-term flat sum, 14
+    # levels deep, raise UnextractableError at the defaults; 13 terms work.
+    # tests/test_cli.py::TestObfuscate::test_unextractable_names_both_limits
+    # pins today's exit 2 for flat_sum(19); item 18's fix flips both.
+    @pytest.mark.xfail(strict=True, raises=UnextractableError,
+                       reason="ROADMAP item 18")
+    @pytest.mark.parametrize("text", [
+        "((y ^ ((y ^ ((y ^ ((y ^ ((y ^ ((y ^ (x + y))"
+        " + y)) + y)) + y)) + y)) + y)) + y)",
+        flat_sum(13)], ids=["xor-add-chain-13", "flat-sum-14"])
+    def test_deep_input_gets_an_equivalent_output(self, text):
+        e = parse(text)
+        rep = expand(e, load_default_rules())
+        assert check_equivalence(e, rep.output, 8).passed
 
     def test_node_limit_stop(self):
         rep = expand(parse("x + y"), load_default_rules(),

@@ -1,7 +1,9 @@
 """The output goldens: ``bench`` over the whole sample corpus at each
 pinned flag set writes the JSONL and CSV it always has, growth stops
 where it always has, and every rebuild on the way keeps the e-graph
-invariants.
+invariants.  Each run is one pass of ``scripts/bench_json.py``'s
+``Side``, the runner that times bench, which also checks that no line
+ends over the node limit.
 
 ``DIGESTS`` holds the sha256 of ``BASE.jsonl``, of ``BASE.csv`` and, where
 pinned, of the trajectory: each line's ``"{stop} {iterations}
@@ -10,18 +12,14 @@ hides it.  A change that alters a digest changes the program's output; it
 updates the table and gives the reason in CHANGES.md.
 """
 
-import dataclasses
-import hashlib
 import sys
 from pathlib import Path
 
 import pytest
 
-import mbaobf.cli
-from mbaobf.cli import _read_corpus, _setup, build_parser, main
 from mbaobf.egraph import EGraph, check_invariants
 
-from conftest import CORPUS, CRITERION_7
+from conftest import CRITERION_7
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
 from bench_json import Side  # noqa: E402
@@ -58,20 +56,13 @@ RUNS = {
     "rounds-200": (["--rounds", "200", "--time-limit-ms", "60000"],
                    "rounds-200"),
 }
-LINES = [text for _, text in _read_corpus(CORPUS)]
-
-
-def sha256(path: str) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 @pytest.mark.parametrize("name", RUNS)
-def test_bench_output_and_trajectory(name, tmp_path, monkeypatch):
+def test_bench_output_and_trajectory(name, monkeypatch):
     flags, golden = RUNS[name]
-    jsonl, csv, trajectory = DIGESTS[golden]
-    rebuild, expand = EGraph.rebuild, mbaobf.cli.expand
+    rebuild = EGraph.rebuild
     audits = 0
-    stops = hashlib.sha256()
 
     def audited(g):
         nonlocal audits
@@ -80,28 +71,10 @@ def test_bench_output_and_trajectory(name, tmp_path, monkeypatch):
         audits += 1
         return passes
 
-    def tracked(expr, rules, cfg, bits):
-        report = expand(expr, rules, cfg, bits)
-        assert report.final_node_count <= cfg.node_limit, expr
-        stops.update(f"{report.stop.value} {report.iterations} "
-                     f"{report.final_node_count}\n".encode())
-        return report
-
     monkeypatch.setattr(EGraph, "rebuild", audited)
-    monkeypatch.setattr(mbaobf.cli, "expand", tracked)
-    base = str(tmp_path / "out")
-    assert main(["bench", "-f", str(CORPUS), "-o", base, *flags]) == 0
-    assert (sha256(base + ".jsonl"), sha256(base + ".csv")) == (jsonl, csv)
-    if trajectory is not None:
-        assert stops.hexdigest() == trajectory
-    assert audits > len(LINES), audits
-
-
-@pytest.mark.parametrize("name", ["defaults", "large"])
-def test_bench_json_hashes_what_bench_writes(name):
-    flags, golden = RUNS[name]
-    jsonl, _, trajectory = DIGESTS[golden]
-    cfg, _ = _setup(build_parser().parse_args(
-        ["bench", "-f", str(CORPUS), "--no-check", *flags]))
-    rows, stops, _ = Side("mbaobf", dataclasses.asdict(cfg), LINES).run()
-    assert (rows, stops) == (jsonl, trajectory)
+    jsonl, csv, trajectory, stops = Side("mbaobf", flags).run()
+    expected = DIGESTS[golden]
+    assert (jsonl, csv) == expected[:2]
+    if expected[2] is not None:
+        assert trajectory == expected[2]
+    assert audits > sum(count for _, count in stops), audits

@@ -13,14 +13,7 @@ from mbaobf.rules import (PatVar, Rule, RuleSyntaxError, UnboundRhsVarError,
                           _label_index, apply_match, count_new_nodes, ematch,
                           load_default_rules, parse_rules)
 
-from conftest import random_expr
-
-
-def graph_of(*texts, bits=64):
-    g = EGraph(bits=bits)
-    roots = [g.add_expr(parse(t, bits)) for t in texts]
-    g.rebuild()
-    return g, roots
+from conftest import graph_of, random_expr
 
 
 def state_of(g):
