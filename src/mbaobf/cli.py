@@ -105,8 +105,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("rulefile")
     p_check.add_argument("--trials", type=int, default=10_000,
                          help="random trials per randomized check: at 64 "
-                              "bits, and at 8 bits where exhaustive is "
-                              "infeasible; 1 to 2^24")
+                              "bits, and where exhaustive is infeasible, at "
+                              "8 bits from 4 variables and at 4 bits from "
+                              "7; 1 to 2^24")
     p_check.add_argument("--seed", type=int, default=0)
 
     p_metrics = sub.add_parser("metrics",

@@ -6,11 +6,19 @@ assignment space is small enough (at most ``2**24`` cases), otherwise by
 seeded random sampling.  There is deliberately no SMT dependency; at these
 widths plain evaluation is decisive and fast.
 
-Evaluation here is vectorized with numpy, over all assignments at once up
-to ``_CHUNK`` (2^20) of them and in chunks of that many past it, so an
-exhaustive check's arrays stay a few MiB each whatever its size.  It
-applies the same per-operator functions as the scalar
-:func:`mbaobf.expr.evaluate`, taken from the operator table
+Random samples come from a counter-based generator kept here, not from
+numpy's random module, whose streams may change between numpy releases
+and whose import costs a few MiB: the value of variable ``k`` in trial
+``i`` is a pure function of ``(seed, k, i)``, the SplitMix64 finalizer
+(Steele, Lea and Flood, OOPSLA 2014) over a 64-bit counter, so a seed
+draws the same samples on every numpy version and any chunk of trials
+can be drawn on its own.
+
+Evaluation here is vectorized with numpy, over all cases at once up to
+``_CHUNK`` (2^20) of them and in chunks of that many past it, exhaustive
+and random checks alike, so a check's arrays stay at most 8 MiB each
+whatever its size.  It applies the same per-operator functions as the
+scalar :func:`mbaobf.expr.evaluate`, taken from the operator table
 :data:`mbaobf.expr.OPERATORS`, which alone defines the semantics.  It
 evaluates each distinct subterm of a shared DAG once, by object identity,
 and frees each intermediate array after its last parent has read it, so an
@@ -33,7 +41,7 @@ from .expr import (Const, Expression, Var, _check_int, _fold, check_bitwidth,
 from .rules import PatVar, Rule
 
 EXHAUSTIVE_CASE_LIMIT = 1 << 24
-_CHUNK = 1 << 20  # exhaustive cases evaluated at once
+_CHUNK = 1 << 20  # cases evaluated at once
 
 _DTYPES = {4: np.uint8, 8: np.uint8, 16: np.uint16, 32: np.uint32, 64: np.uint64}
 
@@ -102,7 +110,7 @@ def _exhaustive_env(keys: list, bits: int) -> dict:
 def _check_trials(trials: int) -> None:
     # Without a sample every random check would pass; past the exhaustive
     # limit a random check would draw more cases than any exhaustive one
-    # enumerates, and at some size more than memory holds.
+    # enumerates.  Memory does not set the cap: trials run in chunks.
     _check_int("trials", trials)
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -111,11 +119,42 @@ def _check_trials(trials: int) -> None:
                          f"got {trials}")
 
 
-def _random_env(keys: list, bits: int, trials: int, seed: int) -> dict:
-    rng = np.random.default_rng(seed)
-    return {key: rng.integers(0, 1 << bits, size=trials,
-                              dtype=np.uint64).astype(_DTYPES[bits])
-            for key in keys}
+def _check_seed(seed: int) -> None:
+    _check_int("seed", seed)
+    if seed < 0:
+        raise ValueError(f"seed must be at least 0, got {seed}")
+
+
+_MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's counter step
+_STREAM = 1 << 32  # counters between two variables' first trials
+
+
+def _random_env(keys: list, bits: int, trials: int, seed: int,
+                start: int = 0) -> dict:
+    """Trials ``start`` to ``start + trials - 1`` of the random sample
+    for ``keys``.
+
+    Variable ``k`` (its place in ``keys``) in trial ``i`` takes the top
+    ``bits`` bits of SplitMix64's output number ``k * 2**32 + i`` for
+    ``seed``: the finalizer over the counter
+    ``seed + (k * 2**32 + i + 1) * 0x9E3779B97F4A7C15`` modulo 2^64.
+    Seeds equal modulo 2^64 draw the same sample; the seed is folded to
+    64 bits here, in Python, since numpy warns on a scalar overflow."""
+    env = {}
+    for k, key in enumerate(keys):
+        first = (seed + (k * _STREAM + start + 1) * _GAMMA) & _MASK64
+        z = np.arange(trials, dtype=np.uint64)
+        z *= np.uint64(_GAMMA)
+        z += np.uint64(first)
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(0xBF58476D1CE4E5B9)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(0x94D049BB133111EB)
+        z ^= z >> np.uint64(31)
+        z >>= np.uint64(64 - bits)
+        env[key] = z.astype(_DTYPES[bits], copy=False)
+    return env
 
 
 def _compare(lhs, rhs, env: dict, bits: int) -> CheckResult:
@@ -130,16 +169,14 @@ def _compare(lhs, rhs, env: dict, bits: int) -> CheckResult:
     return CheckResult(False, (cex_env, int(lv[idx]), int(rv[idx])), idx + 1)
 
 
-def _compare_exhaustive(lhs, rhs, keys: list, bits: int) -> CheckResult:
-    """:func:`_compare` over every assignment to ``keys``, lexicographic
-    in their order, ``_CHUNK`` assignments at a time (one chunk of them
-    all when there are fewer).
+def _enumeration(keys: list, bits: int) -> tuple:
+    """Every assignment to ``keys``, lexicographic in their order, as
+    ``(cases, env_at)`` for :func:`_compare_chunks`.
 
     The trailing variables whose assignments fit in a chunk repeat the
     same table in every chunk, built once; each chunk fills only the
-    leading variables, with ``np.repeat``.  The check stops at the first
-    chunk holding a counterexample, and the result is the one a single
-    evaluation of every assignment gives."""
+    leading variables, with ``np.repeat``.  Every chunk but a lone one
+    holds ``_CHUNK`` cases, since both counts are powers of two."""
     size = 1 << bits
     total = size ** len(keys)
     chunk = min(total, _CHUNK)
@@ -149,21 +186,47 @@ def _compare_exhaustive(lhs, rhs, keys: list, bits: int) -> CheckResult:
     tail = _exhaustive_env(keys[lead:], bits)
     reps = chunk // size ** (len(keys) - lead)
     tail = {key: np.tile(v, reps) for key, v in tail.items()}
-    for start in range(0, total, chunk):
+
+    def env_at(start: int, n: int) -> dict:
         env = {}
         for i, key in enumerate(keys[:lead]):
             stride = size ** (len(keys) - 1 - i)  # cases per value
-            values = max(chunk // stride, 1)  # values in this chunk
+            values = max(n // stride, 1)  # values in this chunk
             first = start // stride
             env[key] = np.repeat(
                 (np.arange(first, first + values) % size).astype(
-                    _DTYPES[bits]), chunk // values)
+                    _DTYPES[bits]), n // values)
         env.update(tail)
-        res = _compare(lhs, rhs, env, bits)
+        return env
+
+    return total, env_at
+
+
+def _sampling(keys: list, bits: int, trials: int, seed: int) -> tuple:
+    """``trials`` random assignments to ``keys`` (see :func:`_random_env`)
+    as ``(cases, env_at)`` for :func:`_compare_chunks`; with no variables
+    every trial is the same one case."""
+    def env_at(start: int, n: int) -> dict:
+        return _random_env(keys, bits, n, seed, start)
+
+    return (trials if keys else 1), env_at
+
+
+def _compare_chunks(lhs, rhs, source: tuple, bits: int) -> CheckResult:
+    """:func:`_compare` over every case of ``source``, an
+    :func:`_enumeration` or a :func:`_sampling`, ``_CHUNK`` cases at a
+    time (one chunk of them all when there are fewer).
+
+    The check stops at the first chunk holding a counterexample, and the
+    result is the one a single evaluation of every case gives."""
+    cases, env_at = source
+    for start in range(0, cases, _CHUNK):
+        res = _compare(lhs, rhs, env_at(start, min(_CHUNK, cases - start)),
+                       bits)
         if not res.passed:
             return CheckResult(False, res.counterexample,
                                start + res.cases_checked)
-    return CheckResult(True, None, total)
+    return CheckResult(True, None, cases)
 
 
 def _rule_leaves(rule: Rule) -> list:
@@ -187,17 +250,22 @@ def check_rule(rule: Rule, bits: int) -> CheckResult:
     cases = (1 << bits) ** len(leaves)
     if cases > EXHAUSTIVE_CASE_LIMIT:
         raise TooManyCasesError(cases)
-    return _compare_exhaustive(rule.lhs, rule.rhs, leaves, bits)
+    return _compare_chunks(rule.lhs, rule.rhs, _enumeration(leaves, bits),
+                           bits)
 
 
 def check_rule_random(rule: Rule, bits: int, trials: int,
                       seed: int = 0) -> CheckResult:
     """Randomized soundness check: ``trials`` (1 to
-    :data:`EXHAUSTIVE_CASE_LIMIT`) seeded assignments."""
+    :data:`EXHAUSTIVE_CASE_LIMIT`) seeded assignments.  ``seed`` must be
+    an ``int`` (a ``bool`` is not) of at least 0, or ValueError is raised
+    before any check."""
     check_bitwidth(bits)
     _check_trials(trials)
-    env = _random_env(_rule_leaves(rule), bits, trials, seed)
-    return _compare(rule.lhs, rule.rhs, env, bits)
+    _check_seed(seed)
+    return _compare_chunks(rule.lhs, rule.rhs,
+                           _sampling(_rule_leaves(rule), bits, trials, seed),
+                           bits)
 
 
 def check_equivalence(a: Expression, b: Expression, bits: int,
@@ -208,15 +276,17 @@ def check_equivalence(a: Expression, b: Expression, bits: int,
     otherwise ``trials`` seeded random environments over the union of the
     free variables.  ``trials`` that is not an ``int`` (a ``bool`` is
     not), or is below 1 or above :data:`EXHAUSTIVE_CASE_LIMIT`, raises
-    ValueError, whichever check runs.
+    ValueError, whichever check runs, and so does a ``seed`` that is not
+    an ``int`` or is below 0.
     """
     check_bitwidth(bits)
     _check_trials(trials)
+    _check_seed(seed)
     names = sorted(free_vars(a) | free_vars(b))
     cases = (1 << bits) ** len(names)
     if cases <= EXHAUSTIVE_CASE_LIMIT:
-        return _compare_exhaustive(a, b, names, bits)
-    return _compare(a, b, _random_env(names, bits, trials, seed), bits)
+        return _compare_chunks(a, b, _enumeration(names, bits), bits)
+    return _compare_chunks(a, b, _sampling(names, bits, trials, seed), bits)
 
 
 def check_rules(rules: list, trials: int = 10_000, seed: int = 0) -> list:
@@ -229,9 +299,11 @@ def check_rules(rules: list, trials: int = 10_000, seed: int = 0) -> list:
     ``exhaustive@4`` or ``random@4``, ``exhaustive@8`` or ``random@8``,
     then ``random@64``.  ``trials`` that is not an ``int`` (a ``bool`` is
     not), or is below 1 or above :data:`EXHAUSTIVE_CASE_LIMIT`, raises
-    ValueError before any check, even for an empty ruleset.
+    ValueError before any check, even for an empty ruleset, and so does a
+    ``seed`` that is not an ``int`` or is below 0.
     """
     _check_trials(trials)
+    _check_seed(seed)
     results = []
     for rule in rules:
         for w in (4, 8):

@@ -451,22 +451,37 @@ class TestNoTraceback:
         self.assert_one_error_line(proc)
         assert "--time-limit-ms" in proc.stderr
 
-    @pytest.mark.parametrize("command", [
+    SEED_COMMANDS = pytest.mark.parametrize("command", [
         ["obfuscate", "-e", "x", "--no-check", "--selfcheck"],
         ["bench", "-f", "{corpus}", "-o", "{out}"],
         ["check-rules", "{rules}"]],
         ids=["obfuscate-no-check", "bench", "check-rules"])
-    def test_negative_seed(self, tmp_path, command):
+
+    @staticmethod
+    def seed_command(tmp_path, command) -> list:
         corpus = tmp_path / "corpus.txt"
         corpus.write_text("x + y\n")
         rules = tmp_path / "r.rules"
         rules.write_text("addor : ?a + ?b => (?a | ?b) + (?a & ?b)\n")
-        args = [a.format(corpus=corpus, rules=rules, out=tmp_path / "out")
+        return [a.format(corpus=corpus, rules=rules, out=tmp_path / "out")
                 for a in command]
-        proc = run_cli(*args, "--seed", "-1")
+
+    @SEED_COMMANDS
+    def test_negative_seed(self, tmp_path, command):
+        proc = run_cli(*self.seed_command(tmp_path, command), "--seed", "-1")
         self.assert_one_error_line(proc)
         assert "--seed" in proc.stderr
         assert not (tmp_path / "out.jsonl").exists()
+
+    @SEED_COMMANDS
+    @pytest.mark.parametrize("seed", [2**64, 2**200],
+                             ids=["2**64", "2**200"])
+    def test_seed_past_64_bits(self, tmp_path, command, seed):
+        # in range: the random checks fold a seed to 64 bits
+        proc = run_cli(*self.seed_command(tmp_path, command), "--seed",
+                       str(seed))
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("command", ["obfuscate", "bench"])
     def test_unwritable_output(self, tmp_path, command):
@@ -597,7 +612,7 @@ class TestNoTraceback:
                     ("--rounds", range(1, MAX_DEPTH + 1), [0, MAX_DEPTH + 1]),
                     ("--max-output-nodes", [1, 7, 40, 3000], [0, 2**24 + 1]),
                     ("--target-size", [1, 50, 5000], [0, -3]),
-                    ("--seed", range(100), [-1])]:
+                    ("--seed", [*range(100), 2**64, 2**200], [-1])]:
                 if rng.random() < 0.5:
                     flags += [flag, value(good, bad)]
             # an 8-bit selfcheck of three variables is 2^24 environments
@@ -615,7 +630,7 @@ class TestNoTraceback:
             if command == "check-rules":
                 return ["check-rules", rule_file(),
                         "--trials", value([1, 5, 50], [0, 2**24 + 1]),
-                        "--seed", value([0, 3], [-1])]
+                        "--seed", value([0, 3, 2**64, 2**200], [-1])]
             rules = ["-r", rule_file()] if rng.random() < 0.5 else []
             flags = rules + engine_flags(not rules and rng.random() < 0.3)
             if command == "obfuscate":

@@ -536,26 +536,36 @@ class TestApplyMatch:
 
     def test_application_refused_by_the_cap_leaves_no_trace(self):
         # mul-split-masks adds 8 nodes to `x * x`, whose ~x it builds twice;
-        # caps of 2 to 9 refuse it after 0 to 7 of them
+        # room for 0 to 7 refuses it after 0 to 7 of them.  Once y is x,
+        # y * y is x * x and its row is dead, so ids outnumber nodes and a
+        # refusal must be rolled back by id, not by node count.
         (rule,) = [r for r in load_default_rules()
                    if r.name == "mul-split-masks"]
-        for cap in range(2, 11):
-            g = EGraph(max_nodes=cap)
-            g.add_expr(parse("x * x"))
-            g.rebuild()
-            (m,) = ematch(g, rule)
-            before = state_of(g)
-            if cap < 10:
-                with pytest.raises(CapacityExceededError):
-                    count_new_nodes(g, rule, m)
-                assert state_of(g) == before
-                with pytest.raises(CapacityExceededError):
-                    apply_match(g, rule, [m])
-                assert state_of(g) == before
-            else:
-                assert count_new_nodes(g, rule, m) == 8
-                assert state_of(g) == before
-                assert apply_match(g, rule, [m]) and g.node_count() == 10
+        for dead in (0, 1):
+            for room in range(9):
+                g = EGraph()
+                g.add_expr(parse("x * x"))
+                if dead:
+                    g.add_expr(parse("y * y"))
+                    g.union(g.add_expr(parse("x")), g.add_expr(parse("y")))
+                g.rebuild()
+                nodes = g.node_count()
+                assert len(g._uf) == nodes + dead
+                g.max_nodes = nodes + room
+                (m,) = ematch(g, rule)
+                before = state_of(g)
+                if room < 8:
+                    with pytest.raises(CapacityExceededError):
+                        count_new_nodes(g, rule, m)
+                    assert state_of(g) == before
+                    with pytest.raises(CapacityExceededError):
+                        apply_match(g, rule, [m])
+                    assert state_of(g) == before
+                else:
+                    assert count_new_nodes(g, rule, m) == 8
+                    assert state_of(g) == before
+                    assert apply_match(g, rule, [m])
+                    assert g.node_count() == nodes + 8
 
 
 # ---------------------------------------------------------------------------

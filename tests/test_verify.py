@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -7,7 +11,8 @@ from mbaobf.expr import Var, evaluate, free_vars, parse
 from mbaobf.rules import load_default_rules, parse_rules
 from mbaobf.verify import (EXHAUSTIVE_CASE_LIMIT, CheckResult,
                            TooManyCasesError, check_equivalence, check_rule,
-                           check_rule_random, check_rules, _eval_vec)
+                           check_rule_random, check_rules, _eval_vec,
+                           _random_env)
 
 import numpy as np
 
@@ -245,6 +250,20 @@ def equivalence_and_reference(a, b, bits):
 V = "(((x & y) & z) + 1)"  # 0 only where x, y and z are all 255
 
 
+@pytest.fixture
+def chunk_sizes(monkeypatch):
+    """The number of cases in every chunk that ``_compare`` evaluates."""
+    sizes = []
+    compare = verify._compare
+
+    def counted(lhs, rhs, env, bits):
+        sizes.append(len(next(iter(env.values()))))
+        return compare(lhs, rhs, env, bits)
+
+    monkeypatch.setattr(verify, "_compare", counted)
+    return sizes
+
+
 class TestChunkedExhaustive:
     @pytest.mark.parametrize("a, b, bits, cases", [
         ("(x + y) - z", "(x - z) + y", 8, 1 << 24),
@@ -275,21 +294,13 @@ class TestChunkedExhaustive:
         assert got == unchunked(r.lhs, r.rhs, verify._rule_leaves(r), 8)
         assert got.cases_checked == cases
 
-    def test_stops_at_the_first_failing_chunk(self, monkeypatch):
-        chunks = []
-        compare = verify._compare
-
-        def counted(lhs, rhs, env, bits):
-            chunks.append(len(next(iter(env.values()))))
-            return compare(lhs, rhs, env, bits)
-
-        monkeypatch.setattr(verify, "_compare", counted)
+    def test_stops_at_the_first_failing_chunk(self, chunk_sizes):
         res = check_equivalence(parse("x & 16"), parse("(y ^ y) + (z - z)"),
                                 8)
-        assert not res.passed and chunks == [1 << 20, 1 << 20]
-        chunks.clear()
+        assert not res.passed and chunk_sizes == [1 << 20, 1 << 20]
+        chunk_sizes.clear()
         assert check_equivalence(parse("x + y"), parse("y + x"), 8).passed
-        assert chunks == [1 << 16]  # one chunk holds every case
+        assert chunk_sizes == [1 << 16]  # one chunk holds every case
 
     def test_memory_is_bounded_by_the_chunk(self):
         # one array of 2^24 cases is 16 MiB for each variable alone
@@ -302,3 +313,127 @@ class TestChunkedExhaustive:
             tracemalloc.stop()
         assert res.passed and res.cases_checked == 1 << 24
         assert peak < 12 << 20
+
+
+# ---------------------------------------------------------------------------
+# Random checks: the counter-based sampler, the seed, and chunks
+# ---------------------------------------------------------------------------
+
+
+class TestSampler:
+    # Variable k reads SplitMix64's stream for the seed from output
+    # k * 2**32 on; seed 0's stream starts with SplitMix64's published
+    # 0xe220a8397b1dcdaf.  A change to the stream fails here by name.
+    @pytest.mark.parametrize("seed, a, b", [
+        (0, [0xe220a8397b1dcdaf, 0x6e789e6aa1b965f4, 0x06c45d188009454f],
+         [0x46093cf9861ec2e4, 0xe7ff814e1d99a40b, 0x99edb3ebb4a21a15]),
+        (12345,
+         [0x22118258a9d111a0, 0x346edce5f713f8ed, 0x1e9a57bc80e6721d],
+         [0x1b71da1008f7a715, 0x27f66d2e871cd00e, 0xbe125d37efdc0915])],
+        ids=["seed-0", "seed-12345"])
+    def test_first_samples_are_pinned(self, seed, a, b):
+        env = _random_env(["a", "b"], 64, 3, seed)
+        assert [[int(v) for v in env[k]] for k in "ab"] == [a, b]
+        # a narrower width keeps the top bits
+        env = _random_env(["a", "b"], 8, 3, seed)
+        assert env["a"].dtype == np.uint8
+        assert [[int(v) for v in env[k]] for k in "ab"] \
+            == [[v >> 56 for v in a], [v >> 56 for v in b]]
+
+    def test_a_trial_depends_only_on_seed_variable_and_index(self):
+        whole = _random_env(["a", "b"], 64, 100, 7)
+        part = _random_env(["a", "b"], 64, 10, 7, start=90)
+        for k in "ab":
+            assert (part[k] == whole[k][90:]).all()
+        assert (_random_env([Var("z")], 64, 100, 7)[Var("z")]
+                == whole["a"]).all()
+
+
+class TestSeed:
+    @pytest.mark.parametrize("seed, message", [
+        (-1, "at least 0"), (1.5, "an integer"), (True, "an integer"),
+        ("0", "an integer"), (None, "an integer")],
+        ids=["-1", "1.5", "True", "str", "None"])
+    @pytest.mark.parametrize("check", [
+        lambda seed: check_rule_random(rule("?a => ?a + 1"), 64, 10, seed),
+        lambda seed: check_rules([], seed=seed),
+        lambda seed: check_rules(load_default_rules(), seed=seed),
+        lambda seed: check_equivalence(parse("x"), parse("x + 1"), 8,
+                                       seed=seed),
+        lambda seed: check_equivalence(parse("x"), parse("x + 1"), 64,
+                                       seed=seed),
+    ], ids=["check_rule_random", "check_rules-empty", "check_rules",
+            "check_equivalence-exhaustive", "check_equivalence-random"])
+    def test_bad_seed_rejected_before_any_check(self, check, seed, message):
+        with pytest.raises(ValueError, match=f"seed must be {message}"):
+            check(seed)
+
+    @pytest.mark.parametrize("seed", [2**64, 2**64 + 9, 2**200])
+    def test_seed_past_64_bits_is_folded(self, seed):
+        # folded in Python, so numpy sees no overflow (and warns of none)
+        unsound = rule("?a + ?b => ?a | ?b")
+        assert check_rule_random(unsound, 64, 100, seed) \
+            == check_rule_random(unsound, 64, 100, seed % 2**64)
+        assert all(res.passed for _, _, res
+                   in check_rules(load_default_rules(), 100, seed))
+        assert check_equivalence(parse("x ^ y ^ z"), parse("z ^ y ^ x"), 64,
+                                 trials=100, seed=seed).passed
+
+
+def one_evaluation(r, bits: int, trials: int, seed: int) -> CheckResult:
+    """The random check as it was before it ran in chunks: every trial in
+    one array."""
+    env = _random_env(verify._rule_leaves(r), bits, trials, seed)
+    return verify._compare(r.lhs, r.rhs, env, bits)
+
+
+class TestChunkedRandom:
+    TRIALS = (1 << 20) + 5
+    SUM = "(?a + ?b) + ?c"
+
+    def test_sound_rule_matches_one_evaluation(self, chunk_sizes):
+        r = rule(f"{self.SUM} => ?c + (?b + ?a)")
+        got = check_rule_random(r, 64, self.TRIALS, 3)
+        assert chunk_sizes == [1 << 20, 5]
+        assert got == one_evaluation(r, 64, self.TRIALS, 3) \
+            == CheckResult(True, None, self.TRIALS)
+
+    def test_unsound_rule_matches_one_evaluation(self, chunk_sizes):
+        # the rule fails only where (?a, ?b, ?c) take the 8-bit values of
+        # trial 2**20 + 2, which no earlier trial draws at seed 0
+        keys = verify._rule_leaves(rule(f"{self.SUM} => {self.SUM}"))
+        env = _random_env(keys, 8, self.TRIALS, 0)
+        at = (1 << 20) + 2
+        x, y, z = (int(env[k][at]) for k in keys)
+        hits = (env[keys[0]] == x) & (env[keys[1]] == y) & (env[keys[2]] == z)
+        assert np.flatnonzero(hits)[0] == at
+        t = f"(((?a ^ {x}) | (?b ^ {y})) | (?c ^ {z}))"  # 0 only there
+        r = rule(f"{self.SUM} => {self.SUM} + ((~ ({t} | (0 - {t}))) & 128)")
+        got = check_rule_random(r, 8, self.TRIALS, 0)
+        assert chunk_sizes == [1 << 20, 5]
+        assert got == one_evaluation(r, 8, self.TRIALS, 0)
+        total = (x + y + z) % 256
+        assert got == CheckResult(
+            False, ({"a": x, "b": y, "c": z}, total, (total + 128) % 256),
+            at + 1)
+
+    def test_stops_at_the_first_failing_chunk(self, chunk_sizes):
+        res = check_rule_random(rule("?a => ?a + 1"), 64, 3 << 20, 0)
+        assert res.cases_checked == 1 and chunk_sizes == [1 << 20]
+
+
+@pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
+                    reason="numpy 1.x imports numpy.random with numpy")
+def test_obfuscate_leaves_numpy_random_unimported():
+    # rule admission samples with the generator above, not numpy.random
+    src = str(Path(verify.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import contextlib, io, sys\n"
+            "from mbaobf import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['obfuscate', '-e', 'x + y']) == 0\n"
+            "assert 'numpy.random' not in sys.modules, 'imported'\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
