@@ -17,8 +17,11 @@ can be drawn on its own.
 Evaluation here is vectorized with numpy, over all cases at once up to
 ``_CHUNK`` (2^20) of them and in chunks of that many past it, exhaustive
 and random checks alike, so a check's arrays stay at most 8 MiB each
-whatever its size.  It applies the same per-operator functions as the
-scalar :func:`mbaobf.expr.evaluate`, taken from the operator table
+whatever its size.  An exhaustive chunk is a broadcast grid: each
+variable holds only its own values, along its own axis, and a constant is
+one value, so a subterm's array spans only the axes of the variables it
+reads (the truth-table view of linear MBA, Zhou et al., WISA 2007).  Evaluation applies the same per-operator functions as the scalar
+:func:`mbaobf.expr.evaluate`, taken from the operator table
 :data:`mbaobf.expr.OPERATORS`, which alone defines the semantics.  It
 evaluates each distinct subterm of a shared DAG once, by object identity,
 and frees each intermediate array after its last parent has read it, so an
@@ -31,6 +34,7 @@ tree nodes (~8k).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -77,33 +81,43 @@ def _eval_vec(node, env: dict, bits: int) -> np.ndarray:
 
     ``env`` keys each variable by its name, or by the ``Var`` or ``PatVar``
     leaf itself where ``x`` and ``?x`` must stay distinct (rule checks).
+    The arrays need only broadcast together, and a constant is one value
+    that broadcasts, so the result has the shape of the variables it reads.
 
     Each distinct subterm is evaluated once, and its array is freed as soon
     as its last parent has read it.
     """
     dtype = _DTYPES[bits]
     m = dtype(mask_of(bits))
-    width = len(next(iter(env.values()))) if env else 1
 
     def leaf(node) -> np.ndarray:
         if isinstance(node, Const):
-            return np.full(width, node.value & int(m), dtype=dtype)
+            return np.array([node.value & int(m)], dtype=dtype)
         return env[node] if node in env else env[node.name]
 
     with np.errstate(over="ignore"):
         return _fold(node, leaf, lambda op, *args: op.op.fn(*args, m))
 
 
-def _exhaustive_env(keys: list, bits: int) -> dict:
-    """All assignments to ``keys`` (variable names or leaves),
-    lexicographic in their order."""
+def _grid_env(keys: list, bits: int, start: int, n: int) -> dict:
+    """Cases ``start`` to ``start + n - 1`` of every assignment to ``keys``,
+    lexicographic in their order, as a broadcast grid.
+
+    Key ``k`` holds an ``arange`` of the values it takes in these cases,
+    along axis ``k`` and of length 1 on every other axis, so the keys
+    broadcast to the ``n`` cases in C order, the first key slowest.  That
+    holds for any chunk whose ``start`` is a multiple of ``n`` where ``n``
+    and ``2**bits`` are powers of two."""
+    assert n & (n - 1) == 0 and start % n == 0, (start, n)
     size = 1 << bits
-    total = size ** len(keys)
     env = {}
-    for i, key in enumerate(keys):
-        reps = size ** (len(keys) - 1 - i)
-        block = np.repeat(np.arange(size, dtype=_DTYPES[bits]), reps)
-        env[key] = np.tile(block, total // (reps * size))
+    for axis, key in enumerate(keys):
+        stride = size ** (len(keys) - 1 - axis)  # cases per value
+        first = start // stride % size
+        values = np.arange(first, first + min(size, max(n // stride, 1)),
+                           dtype=_DTYPES[bits])
+        env[key] = values.reshape([-1 if k == axis else 1
+                                   for k in range(len(keys))])
     return env
 
 
@@ -158,75 +172,54 @@ def _random_env(keys: list, bits: int, trials: int, seed: int,
 
 
 def _compare(lhs, rhs, env: dict, bits: int) -> CheckResult:
+    """Both sides over the cases of ``env``: its arrays broadcast together,
+    in C order."""
+    shape = np.broadcast_shapes((1,), *(v.shape for v in env.values()))
     lv = _eval_vec(lhs, env, bits)
     rv = _eval_vec(rhs, env, bits)
     neq = lv != rv
     if not neq.any():
-        return CheckResult(True, None, len(lv))
-    idx = int(np.argmax(neq))
-    cex_env = {key.name if isinstance(key, PatVar) else key: int(v[idx])
+        return CheckResult(True, None, math.prod(shape))
+    idx = int(np.argmax(np.broadcast_to(neq, shape)))
+    at = np.unravel_index(idx, shape)
+
+    def value(v) -> int:
+        return int(np.broadcast_to(v, shape)[at])
+
+    cex_env = {key.name if isinstance(key, PatVar) else key: value(v)
                for key, v in env.items()}
-    return CheckResult(False, (cex_env, int(lv[idx]), int(rv[idx])), idx + 1)
+    return CheckResult(False, (cex_env, value(lv), value(rv)), idx + 1)
 
 
-def _enumeration(keys: list, bits: int) -> tuple:
-    """Every assignment to ``keys``, lexicographic in their order, as
-    ``(cases, env_at)`` for :func:`_compare_chunks`.
-
-    The trailing variables whose assignments fit in a chunk repeat the
-    same table in every chunk, built once; each chunk fills only the
-    leading variables, with ``np.repeat``.  Every chunk but a lone one
-    holds ``_CHUNK`` cases, since both counts are powers of two."""
-    size = 1 << bits
-    total = size ** len(keys)
-    chunk = min(total, _CHUNK)
-    lead = len(keys)
-    while lead and size ** (len(keys) - lead + 1) <= chunk:
-        lead -= 1
-    tail = _exhaustive_env(keys[lead:], bits)
-    reps = chunk // size ** (len(keys) - lead)
-    tail = {key: np.tile(v, reps) for key, v in tail.items()}
-
-    def env_at(start: int, n: int) -> dict:
-        env = {}
-        for i, key in enumerate(keys[:lead]):
-            stride = size ** (len(keys) - 1 - i)  # cases per value
-            values = max(n // stride, 1)  # values in this chunk
-            first = start // stride
-            env[key] = np.repeat(
-                (np.arange(first, first + values) % size).astype(
-                    _DTYPES[bits]), n // values)
-        env.update(tail)
-        return env
-
-    return total, env_at
-
-
-def _sampling(keys: list, bits: int, trials: int, seed: int) -> tuple:
-    """``trials`` random assignments to ``keys`` (see :func:`_random_env`)
-    as ``(cases, env_at)`` for :func:`_compare_chunks`; with no variables
-    every trial is the same one case."""
-    def env_at(start: int, n: int) -> dict:
-        return _random_env(keys, bits, n, seed, start)
-
-    return (trials if keys else 1), env_at
-
-
-def _compare_chunks(lhs, rhs, source: tuple, bits: int) -> CheckResult:
-    """:func:`_compare` over every case of ``source``, an
-    :func:`_enumeration` or a :func:`_sampling`, ``_CHUNK`` cases at a
-    time (one chunk of them all when there are fewer).
+def _compare_chunks(lhs, rhs, keys: list, bits: int, cases: int,
+                    seed: Optional[int] = None) -> CheckResult:
+    """:func:`_compare` over ``cases`` assignments to ``keys``, ``_CHUNK``
+    at a time (one chunk of them all when there are fewer): in
+    lexicographic order (:func:`_grid_env`) when ``seed`` is None, else
+    random trials drawn with ``seed`` (:func:`_random_env`).
 
     The check stops at the first chunk holding a counterexample, and the
     result is the one a single evaluation of every case gives."""
-    cases, env_at = source
     for start in range(0, cases, _CHUNK):
-        res = _compare(lhs, rhs, env_at(start, min(_CHUNK, cases - start)),
-                       bits)
+        n = min(_CHUNK, cases - start)
+        env = (_grid_env(keys, bits, start, n) if seed is None
+               else _random_env(keys, bits, n, seed, start))
+        res = _compare(lhs, rhs, env, bits)
         if not res.passed:
             return CheckResult(False, res.counterexample,
                                start + res.cases_checked)
     return CheckResult(True, None, cases)
+
+
+def _check(lhs, rhs, keys: list, bits: int, trials: int,
+           seed: int) -> tuple:
+    """``("exhaustive", result)`` over every assignment to ``keys`` where
+    they fit the feasibility limit, else ``("random", result)`` over
+    ``trials`` seeded ones."""
+    cases = (1 << bits) ** len(keys)
+    if cases <= EXHAUSTIVE_CASE_LIMIT:
+        return "exhaustive", _compare_chunks(lhs, rhs, keys, bits, cases)
+    return "random", _compare_chunks(lhs, rhs, keys, bits, trials, seed)
 
 
 def _rule_leaves(rule: Rule) -> list:
@@ -250,8 +243,7 @@ def check_rule(rule: Rule, bits: int) -> CheckResult:
     cases = (1 << bits) ** len(leaves)
     if cases > EXHAUSTIVE_CASE_LIMIT:
         raise TooManyCasesError(cases)
-    return _compare_chunks(rule.lhs, rule.rhs, _enumeration(leaves, bits),
-                           bits)
+    return _compare_chunks(rule.lhs, rule.rhs, leaves, bits, cases)
 
 
 def check_rule_random(rule: Rule, bits: int, trials: int,
@@ -263,9 +255,10 @@ def check_rule_random(rule: Rule, bits: int, trials: int,
     check_bitwidth(bits)
     _check_trials(trials)
     _check_seed(seed)
-    return _compare_chunks(rule.lhs, rule.rhs,
-                           _sampling(_rule_leaves(rule), bits, trials, seed),
-                           bits)
+    leaves = _rule_leaves(rule)
+    # with no variables every trial is the same one case
+    return _compare_chunks(rule.lhs, rule.rhs, leaves, bits,
+                           trials if leaves else 1, seed)
 
 
 def check_equivalence(a: Expression, b: Expression, bits: int,
@@ -283,10 +276,7 @@ def check_equivalence(a: Expression, b: Expression, bits: int,
     _check_trials(trials)
     _check_seed(seed)
     names = sorted(free_vars(a) | free_vars(b))
-    cases = (1 << bits) ** len(names)
-    if cases <= EXHAUSTIVE_CASE_LIMIT:
-        return _compare_chunks(a, b, _enumeration(names, bits), bits)
-    return _compare_chunks(a, b, _sampling(names, bits, trials, seed), bits)
+    return _check(a, b, names, bits, trials, seed)[1]
 
 
 def check_rules(rules: list, trials: int = 10_000, seed: int = 0) -> list:
@@ -306,14 +296,10 @@ def check_rules(rules: list, trials: int = 10_000, seed: int = 0) -> list:
     _check_seed(seed)
     results = []
     for rule in rules:
+        leaves = _rule_leaves(rule)
         for w in (4, 8):
-            try:
-                res = check_rule(rule, w)
-                label = f"exhaustive@{w}"
-            except TooManyCasesError:
-                res = check_rule_random(rule, w, trials, seed)
-                label = f"random@{w}"
-            results.append((rule, label, res))
+            kind, res = _check(rule.lhs, rule.rhs, leaves, w, trials, seed)
+            results.append((rule, f"{kind}@{w}", res))
         results.append((rule, "random@64",
                         check_rule_random(rule, 64, trials, seed)))
     return results

@@ -257,7 +257,7 @@ def chunk_sizes(monkeypatch):
     compare = verify._compare
 
     def counted(lhs, rhs, env, bits):
-        sizes.append(len(next(iter(env.values()))))
+        sizes.append(np.broadcast(*env.values()).size)
         return compare(lhs, rhs, env, bits)
 
     monkeypatch.setattr(verify, "_compare", counted)
@@ -274,8 +274,13 @@ class TestChunkedExhaustive:
         ("a + b + c + d + e + f", "f + e + d + c + b + a", 4, 1 << 24),
         ("a & 8", "(b - b) + (c - c) + (d - d) + (e - e) + (f - f)", 4,
          8 * (1 << 20) + 1),
+        ("(x & y) & z", "0", 8, 65794),
+        ("((a & b) & (c & d)) & (e & f)", "0", 4, 1118482),
+        ("x + 0", "x", 16, 1 << 16),
     ], ids=["pass", "chunk-0", "chunk-first-case", "chunk-middle",
-            "last-case", "4-bit-pass", "4-bit-chunk-first-case"])
+            "last-case", "4-bit-pass", "4-bit-chunk-first-case",
+            "side-reads-no-variable", "constant-side-past-first-chunk",
+            "16-bit-axis"])
     def test_equivalence_matches_one_array(self, a, b, bits, cases):
         got, want = equivalence_and_reference(a, b, bits)
         assert got == want
@@ -312,7 +317,7 @@ class TestChunkedExhaustive:
         finally:
             tracemalloc.stop()
         assert res.passed and res.cases_checked == 1 << 24
-        assert peak < 12 << 20
+        assert peak < 6 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -420,6 +425,21 @@ class TestChunkedRandom:
     def test_stops_at_the_first_failing_chunk(self, chunk_sizes):
         res = check_rule_random(rule("?a => ?a + 1"), 64, 3 << 20, 0)
         assert res.cases_checked == 1 and chunk_sizes == [1 << 20]
+
+    def test_a_constant_takes_no_array_of_its_own(self):
+        # ?a's 2^20 64-bit trials take 8 MiB, as does each array built
+        # from them; a full-width array per constant would add 8 MiB each
+        [negsub] = [r for r in load_default_rules()
+                    if r.name == "not-to-negsub"]
+        assert len(negsub.program.names) == 1
+        tracemalloc.start()
+        try:
+            res = check_rule_random(negsub, 64, 1 << 20, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.passed and res.cases_checked == 1 << 20
+        assert peak < 36 << 20
 
 
 @pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
