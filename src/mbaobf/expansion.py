@@ -38,9 +38,10 @@ Reconstruction descends through the round at which each chosen node's
 cost was computed, so the output is a finite tree of depth at most
 ``rounds`` whose size equals the root's cost.  ``rounds`` is at most
 :data:`mbaobf.expr.MAX_DEPTH`, the depth ``parse`` admits.  Each (class,
-round) is built once and shared wherever it recurs, like egg's
-``RecExpr``.  Ties between equal-cost nodes break by the smallest node in
-plain tuple order (label, payload, child ids): runs are deterministic.
+round) is built once, from its chosen node's row of the node table, and
+shared wherever it recurs, like egg's ``RecExpr``.  Ties between
+equal-cost nodes break by the smallest node in plain tuple order (label,
+payload, child ids): runs are deterministic.
 A leaf costs 1 and an operator node at least 2, so a leaf never ties an
 operator and round 0 takes each class's first leaf.
 
@@ -81,8 +82,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .egraph import _LABELS, CapacityExceededError, EGraph
-from .expr import (DEFAULT_BITWIDTH, MAX_DEPTH, Expression, _check_int,
-                   expr_size)
+from .expr import (DEFAULT_BITWIDTH, MAX_DEPTH, OPERATORS, Const, Expression,
+                   Op, Var, _check_int, expr_size)
 from .metrics import MetricsReport, measure
 from .rules import _label_index, apply_match, ematch
 # Unused here; perfbench's tracer still looks it up in this module.
@@ -244,10 +245,11 @@ def _extract(g: EGraph, root: int, rounds: int, sign: int,
     sweep per round over the nodes that can still change their class.
 
     The layout is the graph's node table: its live rows, each row's
-    class from the union-find, and one ``np.lexsort`` that puts each
-    class's rows in plain tuple order of their e-nodes: class id, label
-    code, then a leaf's payload rank or an operator's children.  The
-    graph must be rebuilt, so that every live row holds a canonical key.
+    class from the union-find, and one sort (:func:`_layout`) that puts
+    each class's rows in plain tuple order of their e-nodes: class id,
+    label code, then a leaf's payload rank or an operator's children.
+    The graph must be rebuilt, so that every live row holds a canonical
+    key.
     ``first`` and ``second`` hold each node's child class ids, or -1
     where a node has fewer children; no operator has more than two.
     ``cost`` has ``m`` entries: one per id up to the largest class id,
@@ -265,22 +267,28 @@ def _extract(g: EGraph, root: int, rounds: int, sign: int,
     total is over the cap: the sweep drops those in each round in which
     any crosses it.  A class changes only when a node strictly beats its
     cost, and then takes the first node in sort order reaching the new
-    maximum, so on ties the earlier choice (the smaller node) is kept.
-    Each round's changes are kept as stamps ``round * m + class`` and
-    picks, class ids ascending and picks as rows of the table.
+    maximum, so on ties the earlier choice (the smaller node) is kept:
+    among the nodes at their class's maximum, the first of each run of
+    one class.  The cap test builds its mask of the nodes to keep only
+    in a round whose largest total is over the cap.  Each round's
+    changes are kept as stamps ``round * m + class`` and picks, class
+    ids ascending and picks as rows of the table.
 
     A round that changes the same classes, to the nodes at the same
     positions in the swept arrays, by the same gains as the round ``p``
-    before it repeats that round.  A hash of the three arrays stands for
-    each round, and only the hashes of the last ``2 * _MAX_PERIOD``
-    rounds since the last drop or jump are kept, so no round's arrays
-    are held for this.  Once the last ``2 p`` hashes are two matching
-    periods, for the smallest such ``p``, the last ``p`` rounds' classes
+    before it repeats that round.  A fingerprint stands for each round:
+    the number of classes that changed, the dot product of their ids
+    with the positions of their picks, and the sum of the squared gains.
+    Only the fingerprints of the last ``2 * _MAX_PERIOD`` rounds since
+    the last drop or jump are kept, so no round's arrays are held for
+    this.  Once the last ``2 p`` fingerprints are two matching periods,
+    for the smallest such ``p``, the last ``p`` rounds' classes
     and picks, read back from their change points, are the period.  Two
     matching periods make each pick's total and its class's cost rise by
     the same sum of gains every period, and :func:`_horizon` checks this
     on the next period before it finds how many whole periods repeat
-    exactly, so a hash that matched by chance cannot change the output.
+    exactly, so fingerprints that match by chance cannot change the
+    output.
     The table then gains that many periods' gains, and the period's
     change points are recorded that many times, shifted by whole
     periods, as the plain rounds would record them.  Plain rounds then
@@ -293,20 +301,18 @@ def _extract(g: EGraph, root: int, rounds: int, sign: int,
     rows = g._columns()
     size = len(rows)
     node = (rows[:, 0] >= 0).nonzero()[0]  # the live rows
-    code, first, second = rows[node].T
+    code, first, second = rows.take(node, axis=0).T
     del rows  # a view of the table, which cannot grow while it lives
     owner = g._class_ids()[node]
-    m = owner.max() + 2  # above every id; m - 1 is the virtual class
-    class_label = owner * len(_LABELS) + code
+    m = int(owner.max()) + 2  # above every id; m - 1 is the virtual class
     # A leaf has no children, so the rest of its key is its rank among
-    # the leaves; a label has leaves or operators, never both.  Both keys
-    # stay below 2^62 while class ids stay below 2^31.
+    # the leaves; a label has leaves or operators, never both.
     rest = (first + 1) * m + second + 1
     leaves = (first < 0).nonzero()[0]
     keys = [g._node(row) for row in node[leaves].tolist()]
     rest[leaves[sorted(range(len(keys)), key=keys.__getitem__)]] = \
         np.arange(len(keys))
-    order = np.lexsort((rest, class_label))
+    order = _layout(owner * len(_LABELS) + code, rest)
     node, owner = node[order], owner[order]
     first, second = first[order], second[order]
     cost = np.full(m, _UNDEFINED)
@@ -314,13 +320,12 @@ def _extract(g: EGraph, root: int, rounds: int, sign: int,
     starts, heads, group = _runs(owner)
     cap = max_nodes + sign
     stamps, picks = [], []
-    log = deque(maxlen=2 * _MAX_PERIOD)  # hashes of the last rounds' changes
+    log = deque(maxlen=2 * _MAX_PERIOD)  # fingerprints of the last rounds
     r = 0
     while r <= rounds:
         total = cost[first] + cost[second]
-        over = total > cap
-        if over.any():
-            keep = ~over
+        if total.max() > cap:
+            keep = total <= cap
             node, owner, total = node[keep], owner[keep], total[keep]
             first, second = first[keep], second[keep]
             starts, heads, group = _runs(owner)
@@ -329,14 +334,16 @@ def _extract(g: EGraph, root: int, rounds: int, sign: int,
         changed = (best > cost[heads]).nonzero()[0]
         if not changed.size:
             break  # fixpoint; further rounds would be identical
-        # Each changed class's first node reaching its maximum: nodes are
-        # grouped by class, so that is the first such node in its run.
+        # Each changed class's first node reaching its maximum.  Every
+        # class has one (a class with no term has -inf at its maximum),
+        # and nodes are grouped by class, so the hits that open a run of
+        # one class are each class's first, in class order.
         hits = (total == best[group]).nonzero()[0]
-        firsts = hits[np.searchsorted(group[hits], changed)]
+        firsts = hits[_starts_run(group[hits])][changed]
         cids = heads[changed]
         new = best[changed]
-        log.append(hash((cids.tobytes(), firsts.tobytes(),
-                         (new - cost[cids]).tobytes())))
+        gains = new - cost[cids]
+        log.append((cids.size, cids @ firsts, gains @ gains))
         cost[cids] = new  # a round reads only the last one
         stamps.append(r * m + cids)
         picks.append(node[firsts])
@@ -364,16 +371,16 @@ def _extract(g: EGraph, root: int, rounds: int, sign: int,
     # Each round's ids ascend, so (round, id) stamps ascend across the
     # concatenation; the last stamp is above every (round, id) pair.
     stamps = np.concatenate(stamps + [[r * m]])
-    history = (stamps, np.arange(r) * m, np.concatenate(picks), {})
-    return _reconstruct(g, history, root, rounds, {})
+    return _reconstruct(_History(g, stamps, np.concatenate(picks), m), root,
+                        rounds)
 
 
 def _period(log: deque) -> int:
-    """The smallest ``p`` for which the last ``2 p`` hashes in ``log`` are
-    two matching periods, or 0 if there is none."""
-    hashes = list(log)
-    for p in range(1, len(hashes) // 2 + 1):
-        if hashes[-p:] == hashes[-2 * p:-p]:
+    """The smallest ``p`` for which the last ``2 p`` fingerprints in
+    ``log`` are two matching periods, or 0 if there is none."""
+    prints = list(log)
+    for p in range(1, len(prints) // 2 + 1):
+        if prints[-p:] == prints[-2 * p:-p]:
             return p
     return 0
 
@@ -437,47 +444,95 @@ def _horizon(cost: np.ndarray, period: list, first: np.ndarray,
     return limit, gain
 
 
+def _layout(class_label: np.ndarray, rest: np.ndarray) -> np.ndarray:
+    """The order of ``np.lexsort((rest, class_label))``, both arrays
+    nonnegative: one stable ``np.argsort`` of ``class_label * span +
+    rest``, with ``rest`` below ``span``, while that key fits in int64,
+    and ``np.lexsort`` past it."""
+    span = int(rest.max()) + 1
+    if (int(class_label.max()) + 1) * span > 2**63:
+        return np.lexsort((rest, class_label))
+    return np.argsort(class_label * span + rest, kind="stable")
+
+
+def _starts_run(a: np.ndarray) -> np.ndarray:
+    """The mask of the elements of a nonempty ``a`` that start a run of
+    equal values."""
+    head = np.empty(len(a), bool)
+    head[0] = True
+    np.not_equal(a[1:], a[:-1], out=head[1:])
+    return head
+
+
 def _runs(owner: np.ndarray) -> tuple:
     """``(starts, heads, group)`` of a class id array grouped in runs:
     where each run starts, its class, and each element's run number."""
-    head = np.diff(owner, prepend=-1) != 0
+    head = _starts_run(owner)
     starts = head.nonzero()[0]
-    return starts, owner[starts], np.cumsum(head) - 1
+    group = np.cumsum(head, dtype=np.intp)
+    group -= 1
+    return starts, owner[starts], group
 
 
-def _reconstruct(g: EGraph, history: tuple, cid: int, r: int,
-                 built: dict) -> Expression:
+class _History:
+    """What reconstruction reads: the change points :func:`_extract`
+    recorded, the graph's node table, and the classes visited so far.
+
+    A change point of class ``cid`` in round ``r`` is the entry of the
+    ascending ``stamps`` equal to ``starts[r] + cid``, ``starts[r]``
+    being ``r * m``, and the same entry of ``picks`` is the row of its
+    node in ``table``.  The last stamp is the number of rounds times
+    ``m``.  ``reached`` maps a visited class to three lists, one entry
+    per change point: its round, its row, and the term built for it or
+    None."""
+
+    __slots__ = ("stamps", "starts", "picks", "table", "payloads",
+                 "reached")
+
+    def __init__(self, g: EGraph, stamps: np.ndarray, picks: np.ndarray,
+                 m: int):
+        self.stamps, self.picks = stamps, picks
+        self.starts = np.arange(int(stamps[-1]) // m) * m
+        self.table, self.payloads = g._table, g._payloads
+        self.reached = {}
+
+
+def _reconstruct(h: _History, cid: int, r: int) -> Expression:
     """The term chosen for class ``cid`` at round ``r``: its last change
     point at or before ``r``.
 
-    ``history`` is ``(stamps, starts, picks, reached)``: a change point
-    of class ``cid`` in round ``r`` is the entry of the ascending
-    ``stamps`` equal to ``starts[r] + cid``, and the same entry of
-    ``picks`` is the row of its node in the graph's table.  The first
-    visit of a class looks up one stamp per round and keeps the class's
-    points as lists in ``reached``.  ``built`` maps (class, round of that
-    change point) to the term built for it, so each subterm is built once
-    and shared.
+    The first visit of a class looks up one stamp per round and keeps
+    the class's change points in ``h.reached``.  A change point's term
+    is built from its row of the node table, a leaf from its payload and
+    an operator from its children's terms one round earlier, and is kept
+    with the point, so each subterm is built once and shared.
     """
-    stamps, starts, picks, reached = history
-    points = reached.get(cid)
+    points = h.reached.get(cid)
     if points is None:
-        want = starts + cid
-        at = np.searchsorted(stamps, want)
-        hit = stamps[at] == want
-        points = reached[cid] = (hit.nonzero()[0].tolist(),
-                                 picks[at[hit]].tolist())
-    i = bisect_right(points[0], r)
-    if i == 0:
+        stamps = h.stamps
+        want = h.starts + cid
+        at = stamps.searchsorted(want)
+        found = (stamps[at] == want).nonzero()[0]
+        rounds = found.tolist()
+        points = h.reached[cid] = (rounds, h.picks[at[found]].tolist(),
+                                   [None] * len(rounds))
+    rounds, rows, terms = points
+    i = bisect_right(rounds, r) - 1
+    if i < 0:
         raise UnextractableError(cid)
-    rc = points[0][i - 1]
-    e = built.get((cid, rc))
+    e = terms[i]
     if e is None:
-        node = g._node(points[1][i - 1])
-        e = g.expr_of_node(node, tuple([
-            _reconstruct(g, history, c, rc - 1, built)
-            for c in node.children]))
-        built[cid, rc] = e
+        row, rc = rows[i], rounds[i] - 1
+        code, first, second = h.table[3 * row:3 * row + 3]
+        label = _LABELS[code]
+        if first < 0:
+            e = (Var if label == "var" else Const)(h.payloads[row])
+        elif second < 0:
+            e = Op(OPERATORS[label], (_reconstruct(h, first, rc),))
+        else:
+            e = Op(OPERATORS[label], (_reconstruct(h, first, rc),
+                                      _reconstruct(h, second, rc)))
+        terms[i] = e
     return e
 
 

@@ -13,8 +13,9 @@ from mbaobf.egraph import (CapacityExceededError, EGraph, ENode,
                            InvalidIdError, check_invariants)
 from mbaobf.expansion import (MAX_OUTPUT_NODES, ExpansionConfig,
                               ExpansionReport, OutputTooLargeError, StopReason,
-                              UnextractableError, _reconstruct, _runs, expand,
-                              extract_max, extract_min, grow)
+                              UnextractableError, _History, _layout,
+                              _reconstruct, _runs, expand, extract_max,
+                              extract_min, grow)
 from mbaobf.expr import (MAX_DEPTH, OPERATORS, Op, evaluate, expr_size, parse,
                          to_text)
 from mbaobf.metrics import measure
@@ -526,7 +527,7 @@ def sweep_history(g, rounds, sign, max_nodes):
     """The change points of ``_extract`` as it was before it jumped over
     periodic tails and read the node table: one sweep per round, every
     round, until a fixpoint or ``rounds``, over a layout from one walk of
-    the hashcons.  Returns ``(stamps, starts, picks)``, each pick the
+    the hashcons.  Returns ``(stamps, starts, picks, m)``, each pick the
     e-node chosen."""
     keys = [g._node(row) for row in g._hashcons.values()]
     classes = [g.find(cid) for cid in g._hashcons.values()]
@@ -576,14 +577,13 @@ def sweep_history(g, rounds, sign, max_nodes):
                             + [[len(changes) * m]])
     picks = np.concatenate([p for _, _, p in changes])
     return (stamps, np.arange(len(changes)) * m,
-            [keys[i] for i in picks.tolist()])
+            [keys[i] for i in picks.tolist()], m)
 
 
 def sweep_extract(g, root, rounds, sign, max_nodes):
-    stamps, starts, picks = sweep_history(g, rounds, sign, max_nodes)
+    stamps, _, picks, m = sweep_history(g, rounds, sign, max_nodes)
     rows = np.array([g._hashcons[flat_key(node)] for node in picks], np.intp)
-    return _reconstruct(g, (stamps, starts, rows, {}), g.find(root), rounds,
-                        {})
+    return _reconstruct(_History(g, stamps, rows, m), g.find(root), rounds)
 
 
 def sweep_extract_max(g, root, rounds, max_nodes):
@@ -692,10 +692,10 @@ class TestPeriodicTail:
                             lambda log: min(len(log) // 2, 1 + len(log) % 3))
         histories = []
 
-        def reconstruct(g, history, *args):
+        def reconstruct(history, *args):
             if not histories or histories[-1] is not history:
                 histories.append(history)
-            return _reconstruct(g, history, *args)
+            return _reconstruct(history, *args)
 
         monkeypatch.setattr(mbaobf.expansion, "_reconstruct", reconstruct)
         g = EGraph()
@@ -708,11 +708,12 @@ class TestPeriodicTail:
             for rounds in (7, 64):
                 for cap in (60, 10_000):
                     extract_max(g, root, rounds, cap)
-                    stamps, starts, picks = sweep_history(g, rounds, 1, cap)
-                    assert np.array_equal(histories[-1][0], stamps)
-                    assert np.array_equal(histories[-1][1], starts)
+                    stamps, starts, picks, _ = sweep_history(g, rounds, 1,
+                                                             cap)
+                    assert np.array_equal(histories[-1].stamps, stamps)
+                    assert np.array_equal(histories[-1].starts, starts)
                     assert [g._node(row) for row
-                            in histories[-1][2].tolist()] == picks
+                            in histories[-1].picks.tolist()] == picks
         refused = sum(k == 0 for k, _ in jumps)
         assert refused > len(jumps) // 2 and refused < len(jumps)
 
@@ -816,6 +817,55 @@ class TestPeriodicTail:
     def test_x_plus_y_skips_most_rounds_at_the_defaults(self, jumps):
         expand(parse("x + y"), load_default_rules())
         assert 65 - skipped(jumps) <= 20
+
+
+class TestLayout:
+    """The extractor's node order against ``np.lexsort``, by (class and
+    label, then the rest of the node's key)."""
+
+    @pytest.fixture
+    def lexsorts(self, monkeypatch):
+        """The number of calls of ``np.lexsort`` that ``_layout`` makes."""
+        calls = []
+        lexsort = np.lexsort
+
+        def counted(keys):
+            calls.append(len(keys))
+            return lexsort(keys)
+
+        monkeypatch.setattr(np, "lexsort", counted)
+        return calls
+
+    def test_grown_corpus_graphs(self, monkeypatch):
+        seen = []
+
+        def recorded(class_label, rest):
+            seen.append((class_label, rest, _layout(class_label, rest)))
+            return seen[-1][2]
+
+        monkeypatch.setattr(mbaobf.expansion, "_layout", recorded)
+        for line in CORPUS.read_text().splitlines()[:5]:
+            g, root = grown_graph(parse(line), 3000)
+            extract_max(g, root, 64, 10_000)
+        assert len(seen) == 5
+        for class_label, rest, order in seen:
+            assert np.array_equal(order, np.lexsort((rest, class_label)))
+
+    @pytest.mark.parametrize("top, falls_back", (
+        (2**53 - 1, False),  # the largest key is 2^63 - 1
+        (2**53, True),
+        (2**62, True),
+    ))
+    def test_keys_at_the_int64_bound(self, top, falls_back, lexsorts):
+        # rest spans 0-1023; pairs repeat, which both sorts keep stable
+        rng = np.random.default_rng(top % 2**32)
+        class_label = rng.integers(top - 40, top, 3000, endpoint=True)
+        rest = rng.integers(0, 1023, 3000, endpoint=True)
+        class_label[0], rest[1] = top, 1023
+        expected = np.lexsort((rest, class_label))
+        lexsorts.clear()
+        assert np.array_equal(_layout(class_label, rest), expected)
+        assert lexsorts == ([2] if falls_back else [])
 
 
 class TestExpand:

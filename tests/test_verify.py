@@ -234,7 +234,7 @@ def unchunked(lhs, rhs, keys, bits):
     size = 1 << bits
     env = {}
     for i, key in enumerate(keys):
-        block = np.repeat(np.arange(size, dtype=np.uint8),
+        block = np.repeat(np.arange(size, dtype=verify._DTYPES[bits]),
                           size ** (len(keys) - 1 - i))
         env[key] = np.tile(block, size ** i)
     return verify._compare(lhs, rhs, env, bits)
@@ -277,10 +277,11 @@ class TestChunkedExhaustive:
         ("(x & y) & z", "0", 8, 65794),
         ("((a & b) & (c & d)) & (e & f)", "0", 4, 1118482),
         ("x + 0", "x", 16, 1 << 16),
+        ("x & 256", "0", 16, 257),
     ], ids=["pass", "chunk-0", "chunk-first-case", "chunk-middle",
             "last-case", "4-bit-pass", "4-bit-chunk-first-case",
             "side-reads-no-variable", "constant-side-past-first-chunk",
-            "16-bit-axis"])
+            "16-bit-axis", "16-bit-above-255"])
     def test_equivalence_matches_one_array(self, a, b, bits, cases):
         got, want = equivalence_and_reference(a, b, bits)
         assert got == want
