@@ -39,7 +39,7 @@ from .expansion import (ExpansionConfig, ExpansionReport, OutputTooLargeError,
                         UnextractableError, expand)
 from .expr import VALID_BITWIDTHS, ParseError, parse, to_text
 from .metrics import aggregate, aggregate_csv, measure
-from .rules import (RuleSyntaxError, UnboundRhsVarError, default_rules_text,
+from .rules import (RuleSyntaxError, UnboundRhsVarError, load_default_rules,
                     parse_rules)
 from .verify import check_equivalence, check_rules
 
@@ -154,7 +154,7 @@ def _load_rules(path: Optional[str]) -> list:
     """The rules of every command: the file at ``path``, or the shipped set
     when None."""
     if path is None:
-        return parse_rules(default_rules_text())
+        return load_default_rules()
     return parse_rules(_read_text(path))
 
 

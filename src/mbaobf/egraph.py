@@ -10,11 +10,12 @@ invariants, restored by :meth:`EGraph.rebuild` after a batch of unions:
   live in the same class.
 
 Mutation protocol: ``add_expr``/``union`` freely, then ``rebuild`` before
-reading (``node_count``, ``classes``, matching, extraction).  Matching
-and extraction refuse a graph with merges pending.  Determinism matters
-here: class representatives are chosen as the smaller canonical id,
-classes are listed in ascending id order, and nothing iterates in hash
-order, so identical operation sequences produce identical graphs.
+reading (``node_count``, ``classes``, matching, extraction).  ``classes``,
+matching and extraction refuse a graph with merges pending, and no read
+writes to a rebuilt graph.  Determinism matters here: class
+representatives are chosen as the smaller canonical id, classes are
+listed in ascending id order, and nothing iterates in hash order, so
+identical operation sequences produce identical graphs.
 
 Representation: a hashcons key is a flat tuple of the node's label code
 (the label's rank in plain label order) and its canonical children: an
@@ -36,9 +37,8 @@ node's row written; rule application then unions the right side's class
 into the matched one through :meth:`EGraph._merge`, the half of
 :meth:`EGraph.union` that trusts its ids and the only code that records
 a merged class.  A merge always makes the smaller id the parent, so each
-union-find entry is at most its id.  :meth:`EGraph.classes_by_label`
-and extraction resolve every id's class at once, by numpy pointer jumping
-over the union-find.
+union-find entry is at most its id, and :meth:`EGraph.rebuild`, the one
+place that resolves classes, leaves each entry its id's class.
 
 Each insertion adds one hashcons entry, one union-find entry and one
 row of an integer node table, an ``array('q')`` written at once: the
@@ -66,7 +66,7 @@ child columns against the set.  Few keys go stale: over 20 lines of the
 benchmark's workloads, 0.28% (corpus defaults) and 0.33% (node limit
 8000) of the keys that full re-key passes visited had a merged child.
 Hashcons values may be merged-away ids; every reader maps them through
-:meth:`EGraph.find`.
+the union-find.
 """
 
 from __future__ import annotations
@@ -149,7 +149,9 @@ class EGraph:
         return self._find(cid)
 
     def _find(self, cid: EClassId) -> EClassId:
-        """:meth:`find` for ids the graph handed out itself."""
+        """:meth:`find` for ids the graph handed out itself.  It compresses
+        the path it walks, since between rebuilds the calls ``union(i, n-1)``
+        for ``i = n-2, ..., 0`` build an n-link chain: quadratic otherwise."""
         uf = self._uf
         root = uf[cid]
         if root == cid:
@@ -159,22 +161,6 @@ class EGraph:
         while uf[cid] != root:
             uf[cid], cid = root, uf[cid]
         return root
-
-    def _roots(self) -> list:
-        """The union-find with every path compressed, so that each entry
-        is its id's class."""
-        self._uf[:] = self._class_ids().tolist()
-        return self._uf
-
-    def _class_ids(self) -> np.ndarray:
-        """Every id's class, as an array, by pointer jumping: each step
-        maps every id to its parent's parent, so ``k`` steps resolve
-        paths of up to ``2^k`` links.  The union-find is left as it is."""
-        up = np.fromiter(self._uf, np.intp, len(self._uf))
-        top = up[up]
-        while (top != up).any():
-            up, top = top, top[top]
-        return up
 
     # -- insertion ----------------------------------------------------------
 
@@ -297,8 +283,9 @@ class EGraph:
         the canonical key is put back and its children written to the row.
         Where another row already holds that form, the row dies and its
         class is merged with that row's; such a merge calls for another
-        pass.  Returns the number of passes; a second call with no
-        intervening mutation returns 0.
+        pass.  After the last one, pointer jumping sets each union-find
+        entry to its id's class.  Returns the number of passes; a second
+        call with no intervening mutation returns 0.
         """
         hashcons, table, find = self._hashcons, self._table, self._find
         passes = 0
@@ -323,6 +310,14 @@ class EGraph:
                 else:
                     table[3 * row:3 * row + 3] = _DEAD
                     self._merge(find(prev), find(row))
+        if passes:  # pointer jumping: k steps resolve paths of 2^k links
+            old = up = np.fromiter(self._uf, np.intp, len(self._uf))
+            top = up[up]
+            while (top != up).any():
+                up, top = top, top[top]
+            moved = (up != old).nonzero()[0]  # few: cheaper than all
+            for cid, root in zip(moved.tolist(), up[moved].tolist()):
+                self._uf[cid] = root
         return passes
 
     # -- queries ------------------------------------------------------------
@@ -341,8 +336,8 @@ class EGraph:
     def classes(self) -> dict:
         """``{canonical id: [nodes]}`` in ascending id order, each node an
         :class:`ENode` read from its row, in the order of
-        :meth:`classes_by_label` (exact in rebuilt state).  The order of
-        the nodes within a class is unspecified."""
+        :meth:`classes_by_label`, which refuses a graph with merges
+        pending.  The order of the nodes within a class is unspecified."""
         hashcons, node = self._hashcons, self._node
         return {cid: [node(hashcons[k]) for keys in by_label.values()
                       for k in keys]
@@ -351,8 +346,10 @@ class EGraph:
     def classes_by_label(self) -> dict:
         """``{canonical id: {label code: [keys]}}`` in ascending id order,
         each class's hashcons keys grouped by their label code in hashcons
-        order, from one walk of the hashcons (exact in rebuilt state)."""
-        uf = self._roots()
+        order, from one walk.  Raises ``ValueError`` while merges are
+        pending."""
+        self._check_rebuilt()
+        uf = self._uf
         index: dict = {cid: {} for cid, root in enumerate(uf) if cid == root}
         for key, cid in self._hashcons.items():
             index[uf[cid]].setdefault(key[0], []).append(key)
@@ -407,26 +404,30 @@ class EGraph:
 def check_invariants(g: EGraph) -> None:
     """Full-scan hashcons + congruence check; raises AssertionError on breach.
 
-    Linear in node count.  The hashcons holds each node once, so congruence
+    Linear in node count; it reads the union-find as it is and writes
+    nothing.  The hashcons holds each node once, so congruence
     is every key being canonical; every key must map to a class the graph
     handed out, no live class may be empty, no merge may be pending, and the
     graph must hold at most ``max_nodes`` nodes.  Each union-find
-    parent must be at most its id, since a merge keeps the smaller id.  The
+    parent must be a class no larger than its id: a merge keeps the smaller
+    id, and a rebuild leaves the union-find flat.  The
     table holds one row per id, and each hashcons value is a live row that
     records its key: an operator's key equals the row's three cells, and a
     leaf's key is ``(code, payload)`` with that payload stored for the row.
     So no dead row is left in the hashcons, and every other row is dead.
     """
-    ids = range(len(g._uf))
+    uf = g._uf
+    ids = range(len(uf))
     for cid in ids:
-        assert g._uf[cid] <= cid, f"class {cid} has the larger parent"
+        assert uf[cid] <= cid, f"class {cid} has the larger parent"
+        assert uf[uf[cid]] == uf[cid], f"the union-find is not flat at {cid}"
     live = set()
     for key, cid in g._hashcons.items():
         children = key[1:] if len(key) == 3 else ()
-        assert all(c < 0 or g.find(c) == c for c in children), \
+        assert all(c < 0 or uf[c] == c for c in children), \
             f"stale node {key} in the hashcons"
         assert cid in ids, f"hashcons maps {key} to unknown class {cid}"
-        live.add(g.find(cid))
+        live.add(uf[cid])
     empty = set(g.class_ids()) - live
     assert not empty, f"classes {sorted(empty)} are empty"
     assert not g._merged, f"merges of {sorted(g._merged)} are pending"

@@ -303,13 +303,14 @@ def _extract(g: EGraph, root: int, rounds: int, sign: int,
     node = (rows[:, 0] >= 0).nonzero()[0]  # the live rows
     code, first, second = rows.take(node, axis=0).T
     del rows  # a view of the table, which cannot grow while it lives
-    owner = g._class_ids()[node]
+    owner = np.fromiter(g._uf, np.intp, size)[node]  # flat: rebuilt
     m = int(owner.max()) + 2  # above every id; m - 1 is the virtual class
-    # A leaf has no children, so the rest of its key is its rank among
-    # the leaves; a label has leaves or operators, never both.
+    # A leaf has no children, so the rest of its key is its rank among the
+    # leaves by (code, payload); a label has leaves or operators, never both.
     rest = (first + 1) * m + second + 1
     leaves = (first < 0).nonzero()[0]
-    keys = [g._node(row) for row in node[leaves].tolist()]
+    keys = list(zip(code[leaves].tolist(),
+                    map(g._payloads.__getitem__, node[leaves].tolist())))
     rest[leaves[sorted(range(len(keys)), key=keys.__getitem__)]] = \
         np.arange(len(keys))
     order = _layout(owner * len(_LABELS) + code, rest)

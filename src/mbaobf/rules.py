@@ -387,11 +387,8 @@ def _compile_application(name: str, rhs: Pattern, names: tuple) -> Callable:
 
 
 def _label_index(g: EGraph) -> dict:
-    """``{class id: {label code: [keys]}}``, ascending id order, from
-    :meth:`EGraph.classes_by_label`; built once per iteration and read by
-    every rule's match.  Raises ``ValueError`` while merges are pending,
-    as extraction does, since keys and classes may then be stale."""
-    g._check_rebuilt()
+    """:meth:`EGraph.classes_by_label` of ``g``, built once per iteration
+    and read by every rule's match."""
     return g.classes_by_label()
 
 

@@ -66,14 +66,15 @@ def check_class_values(g, envs: int = 64, seed: int = 0) -> None:
 
     A leaf row takes its payload's value, an operator row its operator's
     ``fn`` of its children's class values, each child's class read from
-    ``g._class_ids()``.  Rows are swept until no class gains a value: the
-    first row of a class to be evaluated gives the class its value, and
-    every other row must equal it.  A row left unevaluated means a class
-    with no finite term, which fails too."""
+    the flat union-find ``g._uf`` of the rebuilt graph.  Rows are swept
+    until no class gains a value: the first row of a class to be
+    evaluated gives the class its value, and every other row must equal
+    it.  A row left unevaluated means a class with no finite term, which
+    fails too."""
     rng = np.random.default_rng(seed)
     m = np.uint64(mask_of(g.bits))
     table = g._columns().tolist()
-    cls = g._class_ids().tolist()
+    cls = g._uf
     var = _CODES["var"]
     names = sorted({g._payloads[row] for row in g._payloads
                     if table[row][0] == var})

@@ -5,11 +5,11 @@ import pytest
 
 from mbaobf.egraph import (_CODES, CapacityExceededError, EGraph, ENode,
                            InvalidIdError, check_invariants)
-from mbaobf.expansion import ExpansionConfig, grow
+from mbaobf.expansion import ExpansionConfig, extract_max, grow
 from mbaobf.expr import parse
-from mbaobf.rules import load_default_rules
+from mbaobf.rules import ematch, load_default_rules
 
-from conftest import NaivePartition, flat_key, graph_of, random_expr
+from conftest import CORPUS, NaivePartition, flat_key, graph_of, random_expr
 
 
 def reference_rebuild(g):
@@ -18,7 +18,8 @@ def reference_rebuild(g):
     until a pass merges nothing.  Each key keeps its row, and a key whose
     canonical form another row already holds is merged into that row's
     class.  The node table is then written afresh from the hashcons,
-    every row that no key maps to dead."""
+    every row that no key maps to dead, and every union-find path is
+    compressed, so that the union-find is flat as a rebuild leaves it."""
     while g._merged:
         g._merged.clear()
         rekeyed = {}
@@ -33,6 +34,8 @@ def reference_rebuild(g):
     for key, row in g._hashcons.items():
         g._table[3 * row:3 * row + 3] = array(
             "q", key if len(key) == 3 else (key[0], -1, -1))
+    for cid in range(len(g._uf)):
+        g.find(cid)
 
 
 class TestAdd:
@@ -286,6 +289,22 @@ class TestRebuild:
         with pytest.raises(AssertionError, match="larger parent"):
             check_invariants(g)
 
+    def test_rebuild_leaves_the_union_find_flat(self):
+        # union(y, z) then union(x, y) leave the chain z -> y -> x; the
+        # rebuild sets every entry to its class, and the audit refuses
+        # the chain put back by hand with no merge pending
+        g, (x, y, z) = graph_of("x", "y", "z")
+        g.union(y, z)
+        g.union(x, y)
+        assert g._uf == [x, x, y]
+        g.rebuild()
+        assert g._uf == [x, x, x]
+        check_invariants(g)
+        g._uf[z] = y
+        assert not g._merged
+        with pytest.raises(AssertionError, match="not flat"):
+            check_invariants(g)
+
     def test_invariants_catch_a_pending_merge(self):
         # no node has x or y as a child, so no key goes stale
         g, (x, y) = graph_of("x", "y")
@@ -465,6 +484,43 @@ class TestQueries:
                 cid: [g._node(g._hashcons[k]) for keys in by.values()
                       for k in keys]
                 for cid, by in expected.items()}
+
+    def test_classes_refused_while_merges_are_pending(self):
+        g, (x, y, _) = graph_of("x", "y", "x + y")
+        g.union(x, y)
+        for read in (g.classes, g.classes_by_label):
+            with pytest.raises(ValueError, match="pending merges"):
+                read()
+        g.rebuild()
+        assert list(g.classes()) == list(g.classes_by_label()) == [x, 2]
+
+    def test_reading_a_rebuilt_graph_writes_nothing(self):
+        # Grown corpus graphs, some of whose unions left chains until the
+        # final rebuild: every query, match, extraction and audit reads
+        # the flat union-find as it is, so the whole state stays as it was.
+        rules = load_default_rules()
+        cfg = ExpansionConfig(time_limit=60.0)
+        for line in CORPUS.read_text().splitlines()[:30]:
+            grown = grow(parse(line), rules, cfg)
+            g = grown.graph
+
+            def state():
+                return (list(g._uf), list(g._hashcons.items()),
+                        g._table.tobytes(), list(g._payloads.items()),
+                        set(g._merged))
+
+            before = state()
+            for cid in range(len(g._uf)):
+                g.find(cid)
+            g.class_ids()
+            g.classes_by_label()
+            g.classes()
+            for rule in rules:
+                ematch(g, rule)
+            extract_max(g, grown.root, cfg.extraction_rounds,
+                        cfg.max_output_nodes)
+            check_invariants(g)
+            assert state() == before, line
 
     def test_node_count_empty(self):
         assert EGraph().node_count() == 0

@@ -18,10 +18,10 @@ from conftest import graph_of, random_expr
 
 def state_of(g):
     """Everything an application may change: the hashcons in insertion
-    order, the union-find, the classes, the pending merges and the node
-    table with its leaf payloads."""
-    return (list(g._hashcons.items()), list(g._uf), g.classes(),
-            set(g._merged), table_of(g))
+    order, the union-find, the pending merges and the node table with its
+    leaf payloads."""
+    return (list(g._hashcons.items()), list(g._uf), set(g._merged),
+            table_of(g))
 
 
 def table_of(g):
