@@ -29,7 +29,7 @@ between the hashcons, the table and the generated code.  An
 read view: :meth:`EGraph.add` takes one, and :meth:`EGraph._node`,
 :meth:`EGraph.classes` and :meth:`EGraph.dump` hand one out.
 :meth:`EGraph.leaf_key` is the one map from a ``Var`` or ``Const`` leaf
-to its key, for ``add_expr``, the matchers and the Python that each rule
+to its key, for ``add_expr``, matching and the Python that each rule
 generates for its right side.  That code builds keys from canonical ids,
 looks them up in the hashcons, and adds a miss inline as
 :meth:`EGraph.add_canonical` does, the node cap checked first and the
@@ -47,24 +47,27 @@ node was inserted with, which is the id the hashcons maps the node to.
 A row holds a label code and two child columns, -1 where a child is
 missing.  A leaf's variable name or constant, which may be as large as
 2^64 - 1, stays out of the table, in a dict keyed by row.  A read of the
-table is a zero-copy numpy view; rebuild and extraction read it instead
-of walking the hashcons.
+table is a zero-copy numpy view; rebuild, extraction and the match
+index read it instead of walking the hashcons, and extraction and the
+index sort its live rows with :func:`_layout`.
 
 The hashcons, the union-find, the node table with its leaf payloads and
 the set of classes merged away since the last rebuild are the graph's
 whole state.  The hashcons is the one record of class membership; one
 walk of it, :meth:`EGraph.classes_by_label`, groups it by class and
-label code, and :meth:`EGraph.classes` reads that.  Each hashcons value
-is a live row that records its key; a row whose key went to another
-row in a rebuild is dead, its cells all -1.  Rebuilding is deferred: a
-union only records the losing class, and :meth:`EGraph.rebuild`
-re-keys, in place, the keys with a child in that set, each under its
-canonical form, until a pass merges no classes.  egg repairs only the
-parents of merged classes too, but through a parent list per class;
-finding the stale keys instead is one numpy test of the table's two
-child columns against the set.  Few keys go stale: over 20 lines of the
-benchmark's workloads, 0.28% (corpus defaults) and 0.33% (node limit
-8000) of the keys that full re-key passes visited had a merged child.
+label code for :meth:`EGraph.classes` and :meth:`EGraph.dump`, while
+matching reads each live row's class from the flat union-find.  Each
+hashcons value is a live row that records its key; a row whose key went
+to another row in a rebuild is dead, its cells all -1.  Rebuilding is
+deferred: a union only records the losing class, and
+:meth:`EGraph.rebuild` re-keys, in place, the keys with a child in that
+set, each under its canonical form, until a pass merges no classes.  egg
+repairs only the parents of merged classes too, but through a parent
+list per class; finding the stale keys instead is one numpy test of the
+table's two child columns against the set.  Few keys go stale: over 20
+lines of the benchmark's workloads, 0.28% (corpus defaults) and 0.33%
+(node limit 8000) of the keys that full re-key passes visited had a
+merged child.
 Hashcons values may be merged-away ids; every reader maps them through
 the union-find.
 """
@@ -396,6 +399,18 @@ class EGraph:
             body = ", ".join(n.render() for n in sorted(nodes))
             lines.append(f"class {cid}: {{{body}}}")
         return "\n".join(lines)
+
+
+def _layout(major: np.ndarray, minor: np.ndarray) -> np.ndarray:
+    """The order of ``np.lexsort((minor, major))``, both arrays
+    nonnegative: one stable ``np.argsort`` of ``major * span + minor``,
+    with ``minor`` below ``span``, while that key fits in int64, and
+    ``np.lexsort`` past it.  Extraction and the match index sort the node
+    table's live rows with it."""
+    span = int(minor.max(initial=0)) + 1
+    if (int(major.max(initial=0)) + 1) * span > 2**63:
+        return np.lexsort((minor, major))
+    return np.argsort(major * span + minor, kind="stable")
 
 
 # -- invariant checks (used by the stress tests, full scans) ----------------

@@ -81,7 +81,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .egraph import _LABELS, CapacityExceededError, EGraph
+from .egraph import _LABELS, CapacityExceededError, EGraph, _layout
 from .expr import (DEFAULT_BITWIDTH, MAX_DEPTH, OPERATORS, Const, Expression,
                    Op, Var, _check_int, expr_size)
 from .metrics import MetricsReport, measure
@@ -443,17 +443,6 @@ def _horizon(cost: np.ndarray, period: list, first: np.ndarray,
         if rising.any():
             limit = min(limit, int((b[rising] // a[rising]).min()) + 1)
     return limit, gain
-
-
-def _layout(class_label: np.ndarray, rest: np.ndarray) -> np.ndarray:
-    """The order of ``np.lexsort((rest, class_label))``, both arrays
-    nonnegative: one stable ``np.argsort`` of ``class_label * span +
-    rest``, with ``rest`` below ``span``, while that key fits in int64,
-    and ``np.lexsort`` past it."""
-    span = int(rest.max()) + 1
-    if (int(class_label.max()) + 1) * span > 2**63:
-        return np.lexsort((rest, class_label))
-    return np.argsort(class_label * span + rest, kind="stable")
 
 
 def _starts_run(a: np.ndarray) -> np.ndarray:

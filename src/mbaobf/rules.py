@@ -16,15 +16,19 @@ Pattern variables on the right-hand side must also occur on the left; a
 rule may not invent unbound terms.  :class:`Rule` enforces this when it is
 made, so a hand-built rule is held to it as well as a parsed one.
 
-Each rule is compiled once, when it is made, as egg does, into two
-straight-line Python functions generated with no text of the rule file
-in them: its left side into a matcher, one nested loop per operator
-node, that :func:`ematch` runs, and its right side into an application
-that takes a whole list of matches.  Both read and build the e-graph's
-own hashcons keys, flat tuples of a label code and canonical child ids,
-so no e-node object is made per match or per insertion.  The application
-keys the right side's leaves with :meth:`EGraph.leaf_key` once per call,
-as :func:`ematch` keys the matcher's; then for each match in turn it
+Matching is relational, as in relational e-matching (Zhang et al.,
+POPL 2022) and egglog: each rule plans its left side when it is made
+(see :func:`_plan`), and :func:`ematch` runs the plan as numpy joins
+over a sorted copy of the node table's live rows, taken once per growth
+iteration by :func:`_label_index`.
+
+Each rule's right side is compiled once, when the rule is made, as egg
+does, into straight-line Python generated with no text of the rule file
+in it: an application that takes a whole list of matches.  It builds the
+e-graph's own hashcons keys, flat tuples of a label code and canonical
+child ids, so no e-node object is made per insertion.  It keys the
+right side's leaves with :meth:`EGraph.leaf_key` once per call, as
+:func:`ematch` keys the left side's; then for each match in turn it
 validates the ids, does the e-graph's insertions inline and unions the
 right side's class into the matched one through :meth:`EGraph._merge`,
 the graph's one definition of a union.  :func:`apply_match` runs it on a
@@ -42,9 +46,13 @@ from __future__ import annotations
 import importlib.resources
 import re
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable, NamedTuple, Optional
 
-from .egraph import _CODES, CapacityExceededError, EGraph, InvalidIdError
+import numpy as np
+
+from .egraph import (_CODES, _LABELS, CapacityExceededError, EGraph,
+                     InvalidIdError, _layout)
 from .expr import (IDENT_FIRST, IDENT_REST, OPERATORS, Op, ParseError, Var,
                    parse_pattern_text)
 
@@ -60,12 +68,12 @@ Pattern = object
 
 @dataclass(frozen=True)
 class Rule:
-    """A directed rewrite ``lhs => rhs``, both sides compiled once, when the
-    rule is made, into straight-line Python: ``program`` holds the left
-    side's matcher (see :func:`_compile_matcher`), which :func:`ematch`
-    runs, and ``apply`` applies the right side to a list of matches (see
-    :func:`_compile_application`) for :func:`apply_match` and
-    :func:`count_new_nodes`.  It reads each variable from its slot in
+    """A directed rewrite ``lhs => rhs``, both sides prepared once, when
+    the rule is made: ``program`` is the left side's join plan (see
+    :func:`_plan`), which :func:`ematch` runs, and ``apply``, compiled
+    into straight-line Python, applies the right side to a list of
+    matches (see :func:`_compile_application`) for :func:`apply_match`
+    and :func:`count_new_nodes`.  It reads each variable from its slot in
     ``program.names``.  A right-side variable that is not on the left
     raises :class:`UnboundRhsVarError`, and an operator on either side
     that is not the operator table's own entry ``ValueError``."""
@@ -73,12 +81,12 @@ class Rule:
     name: str
     lhs: Pattern
     rhs: Pattern
-    program: _Program = field(init=False, compare=False, repr=False)
+    program: _Plan = field(init=False, compare=False, repr=False)
     apply: Callable = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         _check_operators(self.name, self.lhs, self.rhs)
-        program = _compile_matcher(self.name, self.lhs)
+        program = _plan(self.lhs)
         object.__setattr__(self, "program", program)
         object.__setattr__(self, "apply", _compile_application(
             self.name, self.rhs, program.names))
@@ -159,130 +167,64 @@ def _check_operators(name: str, *patterns: Pattern) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Compiled patterns
+# Left-side plans and right-side applications
 # ---------------------------------------------------------------------------
 
 
-class _Program(NamedTuple):
-    """A left-hand side compiled into a matcher."""
+class _Plan(NamedTuple):
+    """A left-hand side as a join plan over a :func:`_label_index` (see
+    :func:`_plan`), which :func:`ematch` runs."""
 
     names: tuple  # pattern variables, sorted
-    leaves: tuple  # each concrete Var or Const leaf the matcher tests
-    match: Callable  # see _compile_matcher
+    leaves: tuple  # each concrete Var or Const leaf the plan tests
+    steps: tuple  # (register, label code, arity, repeats, leaf tests)
+    out: tuple  # the registers projected: the root's, then each name's
+    ordered: bool  # whether the projection is already in match order
 
 
-# CPython compiles at most 20 statically nested blocks in one function, and
-# each loop is one: a matcher hands the loops past this many to a helper.
-_MAX_LOOPS = 16
-
-
-def _compile_matcher(name: str, lhs: Pattern) -> _Program:
-    """Generate ``match(classes, *leaf_keys)``, the left side as
-    straight-line Python: every match in a :func:`_label_index`, given
-    the key (see :meth:`EGraph.leaf_key`) of each of ``leaves``, as
-    :func:`ematch` returns them.
+def _plan(lhs: Pattern) -> _Plan:
+    """``lhs`` as a plan: one step per operator node, breadth-first.
 
     Registers are numbered breadth-first, as in de Moura and Bjørner's
-    e-matching machine: ``r0`` is the class matched at, and each operator
-    node of the pattern is a loop over the keys with its label code in
-    its register's class, binding one register per child from the key's
-    cells.  A repeated
-    variable is an ``if … continue`` right after the loop that binds it,
-    and so is a concrete leaf, whose key must be among the bound class's
-    keys with its label code.  Loops nest in breadth-first order; past
-    ``_MAX_LOOPS`` of them the rest runs in a generated helper, called
-    with every register bound so far and every leaf key.  Each root's
-    bindings, one tuple per embedding, are deduplicated and sorted.
+    e-matching machine: register 0 is the class matched at, and each
+    operator node binds one register per child, from the first and
+    second children of the index's rows with its label code in its
+    register's class.  A repeated variable, ``(register, register of its
+    first occurrence)``, and a concrete leaf, ``(register, number in
+    leaves)``, are tests of the step that binds their register.
+    :func:`ematch` lists the matches in ascending order of their
+    registers, so the projection needs no sort when nothing below the
+    root is an operator and the variables' first registers ascend by
+    name: every other register is then a repeat or a leaf, fixed by the
+    ones before it.  A left side that is a variable or a leaf has no
+    step.
     """
-    binds: list = []  # (register, label code, child registers), in BFS order
-    tests: dict = {}  # register -> the condition that rejects its class
+    steps: list = []
     leaves: list = []
     first: dict = {}  # variable name -> register of its first occurrence
+    binder: dict = {}  # register -> the step that binds it
     todo = [(lhs, 0)]
     n_regs = 1
     for q, reg in todo:
-        if isinstance(q, PatVar):
-            if q.name in first:
-                tests[reg] = f"r{reg} != r{first[q.name]}"
-            else:
-                first[q.name] = reg
-        elif isinstance(q, Op):
+        if isinstance(q, Op):
             kids = range(n_regs, n_regs + len(q.args))
-            binds.append((reg, _CODES[q.op.name], kids))
+            binder.update(dict.fromkeys(kids, len(steps)))
+            steps.append((reg, _CODES[q.op.name], len(q.args), [], []))
             todo.extend(zip(q.args, kids))
             n_regs = kids.stop
-        else:
-            code = _CODES["var" if isinstance(q, Var) else "const"]
-            tests[reg] = (f"L{len(leaves)} not in "
-                          f"classes[r{reg}].get({code}, ())")
+        elif isinstance(q, PatVar):
+            if q.name in first:
+                steps[binder[reg]][3].append((reg, first[q.name]))
+            else:
+                first[q.name] = reg
+        else:  # a leaf at the root is matched by its class alone
+            if reg:
+                steps[binder[reg]][4].append((reg, len(leaves)))
             leaves.append(q)
     names = tuple(sorted(first))
-    found = "".join(f"r{first[n]}, " for n in names)
-    keys = [f"L{i}" for i in range(len(leaves))]
-    helpers: list = []
-
-    def enter(j: int, pad: str, out: list) -> None:
-        """The loop over bind ``j``'s nodes, its children bound and
-        tested; its body is indented one step past ``pad``."""
-        kids = binds[j][2]
-        out.append(f"{pad}for n{j} in ns{j}:")
-        pad += "    "
-        regs = [f"r{k}" for k in kids]
-        out.append(f"{pad}_, {', '.join([*regs, '_'][:2])} = n{j}")
-        for k in kids:
-            if k in tests:
-                out += [f"{pad}if {tests[k]}:", f"{pad}    continue"]
-
-    def rest(j: int, pad: str, depth: int, miss: str, out: list) -> None:
-        """The binds from ``j`` on, then the match, with ``depth`` loops
-        open; ``miss`` leaves a class that lacks bind ``j``'s label."""
-        for j in range(j, len(binds)):
-            if depth == _MAX_LOOPS:
-                params = ", ".join(
-                    ["classes", "append",
-                     *[f"r{k}" for k in range(binds[j - 1][2].stop)], *keys])
-                helper = f"m{len(helpers) + 1}"
-                out.append(f"{pad}{helper}({params})")
-                body = [f"def {helper}({params}):"]
-                helpers.append(body)
-                rest(j, "    ", 0, "return", body)
-                return
-            reg, code = binds[j][:2]
-            out += [f"{pad}ns{j} = classes[r{reg}].get({code})",
-                    f"{pad}if ns{j} is None:",
-                    f"{pad}    {miss}"]
-            enter(j, pad, out)
-            pad, depth, miss = pad + "    ", depth + 1, "continue"
-        out.append(f"{pad}append((r0, ({found})))")
-
-    src = [f"def match({', '.join(['classes', *keys])}):",
-           "    out = []",
-           "    append = out.append"]
-    if binds:
-        src += ["    for r0, by in classes.items():",
-                f"        ns0 = by.get({binds[0][1]})",
-                "        if ns0 is None:",
-                "            continue",
-                "        start = len(out)"]
-        enter(0, "        ", src)
-        rest(1, " " * 12, 2, "continue", src)
-        src += ["        if len(out) - start > 1:",
-                "            out[start:] = sorted(set(out[start:]))"]
-    else:
-        src.append("    for r0 in classes:")
-        if 0 in tests:
-            src += [f"        if {tests[0]}:", "            continue"]
-        src.append(f"        append((r0, ({found})))")
-    src.append("    return out")
-    for body in helpers:
-        src += body
-    return _Program(names, tuple(leaves), _exec(name, src, {})["match"])
-
-
-def _exec(name: str, src: list, env: dict) -> dict:
-    """Compile and run generated lines of rule ``name`` in ``env``."""
-    exec(compile("\n".join(src), f"<rule {name}>", "exec"), env)
-    return env
+    out = (0, *[first[n] for n in names])
+    ordered = len(steps) <= 1 and list(out) == sorted(out)
+    return _Plan(names, tuple(leaves), tuple(steps), out, ordered)
 
 
 def _compile_application(name: str, rhs: Pattern, names: tuple) -> Callable:
@@ -378,7 +320,8 @@ def _compile_application(name: str, rhs: Pattern, names: tuple) -> Callable:
            "    return changed"]
     env = {"CapacityExceededError": CapacityExceededError,
            "InvalidIdError": InvalidIdError, **leaves}
-    return _exec(name, src, env)["apply"]
+    exec(compile("\n".join(src), f"<rule {name}>", "exec"), env)
+    return env["apply"]
 
 
 # ---------------------------------------------------------------------------
@@ -386,32 +329,97 @@ def _compile_application(name: str, rhs: Pattern, names: tuple) -> Callable:
 # ---------------------------------------------------------------------------
 
 
-def _label_index(g: EGraph) -> dict:
-    """:meth:`EGraph.classes_by_label` of ``g``, built once per iteration
-    and read by every rule's match."""
-    return g.classes_by_label()
+class _Index(NamedTuple):
+    """The live rows of a rebuilt e-graph's node table, copied out and
+    sorted by (label code, class, first child, second child)."""
+
+    bounds: list  # label code -> the position of its first row; then the end
+    cls: np.ndarray  # each row's class
+    first: np.ndarray  # each row's first child, -1 for a leaf
+    second: np.ndarray  # each row's second child, -1 where there is none
+    owner: np.ndarray  # the class of every row, dead ones included, by row
 
 
-def ematch(g: EGraph, rule: Rule, index: Optional[dict] = None) -> list:
+def _label_index(g: EGraph) -> _Index:
+    """The snapshot of ``g`` that every rule's match reads in one
+    iteration; it refuses a graph with merges pending.  It holds copies,
+    not views, since the table grows while the snapshot is read."""
+    g._check_rebuilt()
+    rows = g._columns()
+    owner = np.fromiter(g._uf, np.intp, len(rows))  # flat: rebuilt
+    live = (rows[:, 0] >= 0).nonzero()[0]
+    code, first, second = rows.take(live, axis=0).T
+    del rows
+    cls = owner[live]
+    span = len(owner) + 1
+    order = _layout(code * span + cls, (first + 1) * span + second + 1)
+    code = code[order]
+    bounds = code.searchsorted(np.arange(len(_LABELS) + 1)).tolist()
+    return _Index(bounds, cls[order], first[order], second[order], owner)
+
+
+def ematch(g: EGraph, rule: Rule, index: Optional[_Index] = None) -> list:
     """All matches of ``rule``'s left-hand side anywhere in ``index``, each
     a ``(root, bindings)`` tuple: the class matched at and the class bound
     to each of ``rule.program.names``.
 
-    ``index`` is a :func:`_label_index` of ``g``, built here when None;
-    it refuses a graph with merges pending.  Matching reads only the
-    index, so ids are canonical as of the index, not at match time: a
-    rule matched after earlier rules' unions finds what it would have
-    found before them.  A concrete leaf matches the class whose nodes in
-    the index hold its :meth:`EGraph.leaf_key`; a leaf in no class
-    matches nowhere.
-    Complete with respect to brute-force instantiation; duplicates are
-    collapsed and the result is ordered by root id, then by bindings, so
-    match lists are deterministic.
+    ``index`` is a :func:`_label_index` of ``g``, built here when None.
+    Matching reads only the index, so ids are canonical as of the index,
+    not at match time: a rule matched after earlier rules' unions finds
+    what it would have found before them.  A concrete leaf matches the
+    class its row had in the index; a leaf with no row there matches
+    nowhere.
+
+    The plan's first step takes the root label's rows, which the index
+    orders by class and children; each later step is a sort-merge join
+    of its register's classes with its label's rows, and each test a
+    mask, so the matches come out in ascending order of their registers.
+    On a rebuilt graph every key is unique, so each embedding is fixed by
+    its root and bindings: the result holds each once.  It is complete
+    with respect to brute-force instantiation and ordered by root id,
+    then by bindings, sorted by ``np.lexsort`` where the plan's order
+    differs.
     """
     if index is None:
         index = _label_index(g)
-    prog = rule.program
-    return prog.match(index, *[g.leaf_key(leaf) for leaf in prog.leaves])
+    plan = rule.program
+    fixed = []
+    for leaf in plan.leaves:
+        row = g._hashcons.get(g.leaf_key(leaf))
+        if row is None or row >= len(index.owner):
+            return []
+        fixed.append(index.owner[row])
+    regs: list = []
+    if not plan.steps:  # a variable matches every class, a leaf its own
+        owner = index.owner
+        regs.append(np.array(fixed) if fixed else
+                    (owner == np.arange(len(owner))).nonzero()[0])
+    for reg, code, arity, same, tests in plan.steps:
+        start, stop = index.bounds[code], index.bounds[code + 1]
+        cls = index.cls[start:stop]
+        kids = [index.first[start:stop], index.second[start:stop]][:arity]
+        if regs:  # join: each partial match with each row in its class
+            key = regs[reg]
+            lo = cls.searchsorted(key)
+            counts = cls.searchsorted(key, "right") - lo
+            take = np.repeat(np.arange(len(key)), counts)
+            at = (lo - counts.cumsum() + counts)[take] + np.arange(len(take))
+            regs = [r[take] for r in regs] + [kid[at] for kid in kids]
+        else:
+            regs = [cls, *kids]
+        keep = True
+        for k, j in same:
+            keep &= regs[k] == regs[j]
+        for k, i in tests:
+            keep &= regs[k] == fixed[i]
+        if keep is not True:
+            regs = [r[keep] for r in regs]
+    cols = [regs[k] for k in plan.out]
+    if not plan.ordered:
+        order = np.lexsort(cols[::-1])
+        cols = [c[order] for c in cols]
+    cols = [c.tolist() for c in cols]
+    return list(zip(cols[0], zip(*cols[1:]) if cols[1:] else repeat(())))
 
 
 # ---------------------------------------------------------------------------

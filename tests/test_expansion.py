@@ -9,13 +9,13 @@ import numpy as np
 import pytest
 
 import mbaobf.expansion
+import mbaobf.rules
 from mbaobf.egraph import (CapacityExceededError, EGraph, ENode,
-                           InvalidIdError, check_invariants)
+                           InvalidIdError, _layout, check_invariants)
 from mbaobf.expansion import (MAX_OUTPUT_NODES, ExpansionConfig,
                               ExpansionReport, OutputTooLargeError, StopReason,
-                              UnextractableError, _History, _layout,
-                              _reconstruct, _runs, expand, extract_max,
-                              extract_min, grow)
+                              UnextractableError, _History, _reconstruct,
+                              _runs, expand, extract_max, extract_min, grow)
 from mbaobf.expr import (MAX_DEPTH, OPERATORS, Op, evaluate, expr_size, parse,
                          to_text)
 from mbaobf.metrics import measure
@@ -820,8 +820,9 @@ class TestPeriodicTail:
 
 
 class TestLayout:
-    """The extractor's node order against ``np.lexsort``, by (class and
-    label, then the rest of the node's key)."""
+    """The node orders of the extractor, by (class and label, then the
+    rest of the node's key), and of the match index, by (label and class,
+    then the children), against ``np.lexsort``."""
 
     @pytest.fixture
     def lexsorts(self, monkeypatch):
@@ -837,19 +838,24 @@ class TestLayout:
         return calls
 
     def test_grown_corpus_graphs(self, monkeypatch):
-        seen = []
+        seen = {mbaobf.expansion: [], mbaobf.rules: []}
 
-        def recorded(class_label, rest):
-            seen.append((class_label, rest, _layout(class_label, rest)))
-            return seen[-1][2]
+        def recorder(module):
+            def recorded(major, minor):
+                seen[module].append((major, minor, _layout(major, minor)))
+                return seen[module][-1][2]
+            return recorded
 
-        monkeypatch.setattr(mbaobf.expansion, "_layout", recorded)
+        for module in seen:
+            monkeypatch.setattr(module, "_layout", recorder(module))
         for line in CORPUS.read_text().splitlines()[:5]:
             g, root = grown_graph(parse(line), 3000)
             extract_max(g, root, 64, 10_000)
-        assert len(seen) == 5
-        for class_label, rest, order in seen:
-            assert np.array_equal(order, np.lexsort((rest, class_label)))
+        assert len(seen[mbaobf.expansion]) == 5
+        assert len(seen[mbaobf.rules]) >= 5  # one per growth iteration
+        for calls in seen.values():
+            for major, minor, order in calls:
+                assert np.array_equal(order, np.lexsort((minor, major)))
 
     @pytest.mark.parametrize("top, falls_back", (
         (2**53 - 1, False),  # the largest key is 2^63 - 1

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 import types
 
@@ -13,7 +14,7 @@ from mbaobf.rules import (PatVar, Rule, RuleSyntaxError, UnboundRhsVarError,
                           _label_index, apply_match, count_new_nodes, ematch,
                           load_default_rules, parse_rules)
 
-from conftest import graph_of, random_expr
+from conftest import CORPUS, graph_of, random_expr
 
 
 def state_of(g):
@@ -235,6 +236,15 @@ class TestEmatch:
         assert g.find(1) == 0
         assert ematch(g, r2, index) == [(3, (2,))]
 
+    def test_leaf_added_after_the_index_matches_nowhere(self):
+        # x * 7 joins the graph after the index was taken, so its 7 has
+        # no row in the index, and neither has the product
+        g, _ = graph_of("x * y")
+        index = _label_index(g)
+        g.add_expr(parse("x * 7"))
+        assert ematch(g, pat("?a * 7"), index) == []
+        assert ematch(g, pat("?a * 7")) == [(4, (0,))]
+
     def test_graph_with_merges_pending_refused(self):
         # y's class merged into the class of 0, which `0 - x` holds as a
         # leaf: matching it before a rebuild once raised KeyError
@@ -272,7 +282,7 @@ class TestEmatch:
 
 
 # ---------------------------------------------------------------------------
-# The generated matcher against the interpreter it replaced
+# The join plans against the interpreter that preceded them
 # ---------------------------------------------------------------------------
 
 # Instructions ``(kind, register, argument)``.  Register 0 holds the class
@@ -325,11 +335,13 @@ def run(ops, pc, regs, classes, leaf_ids, var_regs, out):
     out.append(tuple([regs[r] for r in var_regs]))
 
 
-def reference_ematch(g, rule, index):
-    """Matching as it was before each rule generated its own matcher: the
-    instructions interpreted one node at a time, each root's bindings
-    deduplicated and sorted.  A concrete leaf is compared by class id,
-    read from a leaf -> class map of ``index``."""
+def reference_ematch(g, rule):
+    """Matching as it was before the generated matchers that join plans
+    later replaced: the instructions interpreted one node at a time over
+    ``g.classes_by_label()``, each root's bindings deduplicated and
+    sorted.  A concrete leaf is compared by class id, read from a leaf ->
+    class map of the same index."""
+    index = g.classes_by_label()
     ops, leaves, var_regs, n_regs, root_code = compile_instructions(rule.lhs)
     leaf_class = {n: cid for cid, by_label in index.items()
                   for nodes in by_label.values() for n in nodes
@@ -360,8 +372,8 @@ def chain(n, inner):
 
 def deep_lhs():
     """A ``MAX_DEPTH``-deep left side, alternately ``~`` and ``+ i``, over
-    ``?a``, repeated at the top: ``?a`` and a constant are tested in the
-    helpers that the innermost loops run in."""
+    ``?a``, repeated at the top: ``?a`` and a constant are tested by the
+    innermost joins."""
     q = PatVar("a")
     for i in range(MAX_DEPTH - 1):
         q = Op(ADD, (q, Const(i % 3))) if i % 2 else Op(NOT, (q,))
@@ -378,14 +390,20 @@ def instantiate(p, leaf):
 
 
 # 60-operator chains whose repeated ?a and constant, or concrete variable,
-# are tested 59 loops below the root's, in a helper.
+# are tested 59 joins below the root.
 CHAIN_LHS = Op(MUL, (PatVar("a"), chain(58, Op(ADD, (PatVar("a"),
                                                      Const(1))))))
 CHAIN_VAR_LHS = Op(MUL, (PatVar("a"), chain(58, Op(ADD, (PatVar("a"),
                                                          Var("x"))))))
+# 12345 is 9 at 4 bits and 57 at 8, which a random graph may hold; at 64
+# bits no graph holds it, so the plan finds no row for the leaf.
+ABSENT_LEAF = pat("?a * 12345")
+# ?b + ?a and (?b & ?a) - ?b bind against the rows' column order, so their
+# plans sort the matches.
 MATCHER_RULES = load_default_rules() + [
     pat(t) for t in ("?a", "?a + ?a", "x", "3", "0 - ?a", "(?a + 1) * y",
-                     "(?a + ?b) * ?a")] + [
+                     "(?a + ?b) * ?a", "?b + ?a", "(?b & ?a) - ?b")] + [
+    ABSENT_LEAF,
     Rule("chain-var", CHAIN_VAR_LHS, PatVar("a")),
     Rule("chain", CHAIN_LHS, PatVar("a")),
     Rule("deep", deep_lhs(), PatVar("a"))]
@@ -393,16 +411,16 @@ MATCHER_RULES = load_default_rules() + [
 
 def matcher_graphs(rng, bits, grown):
     """Random graphs that also hold each of ``MATCHER_RULES``' left sides
-    over ``x``; ``grown`` unions x with ``~~x`` and ``x + 1``'s class with
-    ``x``'s, so that the long left sides match along cycles, then applies
-    ~30% of the default rules' matches."""
+    over ``x``, but ``ABSENT_LEAF``'s; ``grown`` unions x with ``~~x`` and
+    ``x + 1``'s class with ``x``'s, so that the long left sides match
+    along cycles, then applies ~30% of the default rules' matches."""
     x = Var("x")
     for _ in range(3):
         g = EGraph(bits=bits)
         roots = [g.add_expr(random_expr(rng, rng.randint(2, 9), bits=bits,
                                         const_prob=0.3)) for _ in range(3)]
         roots += [g.add_expr(instantiate(rule.lhs, x))
-                  for rule in MATCHER_RULES]
+                  for rule in MATCHER_RULES if rule is not ABSENT_LEAF]
         g.rebuild()
         if grown:
             g.union(g.add_expr(x), g.add_expr(chain(2, x)))
@@ -418,9 +436,9 @@ def matcher_graphs(rng, bits, grown):
         yield g
 
 
-class TestGeneratedMatcher:
-    """Each rule's generated matcher against ``reference_ematch``: the
-    same matches in the same order."""
+class TestMatchPlan:
+    """Each rule's join plan against ``reference_ematch``: the same
+    matches in the same order."""
 
     @pytest.mark.parametrize("bits", [4, 8, 64])
     @pytest.mark.parametrize("grown", [False, True])
@@ -430,13 +448,31 @@ class TestGeneratedMatcher:
             index = _label_index(g)
             for i, rule in enumerate(MATCHER_RULES):
                 got = ematch(g, rule, index)
-                assert got == reference_ematch(g, rule, index), rule.lhs
+                assert got == reference_ematch(g, rule), rule.lhs
                 if got:
                     unmatched.discard(i)
+        absent = MATCHER_RULES.index(ABSENT_LEAF)
+        if bits == 64:
+            assert absent in unmatched
+        unmatched.discard(absent)
         assert not unmatched, [MATCHER_RULES[i].lhs for i in unmatched]
 
+    def test_match_lists_strictly_increase_on_grown_corpus_graphs(self):
+        # a plan never deduplicates: on a rebuilt graph each embedding is
+        # fixed by its root and bindings, so no two are listed alike
+        rules = load_default_rules()
+        for line in CORPUS.read_text().splitlines()[:4]:
+            g, _ = graph_of(line)
+            for _ in range(4):
+                index = _label_index(g)
+                for rule in MATCHER_RULES:
+                    got = ematch(g, rule, index)
+                    assert all(a < b for a, b in zip(got, got[1:])), rule.lhs
+                _iterate(g, rules, math.inf)
+                g.rebuild()
+
     def test_long_left_sides_match(self):
-        # 60 and MAX_DEPTH nested loops, past CPython's 20 static blocks
+        # 60 and MAX_DEPTH operators: 59 and MAX_DEPTH - 1 joins
         g = EGraph()
         x = Var("x")
         roots = [g.add_expr(instantiate(p, x))
@@ -447,7 +483,7 @@ class TestGeneratedMatcher:
             assert ematch(g, rule) == [(root, (xc,))]
 
     def test_chain_constant_tested_where_it_sits(self):
-        # CHAIN_LHS's 1 is tested in a helper: a graph with no 1, or with
+        # CHAIN_LHS's 1 is tested by the last join: a graph with no 1, or with
         # 1 in a class other than the one bound there, holds no match
         chain_rule = MATCHER_RULES[-2]
         x = Var("x")
