@@ -46,17 +46,18 @@ three grow in lockstep, and the row's index is the id of the class the
 node was inserted with, which is the id the hashcons maps the node to.
 A row holds a label code and two child columns, -1 where a child is
 missing.  A leaf's variable name or constant, which may be as large as
-2^64 - 1, stays out of the table, in a dict keyed by row.  A read of the
-table is a zero-copy numpy view; rebuild, extraction and the match
-index read it instead of walking the hashcons, and extraction and the
-index sort its live rows with :func:`_layout`.
+2^64 - 1, stays out of the table, in a dict keyed by row.  Rebuild
+reads the table as a zero-copy numpy view; every other reader takes
+one snapshot of it, :meth:`EGraph._live_rows`, instead of walking the
+hashcons, and extraction and the match index sort its live rows with
+:func:`_layout`.
 
 The hashcons, the union-find, the node table with its leaf payloads and
 the set of classes merged away since the last rebuild are the graph's
-whole state.  The hashcons is the one record of class membership; one
-walk of it, :meth:`EGraph.classes_by_label`, groups it by class and
-label code for :meth:`EGraph.classes` and :meth:`EGraph.dump`, while
-matching reads each live row's class from the flat union-find.  Each
+whole state.  The hashcons only answers lookups by key.  Class
+membership is read from the table: a live row belongs to the class its
+union-find entry names, and :meth:`EGraph.classes`, matching and
+extraction all read that through :meth:`EGraph._live_rows`.  Each
 hashcons value is a live row that records its key; a row whose key went
 to another row in a rebuild is dead, its cells all -1.  Rebuilding is
 deferred: a union only records the losing class, and
@@ -337,26 +338,15 @@ class EGraph:
         return [cid for cid, root in enumerate(self._uf) if cid == root]
 
     def classes(self) -> dict:
-        """``{canonical id: [nodes]}`` in ascending id order, each node an
-        :class:`ENode` read from its row, in the order of
-        :meth:`classes_by_label`, which refuses a graph with merges
-        pending.  The order of the nodes within a class is unspecified."""
-        hashcons, node = self._hashcons, self._node
-        return {cid: [node(hashcons[k]) for keys in by_label.values()
-                      for k in keys]
-                for cid, by_label in self.classes_by_label().items()}
-
-    def classes_by_label(self) -> dict:
-        """``{canonical id: {label code: [keys]}}`` in ascending id order,
-        each class's hashcons keys grouped by their label code in hashcons
-        order, from one walk.  Raises ``ValueError`` while merges are
-        pending."""
-        self._check_rebuilt()
-        uf = self._uf
-        index: dict = {cid: {} for cid, root in enumerate(uf) if cid == root}
-        for key, cid in self._hashcons.items():
-            index[uf[cid]].setdefault(key[0], []).append(key)
-        return index
+        """``{canonical id: [nodes]}`` in ascending id order, read from
+        :meth:`_live_rows`, which refuses a graph with merges pending:
+        each class's live rows in row order, each node the :class:`ENode`
+        its row records."""
+        classes, live, *_ = self._live_rows()
+        grouped: dict = {}
+        for row, cid in zip(live.tolist(), classes[live].tolist()):
+            grouped.setdefault(cid, []).append(self._node(row))
+        return dict(sorted(grouped.items()))
 
     # -- the node table -----------------------------------------------------
 
@@ -367,6 +357,25 @@ class EGraph:
         the view lives, so drop it before the graph next grows."""
         return np.frombuffer(self._table, np.int64).reshape(-1, 3)
 
+    def _live_rows(self) -> tuple:
+        """The rebuilt graph as rows: ``(classes, live, code, first,
+        second)``.  ``classes`` is every row's class, dead rows included,
+        copied from the flat union-find; ``live`` is the ids of the live
+        rows, ascending, and ``code``, ``first`` and ``second`` are copies
+        of their cells.  :meth:`classes`, the match index and extraction
+        all start from it, so no other reader copies the union-find.
+        Raises ``ValueError`` while merges are pending; no view of the
+        table outlives the call, so the graph may grow while the arrays
+        are read."""
+        if self._merged:
+            raise ValueError("the e-graph has pending merges: rebuild first")
+        rows = self._columns()
+        classes = np.fromiter(self._uf, np.intp, len(rows))  # flat: rebuilt
+        live = (rows[:, 0] >= 0).nonzero()[0]
+        code, first, second = rows.take(live, axis=0).T
+        del rows  # a view of the table, which cannot grow while it lives
+        return classes, live, code, first, second
+
     def _node(self, row: int) -> Optional[ENode]:
         """The e-node row ``row`` records, or None for a dead row."""
         code, first, second = self._table[3 * row:3 * row + 3]
@@ -376,11 +385,6 @@ class EGraph:
             return ENode(_LABELS[code], self._payloads[row], ())
         return ENode(_LABELS[code], None,
                      (first,) if second < 0 else (first, second))
-
-    def _check_rebuilt(self) -> None:
-        """Raise ``ValueError`` while merges are pending."""
-        if self._merged:
-            raise ValueError("the e-graph has pending merges: rebuild first")
 
     def expr_of_node(self, node: ENode, arg_exprs: tuple) -> Expression:
         """Rebuild one expression node from an e-node and child expressions."""

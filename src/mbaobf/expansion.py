@@ -22,8 +22,9 @@ extractor therefore runs a round-indexed dynamic program:
   within ``max_output_nodes`` even on cyclic graphs.
 
 Each call lays the graph out as flat arrays (each node's class and child
-classes) read from the e-graph's node table, with no walk of the
-hashcons, and each round is one numpy sweep against a float table of the
+classes) read from the e-graph's node table through
+:meth:`~mbaobf.egraph.EGraph._live_rows`, with no walk of the hashcons,
+and each round is one numpy sweep against a float table of the
 previous round's class costs, indexed by canonical class id, round 0
 included: it starts from a table that knows no term, so only leaves
 reach a cost in it.  Since child costs only
@@ -195,10 +196,12 @@ def _gc_paused():
     during them frees nothing.  The flat hashcons keys, tuples of ints
     and strs, are untracked the first time a collection meets them, but
     the lists and tuples that matching and the label index build each
-    iteration are new to every pass.  Unpaused, ``expand`` ran ~3.4 gen0
-    and 0.3 gen1 passes per corpus line at the defaults, and 14.7, 1.3
-    and 0.13 (gen2) at node limit 8000; unpaused over paused time was
-    1.04 and 0.98-1.10 there (medians of 16 alternating rounds).
+    iteration are new to every pass.  Unpaused, ``expand`` ran ~1.9 gen0
+    and 0.17 gen1 passes per corpus line at the defaults, and 9.5 and
+    0.86 at node limit 8000 with a 2000-node output cap.  Timed per line,
+    the two sides alternating, unpaused over paused time was 1.030 there
+    (geometric mean over 100 lines of 7 runs each, unpaused faster on 7)
+    and 1.064 at 8000 (30 lines of 5 runs, unpaused faster on 5).
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -244,10 +247,11 @@ def _extract(g: EGraph, root: int, rounds: int, sign: int,
     """The round-indexed DP that maximizes ``sign * size``, one array
     sweep per round over the nodes that can still change their class.
 
-    The layout is the graph's node table: its live rows, each row's
-    class from the union-find, and one sort (:func:`_layout`) that puts
-    each class's rows in plain tuple order of their e-nodes: class id,
-    label code, then a leaf's payload rank or an operator's children.
+    The layout is the graph's node table: its live rows and each row's
+    class, as :meth:`EGraph._live_rows` copies them, and one sort
+    (:func:`_layout`) that puts each class's rows in plain tuple order
+    of their e-nodes: class id, label code, then a leaf's payload rank
+    or an operator's children.
     The graph must be rebuilt, so that every live row holds a canonical
     key.
     ``first`` and ``second`` hold each node's child class ids, or -1
@@ -297,13 +301,9 @@ def _extract(g: EGraph, root: int, rounds: int, sign: int,
     or the last round.
     """
     root = g.find(root)
-    g._check_rebuilt()
-    rows = g._columns()
-    size = len(rows)
-    node = (rows[:, 0] >= 0).nonzero()[0]  # the live rows
-    code, first, second = rows.take(node, axis=0).T
-    del rows  # a view of the table, which cannot grow while it lives
-    owner = np.fromiter(g._uf, np.intp, size)[node]  # flat: rebuilt
+    owner, node, code, first, second = g._live_rows()
+    size = len(owner)
+    owner = owner[node]  # each live row's class; the by-row copy is freed
     m = int(owner.max()) + 2  # above every id; m - 1 is the virtual class
     # A leaf has no children, so the rest of its key is its rank among the
     # leaves by (code, payload); a label has leaves or operators, never both.

@@ -28,15 +28,11 @@ class MetricsReport:
     entropy_leaves: float
 
     def as_dict(self) -> dict:
-        return {
-            "ast_size": self.ast_size,
-            "var_count": self.var_count,
-            "const_count": self.const_count,
-            "op_count": self.op_count,
-            "mba_alternation": self.mba_alternation,
-            "entropy_tokens": round(self.entropy_tokens, 6),
-            "entropy_leaves": round(self.entropy_leaves, 6),
-        }
+        """The fields in declaration order, each float rounded to 6
+        places."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {k: round(v, 6) if isinstance(v, float) else v
+                for k, v in out.items()}
 
 
 class EmptyCorpusError(Exception):

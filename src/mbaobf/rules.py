@@ -20,7 +20,9 @@ Matching is relational, as in relational e-matching (Zhang et al.,
 POPL 2022) and egglog: each rule plans its left side when it is made
 (see :func:`_plan`), and :func:`ematch` runs the plan as numpy joins
 over a sorted copy of the node table's live rows, taken once per growth
-iteration by :func:`_label_index`.
+iteration by :func:`_label_index` from :meth:`EGraph._live_rows`.  A
+match is one flat row, ``(root, *bindings)``, from the join's columns
+to the generated application that unpacks it.
 
 Each rule's right side is compiled once, when the rule is made, as egg
 does, into straight-line Python generated with no text of the rule file
@@ -28,8 +30,8 @@ in it: an application that takes a whole list of matches.  It builds the
 e-graph's own hashcons keys, flat tuples of a label code and canonical
 child ids, so no e-node object is made per insertion.  It keys the
 right side's leaves with :meth:`EGraph.leaf_key` once per call, as
-:func:`ematch` keys the left side's; then for each match in turn it
-validates the ids, does the e-graph's insertions inline and unions the
+:func:`ematch` keys the left side's; then for each match row in turn
+it validates the ids, does the e-graph's insertions inline and unions the
 right side's class into the matched one through :meth:`EGraph._merge`,
 the graph's one definition of a union.  :func:`apply_match` runs it on a
 whole slice of a rule's matches, as egg applies each rule's matches as
@@ -46,7 +48,6 @@ from __future__ import annotations
 import importlib.resources
 import re
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -229,10 +230,13 @@ def _plan(lhs: Pattern) -> _Plan:
 
 def _compile_application(name: str, rhs: Pattern, names: tuple) -> Callable:
     """Generate ``apply(g, matches)``: the right side built and
-    unioned into the matched class for each ``(root, bindings)`` of
+    unioned into the matched class for each row ``(root, *bindings)`` of
     ``matches`` in order; returns whether the graph changed.
 
-    ``bindings`` are aligned with ``names``.  Before a match adds
+    ``bindings`` are aligned with ``names``, and the loop unpacks each
+    row straight into locals: ``for r, v0, v1 in matches``, with ``_``
+    for a binding the right side does not read, and ``for r, in
+    matches`` for a left side with no variable.  Before a match adds
     anything, its root and each right-side variable's binding, in slot
     order, are validated as :meth:`EGraph.find` validates an id, then
     canonicalized, through :meth:`EGraph._find`, only when the id is not
@@ -294,8 +298,10 @@ def _compile_application(name: str, rhs: Pattern, names: tuple) -> Callable:
     top = emit(rhs)
     if missing:
         raise UnboundRhsVarError(name, min(missing))
-    targets = "".join(f"v{i}, " if i in used else "_, "
-                      for i in range(len(names))).rstrip()
+    targets = ", ".join(["r", *[f"v{i}" if i in used else "_"
+                                for i in range(len(names))]])
+    if not names:  # a 1-tuple still unpacks
+        targets += ","
     match = ["n = len(uf)"]
     for v in ["r", *[f"v{i}" for i in sorted(used)]]:
         match += [f"if type({v}) is not int or not 0 <= {v} < n:",
@@ -312,7 +318,7 @@ def _compile_application(name: str, rhs: Pattern, names: tuple) -> Callable:
            *[f"    K{i} = g.leaf_key(L{i})" for i in range(len(leaves))],
            "    changed = False",
            "    try:",
-           f"        for r, ({targets}) in matches:",
+           f"        for {targets} in matches:",
            *[f"            {line}" for line in match],
            "    except CapacityExceededError:",
            "        g.rollback(n)",
@@ -342,14 +348,10 @@ class _Index(NamedTuple):
 
 def _label_index(g: EGraph) -> _Index:
     """The snapshot of ``g`` that every rule's match reads in one
-    iteration; it refuses a graph with merges pending.  It holds copies,
-    not views, since the table grows while the snapshot is read."""
-    g._check_rebuilt()
-    rows = g._columns()
-    owner = np.fromiter(g._uf, np.intp, len(rows))  # flat: rebuilt
-    live = (rows[:, 0] >= 0).nonzero()[0]
-    code, first, second = rows.take(live, axis=0).T
-    del rows
+    iteration, sorted from :meth:`EGraph._live_rows`, which refuses a
+    graph with merges pending and holds copies, not views, since the
+    table grows while the snapshot is read."""
+    owner, live, code, first, second = g._live_rows()
     cls = owner[live]
     span = len(owner) + 1
     order = _layout(code * span + cls, (first + 1) * span + second + 1)
@@ -360,8 +362,9 @@ def _label_index(g: EGraph) -> _Index:
 
 def ematch(g: EGraph, rule: Rule, index: Optional[_Index] = None) -> list:
     """All matches of ``rule``'s left-hand side anywhere in ``index``, each
-    a ``(root, bindings)`` tuple: the class matched at and the class bound
-    to each of ``rule.program.names``.
+    a flat row ``(root, *bindings)``: the class matched at, then the class
+    bound to each of ``rule.program.names``, as :func:`apply_match` takes
+    it.  A left side with no variable gives 1-tuples ``(root,)``.
 
     ``index`` is a :func:`_label_index` of ``g``, built here when None.
     Matching reads only the index, so ids are canonical as of the index,
@@ -418,8 +421,7 @@ def ematch(g: EGraph, rule: Rule, index: Optional[_Index] = None) -> list:
     if not plan.ordered:
         order = np.lexsort(cols[::-1])
         cols = [c[order] for c in cols]
-    cols = [c.tolist() for c in cols]
-    return list(zip(cols[0], zip(*cols[1:]) if cols[1:] else repeat(())))
+    return list(zip(*[c.tolist() for c in cols]))
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +446,7 @@ def count_new_nodes(g: EGraph, rule: Rule, m: tuple) -> int:
 def apply_match(g: EGraph, rule: Rule, matches: list) -> bool:
     """Apply ``rule`` to each of ``matches`` in order: union the
     instantiated right side into the matched class.  Each match is a
-    ``(root, bindings)`` tuple from :func:`ematch` for ``rule``.
+    row ``(root, *bindings)`` from :func:`ematch` for ``rule``.
 
     Returns whether the graph changed (new nodes or a merge): a right
     side that adds any node has a new class at its top, which cannot be

@@ -1,3 +1,4 @@
+import math
 import random
 from array import array
 
@@ -243,7 +244,7 @@ class TestRebuild:
     def test_invariants_catch_a_corrupt_hashcons_entry(self):
         g, (root,) = graph_of("x + y")
         check_invariants(g)
-        ((key,),) = g.classes_by_label()[g.find(root)].values()
+        (key,) = [k for k, c in g._hashcons.items() if c == root]
         g._hashcons[key] = g.find(g.add_expr(parse("x")))
         with pytest.raises(AssertionError, match="are empty"):
             check_invariants(g)
@@ -421,6 +422,21 @@ class TestRebuild:
                 assert set(g._hashcons) == set(ref._hashcons)
 
 
+def grown_graph(rng, rules):
+    """A random expression's graph grown by ``rules``, then given up to
+    three random unions, each rebuilt, so that it holds dead rows and
+    merged-away ids."""
+    e = random_expr(rng, rng.randint(1, 8), bits=8, const_prob=0.3)
+    g = grow(e, rules, ExpansionConfig(
+        node_limit=rng.choice((40, 150, 400)), iter_limit=4,
+        time_limit=60.0)).graph
+    for _ in range(rng.randint(0, 3)):
+        ids = range(len(g._uf))
+        g.union(rng.choice(ids), rng.choice(ids))
+        g.rebuild()
+    return g
+
+
 class TestQueries:
     def test_table_rows_group_like_classes(self, rng):
         # Unions of random graphs leave hashcons values that are
@@ -456,43 +472,59 @@ class TestQueries:
                     for cid, members in g.classes().items()}
         assert merged_away > 0 and dead > 0
 
-    def test_classes_by_label_groups_the_hashcons(self, rng):
+    def test_classes_group_the_hashcons(self, rng):
         # Graphs grown by the shipped rules, then with random unions, so
-        # hashcons values are merged-away ids: the one-walk index is the
-        # hashcons grouped by ``find`` and label, classes ascending and
-        # nodes in hashcons order, and ``classes()`` is that, flattened.
+        # hashcons values are merged-away ids: classes(), read from the
+        # table, is the hashcons grouped by ``find``, classes ascending,
+        # with node order within a class ignored.
         rules = load_default_rules()
         for _ in range(12):
-            e = random_expr(rng, rng.randint(1, 8), bits=8, const_prob=0.3)
-            g = grow(e, rules, ExpansionConfig(
-                node_limit=rng.choice((40, 150, 400)), iter_limit=4,
-                time_limit=60.0)).graph
-            for _ in range(rng.randint(0, 3)):
-                ids = range(len(g._uf))
-                g.union(rng.choice(ids), rng.choice(ids))
-                g.rebuild()
+            g = grown_graph(rng, rules)
             expected = {}
             for cid in sorted({g.find(c) for c in g._hashcons.values()}):
-                expected[cid] = {}
+                expected[cid] = []
             for key, cid in g._hashcons.items():
-                expected[g.find(cid)].setdefault(key[0], []).append(key)
-            index = g.classes_by_label()
-            assert list(index) == list(expected)
-            assert all(list(index[c]) == list(expected[c]) for c in index)
-            assert index == expected
-            assert g.classes() == {
-                cid: [g._node(g._hashcons[k]) for keys in by.values()
-                      for k in keys]
-                for cid, by in expected.items()}
+                expected[g.find(cid)].append(key)
+            got = g.classes()
+            assert list(got) == list(expected)
+            assert {c: sorted(map(flat_key, nodes))
+                    for c, nodes in got.items()} \
+                == {c: sorted(keys) for c, keys in expected.items()}
+
+    def test_live_rows_copy_the_rebuilt_table(self, rng):
+        # Grown graphs with random unions hold dead rows and merged-away
+        # ids: every row's class is its find, the live rows are those
+        # with a label code, their cells are the table's, and the table
+        # can grow right after the call, so no view of it is left.
+        rules = load_default_rules()
+        dead = merged_away = 0
+        for _ in range(12):
+            g = grown_graph(rng, rules)
+            classes, live, code, first, second = g._live_rows()
+            rows = len(g._uf)
+            assert classes.tolist() == [g.find(r) for r in range(rows)]
+            assert live.tolist() == [r for r in range(rows)
+                                     if g._table[3 * r] >= 0]
+            cells = [g._table[3 * r:3 * r + 3].tolist() for r in live]
+            assert [list(c) for c in zip(code, first, second)] == cells
+            dead += rows - len(live)
+            merged_away += sum(g.find(r) != r for r in live.tolist())
+            g.max_nodes = math.inf  # a grown graph may be at its cap
+            g.add_expr(parse("fresh_var + 12345"))
+            assert len(g._uf) > rows
+            g.union(0, len(g._uf) - 1)
+            with pytest.raises(ValueError, match="pending merges"):
+                g._live_rows()
+        assert dead > 0 and merged_away > 0
 
     def test_classes_refused_while_merges_are_pending(self):
         g, (x, y, _) = graph_of("x", "y", "x + y")
         g.union(x, y)
-        for read in (g.classes, g.classes_by_label):
+        for read in (g.classes, g._live_rows):
             with pytest.raises(ValueError, match="pending merges"):
                 read()
         g.rebuild()
-        assert list(g.classes()) == list(g.classes_by_label()) == [x, 2]
+        assert list(g.classes()) == [x, 2]
 
     def test_reading_a_rebuilt_graph_writes_nothing(self):
         # Grown corpus graphs, some of whose unions left chains until the
@@ -513,7 +545,7 @@ class TestQueries:
             for cid in range(len(g._uf)):
                 g.find(cid)
             g.class_ids()
-            g.classes_by_label()
+            g._live_rows()
             g.classes()
             for rule in rules:
                 ematch(g, rule)

@@ -130,7 +130,7 @@ def pat(text: str) -> Rule:
 
 def subst_of(rule: Rule, m) -> dict:
     """A match's bindings keyed by pattern variable name."""
-    return dict(zip(rule.program.names, m[1]))
+    return dict(zip(rule.program.names, m[1:]))
 
 
 def embeds(g, members, p, cid, subst) -> bool:
@@ -234,7 +234,7 @@ class TestEmatch:
         for m in ematch(g, r1, index):
             apply_match(g, r1, [m])
         assert g.find(1) == 0
-        assert ematch(g, r2, index) == [(3, (2,))]
+        assert ematch(g, r2, index) == [(3, 2)]
 
     def test_leaf_added_after_the_index_matches_nowhere(self):
         # x * 7 joins the graph after the index was taken, so its 7 has
@@ -243,7 +243,7 @@ class TestEmatch:
         index = _label_index(g)
         g.add_expr(parse("x * 7"))
         assert ematch(g, pat("?a * 7"), index) == []
-        assert ematch(g, pat("?a * 7")) == [(4, (0,))]
+        assert ematch(g, pat("?a * 7")) == [(4, 0)]
 
     def test_graph_with_merges_pending_refused(self):
         # y's class merged into the class of 0, which `0 - x` holds as a
@@ -255,7 +255,7 @@ class TestEmatch:
         with pytest.raises(ValueError, match="pending merges"):
             ematch(g, rule)
         g.rebuild()
-        assert ematch(g, rule) == [(3, (2,))]
+        assert ematch(g, rule) == [(3, 2)]
 
     def test_completeness_against_brute_force(self, rng):
         # ematch's contract: every embedding once, ordered by root id, then
@@ -338,10 +338,15 @@ def run(ops, pc, regs, classes, leaf_ids, var_regs, out):
 def reference_ematch(g, rule):
     """Matching as it was before the generated matchers that join plans
     later replaced: the instructions interpreted one node at a time over
-    ``g.classes_by_label()``, each root's bindings deduplicated and
-    sorted.  A concrete leaf is compared by class id, read from a leaf ->
-    class map of the same index."""
-    index = g.classes_by_label()
+    the hashcons grouped by class and label code, each root's bindings
+    deduplicated and sorted, each match a flat row ``(root, *bindings)``.
+    A concrete leaf is compared by class id, read from a leaf -> class
+    map of the same index.  It walks ``g._hashcons`` itself, so it shares
+    no read code with the engine."""
+    index: dict = {}
+    for key, cid in g._hashcons.items():
+        index.setdefault(g.find(cid), {}).setdefault(key[0], []).append(key)
+    index = dict(sorted(index.items()))
     ops, leaves, var_regs, n_regs, root_code = compile_instructions(rule.lhs)
     leaf_class = {n: cid for cid, by_label in index.items()
                   for nodes in by_label.values() for n in nodes
@@ -359,7 +364,7 @@ def reference_ematch(g, rule):
         run(ops, 0, regs, index, leaf_ids, var_regs, found)
         if len(found) > 1:
             found = sorted(set(found))
-        out += [(cid, bindings) for bindings in found]
+        out += [(cid, *bindings) for bindings in found]
     return out
 
 
@@ -480,7 +485,7 @@ class TestMatchPlan:
         g.rebuild()
         xc = g.add_expr(x)
         for rule, root in zip(MATCHER_RULES[-2:], roots):
-            assert ematch(g, rule) == [(root, (xc,))]
+            assert ematch(g, rule) == [(root, xc)]
 
     def test_chain_constant_tested_where_it_sits(self):
         # CHAIN_LHS's 1 is tested by the last join: a graph with no 1, or with
@@ -496,7 +501,7 @@ class TestMatchPlan:
         assert ematch(g, chain_rule) == []
         g.union(one, g.add_expr(Const(2)))
         g.rebuild()
-        assert ematch(g, chain_rule) == [(g.find(root), (g.add_expr(x),))]
+        assert ematch(g, chain_rule) == [(g.find(root), g.add_expr(x))]
 
 
 class TestApplyMatch:
@@ -560,14 +565,14 @@ class TestApplyMatch:
         # True and False are ints to isinstance, but no class ids
         rule = load_default_rules()[0]
         g, _ = graph_of("x + y")
-        (root, bindings) = ematch(g, rule)[0]
+        root, a, b = ematch(g, rule)[0]
         snapshot = state_of(g)
-        for m in ((True, bindings), (root, (False, True))):
+        for m in ((True, a, b), (root, False, True)):
             with pytest.raises(InvalidIdError):
                 apply_match(g, rule, [m])
             assert state_of(g) == snapshot
         with pytest.raises(InvalidIdError):  # refused as apply_match does
-            count_new_nodes(g, rule, (root, (bindings[0], True)))
+            count_new_nodes(g, rule, (root, a, True))
         assert state_of(g) == snapshot
 
     def test_application_refused_by_the_cap_leaves_no_trace(self):
@@ -632,7 +637,7 @@ def reference_apply(g, rule, m):
     try:
         for kind, arg in steps:
             if kind == "var":
-                stack.append(g.find(m[1][arg]))
+                stack.append(g.find(m[1 + arg]))
             elif kind == "leaf":
                 stack.append(g.add_canonical(g.leaf_key(arg)))
             else:
@@ -849,14 +854,14 @@ class TestGeneratedApplication:
     def test_invalid_ids_rejected_before_any_change(self, bad):
         rule = load_default_rules()[0]
         g, _ = graph_of("x + y")
-        (root, bindings) = ematch(g, rule)[0]
+        root, a, b = ematch(g, rule)[0]
         snapshot = state_of(g)
-        for m in ((bad, bindings), (root, (bindings[0], bad))):
+        for m in ((bad, a, b), (root, a, bad)):
             with pytest.raises(InvalidIdError):
                 apply_match(g, rule, [m])
             assert state_of(g) == snapshot
         with pytest.raises(InvalidIdError):
-            count_new_nodes(g, rule, (root, (bad, bindings[1])))
+            count_new_nodes(g, rule, (root, bad, b))
         assert state_of(g) == snapshot
 
 
@@ -935,8 +940,8 @@ class TestBatchApplication:
         matches = ematch(graph_of(*texts)[0], rule)
         assert len(matches) == 4
         for k in range(len(matches)):
-            root, (a, b) = matches[k]
-            for m in ((bad, (a, b)), (root, (a, bad)), (root, (bad, b))):
+            root, a, b = matches[k]
+            for m in ((bad, a, b), (root, a, bad), (root, bad, b)):
                 (g, _), (ref, _) = graph_of(*texts), graph_of(*texts)
                 reference_batch(ref, rule, matches[:k])
                 with pytest.raises(InvalidIdError):
