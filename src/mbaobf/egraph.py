@@ -33,17 +33,21 @@ to its key, for ``add_expr``, matching and the Python that each rule
 generates for its right side.  That code builds keys from canonical ids,
 looks them up in the hashcons, and adds a miss inline as
 :meth:`EGraph.add_canonical` does, the node cap checked first and the
-node's row written; rule application then unions the right side's class
-into the matched one through :meth:`EGraph._merge`, the half of
-:meth:`EGraph.union` that trusts its ids and the only code that records
-a merged class.  A merge always makes the smaller id the parent, so each
-union-find entry is at most its id, and :meth:`EGraph.rebuild`, the one
-place that resolves classes, leaves each entry its id's class.
+node's row written.  The right side's top node is the exception: a miss
+is added straight into the matched class, its union-find entry the
+matched root, so no merge is recorded for it.  A top that already exists
+is unioned with the matched class through :meth:`EGraph._merge`, the
+half of :meth:`EGraph.union` that trusts its ids and the only code that
+records a merged class.  A merge always makes the smaller id the parent,
+and a new top's parent is an older class, so each union-find entry is
+at most its id, and :meth:`EGraph.rebuild`, the one place that resolves
+classes, leaves each entry its id's class.
 
 Each insertion adds one hashcons entry, one union-find entry and one
 row of an integer node table, an ``array('q')`` written at once: the
-three grow in lockstep, and the row's index is the id of the class the
-node was inserted with, which is the id the hashcons maps the node to.
+three grow in lockstep, and the row's index is the id the node was
+inserted with, which is the id the hashcons maps the node to: a class of
+its own, or a right side's new top in the matched class.
 A row holds a label code and two child columns, -1 where a child is
 missing.  A leaf's variable name or constant, which may be as large as
 2^64 - 1, stays out of the table, in a dict keyed by row.  Rebuild
@@ -243,9 +247,9 @@ class EGraph:
     def rollback(self, ids: int) -> None:
         """Remove every node inserted with an id from ``ids`` on, with no
         union or rebuild since: each insertion added one hashcons entry,
-        one class id and one row, so the first two are popped, newest
-        first, with any leaf payload, and the table is cut to ``ids``
-        rows."""
+        one union-find entry and one row, so the first two are popped,
+        newest first, with any leaf payload, and the table is cut to
+        ``ids`` rows."""
         hashcons, uf = self._hashcons, self._uf
         while len(uf) > ids:
             hashcons.popitem()
@@ -429,7 +433,8 @@ def check_invariants(g: EGraph) -> None:
     handed out, no live class may be empty, no merge may be pending, and the
     graph must hold at most ``max_nodes`` nodes.  Each union-find
     parent must be a class no larger than its id: a merge keeps the smaller
-    id, and a rebuild leaves the union-find flat.  The
+    id, a right side's new top joins an older class, and a rebuild leaves
+    the union-find flat.  The
     table holds one row per id, and each hashcons value is a live row that
     records its key: an operator's key equals the row's three cells, and a
     leaf's key is ``(code, payload)`` with that payload stored for the row.

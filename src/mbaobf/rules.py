@@ -29,11 +29,13 @@ does, into straight-line Python generated with no text of the rule file
 in it: an application that takes a whole list of matches.  It builds the
 e-graph's own hashcons keys, flat tuples of a label code and canonical
 child ids, so no e-node object is made per insertion.  It keys the
-right side's leaves with :meth:`EGraph.leaf_key` once per call, as
-:func:`ematch` keys the left side's; then for each match row in turn
-it validates the ids, does the e-graph's insertions inline and unions the
-right side's class into the matched one through :meth:`EGraph._merge`,
-the graph's one definition of a union.  :func:`apply_match` runs it on a
+right side's leaves with :meth:`EGraph.leaf_key` and looks them up once
+per call, as :func:`ematch` keys the left side's; then for each match row
+in turn it validates the ids and does the e-graph's insertions inline.
+A right side's top node that is new goes straight into the matched
+class, so it never is a class of its own; a top that already exists is
+unioned with the matched class through :meth:`EGraph._merge`, the
+graph's one definition of a union.  :func:`apply_match` runs it on a
 whole slice of a rule's matches, as egg applies each rule's matches as
 one batch, so growth pays no Python call per match.  Each match is
 applied whole or not at all: a right side the e-graph's node cap refuses
@@ -229,9 +231,9 @@ def _plan(lhs: Pattern) -> _Plan:
 
 
 def _compile_application(name: str, rhs: Pattern, names: tuple) -> Callable:
-    """Generate ``apply(g, matches)``: the right side built and
-    unioned into the matched class for each row ``(root, *bindings)`` of
-    ``matches`` in order; returns whether the graph changed.
+    """Generate ``apply(g, matches)``: the right side built into the
+    matched class for each row ``(root, *bindings)`` of ``matches`` in
+    order; returns whether the graph changed.
 
     ``bindings`` are aligned with ``names``, and the loop unpacks each
     row straight into locals: ``for r, v0, v1 in matches``, with ``_``
@@ -245,17 +247,25 @@ def _compile_application(name: str, rhs: Pattern, names: tuple) -> Callable:
     an operator, is looked up in the hashcons; a hit is canonicalized as
     the ids are, and a miss is added inline, as
     :meth:`EGraph.add_canonical` would add it: the node cap is checked,
-    a class id appended to the union-find, the key itself stored and its
-    row written to the node table, a leaf's payload kept apart.  The
-    right side's class is then unioned into the root through
-    :meth:`EGraph._merge`.  A right side refused partway is rolled back,
-    by id, before the error propagates, and the matches before it are
-    kept.
+    an id appended to the union-find, the key itself stored and its row
+    queued for the node table, a leaf's payload kept apart.  The right
+    side's top node is the one exception: a miss joins the matched class
+    at once, its union-find entry the root, so it never is a class of its
+    own and no merge is recorded for it.  A top that already exists, or
+    a right side that is a variable, is unioned into the root through
+    :meth:`EGraph._merge`, which may then record a merge of two classes.
+
+    The per-call work is done once, at the start: each ``Var`` or
+    ``Const`` leaf is keyed by :meth:`EGraph.leaf_key` and looked up in
+    the hashcons (looked up again per match only while it is missing),
+    and the node cap becomes a bound on the next id, since the hashcons
+    and the union-find grow in lockstep.  The rows of a call are written
+    to the table with one ``fromlist``, before any exception leaves the
+    call.  A right side refused partway is then rolled back, by id,
+    before the error propagates, and the matches before it are kept.
 
     The source holds only slot numbers, label codes of :data:`OPERATORS`
-    and names bound in its namespace: each ``Var`` or ``Const`` leaf is
-    passed as an object and keyed by :meth:`EGraph.leaf_key` once per
-    call.
+    and names bound in its namespace: each leaf is passed as an object.
     """
     slots = {n: i for i, n in enumerate(names)}
     leaves: dict = {}  # namespace name -> Var or Const leaf
@@ -263,9 +273,9 @@ def _compile_application(name: str, rhs: Pattern, names: tuple) -> Callable:
     missing: set = set()
     build: list = []
 
-    def emit(q: Pattern) -> str:
-        """Append the statements building ``q``; the local holding its
-        class."""
+    def emit(q: Pattern, top: bool = False) -> str:
+        """Append the statements building ``q``, into the root's class
+        if ``top``; the local holding its class."""
         if isinstance(q, PatVar):
             if q.name not in slots:
                 missing.add(q.name)
@@ -275,27 +285,38 @@ def _compile_application(name: str, rhs: Pattern, names: tuple) -> Callable:
         if isinstance(q, Op):
             cells = ", ".join([str(_CODES[q.op.name]),
                                *[emit(a) for a in q.args], "-1"][:3])
-            key = f"({cells})"
-            row = [f"    put([{cells}])"]
+            out = f"n{len(build)}"
+            lookup = [f"if ({out} := get(k := ({cells}))) is None:"]
+            store = [f"hashcons[k] = {out}", "rows += k"]
         else:
-            key = f"K{len(leaves)}"
-            leaves[f"L{len(leaves)}"] = q
+            j = len(leaves)
+            leaves[f"L{j}"] = q
+            out = f"n{len(build)}"
+            lookup = [f"if ({out} := H{j}) is None:",
+                      f"    H{j} = {out} = get(K{j})",
+                      f"if {out} is None:"]
             code = _CODES["var" if isinstance(q, Var) else "const"]
-            row = [f"    put([{code}, -1, -1])"]
-        out = f"n{len(build)}"
-        if not isinstance(q, Op):
-            row.append(f"    payloads[{out}] = k[1]")
-        build.append([f"if ({out} := get(k := {key})) is None:",
-                      "    if len(hashcons) >= cap:",
-                      "        raise CapacityExceededError(cap)",
-                      f"    hashcons[k] = {out} = len(uf)",
-                      f"    uf.append({out})",
-                      *row,
-                      f"elif uf[{out}] != {out}:",
-                      f"    {out} = canon({out})"])
+            store = [f"hashcons[K{j}] = H{j} = {out}",
+                     f"rows += ({code}, -1, -1)",
+                     f"payloads[{out}] = K{j}[1]"]
+        insert = [f"if ({out} := len(uf)) >= bound:",
+                  "    raise CapacityExceededError(cap)",
+                  f"uf.append({'r' if top else out})",
+                  *store]
+        if top:
+            insert.append("changed = True")
+            hit = [f"elif merge(r, {out} if uf[{out}] == {out} "
+                   f"else canon({out})):",
+                   "    changed = True"]
+        else:
+            hit = [f"elif uf[{out}] != {out}:",
+                   f"    {out} = canon({out})"]
+        build.append([*lookup, *[f"    {line}" for line in insert], *hit])
         return out
 
-    top = emit(rhs)
+    top = emit(rhs, top=True)
+    if isinstance(rhs, PatVar):  # no node of its own: a union of classes
+        build.append([f"if merge(r, {top}):", "    changed = True"])
     if missing:
         raise UnboundRhsVarError(name, min(missing))
     targets = ", ".join(["r", *[f"v{i}" if i in used else "_"
@@ -309,17 +330,21 @@ def _compile_application(name: str, rhs: Pattern, names: tuple) -> Callable:
                   f"if uf[{v}] != {v}:",
                   f"    {v} = canon({v})"]
     match += [line for node in build for line in node]
-    match += [f"if merge(r, {top}):",
-              "    changed = True"]
     src = ["def apply(g, matches):",
-           "    hashcons, uf, cap = g._hashcons, g._uf, g.max_nodes",
-           "    put, payloads = g._table.fromlist, g._payloads",
+           "    hashcons, uf, payloads = g._hashcons, g._uf, g._payloads",
            "    get, canon, merge = hashcons.get, g._find, g._merge",
-           *[f"    K{i} = g.leaf_key(L{i})" for i in range(len(leaves))],
-           "    changed = False",
+           "    cap = g.max_nodes",
+           "    bound = len(uf) + cap - len(hashcons)  # the first id refused",
+           *[line for i in range(len(leaves))
+             for line in (f"    K{i} = g.leaf_key(L{i})",
+                          f"    H{i} = get(K{i})")],
+           "    rows, changed = [], False",
            "    try:",
-           f"        for {targets} in matches:",
-           *[f"            {line}" for line in match],
+           "        try:",
+           f"            for {targets} in matches:",
+           *[f"                {line}" for line in match],
+           "        finally:",
+           "            g._table.fromlist(rows)",
            "    except CapacityExceededError:",
            "        g.rollback(n)",
            "        raise",
@@ -444,13 +469,14 @@ def count_new_nodes(g: EGraph, rule: Rule, m: tuple) -> int:
 
 
 def apply_match(g: EGraph, rule: Rule, matches: list) -> bool:
-    """Apply ``rule`` to each of ``matches`` in order: union the
+    """Apply ``rule`` to each of ``matches`` in order: build the
     instantiated right side into the matched class.  Each match is a
     row ``(root, *bindings)`` from :func:`ematch` for ``rule``.
 
-    Returns whether the graph changed (new nodes or a merge): a right
-    side that adds any node has a new class at its top, which cannot be
-    the matched class, so the unions alone tell.  A match's root and
+    Returns whether the graph changed: a right side that adds any node
+    adds its top, which joins the matched class with no merge recorded,
+    and one that adds none changed the graph only if its top's class
+    merged with the matched one.  A match's root and
     bindings are validated before it adds anything: an id this graph did
     not hand out raises :class:`~mbaobf.egraph.InvalidIdError`.  A right
     side the node cap refuses is rolled back, so the graph holds the

@@ -14,7 +14,7 @@ from mbaobf.rules import (PatVar, Rule, RuleSyntaxError, UnboundRhsVarError,
                           _label_index, apply_match, count_new_nodes, ematch,
                           load_default_rules, parse_rules)
 
-from conftest import CORPUS, graph_of, random_expr
+from conftest import CORPUS, flat_key, graph_of, random_expr
 
 
 def state_of(g):
@@ -615,9 +615,10 @@ class TestApplyMatch:
 
 
 def reference_apply(g, rule, m):
-    """Application as it was before each rule generated its own: a
-    post-order step list of the right side, walked with a stack, each node
-    added with ``add_canonical``, then a validated union."""
+    """Application as a post-order step list of the right side, walked
+    with a stack, each node added with ``add_canonical``.  A top that was
+    new joins the matched class, its union-find entry set to the root with
+    no merge recorded; a top that already existed is unioned with it."""
     slots = {name: i for i, name in enumerate(rule.program.names)}
     steps = []
 
@@ -649,8 +650,11 @@ def reference_apply(g, rule, m):
     except CapacityExceededError:
         g.rollback(before)
         raise
-    _, merged = g.union(g.find(m[0]), stack[0])
-    return merged or len(g._uf) != before
+    root, top = g.find(m[0]), stack[0]
+    if top >= before:  # any new node makes the top new
+        g._uf[top] = root
+        return True
+    return g.union(root, top)[1]
 
 
 def assert_twins(g, ref):
@@ -973,3 +977,112 @@ class TestBatchApplication:
             assert _iterate(g, [rule], 1.0) == (stop, True)
             assert len(reads) == 1 + (stop is not None)
             assert_twins(g, ref)
+
+
+# ---------------------------------------------------------------------------
+# A new top joins the matched class
+# ---------------------------------------------------------------------------
+
+
+def assert_rows_hold_keys(g):
+    """One table row per id, and each hashcons value's row records its
+    key: what the generated code's batched row write must leave however
+    a call ends, checked with no rebuild in between."""
+    assert len(g._table) == 3 * len(g._uf)
+    for key, cid in g._hashcons.items():
+        assert flat_key(g._node(cid)) == key
+
+
+class TestNewTop:
+    """A right side's top that misses the hashcons is inserted straight
+    into the matched class, so no merge is recorded for it.  Inserting it
+    as a class of its own and merging that leaves the same rebuilt graph,
+    so the goldens cannot tell the two apart; these tests can."""
+
+    def test_growth_never_merges_a_new_top(self):
+        # each iteration's applications on corpus lines up to the node
+        # limit.  A new id that no new row has as a child is a new top:
+        # a hit on it is canonicalized to its root, so it never becomes a
+        # child.  No top is merged away; a merged id at or above the
+        # iteration's first new one is a class a right side added below
+        # its top, which a later right side's top hit
+        rules = load_default_rules()
+        tops = merges = 0
+        for line in CORPUS.read_text().splitlines()[:20]:
+            g, _ = graph_of(line)
+            g.max_nodes = 3000
+            stop, changed = None, True
+            while stop is None and changed:
+                start = len(g._uf)
+                stop, changed = _iterate(g, rules, math.inf)
+                kids = set(g._columns()[start:, 1:].ravel().tolist())
+                new = set(range(start, len(g._uf))) - kids
+                assert all(g._uf[cid] < start for cid in new)
+                assert not new & g._merged
+                tops += len(new)
+                merges += len(g._merged)
+                g.rebuild()
+            assert stop is StopReason.NODE_LIMIT
+        assert merges and tops > 50 * merges
+
+    def test_new_top_has_the_root_as_its_parent(self):
+        # every match of every rule on a grown corpus graph, one at a time:
+        # a match that adds nodes adds its top last, with the canonical
+        # root as its union-find entry, and records no merge; a match that
+        # merges unions two classes that were there before it
+        rules = load_default_rules()
+        g, _ = graph_of(CORPUS.read_text().splitlines()[0])
+        for _ in range(2):
+            _iterate(g, rules, math.inf)
+            g.rebuild()
+        index = _label_index(g)
+        added = 0
+        for rule in rules:
+            for m in ematch(g, rule, index):
+                before, root = len(g._uf), g.find(m[0])
+                merged = set(g._merged)
+                apply_match(g, rule, [m])
+                if len(g._uf) > before:
+                    added += 1
+                    assert g._uf[-1] == root, rule.name
+                    assert g._merged == merged, rule.name
+                assert all(cid < before for cid in g._merged - merged)
+        assert added > 300
+
+    def test_add_zero_on_a_fresh_graph_needs_no_rebuild_pass(self):
+        # x + 0, y + 0 and (x + y) + 0 join x, y and x + y; only 0 is a
+        # class of its own
+        (rule,) = [r for r in load_default_rules() if r.name == "add-zero"]
+        g, _ = graph_of("x + y")
+        assert apply_match(g, rule, ematch(g, rule))
+        assert not g._merged
+        assert g.rebuild() == 0
+        assert (g.node_count(), g.class_count()) == (7, 4)
+
+    @pytest.mark.parametrize("bad", [True, -1, 99])
+    def test_rows_written_when_a_later_match_is_invalid(self, bad):
+        rule = load_default_rules()[0]  # add-split-or
+        texts = ("x + y", "x + z", "y + z", "(x + y) + z")
+        for k in range(1, 4):
+            g, _ = graph_of(*texts)
+            matches = ematch(g, rule)
+            fresh = len(g._uf)
+            with pytest.raises(InvalidIdError):
+                apply_match(g, rule, matches[:k] + [(bad, *matches[k][1:])])
+            assert len(g._uf) > fresh
+            assert_rows_hold_keys(g)
+
+    def test_rows_written_when_the_cap_refuses_a_match(self):
+        # add-split-xor adds 5, then 4 nodes to each sum; every cap that
+        # keeps one to three matches and refuses the next, partway or not
+        (rule,) = [r for r in load_default_rules()
+                   if r.name == "add-split-xor"]
+        texts = ("x + y", "x + z", "y + z", "(x + y) + z")
+        fresh = graph_of(*texts)[0].node_count()
+        for cap in range(fresh + 5, fresh + 17):
+            g, _ = graph_of(*texts)
+            g.max_nodes = cap
+            with pytest.raises(CapacityExceededError):
+                apply_match(g, rule, ematch(g, rule))
+            assert len(g._uf) > fresh
+            assert_rows_hold_keys(g)
