@@ -27,11 +27,15 @@ the side going first alternating too.  ``against`` holds the ref's commit
 and timings, ``ratio`` the median wall time of the working tree over the
 ref's, ``faster_in`` the passes the working tree won, and ``gain`` whether
 it won at least 9/10 of them by a median gap above the ref's
-interquartile range.  In separate processes identical runs spread ~15% on
-a small shared machine; alternating in one process cancels most of that
-drift.  The script exits 1, writing nothing, if bench exits non-zero or
-skips a line (it reports either on stderr), or if any pass of either side
-writes other rows or another CSV, or stops elsewhere, than the first.
+interquartile range.  Alternating whole passes in one process does not
+cancel a small shared machine's drift: A/B runs of unchanged code gave
+ratios of 0.960 to 1.139, with ``faster_in`` from 0 to 4 of 10, so
+``ratio`` and ``gain`` from whole passes cannot tell a change within
+that band from none.  Interleaving the two sides per corpus line in one
+process gave null ratios of 0.996 to 1.003 instead.  The script exits 1,
+writing nothing, if bench exits non-zero or skips a line (it reports
+either on stderr), or if any pass of either side writes other rows or
+another CSV, or stops elsewhere, than the first.
 """
 
 import argparse

@@ -72,7 +72,8 @@ list per class; finding the stale keys instead is one numpy test of the
 table's two child columns against the set.  Few keys go stale: over 20
 lines of the benchmark's workloads, 0.28% (corpus defaults) and 0.33%
 (node limit 8000) of the keys that full re-key passes visited had a
-merged child.
+merged child, counted when every application still recorded a merge,
+before a right side's new top joined the matched class without one.
 Hashcons values may be merged-away ids; every reader maps them through
 the union-find.
 """
@@ -157,18 +158,17 @@ class EGraph:
         return self._find(cid)
 
     def _find(self, cid: EClassId) -> EClassId:
-        """:meth:`find` for ids the graph handed out itself.  It compresses
-        the path it walks, since between rebuilds the calls ``union(i, n-1)``
-        for ``i = n-2, ..., 0`` build an n-link chain: quadratic otherwise."""
+        """:meth:`find` for ids the graph handed out itself.  It halves the
+        path it walks (Tarjan and van Leeuwen, JACM 1984): each entry on it
+        skips to its grandparent.  Between rebuilds the calls
+        ``union(i, n-1)`` for ``i = n-2, ..., 0`` build an n-link chain,
+        which a find leaving paths as they were would walk in full each
+        time: quadratic.  On a flat union-find each step stores the value
+        already there, so reading a rebuilt graph changes nothing."""
         uf = self._uf
-        root = uf[cid]
-        if root == cid:
-            return cid
-        while uf[root] != root:
-            root = uf[root]
-        while uf[cid] != root:
-            uf[cid], cid = root, uf[cid]
-        return root
+        while uf[cid] != cid:
+            uf[cid] = cid = uf[uf[cid]]
+        return cid
 
     # -- insertion ----------------------------------------------------------
 

@@ -78,7 +78,7 @@ from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -244,8 +244,18 @@ def extract_min(g: EGraph, root: int) -> Expression:
 @_gc_paused()
 def _extract(g: EGraph, root: int, rounds: int, sign: int,
              max_nodes: int) -> Expression:
-    """The round-indexed DP that maximizes ``sign * size``, one array
-    sweep per round over the nodes that can still change their class.
+    """The term for ``root`` that maximizes ``sign * size`` within
+    ``rounds`` rounds and ``max_nodes`` nodes: :func:`_history`'s change
+    points, read back by :func:`_reconstructor`."""
+    root = g.find(root)
+    stamps, picks, m = _history(g, rounds, sign, max_nodes)
+    return _reconstructor(g, stamps, picks, m)(root, rounds)
+
+
+def _history(g: EGraph, rounds: int, sign: int, max_nodes: int) -> tuple:
+    """``(stamps, picks, m)``: the change points of the round-indexed DP
+    that maximizes ``sign * size``, one array sweep per round over the
+    nodes that can still change their class.
 
     The layout is the graph's node table: its live rows and each row's
     class, as :meth:`EGraph._live_rows` copies them, and one sort
@@ -300,7 +310,6 @@ def _extract(g: EGraph, root: int, rounds: int, sign: int,
     over the cap, or a node reaching a pick or beating a class's cost)
     or the last round.
     """
-    root = g.find(root)
     owner, node, code, first, second = g._live_rows()
     size = len(owner)
     owner = owner[node]  # each live row's class; the by-row copy is freed
@@ -372,8 +381,7 @@ def _extract(g: EGraph, root: int, rounds: int, sign: int,
     # Each round's ids ascend, so (round, id) stamps ascend across the
     # concatenation; the last stamp is above every (round, id) pair.
     stamps = np.concatenate(stamps + [[r * m]])
-    return _reconstruct(_History(g, stamps, np.concatenate(picks), m), root,
-                        rounds)
+    return stamps, np.concatenate(picks), m
 
 
 def _period(log: deque) -> int:
@@ -464,66 +472,59 @@ def _runs(owner: np.ndarray) -> tuple:
     return starts, owner[starts], group
 
 
-class _History:
-    """What reconstruction reads: the change points :func:`_extract`
-    recorded, the graph's node table, and the classes visited so far.
+def _reconstructor(g: EGraph, stamps: np.ndarray, picks: np.ndarray,
+                   m: int) -> Callable[[int, int], Expression]:
+    """The reader of the change points :func:`_history` recorded: called
+    with ``(cid, r)``, it returns the term chosen for class ``cid`` at
+    round ``r``, the class's last change point at or before ``r``.
 
     A change point of class ``cid`` in round ``r`` is the entry of the
     ascending ``stamps`` equal to ``starts[r] + cid``, ``starts[r]``
     being ``r * m``, and the same entry of ``picks`` is the row of its
-    node in ``table``.  The last stamp is the number of rounds times
-    ``m``.  ``reached`` maps a visited class to three lists, one entry
-    per change point: its round, its row, and the term built for it or
-    None."""
-
-    __slots__ = ("stamps", "starts", "picks", "table", "payloads",
-                 "reached")
-
-    def __init__(self, g: EGraph, stamps: np.ndarray, picks: np.ndarray,
-                 m: int):
-        self.stamps, self.picks = stamps, picks
-        self.starts = np.arange(int(stamps[-1]) // m) * m
-        self.table, self.payloads = g._table, g._payloads
-        self.reached = {}
-
-
-def _reconstruct(h: _History, cid: int, r: int) -> Expression:
-    """The term chosen for class ``cid`` at round ``r``: its last change
-    point at or before ``r``.
-
-    The first visit of a class looks up one stamp per round and keeps
-    the class's change points in ``h.reached``.  A change point's term
-    is built from its row of the node table, a leaf from its payload and
-    an operator from its children's terms one round earlier, and is kept
-    with the point, so each subterm is built once and shared.
+    node in the graph's node table.  The last stamp is the number of
+    rounds times ``m``.  The first visit of a class looks up one stamp
+    per round and keeps the class's change points in ``reached``: their
+    rounds, their rows, and the term built for each or None.  A change
+    point's term is built from its row of the node table, a leaf from
+    its payload and an operator from its children's terms one round
+    earlier, and is kept with the point, so each subterm is built once
+    and shared.  ``build`` is passed itself, so that it holds no
+    reference to itself: such a cycle would outlive the call, and
+    extraction runs with the collector paused (:func:`_gc_paused`).
     """
-    points = h.reached.get(cid)
-    if points is None:
-        stamps = h.stamps
-        want = h.starts + cid
-        at = stamps.searchsorted(want)
-        found = (stamps[at] == want).nonzero()[0]
-        rounds = found.tolist()
-        points = h.reached[cid] = (rounds, h.picks[at[found]].tolist(),
-                                   [None] * len(rounds))
-    rounds, rows, terms = points
-    i = bisect_right(rounds, r) - 1
-    if i < 0:
-        raise UnextractableError(cid)
-    e = terms[i]
-    if e is None:
-        row, rc = rows[i], rounds[i] - 1
-        code, first, second = h.table[3 * row:3 * row + 3]
-        label = _LABELS[code]
-        if first < 0:
-            e = (Var if label == "var" else Const)(h.payloads[row])
-        elif second < 0:
-            e = Op(OPERATORS[label], (_reconstruct(h, first, rc),))
-        else:
-            e = Op(OPERATORS[label], (_reconstruct(h, first, rc),
-                                      _reconstruct(h, second, rc)))
-        terms[i] = e
-    return e
+    starts = np.arange(int(stamps[-1]) // m) * m
+    table, payloads = g._table, g._payloads
+    reached = {}
+
+    def build(cid: int, r: int, build: Callable) -> Expression:
+        points = reached.get(cid)
+        if points is None:
+            want = starts + cid
+            at = stamps.searchsorted(want)
+            found = (stamps[at] == want).nonzero()[0]
+            rounds = found.tolist()
+            points = reached[cid] = (rounds, picks[at[found]].tolist(),
+                                     [None] * len(rounds))
+        rounds, rows, terms = points
+        i = bisect_right(rounds, r) - 1
+        if i < 0:
+            raise UnextractableError(cid)
+        e = terms[i]
+        if e is None:
+            row, rc = rows[i], rounds[i] - 1
+            code, first, second = table[3 * row:3 * row + 3]
+            label = _LABELS[code]
+            if first < 0:
+                e = (Var if label == "var" else Const)(payloads[row])
+            elif second < 0:
+                e = Op(OPERATORS[label], (build(first, rc, build),))
+            else:
+                e = Op(OPERATORS[label], (build(first, rc, build),
+                                          build(second, rc, build)))
+            terms[i] = e
+        return e
+
+    return lambda cid, r: build(cid, r, build)
 
 
 # ---------------------------------------------------------------------------

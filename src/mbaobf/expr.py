@@ -43,7 +43,7 @@ VALID_BITWIDTHS = (4, 8, 16, 32, 64)
 DEFAULT_BITWIDTH = 64
 
 # Deepest tree parse accepts.  The recursive consumers of a tree
-# (EGraph.add_expr and the extractors' _reconstruct) take at most two
+# (EGraph.add_expr and the extractors' _reconstructor) take at most two
 # levels of the interpreter's recursion limit (default 1000) per tree
 # level, and structural ``==`` of two trees four, so all fit at this
 # depth.  Both extractors build terms at most this deep, extract_min

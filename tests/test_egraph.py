@@ -194,6 +194,23 @@ class TestUnionFind:
                 for b in ids:
                     assert (g.find(a) == g.find(b)) == oracle.same(a, b)
 
+    def test_chain_of_unions_keeps_paths_short(self):
+        # union(i, n - 1) makes i the parent of i + 1, the root of n - 1's
+        # class, so for i = n - 2, ..., 0 the path from n - 1 grows into
+        # an n-link chain unless each find shortens the path it walks.
+        # With halving it stays at most 2 links long: the unions take
+        # linear time, not quadratic.  Read-only walk of the union-find.
+        n = 4000
+        g = EGraph()
+        for i in range(n):
+            g.add(ENode("var", f"v{i}", ()))
+        for i in range(n - 2, -1, -1):
+            g.union(i, n - 1)
+            cid, links = n - 1, 0
+            while g._uf[cid] != cid:
+                cid, links = g._uf[cid], links + 1
+            assert cid == i and links <= 2, (i, links)
+
 
 class TestRebuild:
     def test_rebuild_clean_graph_is_zero(self):

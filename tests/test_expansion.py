@@ -14,7 +14,7 @@ from mbaobf.egraph import (CapacityExceededError, EGraph, ENode,
                            InvalidIdError, _layout, check_invariants)
 from mbaobf.expansion import (MAX_OUTPUT_NODES, ExpansionConfig,
                               ExpansionReport, OutputTooLargeError, StopReason,
-                              UnextractableError, _History, _reconstruct,
+                              UnextractableError, _history, _reconstructor,
                               _runs, expand, extract_max, extract_min, grow)
 from mbaobf.expr import (MAX_DEPTH, OPERATORS, Op, evaluate, expr_size, parse,
                          to_text)
@@ -524,11 +524,11 @@ class TestAgainstReference:
 
 
 def sweep_history(g, rounds, sign, max_nodes):
-    """The change points of ``_extract`` as it was before it jumped over
+    """The change points of ``_history`` as it was before it jumped over
     periodic tails and read the node table: one sweep per round, every
     round, until a fixpoint or ``rounds``, over a layout from one walk of
-    the hashcons.  Returns ``(stamps, starts, picks, m)``, each pick the
-    e-node chosen."""
+    the hashcons.  Returns ``(stamps, picks, m)``, each pick the e-node
+    chosen."""
     keys = [g._node(row) for row in g._hashcons.values()]
     classes = [g.find(cid) for cid in g._hashcons.values()]
     size = len(keys)
@@ -576,14 +576,13 @@ def sweep_history(g, rounds, sign, max_nodes):
     stamps = np.concatenate([r * m + c for r, c, _ in changes]
                             + [[len(changes) * m]])
     picks = np.concatenate([p for _, _, p in changes])
-    return (stamps, np.arange(len(changes)) * m,
-            [keys[i] for i in picks.tolist()], m)
+    return stamps, [keys[i] for i in picks.tolist()], m
 
 
 def sweep_extract(g, root, rounds, sign, max_nodes):
-    stamps, _, picks, m = sweep_history(g, rounds, sign, max_nodes)
+    stamps, picks, m = sweep_history(g, rounds, sign, max_nodes)
     rows = np.array([g._hashcons[flat_key(node)] for node in picks], np.intp)
-    return _reconstruct(_History(g, stamps, rows, m), g.find(root), rounds)
+    return _reconstructor(g, stamps, rows, m)(g.find(root), rounds)
 
 
 def sweep_extract_max(g, root, rounds, max_nodes):
@@ -690,30 +689,22 @@ class TestPeriodicTail:
         # each time.
         monkeypatch.setattr(mbaobf.expansion, "_period",
                             lambda log: min(len(log) // 2, 1 + len(log) % 3))
-        histories = []
-
-        def reconstruct(history, *args):
-            if not histories or histories[-1] is not history:
-                histories.append(history)
-            return _reconstruct(history, *args)
-
-        monkeypatch.setattr(mbaobf.expansion, "_reconstruct", reconstruct)
         g = EGraph()
         x = g.add(ENode("var", "x", ()))
         g.union(x, g.add(ENode("add", None, (x, x))))
         y = cycle(g, "y", 2)
-        root = g.add(ENode("xor", None, (x, y)))
+        g.add(ENode("xor", None, (x, y)))
         g.rebuild()
-        for g, root in [(g, root), *grown[::6]]:
+        for g in [g, *[graph for graph, _ in grown[::6]]]:
             for rounds in (7, 64):
                 for cap in (60, 10_000):
-                    extract_max(g, root, rounds, cap)
-                    stamps, starts, picks, _ = sweep_history(g, rounds, 1,
-                                                             cap)
-                    assert np.array_equal(histories[-1].stamps, stamps)
-                    assert np.array_equal(histories[-1].starts, starts)
-                    assert [g._node(row) for row
-                            in histories[-1].picks.tolist()] == picks
+                    stamps, picks, m = _history(g, rounds, 1, cap)
+                    want_stamps, want_picks, want_m = sweep_history(
+                        g, rounds, 1, cap)
+                    assert np.array_equal(stamps, want_stamps)
+                    assert m == want_m
+                    assert ([g._node(row) for row in picks.tolist()]
+                            == want_picks)
         refused = sum(k == 0 for k, _ in jumps)
         assert refused > len(jumps) // 2 and refused < len(jumps)
 
