@@ -32,8 +32,11 @@ read view: :meth:`EGraph.add` takes one, and :meth:`EGraph._node`,
 to its key, for ``add_expr``, matching and the Python that each rule
 generates for its right side.  That code builds keys from canonical ids,
 looks them up in the hashcons, and adds a miss inline as
-:meth:`EGraph.add_canonical` does, the node cap checked first and the
-node's row written.  The right side's top node is the exception: a miss
+:meth:`EGraph.add_canonical` does, the node's row written: an operator's
+key is looked up and stored by one ``setdefault`` with the next id, and
+the node cap is checked right after the insertion, so a node it refuses
+is rolled back with the rest of its match by :meth:`EGraph.rollback`.
+The right side's top node is the exception: a miss
 is added straight into the matched class, its union-find entry the
 matched root, so no merge is recorded for it.  A top that already exists
 is unioned with the matched class through :meth:`EGraph._merge`, the
@@ -133,10 +136,10 @@ class EGraph:
 
     ``bits``, one of ``VALID_BITWIDTHS``, fixes the width constants are
     reduced to; ``max_nodes`` is a hard cap, stored as ``math.inf`` when
-    None, checked before each node is added, by :meth:`add_canonical` and
-    by the insertions each rule's generated builder makes inline, so no
-    rule application can exhaust memory regardless of what the scheduler
-    does.
+    None, checked before each node is added by :meth:`add_canonical` and
+    as each node is inserted by each rule's generated builder, which
+    rolls a refused node back with its match, so no rule application can
+    exhaust memory regardless of what the scheduler does.
     """
 
     def __init__(self, bits: int = 64, max_nodes: Optional[int] = None):
@@ -389,14 +392,6 @@ class EGraph:
             return ENode(_LABELS[code], self._payloads[row], ())
         return ENode(_LABELS[code], None,
                      (first,) if second < 0 else (first, second))
-
-    def expr_of_node(self, node: ENode, arg_exprs: tuple) -> Expression:
-        """Rebuild one expression node from an e-node and child expressions."""
-        if node.label == "var":
-            return Var(node.payload)
-        if node.label == "const":
-            return Const(node.payload)
-        return Op(OPERATORS[node.label], arg_exprs)
 
     # -- debug output -------------------------------------------------------
 

@@ -30,11 +30,14 @@ included: it starts from a table that knows no term, so only leaves
 reach a cost in it.  Since child costs only
 rise, a node whose total has passed the output cap can never change its
 class again, and the sweep drops it.  On the corpus at the defaults
-about a tenth of the nodes are left from round 13 on.  A class's history
-is its change points, one per round in which its cost rose.  Each
-round's changes are kept as arrays, concatenated in round order and
-never sorted: reconstruction looks a class's points up by binary search
-when it first visits the class, and it visits only a few.
+about a tenth of the nodes are left from round 13 on.  One complex
+maximum per class, the total as its real part and minus the node's
+position as its imaginary part, gives each class's best cost and the
+first node reaching it.  A class's history is its change points, one per
+swept round in which its cost rose.  Each swept round's changes are kept
+as arrays, concatenated in round order and never sorted: reconstruction
+looks a class's points up by binary search when it first visits the
+class, and it visits only a few.
 Reconstruction descends through the round at which each chosen node's
 cost was computed, so the output is a finite tree of depth at most
 ``rounds`` whose size equals the root's cost.  ``rounds`` is at most
@@ -56,11 +59,12 @@ node of a class that changes reaches the chosen one, and no node of a
 class that does not change beats its cost; each of these is a linear
 inequality in the number of periods.  So the sweep solves them for the
 number of whole periods, adds that many periods' gains to the costs at
-once, and records the change points those rounds would have recorded.
-Plain rounds then resume, and the first of them meets the event that
-ended the jump: a chosen node reaching the cap, or a node overtaking a
-chosen one.  On the corpus at the defaults one jump skips ~46 of the 65
-rounds.
+once, and records only the jump: a round map sends each skipped round to
+the swept round of the period whose changes it repeats, so memory does
+not grow with the rounds skipped.  Plain rounds then resume, and the
+first of them meets the event that ended the jump: a chosen node
+reaching the cap, or a node overtaking a chosen one.  On the corpus at
+the defaults one jump skips ~46 of the 65 rounds.
 
 The minimizing :func:`extract_min` is the same program with the cost
 ``-size`` and ``MAX_DEPTH`` rounds: it finds the smallest term of depth at
@@ -248,14 +252,15 @@ def _extract(g: EGraph, root: int, rounds: int, sign: int,
     ``rounds`` rounds and ``max_nodes`` nodes: :func:`_history`'s change
     points, read back by :func:`_reconstructor`."""
     root = g.find(root)
-    stamps, picks, m = _history(g, rounds, sign, max_nodes)
-    return _reconstructor(g, stamps, picks, m)(root, rounds)
+    stamps, picks, source, m = _history(g, rounds, sign, max_nodes)
+    return _reconstructor(g, stamps, picks, source, m)(root, rounds)
 
 
 def _history(g: EGraph, rounds: int, sign: int, max_nodes: int) -> tuple:
-    """``(stamps, picks, m)``: the change points of the round-indexed DP
-    that maximizes ``sign * size``, one array sweep per round over the
-    nodes that can still change their class.
+    """``(stamps, picks, source, m)``: the change points of the
+    round-indexed DP that maximizes ``sign * size``, one array sweep per
+    swept round over the nodes that can still change their class, and the
+    round map ``source`` for the rounds that a jump skipped.
 
     The layout is the graph's node table: its live rows and each row's
     class, as :meth:`EGraph._live_rows` copies them, and one sort
@@ -263,7 +268,8 @@ def _history(g: EGraph, rounds: int, sign: int, max_nodes: int) -> tuple:
     of their e-nodes: class id, label code, then a leaf's payload rank
     or an operator's children.
     The graph must be rebuilt, so that every live row holds a canonical
-    key.
+    key.  The layout's temporaries, the table block that ``code`` views
+    included, are freed once the arrays are sorted.
     ``first`` and ``second`` hold each node's child class ids, or -1
     where a node has fewer children; no operator has more than two.
     ``cost`` has ``m`` entries: one per id up to the largest class id,
@@ -281,12 +287,17 @@ def _history(g: EGraph, rounds: int, sign: int, max_nodes: int) -> tuple:
     total is over the cap: the sweep drops those in each round in which
     any crosses it.  A class changes only when a node strictly beats its
     cost, and then takes the first node in sort order reaching the new
-    maximum, so on ties the earlier choice (the smaller node) is kept:
-    among the nodes at their class's maximum, the first of each run of
-    one class.  The cap test builds its mask of the nodes to keep only
-    in a round whose largest total is over the cap.  Each round's
-    changes are kept as stamps ``round * m + class`` and picks, class
-    ids ascending and picks as rows of the table.
+    maximum, so on ties the earlier choice (the smaller node) is kept.
+    One ``np.maximum.reduceat`` over the runs of ``key``, ``total - 1j
+    * position`` in one buffer whose real parts each round writes (after
+    a drop, a copy of its first entries, which hold the new positions),
+    finds both: numpy orders complex numbers by real part, then imaginary
+    part, so each run's maximum is its class's best total and minus the
+    smallest position reaching it, exact at every cost.  The cap test
+    builds its mask of the nodes to keep only in a round whose largest
+    total is over the cap.  Each swept round's changes are kept
+    as stamps ``round * m + class`` and picks, class ids ascending and
+    picks as rows of the table.
 
     A round that changes the same classes, to the nodes at the same
     positions in the swept arrays, by the same gains as the round ``p``
@@ -303,12 +314,13 @@ def _history(g: EGraph, rounds: int, sign: int, max_nodes: int) -> tuple:
     on the next period before it finds how many whole periods repeat
     exactly, so fingerprints that match by chance cannot change the
     output.
-    The table then gains that many periods' gains, and the period's
-    change points are recorded that many times, shifted by whole
-    periods, as the plain rounds would record them.  Plain rounds then
-    resume: the next one meets the event that ended the jump (a pick
-    over the cap, or a node reaching a pick or beating a class's cost)
-    or the last round.
+    The table then gains that many periods' gains, and the jump is
+    recorded as ``(r, p, k)``, its first round, period and number of
+    periods, with no change point: ``source``, one entry per round, maps
+    round ``r + j * p + i`` to the swept round ``r - p + i`` it repeats,
+    and every swept round to itself.  Plain rounds then resume: the next
+    one meets the event that ended the jump (a pick over the cap, or a
+    node reaching a pick or beating a class's cost) or the last round.
     """
     owner, node, code, first, second = g._live_rows()
     size = len(owner)
@@ -323,13 +335,17 @@ def _history(g: EGraph, rounds: int, sign: int, max_nodes: int) -> tuple:
     rest[leaves[sorted(range(len(keys)), key=keys.__getitem__)]] = \
         np.arange(len(keys))
     order = _layout(owner * len(_LABELS) + code, rest)
+    del rest
     node, owner = node[order], owner[order]
     first, second = first[order], second[order]
+    del code, order  # code was the last view of _live_rows' block
     cost = np.full(m, _UNDEFINED)
     cost[-1] = sign
     starts, heads, group = _runs(owner)
+    key = np.empty(len(node), complex)  # each round writes the real parts
+    key.imag = -np.arange(len(node), dtype=float)
     cap = max_nodes + sign
-    stamps, picks = [], []
+    stamps, picks, jumps = [], [], []
     log = deque(maxlen=2 * _MAX_PERIOD)  # fingerprints of the last rounds
     r = 0
     while r <= rounds:
@@ -339,19 +355,17 @@ def _history(g: EGraph, rounds: int, sign: int, max_nodes: int) -> tuple:
             node, owner, total = node[keep], owner[keep], total[keep]
             first, second = first[keep], second[keep]
             starts, heads, group = _runs(owner)
+            key = key[:len(node)].copy()  # the kept nodes' positions
             log.clear()  # positions now index the smaller arrays
-        best = np.maximum.reduceat(total, starts)
-        changed = (best > cost[heads]).nonzero()[0]
+        # each class's best total, and minus the first position at it
+        key.real = total
+        best = np.maximum.reduceat(key, starts)
+        changed = (best.real > cost[heads]).nonzero()[0]
         if not changed.size:
             break  # fixpoint; further rounds would be identical
-        # Each changed class's first node reaching its maximum.  Every
-        # class has one (a class with no term has -inf at its maximum),
-        # and nodes are grouped by class, so the hits that open a run of
-        # one class are each class's first, in class order.
-        hits = (total == best[group]).nonzero()[0]
-        firsts = hits[_starts_run(group[hits])][changed]
+        firsts = (-best.imag[changed]).astype(np.intp)
         cids = heads[changed]
-        new = best[changed]
+        new = best.real[changed]
         gains = new - cost[cids]
         log.append((cids.size, cids @ firsts, gains @ gains))
         cost[cids] = new  # a round reads only the last one
@@ -365,23 +379,24 @@ def _history(g: EGraph, rounds: int, sign: int, max_nodes: int) -> tuple:
         position[node] = np.arange(len(node))
         period = [(stamps[i - p] - (r + i - p) * m, position[picks[i - p]])
                   for i in range(p)]
+        del position
         k, gain = _horizon(cost, period, first, second, heads, group, cap,
                            (rounds + 1 - r) // p)
         if k:
             cost += k * gain
-            # The period's change points, shifted by 1 to k whole periods,
-            # one array a period: one (k, period) array would be the
-            # largest allocation of the call and raises peak RSS.
-            once = np.concatenate(stamps[-p:])
-            again = np.concatenate(picks[-p:])
-            stamps.extend(once + j * (p * m) for j in range(1, k + 1))
-            picks.extend([again] * k)
+            jumps.append((r, p, k))
             r += k * p
+        del gain
         log.clear()
+    # Round i repeats the changes of swept round source[i]: itself, or
+    # the round of the period a jump skipped it in.
+    source = np.arange(r)
+    for start, p, k in jumps:
+        source[start:start + k * p].reshape(k, p)[:] = source[start - p:start]
     # Each round's ids ascend, so (round, id) stamps ascend across the
     # concatenation; the last stamp is above every (round, id) pair.
     stamps = np.concatenate(stamps + [[r * m]])
-    return stamps, np.concatenate(picks), m
+    return stamps, np.concatenate(picks), source, m
 
 
 def _period(log: deque) -> int:
@@ -453,19 +468,13 @@ def _horizon(cost: np.ndarray, period: list, first: np.ndarray,
     return limit, gain
 
 
-def _starts_run(a: np.ndarray) -> np.ndarray:
-    """The mask of the elements of a nonempty ``a`` that start a run of
-    equal values."""
-    head = np.empty(len(a), bool)
-    head[0] = True
-    np.not_equal(a[1:], a[:-1], out=head[1:])
-    return head
-
-
 def _runs(owner: np.ndarray) -> tuple:
-    """``(starts, heads, group)`` of a class id array grouped in runs:
-    where each run starts, its class, and each element's run number."""
-    head = _starts_run(owner)
+    """``(starts, heads, group)`` of a nonempty class id array grouped in
+    runs: where each run starts, its class, and each element's run
+    number."""
+    head = np.empty(len(owner), bool)
+    head[0] = True
+    np.not_equal(owner[1:], owner[:-1], out=head[1:])
     starts = head.nonzero()[0]
     group = np.cumsum(head, dtype=np.intp)
     group -= 1
@@ -473,17 +482,19 @@ def _runs(owner: np.ndarray) -> tuple:
 
 
 def _reconstructor(g: EGraph, stamps: np.ndarray, picks: np.ndarray,
+                   source: np.ndarray,
                    m: int) -> Callable[[int, int], Expression]:
     """The reader of the change points :func:`_history` recorded: called
     with ``(cid, r)``, it returns the term chosen for class ``cid`` at
     round ``r``, the class's last change point at or before ``r``.
 
-    A change point of class ``cid`` in round ``r`` is the entry of the
+    Round ``r`` repeats the changes of swept round ``source[r]``, so a
+    change point of class ``cid`` in round ``r`` is the entry of the
     ascending ``stamps`` equal to ``starts[r] + cid``, ``starts[r]``
-    being ``r * m``, and the same entry of ``picks`` is the row of its
-    node in the graph's node table.  The last stamp is the number of
-    rounds times ``m``.  The first visit of a class looks up one stamp
-    per round and keeps the class's change points in ``reached``: their
+    being ``source[r] * m``, and the same entry of ``picks`` is the row
+    of its node in the graph's node table.  The last stamp is above
+    every other.  The first visit of a class looks up one stamp per
+    round and keeps the class's change points in ``reached``: their
     rounds, their rows, and the term built for each or None.  A change
     point's term is built from its row of the node table, a leaf from
     its payload and an operator from its children's terms one round
@@ -492,7 +503,7 @@ def _reconstructor(g: EGraph, stamps: np.ndarray, picks: np.ndarray,
     reference to itself: such a cycle would outlive the call, and
     extraction runs with the collector paused (:func:`_gc_paused`).
     """
-    starts = np.arange(int(stamps[-1]) // m) * m
+    starts = source * m
     table, payloads = g._table, g._payloads
     reached = {}
 

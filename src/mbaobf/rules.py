@@ -31,7 +31,9 @@ e-graph's own hashcons keys, flat tuples of a label code and canonical
 child ids, so no e-node object is made per insertion.  It keys the
 right side's leaves with :meth:`EGraph.leaf_key` and looks them up once
 per call, as :func:`ematch` keys the left side's; then for each match row
-in turn it validates the ids and does the e-graph's insertions inline.
+in turn it validates the ids and does the e-graph's insertions inline,
+each operator node looked up and, if new, stored by one ``setdefault``
+of its key with the next id.
 A right side's top node that is new goes straight into the matched
 class, so it never is a class of its own; a top that already exists is
 unioned with the matched class through :meth:`EGraph._merge`, the
@@ -243,12 +245,17 @@ def _compile_application(name: str, rhs: Pattern, names: tuple) -> Callable:
     order, are validated as :meth:`EGraph.find` validates an id, then
     canonicalized, through :meth:`EGraph._find`, only when the id is not
     its own root.  The right side is built bottom-up in post-order, one
-    flat block per node.  Each node's key, ``(code, first, second)`` for
-    an operator, is looked up in the hashcons; a hit is canonicalized as
-    the ids are, and a miss is added inline, as
-    :meth:`EGraph.add_canonical` would add it: the node cap is checked,
-    an id appended to the union-find, the key itself stored and its row
-    queued for the node table, a leaf's payload kept apart.  The right
+    flat block per node.  An operator's key, ``(code, first, second)``,
+    is looked up and, when missing, stored in one
+    ``hashcons.setdefault(k, nid)``, ``nid`` being the next id, a local
+    counter that starts at the union-find's length; a leaf's key is
+    looked up once per call (below) and stored on a miss.  A hit is
+    canonicalized as the ids are, and a miss is added inline, as
+    :meth:`EGraph.add_canonical` would add it: the key stored, an id
+    appended to the union-find and the row queued for the node table, a
+    leaf's payload kept apart; then the node cap is checked and ``nid``
+    bumped.  A node the cap refuses is thus already in the graph, and
+    the rollback of its match removes it with the rest.  The right
     side's top node is the one exception: a miss joins the matched class
     at once, its union-find entry the root, so it never is a class of its
     own and no merge is recorded for it.  A top that already exists, or
@@ -258,8 +265,8 @@ def _compile_application(name: str, rhs: Pattern, names: tuple) -> Callable:
     The per-call work is done once, at the start: each ``Var`` or
     ``Const`` leaf is keyed by :meth:`EGraph.leaf_key` and looked up in
     the hashcons (looked up again per match only while it is missing),
-    and the node cap becomes a bound on the next id, since the hashcons
-    and the union-find grow in lockstep.  The rows of a call are written
+    and the node cap becomes a bound on ``nid``, since the hashcons and
+    the union-find grow in lockstep.  The rows of a call are written
     to the table with one ``fromlist``, before any exception leaves the
     call.  A right side refused partway is then rolled back, by id,
     before the error propagates, and the matches before it are kept.
@@ -286,8 +293,8 @@ def _compile_application(name: str, rhs: Pattern, names: tuple) -> Callable:
             cells = ", ".join([str(_CODES[q.op.name]),
                                *[emit(a) for a in q.args], "-1"][:3])
             out = f"n{len(build)}"
-            lookup = [f"if ({out} := get(k := ({cells}))) is None:"]
-            store = [f"hashcons[k] = {out}", "rows += k"]
+            lookup = [f"if ({out} := setdefault(k := ({cells}), nid)) == nid:"]
+            store, row = [], ["rows += k"]
         else:
             j = len(leaves)
             leaves[f"L{j}"] = q
@@ -296,13 +303,14 @@ def _compile_application(name: str, rhs: Pattern, names: tuple) -> Callable:
                       f"    H{j} = {out} = get(K{j})",
                       f"if {out} is None:"]
             code = _CODES["var" if isinstance(q, Var) else "const"]
-            store = [f"hashcons[K{j}] = H{j} = {out}",
-                     f"rows += ({code}, -1, -1)",
-                     f"payloads[{out}] = K{j}[1]"]
-        insert = [f"if ({out} := len(uf)) >= bound:",
-                  "    raise CapacityExceededError(cap)",
+            store = [f"hashcons[K{j}] = H{j} = {out} = nid"]
+            row = [f"rows += ({code}, -1, -1)", f"payloads[{out}] = K{j}[1]"]
+        insert = [*store,
                   f"uf.append({'r' if top else out})",
-                  *store]
+                  *row,
+                  "if nid >= bound:",
+                  "    raise CapacityExceededError(cap)",
+                  "nid += 1"]
         if top:
             insert.append("changed = True")
             hit = [f"elif merge(r, {out} if uf[{out}] == {out} "
@@ -323,7 +331,7 @@ def _compile_application(name: str, rhs: Pattern, names: tuple) -> Callable:
                                 for i in range(len(names))]])
     if not names:  # a 1-tuple still unpacks
         targets += ","
-    match = ["n = len(uf)"]
+    match = ["n = nid"]
     for v in ["r", *[f"v{i}" for i in sorted(used)]]:
         match += [f"if type({v}) is not int or not 0 <= {v} < n:",
                   f"    raise InvalidIdError({v})",
@@ -332,9 +340,10 @@ def _compile_application(name: str, rhs: Pattern, names: tuple) -> Callable:
     match += [line for node in build for line in node]
     src = ["def apply(g, matches):",
            "    hashcons, uf, payloads = g._hashcons, g._uf, g._payloads",
-           "    get, canon, merge = hashcons.get, g._find, g._merge",
-           "    cap = g.max_nodes",
-           "    bound = len(uf) + cap - len(hashcons)  # the first id refused",
+           "    get, setdefault = hashcons.get, hashcons.setdefault",
+           "    canon, merge = g._find, g._merge",
+           "    cap, nid = g.max_nodes, len(uf)  # nid: the next id",
+           "    bound = nid + cap - len(hashcons)  # the first id refused",
            *[line for i in range(len(leaves))
              for line in (f"    K{i} = g.leaf_key(L{i})",
                           f"    H{i} = get(K{i})")],

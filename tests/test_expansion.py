@@ -3,6 +3,7 @@ import functools
 import gc
 import itertools
 import random
+import tracemalloc
 import types
 
 import numpy as np
@@ -16,8 +17,8 @@ from mbaobf.expansion import (MAX_OUTPUT_NODES, ExpansionConfig,
                               ExpansionReport, OutputTooLargeError, StopReason,
                               UnextractableError, _history, _reconstructor,
                               _runs, expand, extract_max, extract_min, grow)
-from mbaobf.expr import (MAX_DEPTH, OPERATORS, Op, evaluate, expr_size, parse,
-                         to_text)
+from mbaobf.expr import (MAX_DEPTH, OPERATORS, Const, Op, Var, evaluate,
+                         expr_size, parse, to_text)
 from mbaobf.metrics import measure
 from mbaobf.rules import (_label_index, apply_match, ematch,
                           load_default_rules, parse_rules)
@@ -45,6 +46,15 @@ def addor_graph():
     return g, root
 
 
+def term_of(node, args):
+    """The term of the e-node ``node`` over the child terms ``args``."""
+    if node.label == "var":
+        return Var(node.payload)
+    if node.label == "const":
+        return Const(node.payload)
+    return Op(OPERATORS[node.label], args)
+
+
 def enumerate_terms(g, cid, depth):
     """Brute-force oracle: all terms derivable from a class within the given
     edge depth (leaves sit at depth 0), by direct recursive enumeration."""
@@ -54,13 +64,13 @@ def enumerate_terms(g, cid, depth):
         out = []
         for n in members[g.find(cid)]:
             if not n.children:
-                out.append(g.expr_of_node(n, ()))
+                out.append(term_of(n, ()))
                 continue
             if depth == 0:
                 continue
             child_terms = [terms(c, depth - 1) for c in n.children]
             for combo in itertools.product(*child_terms):
-                out.append(g.expr_of_node(n, combo))
+                out.append(term_of(n, combo))
         return out
 
     return terms(cid, depth)
@@ -300,8 +310,7 @@ def reference_extract_max(g, root, rounds, max_nodes):
         if entry is None:
             raise UnextractableError(cid)
         _, node, rc = entry
-        return g.expr_of_node(node, tuple(build(c, rc - 1)
-                                          for c in node.children))
+        return term_of(node, tuple(build(c, rc - 1) for c in node.children))
 
     return build(root, rounds)
 
@@ -329,7 +338,7 @@ def reference_extract_min(g, root):
 
     def build(cid):
         _, n = costs[cid]
-        return g.expr_of_node(n, tuple(build(c) for c in n.children))
+        return term_of(n, tuple(build(c) for c in n.children))
 
     return build(root)
 
@@ -582,7 +591,20 @@ def sweep_history(g, rounds, sign, max_nodes):
 def sweep_extract(g, root, rounds, sign, max_nodes):
     stamps, picks, m = sweep_history(g, rounds, sign, max_nodes)
     rows = np.array([g._hashcons[flat_key(node)] for node in picks], np.intp)
-    return _reconstructor(g, stamps, rows, m)(g.find(root), rounds)
+    # every round is swept, so each repeats its own changes
+    source = np.arange(int(stamps[-1]) // m)
+    return _reconstructor(g, stamps, rows, source, m)(g.find(root), rounds)
+
+
+def unrolled_history(stamps, picks, source, m):
+    """``_history``'s ``(stamps, picks)`` with the rounds a jump skipped
+    written out: round i gets the changes of swept round ``source[i]``,
+    as a sweep of every round records them."""
+    swept, cids = np.divmod(stamps[:-1], m)
+    rounds = [(swept == s).nonzero()[0] for s in source.tolist()]
+    return (np.concatenate([i * m + cids[at] for i, at in enumerate(rounds)]
+                           + [[len(source) * m]]),
+            np.concatenate([picks[at] for at in rounds]))
 
 
 def sweep_extract_max(g, root, rounds, max_nodes):
@@ -698,7 +720,12 @@ class TestPeriodicTail:
         for g in [g, *[graph for graph, _ in grown[::6]]]:
             for rounds in (7, 64):
                 for cap in (60, 10_000):
-                    stamps, picks, m = _history(g, rounds, 1, cap)
+                    stamps, picks, source, m = _history(g, rounds, 1, cap)
+                    # change points are kept for swept rounds only
+                    swept = np.unique(stamps[:-1] // m)
+                    assert np.array_equal(
+                        swept, (source == np.arange(len(source))).nonzero()[0])
+                    stamps, picks = unrolled_history(stamps, picks, source, m)
                     want_stamps, want_picks, want_m = sweep_history(
                         g, rounds, 1, cap)
                     assert np.array_equal(stamps, want_stamps)
@@ -808,6 +835,30 @@ class TestPeriodicTail:
     def test_x_plus_y_skips_most_rounds_at_the_defaults(self, jumps):
         expand(parse("x + y"), load_default_rules())
         assert 65 - skipped(jumps) <= 20
+
+
+def test_extraction_memory_does_not_grow_with_jumped_rounds(jumps):
+    # From 64 to MAX_DEPTH rounds most of the added rounds are jumped
+    # over.  A jump records only a round map, so the traced peak of
+    # extract_max barely moves: it rose by -2 and 175 KiB on these two
+    # lines, where a copy of the period's change points per jumped
+    # period rose by 747 and 1568 KiB.  Only the output term and the
+    # swept rounds' change points may grow.
+    cfg = ExpansionConfig(node_limit=8000, max_output_nodes=2000,
+                          time_limit=None)
+    for line in CORPUS.read_text().splitlines()[:2]:
+        g, root, *_ = grow(parse(line), load_default_rules(), cfg)
+        peaks = []
+        for rounds in (64, MAX_DEPTH):
+            jumps.clear()
+            tracemalloc.start()
+            try:
+                extract_max(g, root, rounds, cfg.max_output_nodes)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert skipped(jumps) >= MAX_DEPTH - 64, (line, jumps)
+        assert peaks[1] - peaks[0] <= 512 * 1024, (line, peaks)
 
 
 class TestLayout:
