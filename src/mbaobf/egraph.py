@@ -56,8 +56,10 @@ missing.  A leaf's variable name or constant, which may be as large as
 2^64 - 1, stays out of the table, in a dict keyed by row.  Rebuild
 reads the table as a zero-copy numpy view; every other reader takes
 one snapshot of it, :meth:`EGraph._live_rows`, instead of walking the
-hashcons, and extraction and the match index sort its live rows with
-:func:`_layout`.
+hashcons.  That snapshot hands the live rows out in the graph's one
+e-node order, (label code, class, first child, second child), sorted
+there by :func:`_layout`; the match index takes that order as it is,
+and extraction only regroups it by class.
 
 The hashcons, the union-find, the node table with its leaf payloads and
 the set of classes merged away since the last rebuild are the graph's
@@ -347,8 +349,8 @@ class EGraph:
     def classes(self) -> dict:
         """``{canonical id: [nodes]}`` in ascending id order, read from
         :meth:`_live_rows`, which refuses a graph with merges pending:
-        each class's live rows in row order, each node the :class:`ENode`
-        its row records."""
+        each class's live rows in the graph's e-node order, each node the
+        :class:`ENode` its row records."""
         classes, live, *_ = self._live_rows()
         grouped: dict = {}
         for row, cid in zip(live.tolist(), classes[live].tolist()):
@@ -368,17 +370,23 @@ class EGraph:
         """The rebuilt graph as rows: ``(classes, live, code, first,
         second)``.  ``classes`` is every row's class, dead rows included,
         copied from the flat union-find; ``live`` is the ids of the live
-        rows, ascending, and ``code``, ``first`` and ``second`` are copies
-        of their cells.  :meth:`classes`, the match index and extraction
-        all start from it, so no other reader copies the union-find.
-        Raises ``ValueError`` while merges are pending; no view of the
-        table outlives the call, so the graph may grow while the arrays
-        are read."""
+        rows and ``code``, ``first`` and ``second`` are copies of their
+        cells.  The live rows come in the graph's one e-node order: label
+        code, class, first child, second child, and two leaves of one
+        label and class in row order.  :meth:`classes`, the match index
+        and extraction all start from it, so no other reader copies the
+        union-find or decides the order.  Raises ``ValueError`` while merges
+        are pending; no view of the table outlives the call, so the graph
+        may grow while the arrays are read."""
         if self._merged:
             raise ValueError("the e-graph has pending merges: rebuild first")
         rows = self._columns()
         classes = np.fromiter(self._uf, np.intp, len(rows))  # flat: rebuilt
-        live = (rows[:, 0] >= 0).nonzero()[0]
+        code, first, second = rows.T
+        span = len(rows) + 1  # above each class id and each child id + 1
+        order = _layout((code + 1) * span + classes,
+                        (first + 1) * span + second + 1)
+        live = order[np.count_nonzero(code < 0):]  # dead rows, code -1, lead
         code, first, second = rows.take(live, axis=0).T
         del rows  # a view of the table, which cannot grow while it lives
         return classes, live, code, first, second
@@ -399,7 +407,7 @@ class EGraph:
         """Snapshot as text lines ``class <id>: {node, node, ...}``."""
         lines = []
         for cid, nodes in self.classes().items():
-            body = ", ".join(n.render() for n in sorted(nodes))
+            body = ", ".join(n.render() for n in nodes)
             lines.append(f"class {cid}: {{{body}}}")
         return "\n".join(lines)
 
@@ -408,8 +416,8 @@ def _layout(major: np.ndarray, minor: np.ndarray) -> np.ndarray:
     """The order of ``np.lexsort((minor, major))``, both arrays
     nonnegative: one stable ``np.argsort`` of ``major * span + minor``,
     with ``minor`` below ``span``, while that key fits in int64, and
-    ``np.lexsort`` past it.  Extraction and the match index sort the node
-    table's live rows with it."""
+    ``np.lexsort`` past it.  :meth:`EGraph._live_rows` sorts the node
+    table's live rows with it, and nothing else calls it."""
     span = int(minor.max(initial=0)) + 1
     if (int(major.max(initial=0)) + 1) * span > 2**63:
         return np.lexsort((minor, major))

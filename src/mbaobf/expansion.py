@@ -44,8 +44,10 @@ cost was computed, so the output is a finite tree of depth at most
 :data:`mbaobf.expr.MAX_DEPTH`, the depth ``parse`` admits.  Each (class,
 round) is built once, from its chosen node's row of the node table, and
 shared wherever it recurs, like egg's ``RecExpr``.  Ties between
-equal-cost nodes break by the smallest node in plain tuple order (label,
-payload, child ids): runs are deterministic.
+equal-cost nodes break by the first node in the e-graph's one e-node
+order (label, child ids, then row for two leaves of one label), the
+order :meth:`~mbaobf.egraph.EGraph.classes` lists: runs are
+deterministic.
 A leaf costs 1 and an operator node at least 2, so a leaf never ties an
 operator and round 0 takes each class's first leaf.
 
@@ -86,7 +88,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .egraph import _LABELS, CapacityExceededError, EGraph, _layout
+from .egraph import _LABELS, CapacityExceededError, EGraph
 from .expr import (DEFAULT_BITWIDTH, MAX_DEPTH, OPERATORS, Const, Expression,
                    Op, Var, _check_int, expr_size)
 from .metrics import MetricsReport, measure
@@ -263,10 +265,10 @@ def _history(g: EGraph, rounds: int, sign: int, max_nodes: int) -> tuple:
     round map ``source`` for the rounds that a jump skipped.
 
     The layout is the graph's node table: its live rows and each row's
-    class, as :meth:`EGraph._live_rows` copies them, and one sort
-    (:func:`_layout`) that puts each class's rows in plain tuple order
-    of their e-nodes: class id, label code, then a leaf's payload rank
-    or an operator's children.
+    class, in the order :meth:`EGraph._live_rows` hands them out (label
+    code, class, children), regrouped by class with one stable sort, so
+    each class's rows keep that e-node order: class id, label code, then
+    an operator's children, and two leaves of one label in row order.
     The graph must be rebuilt, so that every live row holds a canonical
     key.  The layout's temporaries, the table block that ``code`` views
     included, are freed once the arrays are sorted.
@@ -286,8 +288,8 @@ def _history(g: EGraph, rounds: int, sign: int, max_nodes: int) -> tuple:
     costs only rise, so a node can no longer change its class once its
     total is over the cap: the sweep drops those in each round in which
     any crosses it.  A class changes only when a node strictly beats its
-    cost, and then takes the first node in sort order reaching the new
-    maximum, so on ties the earlier choice (the smaller node) is kept.
+    cost, and then takes the first node in layout order reaching the new
+    maximum, so on ties the earlier choice is kept.
     One ``np.maximum.reduceat`` over the runs of ``key``, ``total - 1j
     * position`` in one buffer whose real parts each round writes (after
     a drop, a copy of its first entries, which hold the new positions),
@@ -326,16 +328,8 @@ def _history(g: EGraph, rounds: int, sign: int, max_nodes: int) -> tuple:
     size = len(owner)
     owner = owner[node]  # each live row's class; the by-row copy is freed
     m = int(owner.max()) + 2  # above every id; m - 1 is the virtual class
-    # A leaf has no children, so the rest of its key is its rank among the
-    # leaves by (code, payload); a label has leaves or operators, never both.
-    rest = (first + 1) * m + second + 1
-    leaves = (first < 0).nonzero()[0]
-    keys = list(zip(code[leaves].tolist(),
-                    map(g._payloads.__getitem__, node[leaves].tolist())))
-    rest[leaves[sorted(range(len(keys)), key=keys.__getitem__)]] = \
-        np.arange(len(keys))
-    order = _layout(owner * len(_LABELS) + code, rest)
-    del rest
+    # Each label's rows ascend by class: a stable sort merges the runs.
+    order = np.argsort(owner, kind="stable")
     node, owner = node[order], owner[order]
     first, second = first[order], second[order]
     del code, order  # code was the last view of _live_rows' block
@@ -427,7 +421,7 @@ def _horizon(cost: np.ndarray, period: list, first: np.ndarray,
     while three things hold, each an inequality ``a * k <= b`` in
     integers: no pick passes the cap; no other node of a class that
     changes in the phase reaches its pick (strictly below it for a node
-    before it in sort order, at most equal for one after it); and no
+    before it in layout order, at most equal for one after it); and no
     node of a class that does not change beats the class's cost.  A node
     with no term is left out: every class that changes already has a
     term, so it gains none.  ``k`` is the first period in which some

@@ -19,8 +19,9 @@ made, so a hand-built rule is held to it as well as a parsed one.
 Matching is relational, as in relational e-matching (Zhang et al.,
 POPL 2022) and egglog: each rule plans its left side when it is made
 (see :func:`_plan`), and :func:`ematch` runs the plan as numpy joins
-over a sorted copy of the node table's live rows, taken once per growth
-iteration by :func:`_label_index` from :meth:`EGraph._live_rows`.  A
+over a copy of the node table's live rows, taken once per growth
+iteration by :func:`_label_index` from :meth:`EGraph._live_rows`, which
+hands them out sorted by label, class and children.  A
 match is one flat row, ``(root, *bindings)``, from the join's columns
 to the generated application that unpacks it.
 
@@ -57,7 +58,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .egraph import (_CODES, _LABELS, CapacityExceededError, EGraph,
-                     InvalidIdError, _layout)
+                     InvalidIdError)
 from .expr import (IDENT_FIRST, IDENT_REST, OPERATORS, Op, ParseError, Var,
                    parse_pattern_text)
 
@@ -370,8 +371,9 @@ def _compile_application(name: str, rhs: Pattern, names: tuple) -> Callable:
 
 
 class _Index(NamedTuple):
-    """The live rows of a rebuilt e-graph's node table, copied out and
-    sorted by (label code, class, first child, second child)."""
+    """The live rows of a rebuilt e-graph's node table, copied out in
+    :meth:`EGraph._live_rows`' order: (label code, class, first child,
+    second child)."""
 
     bounds: list  # label code -> the position of its first row; then the end
     cls: np.ndarray  # each row's class
@@ -382,16 +384,13 @@ class _Index(NamedTuple):
 
 def _label_index(g: EGraph) -> _Index:
     """The snapshot of ``g`` that every rule's match reads in one
-    iteration, sorted from :meth:`EGraph._live_rows`, which refuses a
-    graph with merges pending and holds copies, not views, since the
-    table grows while the snapshot is read."""
+    iteration: :meth:`EGraph._live_rows` as it hands the rows out, in the
+    index's order already, with each label's first position found.
+    ``_live_rows`` refuses a graph with merges pending and holds copies,
+    not views, since the table grows while the snapshot is read."""
     owner, live, code, first, second = g._live_rows()
-    cls = owner[live]
-    span = len(owner) + 1
-    order = _layout(code * span + cls, (first + 1) * span + second + 1)
-    code = code[order]
     bounds = code.searchsorted(np.arange(len(_LABELS) + 1)).tolist()
-    return _Index(bounds, cls[order], first[order], second[order], owner)
+    return _Index(bounds, owner[live], first, second, owner)
 
 
 def ematch(g: EGraph, rule: Rule, index: Optional[_Index] = None) -> list:

@@ -2,6 +2,7 @@ import math
 import random
 from array import array
 
+import numpy as np
 import pytest
 
 from mbaobf.egraph import (_CODES, CapacityExceededError, EGraph, ENode,
@@ -511,8 +512,9 @@ class TestQueries:
     def test_live_rows_copy_the_rebuilt_table(self, rng):
         # Grown graphs with random unions hold dead rows and merged-away
         # ids: every row's class is its find, the live rows are those
-        # with a label code, their cells are the table's, and the table
-        # can grow right after the call, so no view of it is left.
+        # with a label code, in the order (label code, class, first
+        # child, second child, row), their cells are the table's, and the
+        # table can grow right after the call, so no view of it is left.
         rules = load_default_rules()
         dead = merged_away = 0
         for _ in range(12):
@@ -520,10 +522,12 @@ class TestQueries:
             classes, live, code, first, second = g._live_rows()
             rows = len(g._uf)
             assert classes.tolist() == [g.find(r) for r in range(rows)]
-            assert live.tolist() == [r for r in range(rows)
-                                     if g._table[3 * r] >= 0]
+            assert sorted(live.tolist()) == [r for r in range(rows)
+                                             if g._table[3 * r] >= 0]
             cells = [g._table[3 * r:3 * r + 3].tolist() for r in live]
             assert [list(c) for c in zip(code, first, second)] == cells
+            order = np.lexsort((live, second, first, classes[live], code))
+            assert np.array_equal(order, np.arange(len(live)))
             dead += rows - len(live)
             merged_away += sum(g.find(r) != r for r in live.tolist())
             g.max_nodes = math.inf  # a grown graph may be at its cap

@@ -9,8 +9,8 @@ import types
 import numpy as np
 import pytest
 
+import mbaobf.egraph
 import mbaobf.expansion
-import mbaobf.rules
 from mbaobf.egraph import (CapacityExceededError, EGraph, ENode,
                            InvalidIdError, _layout, check_invariants)
 from mbaobf.expansion import (MAX_OUTPUT_NODES, ExpansionConfig,
@@ -77,6 +77,26 @@ def enumerate_terms(g, cid, depth):
 
 
 class TestExtractMax:
+    def test_complex_maximum_orders_by_real_then_imaginary_part(self):
+        # The sweep's np.maximum.reduceat over total - 1j * position finds
+        # each class's best total and its first node at it only if numpy
+        # orders complex numbers by real part, then imaginary part, and
+        # keeps doing so for the -inf totals of nodes no term reaches.
+        key = np.array([-np.inf - 0j, -np.inf - 1j, 3 - 2j, 3 - 3j, 5 - 4j,
+                        -np.inf - 5j])
+        best = np.maximum.reduceat(key, [0, 2, 5])
+        assert best.tolist() == [-np.inf - 0j, 5 - 4j, -np.inf - 5j]
+        rng = np.random.default_rng(45)
+        real = rng.integers(-2, 3, 4000).astype(float)
+        real[real < 0] = -np.inf
+        key = real - 1j * rng.permutation(len(real))
+        starts = np.flatnonzero(rng.random(len(key)) < 0.2)
+        starts[0] = 0
+        runs = np.split(key, starts[1:])
+        assert np.maximum.reduceat(key, starts).tolist() == [
+            max(run.tolist(), key=lambda z: (z.real, z.imag))
+            for run in runs]
+
     def test_leaf_round_one(self):
         g = EGraph()
         root = g.add_expr(parse("x"))
@@ -242,20 +262,22 @@ class TestExtractMin:
             assert mn <= mx
 
 
-# The node order the extractor used before e-nodes sorted as plain tuples:
+# The label order the extractor used before e-nodes sorted by label code:
 # leaves first, then operators alphabetically.  The references keep it, so
-# their agreement with the extractor shows that tuple order picks the same
-# nodes.
+# their agreement with the extractor shows that the e-graph's one e-node
+# order picks the same nodes.
 _LABEL_RANK = {label: rank for rank, label
                in enumerate(("const", "var", *sorted(OPERATORS)))}
 
 
-def rank_key(n):
-    if n.label == "const":
-        return (_LABEL_RANK["const"], n.payload, "", n.children)
-    if n.label == "var":
-        return (_LABEL_RANK["var"], 0, n.payload, n.children)
-    return (_LABEL_RANK[n.label], 0, "", n.children)
+def rank_key(g):
+    """The references' tie order of a class's nodes in ``g``: by label,
+    then an operator's children, and a class's leaves of one label by
+    row."""
+    def key(n):
+        row = g._hashcons[flat_key(n)] if not n.children else 0
+        return (_LABEL_RANK[n.label], row, n.children)
+    return key
 
 
 def reference_extract_max(g, root, rounds, max_nodes):
@@ -264,7 +286,7 @@ def reference_extract_max(g, root, rounds, max_nodes):
     cached per (class, round), so a term of ``MAX_OUTPUT_NODES`` nodes is
     built as a shared DAG rather than a tree of that many objects."""
     root = g.find(root)
-    class_nodes = {cid: sorted(nodes, key=rank_key)
+    class_nodes = {cid: sorted(nodes, key=rank_key(g))
                    for cid, nodes in g.classes().items()}
     base = {}
     for cid, nodes in class_nodes.items():
@@ -318,7 +340,7 @@ def reference_extract_max(g, root, rounds, max_nodes):
 def reference_extract_min(g, root):
     """The minimizing extractor as it was before its two loops became one:
     an in-place fixpoint over ``cid -> (cost, node)``."""
-    class_nodes = {cid: sorted(nodes, key=rank_key)
+    class_nodes = {cid: sorted(nodes, key=rank_key(g))
                    for cid, nodes in g.classes().items()}
     costs = {}
     changed = True
@@ -862,9 +884,9 @@ def test_extraction_memory_does_not_grow_with_jumped_rounds(jumps):
 
 
 class TestLayout:
-    """The node orders of the extractor, by (class and label, then the
-    rest of the node's key), and of the match index, by (label and class,
-    then the children), against ``np.lexsort``."""
+    """The e-graph's one e-node order, by (label and class, then the
+    children), which :meth:`EGraph._live_rows` sorts with ``_layout``, and
+    the extractor's regrouping of it by class, against ``np.lexsort``."""
 
     @pytest.fixture
     def lexsorts(self, monkeypatch):
@@ -880,24 +902,45 @@ class TestLayout:
         return calls
 
     def test_grown_corpus_graphs(self, monkeypatch):
-        seen = {mbaobf.expansion: [], mbaobf.rules: []}
+        seen, regrouped = [], []
 
-        def recorder(module):
-            def recorded(major, minor):
-                seen[module].append((major, minor, _layout(major, minor)))
-                return seen[module][-1][2]
-            return recorded
+        def recorded(major, minor):
+            seen.append((major, minor, _layout(major, minor)))
+            return seen[-1][2]
 
-        for module in seen:
-            monkeypatch.setattr(module, "_layout", recorder(module))
+        def argsort(a, **kwargs):
+            regrouped.append(np.argsort(a, **kwargs))
+            return regrouped[-1]
+
+        monkeypatch.setattr(mbaobf.egraph, "_layout", recorded)
+        monkeypatch.setattr(mbaobf.expansion, "np", types.SimpleNamespace(
+            **{**vars(np), "argsort": argsort}))
         for line in CORPUS.read_text().splitlines()[:5]:
             g, root = grown_graph(parse(line), 3000)
+            before = len(seen)
             extract_max(g, root, 64, 10_000)
-        assert len(seen[mbaobf.expansion]) == 5
-        assert len(seen[mbaobf.rules]) >= 5  # one per growth iteration
-        for calls in seen.values():
-            for major, minor, order in calls:
-                assert np.array_equal(order, np.lexsort((minor, major)))
+            assert len(seen) == before + 1 and len(regrouped) == 1
+            # the extractor's layout: (class, label, children, row)
+            classes, live, code, first, second = g._live_rows()
+            row = live[regrouped.pop()]
+            assert np.array_equal(row, live[np.lexsort(
+                (live, second, first, code, classes[live]))])
+        assert len(seen) >= 15  # each of 5 lines: growth, extraction, here
+        for major, minor, order in seen:
+            assert np.array_equal(order, np.lexsort((minor, major)))
+
+    def test_a_class_of_two_leaves_reads_in_row_order(self):
+        # A hand-built class {y, x}: y's row comes first, so classes()
+        # lists it first and every extractor takes it on the tie.
+        g = EGraph()
+        y, x = g.add_expr(parse("y")), g.add_expr(parse("x"))
+        c, _ = g.union(y, x)
+        g.rebuild()
+        assert [n.render() for n in g.classes()[c]] == ["var y", "var x"]
+        assert extract_max(g, c, 1, 10) == Var("y")
+        assert extract_min(g, c) == Var("y")
+        assert reference_extract_max(g, c, 1, 10) == Var("y")
+        assert reference_extract_min(g, c) == Var("y")
 
     @pytest.mark.parametrize("top, falls_back", (
         (2**53 - 1, False),  # the largest key is 2^63 - 1
