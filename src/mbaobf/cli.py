@@ -10,8 +10,9 @@ or above 2^24 (``verify.EXHAUSTIVE_CASE_LIMIT``) or a negative
 ``--seed``; bad or unsound rule file; a rule file or corpus that
 is not UTF-8; empty corpus; an output path that cannot be written), 3
 resource error (output size cap; an input whose own e-graph holds more
-nodes than ``--node-limit``).  A UTF-8 byte-order mark at the start of a
-rule file or corpus is ignored.
+nodes than ``--node-limit``; a valid input with no term within
+``--rounds`` and ``--max-output-nodes``).  A UTF-8 byte-order mark at
+the start of a rule file or corpus is ignored.
 A --selfcheck counterexample exits 1, since it can only mean an engine
 bug.  A stdout whose reader has gone (``mbaobf obfuscate ... | head``)
 exits 141, the code of a process killed by SIGPIPE, with nothing on
@@ -197,7 +198,7 @@ def _setup(args) -> tuple:
 # each; `bench` skips the line on any of them.
 _LINE_ERRORS = {
     ParseError: EXIT_INPUT,
-    UnextractableError: EXIT_INPUT,
+    UnextractableError: EXIT_RESOURCE,
     OutputTooLargeError: EXIT_RESOURCE,
     CapacityExceededError: EXIT_RESOURCE,
 }

@@ -43,7 +43,8 @@ cost was computed, so the output is a finite tree of depth at most
 ``rounds`` whose size equals the root's cost.  ``rounds`` is at most
 :data:`mbaobf.expr.MAX_DEPTH`, the depth ``parse`` admits.  Each (class,
 round) is built once, from its chosen node's row of the node table, and
-shared wherever it recurs, like egg's ``RecExpr``.  Ties between
+shared wherever it recurs, and the build is recorded as the output's
+:class:`~mbaobf.expr.Tape`, like egg's ``RecExpr``.  Ties between
 equal-cost nodes break by the first node in the e-graph's one e-node
 order (label, child ids, then row for two leaves of one label), the
 order :meth:`~mbaobf.egraph.EGraph.classes` lists: runs are
@@ -90,7 +91,7 @@ import numpy as np
 
 from .egraph import _LABELS, CapacityExceededError, EGraph
 from .expr import (DEFAULT_BITWIDTH, MAX_DEPTH, OPERATORS, Const, Expression,
-                   Op, Var, _check_int, expr_size)
+                   Op, Tape, Var, _check_int, expr_size)
 from .metrics import MetricsReport, measure
 from .rules import _label_index, apply_match, ematch
 # Unused here; perfbench's tracer still looks it up in this module.
@@ -489,47 +490,71 @@ def _reconstructor(g: EGraph, stamps: np.ndarray, picks: np.ndarray,
     of its node in the graph's node table.  The last stamp is above
     every other.  The first visit of a class looks up one stamp per
     round and keeps the class's change points in ``reached``: their
-    rounds, their rows, and the term built for each or None.  A change
-    point's term is built from its row of the node table, a leaf from
-    its payload and an operator from its children's terms one round
-    earlier, and is kept with the point, so each subterm is built once
-    and shared.  ``build`` is passed itself, so that it holds no
-    reference to itself: such a cycle would outlive the call, and
-    extraction runs with the collector paused (:func:`_gc_paused`).
+    rounds, their rows, and the position of the term built for each or
+    None.  A change point's term is built from its row of the node
+    table, a leaf from its payload and an operator from its children's
+    terms one round earlier, second operand first, and is kept with the
+    point, so each subterm is built once and shared.
+
+    Each call records what it builds as the term's
+    :class:`~mbaobf.expr.Tape` and stores it on the root: the terms in
+    the order they were finished, their operands' positions, and the
+    positions in the order the build first reached each term, which with
+    the second operand built first is a stack walk's.  ``build`` is
+    passed itself, so that it holds no reference to itself: such a cycle
+    would outlive the call, and extraction runs with the collector paused
+    (:func:`_gc_paused`).
     """
     starts = source * m
     table, payloads = g._table, g._payloads
-    reached = {}
 
-    def build(cid: int, r: int, build: Callable) -> Expression:
-        points = reached.get(cid)
-        if points is None:
-            want = starts + cid
-            at = stamps.searchsorted(want)
-            found = (stamps[at] == want).nonzero()[0]
-            rounds = found.tolist()
-            points = reached[cid] = (rounds, picks[at[found]].tolist(),
-                                     [None] * len(rounds))
-        rounds, rows, terms = points
-        i = bisect_right(rounds, r) - 1
-        if i < 0:
-            raise UnextractableError(cid)
-        e = terms[i]
-        if e is None:
-            row, rc = rows[i], rounds[i] - 1
-            code, first, second = table[3 * row:3 * row + 3]
-            label = _LABELS[code]
-            if first < 0:
-                e = (Var if label == "var" else Const)(payloads[row])
-            elif second < 0:
-                e = Op(OPERATORS[label], (build(first, rc, build),))
-            else:
-                e = Op(OPERATORS[label], (build(first, rc, build),
-                                          build(second, rc, build)))
-            terms[i] = e
-        return e
+    def extract(cid: int, r: int) -> Expression:
+        reached = {}
+        order, kids, meet = [], [], []
 
-    return lambda cid, r: build(cid, r, build)
+        def build(cid: int, r: int, build: Callable) -> int:
+            points = reached.get(cid)
+            if points is None:
+                want = starts + cid
+                at = stamps.searchsorted(want)
+                found = (stamps[at] == want).nonzero()[0]
+                rounds = found.tolist()
+                points = reached[cid] = (rounds, picks[at[found]].tolist(),
+                                         [None] * len(rounds))
+            rounds, rows, built = points
+            i = bisect_right(rounds, r) - 1
+            if i < 0:
+                raise UnextractableError(cid)
+            at = built[i]
+            if at is None:
+                met = len(meet)
+                meet.append(None)
+                row, rc = rows[i], rounds[i] - 1
+                code, first, second = table[3 * row:3 * row + 3]
+                label = _LABELS[code]
+                if first < 0:
+                    e = (Var if label == "var" else Const)(payloads[row])
+                    operands = ()
+                elif second < 0:
+                    a = build(first, rc, build)
+                    operands = (a,)
+                    e = Op(OPERATORS[label], (order[a],))
+                else:
+                    b = build(second, rc, build)
+                    a = build(first, rc, build)
+                    operands = (a, b)
+                    e = Op(OPERATORS[label], (order[a], order[b]))
+                at = built[i] = meet[met] = len(order)
+                order.append(e)
+                kids.append(operands)
+            return at
+
+        root = order[build(cid, r, build)]
+        del order[-1]  # the root stays out of its own tape
+        object.__setattr__(root, "_tape", Tape(order, kids, meet))
+        return root
+
+    return extract
 
 
 # ---------------------------------------------------------------------------

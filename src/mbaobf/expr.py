@@ -29,6 +29,15 @@ operators on any root-to-leaf path; deeper input raises :class:`ParseError`
 (parenthesis nesting alone costs nothing).  Constants out of range are
 reduced modulo ``2**bits`` at parse time, so parsed trees always hold
 canonical constants in ``[0, 2**bits)``.
+
+Terms that extraction builds share subterms by identity, and each root it
+returns carries its :class:`Tape`, its distinct subterms in post-order, in
+its instance dict.  The tape is derived data, not a dataclass field, so
+it takes no part in ``==``, ``hash``, ``repr`` or construction.  The
+walkers here (:func:`to_text`, :func:`evaluate`, :func:`free_vars`,
+:func:`expr_size`), :func:`mbaobf.metrics.measure` and the numpy
+evaluator of :mod:`mbaobf.verify` read it, and walk a fresh one for a
+term that has none.
 """
 
 from __future__ import annotations
@@ -37,7 +46,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 VALID_BITWIDTHS = (4, 8, 16, 32, 64)
 DEFAULT_BITWIDTH = 64
@@ -48,7 +57,8 @@ DEFAULT_BITWIDTH = 64
 # level, and structural ``==`` of two trees four, so all fit at this
 # depth.  Both extractors build terms at most this deep, extract_min
 # included.  Every other walker (to_text, free_vars, expr_size, measure,
-# evaluate, the numpy evaluator) is iterative and takes any depth.
+# evaluate, the numpy evaluator) reads the tape an extracted term carries,
+# or walks one with an explicit stack, so it takes any depth.
 MAX_DEPTH = 200
 
 
@@ -75,6 +85,12 @@ class Operator:
     category: Category
     precedence: int
     fn: Callable = field(repr=False, compare=False)
+
+    def __reduce__(self):
+        # Pickled as the module global that holds it (ADD for "add"), since
+        # pickle cannot write ``fn``, a lambda; a copy of an expression
+        # keeps the table's entries, and pickle refuses any other Operator.
+        return self.name.upper()
 
 
 ADD = Operator("add", "+", 2, Category.ARITHMETIC, 4,
@@ -105,6 +121,14 @@ class Const:
 
 @dataclass(frozen=True)
 class Op:
+    """``op`` applied to ``args``, a tuple of ``op.arity`` operands.
+
+    A root that extraction returns also holds its :class:`Tape` in its
+    instance dict under ``_tape``.  That is derived data, not a field:
+    ``==``, ``hash``, ``repr`` and construction ignore it, and a pickle or
+    deep copy carries it along with the subterms it lists.
+    """
+
     op: Operator
     args: tuple
 
@@ -287,57 +311,103 @@ def parse_pattern_text(text: str, patvar_factory: Callable[[str], object]):
 # ---------------------------------------------------------------------------
 
 
-def _subterms(e) -> tuple[list, dict]:
-    """The distinct subterms of ``e`` by identity, children before parents,
-    and how many parent references each has, keyed by ``id`` (the root
-    counts 1).
+class Tape(NamedTuple):
+    """A term's distinct subterms in post-order, as egg's ``RecExpr``
+    keeps an extracted term.
 
-    An iterative depth-first walk that expands each shared subterm once, so
-    its cost follows the distinct subterms of an extracted DAG, not its
-    tree size.  The count dict's keys come in the order in which a stack
-    walk of the tree (pre-order, rightmost child first) first meets each
-    subterm.  ``e`` may be a rule pattern: any leaf that is not an ``Op``
-    is a leaf here.
+    ``order`` lists each distinct subterm once by identity, children
+    before parents.  ``kids[i]`` holds the positions in ``order`` of the
+    operands of ``order[i]``, empty at a leaf.  ``meet`` lists positions
+    in the order in which a stack walk of the tree (pre-order, rightmost
+    child first) first meets each subterm, so ``meet[0]`` is the root's.
+
+    Extraction stores its output's tape in the root's instance dict under
+    ``_tape``, with the root left out of ``order``, since a root in its
+    own tape would be a reference cycle; ``kids`` and ``meet`` still name
+    it, by the position ``len(order)`` that :func:`_tape` gives it back.
     """
-    refs: dict = {}
+
+    order: list
+    kids: list
+    meet: list
+
+
+def _subterms(e) -> Tape:
+    """The tape of ``e``, walked: an iterative depth-first walk that
+    expands each shared subterm once, so its cost follows the distinct
+    subterms of a DAG, not its tree size.  The root is the last entry of
+    ``order``.  ``e`` may be a rule pattern: any leaf that is not an
+    ``Op`` is a leaf here.
+    """
+    at: dict = {}  # id -> position in order, -1 while its operands are walked
     order: list = []
+    kids: list = []
+    met: list = []
     stack: list = [e]
     while stack:
         node = stack.pop()
-        if type(node) is tuple:  # (op,): its children are all in order
-            order.append(node[0])
+        if type(node) is tuple:  # (op,): its operands are all in order
+            node = node[0]
+            at[id(node)] = len(order)
+            order.append(node)
+            kids.append(tuple([at[id(a)] for a in node.args]))
             continue
         key = id(node)
-        if key in refs:
-            refs[key] += 1
+        if key in at:
             continue
-        refs[key] = 1
+        met.append(key)
         if isinstance(node, Op):
+            at[key] = -1
             stack.append((node,))
             stack.extend(node.args)
         else:
+            at[key] = len(order)
             order.append(node)
-    return order, refs
+            kids.append(())
+    return Tape(order, kids, [at[key] for key in met])
+
+
+def _tape(e) -> Tape:
+    """The tape of ``e``: the one extraction stored on it, with the root
+    appended to ``order``, or else a fresh walk, which is not stored (a
+    caller walking each subterm of a deep chain would keep quadratic
+    memory)."""
+    tape = getattr(e, "_tape", None)
+    if tape is None:
+        return _subterms(e)
+    return Tape(tape.order + [e], tape.kids, tape.meet)
 
 
 def _fold(e, leaf: Callable, combine: Callable):
     """Bottom-up value of ``e``: ``leaf(node)`` at a leaf and
-    ``combine(node, *child values)`` at an ``Op``, once per distinct
-    subterm.  A value is dropped as soon as its last parent has read it."""
-    order, refs = _subterms(e)
-    values: dict = {}
-
-    def take(child):
-        key = id(child)
-        refs[key] -= 1
-        return values[key] if refs[key] else values.pop(key)
-
-    for node in order:
-        if isinstance(node, Op):
-            values[id(node)] = combine(node, *[take(a) for a in node.args])
+    ``combine(node, *operand values)`` at an ``Op``, once per distinct
+    subterm, in the order of its tape.  A value is dropped as soon as its
+    last reader has read it."""
+    order, kids, _ = _tape(e)
+    last = [0] * len(order)  # the position of each value's last reader
+    for i, k in enumerate(kids):
+        for j in k:
+            last[j] = i
+    values: list = []
+    # An operator has one or two operands; a call per arity, without an
+    # argument list, roughly halves the fold's own cost on an output.
+    for i, node in enumerate(order):
+        k = kids[i]
+        if len(k) == 2:
+            a, b = k
+            values.append(combine(node, values[a], values[b]))
+            if last[a] == i:
+                values[a] = None
+            if last[b] == i:
+                values[b] = None
+        elif k:
+            a, = k
+            values.append(combine(node, values[a]))
+            if last[a] == i:
+                values[a] = None
         else:
-            values[id(node)] = leaf(node)
-    return values[id(e)]
+            values.append(leaf(node))
+    return values[-1]
 
 
 def _leaf_text(node) -> str:
@@ -376,7 +446,7 @@ def evaluate(e: Expression, env: dict, bits: int = DEFAULT_BITWIDTH) -> int:
 
 def free_vars(e: Expression) -> set:
     """The set of distinct variable names occurring in ``e``."""
-    return {node.name for node in _subterms(e)[0] if isinstance(node, Var)}
+    return {node.name for node in _tape(e).order if isinstance(node, Var)}
 
 
 def expr_size(e: Expression) -> int:

@@ -11,10 +11,9 @@ the headline value.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, fields
 
-from .expr import Const, Expression, Op, Var, _subterms
+from .expr import Expression, Op, Var, _tape
 
 
 @dataclass(frozen=True)
@@ -39,12 +38,12 @@ class EmptyCorpusError(Exception):
     pass
 
 
-def _entropy(counter: Counter) -> float:
-    total = sum(counter.values())
+def _entropy(counts: dict) -> float:
+    total = sum(counts.values())
     if total == 0:
         return 0.0
     h = 0.0
-    for count in counter.values():
+    for count in counts.values():
         p = count / total
         h -= p * math.log2(p)
     return h
@@ -60,33 +59,34 @@ def measure(e: Expression) -> MetricsReport:
     order a stack walk of the tree first meets them, so the entropy sums
     add the same terms in the same order as that walk would.
     """
-    order, refs = _subterms(e)
-    occurs = dict.fromkeys(refs, 0)  # in the tree walk's first-meeting order
-    occurs[id(e)] = 1
-    for node in reversed(order):  # parents before children
-        if isinstance(node, Op):
-            for child in node.args:
-                occurs[id(child)] += occurs[id(node)]
-    by_id = {id(node): node for node in order}
+    order, kids, meet = _tape(e)
+    occurs = [0] * len(order)  # tree occurrences of each subterm
+    occurs[-1] = 1
+    for i in reversed(range(len(order))):  # parents before children
+        n = occurs[i]
+        for j in kids[i]:
+            occurs[j] += n
     var_count = const_count = op_count = alternation = 0
-    tokens: Counter = Counter()
-    leaves: Counter = Counter()
-    for key, n in occurs.items():
-        node = by_id[key]
-        if isinstance(node, Var):
-            var_count += n
-            tokens[("var", node.name)] += n
-            leaves[("var", node.name)] += n
-        elif isinstance(node, Const):
-            const_count += n
-            tokens[("const", node.value)] += n
-            leaves[("const", node.value)] += n
-        else:
+    tokens: dict = {}  # label -> occurrences
+    leaves: dict = {}
+    for i in meet:  # the tree walk's first-meeting order
+        node, n = order[i], occurs[i]
+        if isinstance(node, Op):
             op_count += n
-            tokens[("op", node.op.name)] += n
+            label = ("op", node.op.name)
+            category = node.op.category
             for child in node.args:
-                if isinstance(child, Op) and child.op.category != node.op.category:
+                if isinstance(child, Op) and child.op.category is not category:
                     alternation += n
+        else:
+            if isinstance(node, Var):
+                var_count += n
+                label = ("var", node.name)
+            else:
+                const_count += n
+                label = ("const", node.value)
+            leaves[label] = leaves.get(label, 0) + n
+        tokens[label] = tokens.get(label, 0) + n
     return MetricsReport(
         ast_size=var_count + const_count + op_count,
         var_count=var_count,

@@ -23,10 +23,11 @@ one value, so a subterm's array spans only the axes of the variables it
 reads (the truth-table view of linear MBA, Zhou et al., WISA 2007).  Evaluation applies the same per-operator functions as the scalar
 :func:`mbaobf.expr.evaluate`, taken from the operator table
 :data:`mbaobf.expr.OPERATORS`, which alone defines the semantics.  It
-evaluates each distinct subterm of a shared DAG once, by object identity,
-and frees each intermediate array after its last parent has read it, so an
-extracted output costs its distinct subterms (under a hundred), not its
-tree nodes (~8k).
+evaluates each distinct subterm of a shared DAG once, in the order of the
+term's :class:`~mbaobf.expr.Tape` (the one an extracted output carries, or
+a fresh walk), and frees each intermediate array after its last reader,
+so an extracted output costs its distinct subterms (under a hundred), not
+its tree nodes (~8k).
 
 :func:`check_rules` is the one rule-admission check: ``check-rules``,
 ``obfuscate`` and ``bench`` all render its results.

@@ -102,13 +102,14 @@ class TestObfuscate:
                      *FAST]) == 3
 
     def test_rounds_too_small_for_input_depth(self, capsys):
+        # a valid input that the flags leave no term for: a resource error
         assert main(["obfuscate", "-e", "(x + y) + z", "--rounds", "1",
-                     *FAST]) == 2
+                     *FAST]) == 3
         assert "rounds" in capsys.readouterr().err
 
     def test_unextractable_names_both_limits(self, capsys):
         # a 20-term flat sum fits neither limit at the defaults
-        assert main(["obfuscate", "-e", flat_sum(19)]) == 2
+        assert main(["obfuscate", "-e", flat_sum(19)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: no term extractable")
         assert "(depth <= --rounds 64, size <= --max-output-nodes 10000)" \
@@ -320,6 +321,16 @@ class TestBench:
         rows = [json.loads(ln) for ln in Path(base + ".jsonl").read_text(
             encoding="utf-8").splitlines()]
         assert [r["input"] for r in rows] == ["x + y", "x * y"]
+
+    def test_unextractable_line_skipped(self, tmp_path, capsys):
+        # no term of depth 1 for the first line: skipped, not fatal
+        corpus = self.write_corpus(tmp_path, ["(x + y) + z", "x + y"])
+        base = str(tmp_path / "out")
+        assert main(["bench", "-f", corpus, "-o", base, "--rounds", "1",
+                     *FAST]) == 0
+        captured = capsys.readouterr()
+        assert "line 1: skipped (no term extractable" in captured.err
+        assert "1 expressions processed, 1 skipped" in captured.out
 
     def test_all_lines_bad(self, tmp_path, capsys):
         corpus = self.write_corpus(tmp_path, ["x +", "* y"])

@@ -5,10 +5,14 @@ under test (``to_text``, ``free_vars``, ``expr_size``, ``measure`` and the
 numpy evaluator ``_eval_vec``) visit each distinct subterm once; the
 ``ref_*`` functions below are the earlier tree walks, which visit every
 occurrence, kept here as references.  The results must agree exactly,
-entropy floats included.
+entropy floats included.  An extracted output carries its tape, stored by
+the extractor; it must match a fresh walk and change nothing else.
 """
 
+import copy
+import dataclasses
 import math
+import pickle
 import random
 import tracemalloc
 from collections import Counter
@@ -16,15 +20,17 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from mbaobf.expansion import ExpansionConfig, expand
-from mbaobf.expr import (ADD, NEG, NOT, Const, Op, Var, expr_size, free_vars,
-                         mask_of, parse, to_text)
+from mbaobf.expansion import (ExpansionConfig, expand, extract_max,
+                              extract_min, grow)
+from mbaobf.expr import (ADD, NEG, NOT, OPERATORS, Const, Op, Var, _subterms,
+                         evaluate, expr_size, free_vars, mask_of, parse,
+                         to_text)
 from mbaobf.metrics import MetricsReport, measure
 from mbaobf.rules import PatVar, load_default_rules
 from mbaobf.verify import (_DTYPES, _eval_vec, _grid_env, _random_env,
                            check_equivalence)
 
-from conftest import BINARY_OPS, CORPUS, UNARY_OPS
+from conftest import BINARY_OPS, CORPUS, UNARY_OPS, graph_of
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +235,108 @@ class TestAgainstTreeWalks:
             assert expr_size(out) > 8000
             assert_same_walks(out)
             assert_same_values(out, sorted(free_vars(e)))
+
+
+# ---------------------------------------------------------------------------
+# The tape an extracted output carries
+# ---------------------------------------------------------------------------
+
+
+def first_meetings(e) -> list:
+    """The subterms of ``e`` in the order in which a stack walk of the tree
+    (pre-order, rightmost operand first) first meets each of them."""
+    seen, met, stack = set(), [], [e]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            met.append(node)
+            if isinstance(node, Op):
+                stack.extend(node.args)
+    return met
+
+
+def assert_stored_tape(out) -> None:
+    tape = vars(out)["_tape"]
+    assert all(node is not out for node in tape.order)
+    order = tape.order + [out]
+    assert list(map(id, order)) == list(map(id, _subterms(out).order))
+    assert len(tape.kids) == len(order)
+    for i, (node, kids) in enumerate(zip(order, tape.kids)):
+        assert all(j < i for j in kids)  # children first
+        operands = node.args if isinstance(node, Op) else ()
+        assert list(map(id, operands)) == [id(order[j]) for j in kids]
+    assert [id(order[i]) for i in tape.meet] == \
+        list(map(id, first_meetings(out)))
+
+
+class TestStoredTape:
+    def test_corpus_outputs_and_smallest_terms(self):
+        cfg = ExpansionConfig()
+        rules = load_default_rules()
+        texts = [ln for ln in CORPUS.read_text().splitlines() if ln.strip()]
+        assert len(texts) == 100
+        for i, text in enumerate(texts):
+            g, root, *_ = grow(parse(text), rules, cfg)
+            assert_stored_tape(extract_max(g, root, cfg.extraction_rounds,
+                                           cfg.max_output_nodes))
+            if i < 10:
+                assert_stored_tape(extract_min(g, root))
+
+    def test_a_leaf_output(self):
+        g, (root,) = graph_of("x")
+        for out in (extract_max(g, root, 1, 1), extract_min(g, root)):
+            assert out == Var("x")
+            assert_stored_tape(out)
+
+
+def walker_results(e, names: list) -> tuple:
+    """What every walker gives for ``e``, the numpy evaluator at 8 bits."""
+    env = _grid_env(names, 8, 0, 1 << (8 * len(names)))
+    return (to_text(e), free_vars(e), expr_size(e), repr(measure(e)),
+            evaluate(e, {name: 3 + 40 * k for k, name in enumerate(names)}),
+            _eval_vec(e, env, 8).tobytes(),
+            check_equivalence(Var(names[0]), e, 8))
+
+
+class TestTapeInvisible:
+    def test_against_the_parsed_twin(self):
+        assert [f.name for f in dataclasses.fields(Op)] == ["op", "args"]
+        for e, out in expanded_outputs(8):
+            assert "_tape" in vars(out)
+            twin = parse(to_text(out), 8)
+            assert "_tape" not in vars(twin)
+            assert out == twin and hash(out) == hash(twin)
+            assert repr(out) == repr(twin)
+            names = sorted(free_vars(e))
+            want = walker_results(twin, names)
+            assert walker_results(out, names) == want
+            for copied in (pickle.loads(pickle.dumps(out)),
+                           copy.deepcopy(out)):
+                assert copied == out
+                assert_stored_tape(copied)
+                assert walker_results(copied, names) == want
+
+    def test_operators_pickle_as_the_table_entries(self):
+        for op in OPERATORS.values():
+            assert pickle.loads(pickle.dumps(op)) is op
+            assert copy.deepcopy(op) is op
+
+    def test_walks_store_nothing(self):
+        # A stored walk would keep every subterm of the chain below each
+        # walked one: quadratic memory.  Walking every subterm would take
+        # quadratic time, so every 100th is walked, and each one checked.
+        chain = [Var("x")]
+        for level in range(10_000):
+            chain.append(Op(NOT if level % 2 else ADD,
+                            (chain[-1],) if level % 2 else
+                            (chain[-1], Const(level))))
+        for k, node in enumerate(chain[::100]):
+            # each 100 levels add 50 ADDs with their constants and 50 NOTs
+            assert expr_size(node) == 1 + 150 * k
+        assert all(vars(node).keys() == ({"name"} if isinstance(node, Var)
+                                         else {"op", "args"})
+                   for node in chain)
 
 
 # ---------------------------------------------------------------------------
