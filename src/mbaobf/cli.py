@@ -11,8 +11,9 @@ or above 2^24 (``verify.EXHAUSTIVE_CASE_LIMIT``) or a negative
 is not UTF-8; empty corpus; an output path that cannot be written), 3
 resource error (output size cap; an input whose own e-graph holds more
 nodes than ``--node-limit``; a valid input with no term within
-``--rounds`` and ``--max-output-nodes``).  A UTF-8 byte-order mark at
-the start of a rule file or corpus is ignored.
+``--rounds`` and ``--max-output-nodes``, whose message names both limits,
+and the input's depth where that is more than ``--rounds``).  A UTF-8
+byte-order mark at the start of a rule file or corpus is ignored.
 A --selfcheck counterexample exits 1, since it can only mean an engine
 bug.  A stdout whose reader has gone (``mbaobf obfuscate ... | head``)
 exits 141, the code of a process killed by SIGPIPE, with nothing on
@@ -38,7 +39,7 @@ from typing import Optional
 from .egraph import CapacityExceededError
 from .expansion import (ExpansionConfig, ExpansionReport, OutputTooLargeError,
                         UnextractableError, expand)
-from .expr import VALID_BITWIDTHS, ParseError, parse, to_text
+from .expr import VALID_BITWIDTHS, ParseError, _fold, parse, to_text
 from .metrics import aggregate, aggregate_csv, measure
 from .rules import (RuleSyntaxError, UnboundRhsVarError, load_default_rules,
                     parse_rules)
@@ -218,6 +219,26 @@ def _run_line(text: str, rules: list, cfg: ExpansionConfig, args) -> tuple:
                                       trials=1000, seed=args.seed)
 
 
+def _line_error(exc: Exception, text: str, cfg: ExpansionConfig,
+                bits: int) -> str:
+    """The message for one of ``_LINE_ERRORS`` raised on input ``text``.
+    For an unextractable input it names the extractor's limits, and the
+    input's depth (operators on its longest root-to-leaf path) where that
+    is more than ``--rounds``: the input itself is then too deep to be
+    the output."""
+    message = str(exc)
+    if isinstance(exc, UnextractableError):
+        rounds = cfg.extraction_rounds
+        message += (f" (depth <= --rounds {rounds}, size <= "
+                     f"--max-output-nodes {cfg.max_output_nodes}")
+        depth = _fold(parse(text, bits), lambda leaf: 0,
+                      lambda node, *depths: 1 + max(depths))
+        if depth > rounds:
+            message += f"; the input is {depth} operators deep"
+        message += ")"
+    return message
+
+
 def _selfcheck_failure(res) -> str:
     env, lv, rv = res.counterexample
     return f"selfcheck FAILED: {env} gives {lv} vs {rv}"
@@ -238,11 +259,8 @@ def run_obfuscate(args) -> int:
     try:
         report, check = _run_line(args.expr, rules, cfg, args)
     except tuple(_LINE_ERRORS) as exc:
-        message = f"error: {exc}"
-        if isinstance(exc, UnextractableError):
-            message += (f" (depth <= --rounds {cfg.extraction_rounds}, "
-                        f"size <= --max-output-nodes {cfg.max_output_nodes})")
-        raise _Fail(message, _LINE_ERRORS[type(exc)]) from exc
+        message = _line_error(exc, args.expr, cfg, args.bitwidth)
+        raise _Fail(f"error: {message}", _LINE_ERRORS[type(exc)]) from exc
     if args.json:
         payload = _report_json(args.expr, report)
         payload["iterations"] = report.iterations
@@ -277,7 +295,8 @@ def run_bench(args) -> int:
         try:
             report, check = _run_line(text, rules, cfg, args)
         except tuple(_LINE_ERRORS) as exc:
-            print(f"line {lineno}: skipped ({exc})", file=sys.stderr)
+            message = _line_error(exc, text, cfg, args.bitwidth)
+            print(f"line {lineno}: skipped ({message})", file=sys.stderr)
             failures += 1
             continue
         if check is not None and not check.passed:

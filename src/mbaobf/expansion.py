@@ -566,12 +566,15 @@ _TIME_CHECK_STRIDE = 256  # applications between wall-clock reads
 
 class Grown(NamedTuple):
     """A grown e-graph, the class of the input in it, why growth stopped
-    and how many iterations ran."""
+    and how many iterations ran.  ``term`` is the largest term of the
+    final graph where growth's ``target_ast_size`` test extracted it (no
+    iteration ran after that test), else None."""
 
     graph: EGraph
     root: int
     stop: StopReason
     iterations: int
+    term: Optional[Expression] = None
 
 
 @_gc_paused()
@@ -596,7 +599,8 @@ def grow(e: Expression, rules: list, cfg: ExpansionConfig,
     each iteration that no other condition stops
     ends with one :func:`extract_max` call at ``cfg``'s extraction
     settings, and growth stops with ``TargetSizeReached`` once that term
-    has the target size.  An input that no rule matches stops with
+    has the target size.  The last such term is returned as ``term`` when
+    no iteration ran after it, and :func:`expand` outputs it as it is.  An input that no rule matches stops with
     ``Saturated``.  An input whose graph alone holds more than
     ``node_limit`` nodes raises
     :class:`~mbaobf.egraph.CapacityExceededError`.  The cyclic collector
@@ -607,13 +611,14 @@ def grow(e: Expression, rules: list, cfg: ExpansionConfig,
     g.rebuild()
     deadline = time.monotonic() + (math.inf if cfg.time_limit is None
                                    else cfg.time_limit)
-    stop, iterations = None, 0
+    stop, iterations, term = None, 0, None
     while stop is None:
         if time.monotonic() >= deadline:
             stop = StopReason.TIME_LIMIT
         elif iterations >= cfg.iter_limit:
             stop = StopReason.ITER_LIMIT
         else:
+            term = None  # the graph changes, so an earlier term is stale
             stop, changed = _iterate(g, rules, deadline)
             g.rebuild()
             iterations += 1
@@ -626,7 +631,7 @@ def grow(e: Expression, rules: list, cfg: ExpansionConfig,
                                    cfg.max_output_nodes)
                 if expr_size(term) >= cfg.target_ast_size:
                     stop = StopReason.TARGET_SIZE
-    return Grown(g, root, stop, iterations)
+    return Grown(g, root, stop, iterations, term)
 
 
 def _iterate(g: EGraph, rules: list, deadline: float) -> tuple:
@@ -683,8 +688,10 @@ def expand(e: Expression, rules: list, cfg: Optional[ExpansionConfig] = None,
     start = time.monotonic()
     with _gc_paused():
         grown = grow(e, rules, cfg, bits)
-        output = extract_max(grown.graph, grown.root, cfg.extraction_rounds,
-                             cfg.max_output_nodes)
+        output = grown.term
+        if output is None:
+            output = extract_max(grown.graph, grown.root,
+                                 cfg.extraction_rounds, cfg.max_output_nodes)
         elapsed = time.monotonic() - start
         stop, iterations = grown.stop, grown.iterations
         nodes = grown.graph.node_count()

@@ -7,7 +7,10 @@ the supported widths are 4, 8, 16, 32 and 64 bits.
 The operator table :data:`OPERATORS` is the one definition of the operator
 set: each entry's symbol, arity, binding strength and evaluation function
 drive the parser, the printer, both evaluators (this module's and the numpy
-one in :mod:`mbaobf.verify`) and the e-graph's operator labels.
+one in :mod:`mbaobf.verify`) and the e-graph's operator labels.  An entry's
+function is a plain one from Python's :mod:`operator` module, and each
+evaluator reduces its results to the width.  An operator is compared by
+identity, so only the table's own entries are its operators.
 
 Grammar accepted by :func:`parse`::
 
@@ -42,6 +45,7 @@ term that has none.
 
 from __future__ import annotations
 
+import operator
 import re
 import sys
 from dataclasses import dataclass, field
@@ -67,16 +71,19 @@ class Category(Enum):
     BOOLEAN = "boolean"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Operator:
     """One entry of the closed operator set.
 
     ``name`` is the unique internal identifier; ``symbol`` is the surface
     syntax.  Unary minus and binary minus share a symbol but are distinct
     operators.  ``precedence`` is the binding strength (higher binds
-    tighter).  ``fn(*operands, mask)`` is the operator's value for operands
-    already reduced to ``[0, mask]``; it works on Python ints and on numpy
-    unsigned arrays alike.
+    tighter).  ``fn(*operands)`` is the plain function of Python's
+    :mod:`operator` module that applies it, with no reduction to a width:
+    each evaluator masks to its own width where it needs to.
+
+    An operator is its table entry: it compares and hashes by identity,
+    so an ``Operator`` built with the same fields is a different operator.
     """
 
     name: str
@@ -84,27 +91,23 @@ class Operator:
     arity: int
     category: Category
     precedence: int
-    fn: Callable = field(repr=False, compare=False)
+    fn: Callable = field(repr=False)
 
     def __reduce__(self):
-        # Pickled as the module global that holds it (ADD for "add"), since
-        # pickle cannot write ``fn``, a lambda; a copy of an expression
-        # keeps the table's entries, and pickle refuses any other Operator.
+        # Pickled as the module global that holds it (ADD for "add"): a
+        # copy of an expression must keep the table's entries, since an
+        # operator is its entry, and pickle refuses any other Operator.
         return self.name.upper()
 
 
-ADD = Operator("add", "+", 2, Category.ARITHMETIC, 4,
-               lambda a, b, m: (a + b) & m)
-SUB = Operator("sub", "-", 2, Category.ARITHMETIC, 4,
-               lambda a, b, m: (a - b) & m)
-MUL = Operator("mul", "*", 2, Category.ARITHMETIC, 5,
-               lambda a, b, m: (a * b) & m)
-NEG = Operator("neg", "-", 1, Category.ARITHMETIC, 6,
-               lambda a, m: (0 - a) & m)
-AND = Operator("and", "&", 2, Category.BOOLEAN, 3, lambda a, b, m: a & b)
-OR = Operator("or", "|", 2, Category.BOOLEAN, 1, lambda a, b, m: a | b)
-XOR = Operator("xor", "^", 2, Category.BOOLEAN, 2, lambda a, b, m: a ^ b)
-NOT = Operator("not", "~", 1, Category.BOOLEAN, 6, lambda a, m: a ^ m)
+ADD = Operator("add", "+", 2, Category.ARITHMETIC, 4, operator.add)
+SUB = Operator("sub", "-", 2, Category.ARITHMETIC, 4, operator.sub)
+MUL = Operator("mul", "*", 2, Category.ARITHMETIC, 5, operator.mul)
+NEG = Operator("neg", "-", 1, Category.ARITHMETIC, 6, operator.neg)
+AND = Operator("and", "&", 2, Category.BOOLEAN, 3, operator.and_)
+OR = Operator("or", "|", 2, Category.BOOLEAN, 1, operator.or_)
+XOR = Operator("xor", "^", 2, Category.BOOLEAN, 2, operator.xor)
+NOT = Operator("not", "~", 1, Category.BOOLEAN, 6, operator.invert)
 
 OPERATORS = {op.name: op for op in (ADD, SUB, MUL, NEG, AND, OR, XOR, NOT)}
 
@@ -428,9 +431,10 @@ def to_text(e: Expression) -> str:
 def evaluate(e: Expression, env: dict, bits: int = DEFAULT_BITWIDTH) -> int:
     """Evaluate under fixed-width two's-complement semantics.
 
-    ``env`` must bind every free variable of ``e``; results and intermediate
-    values always lie in ``[0, 2**bits)``.  Each distinct subterm of a
-    shared DAG is evaluated once.
+    ``env`` must bind every free variable of ``e``.  Each operator's
+    ``fn`` runs on Python ints and its result is masked to ``bits``, so
+    results and intermediate values always lie in ``[0, 2**bits)``.  Each
+    distinct subterm of a shared DAG is evaluated once.
     """
     m = mask_of(check_bitwidth(bits))
 
@@ -441,7 +445,7 @@ def evaluate(e: Expression, env: dict, bits: int = DEFAULT_BITWIDTH) -> int:
             raise UnboundVariableError(node.name)
         return env[node.name] & m
 
-    return _fold(e, leaf, lambda node, *args: node.op.fn(*args, m))
+    return _fold(e, leaf, lambda node, *args: node.op.fn(*args) & m)
 
 
 def free_vars(e: Expression) -> set:

@@ -159,10 +159,10 @@ def load_default_rules() -> list[Rule]:
 
 def _check_operators(name: str, *patterns: Pattern) -> None:
     """Raise ``ValueError`` unless every operator of ``patterns`` is the
-    operator table's own entry.  Operators compare without their ``fn``,
-    so the test is by identity: a lookalike named ``add`` would be matched
-    and built as the table's ``add`` while the soundness check evaluated
-    its own ``fn``."""
+    operator table's own entry.  An operator is compared by identity, so
+    a lookalike named ``add`` is not the table's ``add``; the e-graph
+    labels operators by name, so it would be matched and built as the
+    table's ``add`` while the soundness check evaluated its own ``fn``."""
     todo = list(patterns)
     for q in todo:
         if isinstance(q, Op):

@@ -20,14 +20,17 @@ and random checks alike, so a check's arrays stay at most 8 MiB each
 whatever its size.  An exhaustive chunk is a broadcast grid: each
 variable holds only its own values, along its own axis, and a constant is
 one value, so a subterm's array spans only the axes of the variables it
-reads (the truth-table view of linear MBA, Zhou et al., WISA 2007).  Evaluation applies the same per-operator functions as the scalar
+reads (the truth-table view of linear MBA, Zhou et al., WISA 2007).
+Evaluation applies the same per-operator functions as the scalar
 :func:`mbaobf.expr.evaluate`, taken from the operator table
-:data:`mbaobf.expr.OPERATORS`, which alone defines the semantics.  It
-evaluates each distinct subterm of a shared DAG once, in the order of the
-term's :class:`~mbaobf.expr.Tape` (the one an extracted output carries, or
-a fresh walk), and frees each intermediate array after its last reader,
-so an extracted output costs its distinct subterms (under a hundred), not
-its tree nodes (~8k).
+:data:`mbaobf.expr.OPERATORS`, which alone defines the semantics.  Those
+functions take no mask: an unsigned array of 8, 16, 32 or 64 bits wraps
+at its own width, so only 4-bit results, held in ``uint8``, are masked.
+It evaluates each distinct subterm of a shared DAG once, in the order of
+the term's :class:`~mbaobf.expr.Tape` (the one an extracted output
+carries, or a fresh walk), and frees each intermediate array after its
+last reader, so an extracted output costs its distinct subterms (under a
+hundred), not its tree nodes (~8k).
 
 :func:`check_rules` is the one rule-admission check: ``check-rules``,
 ``obfuscate`` and ``bench`` all render its results.
@@ -86,18 +89,23 @@ def _eval_vec(node, env: dict, bits: int) -> np.ndarray:
     that broadcasts, so the result has the shape of the variables it reads.
 
     Each distinct subterm is evaluated once, and its array is freed as soon
-    as its last parent has read it.
+    as its last parent has read it.  Each operator's ``fn`` runs on the
+    arrays as they are, which wrap at their dtype's width; only where
+    ``bits`` is narrower than the dtype (4 bits in ``uint8``) is each
+    result masked to ``bits``.
     """
     dtype = _DTYPES[bits]
-    m = dtype(mask_of(bits))
+    m = mask_of(bits)
 
     def leaf(node) -> np.ndarray:
         if isinstance(node, Const):
-            return np.array([node.value & int(m)], dtype=dtype)
+            return np.array([node.value & m], dtype=dtype)
         return env[node] if node in env else env[node.name]
 
-    with np.errstate(over="ignore"):
-        return _fold(node, leaf, lambda op, *args: op.op.fn(*args, m))
+    if bits < np.iinfo(dtype).bits:
+        narrow = dtype(m)
+        return _fold(node, leaf, lambda op, *args: op.op.fn(*args) & narrow)
+    return _fold(node, leaf, lambda op, *args: op.op.fn(*args))
 
 
 def _grid_env(keys: list, bits: int, start: int, n: int) -> dict:

@@ -65,8 +65,9 @@ def check_class_values(g, envs: int = 64, seed: int = 0) -> None:
     value on ``envs`` seeded random environments.
 
     A leaf row takes its payload's value, an operator row its operator's
-    ``fn`` of its children's class values, each child's class read from
-    the flat union-find ``g._uf`` of the rebuilt graph.  Rows are swept
+    ``fn`` of its children's class values masked to the width, each
+    child's class read from the flat union-find ``g._uf`` of the rebuilt
+    graph.  Rows are swept
     until no class gains a value: the first row of a class to be
     evaluated gives the class its value, and every other row must equal
     it.  A row left unevaluated means a class with no finite term, which
@@ -97,7 +98,7 @@ def check_class_values(g, envs: int = 64, seed: int = 0) -> None:
                     continue
                 with np.errstate(over="ignore"):
                     v = OPERATORS[_LABELS[code]].fn(
-                        *(value[k] for k in kids), m)
+                        *(value[k] for k in kids)) & m
             known = value.setdefault(cls[row], v)
             assert (known == v).all(), \
                 f"row {row} ({g._node(row)}) differs from class {cls[row]}"

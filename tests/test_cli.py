@@ -105,7 +105,11 @@ class TestObfuscate:
         # a valid input that the flags leave no term for: a resource error
         assert main(["obfuscate", "-e", "(x + y) + z", "--rounds", "1",
                      *FAST]) == 3
-        assert "rounds" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "rounds" in err
+        # both numbers: the flag's and the input's depth
+        assert "--rounds 1," in err
+        assert "the input is 2 operators deep" in err
 
     def test_unextractable_names_both_limits(self, capsys):
         # a 20-term flat sum fits neither limit at the defaults
@@ -330,6 +334,8 @@ class TestBench:
                      *FAST]) == 0
         captured = capsys.readouterr()
         assert "line 1: skipped (no term extractable" in captured.err
+        assert "(depth <= --rounds 1, size <= --max-output-nodes 10000; " \
+            "the input is 2 operators deep))" in captured.err
         assert "1 expressions processed, 1 skipped" in captured.out
 
     def test_all_lines_bad(self, tmp_path, capsys):

@@ -1283,7 +1283,7 @@ class TestGrow:
     @pytest.mark.parametrize("cfg", CONFIGS, ids=["defaults", "target"])
     def test_extractions_per_expand(self, cfg, monkeypatch):
         # one at the end, which perfbench's extract_calls counts on; with
-        # a target size, one more per iteration
+        # a target size, one per iteration, the last of them the output
         original = mbaobf.expansion.extract_max
         calls = [0]
 
@@ -1300,7 +1300,29 @@ class TestGrow:
                 assert calls[0] == 1
             else:
                 assert rep.stop is StopReason.TARGET_SIZE
-                assert calls[0] == rep.iterations + 1
+                assert calls[0] == rep.iterations
+
+    @pytest.mark.parametrize("iter_limit, target, iterations", [
+        (100, 100, 1),  # reached after one iteration
+        (2, 10**6, 2),  # never reached: stopped by the iteration limit
+    ])
+    def test_expand_extracts_each_graph_state_once(self, iter_limit, target,
+                                                   iterations, monkeypatch):
+        original = mbaobf.expansion.extract_max
+        states = []
+
+        def recorded(g, *args):
+            states.append((id(g), tuple(g._uf), g._columns().tobytes()))
+            return original(g, *args)
+
+        monkeypatch.setattr(mbaobf.expansion, "extract_max", recorded)
+        cfg = ExpansionConfig(iter_limit=iter_limit, target_ast_size=target)
+        e = parse("x + y")
+        rep = expand(e, load_default_rules(), cfg)
+        # one extraction per iteration, the last of them the output
+        assert rep.iterations == iterations
+        assert len(set(states)) == len(states) == iterations
+        assert check_equivalence(e, rep.output, 64).passed
 
 
 # ---------------------------------------------------------------------------

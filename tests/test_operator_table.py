@@ -4,7 +4,8 @@
 import numpy as np
 import pytest
 
-from mbaobf.expr import OPERATORS, Op, Var, evaluate, mask_of, parse, to_text
+from mbaobf.expr import (OPERATORS, VALID_BITWIDTHS, Op, Operator, Var,
+                         evaluate, mask_of, parse, to_text)
 from mbaobf.verify import _DTYPES, _eval_vec
 
 A, B, C = Var("a"), Var("b"), Var("c")
@@ -43,7 +44,7 @@ class TestEachOperator:
             nested = Op(other, (e,) * other.arity)
             assert parse(to_text(nested)) == nested
 
-    @pytest.mark.parametrize("bits", (4, 64))
+    @pytest.mark.parametrize("bits", VALID_BITWIDTHS)
     def test_scalar_and_numpy_walks_agree(self, op, bits):
         m = mask_of(bits)
         edge = [0, 1, 2, m >> 1, (m >> 1) + 1, m - 1, m]
@@ -58,3 +59,11 @@ class TestEachOperator:
         got = _eval_vec(e, env, bits)
         for i, (x, y) in enumerate(pairs):
             assert int(got[i]) == evaluate(e, {"a": x, "b": y}, bits)
+
+    def test_a_lookalike_is_a_different_operator(self, op):
+        # an operator is its table entry: equal fields make another one
+        twin = Operator(op.name, op.symbol, op.arity, op.category,
+                        op.precedence, op.fn)
+        assert twin != op and op == op
+        assert twin not in {op: None} and op in {op: None}
+        assert Op(twin, operands(op)) != Op(op, operands(op))

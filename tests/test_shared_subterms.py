@@ -122,7 +122,7 @@ def ref_eval_vec(node, env: dict, bits: int) -> np.ndarray:
 
     def value(node) -> np.ndarray:
         if isinstance(node, Op):
-            return node.op.fn(*map(value, node.args), m)
+            return node.op.fn(*map(value, node.args)) & m
         if isinstance(node, Const):
             return np.full(width, node.value & int(m), dtype=dtype)
         return env[node.name]
