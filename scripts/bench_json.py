@@ -20,22 +20,27 @@ stopped even when the output cap hides it.  The file records the commit,
 the flags, ``passes_s``, ``wall_s`` (their median), percentiles of
 ``report.elapsed`` over all passes, ``rows_sha256`` (``sha256sum
 BASE.jsonl`` of what bench wrote), ``trajectory_sha256`` and the stops.
+``heap_peak_kib`` is the largest ``tracemalloc`` peak of one ``expand``
+call, taken over one more pass, untimed, that traces each call on its
+own: a memory figure that repeats exactly, where a process's peak RSS
+moves by 0.1-0.2 MiB between runs of the same code.
 
 With ``REF``, ``REF:src/mbaobf`` is imported from ``git archive`` as
 ``mbaobf_ref`` and runs its own bench; the sides alternate pass for pass,
-the side going first alternating too.  ``against`` holds the ref's commit
-and timings, ``ratio`` the median wall time of the working tree over the
-ref's, ``faster_in`` the passes the working tree won, and ``gain`` whether
-it won at least 9/10 of them by a median gap above the ref's
-interquartile range.  Alternating whole passes in one process does not
-cancel a small shared machine's drift: A/B runs of unchanged code gave
-ratios of 0.960 to 1.139, with ``faster_in`` from 0 to 4 of 10, so
-``ratio`` and ``gain`` from whole passes cannot tell a change within
-that band from none.  Interleaving the two sides per corpus line in one
-process gave null ratios of 0.996 to 1.003 instead.  The script exits 1,
-writing nothing, if bench exits non-zero or skips a line (it reports
-either on stderr), or if any pass of either side writes other rows or
-another CSV, or stops elsewhere, than the first.
+the side going first alternating too.  ``against`` holds the ref's
+commit, timings and heap peak, ``ratio`` the median wall time of the
+working tree over the ref's, ``faster_in`` the passes the working tree
+won, and ``gain`` whether it won at least 9/10 of them by a median gap
+above the ref's interquartile range.  Alternating whole passes in one
+process does not cancel a small shared machine's drift: A/B runs of
+unchanged code gave ratios of 0.960 to 1.139, with ``faster_in`` from 0
+to 4 of 10, so ``ratio`` and ``gain`` from whole passes cannot tell a
+change within that band from none.  Interleaving the two sides per
+corpus line in one process gave null ratios of 0.996 to 1.003 instead.
+The script exits 1, writing nothing, if bench exits non-zero or skips a
+line (it reports either on stderr), or if any pass of either side,
+traced or timed, writes other rows or another CSV, or stops elsewhere,
+than the first.
 """
 
 import argparse
@@ -50,6 +55,7 @@ import sys
 import tarfile
 import tempfile
 import time
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -81,20 +87,29 @@ class Side:
     def __init__(self, package: str, flags: list):
         self.cli = importlib.import_module(package + ".cli")
         self.flags = flags
-        self.passes, self.elapsed = [], []
+        self.passes, self.elapsed, self.heap_peaks = [], [], []
 
-    def run(self) -> tuple:
+    def run(self, traced: bool = False) -> tuple:
         """One pass: the sha256 of the JSONL, the CSV and the trajectory,
-        and the stop reasons with their counts."""
+        and the stop reasons with their counts.  A ``traced`` pass is not
+        timed: it records each ``expand`` call's traced heap peak."""
         expand, trajectory = self.cli.expand, hashlib.sha256()
         stops = Counter()
 
         def tracked(expr, rules, cfg, *rest):
-            report = expand(expr, rules, cfg, *rest)
+            if traced:
+                tracemalloc.start()
+            try:
+                report = expand(expr, rules, cfg, *rest)
+            finally:
+                if traced:
+                    self.heap_peaks.append(tracemalloc.get_traced_memory()[1])
+                    tracemalloc.stop()
             assert report.final_node_count <= cfg.node_limit, expr
             trajectory.update(f"{report.stop.value} {report.iterations} "
                               f"{report.final_node_count}\n".encode())
-            self.elapsed.append(report.elapsed)
+            if not traced:
+                self.elapsed.append(report.elapsed)
             stops[report.stop.value] += 1
             return report
 
@@ -111,7 +126,8 @@ class Side:
                         code = self.cli.main(argv)
                     except SystemExit as exc:  # bench's parser refused a flag
                         code = exc.code
-                    self.passes.append(time.perf_counter() - start)
+                    if not traced:
+                        self.passes.append(time.perf_counter() - start)
             finally:
                 self.cli.expand = expand
             if code or err.getvalue():
@@ -120,13 +136,14 @@ class Side:
                           .hexdigest() for ext in (".jsonl", ".csv"))
         return jsonl, csv, trajectory.hexdigest(), sorted(stops.items())
 
-    def timings(self) -> dict:
+    def summary(self) -> dict:
         p95 = statistics.quantiles(self.elapsed, n=20, method="inclusive")[18]
         return {"passes_s": [round(t, 3) for t in self.passes],
                 "wall_s": round(statistics.median(self.passes), 3),
                 "elapsed_s": {"p50": round(statistics.median(self.elapsed), 4),
                               "p95": round(p95, 4),
-                              "max": round(max(self.elapsed), 4)}}
+                              "max": round(max(self.elapsed), 4)},
+                "heap_peak_kib": round(max(self.heap_peaks) / 1024)}
 
 
 def main() -> None:
@@ -152,6 +169,7 @@ def main() -> None:
             sides.append(Side("mbaobf_ref", flags))
         results = [side.run() for p in range(PASSES)
                    for side in (sides if p % 2 == 0 else sides[::-1])]
+        results += [side.run(traced=True) for side in sides]
     if any(r != results[0] for r in results):
         sys.exit("rows, CSV or stop points differ between passes or sides")
     rows, _, trajectory, stops = results[0]
@@ -164,7 +182,7 @@ def main() -> None:
         "flags": flags,
         "corpus_sha256": hashlib.sha256(CORPUS.read_bytes()).hexdigest(),
         "lines": sum(count for _, count in stops),
-        **work.timings(),
+        **work.summary(),
         "stops": dict(stops),
         "rows_sha256": rows,
         "trajectory_sha256": trajectory,
@@ -176,14 +194,14 @@ def main() -> None:
         wins = sum(w < r for r, w in zip(ref.passes, work.passes))
         result.update(
             against={"ref": args.ref, "commit": ref_commit.stdout.strip(),
-                     **ref.timings()},
+                     **ref.summary()},
             ratio=round(wall / ref_wall, 3), faster_in=wins,
             gain=wins * 10 >= PASSES * 9 and ref_wall - wall > q3 - q1)
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(result, indent=2) + "\n")
     print(f"wrote {out}:", {k: v for k, v in result.items() if k in (
-        "wall_s", "rows_sha256", "trajectory_sha256", "ratio", "faster_in",
-        "gain")})
+        "wall_s", "heap_peak_kib", "rows_sha256", "trajectory_sha256",
+        "ratio", "faster_in", "gain")})
 
 
 if __name__ == "__main__":

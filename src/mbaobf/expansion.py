@@ -609,6 +609,7 @@ def grow(e: Expression, rules: list, cfg: ExpansionConfig,
     g = EGraph(bits=bits, max_nodes=cfg.node_limit)
     root = g.add_expr(e)
     g.rebuild()
+    slots = _slots(rules)
     deadline = time.monotonic() + (math.inf if cfg.time_limit is None
                                    else cfg.time_limit)
     stop, iterations, term = None, 0, None
@@ -619,7 +620,7 @@ def grow(e: Expression, rules: list, cfg: ExpansionConfig,
             stop = StopReason.ITER_LIMIT
         else:
             term = None  # the graph changes, so an earlier term is stale
-            stop, changed = _iterate(g, rules, deadline)
+            stop, changed = _iterate(g, rules, deadline, slots)
             g.rebuild()
             iterations += 1
             if stop is None and not changed:
@@ -634,25 +635,45 @@ def grow(e: Expression, rules: list, cfg: ExpansionConfig,
     return Grown(g, root, stop, iterations, term)
 
 
-def _iterate(g: EGraph, rules: list, deadline: float) -> tuple:
+def _slots(rules: list) -> list:
+    """Each rule's ``(slot, last)``: ``slot`` is the position of the
+    first rule in ``rules`` with the same left side, whose match list the
+    rule reads, and ``last`` whether no later rule reads that list.
+    :func:`grow` works this out once, so no iteration hashes a left
+    side."""
+    first, last = {}, {}
+    for i, rule in enumerate(rules):
+        first.setdefault(rule.lhs, i)
+        last[rule.lhs] = i
+    return [(first[rule.lhs], last[rule.lhs] == i)
+            for i, rule in enumerate(rules)]
+
+
+def _iterate(g: EGraph, rules: list, deadline: float,
+             slots: Optional[list] = None) -> tuple:
     """One iteration's matching and application, without the rebuild:
     ``(stop, changed)``, with ``stop`` the reason that ended it early
     (``TimeLimit`` or ``NodeLimit``) or None, and ``changed`` whether any
-    application changed the graph.  Each rule's matches are applied in
-    :func:`~mbaobf.rules.apply_match` calls of up to
-    ``_TIME_CHECK_STRIDE`` matches, and the clock is read before each
+    application changed the graph.  Rules that share a left side share
+    its match list, by ``slots``, :func:`_slots` of ``rules`` (worked out
+    here when None), and a list is dropped once its last rule has read
+    it, so the lists do not pile up under growth's peak.  Each rule's
+    matches are applied in :func:`~mbaobf.rules.apply_match` calls of up
+    to ``_TIME_CHECK_STRIDE`` matches, and the clock is read before each
     rule is matched and before each of its slices after the first.  The
-    index and the match lists are freed on return, before the caller
-    rebuilds."""
+    index is freed on return, before the caller rebuilds."""
+    if slots is None:
+        slots = _slots(rules)
     index = _label_index(g)
-    shared: dict = {}  # left side -> its matches against this index
+    lists = [None] * len(rules)  # match lists against this index, by slot
     changed = False
-    for rule in rules:
+    for rule, (slot, last) in zip(rules, slots):
         if time.monotonic() >= deadline:
             return StopReason.TIME_LIMIT, changed
-        matches = shared.get(rule.lhs)
+        matches = lists[slot]
         if matches is None:
-            matches = shared[rule.lhs] = ematch(g, rule, index)
+            matches = ematch(g, rule, index)
+        lists[slot] = None if last else matches
         for start in range(0, len(matches), _TIME_CHECK_STRIDE):
             if start and time.monotonic() >= deadline:
                 return StopReason.TIME_LIMIT, changed
@@ -675,8 +696,13 @@ def expand(e: Expression, rules: list, cfg: Optional[ExpansionConfig] = None,
     raises :class:`OutputTooLargeError`, and one whose graph alone holds
     more than ``node_limit`` nodes raises
     :class:`~mbaobf.egraph.CapacityExceededError`.  ``elapsed`` covers
-    growth and extraction.  One pause of the cyclic collector spans both,
-    and the graph is freed before the collector resumes.
+    growth and extraction.  Once growth has stopped and the node count
+    is read, the grown graph's hashcons is emptied before
+    :func:`extract_max` runs: nothing inserts into the graph again, and
+    extraction reads only the node table, the union-find and the leaf
+    payloads, so its arrays do not pile up on top of the keys.  One
+    pause of the cyclic collector spans growth and extraction, and the
+    graph is freed before the collector resumes.
 
     The rules are trusted here: admit them through the soundness checker
     first and the output is equivalent to the input by construction.
@@ -688,14 +714,15 @@ def expand(e: Expression, rules: list, cfg: Optional[ExpansionConfig] = None,
     start = time.monotonic()
     with _gc_paused():
         grown = grow(e, rules, cfg, bits)
+        nodes = grown.graph.node_count()  # counts the hashcons: read first
+        grown.graph._hashcons.clear()
         output = grown.term
         if output is None:
             output = extract_max(grown.graph, grown.root,
                                  cfg.extraction_rounds, cfg.max_output_nodes)
         elapsed = time.monotonic() - start
         stop, iterations = grown.stop, grown.iterations
-        nodes = grown.graph.node_count()
-        del grown  # freed now, so no resumed collection walks its keys
+        del grown  # freed now, so no resumed collection walks it
     return ExpansionReport(
         output=output,
         stop=stop,

@@ -2,9 +2,11 @@ import dataclasses
 import functools
 import gc
 import itertools
+import math
 import random
 import tracemalloc
 import types
+import weakref
 
 import numpy as np
 import pytest
@@ -15,8 +17,9 @@ from mbaobf.egraph import (CapacityExceededError, EGraph, ENode,
                            InvalidIdError, _layout, check_invariants)
 from mbaobf.expansion import (MAX_OUTPUT_NODES, ExpansionConfig,
                               ExpansionReport, OutputTooLargeError, StopReason,
-                              UnextractableError, _history, _reconstructor,
-                              _runs, expand, extract_max, extract_min, grow)
+                              UnextractableError, _history, _iterate,
+                              _reconstructor, _runs, _slots, expand,
+                              extract_max, extract_min, grow)
 from mbaobf.expr import (MAX_DEPTH, OPERATORS, Const, Op, Var, evaluate,
                          expr_size, parse, to_text)
 from mbaobf.metrics import measure
@@ -883,6 +886,48 @@ def test_extraction_memory_does_not_grow_with_jumped_rounds(jumps):
         assert peaks[1] - peaks[0] <= 512 * 1024, (line, peaks)
 
 
+def test_expand_peaks_near_growth():
+    # expand releases the hashcons before it extracts, so extraction's
+    # arrays take the place of its keys rather than adding to them.  On
+    # these lines expand's traced peak rose above grow's by 128 to 339
+    # KiB; with the hashcons kept through extract_max it rose by 961 to
+    # 1155 KiB.
+    cfg = ExpansionConfig(node_limit=8000, max_output_nodes=2000,
+                          time_limit=None)
+    rules = load_default_rules()
+    for line in CORPUS.read_text().splitlines()[:6]:
+        e = parse(line)
+        peaks = []
+        for run in (grow, expand):
+            tracemalloc.start()
+            try:
+                run(e, rules, cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 600 * 1024, (line, peaks)
+
+
+@pytest.mark.parametrize("node_limit, max_output_nodes",
+                         [(3000, 10_000), (8000, 2000)],
+                         ids=["defaults", "8000-2000"])
+def test_extraction_reads_no_hashcons(node_limit, max_output_nodes):
+    # expand empties the hashcons before extract_max: both extractors
+    # read only the node table, the union-find and the leaf payloads
+    cfg = ExpansionConfig(node_limit=node_limit,
+                          max_output_nodes=max_output_nodes, time_limit=None)
+    rules = load_default_rules()
+    for line in CORPUS.read_text().splitlines()[:10]:
+        g, root, *_ = grow(parse(line), rules, cfg)
+        terms = (extract_max(g, root, cfg.extraction_rounds,
+                             max_output_nodes), extract_min(g, root))
+        g._hashcons.clear()
+        assert g.node_count() == 0
+        assert [to_text(t) for t in terms] == [to_text(t) for t in (
+            extract_max(g, root, cfg.extraction_rounds, max_output_nodes),
+            extract_min(g, root))]
+
+
 class TestLayout:
     """The e-graph's one e-node order, by (label and class, then the
     children), which :meth:`EGraph._live_rows` sorts with ``_layout``, and
@@ -1439,6 +1484,61 @@ class TestLazyMatching:
         assert len(calls) < rep.iterations * len(rules)
         assert (dataclasses.replace(rep, elapsed=0.0)
                 == eager_expand(e, rules, cfg, []))
+
+    def test_slots_name_each_left_sides_first_and_last_rule(self):
+        rules = COLLAPSING + load_default_rules() + COLLAPSING[:2]
+        slots = _slots(rules)
+        for i, (rule, (slot, last)) in enumerate(zip(rules, slots)):
+            same = [j for j, other in enumerate(rules)
+                    if other.lhs == rule.lhs]
+            assert (slot, last) == (same[0], same[-1] == i)
+        # the 14 shipped rules have 9 left sides, so 5 rules are not the
+        # last reader of their list
+        assert [last for _, last in _slots(load_default_rules())].count(
+            False) == 5
+
+    def test_each_match_list_dropped_after_its_last_rule(self, monkeypatch):
+        # one match per distinct left side and iteration, and no list
+        # outlives the last rule that reads it
+        original = mbaobf.expansion.ematch
+        apply = mbaobf.expansion.apply_match
+
+        class Matches(list):
+            pass  # a list that a weak reference can point to
+
+        lists = {}  # slot -> a weak reference to its list this iteration
+
+        def freed(rule):
+            # every list whose last reader comes before the rule is gone
+            i = rules.index(rule)
+            return all(ref() is None for slot, ref in lists.items()
+                       if readers[slot] < i)
+
+        def matched(g, rule, index=None):
+            slot = slots[rules.index(rule)][0]
+            assert slot not in lists and freed(rule), rule.name
+            found = Matches(original(g, rule, index))
+            lists[slot] = weakref.ref(found)
+            return found
+
+        def applied(g, rule, matches):
+            assert freed(rule), rule.name
+            return apply(g, rule, matches)
+
+        monkeypatch.setattr(mbaobf.expansion, "ematch", matched)
+        monkeypatch.setattr(mbaobf.expansion, "apply_match", applied)
+        rules = load_default_rules()
+        slots = _slots(rules)
+        readers = {slot: i for i, (slot, _) in enumerate(slots)}  # the last
+        g = EGraph(max_nodes=3000)
+        g.add_expr(parse(CORPUS.read_text().splitlines()[0]))
+        g.rebuild()
+        for _ in range(3):
+            lists.clear()
+            assert _iterate(g, rules, math.inf, slots) == (None, True)
+            assert sorted(lists) == sorted({s for s, _ in slots})
+            assert all(ref() is None for ref in lists.values())
+            g.rebuild()
 
     def test_clock_read_before_each_rule_is_matched(self, monkeypatch):
         # each match takes one second on a fake clock; no rule may be
