@@ -39,7 +39,8 @@ from typing import Optional
 from .egraph import CapacityExceededError
 from .expansion import (ExpansionConfig, ExpansionReport, OutputTooLargeError,
                         UnextractableError, expand)
-from .expr import VALID_BITWIDTHS, ParseError, _fold, parse, to_text
+from .expr import (DEFAULT_BITWIDTH, VALID_BITWIDTHS, ParseError, _fold,
+                   parse, to_text)
 from .metrics import aggregate, aggregate_csv, measure
 from .rules import (RuleSyntaxError, UnboundRhsVarError, load_default_rules,
                     parse_rules)
@@ -69,7 +70,7 @@ def _add_engine_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-output-nodes", type=int,
                    default=_DEFAULTS.max_output_nodes,
                    help="AST size cap for the extracted output")
-    p.add_argument("--bitwidth", type=int, default=64,
+    p.add_argument("--bitwidth", type=int, default=DEFAULT_BITWIDTH,
                    choices=VALID_BITWIDTHS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--no-check", action="store_true",
@@ -116,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
                                help="print complexity metrics for an "
                                     "expression")
     p_metrics.add_argument("-e", "--expr", required=True)
-    p_metrics.add_argument("--bitwidth", type=int, default=64,
+    p_metrics.add_argument("--bitwidth", type=int, default=DEFAULT_BITWIDTH,
                            choices=VALID_BITWIDTHS)
     p_metrics.add_argument("--json", action="store_true")
 

@@ -498,19 +498,18 @@ def _reconstructor(g: EGraph, stamps: np.ndarray, picks: np.ndarray,
 
     Each call records what it builds as the term's
     :class:`~mbaobf.expr.Tape` and stores it on the root: the terms in
-    the order they were finished, their operands' positions, and the
-    positions in the order the build first reached each term, which with
-    the second operand built first is a stack walk's.  ``build`` is
-    passed itself, so that it holds no reference to itself: such a cycle
-    would outlive the call, and extraction runs with the collector paused
-    (:func:`_gc_paused`).
+    the order they were finished, which with the second operand built
+    first is the post-order of a fresh walk, and their operands'
+    positions.  ``build`` is passed itself, so that it holds no reference
+    to itself: such a cycle would outlive the call, and extraction runs
+    with the collector paused (:func:`_gc_paused`).
     """
     starts = source * m
     table, payloads = g._table, g._payloads
 
     def extract(cid: int, r: int) -> Expression:
         reached = {}
-        order, kids, meet = [], [], []
+        order, kids = [], []
 
         def build(cid: int, r: int, build: Callable) -> int:
             points = reached.get(cid)
@@ -527,8 +526,6 @@ def _reconstructor(g: EGraph, stamps: np.ndarray, picks: np.ndarray,
                 raise UnextractableError(cid)
             at = built[i]
             if at is None:
-                met = len(meet)
-                meet.append(None)
                 row, rc = rows[i], rounds[i] - 1
                 code, first, second = table[3 * row:3 * row + 3]
                 label = _LABELS[code]
@@ -544,14 +541,14 @@ def _reconstructor(g: EGraph, stamps: np.ndarray, picks: np.ndarray,
                     a = build(first, rc, build)
                     operands = (a, b)
                     e = Op(OPERATORS[label], (order[a], order[b]))
-                at = built[i] = meet[met] = len(order)
+                at = built[i] = len(order)
                 order.append(e)
                 kids.append(operands)
             return at
 
         root = order[build(cid, r, build)]
         del order[-1]  # the root stays out of its own tape
-        object.__setattr__(root, "_tape", Tape(order, kids, meet))
+        object.__setattr__(root, "_tape", Tape(order, kids))
         return root
 
     return extract
@@ -649,21 +646,18 @@ def _slots(rules: list) -> list:
             for i, rule in enumerate(rules)]
 
 
-def _iterate(g: EGraph, rules: list, deadline: float,
-             slots: Optional[list] = None) -> tuple:
+def _iterate(g: EGraph, rules: list, deadline: float, slots: list) -> tuple:
     """One iteration's matching and application, without the rebuild:
     ``(stop, changed)``, with ``stop`` the reason that ended it early
     (``TimeLimit`` or ``NodeLimit``) or None, and ``changed`` whether any
     application changed the graph.  Rules that share a left side share
-    its match list, by ``slots``, :func:`_slots` of ``rules`` (worked out
-    here when None), and a list is dropped once its last rule has read
-    it, so the lists do not pile up under growth's peak.  Each rule's
-    matches are applied in :func:`~mbaobf.rules.apply_match` calls of up
-    to ``_TIME_CHECK_STRIDE`` matches, and the clock is read before each
-    rule is matched and before each of its slices after the first.  The
-    index is freed on return, before the caller rebuilds."""
-    if slots is None:
-        slots = _slots(rules)
+    its match list, by ``slots``, :func:`_slots` of ``rules``, and a list
+    is dropped once its last rule has read it, so the lists do not pile
+    up under growth's peak.  Each rule's matches are applied in
+    :func:`~mbaobf.rules.apply_match` calls of up to
+    ``_TIME_CHECK_STRIDE`` matches, and the clock is read before each rule
+    is matched and before each of its slices after the first.  The index
+    is freed on return, before the caller rebuilds."""
     index = _label_index(g)
     lists = [None] * len(rules)  # match lists against this index, by slot
     changed = False

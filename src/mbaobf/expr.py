@@ -34,13 +34,14 @@ reduced modulo ``2**bits`` at parse time, so parsed trees always hold
 canonical constants in ``[0, 2**bits)``.
 
 Terms that extraction builds share subterms by identity, and each root it
-returns carries its :class:`Tape`, its distinct subterms in post-order, in
-its instance dict.  The tape is derived data, not a dataclass field, so
-it takes no part in ``==``, ``hash``, ``repr`` or construction.  The
-walkers here (:func:`to_text`, :func:`evaluate`, :func:`free_vars`,
-:func:`expr_size`), :func:`mbaobf.metrics.measure` and the numpy
-evaluator of :mod:`mbaobf.verify` read it, and walk a fresh one for a
-term that has none.
+returns carries its :class:`Tape`, its distinct subterms in post-order
+with each operator's operands by position, in its instance dict.  The
+tape is derived data, not a dataclass field, so it takes no part in
+``==``, ``hash``, ``repr`` or construction.  The walkers here
+(:func:`to_text`, :func:`evaluate`, :func:`free_vars`, :func:`expr_size`),
+:func:`mbaobf.metrics.measure` and the numpy evaluator of
+:mod:`mbaobf.verify` read it, and walk a fresh one for a term that has
+none.
 """
 
 from __future__ import annotations
@@ -320,19 +321,16 @@ class Tape(NamedTuple):
 
     ``order`` lists each distinct subterm once by identity, children
     before parents.  ``kids[i]`` holds the positions in ``order`` of the
-    operands of ``order[i]``, empty at a leaf.  ``meet`` lists positions
-    in the order in which a stack walk of the tree (pre-order, rightmost
-    child first) first meets each subterm, so ``meet[0]`` is the root's.
+    operands of ``order[i]``, empty at a leaf.
 
     Extraction stores its output's tape in the root's instance dict under
     ``_tape``, with the root left out of ``order``, since a root in its
-    own tape would be a reference cycle; ``kids`` and ``meet`` still name
-    it, by the position ``len(order)`` that :func:`_tape` gives it back.
+    own tape would be a reference cycle; ``kids`` still names it, by the
+    position ``len(order)`` that :func:`_tape` gives it back.
     """
 
     order: list
     kids: list
-    meet: list
 
 
 def _subterms(e) -> Tape:
@@ -345,7 +343,6 @@ def _subterms(e) -> Tape:
     at: dict = {}  # id -> position in order, -1 while its operands are walked
     order: list = []
     kids: list = []
-    met: list = []
     stack: list = [e]
     while stack:
         node = stack.pop()
@@ -358,7 +355,6 @@ def _subterms(e) -> Tape:
         key = id(node)
         if key in at:
             continue
-        met.append(key)
         if isinstance(node, Op):
             at[key] = -1
             stack.append((node,))
@@ -367,7 +363,7 @@ def _subterms(e) -> Tape:
             at[key] = len(order)
             order.append(node)
             kids.append(())
-    return Tape(order, kids, [at[key] for key in met])
+    return Tape(order, kids)
 
 
 def _tape(e) -> Tape:
@@ -378,7 +374,7 @@ def _tape(e) -> Tape:
     tape = getattr(e, "_tape", None)
     if tape is None:
         return _subterms(e)
-    return Tape(tape.order + [e], tape.kids, tape.meet)
+    return Tape(tape.order + [e], tape.kids)
 
 
 def _fold(e, leaf: Callable, combine: Callable):
@@ -386,7 +382,7 @@ def _fold(e, leaf: Callable, combine: Callable):
     ``combine(node, *operand values)`` at an ``Op``, once per distinct
     subterm, in the order of its tape.  A value is dropped as soon as its
     last reader has read it."""
-    order, kids, _ = _tape(e)
+    order, kids = _tape(e)
     last = [0] * len(order)  # the position of each value's last reader
     for i, k in enumerate(kids):
         for j in k:

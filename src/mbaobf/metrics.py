@@ -39,14 +39,12 @@ class EmptyCorpusError(Exception):
 
 
 def _entropy(counts: dict) -> float:
+    """Shannon entropy in bits of the distribution ``counts`` (label ->
+    count), summed exactly rounded, so that it depends on the counts alone
+    and not on the order in which their labels were inserted."""
     total = sum(counts.values())
-    if total == 0:
-        return 0.0
-    h = 0.0
-    for count in counts.values():
-        p = count / total
-        h -= p * math.log2(p)
-    return h
+    return math.fsum(-c / total * math.log2(c / total)
+                     for c in counts.values())
 
 
 def measure(e: Expression) -> MetricsReport:
@@ -55,11 +53,10 @@ def measure(e: Expression) -> MetricsReport:
 
     Node labels for the entropy distributions: operator names (unary and
     binary minus are distinct), variable names, and constant values, with
-    equal constants sharing a label.  Labels enter the distributions in the
-    order a stack walk of the tree first meets them, so the entropy sums
-    add the same terms in the same order as that walk would.
+    equal constants sharing a label.  Each entropy is an exactly rounded
+    sum, so it is the tree walk's whatever order the labels are counted in.
     """
-    order, kids, meet = _tape(e)
+    order, kids = _tape(e)
     occurs = [0] * len(order)  # tree occurrences of each subterm
     occurs[-1] = 1
     for i in reversed(range(len(order))):  # parents before children
@@ -69,8 +66,7 @@ def measure(e: Expression) -> MetricsReport:
     var_count = const_count = op_count = alternation = 0
     tokens: dict = {}  # label -> occurrences
     leaves: dict = {}
-    for i in meet:  # the tree walk's first-meeting order
-        node, n = order[i], occurs[i]
+    for node, n in zip(order, occurs):
         if isinstance(node, Op):
             op_count += n
             label = ("op", node.op.name)

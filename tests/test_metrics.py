@@ -1,10 +1,11 @@
 import math
+from itertools import permutations
 
 import pytest
 
 from mbaobf.expr import Op, parse
-from mbaobf.metrics import (EmptyCorpusError, aggregate, aggregate_csv,
-                            measure)
+from mbaobf.metrics import (EmptyCorpusError, _entropy, aggregate,
+                            aggregate_csv, measure)
 
 from conftest import random_expr
 
@@ -44,6 +45,22 @@ class TestMeasure:
     def test_equal_constants_share_a_label(self):
         r = measure(parse("1 + 1"))
         assert abs(r.entropy_leaves - 0.0) < 1e-12
+
+    def test_entropy_ignores_label_insertion_order(self):
+        # A left-to-right float sum of these five terms reads two values
+        # over the 120 orders; the exactly rounded sum reads one.
+        counts = {("op", "add"): 3, ("var", "x"): 5, ("var", "y"): 2,
+                  ("const", 3): 1, ("op", "xor"): 7}
+        assert {_entropy(dict(items))
+                for items in permutations(counts.items())} == {
+            _entropy(counts)}
+
+    def test_one_label_has_entropy_plus_zero(self):
+        for text in ("x", "1 + 1", "x + x"):
+            r = measure(parse(text))
+            assert repr(r.entropy_leaves) == "0.0"
+        assert repr(measure(parse("x")).entropy_tokens) == "0.0"
+        assert repr(_entropy({})) == "0.0"
 
     def test_unary_and_binary_minus_are_distinct_labels(self):
         r = measure(parse("x - (- x)"))

