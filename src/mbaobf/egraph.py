@@ -58,8 +58,8 @@ reads the table as a zero-copy numpy view; every other reader takes
 one snapshot of it, :meth:`EGraph._live_rows`, instead of walking the
 hashcons.  That snapshot hands the live rows out in the graph's one
 e-node order, (label code, class, first child, second child), sorted
-there by :func:`_layout`; the match index takes that order as it is,
-and extraction only regroups it by class.
+there by :func:`_layout`; the match index and extraction both take that
+order as it is.
 
 The hashcons, the union-find, the node table with its leaf payloads and
 the set of classes merged away since the last rebuild are the graph's
@@ -373,9 +373,11 @@ class EGraph:
         rows and ``code``, ``first`` and ``second`` are copies of their
         cells.  The live rows come in the graph's one e-node order: label
         code, class, first child, second child, and two leaves of one
-        label and class in row order.  :meth:`classes`, the match index
-        and extraction all start from it, so no other reader copies the
-        union-find or decides the order.  Raises ``ValueError`` while merges
+        label and class in row order, so each class's rows come in
+        (label code, children, row) order, the order in which extraction
+        breaks ties.  :meth:`classes`, the match index and extraction all
+        start from it, so no other reader copies the union-find or
+        decides the order.  Raises ``ValueError`` while merges
         are pending; no view of the table outlives the call, so the graph
         may grow while the arrays are read."""
         if self._merged:

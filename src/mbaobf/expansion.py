@@ -23,17 +23,20 @@ extractor therefore runs a round-indexed dynamic program:
 
 Each call lays the graph out as flat arrays (each node's class and child
 classes) read from the e-graph's node table through
-:meth:`~mbaobf.egraph.EGraph._live_rows`, with no walk of the hashcons,
-and each round is one numpy sweep against a float table of the
+:meth:`~mbaobf.egraph.EGraph._live_rows`, with no walk of the hashcons
+and in the order it hands the rows out, and each round is one numpy
+sweep against a float table of the
 previous round's class costs, indexed by canonical class id, round 0
 included: it starts from a table that knows no term, so only leaves
 reach a cost in it.  Since child costs only
 rise, a node whose total has passed the output cap can never change its
 class again, and the sweep drops it.  On the corpus at the defaults
-about a tenth of the nodes are left from round 13 on.  One complex
-maximum per class, the total as its real part and minus the node's
-position as its imaginary part, gives each class's best cost and the
-first node reaching it.  A class's history is its change points, one per
+about a tenth of the nodes are left from round 13 on.  One
+``np.maximum.at`` of the nodes' totals into a copy of the table, by
+class id, gives each class's best cost, and one ``np.minimum.at`` of the
+positions at it the first node reaching it: that order lists each
+class's nodes in the e-graph's one e-node order, so nothing is sorted.
+A class's history is its change points, one per
 swept round in which its cost rose.  Each swept round's changes are kept
 as arrays, concatenated in round order and never sorted: reconstruction
 looks a class's points up by binary search when it first visits the
@@ -267,12 +270,14 @@ def _history(g: EGraph, rounds: int, sign: int, max_nodes: int) -> tuple:
 
     The layout is the graph's node table: its live rows and each row's
     class, in the order :meth:`EGraph._live_rows` hands them out (label
-    code, class, children), regrouped by class with one stable sort, so
-    each class's rows keep that e-node order: class id, label code, then
-    an operator's children, and two leaves of one label in row order.
-    The graph must be rebuilt, so that every live row holds a canonical
-    key.  The layout's temporaries, the table block that ``code`` views
-    included, are freed once the arrays are sorted.
+    code, class, children), which lists each class's rows in that
+    e-node order: label code, then an operator's children, and two
+    leaves of one label in row order.  The graph must be rebuilt, so
+    that every live row holds a canonical key.  The child columns are
+    copied, so that the block ``_live_rows``' columns view is freed:
+    over 12 corpus lines at node limit 8000 with a 2000-node cap, the
+    views raised extraction's largest traced peak from 1,335 to 1,521
+    KiB.
     ``first`` and ``second`` hold each node's child class ids, or -1
     where a node has fewer children; no operator has more than two.
     ``cost`` has ``m`` entries: one per id up to the largest class id,
@@ -288,17 +293,17 @@ def _history(g: EGraph, rounds: int, sign: int, max_nodes: int) -> tuple:
     only rises above every leaf's total, so no leaf wins again.  Child
     costs only rise, so a node can no longer change its class once its
     total is over the cap: the sweep drops those in each round in which
-    any crosses it.  A class changes only when a node strictly beats its
-    cost, and then takes the first node in layout order reaching the new
-    maximum, so on ties the earlier choice is kept.
-    One ``np.maximum.reduceat`` over the runs of ``key``, ``total - 1j
-    * position`` in one buffer whose real parts each round writes (after
-    a drop, a copy of its first entries, which hold the new positions),
-    finds both: numpy orders complex numbers by real part, then imaginary
-    part, so each run's maximum is its class's best total and minus the
-    smallest position reaching it, exact at every cost.  The cap test
-    builds its mask of the nodes to keep only in a round whose largest
-    total is over the cap.  Each swept round's changes are kept
+    any crosses it, and a drop only compresses the node arrays.  A
+    class changes only when a node strictly beats its cost, and then
+    takes the first node in layout order reaching the new maximum, so
+    on ties the earlier choice is kept.  ``np.maximum.at`` of the
+    totals into a copy of ``cost``, by class id, raises each class to
+    its best total where that beats its cost, and the classes raised
+    are the ones that change; ``np.minimum.at`` of the positions whose
+    total equals their class's new entry finds each one's first node.
+    Both are exact at every cost: nothing is packed into one key.  The
+    cap test builds its mask of the nodes to keep only in a round whose
+    largest total is over the cap.  Each swept round's changes are kept
     as stamps ``round * m + class`` and picks, class ids ascending and
     picks as rows of the table.
 
@@ -328,17 +333,11 @@ def _history(g: EGraph, rounds: int, sign: int, max_nodes: int) -> tuple:
     owner, node, code, first, second = g._live_rows()
     size = len(owner)
     owner = owner[node]  # each live row's class; the by-row copy is freed
+    first, second = first.copy(), second.copy()
+    del code  # the last view of _live_rows' block, which is freed
     m = int(owner.max()) + 2  # above every id; m - 1 is the virtual class
-    # Each label's rows ascend by class: a stable sort merges the runs.
-    order = np.argsort(owner, kind="stable")
-    node, owner = node[order], owner[order]
-    first, second = first[order], second[order]
-    del code, order  # code was the last view of _live_rows' block
     cost = np.full(m, _UNDEFINED)
     cost[-1] = sign
-    starts, heads, group = _runs(owner)
-    key = np.empty(len(node), complex)  # each round writes the real parts
-    key.imag = -np.arange(len(node), dtype=float)
     cap = max_nodes + sign
     stamps, picks, jumps = [], [], []
     log = deque(maxlen=2 * _MAX_PERIOD)  # fingerprints of the last rounds
@@ -349,21 +348,20 @@ def _history(g: EGraph, rounds: int, sign: int, max_nodes: int) -> tuple:
             keep = total <= cap
             node, owner, total = node[keep], owner[keep], total[keep]
             first, second = first[keep], second[keep]
-            starts, heads, group = _runs(owner)
-            key = key[:len(node)].copy()  # the kept nodes' positions
             log.clear()  # positions now index the smaller arrays
-        # each class's best total, and minus the first position at it
-        key.real = total
-        best = np.maximum.reduceat(key, starts)
-        changed = (best.real > cost[heads]).nonzero()[0]
-        if not changed.size:
+        best = cost.copy()  # raised to each class's best total above it
+        np.maximum.at(best, owner, total)
+        cids = (best > cost).nonzero()[0]
+        if not cids.size:
             break  # fixpoint; further rounds would be identical
-        firsts = (-best.imag[changed]).astype(np.intp)
-        cids = heads[changed]
-        new = best.real[changed]
-        gains = new - cost[cids]
+        # each class's first position at its best total
+        at = (total == best[owner]).nonzero()[0]
+        lead = np.full(m, len(node))
+        np.minimum.at(lead, owner[at], at)
+        firsts = lead[cids]
+        gains = best[cids] - cost[cids]
         log.append((cids.size, cids @ firsts, gains @ gains))
-        cost[cids] = new  # a round reads only the last one
+        cost = best  # a round reads only the last one
         stamps.append(r * m + cids)
         picks.append(node[firsts])
         r += 1
@@ -375,7 +373,7 @@ def _history(g: EGraph, rounds: int, sign: int, max_nodes: int) -> tuple:
         period = [(stamps[i - p] - (r + i - p) * m, position[picks[i - p]])
                   for i in range(p)]
         del position
-        k, gain = _horizon(cost, period, first, second, heads, group, cap,
+        k, gain = _horizon(cost, period, first, second, owner, cap,
                            (rounds + 1 - r) // p)
         if k:
             cost += k * gain
@@ -405,11 +403,12 @@ def _period(log: deque) -> int:
 
 
 def _horizon(cost: np.ndarray, period: list, first: np.ndarray,
-             second: np.ndarray, heads: np.ndarray, group: np.ndarray,
-             cap: float, limit: int) -> tuple:
+             second: np.ndarray, owner: np.ndarray, cap: float,
+             limit: int) -> tuple:
     """``(k, gain)``: how many more whole periods, at most ``limit``,
     repeat ``period``, the last rounds' ``(classes, positions of the
     picks)`` oldest first, and each class's rise over one period.
+    ``owner`` is each swept node's class.
 
     The next period, ``k = 0``, is played from ``cost`` with the same
     classes and picks: phase i reads ``before``, ``cost`` raised by the
@@ -436,44 +435,29 @@ def _horizon(cost: np.ndarray, period: list, first: np.ndarray,
         rise = total[firsts] - before[cids]
         if not (rise > 0).all():
             return 0, gain
-        phases.append((total, before[heads], cids, firsts))
+        phases.append((total, before.copy(), cids, firsts))
         before[cids] = total[firsts]
         gain[cids] += rise
     rate = gain[first] + gain[second]
-    climb = gain[heads]
     for total, bound, cids, firsts in phases:
         if (rate[firsts] != gain[cids]).any():
             return 0, gain
         # what a node may reach: its class's cost, or its pick's total
-        runs = group[firsts]
-        bound[runs] = total[firsts]
-        pick = np.full(len(heads), -1)
-        pick[runs] = firsts
+        bound[cids] = total[firsts]
+        pick = np.full(len(cost), -1)
+        pick[cids] = firsts
         live = (total > _UNDEFINED).nonzero()[0]
-        run = group[live]
-        b = np.concatenate((bound[run] - total[live] - (live < pick[run]),
+        cid = owner[live]
+        b = np.concatenate((bound[cid] - total[live] - (live < pick[cid]),
                             cap - total[firsts]))
         if (b < 0).any():
             return 0, gain
-        a = np.concatenate((rate[live] - climb[run], rate[firsts]))
+        a = np.concatenate((rate[live] - gain[cid], rate[firsts]))
         a, b = a.astype(np.int64), b.astype(np.int64)
         rising = a > 0
         if rising.any():
             limit = min(limit, int((b[rising] // a[rising]).min()) + 1)
     return limit, gain
-
-
-def _runs(owner: np.ndarray) -> tuple:
-    """``(starts, heads, group)`` of a nonempty class id array grouped in
-    runs: where each run starts, its class, and each element's run
-    number."""
-    head = np.empty(len(owner), bool)
-    head[0] = True
-    np.not_equal(owner[1:], owner[:-1], out=head[1:])
-    starts = head.nonzero()[0]
-    group = np.cumsum(head, dtype=np.intp)
-    group -= 1
-    return starts, owner[starts], group
 
 
 def _reconstructor(g: EGraph, stamps: np.ndarray, picks: np.ndarray,

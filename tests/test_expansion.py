@@ -18,7 +18,7 @@ from mbaobf.egraph import (CapacityExceededError, EGraph, ENode,
 from mbaobf.expansion import (MAX_OUTPUT_NODES, ExpansionConfig,
                               ExpansionReport, OutputTooLargeError, StopReason,
                               UnextractableError, _history, _iterate,
-                              _reconstructor, _runs, _slots, expand,
+                              _reconstructor, _slots, expand,
                               extract_max, extract_min, grow)
 from mbaobf.expr import (MAX_DEPTH, OPERATORS, Const, Op, Var, evaluate,
                          expr_size, parse, to_text)
@@ -80,25 +80,37 @@ def enumerate_terms(g, cid, depth):
 
 
 class TestExtractMax:
-    def test_complex_maximum_orders_by_real_then_imaginary_part(self):
-        # The sweep's np.maximum.reduceat over total - 1j * position finds
-        # each class's best total and its first node at it only if numpy
-        # orders complex numbers by real part, then imaginary part, and
-        # keeps doing so for the -inf totals of nodes no term reaches.
-        key = np.array([-np.inf - 0j, -np.inf - 1j, 3 - 2j, 3 - 3j, 5 - 4j,
-                        -np.inf - 5j])
-        best = np.maximum.reduceat(key, [0, 2, 5])
-        assert best.tolist() == [-np.inf - 0j, 5 - 4j, -np.inf - 5j]
-        rng = np.random.default_rng(45)
-        real = rng.integers(-2, 3, 4000).astype(float)
-        real[real < 0] = -np.inf
-        key = real - 1j * rng.permutation(len(real))
-        starts = np.flatnonzero(rng.random(len(key)) < 0.2)
-        starts[0] = 0
-        runs = np.split(key, starts[1:])
-        assert np.maximum.reduceat(key, starts).tolist() == [
-            max(run.tolist(), key=lambda z: (z.real, z.imag))
-            for run in runs]
+    def test_ufunc_at_keeps_each_class_maximum_and_first_position(self):
+        # The sweep finds each class's best total by np.maximum.at over the
+        # nodes' class ids, -inf where no node of a class has a term, and
+        # the first node at it by np.minimum.at of the positions at it.
+        best = np.full(4, -np.inf)
+        np.maximum.at(best, [2, 0, 2, 0, 3],
+                      [-np.inf, 3.0, 5.0, 3.0, -np.inf])
+        assert best.tolist() == [3.0, -np.inf, 5.0, -np.inf]
+        # two nodes a class on average: some classes hold none, some only
+        # nodes at -inf
+        rng = np.random.default_rng(52)
+        owner = rng.integers(0, 2000, 4000)
+        total = rng.integers(-2, 3, 4000).astype(float)
+        total[total < 0] = -np.inf
+        best = np.full(2001, -np.inf)
+        np.maximum.at(best, owner, total)
+        at = (total == best[owner]).nonzero()[0]
+        lead = np.full(2001, len(owner))
+        np.minimum.at(lead, owner[at], at)
+        nodes = {}
+        for i, (c, t) in enumerate(zip(owner.tolist(), total.tolist())):
+            nodes.setdefault(c, []).append((t, -i))
+        want_best = [-math.inf] * 2001
+        want_lead = [len(owner)] * 2001
+        for c, at_c in nodes.items():
+            t, i = max(at_c)  # the largest total, then the first node
+            want_best[c], want_lead[c] = t, -i
+        assert best.tolist() == want_best
+        assert lead.tolist() == want_lead
+        assert len(nodes) < 2000
+        assert any(max(at_c)[0] == -math.inf for at_c in nodes.values())
 
     def test_leaf_round_one(self):
         g = EGraph()
@@ -256,6 +268,23 @@ class TestExtractMin:
         g.rebuild()
         with pytest.raises(UnextractableError):
             extract_min(g, root)
+
+    def test_doubling_chain_at_the_edge_of_exact_costs(self):
+        # c_i = c_{i-1} + c_{i-1}, 52 links: c_52's term has 2^53 - 1
+        # nodes, and its cost, shifted by one, is -2^53, the last float
+        # below which every integer is exact.
+        g = EGraph()
+        chain = [g.add(ENode("var", "x", ()))]
+        for _ in range(52):
+            chain.append(g.add(ENode("add", None, (chain[-1], chain[-1]))))
+        g.rebuild()
+        want = Var("x")
+        for _ in range(52):
+            want = Op(OPERATORS["add"], (want, want))
+        out = extract_min(g, chain[-1])
+        assert expr_size(out) == 2**53 - 1
+        table = {}
+        assert term_number(out, table, {}) == term_number(want, table, {})
 
     def test_min_never_exceeds_max(self):
         g, root = addor_graph()
@@ -557,6 +586,19 @@ class TestAgainstReference:
                         == expr_size(reference_extract_min(g, cid)))
 
 
+def runs(owner):
+    """``(starts, heads, group)`` of a nonempty class id array grouped in
+    runs: where each run starts, its class, and each element's run
+    number."""
+    head = np.empty(len(owner), bool)
+    head[0] = True
+    np.not_equal(owner[1:], owner[:-1], out=head[1:])
+    starts = head.nonzero()[0]
+    group = np.cumsum(head, dtype=np.intp)
+    group -= 1
+    return starts, owner[starts], group
+
+
 def sweep_history(g, rounds, sign, max_nodes):
     """The change points of ``_history`` as it was before it jumped over
     periodic tails and read the node table: one sweep per round, every
@@ -587,7 +629,7 @@ def sweep_history(g, rounds, sign, max_nodes):
     first, second = first[order], second[order]
     cost = np.full(m, float("-inf"))
     cost[-1] = sign
-    starts, heads, group = _runs(owner)
+    starts, heads, group = runs(owner)
     cap = max_nodes + sign
     changes = []
     for r in range(rounds + 1):
@@ -597,7 +639,7 @@ def sweep_history(g, rounds, sign, max_nodes):
             keep = ~over
             node, owner, total = node[keep], owner[keep], total[keep]
             first, second = first[keep], second[keep]
-            starts, heads, group = _runs(owner)
+            starts, heads, group = runs(owner)
         best = np.maximum.reduceat(total, starts)
         changed = (best > cost[heads]).nonzero()[0]
         if not changed.size:
@@ -770,10 +812,10 @@ class TestPeriodicTail:
         # -L; the table's last entry is the virtual class.  The proposed
         # period is one round in which the classes ``changed`` change.
         first, second = np.array([0, -1, 0, 1]), np.full(4, -1)
-        runs, changed = np.arange(4), np.array(changed)
+        owner, changed = np.arange(4), np.array(changed)
         k, _ = mbaobf.expansion._horizon(
             np.array([*cost, 1.0]), [(changed, changed)], first, second,
-            runs, runs, 60, 100)
+            owner, 60, 100)
         assert k == periods
 
     @pytest.mark.parametrize("length", (1, 2, 3))
@@ -930,8 +972,8 @@ def test_extraction_reads_no_hashcons(node_limit, max_output_nodes):
 
 class TestLayout:
     """The e-graph's one e-node order, by (label and class, then the
-    children), which :meth:`EGraph._live_rows` sorts with ``_layout``, and
-    the extractor's regrouping of it by class, against ``np.lexsort``."""
+    children), which :meth:`EGraph._live_rows` sorts with ``_layout`` and
+    the extractor sweeps as it is, against ``np.lexsort``."""
 
     @pytest.fixture
     def lexsorts(self, monkeypatch):
@@ -947,29 +989,35 @@ class TestLayout:
         return calls
 
     def test_grown_corpus_graphs(self, monkeypatch):
-        seen, regrouped = [], []
+        seen, sorts = [], []
 
         def recorded(major, minor):
             seen.append((major, minor, _layout(major, minor)))
             return seen[-1][2]
 
-        def argsort(a, **kwargs):
-            regrouped.append(np.argsort(a, **kwargs))
-            return regrouped[-1]
+        def counted(name):
+            def sort(*args, **kwargs):
+                sorts.append(name)
+                return getattr(np, name)(*args, **kwargs)
+            return sort
 
         monkeypatch.setattr(mbaobf.egraph, "_layout", recorded)
         monkeypatch.setattr(mbaobf.expansion, "np", types.SimpleNamespace(
-            **{**vars(np), "argsort": argsort}))
+            **{**vars(np), **{name: counted(name) for name in (
+                "argsort", "lexsort", "sort", "unique")}}))
         for line in CORPUS.read_text().splitlines()[:5]:
             g, root = grown_graph(parse(line), 3000)
             before = len(seen)
             extract_max(g, root, 64, 10_000)
-            assert len(seen) == before + 1 and len(regrouped) == 1
-            # the extractor's layout: (class, label, children, row)
+            # the extractor sweeps _live_rows' order and sorts nothing
+            assert len(seen) == before + 1 and not sorts
+            # in which each class's rows come in (label, children, row)
+            # order, the order in which the sweep breaks ties
             classes, live, code, first, second = g._live_rows()
-            row = live[regrouped.pop()]
-            assert np.array_equal(row, live[np.lexsort(
-                (live, second, first, code, classes[live]))])
+            owner = classes[live]
+            assert np.array_equal(
+                live[np.argsort(owner, kind="stable")],
+                live[np.lexsort((live, second, first, code, owner))])
         assert len(seen) >= 15  # each of 5 lines: growth, extraction, here
         for major, minor, order in seen:
             assert np.array_equal(order, np.lexsort((minor, major)))

@@ -79,8 +79,16 @@ class TestMeasure:
             e = random_expr(rng, rng.randint(1, 15), bits=8, const_prob=0.3)
             r = measure(e)
             assert 0.0 <= r.entropy_tokens <= math.log2(r.ast_size) + 1e-12
-            assert r.entropy_leaves <= r.entropy_tokens + 1e-12 or True
-            assert r.entropy_leaves >= 0.0
+            assert (0.0 <= r.entropy_leaves
+                    <= math.log2(r.var_count + r.const_count) + 1e-12)
+
+    def test_leaf_entropy_can_exceed_token_entropy(self):
+        # Twenty NOTs over x * y: the two leaves split evenly, one bit,
+        # while NOT dominates the token counts.
+        r = measure(parse("~" * 20 + "(x * y)"))
+        assert r.entropy_leaves == 1.0
+        assert abs(r.entropy_tokens - 0.7653636126766978) < 1e-12
+        assert r.entropy_leaves > r.entropy_tokens
 
     def test_alternation_bounded_by_op_op_edges(self, rng):
         def op_op_edges(e):
