@@ -23,7 +23,10 @@ BASE.jsonl`` of what bench wrote), ``trajectory_sha256`` and the stops.
 ``heap_peak_kib`` is the largest ``tracemalloc`` peak of one ``expand``
 call, taken over one more pass, untimed, that traces each call on its
 own: a memory figure that repeats exactly, where a process's peak RSS
-moves by 0.1-0.2 MiB between runs of the same code.
+moves by 0.1-0.2 MiB between runs of the same code.  That pass also
+records ``ground_share_mean``, the mean over the lines of
+``metrics.ground_share`` of the output, after each call's trace stops (a
+side whose package has no ``ground_share`` records none).
 
 With ``REF``, ``REF:src/mbaobf`` is imported from ``git archive`` as
 ``mbaobf_ref`` and runs its own bench; the sides alternate pass for pass,
@@ -86,13 +89,17 @@ class Side:
 
     def __init__(self, package: str, flags: list):
         self.cli = importlib.import_module(package + ".cli")
+        self.ground_share = getattr(importlib.import_module(
+            package + ".metrics"), "ground_share", None)
         self.flags = flags
         self.passes, self.elapsed, self.heap_peaks = [], [], []
+        self.ground_shares = []
 
     def run(self, traced: bool = False) -> tuple:
         """One pass: the sha256 of the JSONL, the CSV and the trajectory,
         and the stop reasons with their counts.  A ``traced`` pass is not
-        timed: it records each ``expand`` call's traced heap peak."""
+        timed: it records each ``expand`` call's traced heap peak and its
+        output's ground share."""
         expand, trajectory = self.cli.expand, hashlib.sha256()
         stops = Counter()
 
@@ -105,6 +112,8 @@ class Side:
                 if traced:
                     self.heap_peaks.append(tracemalloc.get_traced_memory()[1])
                     tracemalloc.stop()
+            if traced and self.ground_share is not None:
+                self.ground_shares.append(self.ground_share(report.output))
             assert report.final_node_count <= cfg.node_limit, expr
             trajectory.update(f"{report.stop.value} {report.iterations} "
                               f"{report.final_node_count}\n".encode())
@@ -143,7 +152,10 @@ class Side:
                 "elapsed_s": {"p50": round(statistics.median(self.elapsed), 4),
                               "p95": round(p95, 4),
                               "max": round(max(self.elapsed), 4)},
-                "heap_peak_kib": round(max(self.heap_peaks) / 1024)}
+                "heap_peak_kib": round(max(self.heap_peaks) / 1024),
+                **({"ground_share_mean": round(
+                    statistics.fmean(self.ground_shares), 4)}
+                   if self.ground_shares else {})}
 
 
 def main() -> None:

@@ -41,7 +41,7 @@ from .expansion import (ExpansionConfig, ExpansionReport, OutputTooLargeError,
                         UnextractableError, expand)
 from .expr import (DEFAULT_BITWIDTH, VALID_BITWIDTHS, ParseError, _fold,
                    parse, to_text)
-from .metrics import aggregate, aggregate_csv, measure
+from .metrics import aggregate, aggregate_csv, ground_share, measure
 from .rules import (RuleSyntaxError, UnboundRhsVarError, load_default_rules,
                     parse_rules)
 from .verify import check_equivalence, check_rules
@@ -267,6 +267,7 @@ def run_obfuscate(args) -> int:
         payload["iterations"] = report.iterations
         payload["final_node_count"] = report.final_node_count
         payload["elapsed_ms"] = round(report.elapsed * 1000.0, 3)
+        payload["ground_share"] = round(ground_share(report.output), 6)
         text = json.dumps(payload, indent=2)
     else:
         text = to_text(report.output)
@@ -345,9 +346,12 @@ def run_check_rules(args) -> int:
 
 
 def run_metrics(args) -> int:
-    report = measure(parse(args.expr, args.bitwidth))
+    e = parse(args.expr, args.bitwidth)
+    report = measure(e)
     if args.json:
-        print(json.dumps(report.as_dict(), indent=2))
+        print(json.dumps({**report.as_dict(),
+                          "ground_share": round(ground_share(e), 6)},
+                         indent=2))
     else:
         for key, value in report.as_dict().items():
             print(f"{key}: {value}")

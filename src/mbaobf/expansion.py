@@ -568,7 +568,8 @@ def grow(e: Expression, rules: list, cfg: ExpansionConfig,
     order: it matches one rule against the index and applies its matches
     before it matches the next, and it rebuilds at the end.  So every rule
     sees the graph as it stood when the iteration began, as if all were
-    matched up front, but a rule is matched only if growth reaches it.
+    matched up front, but a rule is matched only if growth reaches it,
+    and one whose left side equals the previous rule's reuses its matches.
     The first application that would pass ``node_limit``, the e-graph's
     cap and the one place the node budget is checked, is rolled back and
     ends growth with ``NodeLimit``; the matches and rules after it lose
@@ -590,7 +591,6 @@ def grow(e: Expression, rules: list, cfg: ExpansionConfig,
     g = EGraph(bits=bits, max_nodes=cfg.node_limit)
     root = g.add_expr(e)
     g.rebuild()
-    slots = _slots(rules)
     deadline = time.monotonic() + (math.inf if cfg.time_limit is None
                                    else cfg.time_limit)
     stop, iterations, term = None, 0, None
@@ -601,7 +601,7 @@ def grow(e: Expression, rules: list, cfg: ExpansionConfig,
             stop = StopReason.ITER_LIMIT
         else:
             term = None  # the graph changes, so an earlier term is stale
-            stop, changed = _iterate(g, rules, deadline, slots)
+            stop, changed = _iterate(g, rules, deadline)
             g.rebuild()
             iterations += 1
             if stop is None and not changed:
@@ -616,42 +616,27 @@ def grow(e: Expression, rules: list, cfg: ExpansionConfig,
     return Grown(g, root, stop, iterations, term)
 
 
-def _slots(rules: list) -> list:
-    """Each rule's ``(slot, last)``: ``slot`` is the position of the
-    first rule in ``rules`` with the same left side, whose match list the
-    rule reads, and ``last`` whether no later rule reads that list.
-    :func:`grow` works this out once, so no iteration hashes a left
-    side."""
-    first, last = {}, {}
-    for i, rule in enumerate(rules):
-        first.setdefault(rule.lhs, i)
-        last[rule.lhs] = i
-    return [(first[rule.lhs], last[rule.lhs] == i)
-            for i, rule in enumerate(rules)]
-
-
-def _iterate(g: EGraph, rules: list, deadline: float, slots: list) -> tuple:
+def _iterate(g: EGraph, rules: list, deadline: float) -> tuple:
     """One iteration's matching and application, without the rebuild:
     ``(stop, changed)``, with ``stop`` the reason that ended it early
     (``TimeLimit`` or ``NodeLimit``) or None, and ``changed`` whether any
-    application changed the graph.  Rules that share a left side share
-    its match list, by ``slots``, :func:`_slots` of ``rules``, and a list
-    is dropped once its last rule has read it, so the lists do not pile
-    up under growth's peak.  Each rule's matches are applied in
+    application changed the graph.  A rule whose left side equals the
+    previous rule's reuses that rule's match list; any other rule is
+    matched afresh, after the previous list is dropped, so at most one
+    list is alive at a time.  Each rule's matches are applied in
     :func:`~mbaobf.rules.apply_match` calls of up to
     ``_TIME_CHECK_STRIDE`` matches, and the clock is read before each rule
-    is matched and before each of its slices after the first.  The index
-    is freed on return, before the caller rebuilds."""
+    and before each of its slices after the first.  The index is freed on
+    return, before the caller rebuilds."""
     index = _label_index(g)
-    lists = [None] * len(rules)  # match lists against this index, by slot
+    lhs, matches = None, None
     changed = False
-    for rule, (slot, last) in zip(rules, slots):
+    for rule in rules:
         if time.monotonic() >= deadline:
             return StopReason.TIME_LIMIT, changed
-        matches = lists[slot]
-        if matches is None:
+        if rule.lhs != lhs:
+            lhs, matches = rule.lhs, None
             matches = ematch(g, rule, index)
-        lists[slot] = None if last else matches
         for start in range(0, len(matches), _TIME_CHECK_STRIDE):
             if start and time.monotonic() >= deadline:
                 return StopReason.TIME_LIMIT, changed

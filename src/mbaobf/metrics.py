@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .expr import Expression, Op, Var, _tape
+from .expr import Expression, Op, Var, _fold, _tape
 
 
 @dataclass(frozen=True)
@@ -92,6 +92,28 @@ def measure(e: Expression) -> MetricsReport:
         entropy_tokens=_entropy(tokens),
         entropy_leaves=_entropy(leaves),
     )
+
+
+def ground_share(e: Expression) -> float:
+    """The share of the tree's nodes that lie in a variable-free operator
+    subterm, in one fold over the distinct subterms.  A constant counts
+    only inside such a subterm: ``x + 1`` reads 0 and ``(0 + 0) + x``
+    reads 0.6.  Not a :class:`MetricsReport` field, so the bench JSONL
+    and CSV do not carry it."""
+
+    def leaf(node) -> tuple:
+        # (tree nodes, whether a variable is among them, those in ground
+        # operator subterms)
+        return 1, isinstance(node, Var), 0
+
+    def combine(node, *args) -> tuple:
+        size = 1 + sum(a[0] for a in args)
+        if any(a[1] for a in args):
+            return size, True, sum(a[2] for a in args)
+        return size, False, size
+
+    size, _, ground = _fold(e, leaf, combine)
+    return ground / size
 
 
 @dataclass(frozen=True)

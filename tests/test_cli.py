@@ -15,7 +15,7 @@ from mbaobf.cli import main
 from mbaobf.egraph import CapacityExceededError
 from mbaobf.expr import (MAX_DEPTH, VALID_BITWIDTHS, expr_size, parse,
                          to_text)
-from mbaobf.metrics import measure
+from mbaobf.metrics import ground_share, measure
 from mbaobf.rules import default_rules_text
 
 from conftest import CORPUS, flat_sum
@@ -70,9 +70,12 @@ class TestObfuscate:
         payload = json.loads(capsys.readouterr().out)
         assert set(payload) >= {"input", "output", "stop", "metrics_in",
                                 "metrics_out", "iterations",
-                                "final_node_count", "elapsed_ms"}
+                                "final_node_count", "elapsed_ms",
+                                "ground_share"}
         assert payload["input"] == "x + y"
         assert payload["metrics_in"]["ast_size"] == 3
+        assert payload["ground_share"] == round(
+            ground_share(parse(payload["output"])), 6)
 
     def test_selfcheck_passes(self, capsys):
         assert main(["obfuscate", "-e", "x ^ y", "--selfcheck", *FAST]) == 0
@@ -544,8 +547,8 @@ class TestNoTraceback:
                        *(FAST if command == "obfuscate" else []))
         assert proc.returncode == 0, proc.stderr
         if command == "metrics":
-            assert json.loads(proc.stdout) == \
-                measure(parse("x + 8")).as_dict()
+            assert json.loads(proc.stdout) == {
+                **measure(parse("x + 8")).as_dict(), "ground_share": 0.0}
 
     @pytest.mark.parametrize("command", ["obfuscate", "metrics"])
     @pytest.mark.parametrize("text", ["\u00b2", "\u00e9", "x + \u0661"],

@@ -18,7 +18,7 @@ from mbaobf.egraph import (CapacityExceededError, EGraph, ENode,
 from mbaobf.expansion import (MAX_OUTPUT_NODES, ExpansionConfig,
                               ExpansionReport, OutputTooLargeError, StopReason,
                               UnextractableError, _history, _iterate,
-                              _reconstructor, _slots, expand,
+                              _reconstructor, expand,
                               extract_max, extract_min, grow)
 from mbaobf.expr import (MAX_DEPTH, OPERATORS, Const, Op, Var, evaluate,
                          expr_size, parse, to_text)
@@ -1533,59 +1533,72 @@ class TestLazyMatching:
         assert (dataclasses.replace(rep, elapsed=0.0)
                 == eager_expand(e, rules, cfg, []))
 
-    def test_slots_name_each_left_sides_first_and_last_rule(self):
-        rules = COLLAPSING + load_default_rules() + COLLAPSING[:2]
-        slots = _slots(rules)
-        for i, (rule, (slot, last)) in enumerate(zip(rules, slots)):
-            same = [j for j, other in enumerate(rules)
-                    if other.lhs == rule.lhs]
-            assert (slot, last) == (same[0], same[-1] == i)
-        # the 14 shipped rules have 9 left sides, so 5 rules are not the
-        # last reader of their list
-        assert [last for _, last in _slots(load_default_rules())].count(
-            False) == 5
-
     def test_each_match_list_dropped_after_its_last_rule(self, monkeypatch):
-        # one match per distinct left side and iteration, and no list
-        # outlives the last rule that reads it
+        # one match per run of rules with one left side and iteration, and
+        # at most one match list alive at a time
         original = mbaobf.expansion.ematch
         apply = mbaobf.expansion.apply_match
 
         class Matches(list):
             pass  # a list that a weak reference can point to
 
-        lists = {}  # slot -> a weak reference to its list this iteration
+        lists = []  # a weak reference to each list built this iteration
 
-        def freed(rule):
-            # every list whose last reader comes before the rule is gone
-            i = rules.index(rule)
-            return all(ref() is None for slot, ref in lists.items()
-                       if readers[slot] < i)
+        def alive():
+            return sum(ref() is not None for ref in lists)
 
         def matched(g, rule, index=None):
-            slot = slots[rules.index(rule)][0]
-            assert slot not in lists and freed(rule), rule.name
             found = Matches(original(g, rule, index))
-            lists[slot] = weakref.ref(found)
+            lists.append(weakref.ref(found))
+            assert alive() == 1, rule.name
             return found
 
         def applied(g, rule, matches):
-            assert freed(rule), rule.name
+            assert alive() == 1, rule.name
             return apply(g, rule, matches)
 
         monkeypatch.setattr(mbaobf.expansion, "ematch", matched)
         monkeypatch.setattr(mbaobf.expansion, "apply_match", applied)
         rules = load_default_rules()
-        slots = _slots(rules)
-        readers = {slot: i for i, (slot, _) in enumerate(slots)}  # the last
+        runs = len(list(itertools.groupby(rule.lhs for rule in rules)))
+        assert (runs, len({rule.lhs for rule in rules})) == (9, 9)
         g = EGraph(max_nodes=3000)
         g.add_expr(parse(CORPUS.read_text().splitlines()[0]))
         g.rebuild()
         for _ in range(3):
             lists.clear()
-            assert _iterate(g, rules, math.inf, slots) == (None, True)
-            assert sorted(lists) == sorted({s for s, _ in slots})
-            assert all(ref() is None for ref in lists.values())
+            assert _iterate(g, rules, math.inf) == (None, True)
+            assert len(lists) == runs and alive() == 0
+            g.rebuild()
+
+    def test_interleaved_left_sides_matched_again(self, monkeypatch):
+        # equal left sides apart from each other are matched once per
+        # run, against one index, so growth is the eager loop's
+        original = mbaobf.expansion.ematch
+        calls = []
+
+        def counted(g, rule, index=None):
+            calls.append(rule.name)
+            return original(g, rule, index)
+
+        monkeypatch.setattr(mbaobf.expansion, "ematch", counted)
+        rules = COLLAPSING + load_default_rules() + COLLAPSING[:2]
+        runs = [next(group).name for _, group in itertools.groupby(
+            rules, lambda rule: rule.lhs)]
+        assert len(runs) > len({rule.lhs for rule in rules})
+        cfg = ExpansionConfig(node_limit=600, iter_limit=4, time_limit=60.0,
+                              max_output_nodes=500)
+        for text in ("(x - x) - y", "(x ^ x) + (0 - y)", "x * 0 + (y & y)"):
+            e = parse(text)
+            assert (dataclasses.replace(expand(e, rules, cfg), elapsed=0.0)
+                    == eager_expand(e, rules, cfg, []))
+        g = EGraph(max_nodes=100000)
+        g.add_expr(parse("(x - x) - (y ^ y)"))
+        g.rebuild()
+        for _ in range(2):
+            calls.clear()
+            assert _iterate(g, rules, math.inf)[0] is None
+            assert calls == runs
             g.rebuild()
 
     def test_clock_read_before_each_rule_is_matched(self, monkeypatch):

@@ -1,13 +1,16 @@
 import math
+import statistics
 from itertools import permutations
 
 import pytest
 
-from mbaobf.expr import Op, parse
+from mbaobf.expansion import ExpansionConfig, expand
+from mbaobf.expr import Op, Var, parse
 from mbaobf.metrics import (EmptyCorpusError, _entropy, aggregate,
-                            aggregate_csv, measure)
+                            aggregate_csv, ground_share, measure)
+from mbaobf.rules import load_default_rules
 
-from conftest import random_expr
+from conftest import CORPUS, random_expr
 
 
 class TestMeasure:
@@ -105,6 +108,63 @@ class TestMeasure:
     def test_pure_function(self):
         e = parse("(x | y) * 3")
         assert measure(e) == measure(e)
+
+
+def subterms(e):
+    """Every node of the tree ``e``, shared subterms once per occurrence."""
+    yield e
+    if isinstance(e, Op):
+        for a in e.args:
+            yield from subterms(a)
+
+
+def naive_ground_nodes(e) -> int:
+    """The tree nodes of ``e`` inside variable-free operator subterms, by
+    a recursive walk of the tree."""
+    if not isinstance(e, Op):
+        return 0
+    if not any(isinstance(n, Var) for n in subterms(e)):
+        return sum(1 for _ in subterms(e))
+    return sum(naive_ground_nodes(a) for a in e.args)
+
+
+@pytest.fixture(scope="module")
+def corpus_shares():
+    """``ground_share`` of each corpus line's output at the defaults, with
+    a clock far from every line's time."""
+    rules = load_default_rules()
+    cfg = ExpansionConfig(time_limit=60.0)
+    return [ground_share(expand(parse(line), rules, cfg).output)
+            for line in CORPUS.read_text().splitlines()]
+
+
+class TestGroundShare:
+    def test_constant_counts_only_inside_a_ground_operator(self):
+        assert ground_share(parse("x + 1")) == 0.0
+        assert ground_share(parse("(0 + 0) + x")) == 0.6
+        assert ground_share(parse("5")) == 0.0
+        assert ground_share(parse("x")) == 0.0
+        assert ground_share(parse("~(1 - 2)")) == 1.0
+
+    def test_agrees_with_a_tree_walk(self, rng):
+        for _ in range(1000):
+            e = random_expr(rng, rng.randint(1, 15), bits=8, const_prob=0.5)
+            assert ground_share(e) == (naive_ground_nodes(e)
+                                       / measure(e).ast_size)
+
+    def test_shared_subterm_counted_per_occurrence(self):
+        zero = parse("0 + 0")
+        e = Op(parse("x + y").op, (Op(zero.op, (zero, zero)), Var("x")))
+        assert ground_share(e) == 7 / 9
+
+    def test_corpus_outputs_at_the_defaults(self, corpus_shares):
+        # nearly every output node lies in a tree of zeros (ROADMAP item 30)
+        assert round(statistics.fmean(corpus_shares), 4) == 0.9910
+        assert round(min(corpus_shares), 4) == 0.9888
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 30, step 3")
+    def test_corpus_outputs_mostly_depend_on_a_variable(self, corpus_shares):
+        assert statistics.fmean(corpus_shares) < 0.5
 
 
 class TestAggregate:

@@ -8,8 +8,7 @@ import pytest
 import mbaobf.expansion
 from mbaobf.egraph import (_CODES, CapacityExceededError, EGraph,
                            InvalidIdError)
-from mbaobf.expansion import (_TIME_CHECK_STRIDE, StopReason, _iterate,
-                               _slots)
+from mbaobf.expansion import _TIME_CHECK_STRIDE, StopReason, _iterate
 from mbaobf.expr import ADD, MAX_DEPTH, MUL, NOT, Const, Op, Var, parse
 from mbaobf.rules import (PatVar, Rule, RuleSyntaxError, UnboundRhsVarError,
                           _label_index, apply_match, count_new_nodes, ematch,
@@ -474,7 +473,7 @@ class TestMatchPlan:
                 for rule in MATCHER_RULES:
                     got = ematch(g, rule, index)
                     assert all(a < b for a, b in zip(got, got[1:])), rule.lhs
-                _iterate(g, rules, math.inf, _slots(rules))
+                _iterate(g, rules, math.inf)
                 g.rebuild()
 
     def test_long_left_sides_match(self):
@@ -975,7 +974,7 @@ class TestBatchApplication:
             reference_batch(ref, rule, matches[:_TIME_CHECK_STRIDE])
             reads.clear()
             stop = StopReason.TIME_LIMIT if n > _TIME_CHECK_STRIDE else None
-            assert _iterate(g, [rule], 1.0, _slots([rule])) == (stop, True)
+            assert _iterate(g, [rule], 1.0) == (stop, True)
             assert len(reads) == 1 + (stop is not None)
             assert_twins(g, ref)
 
@@ -1015,7 +1014,7 @@ class TestNewTop:
             stop, changed = None, True
             while stop is None and changed:
                 start = len(g._uf)
-                stop, changed = _iterate(g, rules, math.inf, _slots(rules))
+                stop, changed = _iterate(g, rules, math.inf)
                 kids = set(g._columns()[start:, 1:].ravel().tolist())
                 new = set(range(start, len(g._uf))) - kids
                 assert all(g._uf[cid] < start for cid in new)
@@ -1034,7 +1033,7 @@ class TestNewTop:
         rules = load_default_rules()
         g, _ = graph_of(CORPUS.read_text().splitlines()[0])
         for _ in range(2):
-            _iterate(g, rules, math.inf, _slots(rules))
+            _iterate(g, rules, math.inf)
             g.rebuild()
         index = _label_index(g)
         added = 0
